@@ -129,9 +129,11 @@ def dispersion(lat: ModeLattice, kvec) -> float:
     return float(np.sqrt(lat.m ** 2 + np.sum(kvec ** 2)))
 
 
-def _check_grid(lat: ModeLattice, grid_field) -> np.ndarray:
+def _check_grid(lat: ModeLattice, grid_field, batched: bool = False) -> np.ndarray:
+    """The field as an array; ``batched`` also admits one leading (time) axis."""
     arr = np.asarray(grid_field)
-    if arr.shape != lat.grid_shape:
+    shape = arr.shape[1:] if batched and arr.ndim == lat.d + 1 else arr.shape
+    if shape != lat.grid_shape:
         raise ValueError(f"grid field must have shape {lat.grid_shape}, "
                          f"got {arr.shape}")
     return arr
@@ -162,48 +164,51 @@ def mode_sum_grid(lat: ModeLattice, plus_coeff, minus_coeff) -> np.ndarray:
 
     The two coefficient arrays sit on the same mode list; the e^{-ik.x}
     branch is scattered onto the reflected FFT bins.  Exact for the retained
-    band since all bin residues are distinct.
+    band since all bin residues are distinct.  Coefficient arrays of shape
+    (n_t, n_modes) give stacked grids of shape (n_t,) + grid_shape, time
+    axis first, from one inverse FFT over the trailing grid axes.
     """
-    spec = np.zeros(lat.grid_shape, dtype=complex)
-    idx = lat.fft_indices()
-    np.add.at(spec, idx, np.asarray(plus_coeff, dtype=complex))
+    spec = np.zeros(np.shape(plus_coeff)[:-1] + lat.grid_shape, dtype=complex)
     ridx = tuple(np.mod(-lat.modes[:, a], lat.N) for a in range(lat.d))
-    np.add.at(spec, ridx, np.asarray(minus_coeff, dtype=complex))
-    return np.fft.ifftn(spec) * lat.N ** lat.d
+    spec[(Ellipsis,) + lat.fft_indices()] += plus_coeff
+    spec[(Ellipsis,) + ridx] += minus_coeff
+    return np.fft.ifftn(spec, axes=range(-lat.d, 0)) * lat.N ** lat.d
 
 
 def _fft_wavenumbers(lat: ModeLattice) -> list:
-    """Full-grid angular wavenumbers per axis (for spectral derivatives)."""
-    return [2.0 * np.pi * np.fft.fftfreq(lat.N, d=lat.L / lat.N)
-            for _ in range(lat.d)]
+    """Full-grid angular wavenumbers per axis, shaped to broadcast on the grid."""
+    k = 2.0 * np.pi * np.fft.fftfreq(lat.N, d=lat.L / lat.N)
+    return [k.reshape([lat.N if b == a else 1 for b in range(lat.d)])
+            for a in range(lat.d)]
 
 
 def spectral_gradient(lat: ModeLattice, grid_field) -> np.ndarray:
-    """All spatial derivatives of a band-limited grid field, shape (d, N^d)."""
-    arr = _check_grid(lat, grid_field)
-    spec = np.fft.fftn(arr)
-    ks = _fft_wavenumbers(lat)
-    out = np.empty((lat.d,) + lat.grid_shape, dtype=complex)
-    for a in range(lat.d):
-        shape = [1] * lat.d
-        shape[a] = lat.N
-        out[a] = np.fft.ifftn(1j * ks[a].reshape(shape) * spec)
+    """All spatial derivatives of a band-limited grid field, shape (d, N^d).
+
+    A stack of fields with a leading time axis, shape (n_t,) + grid_shape,
+    gives shape (n_t, d) + grid_shape.
+    """
+    arr = _check_grid(lat, grid_field, batched=True)
+    axes = range(-lat.d, 0)
+    spec = np.expand_dims(np.fft.fftn(arr, axes=axes), -lat.d - 1)
+    ik = 1j * np.stack(np.broadcast_arrays(*_fft_wavenumbers(lat)))
+    out = np.fft.ifftn(ik * spec, axes=axes)
     if np.isrealobj(arr):
         return out.real
     return out
 
 
 def spectral_laplacian(lat: ModeLattice, grid_field) -> np.ndarray:
-    """Laplacian of a band-limited grid field via the full-grid FFT."""
-    arr = _check_grid(lat, grid_field)
-    spec = np.fft.fftn(arr)
-    ks = _fft_wavenumbers(lat)
-    k2 = np.zeros(lat.grid_shape)
-    for a in range(lat.d):
-        shape = [1] * lat.d
-        shape[a] = lat.N
-        k2 = k2 + (ks[a].reshape(shape)) ** 2
-    out = np.fft.ifftn(-k2 * spec)
+    """Laplacian of a band-limited grid field via the full-grid FFT.
+
+    Accepts a stack of fields with a leading time axis, like
+    ``spectral_gradient``; the output has the shape of the input.
+    """
+    arr = _check_grid(lat, grid_field, batched=True)
+    axes = range(-lat.d, 0)
+    spec = np.fft.fftn(arr, axes=axes)
+    k2 = sum(k ** 2 for k in _fft_wavenumbers(lat))
+    out = np.fft.ifftn(-k2 * spec, axes=axes)
     if np.isrealobj(arr):
         return out.real
     return out

@@ -241,33 +241,26 @@ def hamilton_residual_fields(lat: ModeLattice, t_grid, phis, ps) -> float:
 
     Checks d phi/dx^mu = eta_{mu nu} p^nu and sum_mu d p^mu/dx^mu = -m^2 phi,
     with centered differences in time and spectral space derivatives.
+    ``phis`` has shape (n_t,) + grid_shape and ``ps`` (n_t, d+1) + grid_shape.
     """
     dt = _uniform_dt(t_grid)
-    phis = np.asarray(phis)
-    ps = np.asarray(ps)
-    worst = 0.0
-    for i in range(1, phis.shape[0] - 1):
-        grad_phi = spectral_gradient(lat, phis[i])
-        dphi_dt = (phis[i + 1] - phis[i - 1]) / (2.0 * dt)
-        worst = max(worst, float(np.max(np.abs(dphi_dt - ps[i, 0]))))
-        for a in range(lat.d):
-            worst = max(worst, float(np.max(np.abs(grad_phi[a] + ps[i, a + 1]))))
-        dp0_dt = (ps[i + 1, 0] - ps[i - 1, 0]) / (2.0 * dt)
-        div_sp = np.zeros_like(phis[i])
-        for a in range(lat.d):
-            div_sp = div_sp + spectral_gradient(lat, ps[i, a + 1])[a]
-        worst = max(worst, float(np.max(np.abs(
-            dp0_dt + div_sp + lat.m ** 2 * phis[i]))))
-    return worst
+    phis, ps = np.asarray(phis), np.asarray(ps)
+    mid, p_mid = phis[1:-1], ps[1:-1]
+    dphi_dt = (phis[2:] - phis[:-2]) / (2.0 * dt)
+    dp0_dt = (ps[2:, 0] - ps[:-2, 0]) / (2.0 * dt)
+    div_sp = np.zeros_like(mid)
+    for a in range(lat.d):
+        div_sp = div_sp + spectral_gradient(lat, p_mid[:, a + 1])[:, a]
+    resids = (dphi_dt - p_mid[:, 0],
+              spectral_gradient(lat, mid) + p_mid[:, 1:],
+              dp0_dt + div_sp + lat.m ** 2 * mid)
+    return max(float(np.max(np.abs(r))) for r in resids)
 
 
 def hamilton_residual(sol: Solution, t_grid) -> float:
     """Hamilton-system residual of an exact solution sampled on t_grid."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    slices = [evaluate_fields(sol, t) for t in t_grid]
-    phis = np.stack([s.phi for s in slices])
-    ps = np.stack([s.p for s in slices])
-    return hamilton_residual_fields(sol.lat, t_grid, phis, ps)
+    sd = evaluate_fields(sol, t_grid)
+    return hamilton_residual_fields(sol.lat, sd.t, sd.phi, sd.p)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +285,31 @@ def theta_pullback_density(lat: ModeLattice, phi, dtphi, dttphi, lam: float):
     Everything is derived from (phi, d_t phi, d_tt phi) on one slice:
     p^mu = eta grad phi and d_mu p^mu = box phi, with spectral space
     derivatives.  On shell the density reduces to (2 lambda - 1) times the
-    Lagrangian density.
+    Lagrangian density.  Stacked (n_t,) + grid_shape fields give a stacked
+    density.
     """
     grad = spectral_gradient(lat, phi)
-    quad = dtphi ** 2 - np.sum(grad ** 2, axis=0)
+    quad = dtphi ** 2 - np.sum(grad ** 2, axis=-lat.d - 1)
     divp = dttphi - spectral_laplacian(lat, phi)
     en = -0.5 * quad - 0.5 * lat.m ** 2 * phi ** 2
     return en + lam * quad - (1.0 - lam) * phi * divp
+
+
+# Grid values per block of times: keeps the stacked fields of long time grids small.
+_BLOCK_CELLS = 4096
+
+
+def _time_quadrature(lat: ModeLattice, hist, density, t1: float, t2: float,
+                     n_t: int):
+    """Simpson rule over [t1, t2] of the grid integral of ``density``, which
+    gets the stacked fields (phi, d_t phi, d_tt phi) of one block of times."""
+    ts = np.linspace(t1, t2, n_t)
+    step = max(1, _BLOCK_CELLS // int(np.prod(lat.grid_shape)))
+    vals = []
+    for i in range(0, n_t, step):
+        dens = density(*hist.at(ts[i:i + step]))
+        vals.append(lat.cell_volume * np.sum(dens.reshape(len(dens), -1), axis=1))
+    return simpson(np.concatenate(vals), ts[1] - ts[0])
 
 
 def action_of_history(lat: ModeLattice, hist, lam: float, t1: float, t2: float,
@@ -306,15 +317,9 @@ def action_of_history(lat: ModeLattice, hist, lam: float, t1: float, t2: float,
     """Integral of the theta_lambda pullback over t in [t1, t2] (Simpson)."""
     if not t2 > t1:
         raise ValueError("need t1 < t2")
-    ts = np.linspace(t1, t2, n_t)
-    vals = []
-    for t in ts:
-        phi, dtphi, dttphi = hist.at(t)
-        dens = theta_pullback_density(lat, phi, dtphi, dttphi, lam)
-        vals.append(lat.cell_volume * np.sum(dens))
-    vals = np.asarray(vals)
-    out = simpson(vals, ts[1] - ts[0])
-    return complex(out) if np.iscomplexobj(vals) else float(out)
+    out = _time_quadrature(
+        lat, hist, lambda *f: theta_pullback_density(lat, *f, lam), t1, t2, n_t)
+    return complex(out) if np.iscomplexobj(out) else float(out)
 
 
 def action_between_slices(sol: Solution, lam: float, t1: float, t2: float,
@@ -325,15 +330,11 @@ def action_between_slices(sol: Solution, lam: float, t1: float, t2: float,
 def lagrangian_action(lat: ModeLattice, hist, t1: float, t2: float,
                       n_t: int) -> float:
     """Independent quadrature of the Lagrangian (first derivatives only)."""
-    ts = np.linspace(t1, t2, n_t)
-    vals = np.empty(n_t)
-    for i, t in enumerate(ts):
-        phi, dtphi, _ = hist.at(t)
+    def density(phi, dtphi, _):
         grad = spectral_gradient(lat, phi)
-        dens = 0.5 * (dtphi ** 2 - np.sum(grad ** 2, axis=0)) \
+        return 0.5 * (dtphi ** 2 - np.sum(grad ** 2, axis=-lat.d - 1)) \
             - 0.5 * lat.m ** 2 * phi ** 2
-        vals[i] = lat.cell_volume * np.sum(dens)
-    return simpson(vals, ts[1] - ts[0])
+    return _time_quadrature(lat, hist, density, t1, t2, n_t)
 
 
 def action_criticality(sol: Solution, variation: Solution, lam: float,

@@ -40,18 +40,12 @@ from .multisymplectic import (
     theta_eval,
     vertical_tangent,
 )
-from .solution import Solution, evaluate_fields, synthesize
+from .solution import Solution, _maybe_real, evaluate_fields, synthesize
 
 
 def _add_tangent(a: MTangent, b: MTangent, cb: complex) -> MTangent:
     return MTangent(dx=a.dx + cb * b.dx, dphi=a.dphi + cb * b.dphi,
                     de=a.de + cb * b.de, dp=a.dp + cb * b.dp)
-
-
-def _maybe_real(value, *objs) -> complex:
-    if all(getattr(o, "real_flag", True) for o in objs):
-        return float(np.real(value))
-    return complex(value)
 
 
 def deformation_fields(sol: Solution, delta: Solution, t: float):

@@ -56,16 +56,25 @@ class Solution:
         return Solution(self.lat, c * self.u, c * self.ustar, stays_real)
 
 
+def _maybe_real(value, *sols):
+    """``value`` as a float when every solution is real, else as a complex."""
+    if all(s.real_flag for s in sols):
+        return float(np.real(value))
+    return complex(value)
+
+
 @dataclass(frozen=True)
 class SliceData:
-    """Fields of a solution on one constant-time slice.
+    """Fields of a solution on one constant-time slice, or on a stack of them.
 
     ``dphi`` stacks the spacetime derivatives (index 0 is time), ``p`` the
     momenta p^mu = eta^{mu nu} d_nu phi, and ``e`` the energy coordinate
-    fixed by the on-shell constraint H = 0.
+    fixed by the on-shell constraint H = 0.  For a 1-D array of times ``t``
+    every field carries a leading time axis: ``phi`` and ``e`` have shape
+    (n_t,) + grid_shape, ``dphi`` and ``p`` shape (n_t, d+1) + grid_shape.
     """
 
-    t: float
+    t: float | np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
     p: np.ndarray
@@ -128,13 +137,15 @@ def derivative_factors(lat: ModeLattice, mu: int):
     return f, -f
 
 
-def synthesize(sol: Solution, t: float, mus=(), extra_u=None, extra_us=None):
+def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
     """Evaluate (prod_mu d_mu) phi on the grid at time t.
 
+    ``t`` is a scalar, giving one grid, or a 1-D array of n_t times, giving
+    stacked grids of shape (n_t,) + grid_shape with the time axis first.
     ``extra_u``/``extra_us`` multiply the two branches with arbitrary
-    per-mode factors (used for operator polynomials such as the
-    Klein-Gordon symbol).  Real solutions yield real grids whenever the
-    branch factors are conjugate.
+    per-mode factors, shape (n_modes,) or (n_t, n_modes) (used for
+    operator polynomials such as the Klein-Gordon symbol).  Real solutions
+    yield real grids whenever the branch factors are conjugate.
     """
     lat = sol.lat
     fu = np.ones(lat.n_modes, dtype=complex)
@@ -147,6 +158,7 @@ def synthesize(sol: Solution, t: float, mus=(), extra_u=None, extra_us=None):
     if extra_us is not None:
         fus = fus * extra_us
     pref = (2.0 * np.pi) ** (-lat.d / 2.0)
+    t = np.asarray(t, dtype=float)[..., None]
     plus = pref * lat.w * sol.u * np.exp(-1j * lat.k0 * t) * fu
     minus = pref * lat.w * sol.ustar * np.exp(1j * lat.k0 * t) * fus
     grid = mode_sum_grid(lat, plus, minus)
@@ -155,16 +167,28 @@ def synthesize(sol: Solution, t: float, mus=(), extra_u=None, extra_us=None):
     return grid
 
 
-def evaluate_fields(sol: Solution, t: float) -> SliceData:
-    """All slice fields (phi, d_mu phi, p^mu, e) at time t."""
+def _slice_data(lat: ModeLattice, t, phi, dphi) -> SliceData:
+    """Slice fields from phi and d_mu phi; p and e follow from them."""
+    p = dphi.copy()
+    p_mu = np.moveaxis(p, -lat.d - 1, 0)  # views, component index first
+    p_mu[1:] = -p_mu[1:]
+    d_mu = np.moveaxis(dphi, -lat.d - 1, 0)
+    quad = d_mu[0] ** 2 - np.sum(d_mu[1:] ** 2, axis=0)
+    e = -0.5 * quad - 0.5 * lat.m ** 2 * phi ** 2
+    return SliceData(t=t, phi=phi, dphi=dphi, p=p, e=e)
+
+
+def evaluate_fields(sol: Solution, t) -> SliceData:
+    """All slice fields (phi, d_mu phi, p^mu, e) at time t.
+
+    A 1-D array of times gives stacked fields with a leading time axis.
+    """
     lat = sol.lat
     phi = synthesize(sol, t)
-    dphi = np.stack([synthesize(sol, t, (mu,)) for mu in range(lat.d + 1)])
-    p = dphi.copy()
-    p[1:] = -p[1:]
-    quad = dphi[0] ** 2 - np.sum(dphi[1:] ** 2, axis=0)
-    e = -0.5 * quad - 0.5 * lat.m ** 2 * phi ** 2
-    return SliceData(t=float(t), phi=phi, dphi=dphi, p=p, e=e)
+    dphi = np.stack([synthesize(sol, t, (mu,)) for mu in range(lat.d + 1)],
+                    axis=-lat.d - 1)
+    t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    return _slice_data(lat, t, phi, dphi)
 
 
 def second_derivatives(sol: Solution, t: float) -> np.ndarray:
@@ -215,12 +239,10 @@ def kg_residual_grid(lat: ModeLattice, phi_tx, dt: float) -> float:
     phi_tx = np.asarray(phi_tx)
     if phi_tx.shape[0] < 3:
         raise ValueError("need at least three time samples")
-    best = 0.0
-    for i in range(1, phi_tx.shape[0] - 1):
-        dtt = (phi_tx[i + 1] - 2.0 * phi_tx[i] + phi_tx[i - 1]) / dt ** 2
-        resid = dtt - spectral_laplacian(lat, phi_tx[i]) + lat.m ** 2 * phi_tx[i]
-        best = max(best, float(np.max(np.abs(resid))))
-    return best
+    mid = phi_tx[1:-1]
+    dtt = (phi_tx[2:] - 2.0 * mid + phi_tx[:-2]) / dt ** 2
+    resid = dtt - spectral_laplacian(lat, mid) + lat.m ** 2 * mid
+    return float(np.max(np.abs(resid)))
 
 
 def leapfrog_evolve(lat: ModeLattice, phi0, pi0, dt: float, steps: int) -> SliceData:
@@ -247,14 +269,8 @@ def leapfrog_evolve(lat: ModeLattice, phi0, pi0, dt: float, steps: int) -> Slice
         phi = phi + dt * pi
         pi = pi + half * force(phi)
 
-    dphi = np.empty((lat.d + 1,) + lat.grid_shape)
-    dphi[0] = pi
-    dphi[1:] = spectral_gradient(lat, phi)
-    p = dphi.copy()
-    p[1:] = -p[1:]
-    quad = dphi[0] ** 2 - np.sum(dphi[1:] ** 2, axis=0)
-    e = -0.5 * quad - 0.5 * lat.m ** 2 * phi ** 2
-    return SliceData(t=dt * steps, phi=phi, dphi=dphi, p=p, e=e)
+    dphi = np.concatenate([pi[None], spectral_gradient(lat, phi)])
+    return _slice_data(lat, dt * steps, phi, dphi)
 
 
 def field_energy(lat: ModeLattice, phi, pi) -> float:
@@ -277,7 +293,8 @@ class SolutionHistory:
         self.sol = sol
         self.lat = sol.lat
 
-    def at(self, t: float):
+    def at(self, t):
+        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
         s = self.sol
         return (synthesize(s, t),
                 synthesize(s, t, (0,)),
@@ -296,16 +313,17 @@ class DetunedHistory:
         self.lat = sol.lat
         self.detune = float(detune)
 
-    def _eval(self, t, order):
+    def at(self, t):
+        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
         lat, s = self.lat, self.sol
         om = lat.k0 + self.detune
-        fu = (-1j * om) ** order * np.exp(-1j * (om - lat.k0) * t)
-        fus = (1j * om) ** order * np.exp(1j * (om - lat.k0) * t)
-        grid = synthesize(s, t, extra_u=fu, extra_us=fus)
-        return grid.real if s.real_flag else grid
-
-    def at(self, t: float):
-        return self._eval(t, 0), self._eval(t, 1), self._eval(t, 2)
+        tc = np.asarray(t, dtype=float)[..., None]
+        down = np.exp(-1j * (om - lat.k0) * tc)
+        up = np.exp(1j * (om - lat.k0) * tc)
+        grids = [synthesize(s, t, extra_u=(-1j * om) ** order * down,
+                            extra_us=(1j * om) ** order * up)
+                 for order in range(3)]
+        return tuple(g.real if s.real_flag else g for g in grids)
 
 
 class PolynomialTimeHistory:
@@ -315,18 +333,10 @@ class PolynomialTimeHistory:
         self.lat = lat
         self.coeffs = [float(c) for c in coeffs]
 
-    def _val(self, t, shift):
-        acc = 0.0
-        for j, c in enumerate(self.coeffs):
-            if j >= shift:
-                fac = 1.0
-                for r in range(shift):
-                    fac *= (j - r)
-                acc += c * fac * t ** (j - shift)
-        return acc * np.ones(self.lat.grid_shape)
-
-    def at(self, t: float):
-        return self._val(t, 0), self._val(t, 1), self._val(t, 2)
+    def at(self, t):
+        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
+        tx = np.multiply.outer(t, np.ones(self.lat.grid_shape))
+        return tuple(np.polyval(np.polyder(self.coeffs[::-1], r), tx) for r in range(3))
 
 
 @dataclass(frozen=True)
@@ -377,11 +387,13 @@ class WindowedPerturbation:
         self.eps = float(eps)
         self.lat = base.lat
 
-    def at(self, t: float):
+    def at(self, t):
+        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
         b0, b1, b2 = self.base.at(t)
         v0, v1, v2 = self.var.at(t)
-        w, w1, w2 = (float(self.window.value(t)), float(self.window.d1(t)),
-                     float(self.window.d2(t)))
+        grid = (Ellipsis,) + (None,) * self.lat.d
+        w, w1, w2 = (self.window.value(t)[grid], self.window.d1(t)[grid],
+                     self.window.d2(t)[grid])
         e = self.eps
         return (b0 + e * w * v0,
                 b1 + e * (w1 * v0 + w * v1),

@@ -138,6 +138,15 @@ def test_mode_sum_grid_matches_direct_sum(lat1d):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def _plane_waves(lat, indices):
+    """Stacked plane waves exp(i k.x) of the given modes, and their k."""
+    x = lat.axis()
+    ks = lat.k[indices]
+    waves = np.stack([np.exp(1j * kx * x)[:, None] * np.exp(1j * ky * x)[None, :]
+                      for kx, ky in ks])
+    return waves, ks
+
+
 def test_spectral_gradient_on_plane_wave(lat2d):
     """d/dx_a exp(i k.x) = i k_a exp(i k.x), exact for retained modes."""
     x = lat2d.axis()
@@ -147,6 +156,16 @@ def test_spectral_gradient_on_plane_wave(lat2d):
     np.testing.assert_allclose(grad[0], 1j * kx * wave, atol=1e-12)
     np.testing.assert_allclose(grad[1], 1j * ky * wave, atol=1e-12)
 
+    waves, ks = _plane_waves(lat2d, [3, 17, 40, 80])
+    stacked = spectral_gradient(lat2d, waves)
+    assert stacked.shape == (4, 2) + lat2d.grid_shape
+    for row, w, (kx, ky) in zip(stacked, waves, ks):
+        np.testing.assert_allclose(row[0], 1j * kx * w, atol=1e-12)
+        np.testing.assert_allclose(row[1], 1j * ky * w, atol=1e-12)
+        assert np.array_equal(row, spectral_gradient(lat2d, w))
+    with pytest.raises(ValueError):
+        spectral_gradient(lat2d, waves[:, :, :-1])
+
 
 def test_spectral_laplacian_on_plane_wave(lat2d):
     x = lat2d.axis()
@@ -154,6 +173,15 @@ def test_spectral_laplacian_on_plane_wave(lat2d):
     wave = (np.exp(1j * kx * x)[:, None] * np.exp(1j * ky * x)[None, :])
     lap = spectral_laplacian(lat2d, wave)
     np.testing.assert_allclose(lap, -(kx ** 2 + ky ** 2) * wave, atol=1e-12)
+
+    waves, ks = _plane_waves(lat2d, [3, 17, 40, 80])
+    stacked = spectral_laplacian(lat2d, waves)
+    assert stacked.shape == waves.shape
+    for row, w, (kx, ky) in zip(stacked, waves, ks):
+        np.testing.assert_allclose(row, -(kx ** 2 + ky ** 2) * w, atol=1e-12)
+        assert np.array_equal(row, spectral_laplacian(lat2d, w))
+    with pytest.raises(ValueError):
+        spectral_laplacian(lat2d, waves[:, :-1, :])
 
 
 def test_out_of_band_fraction(lat1d):

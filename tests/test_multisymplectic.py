@@ -22,6 +22,8 @@ from covkg import (
     theta_eval,
 )
 from covkg.multisymplectic import (
+    _BLOCK_CELLS,
+    action_of_history,
     hamilton_residual_fields,
     basis_tangents,
     graph_frame,
@@ -29,9 +31,17 @@ from covkg.multisymplectic import (
     hamilton_pointwise_residual,
     lagrangian_action,
     simpson,
+    theta_pullback_density,
     vertical_tangent,
 )
-from covkg.solution import DetunedHistory, SolutionHistory, evaluate_fields, evolve_exact
+from covkg.solution import (
+    DetunedHistory,
+    SolutionHistory,
+    TimeWindow,
+    WindowedPerturbation,
+    evaluate_fields,
+    evolve_exact,
+)
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +225,25 @@ def test_simpson_fourth_order():
         x = np.linspace(0.0, np.pi, n)
         errs.append(abs(simpson(np.sin(x), x[1] - x[0]) - 2.0))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.1)
+
+
+def test_action_of_history_spans_several_time_blocks():
+    """Blocked evaluation matches a Simpson sum over one time at a time."""
+    lat2 = build_lattice(d=2, L=5.0, N=12, n_max=3, m=0.7)
+    rng = np.random.default_rng(8)
+    base = SolutionHistory(random_solution(lat2, rng))
+    hist = WindowedPerturbation(base, SolutionHistory(random_solution(lat2, rng)),
+                                TimeWindow(0.1, 0.9), 0.3)
+    n_t = 2 * (_BLOCK_CELLS // 144) + 9
+    assert n_t % (_BLOCK_CELLS // 144) != 0
+    ts = np.linspace(0.0, 1.0, n_t)
+    vals = [lat2.cell_volume
+            * np.sum(theta_pullback_density(lat2, *hist.at(t), 0.37))
+            for t in ts]
+    want = simpson(np.array(vals), ts[1] - ts[0])
+    got = action_of_history(lat2, hist, 0.37, 0.0, 1.0, n_t)
+    assert abs(want) > 1e-3
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("lam,factor", [(0.0, -1.0), (0.5, 0.0), (1.0, 1.0)])

@@ -13,6 +13,7 @@ from covkg.solution import (
     DetunedHistory,
     PolynomialTimeHistory,
     TimeWindow,
+    WindowedPerturbation,
     evaluate_fields,
     field_energy,
     kg_residual_grid,
@@ -225,6 +226,19 @@ def test_history_wrappers_agree_with_synthesize(lat, sol):
     np.testing.assert_allclose(phi, synthesize(sol, 0.45), atol=1e-14)
     np.testing.assert_allclose(dt1, synthesize(sol, 0.45, (0,)), atol=1e-14)
     np.testing.assert_allclose(dt2, synthesize(sol, 0.45, (0, 0)), atol=1e-14)
+
+    ts = np.array([-0.3, 0.0, 0.45, 0.7, 1.9])
+    var = random_solution(lat, np.random.default_rng(4))
+    histories = [hist, DetunedHistory(sol, 0.5),
+                 PolynomialTimeHistory(lat, [2.0, -1.0, 0.25, 0.125]),
+                 WindowedPerturbation(hist, SolutionHistory(var),
+                                      TimeWindow(0.0, 1.0), 1e-3)]
+    for h in histories:
+        stacked = h.at(ts)
+        for i, t in enumerate(ts):
+            for grid, row in zip(h.at(t), stacked):
+                assert row.shape == (len(ts),) + lat.grid_shape
+                assert np.array_equal(row[i], grid)
 
 
 def test_detuned_history_breaks_dispersion(lat, sol):
