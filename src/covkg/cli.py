@@ -1,17 +1,23 @@
 """Command line front end.
 
 Subcommands: verify (invariant suites), simulate (time series from Cauchy
-data), brackets (bracket identity table), prequant (operator checks and
-the translation spectrum), spec (resolved configuration).
+data), brackets (the bracket records of the observables suite), prequant
+(ladder operator checks on caller-chosen f, g and the translation
+spectrum), spec (resolved configuration).
+
+Every check record is named by its key in ``reporting.TOLERANCES``, or by
+``<key>_<index>`` for a per-index family, and ``--tol`` takes those keys.
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
-2 usage or configuration error.  Reports carry no timestamps, so a fixed
-config and seed reproduce byte-identical output.
+2 usage or configuration error, an unknown tolerance name included.
+Reports carry no timestamps, so a fixed config and seed reproduce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -23,7 +29,6 @@ from .reporting import (
     SCHEMA_VERSION,
     Report,
     RunConfig,
-    check,
     config_from_file,
     parse_tol_overrides,
 )
@@ -35,7 +40,17 @@ from .solution import (
     read_cauchy_csv,
     synthesize,
 )
-from .suites import ccr_residual, run_suite
+from .suites import (
+    SUITES,
+    _dyadic,
+    ccr_residual,
+    commutator_flag,
+    run_suite,
+    vacuum_flag,
+)
+
+# Record-name prefixes of the observables checks that ``brackets`` reports.
+_BRACKET_RECORDS = ("observables.bracket_", "observables.pmu_identity_")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -57,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("--suite", default="all",
-                          choices=["msymp", "observables", "phase-space",
-                                   "prequant", "all"])
+                          choices=[*SUITES, "all"])
     _add_common(p_verify)
 
     p_sim = sub.add_parser("simulate", help="emit conserved-quantity time series")
@@ -91,17 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     cfg = config_from_file(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = int(args.seed)
-    if getattr(args, "lam", None) is not None:
-        cfg.lam = float(args.lam)
-    cfg.tolerances.update(parse_tol_overrides(getattr(args, "tol", None)))
-    for name, value in cfg.tolerances.items():
-        if not value >= 0.0:
-            raise ValueError(f"tolerance {name!r} must be nonnegative")
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    return cfg
+    changes = {"tolerances": {**cfg.tolerances,
+                              **parse_tol_overrides(args.tol)}}
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    if args.lam is not None:
+        changes["lam"] = float(args.lam)
+    if args.out:
+        changes["out"] = args.out
+    return dataclasses.replace(cfg, **changes)  # re-validates tolerances
 
 
 def _emit(text: str, path) -> None:
@@ -181,49 +193,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_brackets(cfg: RunConfig) -> int:
-    lat = cfg.lattice()
-    rng = np.random.default_rng([cfg.seed, 7])
-    sol = random_solution(lat, rng)
-    phi = random_solution(lat, rng, real_flag=False)
-    psi = random_solution(lat, rng, real_flag=False)
-    f = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
-    g = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
-    records = []
-
-    b0 = obs.bracket_slice_integral(phi, psi, 0.0)
-    drift = max(abs(obs.bracket_slice_integral(phi, psi, t) - b0)
-                for t in (1.0, 2.5, 7.0))
-    records.append(check("brackets.fphi_fpsi_t_independent", drift, 0.0,
-                         cfg.tolerance("brackets.fphi_fpsi_t_independent", 1e-12)))
-    records.append(check("brackets.antisymmetry",
-                         abs(b0 + obs.bracket_slice_integral(psi, phi, 0.0)),
-                         0.0, cfg.tolerance("brackets.antisymmetry", 0.0)))
-
-    closed = 1j * np.sum(lat.w * f * g)
-    grid = obs.bracket_slice_integral(obs.generator_alpha_f(lat, f),
-                                      obs.generator_alpha_star_g(lat, g))
-    records.append(check("brackets.a_f_astar_g_two_path", closed, grid,
-                         cfg.tolerance("brackets.a_f_astar_g_two_path", 1e-10)))
-
-    aa = obs.bracket_slice_integral(obs.generator_alpha_f(lat, f),
-                                    obs.generator_alpha_f(lat, g))
-    records.append(check("brackets.a_f_a_fprime_zero", aa, 0.0,
-                         cfg.tolerance("brackets.a_f_a_fprime_zero", 1e-12)))
-
-    k0 = lat.mode_index(np.zeros(lat.d, dtype=int))
-    e0 = np.zeros(lat.n_modes)
-    e0[k0] = 1.0
-    pinned = obs.bracket_slice_integral(obs.generator_alpha_f(lat, e0),
-                                        obs.generator_alpha_star_g(lat, e0))
-    records.append(check("brackets.single_mode_pinned", pinned,
-                         1j * lat.w[k0],
-                         cfg.tolerance("brackets.single_mode_pinned", 1e-12)))
-
-    for mu in range(lat.d + 1):
-        via_omega, direct = obs.pmu_bracket_identity(mu, phi, sol)
-        records.append(check(f"brackets.pmu_identity_mu{mu}", via_omega,
-                             direct,
-                             cfg.tolerance("brackets.pmu_identity", 1e-10)))
+    records = [c for c in run_suite(cfg, "observables")
+               if c.name.startswith(_BRACKET_RECORDS)]
     return _finish_report(cfg, "brackets", records)
 
 
@@ -259,38 +230,22 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
         g = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
     if args.max_degree < 0 or args.max_degree > 4:
         raise ValueError("max-degree must lie in 0..4")
-    records = []
-
     monos = pq.monomials_up_to_degree(lat, args.max_degree)
-    worst = max(ccr_residual(lat, f, g, m) for m in monos)
-    records.append(check("prequant.ccr_monomials", worst, 0.0,
-                         cfg.tolerance("prequant.ccr_monomials", 1e-12)))
-
-    dyadic = (rng.integers(-8, 9, size=lat.n_modes)
-              + 1j * rng.integers(-8, 9, size=lat.n_modes)) / 16.0
-    dyadic2 = (rng.integers(-8, 9, size=lat.n_modes)
-               + 1j * rng.integers(-8, 9, size=lat.n_modes)) / 16.0
-    worst_aa = 0.0
-    worst_ss = 0.0
-    for mono in monos:
-        state = pq.monomial(lat, dict(mono))
-        aa = pq.commutator(lambda s: pq.op_a(dyadic, s),
-                           lambda s: pq.op_a(dyadic2, s), state)
-        ss = pq.commutator(lambda s: pq.op_a_star(f, s),
-                           lambda s: pq.op_a_star(g, s), state)
-        worst_aa = max(worst_aa, 0.0 if pq.is_zero_state(aa) else 1.0)
-        worst_ss = max(worst_ss, 0.0 if pq.is_zero_state(ss) else 1.0)
-    records.append(check("prequant.aa_exact_zero", worst_aa, 0.0, 0.0))
-    records.append(check("prequant.astar_astar_exact_zero", worst_ss, 0.0,
-                         0.0))
-
+    fd1, fd2 = _dyadic(rng, lat.n_modes), _dyadic(rng, lat.n_modes)
     zeta = np.zeros(lat.d + 1)
     zeta[0] = 1.0
-    vac = pq.vacuum(lat)
-    vac_ok = (pq.is_zero_state(pq.op_p(zeta, vac))
-              and pq.is_zero_state(pq.op_a(f, vac)))
-    records.append(check("prequant.vacuum_annihilated",
-                         0.0 if vac_ok else 1.0, 0.0, 0.0))
+    records = [
+        cfg.check("prequant.ccr_monomials",
+                  max(ccr_residual(lat, f, g, m) for m in monos), 0.0),
+        cfg.check("prequant.aa_exact_zero", commutator_flag(
+            lat, monos, lambda s: pq.op_a(fd1, s), lambda s: pq.op_a(fd2, s)),
+            0.0),
+        cfg.check("prequant.astar_astar_exact_zero", commutator_flag(
+            lat, monos, lambda s: pq.op_a_star(f, s),
+            lambda s: pq.op_a_star(g, s)), 0.0),
+        cfg.check("prequant.vacuum_annihilated", vacuum_flag(lat, zeta, f),
+                  0.0),
+    ]
 
     if args.spectrum_out:
         lines = [f"# schema_version={SCHEMA_VERSION}",

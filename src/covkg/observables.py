@@ -39,6 +39,7 @@ from .solution import (
     PolynomialTimeHistory,
     Solution,
     _maybe_real,
+    derivative_solution,
     evaluate_fields,
     second_derivatives,
     synthesize,
@@ -112,18 +113,6 @@ def generator_alpha_star_g(lat: ModeLattice, g) -> Solution:
     if g.shape != (lat.n_modes,):
         raise ValueError("g must have one component per mode")
     return Solution(lat, -1j * g, np.zeros_like(g), False)
-
-
-def derivative_solution(phi: Solution, mu: int) -> Solution:
-    """The solution d_mu Phi (mode multipliers -i k_mu on the u branch)."""
-    lat = phi.lat
-    if mu == 0:
-        kz = lat.k0
-    elif 1 <= mu <= lat.d:
-        kz = -lat.k[:, mu - 1]
-    else:
-        raise ValueError(f"mu must lie in 0..{lat.d}")
-    return Solution(lat, -1j * kz * phi.u, 1j * kz * phi.ustar, phi.real_flag)
 
 
 def _as_generator(form, lat: ModeLattice):

@@ -40,7 +40,13 @@ from .multisymplectic import (
     theta_eval,
     vertical_tangent,
 )
-from .solution import Solution, _maybe_real, evaluate_fields, synthesize
+from .solution import (
+    Solution,
+    _maybe_real,
+    derivative_solution,
+    evaluate_fields,
+    synthesize,
+)
 
 
 def _add_tangent(a: MTangent, b: MTangent, cb: complex) -> MTangent:
@@ -223,13 +229,6 @@ def translation_deformation(sol: Solution, mu: int) -> Solution:
     """Deformation generated by the spacetime translation d/dx^mu.
 
     In mode coordinates delta u_k = i (k . zeta) u_k with (k . zeta) the
-    Minkowski pairing, i.e. the lowered component k_mu.
+    Minkowski pairing, i.e. the lowered component k_mu: minus d_mu Phi.
     """
-    lat = sol.lat
-    if mu == 0:
-        kz = lat.k0
-    elif 1 <= mu <= lat.d:
-        kz = -lat.k[:, mu - 1]
-    else:
-        raise ValueError(f"mu must lie in 0..{lat.d}")
-    return Solution(lat, 1j * kz * sol.u, -1j * kz * sol.ustar, sol.real_flag)
+    return -1.0 * derivative_solution(sol, mu)

@@ -2,8 +2,8 @@
 
 A check record always satisfies: passed iff abs_diff <= tolerance.
 Lower-bound assertions ("value must exceed threshold") are encoded in the
-same shape with abs_diff = max(0, threshold - value) and tolerance equal
-to the allowed slack (0 for strict), so one invariant covers every row.
+same shape with abs_diff = max(0, threshold - value) and tolerance 0, so
+one invariant covers every row.
 
 Reports carry no timestamps; with a fixed config and seed the serialized
 JSON is byte-identical between runs.
@@ -20,6 +20,59 @@ from ._version import __version__
 from .lattice import ModeLattice, build_lattice
 
 SCHEMA_VERSION = 1
+
+
+# Default tolerance of every check, keyed by the check's name.  A family key
+# tunes the records named ``<key>_<index>``, one per index.  A lower-bound
+# row holds the threshold the value must reach.  The two energy
+# non-negativity checks have no row: their threshold is a fixed 0.0.
+TOLERANCES = {
+    "msymp.kg_residual": 1e-12,
+    "msymp.hamilton_order": 0.1,
+    "msymp.dtheta_vs_omega": 1e-9,
+    "msymp.hamilton2_pointwise": 1e-9,
+    "msymp.omega_nondegenerate": 0.5,
+    "msymp.action_lagrangian": 1e-8,
+    "msymp.criticality_onshell": 1e-8,
+    "msymp.criticality_offshell": 1e-3,
+    "observables.a_k_equals_modes": 1e-12,
+    "observables.a_k_t_independent": 1e-12,
+    "observables.field_reconstruction": 1e-12,
+    "observables.fphi_t_independent": 1e-12,
+    "observables.bracket_t_independent": 1e-12,
+    "observables.bracket_antisymmetry": 0.0,  # bitwise: commuting real products
+    "observables.bracket_two_path": 1e-10,
+    "observables.bracket_aa_zero": 1e-12,
+    "observables.bracket_single_mode_pinned": 1e-12,
+    "observables.noether_order": 0.15,
+    "observables.noether_counterexample": 1e-3,
+    "observables.pmu_identity": 1e-10,
+    "observables.pmu_lambda_independent": 1e-11,
+    "observables.energy_conserved": 1e-10,
+    "observables.momentum_conserved": 1e-10,
+    "phase_space.omega_two_path": 1e-10,
+    "phase_space.omega_antisymmetry": 0.0,
+    "phase_space.omega_t_independent": 1e-12,
+    "phase_space.omega_mode_form": 1e-12,
+    "phase_space.fd_lambda_independent": 1e-12,
+    "phase_space.fd_matches_omega": 1e-10,
+    "phase_space.fd_eps_independent": 1e-11,
+    "phase_space.gram_min_eig": 1e-8,
+    "phase_space.theta_vs_action": 1e-8,
+    "phase_space.theta_linearity": 1e-12,
+    "phase_space.theta_pointwise_match": 1e-12,
+    "phase_space.theta_rep_independent_spatial": 1e-10,
+    "phase_space.omega_rep_independent": 1e-10,
+    "phase_space.theta_time_shift_identity": 1e-10,
+    "prequant.ccr_monomials": 1e-12,
+    "prequant.aa_exact_zero": 0.0,  # bitwise for dyadic coefficients
+    "prequant.astar_astar_exact_zero": 0.0,
+    "prequant.vacuum_annihilated": 0.0,
+    "prequant.p_eigenvalues": 1e-12,
+    "prequant.p_astar_commutator": 1e-12,
+    "prequant.adjointness": 1e-12,
+    "prequant.cross_module_ccr": 1e-12,
+}
 
 
 @dataclass
@@ -39,16 +92,30 @@ class RunConfig:
 
     def __post_init__(self):
         for name, value in self.tolerances.items():
-            if not value >= 0.0:
-                raise ValueError(f"tolerance {name!r} must be nonnegative")
+            if name not in TOLERANCES:
+                raise ValueError(f"unknown tolerance name {name!r}")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not value >= 0.0):
+                raise ValueError(f"tolerance {name!r} must be a nonnegative "
+                                 "number")
         self.seed = int(self.seed)
 
     def lattice(self) -> ModeLattice:
         return build_lattice(self.d, self.L, self.N, self.n_max, self.m,
                              self.hbar)
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tolerance(self, key: str) -> float:
+        """The override of ``key`` if one was given, else its table default."""
+        return float(self.tolerances.get(key, TOLERANCES[key]))
+
+    def check(self, key: str, lhs, rhs, index: str = "") -> "CheckRecord":
+        """Equality check ``key``, or its family record ``key_index``."""
+        name = f"{key}_{index}" if index else key
+        return check(name, lhs, rhs, self.tolerance(key))
+
+    def lower_bound(self, key: str, value) -> "CheckRecord":
+        """Lower-bound check ``key``: value must reach the key's threshold."""
+        return lower_bound_check(key, value, self.tolerance(key))
 
     def to_dict(self) -> dict:
         data = {k: getattr(self, k) for k in self._KEYS}
@@ -98,14 +165,14 @@ def check(name: str, lhs, rhs, tolerance: float) -> CheckRecord:
                        passed=bool(diff <= tolerance))
 
 
-def lower_bound_check(name: str, value: float, threshold: float,
-                      slack: float = 0.0) -> CheckRecord:
-    """Value must be at least threshold (minus slack)."""
+def lower_bound_check(name: str, value: float,
+                      threshold: float) -> CheckRecord:
+    """Value must be at least threshold."""
     value = float(value)
     shortfall = max(0.0, threshold - value)
     return CheckRecord(name=name, lhs=value, rhs=float(threshold),
-                       abs_diff=shortfall, tolerance=float(slack),
-                       passed=bool(shortfall <= slack))
+                       abs_diff=shortfall, tolerance=0.0,
+                       passed=bool(shortfall <= 0.0))
 
 
 def _num(value):

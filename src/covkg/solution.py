@@ -137,6 +137,12 @@ def derivative_factors(lat: ModeLattice, mu: int):
     return f, -f
 
 
+def derivative_solution(sol: Solution, mu: int) -> Solution:
+    """The solution d_mu Phi: ``derivative_factors`` applied to the modes."""
+    a, b = derivative_factors(sol.lat, mu)
+    return Solution(sol.lat, a * sol.u, b * sol.ustar, sol.real_flag)
+
+
 def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
     """Evaluate (prod_mu d_mu) phi on the grid at time t.
 

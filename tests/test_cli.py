@@ -9,6 +9,7 @@ import pytest
 
 from covkg import build_lattice, random_solution
 from covkg.cli import main
+from covkg.reporting import TOLERANCES
 from covkg.solution import evaluate_fields, write_cauchy_csv
 
 
@@ -46,9 +47,13 @@ def test_verify_forced_failure_exits_one(tmp_path):
     assert [c["name"] for c in failed] == ["msymp.kg_residual"]
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--suite", "nosuch"]) == 2
     assert main(["verify", "--tol", "oops"]) == 2
+    assert main(["verify", "--tol", "msymp.kg_residul=0"]) == 2
+    assert "msymp.kg_residul" in capsys.readouterr().err
+    assert main(["verify", "--tol", "msymp.omega_nondegenerate_bound=0.5"]) == 2
+    assert main(["verify", "--tol", "msymp.kg_residual=-1"]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     assert main(["simulate", "--n-out", "1"]) == 2
     assert main(["prequant", "--max-degree", "9"]) == 2
@@ -57,8 +62,11 @@ def test_usage_errors_exit_two(tmp_path):
 
 def test_unknown_config_key_exits_two(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"N": 16, "n_mx": 3}), encoding="utf-8")
-    assert main(["verify", "--config", str(cfg)]) == 2
+    for raw in ({"N": 16, "n_mx": 3}, {"tolerances": {"nope": 1.0}},
+                {"tolerances": {"msymp.kg_residual": "1e-3"}},
+                {"tolerances": {"msymp.kg_residual": True}}):
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["verify", "--config", str(cfg)]) == 2
 
 
 def test_module_entry_point():
@@ -185,7 +193,7 @@ def test_brackets_report_passes(tmp_path):
     data = json.loads(_read(out))
     assert data["all_pass"] is True
     names = {c["name"] for c in data["checks"]}
-    assert "brackets.single_mode_pinned" in names
+    assert "observables.bracket_single_mode_pinned" in names
 
 
 def test_prequant_spectrum_csv(tmp_path):
@@ -218,8 +226,76 @@ def test_prequant_fg_file(tmp_path, lat):
     assert json.loads(_read(out))["all_pass"] is True
 
 
+def test_prequant_honours_tolerance_override(tmp_path):
+    out = tmp_path / "pq.json"
+    assert main(["prequant", "--max-degree", "1", "--out", str(out),
+                 "--tol", "prequant.vacuum_annihilated=0.5"]) == 0
+    checks = {c["name"]: c for c in json.loads(_read(out))["checks"]}
+    assert checks["prequant.vacuum_annihilated"]["tolerance"] == 0.5
+    assert checks["prequant.aa_exact_zero"]["tolerance"] == 0.0
+
+
 def test_prequant_rejects_wrong_length_fg(tmp_path):
     path = tmp_path / "fg.json"
     path.write_text(json.dumps({"f": [[1.0, 0.0]], "g": [[1.0, 0.0]]}),
                     encoding="utf-8")
     assert main(["prequant", "--fg", str(path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The check registry
+# ---------------------------------------------------------------------------
+
+FAMILIES = {"msymp.action_lagrangian", "observables.pmu_identity",
+            "observables.pmu_lambda_independent",
+            "observables.momentum_conserved"}
+# Lower bounds with a fixed threshold of 0.0, which no key tunes.
+FIXED = {"observables.energy_nonnegative", "prequant.energy_nonnegative"}
+
+
+def _keys_of(name):
+    return [key for key in TOLERANCES
+            if name == key or name.startswith(key + "_")]
+
+
+@pytest.mark.parametrize("config", [{}, {"d": 2, "N": 8, "n_max": 1}])
+def test_every_record_has_one_registry_key(tmp_path, config):
+    """verify, brackets and prequant each emit only the table's keys."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    names = {}
+    for command in (["verify", "--suite", "all"], ["brackets"],
+                    ["prequant", "--max-degree", "1"]):
+        out = tmp_path / f"{command[0]}.json"
+        assert main(command + ["--config", str(cfg), "--out", str(out)]) \
+            in (0, 1)
+        names[command[0]] = [c["name"]
+                             for c in json.loads(_read(out))["checks"]]
+    used = set()
+    for name in sum(names.values(), []):
+        if name in FIXED:
+            assert not _keys_of(name), name
+            continue
+        keys = _keys_of(name)
+        assert len(keys) == 1, (name, keys)
+        assert name == keys[0] or keys[0] in FAMILIES, name
+        used.add(keys[0])
+    assert used == set(TOLERANCES)
+    assert names["brackets"] and all(
+        n.startswith(("observables.bracket_", "observables.pmu_identity_"))
+        for n in names["brackets"])
+    assert {n.split(".")[0] for n in names["prequant"]} == {"prequant"}
+    if config:
+        assert {"observables.pmu_identity_mu2",
+                "observables.momentum_conserved_i2"} <= set(names["verify"])
+
+
+def test_override_reaches_family_records(tmp_path):
+    out = tmp_path / "r.json"
+    main(["verify", "--suite", "observables", "--out", str(out),
+          "--tol", "observables.pmu_identity=0.25"])
+    tols = {c["name"]: c["tolerance"]
+            for c in json.loads(_read(out))["checks"]}
+    assert tols["observables.pmu_identity_mu0"] == 0.25
+    assert tols["observables.pmu_identity_mu1"] == 0.25
+    assert tols["observables.pmu_lambda_independent_mu0"] == 1e-11

@@ -14,6 +14,7 @@ from covkg.solution import (
     PolynomialTimeHistory,
     TimeWindow,
     WindowedPerturbation,
+    derivative_solution,
     evaluate_fields,
     field_energy,
     kg_residual_grid,
@@ -107,6 +108,23 @@ def test_second_derivatives_symmetric_and_consistent(lat, sol):
     # trace of the Hessian reproduces the field equation
     np.testing.assert_allclose(hess[0, 0] - hess[1, 1],
                                -lat.m ** 2 * synthesize(sol, 0.8), atol=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0, 1])
+def test_derivative_solution_synthesizes_the_derivative(lat, sol, mu):
+    """d_mu Phi as a solution equals the spectral derivative of Phi."""
+    from covkg.phase_space import translation_deformation
+
+    deriv = derivative_solution(sol, mu)
+    assert deriv.real_flag
+    ts = np.array([0.0, 0.7])
+    np.testing.assert_allclose(synthesize(deriv, ts),
+                               synthesize(sol, ts, (mu,)), atol=1e-12)
+    xi = translation_deformation(sol, mu)
+    assert np.array_equal(xi.u, -deriv.u)
+    assert np.array_equal(xi.ustar, -deriv.ustar)
+    with pytest.raises(ValueError):
+        derivative_solution(sol, 2)
 
 
 def test_real_flag_gives_real_fields(lat):
