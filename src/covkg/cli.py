@@ -204,12 +204,13 @@ def _parse_complex_list(raw, n_modes: int, name: str) -> np.ndarray:
                          f"({n_modes})")
     out = np.empty(n_modes, dtype=complex)
     for i, item in enumerate(raw):
-        if isinstance(item, (int, float)):
-            out[i] = complex(item)
-        elif isinstance(item, list) and len(item) == 2:
-            out[i] = complex(item[0], item[1])
-        else:
+        parts = item if isinstance(item, list) and len(item) == 2 else [item]
+        if not all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                   for p in parts):
             raise ValueError(f"{name}[{i}] must be a number or [re, im]")
+        out[i] = complex(*parts)
+        if not np.isfinite(out[i]):
+            raise ValueError(f"{name}[{i}] must be finite")
     return out
 
 
@@ -223,6 +224,9 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
     if args.fg:
         with open(args.fg, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("--fg file must hold a JSON object "
+                             "{\"f\": [...], \"g\": [...]}")
         f = _parse_complex_list(raw.get("f"), lat.n_modes, "f")
         g = _parse_complex_list(raw.get("g"), lat.n_modes, "g")
     else:
@@ -230,19 +234,19 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
         g = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
     if args.max_degree < 0 or args.max_degree > 4:
         raise ValueError("max-degree must lie in 0..4")
-    monos = pq.monomials_up_to_degree(lat, args.max_degree)
+    rows = pq.monomial_rows(lat, args.max_degree)
     fd1, fd2 = _dyadic(rng, lat.n_modes), _dyadic(rng, lat.n_modes)
     zeta = np.zeros(lat.d + 1)
     zeta[0] = 1.0
     records = [
-        cfg.check("prequant.ccr_monomials",
-                  max(ccr_residual(lat, f, g, m) for m in monos), 0.0),
+        cfg.check("prequant.ccr_monomials", ccr_residual(lat, f, g, rows),
+                  0.0),
         cfg.check("prequant.aa_exact_zero", commutator_flag(
-            lat, monos, lambda s: pq.op_a(fd1, s), lambda s: pq.op_a(fd2, s)),
-            0.0),
+            lat, rows, lambda s: pq.op_a(fd1, s), lambda s: pq.op_a(fd2, s),
+            rows.shape[1] ** 2), 0.0),
         cfg.check("prequant.astar_astar_exact_zero", commutator_flag(
-            lat, monos, lambda s: pq.op_a_star(f, s),
-            lambda s: pq.op_a_star(g, s)), 0.0),
+            lat, rows, lambda s: pq.op_a_star(f, s),
+            lambda s: pq.op_a_star(g, s), lat.n_modes ** 2), 0.0),
         cfg.check("prequant.vacuum_annihilated", vacuum_flag(lat, zeta, f),
                   0.0),
     ]
@@ -250,7 +254,7 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
     if args.spectrum_out:
         lines = [f"# schema_version={SCHEMA_VERSION}",
                  "multi_index,eigenvalue,energy"]
-        for alpha in monos:
+        for alpha in pq.row_alphas(lat, rows):
             eig = pq.p_eigenvalue(lat, alpha, zeta)
             energy = -eig + 0.0  # normalizes -0.0 for the vacuum row
             lines.append(f"{_alpha_label(alpha)},{eig!r},{energy!r}")

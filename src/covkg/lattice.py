@@ -182,16 +182,21 @@ def _fft_wavenumbers(lat: ModeLattice) -> list:
             for a in range(lat.d)]
 
 
-def spectral_gradient(lat: ModeLattice, grid_field) -> np.ndarray:
+def spectral_gradient(lat: ModeLattice, grid_field, axis=None) -> np.ndarray:
     """All spatial derivatives of a band-limited grid field, shape (d, N^d).
 
     A stack of fields with a leading time axis, shape (n_t,) + grid_shape,
-    gives shape (n_t, d) + grid_shape.
+    gives shape (n_t, d) + grid_shape.  With ``axis`` only d/dx^axis is
+    transformed back, and the output has the shape of the input.
     """
     arr = _check_grid(lat, grid_field, batched=True)
     axes = range(-lat.d, 0)
-    spec = np.expand_dims(np.fft.fftn(arr, axes=axes), -lat.d - 1)
-    ik = 1j * np.stack(np.broadcast_arrays(*_fft_wavenumbers(lat)))
+    spec = np.fft.fftn(arr, axes=axes)
+    if axis is None:
+        spec = np.expand_dims(spec, -lat.d - 1)
+        ik = 1j * np.stack(np.broadcast_arrays(*_fft_wavenumbers(lat)))
+    else:
+        ik = 1j * _fft_wavenumbers(lat)[axis]
     out = np.fft.ifftn(ik * spec, axes=axes)
     if np.isrealobj(arr):
         return out.real

@@ -250,7 +250,7 @@ def hamilton_residual_fields(lat: ModeLattice, t_grid, phis, ps) -> float:
     dp0_dt = (ps[2:, 0] - ps[:-2, 0]) / (2.0 * dt)
     div_sp = np.zeros_like(mid)
     for a in range(lat.d):
-        div_sp = div_sp + spectral_gradient(lat, p_mid[:, a + 1])[:, a]
+        div_sp = div_sp + spectral_gradient(lat, p_mid[:, a + 1], axis=a)
     resids = (dphi_dt - p_mid[:, 0],
               spectral_gradient(lat, mid) + p_mid[:, 1:],
               dp0_dt + div_sp + lat.m ** 2 * mid)

@@ -2,7 +2,49 @@
 
 A state is psi = h(u*) |0> with h a polynomial and |0> the implicit
 Gaussian exp(-(1/2 hbar) sum_k w_k u_k u*_k).  Only the coefficients of h
-are stored, as a sparse map from exponent multi-indices to amplitudes.
+are stored.
+
+Storage.  A state holds three arrays with one entry per term:
+
+  * ``idx`` (n_terms, D): the term's monomial as its sorted mode indices,
+    mode k written alpha_k times, padded on the right with the sentinel
+    ``lat.n_modes``; D is the largest degree present;
+  * ``amp`` (n_terms,): the complex amplitude;
+  * ``tag`` (n_terms,): an integer naming the input the term descends from.
+
+Tags let one state carry many independent inputs: the operators act
+linearly and never mix terms of different tags, so a block of monomials
+with tags 0..B-1 is processed as one array pass and each tag's terms equal,
+bit for bit, those of that monomial processed alone.  ``suites`` runs its
+per-monomial checks this way; a block holds floor(``suites._BLOCK_TERMS``
+/ fan-out) monomials, the fan-out being the most terms one monomial
+reaches inside the check (n_modes^2 for two raisings), which bounds the
+block's peak memory.  ``coeffs`` reads a state back as the mapping
+{sorted (mode, exponent) tuple: amplitude}, summed over tags.
+
+Coalescing.  Terms with equal (tag, row) are merged: each row is ranked in
+the combinatorial number system (Knuth, TAOCP 4A, section 7.2.1.3), a
+sorted row c_0 <= ... <= c_{D-1} over the n_modes + 1 symbols having the
+rank sum_i C(c_i + i, i + 1) < C(n_modes + D, D), and the int64 key
+tag * C(n_modes + D, D) + rank is grouped with ``np.unique``.
+``np.bincount`` then sums each group's real and imaginary parts in the
+order the terms were made.
+
+Operators.  Raising appends a column and re-sorts the row.  Lowering drops
+one column position, the last of each run of mode k, with the run length
+alpha_k as its factor, so the term is (hbar f_k alpha_k) c_alpha as one
+product.  (Dropping every position of the run and letting coalescing add
+the alpha_k copies would leave roundoff in the off-diagonal terms of
+[a_f, a*_g] for alpha_k >= 3, which cancel exactly this way.)  P_zeta
+multiplies each term by -hbar times the row sum of k.zeta over its index
+columns; ``p_eigenvalue`` computes the same number as a dot product over
+the distinct modes, a separate path for the checks to compare.
+
+Product rule.  Complex products inside the operators are formed from
+float64 real and imaginary parts, each in its own ufunc call
+(``_cmul``).  numpy's array complex multiply may fuse a product and a sum
+into one FMA, which makes a*b and b*a differ in the last bit; the
+exact-zero checks on [a*_f, a*_g] compare exactly such mirrored products.
 
 Why the operators take the reduced form used here.  Write G for the
 Gaussian exponent, so d|0>/du*_k = -(w_k/(2 hbar)) u_k |0> and
@@ -40,12 +82,15 @@ prod_k alpha_k! (hbar / w_k)^{alpha_k}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import factorial
+from functools import cached_property, lru_cache
+from itertools import groupby
+from math import comb
 
 import numpy as np
 
 from .lattice import ModeLattice
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class DegreeOverflowError(Exception):
@@ -68,26 +113,129 @@ def alpha_degree(alpha) -> int:
     return sum(e for _, e in alpha)
 
 
-def _bump(alpha, k: int, de: int) -> tuple:
-    acc = dict(alpha)
-    acc[k] = acc.get(k, 0) + de
-    if acc[k] < 0:
-        raise ValueError("exponent would go negative")
-    return tuple(sorted((kk, ee) for kk, ee in acc.items() if ee))
+def _alpha_row(alpha) -> list:
+    """The sorted mode indices of alpha, mode k written alpha_k times."""
+    return [k for k, e in alpha for _ in range(e)]
 
 
-@dataclass(frozen=True)
+def row_alphas(lat: ModeLattice, rows) -> list:
+    """The (mode, exponent) tuple of each sentinel-padded sorted index row."""
+    return [tuple((k, len(list(run))) for k, run in groupby(row)
+                  if k < lat.n_modes)
+            for row in np.asarray(rows).tolist()]
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b from real and imaginary parts, one ufunc call per product."""
+    return _complex(a.real * b.real - a.imag * b.imag,
+                    a.real * b.imag + a.imag * b.real)
+
+
+@lru_cache(maxsize=None)
+def _binomials(n_modes: int, width: int) -> np.ndarray:
+    """C(x, r) at [r, x] for r <= width and x < n_modes + width, as int64."""
+    return np.array([[comb(x, r) for x in range(n_modes + width)]
+                     for r in range(width + 1)], dtype=np.int64)
+
+
+def _keys(n_modes: int, idx: np.ndarray, tag: np.ndarray) -> np.ndarray:
+    """int64 key tag * C(n_modes + D, D) + combinatorial rank of each row."""
+    width = idx.shape[1]
+    span = comb(n_modes + width, width)
+    if (int(tag.max(initial=0)) + 1) * span > _INT64_MAX:
+        raise ValueError("state too large for int64 coalescing keys")
+    keys = tag * span
+    binom = _binomials(n_modes, width)
+    for i in range(width):
+        keys += binom[i + 1].take(idx[:, i] + i)
+    return keys
+
+
+def _trim(idx: np.ndarray, n_modes: int) -> np.ndarray:
+    """Drop the right-hand columns that hold only the sentinel."""
+    width = idx.shape[1]
+    while width and not (idx[:, width - 1] < n_modes).any():
+        width -= 1
+    return idx[:, :width]
+
+
+def _coalesce(n_modes: int, idx, amp, tag):
+    """Merge equal (tag, row) terms, summing amplitudes in term order."""
+    idx = _trim(idx, n_modes)
+    _, first, inverse = np.unique(_keys(n_modes, idx, tag),
+                                  return_index=True, return_inverse=True)
+    n = len(first)
+    amp = _complex(np.bincount(inverse, amp.real, n),
+                   np.bincount(inverse, amp.imag, n))
+    return idx[first], amp, tag[first]
+
+
+def _run_positions(idx: np.ndarray) -> np.ndarray:
+    """1-based position of each entry within its run of equal modes."""
+    pos = np.ones(idx.shape)
+    for j in range(1, idx.shape[1]):
+        pos[:, j] = np.where(idx[:, j] == idx[:, j - 1], pos[:, j - 1] + 1, 1)
+    return pos
+
+
+def _widen(idx: np.ndarray, width: int, n_modes: int) -> np.ndarray:
+    """Pad rows with sentinel columns up to ``width``."""
+    pad = np.full((len(idx), width - idx.shape[1]), n_modes, dtype=idx.dtype)
+    return np.concatenate([idx, pad], axis=1)
+
+
 class PolarizedState:
-    """Sparse polynomial h(u*) applied to the implicit Gaussian vacuum."""
-    lat: ModeLattice
-    coeffs: dict
-    degree_bound: int = 6
+    """Polynomial h(u*) applied to the implicit Gaussian vacuum.
+
+    ``PolarizedState(lat, coeffs, degree_bound)`` builds the state from a
+    mapping {(mode, exponent) tuple: amplitude}; the term arrays ``idx``,
+    ``amp`` and ``tag`` are described in the module docstring.
+    """
+
+    def __init__(self, lat: ModeLattice, coeffs, degree_bound: int = 6):
+        alphas = [canonical_alpha(alpha) for alpha in coeffs]
+        width = max(map(alpha_degree, alphas), default=0)
+        idx = np.full((len(alphas), width), lat.n_modes, dtype=np.intp)
+        for i, alpha in enumerate(alphas):
+            row = _alpha_row(alpha)
+            idx[i, :len(row)] = row
+        amp = np.array(list(coeffs.values()), dtype=complex).reshape(-1)
+        self._set(lat, degree_bound,
+                  *_coalesce(lat.n_modes, idx, amp,
+                             np.zeros(len(alphas), dtype=np.intp)))
+
+    def _set(self, lat, degree_bound, idx, amp, tag):
+        self.lat, self.degree_bound = lat, degree_bound
+        self.idx, self.amp, self.tag = idx, amp, tag
+        return self
+
+    @cached_property
+    def coeffs(self) -> dict:
+        """{sorted (mode, exponent) tuple: complex}, summed over tags."""
+        idx, amp, _ = _coalesce(self.lat.n_modes, self.idx, self.amp,
+                                np.zeros(len(self.amp), dtype=np.intp))
+        return dict(zip(row_alphas(self.lat, idx), amp.tolist()))
+
+
+def _state(lat, degree_bound, idx, amp, tag) -> PolarizedState:
+    """A state from term arrays, taken as they are (no coalescing)."""
+    return PolarizedState.__new__(PolarizedState)._set(lat, degree_bound,
+                                                       idx, amp, tag)
 
 
 def prune(state: PolarizedState) -> PolarizedState:
     """Drop exactly-zero amplitudes (keeps structural zeros visible as absence)."""
-    kept = {a: c for a, c in state.coeffs.items() if c != 0}
-    return PolarizedState(state.lat, kept, state.degree_bound)
+    keep = state.amp != 0
+    return _state(state.lat, state.degree_bound,
+                  _trim(state.idx[keep], state.lat.n_modes),
+                  state.amp[keep], state.tag[keep])
 
 
 def vacuum(lat: ModeLattice, degree_bound: int = 6) -> PolarizedState:
@@ -105,16 +253,34 @@ def monomial(lat: ModeLattice, pairs, degree_bound: int = 6) -> PolarizedState:
     return PolarizedState(lat, {alpha: 1.0 + 0.0j}, degree_bound)
 
 
+def monomial_block(lat: ModeLattice, rows, amp=None,
+                   degree_bound: int = 6) -> PolarizedState:
+    """One term per index row, tagged 0..len(rows)-1, amplitudes default 1."""
+    rows = np.asarray(rows, dtype=np.intp)
+    amp = (np.ones(len(rows), dtype=complex) if amp is None
+           else np.asarray(amp, dtype=complex))
+    state = _state(lat, degree_bound,
+                   *_coalesce(lat.n_modes, rows, amp, np.arange(len(rows))))
+    if state.idx.shape[1] > degree_bound:
+        raise DegreeOverflowError("monomial exceeds degree bound")
+    return state
+
+
 def state_add(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
-    acc = dict(s1.coeffs)
-    for a, c in s2.coeffs.items():
-        acc[a] = acc.get(a, 0.0 + 0.0j) + c
-    return PolarizedState(s1.lat, acc, max(s1.degree_bound, s2.degree_bound))
+    n_modes = s1.lat.n_modes
+    width = max(s1.idx.shape[1], s2.idx.shape[1])
+    merged = _coalesce(
+        n_modes,
+        np.concatenate([_widen(s1.idx, width, n_modes),
+                        _widen(s2.idx, width, n_modes)]),
+        np.concatenate([s1.amp, s2.amp]),
+        np.concatenate([s1.tag, s2.tag]))
+    return _state(s1.lat, max(s1.degree_bound, s2.degree_bound), *merged)
 
 
 def state_scale(c, s: PolarizedState) -> PolarizedState:
-    return PolarizedState(s.lat, {a: c * v for a, v in s.coeffs.items()},
-                          s.degree_bound)
+    return _state(s.lat, s.degree_bound, s.idx,
+                  _cmul(np.complex128(c), s.amp), s.tag)
 
 
 def state_sub(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
@@ -122,43 +288,68 @@ def state_sub(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
 
 
 def is_zero_state(s: PolarizedState) -> bool:
-    return not prune(s).coeffs
+    return not np.any(s.amp != 0)
+
+
+def max_abs(s: PolarizedState) -> float:
+    """Largest |amplitude| of the state, 0.0 when it has no terms.
+
+    np.hypot rounds like Python's abs(complex); np.abs on a complex array
+    may differ from it in the last bit.
+    """
+    return float(np.max(np.hypot(s.amp.real, s.amp.imag), initial=0.0))
+
+
+def _mode_coefficients(lat: ModeLattice, f, name: str) -> np.ndarray:
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (lat.n_modes,):
+        raise ValueError(f"{name} must have shape ({lat.n_modes},), "
+                         f"got {f.shape}")
+    return f
 
 
 def op_a(f, state: PolarizedState) -> PolarizedState:
     """Annihilation: c_alpha feeds hbar f_k alpha_k into alpha - e_k."""
     lat = state.lat
-    f = np.asarray(f, dtype=complex)
-    acc = {}
-    for alpha in sorted(state.coeffs):
-        c = state.coeffs[alpha]
-        for k, e in alpha:
-            if f[k] == 0:
-                continue
-            target = _bump(alpha, k, -1)
-            term = lat.hbar * f[k] * e * c
-            acc[target] = acc.get(target, 0.0 + 0.0j) + term
-    return PolarizedState(lat, acc, state.degree_bound)
+    hf = np.append(lat.hbar * _mode_coefficients(lat, f, "f"), 0.0)
+    idx = state.idx
+    width = idx.shape[1]
+    # Term (i, j) lowers row i at column j, the last of a run of mode k,
+    # with the run length alpha_k as factor; the sentinel and zero
+    # coefficients make no term.
+    drop = np.array([[c for c in range(width) if c != j]
+                     for j in range(width)], dtype=np.intp)
+    drop = drop.reshape(width, max(width - 1, 0))
+    run_end = np.ones(idx.shape, dtype=bool)
+    run_end[:, :-1] = idx[:, 1:] != idx[:, :-1]
+    coef = hf[idx] * _run_positions(idx)
+    src, col = np.nonzero(run_end & (coef != 0))
+    amp = _cmul(coef[src, col], state.amp[src])
+    return _state(lat, state.degree_bound,
+                  *_coalesce(lat.n_modes, idx[src[:, None], drop[col]], amp,
+                             state.tag[src]))
 
 
 def op_a_star(g, state: PolarizedState) -> PolarizedState:
     """Creation: c_alpha feeds w_k g_k into alpha + e_k."""
     lat = state.lat
-    g = np.asarray(g, dtype=complex)
-    acc = {}
-    for alpha in sorted(state.coeffs):
-        c = state.coeffs[alpha]
-        new_degree = alpha_degree(alpha) + 1
-        for k in range(lat.n_modes):
-            if g[k] == 0:
-                continue
-            if new_degree > state.degree_bound:
-                raise DegreeOverflowError(
-                    f"degree {new_degree} exceeds bound {state.degree_bound}")
-            target = _bump(alpha, k, +1)
-            term = lat.w[k] * g[k] * c
-            acc[target] = acc.get(target, 0.0 + 0.0j) + term
-    return PolarizedState(lat, acc, state.degree_bound)
+    g = _mode_coefficients(lat, g, "g")
+    modes = np.flatnonzero(g != 0)
+    idx = state.idx
+    (n, width), n_new = idx.shape, len(modes)
+    if n and n_new and width + 1 > state.degree_bound:
+        raise DegreeOverflowError(
+            f"degree {width + 1} exceeds bound {state.degree_bound}")
+    # Term (i, k) raises row i by mode modes[k].
+    rows = np.empty((n, n_new, width + 1), dtype=np.intp)
+    rows[:, :, :width] = idx[:, None, :]
+    rows[:, :, width] = modes
+    rows = rows.reshape(n * n_new, width + 1)
+    rows.sort(axis=1)
+    amp = _cmul((lat.w * g)[modes], state.amp[:, None]).reshape(-1)
+    return _state(lat, state.degree_bound,
+                  *_coalesce(lat.n_modes, rows, amp,
+                             np.repeat(state.tag, n_new)))
 
 
 def minkowski_kz(lat: ModeLattice, zeta) -> np.ndarray:
@@ -172,8 +363,9 @@ def minkowski_kz(lat: ModeLattice, zeta) -> np.ndarray:
 def p_eigenvalue(lat: ModeLattice, alpha, zeta) -> float:
     """-hbar sum_k alpha_k (k.zeta), the diagonal value of op_p on alpha.
 
-    Accumulated with a dot product, independently of the termwise sum
-    inside op_p, so comparing the two is a nontrivial consistency check.
+    Accumulated with a dot product over the distinct modes, independently
+    of the row sum over index columns inside op_p, so comparing the two is
+    a nontrivial consistency check.
     """
     kz = minkowski_kz(lat, zeta)
     if not alpha:
@@ -186,12 +378,14 @@ def p_eigenvalue(lat: ModeLattice, alpha, zeta) -> float:
 def op_p(zeta, state: PolarizedState) -> PolarizedState:
     """Translation generator: diagonal with eigenvalue -hbar sum alpha_k (k.zeta)."""
     lat = state.lat
-    kz = minkowski_kz(lat, zeta)
-    acc = {}
-    for alpha in sorted(state.coeffs):
-        scale = -lat.hbar * sum(e * kz[k] for k, e in alpha)
-        acc[alpha] = scale * state.coeffs[alpha]
-    return PolarizedState(lat, acc, state.degree_bound)
+    kz = np.append(minkowski_kz(lat, zeta), 0.0)
+    total = np.zeros(len(state.idx))
+    for column in state.idx.T:
+        total = total + kz[column]
+    scale = -lat.hbar * total
+    return _state(lat, state.degree_bound, state.idx,
+                  _complex(scale * state.amp.real, scale * state.amp.imag),
+                  state.tag)
 
 
 def commutator(op_left, op_right, state: PolarizedState) -> PolarizedState:
@@ -200,30 +394,96 @@ def commutator(op_left, op_right, state: PolarizedState) -> PolarizedState:
                            op_right(op_left(state))))
 
 
+def _norm_sq(lat: ModeLattice, idx: np.ndarray) -> np.ndarray:
+    """prod_k alpha_k! (hbar / w_k)^alpha_k of each row.
+
+    Each column contributes (hbar / w_k) times its position in the run of
+    mode k, so a run of length e contributes e! (hbar / w_k)^e.
+    """
+    ratio = np.append(lat.hbar / lat.w, 1.0)
+    return np.prod(np.where(idx < lat.n_modes,
+                            _run_positions(idx) * ratio[idx], 1.0), axis=1)
+
+
 def monomial_norm_sq(lat: ModeLattice, alpha) -> float:
-    return float(np.prod([factorial(e) * (lat.hbar / lat.w[k]) ** e
-                          for k, e in alpha]) if alpha else 1.0)
+    return float(_norm_sq(lat, np.array([_alpha_row(alpha)], dtype=np.intp))[0])
 
 
 def inner_product(s1: PolarizedState, s2: PolarizedState) -> complex:
-    """Diagonal pairing, conjugate-linear in the first argument."""
-    total = 0.0 + 0.0j
-    for alpha in sorted(set(s1.coeffs) & set(s2.coeffs)):
-        total += (np.conj(s1.coeffs[alpha]) * s2.coeffs[alpha]
-                  * monomial_norm_sq(s1.lat, alpha))
-    return complex(total)
+    """Diagonal pairing, conjugate-linear in the first argument.
+
+    Terms pair up when tag and monomial agree.
+    """
+    n_modes = s1.lat.n_modes
+    width = max(s1.idx.shape[1], s2.idx.shape[1])
+    idx1 = _widen(s1.idx, width, n_modes)
+    _, i1, i2 = np.intersect1d(
+        _keys(n_modes, idx1, s1.tag),
+        _keys(n_modes, _widen(s2.idx, width, n_modes), s2.tag),
+        assume_unique=True, return_indices=True)
+    terms = _cmul(np.conj(s1.amp[i1]), s2.amp[i2]) * _norm_sq(s1.lat,
+                                                              idx1[i1])
+    return complex(np.sum(terms))
+
+
+def monomial_rows(lat: ModeLattice, max_degree: int) -> np.ndarray:
+    """Every monomial of degree <= max_degree as a sentinel-padded index row.
+
+    The rows are the multisets of size max_degree over the n_modes modes
+    plus the sentinel, ordered as ``monomials_up_to_degree`` lists them:
+    by degree, then by the (mode, exponent) tuple.  For rows of one degree
+    that tuple order is the lexicographic order of the rows once every
+    entry repeating its left neighbour is replaced by a value above all
+    modes (a longer run of a mode sorts after a new, larger mode).
+    """
+    n_modes = lat.n_modes
+    rows = np.zeros((1, 0), dtype=np.intp)
+    last = np.zeros(1, dtype=np.intp)
+    for _ in range(max_degree):
+        counts = n_modes + 1 - last
+        offsets = np.cumsum(counts) - counts
+        last = np.arange(counts.sum()) + np.repeat(last - offsets, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), last])
+    repeats = np.zeros(rows.shape, dtype=bool)
+    repeats[:, 1:] = rows[:, 1:] == rows[:, :-1]
+    digits = np.where(repeats, n_modes + 1, rows)
+    degree = np.sum(rows < n_modes, axis=1)
+    order = np.lexsort((*digits.T[::-1], degree))
+    return rows[order]
 
 
 def monomials_up_to_degree(lat: ModeLattice, max_degree: int):
     """All exponent multi-indices with total degree <= max_degree, sorted."""
-    out = [()]
-    frontier = [()]
-    for _ in range(max_degree):
-        nxt = []
-        for alpha in frontier:
-            start = alpha[-1][0] if alpha else 0
-            for k in range(start, lat.n_modes):
-                nxt.append(_bump(alpha, k, +1))
-        frontier = nxt
-        out.extend(nxt)
-    return sorted(set(out), key=lambda a: (alpha_degree(a), a))
+    return row_alphas(lat, monomial_rows(lat, max_degree))
+
+
+def _n_multisets(n_modes: int, degree: int) -> int:
+    """Monomials of exactly this degree in n_modes variables."""
+    return comb(n_modes + degree - 1, degree) if degree else 1
+
+
+def monomial_at(lat: ModeLattice, max_degree: int, index: int) -> tuple:
+    """``monomials_up_to_degree(lat, max_degree)[index]``, without the list.
+
+    Walks the order directly: skip whole degrees, then choose the smallest
+    mode k and its exponent e (ascending), skipping the monomials of the
+    remaining degree over the modes above k that each choice precedes.
+    """
+    n = lat.n_modes
+    if not 0 <= index < comb(n + max_degree, max_degree):
+        raise IndexError(f"monomial index {index} out of range")
+    degree = 0
+    while index >= _n_multisets(n, degree):
+        index -= _n_multisets(n, degree)
+        degree += 1
+    alpha, k = [], 0
+    while degree:
+        for e in range(1, degree + 1):
+            block = _n_multisets(n - k - 1, degree - e)
+            if index < block:
+                alpha.append((k, e))
+                degree -= e
+                break
+            index -= block
+        k += 1
+    return tuple(alpha)

@@ -10,6 +10,7 @@ exception: their threshold is a fixed 0.0.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -29,6 +30,11 @@ from .solution import (
 )
 
 _SUITE_TAG = {"msymp": 1, "observables": 2, "phase-space": 3, "prequant": 4}
+# Term budget of the batched prequant checks: a block holds
+# floor(_BLOCK_TERMS / fan_out) monomials (at least one), where fan_out is
+# the most terms one monomial can spread to inside the check.  Chosen by
+# peak memory (CHANGES.md).
+_BLOCK_TERMS = 4096
 
 
 def _rng(cfg: RunConfig, suite: str) -> np.random.Generator:
@@ -272,22 +278,36 @@ def _dyadic(rng: np.random.Generator, n: int) -> np.ndarray:
     return (re + 1j * im) / 16.0
 
 
-def ccr_residual(lat, f, g, alpha, degree_bound: int = 6) -> float:
-    """Max coefficient of ([a_f, a*_g] - hbar sum w f g) on one monomial."""
-    state = pq.monomial(lat, dict(alpha), degree_bound)
-    comm = pq.commutator(lambda s: pq.op_a(f, s),
-                         lambda s: pq.op_a_star(g, s), state)
+def _blocks(lat, rows, fan_out: int):
+    """Tagged states of one block of monomial rows each, with their slices."""
+    size = max(1, _BLOCK_TERMS // max(1, fan_out))
+    for start in range(0, len(rows), size):
+        part = slice(start, start + size)
+        yield part, pq.monomial_block(lat, rows[part])
+
+
+def ccr_residual(lat, f, g, rows) -> float:
+    """Max coefficient of ([a_f, a*_g] - hbar sum w f g) over monomial rows."""
     scalar = lat.hbar * np.sum(lat.w * np.asarray(f) * np.asarray(g))
-    resid = pq.state_sub(comm, pq.state_scale(scalar, state))
-    coeffs = pq.prune(resid).coeffs
-    return max((abs(c) for c in coeffs.values()), default=0.0)
+    worst = 0.0
+    # a*_g makes up to n_modes terms, a_f lowers each at up to D+1 places.
+    fan_out = lat.n_modes * (rows.shape[1] + 1)
+    for _, block in _blocks(lat, rows, fan_out):
+        comm = pq.commutator(lambda s: pq.op_a(f, s),
+                             lambda s: pq.op_a_star(g, s), block)
+        resid = pq.state_sub(comm, pq.state_scale(scalar, block))
+        worst = max(worst, pq.max_abs(resid))
+    return worst
 
 
-def commutator_flag(lat, monos, op1, op2) -> float:
-    """0.0 when [op1, op2] is exactly zero on every monomial, else 1.0."""
-    for mono in monos:
-        comm = pq.commutator(op1, op2, pq.monomial(lat, dict(mono)))
-        if not pq.is_zero_state(comm):
+def commutator_flag(lat, rows, op1, op2, fan_out: int) -> float:
+    """0.0 when [op1, op2] is exactly zero on every monomial row, else 1.0.
+
+    ``fan_out`` bounds the terms op1 op2 makes from one monomial: D^2 for
+    two lowerings of degree-D rows, n_modes^2 for two raisings.
+    """
+    for _, block in _blocks(lat, rows, fan_out):
+        if not pq.is_zero_state(pq.commutator(op1, op2, block)):
             return 1.0
     return 0.0
 
@@ -300,13 +320,12 @@ def vacuum_flag(lat, zeta, f) -> float:
 
 
 def _random_state(lat, rng, degree: int, degree_bound: int = 6):
-    monos = pq.monomials_up_to_degree(lat, degree)
-    picks = rng.choice(len(monos), size=min(6, len(monos)), replace=False)
-    state = pq.PolarizedState(lat, {}, degree_bound)
-    for i in sorted(picks):
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        state = pq.state_add(state, pq.state_scale(
-            coeff, pq.PolarizedState(lat, {monos[i]: 1.0 + 0.0j}, degree_bound)))
+    n = comb(lat.n_modes + degree, degree)  # monomials of degree <= degree
+    picks = np.sort(rng.choice(n, size=min(6, n), replace=False))
+    coeffs = {pq.monomial_at(lat, degree, int(i)):
+              complex(rng.standard_normal(), rng.standard_normal())
+              for i in picks}
+    state = pq.PolarizedState(lat, coeffs, degree_bound)
     norm = np.sqrt(abs(pq.inner_product(state, state)))
     return pq.state_scale(1.0 / norm, state)
 
@@ -319,37 +338,35 @@ def suite_prequant(cfg: RunConfig) -> list:
     g = rng.standard_normal(mm) + 1j * rng.standard_normal(mm)
     out = []
 
-    monos = pq.monomials_up_to_degree(lat, 3)
-    worst = max(ccr_residual(lat, f, g, m) for m in monos)
-    out.append(cfg.check("prequant.ccr_monomials", worst, 0.0))
+    rows = pq.monomial_rows(lat, 3)
+    out.append(cfg.check("prequant.ccr_monomials",
+                         ccr_residual(lat, f, g, rows), 0.0))
 
     fd1, fd2 = _dyadic(rng, mm), _dyadic(rng, mm)
     out.append(cfg.check("prequant.aa_exact_zero", commutator_flag(
-        lat, monos, lambda s: pq.op_a(fd1, s), lambda s: pq.op_a(fd2, s)),
-        0.0))
+        lat, rows, lambda s: pq.op_a(fd1, s), lambda s: pq.op_a(fd2, s),
+        rows.shape[1] ** 2), 0.0))
     out.append(cfg.check("prequant.astar_astar_exact_zero", commutator_flag(
-        lat, pq.monomials_up_to_degree(lat, 2),
-        lambda s: pq.op_a_star(f, s), lambda s: pq.op_a_star(g, s)), 0.0))
+        lat, pq.monomial_rows(lat, 2), lambda s: pq.op_a_star(f, s),
+        lambda s: pq.op_a_star(g, s), mm ** 2), 0.0))
 
     zeta = np.zeros(lat.d + 1)
     zeta[0] = 1.0
     out.append(cfg.check("prequant.vacuum_annihilated",
                          vacuum_flag(lat, zeta, f), 0.0))
 
+    # op_p's row sum against p_eigenvalue's dot product, per monomial.
+    monos = pq.row_alphas(lat, rows)
     zetas = [zeta, np.concatenate(([0.7], rng.standard_normal(lat.d)))]
+    eigs = [np.array([pq.p_eigenvalue(lat, mono, z) for mono in monos])
+            for z in zetas]
     worst = 0.0
-    emin = np.inf
-    for z in zetas:
-        for mono in monos:
-            state = pq.monomial(lat, dict(mono))
-            eig = pq.p_eigenvalue(lat, mono, z)
-            resid = pq.state_sub(pq.op_p(z, state),
-                                 pq.state_scale(eig, state))
-            coeffs = pq.prune(resid).coeffs
-            worst = max(worst,
-                        max((abs(c) for c in coeffs.values()), default=0.0))
-    for mono in monos:
-        emin = min(emin, -pq.p_eigenvalue(lat, mono, zeta))
+    for z, eig in zip(zetas, eigs):
+        for part, block in _blocks(lat, rows, 1):
+            resid = pq.state_sub(pq.op_p(z, block),
+                                 pq.monomial_block(lat, rows[part], eig[part]))
+            worst = max(worst, pq.max_abs(resid))
+    emin = min((-e for e in eigs[0].tolist()), default=np.inf)
     out.append(cfg.check("prequant.p_eigenvalues", worst, 0.0))
     out.append(lower_bound_check("prequant.energy_nonnegative", emin, 0.0))
 
@@ -358,10 +375,8 @@ def suite_prequant(cfg: RunConfig) -> list:
                         lambda s: pq.op_a_star(g, s), state)
     gprime = pq.minkowski_kz(lat, zeta) * g
     rhs = pq.state_scale(-lat.hbar, pq.op_a_star(gprime, state))
-    resid = pq.prune(pq.state_sub(lhs, rhs)).coeffs
     out.append(cfg.check("prequant.p_astar_commutator",
-                         max((abs(c) for c in resid.values()), default=0.0),
-                         0.0))
+                         pq.max_abs(pq.state_sub(lhs, rhs)), 0.0))
 
     s1 = _random_state(lat, rng, 4)
     s2 = _random_state(lat, rng, 4)

@@ -242,6 +242,28 @@ def test_prequant_rejects_wrong_length_fg(tmp_path):
     assert main(["prequant", "--fg", str(path)]) == 2
 
 
+@pytest.mark.parametrize("bad_f1, field", [
+    (None, "--fg"),
+    (["a", 1], "f[1]"),
+    (True, "f[1]"),
+    ([float("nan"), 0.0], "f[1]"),
+], ids=["not_object", "non_numeric_pair", "bool_entry", "nan_entry"])
+def test_prequant_malformed_fg_exits_two(tmp_path, capsys, lat, bad_f1,
+                                        field):
+    """Malformed --fg data exits 2 with the field named, never a traceback.
+
+    ``bad_f1`` replaces f[1] of a valid file; None writes ``[1, 2]``.
+    """
+    n = lat.n_modes
+    f = [[1.0, 0.0]] * n
+    raw = ([1, 2] if bad_f1 is None
+           else {"f": f[:1] + [bad_f1] + f[2:], "g": f})
+    path = tmp_path / "fg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["prequant", "--fg", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # The check registry
 # ---------------------------------------------------------------------------

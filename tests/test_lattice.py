@@ -165,6 +165,10 @@ def test_spectral_gradient_on_plane_wave(lat2d):
         assert np.array_equal(row, spectral_gradient(lat2d, w))
     with pytest.raises(ValueError):
         spectral_gradient(lat2d, waves[:, :, :-1])
+    for a in range(lat2d.d):
+        one = spectral_gradient(lat2d, waves.real, axis=a)
+        assert one.shape == waves.shape
+        assert np.array_equal(one, spectral_gradient(lat2d, waves.real)[:, a])
 
 
 def test_spectral_laplacian_on_plane_wave(lat2d):

@@ -29,7 +29,10 @@ from covkg.prequant import (
     canonical_alpha,
     is_zero_state,
     minkowski_kz,
+    monomial_at,
+    monomial_block,
     monomial_norm_sq,
+    monomial_rows,
     monomials_up_to_degree,
     p_eigenvalue,
     prune,
@@ -42,6 +45,11 @@ from covkg.prequant import (
 @pytest.fixture(scope="module")
 def lat():
     return build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
+
+
+@pytest.fixture(scope="module", params=[7, 11], ids=["n_max7", "n_max11"])
+def wide_lat(request):
+    return build_lattice(d=1, L=2 * np.pi, N=32, n_max=request.param, m=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +112,32 @@ def test_monomials_up_to_degree_counts(lat):
     assert len(monomials_up_to_degree(lat, 4)) == 3876
 
 
+def test_monomials_up_to_degree_order_pinned():
+    """By degree, then by the (mode, exponent) tuple, on 3 modes."""
+    lat3 = build_lattice(d=1, L=2 * np.pi, N=4, n_max=1, m=1.0)
+    assert monomials_up_to_degree(lat3, 3) == [
+        (),
+        ((0, 1),), ((1, 1),), ((2, 1),),
+        ((0, 1), (1, 1)), ((0, 1), (2, 1)), ((0, 2),), ((1, 1), (2, 1)),
+        ((1, 2),), ((2, 2),),
+        ((0, 1), (1, 1), (2, 1)), ((0, 1), (1, 2)), ((0, 1), (2, 2)),
+        ((0, 2), (1, 1)), ((0, 2), (2, 1)), ((0, 3),), ((1, 1), (2, 2)),
+        ((1, 2), (2, 1)), ((1, 3),), ((2, 3),),
+    ]
+    rows = monomial_rows(lat3, 3)
+    assert rows.shape == (20, 3)
+    assert rows[0].tolist() == [3, 3, 3]  # the vacuum is all sentinel
+
+
+def test_monomial_at_walks_the_listed_order(lat):
+    for max_degree in (0, 1, 3):
+        listed = monomials_up_to_degree(lat, max_degree)
+        assert [monomial_at(lat, max_degree, i)
+                for i in range(len(listed))] == listed
+    with pytest.raises(IndexError):
+        monomial_at(lat, 3, len(listed))
+
+
 # ---------------------------------------------------------------------------
 # Ladder action
 # ---------------------------------------------------------------------------
@@ -134,6 +168,16 @@ def test_raising_past_bound_raises(lat, i0):
     state = monomial(lat, [(i0, 2)], degree_bound=2)
     with pytest.raises(DegreeOverflowError):
         op_a_star(g, state)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_ladder_rejects_wrong_coefficient_shape(lat, i0, n):
+    """One coefficient per mode (15 here); short and long arrays fail."""
+    state = monomial(lat, [(i0, 1), (14, 1)])
+    with pytest.raises(ValueError, match="shape"):
+        op_a(np.ones(n), state)
+    with pytest.raises(ValueError, match="shape"):
+        op_a_star(np.ones(n), state)
 
 
 def test_ladder_mixes_modes(lat):
@@ -204,26 +248,60 @@ def test_ccr_on_low_degree_monomials(lat, seed):
         assert worst < 1e-12
 
 
-def test_lowering_commutator_exact_zero_dyadic(lat):
+def test_lowering_commutator_exact_zero_dyadic(wide_lat):
     """[a_f, a_f'] on monomials is the empty state for dyadic data.
 
     Small dyadic rationals keep every partial product exact in binary
     floating point, so the cancellation is literal, not approximate.
+    Every monomial of degree <= 3 is checked, as one tagged block.
     """
-    f, fp = _dyadic(lat, 0), _dyadic(lat, 1)
-    for alpha in monomials_up_to_degree(lat, 3)[:80]:
-        comm = commutator(partial(op_a, f), partial(op_a, fp),
-                          monomial(lat, list(alpha)))
-        assert is_zero_state(comm)
+    f, fp = _dyadic(wide_lat, 0), _dyadic(wide_lat, 1)
+    block = monomial_block(wide_lat, monomial_rows(wide_lat, 3))
+    assert is_zero_state(commutator(partial(op_a, f), partial(op_a, fp),
+                                    block))
 
 
-def test_raising_commutator_exact_zero_generic(lat):
-    """[a*_g, a*_g'] cancels exactly even for arbitrary coefficients."""
-    g, gp = _rand_fg(lat, 7)
-    for alpha in monomials_up_to_degree(lat, 2)[:80]:
-        comm = commutator(partial(op_a_star, g), partial(op_a_star, gp),
-                          monomial(lat, list(alpha)))
-        assert is_zero_state(comm)
+def test_raising_commutator_exact_zero_generic(wide_lat):
+    """[a*_g, a*_g'] cancels exactly even for arbitrary coefficients.
+
+    Every monomial of degree <= 2 is checked, as one tagged block.
+    """
+    g, gp = _rand_fg(wide_lat, 7)
+    block = monomial_block(wide_lat, monomial_rows(wide_lat, 2))
+    assert is_zero_state(commutator(partial(op_a_star, g),
+                                    partial(op_a_star, gp), block))
+
+
+def _tag_terms(state, tag):
+    """(rows without sentinel-only columns, amplitudes) of one tag."""
+    keep = state.tag == tag
+    rows, amp = state.idx[keep], state.amp[keep]
+    width = int(np.sum(rows < state.lat.n_modes, axis=1).max(initial=0))
+    return rows[:, :width], amp
+
+
+def test_tagged_block_matches_single_monomials(wide_lat):
+    """Each tag of a block equals, bit for bit, its monomial run alone."""
+    lat = wide_lat
+    f, g = _rand_fg(lat, 3)
+    zeta = np.array([0.7, -0.4])
+    ops = {
+        "a": partial(op_a, f),
+        "a_star": partial(op_a_star, g),
+        "p": partial(op_p, zeta),
+        "ccr": partial(commutator, partial(op_a, f), partial(op_a_star, g)),
+    }
+    rows = monomial_rows(lat, 3)[::7]
+    alphas = monomials_up_to_degree(lat, 3)[::7]
+    block = monomial_block(lat, rows)
+    for name, op in ops.items():
+        out = op(block)
+        for tag, alpha in enumerate(alphas):
+            single = op(monomial(lat, list(alpha)))
+            got_rows, got_amp = _tag_terms(out, tag)
+            want_rows, want_amp = _tag_terms(single, 0)
+            assert np.array_equal(got_rows, want_rows), (name, tag)
+            assert got_amp.tobytes() == want_amp.tobytes(), (name, tag)
 
 
 def test_translation_raising_commutator(lat):
