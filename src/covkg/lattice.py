@@ -23,6 +23,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b from real and imaginary parts, one ufunc call per product."""
+    return _complex(a.real * b.real - a.imag * b.imag,
+                    a.real * b.imag + a.imag * b.real)
+
+
 @dataclass(frozen=True)
 class ModeLattice:
     """Spatial grid plus the truncated positive mass shell.

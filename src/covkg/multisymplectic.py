@@ -12,6 +12,19 @@ Conventions (n = d + 1 spacetime dimensions, metric eta = diag(+, -, ..., -)):
 Both forms are evaluated by explicit determinant expansion over the fixed
 coordinate order (x^0..x^(n-1), phi, e, p^0..p^(n-1)); the space has
 dimension 2n + 2, so no general exterior-algebra machinery is needed.
+
+The forms evaluate whole slices at once: any component may carry trailing
+cell axes (``phi``, ``e``, ``dphi``, ``de`` shape ``cells``; ``x``, ``p``,
+``dx``, ``dp`` shape (n,) + cells), broadcast against the others, and a
+point or tangent without them is the zero-axis case of the same code,
+which returns a numpy scalar where a stack returns an array of cells.  A
+cell's value is bitwise that of evaluating the cell alone because each
+minor is one ``np.linalg.det`` over matrices [..., b, a] = component a of
+vector b, which factors every cell separately in that orientation, and
+because complex products go through ``lattice._cmul`` (numpy's array
+multiply may fuse into an FMA, its scalar one does not).  For the same
+parity ``phase_space`` sums cell values in C order, one after the other,
+not pairwise as ``np.sum`` does.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ModeLattice, spectral_gradient, spectral_laplacian
+from .lattice import ModeLattice, _cmul, spectral_gradient, spectral_laplacian
 from .solution import (
     SliceData,
     Solution,
@@ -52,9 +65,16 @@ class MTangent:
     dp: np.ndarray
 
     def components(self) -> np.ndarray:
-        dx = np.atleast_1d(np.asarray(self.dx))
-        dp = np.atleast_1d(np.asarray(self.dp))
-        return np.concatenate([dx, [self.dphi], [self.de], dp])
+        """Components in coordinate order, shape (2n + 2,) + cells."""
+        rows = [*np.asarray(self.dx), self.dphi, self.de, *np.asarray(self.dp)]
+        return np.stack(np.broadcast_arrays(*rows))
+
+
+def _tangent(comps) -> MTangent:
+    """The tangent with components ``comps`` in coordinate order."""
+    n = len(comps) // 2 - 1
+    return MTangent(dx=comps[:n], dphi=comps[n], de=comps[n + 1],
+                    dp=comps[n + 2:])
 
 
 def vertical_tangent(n: int, dphi=0.0, de=0.0, dp=None) -> MTangent:
@@ -65,70 +85,61 @@ def vertical_tangent(n: int, dphi=0.0, de=0.0, dp=None) -> MTangent:
 
 def basis_tangents(d: int) -> list:
     """Coordinate directions of M, ordered (x^mu, phi, e, p^mu)."""
-    n = d + 1
-    dim = 2 * n + 2
-    out = []
-    for i in range(dim):
-        comp = np.zeros(dim)
-        comp[i] = 1.0
-        out.append(MTangent(dx=comp[:n], dphi=comp[n], de=comp[n + 1],
-                            dp=comp[n + 2:]))
-    return out
+    return [_tangent(row) for row in np.eye(2 * d + 4)]
 
 
-def _det_on(indices, mats) -> complex:
-    # entry [a, b] = component indices[a] of vector b
-    sub = mats[list(indices), :]
-    return np.linalg.det(sub.T)
-
-
-def _stack(vectors) -> np.ndarray:
-    comps = [np.asarray(v.components()) for v in vectors]
-    dim = comps[0].shape[0]
-    if any(c.shape != (dim,) for c in comps):
+def _stack(vectors, extra: int, point=None):
+    """(mats, n) for n + ``extra`` tangents: per cell the matrix
+    [..., b, a] = component a of vector b.  Rejects bad tangent dimensions,
+    a wrong vector count and a point without n momenta."""
+    comps = [np.moveaxis(v.components(), 0, -1) for v in vectors]
+    dim = comps[0].shape[-1] if comps else 0
+    if any(c.shape[-1] != dim for c in comps):
         raise ValueError("tangent vectors have mismatched dimensions")
-    dtype = complex if any(np.iscomplexobj(c) for c in comps) else float
-    return np.stack(comps).astype(dtype).T  # rows: coordinates, cols: vectors
+    if dim % 2 != 0 or dim < 6:
+        raise ValueError("bad tangent dimension")
+    n = dim // 2 - 1
+    if len(comps) != n + extra:
+        raise ValueError(f"the form takes n + {extra} = {n + extra} vectors, "
+                         f"got {len(comps)}")
+    if point is not None and np.shape(point.p)[:1] != (n,):
+        raise ValueError(f"point.p must have n = {n} components")
+    return np.stack(np.broadcast_arrays(*comps), axis=-2), n
+
+
+def _det_on(indices, mats):
+    return np.linalg.det(mats[..., indices])
+
+
+def _mul(a, b):
+    return _cmul(a, b) if np.iscomplexobj(a) or np.iscomplexobj(b) else a * b
 
 
 def omega_eval(vectors):
     """Evaluate omega on exactly n + 1 tangent vectors."""
-    vectors = list(vectors)
-    mats = _stack(vectors)
-    dim = mats.shape[0]
-    if dim % 2 != 0 or dim < 6:
-        raise ValueError("bad tangent dimension")
-    n = (dim - 2) // 2
-    if len(vectors) != n + 1:
-        raise ValueError(f"omega takes n + 1 = {n + 1} vectors, "
-                         f"got {len(vectors)}")
+    mats, n = _stack(vectors, 1)
     ix, iphi, ie, ip = list(range(n)), n, n + 1, n + 2
     val = _det_on([ie] + ix, mats)
     for mu in range(n):
         sign = -1.0 if mu % 2 else 1.0
         rest = [a for a in ix if a != mu]
         val = val + sign * _det_on([ip + mu, iphi] + rest, mats)
-    return val if np.iscomplexobj(mats) else float(val.real if np.iscomplexobj(val) else val)
+    return val
 
 
 def theta_eval(lam: float, point: MPoint, vectors):
     """Evaluate theta_lambda at ``point`` on exactly n tangent vectors."""
-    vectors = list(vectors)
-    mats = _stack(vectors)
-    dim = mats.shape[0]
-    n = (dim - 2) // 2
-    if len(vectors) != n:
-        raise ValueError(f"theta takes n = {n} vectors, got {len(vectors)}")
+    mats, n = _stack(vectors, 0, point)
     ix, iphi, ip = list(range(n)), n, n + 2
-    val = point.e * _det_on(ix, mats)
+    val = _mul(point.e, _det_on(ix, mats))
     for mu in range(n):
         sign = -1.0 if mu % 2 else 1.0
         rest = [a for a in ix if a != mu]
-        val = val + lam * point.p[mu] * sign * _det_on([iphi] + rest, mats)
-        val = val - (1.0 - lam) * point.phi * sign * _det_on([ip + mu] + rest, mats)
-    complex_out = np.iscomplexobj(mats) or any(
-        np.iscomplexobj(np.asarray(z)) for z in (point.phi, point.e, point.p))
-    return val if complex_out else float(val)
+        val = val + _mul(lam * point.p[mu] * sign,
+                         _det_on([iphi] + rest, mats))
+        val = val - _mul((1.0 - lam) * point.phi * sign,
+                         _det_on([ip + mu] + rest, mats))
+    return val
 
 
 def dtheta_fd(lam: float, point: MPoint, vectors, eps: float = 1e-3):
@@ -157,8 +168,9 @@ def dtheta_fd(lam: float, point: MPoint, vectors, eps: float = 1e-3):
 def hamiltonian(point: MPoint, m: float):
     """H = e + (1/2) eta_{mu nu} p^mu p^nu + (1/2) m^2 phi^2."""
     p = np.asarray(point.p)
-    quad = p[0] ** 2 - np.sum(p[1:] ** 2)
-    return point.e + 0.5 * quad + 0.5 * m ** 2 * point.phi ** 2
+    sq = _mul(p, p)
+    quad = sq[0] - np.sum(sq[1:], axis=0)
+    return point.e + 0.5 * quad + 0.5 * m ** 2 * _mul(point.phi, point.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +192,20 @@ def graph_frame(sol: Solution, t: float) -> GraphFrame:
     dd = second_derivatives(sol, t)
     eta = np.array([1.0] + [-1.0] * lat.d)
     dp = np.einsum("n,mn...->mn...", eta, dd)
-    de = np.empty_like(dd[0])
-    for mu in range(lat.d + 1):
-        quad = dd[mu, 0] * sd.dphi[0] - np.sum(dd[mu, 1:] * sd.dphi[1:], axis=0)
-        de[mu] = -quad - lat.m ** 2 * sd.phi * sd.dphi[mu]
-    return GraphFrame(slice=sd, de=de, dp=dp)
+    quad = dd[:, 0] * sd.dphi[0] - np.sum(dd[:, 1:] * sd.dphi[1:], axis=1)
+    return GraphFrame(slice=sd, de=-quad - lat.m ** 2 * sd.phi * sd.dphi,
+                      dp=dp)
 
 
-def graph_tangent(frame: GraphFrame, mu: int, j) -> MTangent:
-    """X_mu = d/dx^mu + d_mu phi d/dphi + d_mu e d/de + d_mu p^nu d/dp^nu at cell j."""
-    sd = frame.slice
-    n = sd.p.shape[0]
-    dx = np.zeros(n)
+def graph_tangent(frame: GraphFrame, mu: int, j=None) -> MTangent:
+    """X_mu = d/dx^mu + d_mu phi d/dphi + d_mu e d/de + d_mu p^nu d/dp^nu,
+    over the whole slice, or at cell ``j`` when given."""
+    cell = (...,) if j is None else np.index_exp[j]
+    dx = np.zeros(frame.dp.shape[0])
     dx[mu] = 1.0
-    return MTangent(dx=dx, dphi=sd.dphi[mu][j], de=frame.de[mu][j],
-                    dp=np.array([frame.dp[mu, nu][j] for nu in range(n)]))
+    return MTangent(dx=dx, dphi=frame.slice.dphi[mu][cell],
+                    de=frame.de[mu][cell],
+                    dp=frame.dp[mu][(slice(None),) + cell])
 
 
 def hamilton_pointwise_residual(sol: Solution, t: float) -> float:
@@ -207,19 +218,16 @@ def hamilton_pointwise_residual(sol: Solution, t: float) -> float:
     frame = graph_frame(sol, t)
     sd = frame.slice
     n = lat.d + 1
-    basis = basis_tangents(lat.d)
-    eta = np.array([1.0] + [-1.0] * lat.d)
-    worst = 0.0
-    for j in np.ndindex(lat.grid_shape):
-        xs = [graph_tangent(frame, mu, j) for mu in range(n)]
-        beta_x = float(np.linalg.det(np.stack([x.dx for x in xs]).T))
-        # dH components in coordinate order (x, phi, e, p)
-        dh = np.concatenate([np.zeros(n), [lat.m ** 2 * sd.phi[j]], [1.0],
-                             eta * sd.p[(slice(None),) + j]])
-        for xi, dh_xi in zip(basis, dh):
-            lhs = omega_eval([xi] + xs)
-            worst = max(worst, abs(lhs - dh_xi * beta_x))
-    return worst
+    xs = [graph_tangent(frame, mu) for mu in range(n)]
+    beta_x = float(np.linalg.det(np.stack([x.dx for x in xs]).T))
+    # xi: every coordinate direction, along one leading axis
+    eye = np.eye(2 * n + 2).reshape((2 * n + 2,) * 2 + (1,) * lat.d)
+    lhs = omega_eval([_tangent(eye)] + xs)
+    # dH components in coordinate order (x, phi, e, p)
+    dh = np.zeros_like(lhs)
+    dh[n], dh[n + 1] = lat.m ** 2 * sd.phi, 1.0
+    dh[n + 2], dh[n + 3:] = sd.p[0], -sd.p[1:]
+    return float(np.max(np.abs(lhs - dh * beta_x)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import ModeLattice
+from .lattice import ModeLattice, _cmul
 from .multisymplectic import (
     MPoint,
-    MTangent,
+    _tangent,
     action_between_slices,
     graph_frame,
     graph_tangent,
@@ -49,22 +49,12 @@ from .solution import (
 )
 
 
-def _add_tangent(a: MTangent, b: MTangent, cb: complex) -> MTangent:
-    return MTangent(dx=a.dx + cb * b.dx, dphi=a.dphi + cb * b.dphi,
-                    de=a.de + cb * b.de, dp=a.dp + cb * b.dp)
-
-
 def deformation_fields(sol: Solution, delta: Solution, t: float):
     """Vertical components (delta phi, delta p^mu, delta e) on the slice."""
-    lat = sol.lat
-    base = evaluate_fields(sol, t)
-    dphi = np.stack([synthesize(delta, t, (mu,)) for mu in range(lat.d + 1)])
-    val = synthesize(delta, t)
-    eta = np.array([1.0] + [-1.0] * lat.d)
-    dp = np.einsum("m,m...->m...", eta, dphi)
-    quad = base.dphi[0] * dphi[0] - np.sum(base.dphi[1:] * dphi[1:], axis=0)
-    de = -quad - lat.m ** 2 * base.phi * val
-    return val, dp, de
+    base, dfl = evaluate_fields(sol, t), evaluate_fields(delta, t)
+    quad = (base.dphi[0] * dfl.dphi[0]
+            - np.sum(base.dphi[1:] * dfl.dphi[1:], axis=0))
+    return dfl.phi, dfl.p, -quad - sol.lat.m ** 2 * base.phi * dfl.phi
 
 
 def theta_sigma(sol: Solution, delta: Solution, lam: float, t: float):
@@ -77,6 +67,25 @@ def theta_sigma(sol: Solution, delta: Solution, lam: float, t: float):
     return _maybe_real(lat.cell_volume * np.sum(integrand), sol, delta)
 
 
+def _representative(frame, fields, shift=None):
+    """The vertical tangent with ``deformation_fields`` ``fields`` over the
+    slice, plus c * X_mu when ``shift = (c, mu)`` (c may vary by cell)."""
+    val, dp, de = fields
+    xi = vertical_tangent(len(dp), dphi=val, de=de, dp=dp)
+    if shift is None:
+        return xi
+    c, mu = shift
+    tangential = _cmul(np.asarray(c, dtype=complex),
+                       graph_tangent(frame, mu).components())
+    return _tangent(xi.components() + tangential)
+
+
+def _slice_sum(lat: ModeLattice, values) -> complex:
+    """Cell volume times the sum of ``values`` over the grid, added in C
+    order one cell after another, as a loop over the cells would."""
+    return complex(lat.cell_volume * complex(np.cumsum(values)[-1]))
+
+
 def theta_sigma_pointwise(sol: Solution, delta: Solution, lam: float, t: float,
                           shift=None):
     """Theta^Sigma via pointwise theta_eval on (xi, X_1..X_d).
@@ -87,20 +96,10 @@ def theta_sigma_pointwise(sol: Solution, delta: Solution, lam: float, t: float,
     lat = sol.lat
     frame = graph_frame(sol, t)
     sd = frame.slice
-    val, dp, de = deformation_fields(sol, delta, t)
-    total = 0.0j
-    for j in np.ndindex(lat.grid_shape):
-        xi = vertical_tangent(lat.d + 1, dphi=val[j], de=de[j],
-                              dp=np.array([dp[nu][j] for nu in range(lat.d + 1)]))
-        if shift is not None:
-            c, mu = shift
-            cj = complex(c[j]) if np.ndim(c) else complex(c)
-            xi = _add_tangent(xi, graph_tangent(frame, mu, j), cj)
-        point = MPoint(x=np.zeros(lat.d + 1), phi=sd.phi[j], e=sd.e[j],
-                       p=np.array([sd.p[nu][j] for nu in range(lat.d + 1)]))
-        spatial = [graph_tangent(frame, a, j) for a in range(1, lat.d + 1)]
-        total += theta_eval(lam, point, [xi] + spatial)
-    return complex(lat.cell_volume * total)
+    xi = _representative(frame, deformation_fields(sol, delta, t), shift)
+    point = MPoint(x=np.zeros(lat.d + 1), phi=sd.phi, e=sd.e, p=sd.p)
+    spatial = [graph_tangent(frame, a) for a in range(1, lat.d + 1)]
+    return _slice_sum(lat, theta_eval(lam, point, [xi] + spatial))
 
 
 def omega_mode_form(lat: ModeLattice, d1: Solution, d2: Solution):
@@ -117,26 +116,10 @@ def omega_sigma_pointwise(sol: Solution, d1: Solution, d2: Solution, t: float,
     """
     lat = sol.lat
     frame = graph_frame(sol, t)
-    v1, p1, e1 = deformation_fields(sol, d1, t)
-    v2, p2, e2 = deformation_fields(sol, d2, t)
-    total = 0.0j
-    for j in np.ndindex(lat.grid_shape):
-        def vert(v, p, e):
-            return vertical_tangent(
-                lat.d + 1, dphi=v[j], de=e[j],
-                dp=np.array([p[nu][j] for nu in range(lat.d + 1)]))
-        xi1, xi2 = vert(v1, p1, e1), vert(v2, p2, e2)
-        if shift1 is not None:
-            c, mu = shift1
-            cj = complex(c[j]) if np.ndim(c) else complex(c)
-            xi1 = _add_tangent(xi1, graph_tangent(frame, mu, j), cj)
-        if shift2 is not None:
-            c, mu = shift2
-            cj = complex(c[j]) if np.ndim(c) else complex(c)
-            xi2 = _add_tangent(xi2, graph_tangent(frame, mu, j), cj)
-        spatial = [graph_tangent(frame, a, j) for a in range(1, lat.d + 1)]
-        total += omega_eval([xi1, xi2] + spatial)
-    return complex(lat.cell_volume * total)
+    xi1 = _representative(frame, deformation_fields(sol, d1, t), shift1)
+    xi2 = _representative(frame, deformation_fields(sol, d2, t), shift2)
+    spatial = [graph_tangent(frame, a) for a in range(1, lat.d + 1)]
+    return _slice_sum(lat, omega_eval([xi1, xi2] + spatial))
 
 
 def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t: float = 0.0,
@@ -190,21 +173,13 @@ def gram_matrix(lat: ModeLattice):
     margin of the truncated phase space.
     """
     mm = lat.n_modes
-    basis_u = []
-    basis_us = []
-    for k in range(mm):
-        ek = np.zeros(mm, dtype=complex)
-        ek[k] = 1.0
-        basis_u.append(ek)
-        basis_us.append(ek.copy())          # real direction: du = dus = e_k
-        basis_u.append(1j * ek)
-        basis_us.append(-1j * ek)           # imaginary direction
-    g = np.empty((2 * mm, 2 * mm))
-    for a in range(2 * mm):
-        for b in range(2 * mm):
-            val = 1j * np.sum(lat.w * (basis_us[a] * basis_u[b]
-                                       - basis_u[a] * basis_us[b]))
-            g[a, b] = val.real
+    ek = np.eye(mm, dtype=complex)
+    # rows 2k, 2k + 1: du = du* = e_k and du = i e_k, du* = -i e_k
+    u = np.stack([ek, 1j * ek], axis=1).reshape(2 * mm, mm)
+    us = np.stack([ek, -1j * ek], axis=1).reshape(2 * mm, mm)
+    # i sum_k w_k (d1u*_k d2u_k - d1u_k d2u*_k) over all row pairs at once
+    left = np.hstack([us * lat.w, -u * lat.w])
+    g = (1j * (left @ np.hstack([u, us]).T)).real
     eig = np.abs(np.linalg.eigvals(g))
     return g, float(np.min(eig) / np.max(eig))
 

@@ -88,7 +88,7 @@ from math import comb
 
 import numpy as np
 
-from .lattice import ModeLattice
+from .lattice import ModeLattice, _cmul, _complex
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -123,19 +123,6 @@ def row_alphas(lat: ModeLattice, rows) -> list:
     return [tuple((k, len(list(run))) for k, run in groupby(row)
                   if k < lat.n_modes)
             for row in np.asarray(rows).tolist()]
-
-
-def _complex(re, im) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def _cmul(a, b) -> np.ndarray:
-    """a * b from real and imaginary parts, one ufunc call per product."""
-    return _complex(a.real * b.real - a.imag * b.imag,
-                    a.real * b.imag + a.imag * b.real)
 
 
 @lru_cache(maxsize=None)

@@ -91,6 +91,14 @@ class RunConfig:
     _KEYS = ("d", "L", "N", "n_max", "m", "hbar", "lam", "seed")
 
     def __post_init__(self):
+        for name in self._KEYS:
+            value = getattr(self, name)
+            kind = int if name in ("d", "N", "n_max", "seed") else (int, float)
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not abs(value) < np.inf):
+                raise ValueError(f"config {name!r} must be " + (
+                    "an integer" if kind is int else "a finite real number")
+                    + f", got {value!r}")
         for name, value in self.tolerances.items():
             if name not in TOLERANCES:
                 raise ValueError(f"unknown tolerance name {name!r}")
@@ -98,7 +106,6 @@ class RunConfig:
                     or not value >= 0.0):
                 raise ValueError(f"tolerance {name!r} must be a nonnegative "
                                  "number")
-        self.seed = int(self.seed)
 
     def lattice(self) -> ModeLattice:
         return build_lattice(self.d, self.L, self.N, self.n_max, self.m,

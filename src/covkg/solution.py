@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -450,9 +450,13 @@ def read_cauchy_csv(lat: ModeLattice, path):
     """Inverse of write_cauchy_csv; validates length against the grid."""
     idx, phi, pi = [], [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#") or row[0] == "index":
                 continue
+            if len(row) < 3:
+                raise ValueError(f"Cauchy CSV line {reader.line_num}: "
+                                 "expected three fields index,phi0,pi0")
             idx.append(int(row[0]))
             phi.append(float(row[1]))
             pi.append(float(row[2]))

@@ -85,13 +85,11 @@ def suite_msymp(cfg: RunConfig) -> list:
     out.append(cfg.check("msymp.hamilton2_pointwise",
                          ms.hamilton_pointwise_residual(sol, 0.3), 0.0))
 
-    basis = ms.basis_tangents(lat.d)
-    cols = []
-    for combo in combinations(range(len(basis)), lat.d + 1):
-        cols.append([ms.omega_eval([basis[i] for i in (row,) + combo])
-                     if row not in combo else 0.0
-                     for row in range(len(basis))])
-    q = np.array(cols).T
+    # q[row, c] = omega(e_row, e_c0, .., e_cd) for every (d+1)-subset c
+    eye = np.eye(2 * lat.d + 4)
+    combos = np.array(list(combinations(range(len(eye)), lat.d + 1))).T
+    q = ms.omega_eval([ms._tangent(eye[:, :, None])]
+                      + [ms._tangent(eye[:, None, c]) for c in combos])
     sigma_min = float(np.linalg.svd(q, compute_uv=False)[-1])
     out.append(cfg.lower_bound("msymp.omega_nondegenerate", sigma_min))
 

@@ -56,17 +56,45 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--tol", "msymp.kg_residual=-1"]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     assert main(["simulate", "--n-out", "1"]) == 2
+    for dt in ("0", "-1", "nan", "inf"):
+        assert main(["simulate", "--n-out", "3", f"--leapfrog-dt={dt}"]) == 2
+        assert "leapfrog-dt" in capsys.readouterr().err
+    cauchy = tmp_path / "short.csv"
+    cauchy.write_text("index,phi0,pi0\n0,1.0\n", encoding="utf-8")
+    assert main(["simulate", "--cauchy", str(cauchy)]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert main(["verify", "--lambda", "nan"]) == 2
+    assert "'lam'" in capsys.readouterr().err
     assert main(["prequant", "--max-degree", "9"]) == 2
     assert main(["nonsense"]) == 2
 
 
-def test_unknown_config_key_exits_two(tmp_path):
+def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for raw in ({"N": 16, "n_mx": 3}, {"tolerances": {"nope": 1.0}},
                 {"tolerances": {"msymp.kg_residual": "1e-3"}},
                 {"tolerances": {"msymp.kg_residual": True}}):
         cfg.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["verify", "--config", str(cfg)]) == 2
+    for key, value in (("N", 32.5), ("m", "1"), ("d", True), ("d", [1]),
+                       ("seed", None), ("L", float("inf")), ("hbar", False),
+                       ("n_max", "7")):
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+
+def test_valid_config_values_serialize_as_given(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    raw = {"d": 1, "L": 6, "N": 32, "n_max": 7, "m": 1.0, "hbar": 2,
+           "lam": 0.25, "seed": 3}
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["spec", "--config", str(cfg)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert {k: data[k] for k in raw} == raw
+    assert type(data["L"]) is int and type(data["m"]) is float
 
 
 def test_module_entry_point():

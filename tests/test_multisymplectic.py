@@ -150,6 +150,61 @@ def test_hamiltonian_hand_value():
     assert hamiltonian(pt, m=2.0) == pytest.approx(3.0 - 1.5 + 8.0)
 
 
+def test_forms_reject_malformed_tangents_and_points():
+    def tangent(n_x, n_p):
+        return MTangent(dx=np.zeros(n_x), dphi=1.0, de=0.0, dp=np.ones(n_p))
+
+    for vectors in ([tangent(3, 2)] * 3,                      # dimension 7
+                    [tangent(1, 1)] * 2,                      # dimension 4
+                    [tangent(2, 2), tangent(3, 3), tangent(2, 2)]):
+        with pytest.raises(ValueError, match="dimension"):
+            omega_eval(vectors)
+        with pytest.raises(ValueError, match="dimension"):
+            theta_eval(0.5, _point(), vectors[:-1])
+    for p in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError, match="point.p"):
+            theta_eval(0.5, _point(p=p), [tangent(2, 2)] * 2)
+
+
+def _cell(obj, j):
+    """The point or tangent ``obj`` at cell ``j`` of its trailing axes."""
+    fields = vars(obj)
+    vector = {"x", "p", "dx", "dp"}
+    return type(obj)(**{k: v[(slice(None),) + j] if k in vector else v[j]
+                        for k, v in fields.items()})
+
+
+@pytest.mark.parametrize("cells", [(5,), (3, 4)])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_forms_on_cell_stacks_match_single_cells(d, dtype, cells):
+    """omega, theta and H on stacks of cells equal, bitwise, the values of
+    the same calls cell by cell."""
+    rng = np.random.default_rng(100 * d + len(cells))
+    n = d + 1
+
+    def draw(*lead):
+        x = rng.standard_normal(lead + cells)
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal(lead + cells)
+        return x
+
+    point = MPoint(x=draw(n), phi=draw(), e=draw(), p=draw(n))
+    vectors = [MTangent(dx=draw(n), dphi=draw(), de=draw(), dp=draw(n))
+               for _ in range(n)]
+    e_dir = basis_tangents(d)[n + 1]          # no cell axes: broadcast
+    omega = omega_eval(vectors + [e_dir])
+    theta = theta_eval(0.37, point, vectors)
+    ham = hamiltonian(point, 1.3)
+    assert omega.shape == theta.shape == ham.shape == cells
+    assert np.iscomplexobj(theta) == np.iscomplexobj(ham) == (dtype is complex)
+    for j in np.ndindex(cells):
+        at_j = [_cell(v, j) for v in vectors]
+        assert omega[j] == omega_eval(at_j + [e_dir])
+        assert theta[j] == theta_eval(0.37, _cell(point, j), at_j)
+        assert ham[j] == hamiltonian(_cell(point, j), 1.3)
+
+
 def test_hamiltonian_vanishes_on_solution_graph(lat, sol):
     frame = graph_frame(sol, 0.55)
     sd = frame.slice

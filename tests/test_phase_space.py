@@ -16,7 +16,16 @@ from covkg import (
     theta_difference_vs_action,
     theta_sigma,
 )
-from covkg.multisymplectic import theta_pullback_density
+from covkg.multisymplectic import (
+    MPoint,
+    MTangent,
+    graph_frame,
+    graph_tangent,
+    omega_eval,
+    theta_eval,
+    theta_pullback_density,
+    vertical_tangent,
+)
 from covkg.phase_space import (
     deformation_fields,
     omega_mode_form,
@@ -24,7 +33,7 @@ from covkg.phase_space import (
     theta_sigma_pointwise,
     translation_deformation,
 )
-from covkg.solution import evaluate_fields, from_modes, synthesize
+from covkg.solution import Solution, evaluate_fields, from_modes, synthesize
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +135,47 @@ def test_gram_matrix_nondegenerate(lat):
     np.testing.assert_allclose(g, -g.T, atol=1e-15)
     assert ratio == pytest.approx(1.0 / np.sqrt(50.0), rel=1e-12)
     assert ratio > 1e-8
+
+
+def test_gram_matrix_is_omega_mode_form_on_basis():
+    """G is Omega's mode form evaluated pair by pair on the real and
+    imaginary direction of every mode, entry for entry."""
+    lat = build_lattice(d=2, L=2 * np.pi, N=8, n_max=1, m=1.0)
+    basis = []
+    for k in range(lat.n_modes):
+        ek = np.zeros(lat.n_modes, dtype=complex)
+        ek[k] = 1.0
+        basis += [Solution(lat, ek, ek.copy(), False),
+                  Solution(lat, 1j * ek, -1j * ek, False)]
+    ref = np.array([[omega_mode_form(lat, a, b).real for b in basis]
+                    for a in basis])
+    g, _ = gram_matrix(lat)
+    assert np.array_equal(g, ref)
+
+
+def test_pointwise_slice_forms_match_a_loop_over_cells(lat, sol, defs):
+    """The whole-slice pointwise Omega and Theta equal, bitwise, the cell
+    by cell sum of omega_eval and theta_eval added in grid order."""
+    d1, d2 = defs
+    t, c = 0.4, 0.7 + 0.2j
+    frame = graph_frame(sol, t)
+    sd = frame.slice
+    (v1, p1, e1), (v2, p2, e2) = (deformation_fields(sol, d, t)
+                                  for d in (d1, d2))
+    omega_total = theta_total = 0.0j
+    for (j,) in np.ndindex(lat.grid_shape):
+        xi1 = vertical_tangent(2, dphi=v1[j], de=e1[j], dp=p1[:, j])
+        xi2 = vertical_tangent(2, dphi=v2[j], de=e2[j], dp=p2[:, j])
+        x0, x1 = graph_tangent(frame, 0, j), graph_tangent(frame, 1, j)
+        shifted = MTangent(dx=xi1.dx + c * x0.dx, dphi=xi1.dphi + c * x0.dphi,
+                           de=xi1.de + c * x0.de, dp=xi1.dp + c * x0.dp)
+        point = MPoint(x=np.zeros(2), phi=sd.phi[j], e=sd.e[j], p=sd.p[:, j])
+        omega_total += omega_eval([xi1, xi2, x1])
+        theta_total += theta_eval(0.3, point, [shifted, x1])
+    assert omega_sigma_pointwise(sol, d1, d2, t) == complex(
+        lat.cell_volume * omega_total)
+    assert theta_sigma_pointwise(sol, d1, 0.3, t, shift=(c, 0)) == complex(
+        lat.cell_volume * theta_total)
 
 
 def test_theta_closed_form_matches_pointwise(lat, sol, defs):
