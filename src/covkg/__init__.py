@@ -29,12 +29,10 @@ from .observables import (
     AlphaK,
     AlphaStarG,
     AlphaStarK,
-    BracketForm,
     FPhi,
     Pmu,
     a_k,
     a_star_k,
-    bracket_form,
     bracket_regularized,
     energy_integral,
     momentum_integral,
@@ -81,8 +79,8 @@ __all__ = [
     "Solution", "from_modes", "from_cauchy", "random_solution",
     "evolve_exact", "kg_residual", "leapfrog_evolve",
     "FPhi", "AlphaK", "AlphaStarK", "AlphaF", "AlphaStarG", "Pmu",
-    "BracketForm", "slice_integral", "a_k", "a_star_k", "bracket_form",
-    "bracket_regularized", "noether_divergence", "pmu_bracket_identity",
+    "slice_integral", "a_k", "a_star_k", "bracket_regularized",
+    "noether_divergence", "pmu_bracket_identity",
     "energy_integral", "momentum_integral",
     "theta_sigma", "omega_sigma", "fd_delta_theta", "gram_matrix",
     "theta_difference_vs_action",

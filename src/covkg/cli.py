@@ -158,8 +158,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         sol = random_solution(lat, np.random.default_rng(cfg.seed))
     if args.n_out < 2:
         raise ValueError("n-out must be at least 2")
-    if not args.t_final > 0:
-        raise ValueError("t-final must be positive")
+    if not 0 < args.t_final < np.inf:
+        raise ValueError("t-final must be a finite positive number")
     if args.leapfrog_dt is not None and not 0 < args.leapfrog_dt < np.inf:
         raise ValueError("leapfrog-dt must be a finite positive number")
     ts = np.linspace(0.0, args.t_final, args.n_out)

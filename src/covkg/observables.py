@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ModeLattice
+from .lattice import ModeLattice, _cmul
 from .multisymplectic import _uniform_dt
 from .phase_space import omega_sigma, translation_deformation
 from .solution import (
@@ -75,16 +75,6 @@ class AlphaStarG:
 class Pmu:
     mu: int
     lam: float = 1.0
-
-
-@dataclass(frozen=True)
-class BracketForm:
-    phi: Solution
-    psi: Solution
-
-
-ObservableForm = (FPhi, AlphaK, AlphaStarK, AlphaF, AlphaStarG, Pmu,
-                  BracketForm)
 
 
 def generator_alpha_k(lat: ModeLattice, k: int) -> Solution:
@@ -133,8 +123,6 @@ def _as_generator(form, lat: ModeLattice):
 def slice_integral(form, sol: Solution, t: float = 0.0):
     """Integral of the observable form over the slice t = const of the graph."""
     lat = sol.lat
-    if isinstance(form, BracketForm):
-        return bracket_slice_integral(form.phi, form.psi, t)
     if isinstance(form, Pmu):
         return _pmu_slice_integral(form, sol, t)
     gen = _as_generator(form, lat)
@@ -186,24 +174,6 @@ def a_k(sol: Solution, k: int) -> complex:
 def a_star_k(sol: Solution, k: int) -> complex:
     """Creation functional a*_k = integral alpha*_k; equals u*_k."""
     return complex(slice_integral(AlphaStarK(k), sol))
-
-
-def bracket_form(phi: Solution, psi: Solution) -> BracketForm:
-    """The closed (n-1)-form eta^{mu nu}(d_nu Phi Psi - Phi d_nu Psi) beta_mu."""
-    return BracketForm(phi, psi)
-
-
-def _cmul(x, y):
-    """Complex product assembled from plain real products.
-
-    Hardware-fused complex multiplication need not commute in floating
-    point (one factor's product is fused, the other rounded); building the
-    parts from scalar multiplies keeps x * y == y * x bit for bit, which
-    the exact-antisymmetry guarantee of the bracket relies on.
-    """
-    xr, xi = np.real(x), np.imag(x)
-    yr, yi = np.real(y), np.imag(y)
-    return (xr * yr - xi * yi) + 1j * (xr * yi + xi * yr)
 
 
 def bracket_slice_integral(phi: Solution, psi: Solution, t: float = 0.0):

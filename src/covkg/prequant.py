@@ -8,9 +8,13 @@ Storage.  A state holds three arrays with one entry per term:
 
   * ``idx`` (n_terms, D): the term's monomial as its sorted mode indices,
     mode k written alpha_k times, padded on the right with the sentinel
-    ``lat.n_modes``; D is the largest degree present;
+    ``lat.n_modes``; D is at least the largest degree present;
   * ``amp`` (n_terms,): the complex amplitude;
   * ``tag`` (n_terms,): an integer naming the input the term descends from.
+
+``PolarizedState(lat, idx, amp, tag, degree_bound)`` takes the arrays as
+they are (sorted rows, no (tag, row) pair twice); ``vacuum``, ``monomial``,
+``monomial_block`` and the operators return states in that form.
 
 Tags let one state carry many independent inputs: the operators act
 linearly and never mix terms of different tags, so a block of monomials
@@ -19,7 +23,7 @@ bit for bit, those of that monomial processed alone.  ``suites`` runs its
 per-monomial checks this way; a block holds floor(``suites._BLOCK_TERMS``
 / fan-out) monomials, the fan-out being the most terms one monomial
 reaches inside the check (n_modes^2 for two raisings), which bounds the
-block's peak memory.  ``coeffs`` reads a state back as the mapping
+block's peak memory.  ``coeffs`` is a read-only dict view of a state,
 {sorted (mode, exponent) tuple: amplitude}, summed over tags.
 
 Coalescing.  Terms with equal (tag, row) are merged: each row is ranked in
@@ -29,6 +33,10 @@ rank sum_i C(c_i + i, i + 1) < C(n_modes + D, D), and the int64 key
 tag * C(n_modes + D, D) + rank is grouped with ``np.unique``.
 ``np.bincount`` then sums each group's real and imaginary parts in the
 order the terms were made.
+
+Monomial order.  ``monomial_rows``, ``monomial_at`` and ``covkg prequant
+--spectrum-out`` list monomials by degree, then by that rank (the colex
+order of the rows), so the vacuum comes first.
 
 Operators.  Raising appends a column and re-sorts the row.  Lowering drops
 one column position, the last of each run of mode k, with the run length
@@ -82,9 +90,11 @@ prod_k alpha_k! (hbar / w_k)^{alpha_k}.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import groupby
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -95,27 +105,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 class DegreeOverflowError(Exception):
     """Raised when a raising operator exceeds the state's degree bound."""
-
-
-def canonical_alpha(pairs) -> tuple:
-    """Multi-index as a sorted tuple of (mode, exponent), exponents >= 1."""
-    acc = {}
-    for k, e in dict(pairs).items():
-        k, e = int(k), int(e)
-        if e < 0:
-            raise ValueError("exponents must be nonnegative")
-        if e:
-            acc[k] = acc.get(k, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-def alpha_degree(alpha) -> int:
-    return sum(e for _, e in alpha)
-
-
-def _alpha_row(alpha) -> list:
-    """The sorted mode indices of alpha, mode k written alpha_k times."""
-    return [k for k, e in alpha for _ in range(e)]
 
 
 def row_alphas(lat: ModeLattice, rows) -> list:
@@ -178,66 +167,34 @@ def _widen(idx: np.ndarray, width: int, n_modes: int) -> np.ndarray:
     return np.concatenate([idx, pad], axis=1)
 
 
+@dataclass(eq=False)
 class PolarizedState:
     """Polynomial h(u*) applied to the implicit Gaussian vacuum.
 
-    ``PolarizedState(lat, coeffs, degree_bound)`` builds the state from a
-    mapping {(mode, exponent) tuple: amplitude}; the term arrays ``idx``,
-    ``amp`` and ``tag`` are described in the module docstring.
+    The term arrays ``idx``, ``amp`` and ``tag`` are described in the
+    module docstring and taken as they are.
     """
 
-    def __init__(self, lat: ModeLattice, coeffs, degree_bound: int = 6):
-        alphas = [canonical_alpha(alpha) for alpha in coeffs]
-        width = max(map(alpha_degree, alphas), default=0)
-        idx = np.full((len(alphas), width), lat.n_modes, dtype=np.intp)
-        for i, alpha in enumerate(alphas):
-            row = _alpha_row(alpha)
-            idx[i, :len(row)] = row
-        amp = np.array(list(coeffs.values()), dtype=complex).reshape(-1)
-        self._set(lat, degree_bound,
-                  *_coalesce(lat.n_modes, idx, amp,
-                             np.zeros(len(alphas), dtype=np.intp)))
-
-    def _set(self, lat, degree_bound, idx, amp, tag):
-        self.lat, self.degree_bound = lat, degree_bound
-        self.idx, self.amp, self.tag = idx, amp, tag
-        return self
+    lat: ModeLattice
+    idx: np.ndarray
+    amp: np.ndarray
+    tag: np.ndarray
+    degree_bound: int = 6
 
     @cached_property
-    def coeffs(self) -> dict:
-        """{sorted (mode, exponent) tuple: complex}, summed over tags."""
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {sorted (mode, exponent) tuple: complex}, tags summed."""
         idx, amp, _ = _coalesce(self.lat.n_modes, self.idx, self.amp,
                                 np.zeros(len(self.amp), dtype=np.intp))
-        return dict(zip(row_alphas(self.lat, idx), amp.tolist()))
-
-
-def _state(lat, degree_bound, idx, amp, tag) -> PolarizedState:
-    """A state from term arrays, taken as they are (no coalescing)."""
-    return PolarizedState.__new__(PolarizedState)._set(lat, degree_bound,
-                                                       idx, amp, tag)
+        return MappingProxyType(dict(zip(row_alphas(self.lat, idx),
+                                         amp.tolist())))
 
 
 def prune(state: PolarizedState) -> PolarizedState:
     """Drop exactly-zero amplitudes (keeps structural zeros visible as absence)."""
     keep = state.amp != 0
-    return _state(state.lat, state.degree_bound,
-                  _trim(state.idx[keep], state.lat.n_modes),
-                  state.amp[keep], state.tag[keep])
-
-
-def vacuum(lat: ModeLattice, degree_bound: int = 6) -> PolarizedState:
-    return PolarizedState(lat, {(): 1.0 + 0.0j}, degree_bound)
-
-
-def monomial(lat: ModeLattice, pairs, degree_bound: int = 6) -> PolarizedState:
-    """The state (u*)^alpha |0> for alpha given as {mode: exponent}."""
-    alpha = canonical_alpha(pairs)
-    for k, _ in alpha:
-        if not 0 <= k < lat.n_modes:
-            raise ValueError(f"mode index {k} out of range")
-    if alpha_degree(alpha) > degree_bound:
-        raise DegreeOverflowError("monomial exceeds degree bound")
-    return PolarizedState(lat, {alpha: 1.0 + 0.0j}, degree_bound)
+    return replace(state, idx=_trim(state.idx[keep], state.lat.n_modes),
+                   amp=state.amp[keep], tag=state.tag[keep])
 
 
 def monomial_block(lat: ModeLattice, rows, amp=None,
@@ -246,11 +203,28 @@ def monomial_block(lat: ModeLattice, rows, amp=None,
     rows = np.asarray(rows, dtype=np.intp)
     amp = (np.ones(len(rows), dtype=complex) if amp is None
            else np.asarray(amp, dtype=complex))
-    state = _state(lat, degree_bound,
-                   *_coalesce(lat.n_modes, rows, amp, np.arange(len(rows))))
+    state = PolarizedState(
+        lat, *_coalesce(lat.n_modes, rows, amp, np.arange(len(rows))),
+        degree_bound)
     if state.idx.shape[1] > degree_bound:
         raise DegreeOverflowError("monomial exceeds degree bound")
     return state
+
+
+def vacuum(lat: ModeLattice, degree_bound: int = 6) -> PolarizedState:
+    return monomial_block(lat, np.zeros((1, 0)), degree_bound=degree_bound)
+
+
+def monomial(lat: ModeLattice, pairs, degree_bound: int = 6) -> PolarizedState:
+    """The state (u*)^alpha |0> for alpha given as {mode: exponent}."""
+    alpha = sorted((int(k), int(e)) for k, e in dict(pairs).items())
+    if any(e < 0 for _, e in alpha):
+        raise ValueError("exponents must be nonnegative")
+    row = [k for k, e in alpha for _ in range(e)]
+    for k in row:
+        if not 0 <= k < lat.n_modes:
+            raise ValueError(f"mode index {k} out of range")
+    return monomial_block(lat, [row], degree_bound=degree_bound)
 
 
 def state_add(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
@@ -262,12 +236,12 @@ def state_add(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
                         _widen(s2.idx, width, n_modes)]),
         np.concatenate([s1.amp, s2.amp]),
         np.concatenate([s1.tag, s2.tag]))
-    return _state(s1.lat, max(s1.degree_bound, s2.degree_bound), *merged)
+    return PolarizedState(s1.lat, *merged,
+                          max(s1.degree_bound, s2.degree_bound))
 
 
 def state_scale(c, s: PolarizedState) -> PolarizedState:
-    return _state(s.lat, s.degree_bound, s.idx,
-                  _cmul(np.complex128(c), s.amp), s.tag)
+    return replace(s, amp=_cmul(np.complex128(c), s.amp))
 
 
 def state_sub(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
@@ -312,9 +286,9 @@ def op_a(f, state: PolarizedState) -> PolarizedState:
     coef = hf[idx] * _run_positions(idx)
     src, col = np.nonzero(run_end & (coef != 0))
     amp = _cmul(coef[src, col], state.amp[src])
-    return _state(lat, state.degree_bound,
-                  *_coalesce(lat.n_modes, idx[src[:, None], drop[col]], amp,
-                             state.tag[src]))
+    return PolarizedState(
+        lat, *_coalesce(lat.n_modes, idx[src[:, None], drop[col]], amp,
+                        state.tag[src]), state.degree_bound)
 
 
 def op_a_star(g, state: PolarizedState) -> PolarizedState:
@@ -334,9 +308,9 @@ def op_a_star(g, state: PolarizedState) -> PolarizedState:
     rows = rows.reshape(n * n_new, width + 1)
     rows.sort(axis=1)
     amp = _cmul((lat.w * g)[modes], state.amp[:, None]).reshape(-1)
-    return _state(lat, state.degree_bound,
-                  *_coalesce(lat.n_modes, rows, amp,
-                             np.repeat(state.tag, n_new)))
+    return PolarizedState(
+        lat, *_coalesce(lat.n_modes, rows, amp, np.repeat(state.tag, n_new)),
+        state.degree_bound)
 
 
 def minkowski_kz(lat: ModeLattice, zeta) -> np.ndarray:
@@ -370,9 +344,8 @@ def op_p(zeta, state: PolarizedState) -> PolarizedState:
     for column in state.idx.T:
         total = total + kz[column]
     scale = -lat.hbar * total
-    return _state(lat, state.degree_bound, state.idx,
-                  _complex(scale * state.amp.real, scale * state.amp.imag),
-                  state.tag)
+    return replace(state, amp=_complex(scale * state.amp.real,
+                                       scale * state.amp.imag))
 
 
 def commutator(op_left, op_right, state: PolarizedState) -> PolarizedState:
@@ -392,10 +365,6 @@ def _norm_sq(lat: ModeLattice, idx: np.ndarray) -> np.ndarray:
                             _run_positions(idx) * ratio[idx], 1.0), axis=1)
 
 
-def monomial_norm_sq(lat: ModeLattice, alpha) -> float:
-    return float(_norm_sq(lat, np.array([_alpha_row(alpha)], dtype=np.intp))[0])
-
-
 def inner_product(s1: PolarizedState, s2: PolarizedState) -> complex:
     """Diagonal pairing, conjugate-linear in the first argument.
 
@@ -413,64 +382,39 @@ def inner_product(s1: PolarizedState, s2: PolarizedState) -> complex:
     return complex(np.sum(terms))
 
 
+def _unrank(n_modes: int, degree: int, ranks) -> np.ndarray:
+    """Sorted rows of one degree with these ranks, the inverse of ``_keys``.
+
+    From the last column, c_i + i is the largest b with C(b, i + 1) <= rank.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    binom = _binomials(n_modes, degree)
+    rows = np.empty((len(ranks), degree), dtype=np.intp)
+    for i in reversed(range(degree)):
+        b = np.searchsorted(binom[i + 1], ranks, side="right") - 1
+        ranks = ranks - binom[i + 1][b]
+        rows[:, i] = b - i
+    return rows
+
+
 def monomial_rows(lat: ModeLattice, max_degree: int) -> np.ndarray:
     """Every monomial of degree <= max_degree as a sentinel-padded index row.
 
-    The rows are the multisets of size max_degree over the n_modes modes
-    plus the sentinel, ordered as ``monomials_up_to_degree`` lists them:
-    by degree, then by the (mode, exponent) tuple.  For rows of one degree
-    that tuple order is the lexicographic order of the rows once every
-    entry repeating its left neighbour is replaced by a value above all
-    modes (a longer run of a mode sorts after a new, larger mode).
+    Ordered by degree, then by rank, so the vacuum row comes first.
     """
-    n_modes = lat.n_modes
-    rows = np.zeros((1, 0), dtype=np.intp)
-    last = np.zeros(1, dtype=np.intp)
-    for _ in range(max_degree):
-        counts = n_modes + 1 - last
-        offsets = np.cumsum(counts) - counts
-        last = np.arange(counts.sum()) + np.repeat(last - offsets, counts)
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), last])
-    repeats = np.zeros(rows.shape, dtype=bool)
-    repeats[:, 1:] = rows[:, 1:] == rows[:, :-1]
-    digits = np.where(repeats, n_modes + 1, rows)
-    degree = np.sum(rows < n_modes, axis=1)
-    order = np.lexsort((*digits.T[::-1], degree))
-    return rows[order]
+    n = lat.n_modes
+    return np.concatenate([
+        _widen(_unrank(n, d, np.arange(comb(n + d - 1, d))), max_degree, n)
+        for d in range(max_degree + 1)])
 
 
-def monomials_up_to_degree(lat: ModeLattice, max_degree: int):
-    """All exponent multi-indices with total degree <= max_degree, sorted."""
-    return row_alphas(lat, monomial_rows(lat, max_degree))
-
-
-def _n_multisets(n_modes: int, degree: int) -> int:
-    """Monomials of exactly this degree in n_modes variables."""
-    return comb(n_modes + degree - 1, degree) if degree else 1
-
-
-def monomial_at(lat: ModeLattice, max_degree: int, index: int) -> tuple:
-    """``monomials_up_to_degree(lat, max_degree)[index]``, without the list.
-
-    Walks the order directly: skip whole degrees, then choose the smallest
-    mode k and its exponent e (ascending), skipping the monomials of the
-    remaining degree over the modes above k that each choice precedes.
-    """
+def monomial_at(lat: ModeLattice, max_degree: int, index: int) -> np.ndarray:
+    """``monomial_rows(lat, max_degree)[index]``, without the other rows."""
     n = lat.n_modes
     if not 0 <= index < comb(n + max_degree, max_degree):
         raise IndexError(f"monomial index {index} out of range")
     degree = 0
-    while index >= _n_multisets(n, degree):
-        index -= _n_multisets(n, degree)
+    while index >= comb(n + degree - 1, degree):
+        index -= comb(n + degree - 1, degree)
         degree += 1
-    alpha, k = [], 0
-    while degree:
-        for e in range(1, degree + 1):
-            block = _n_multisets(n - k - 1, degree - e)
-            if index < block:
-                alpha.append((k, e))
-                degree -= e
-                break
-            index -= block
-        k += 1
-    return tuple(alpha)
+    return _widen(_unrank(n, degree, [index]), max_degree, n)[0]

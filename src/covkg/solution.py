@@ -454,12 +454,18 @@ def read_cauchy_csv(lat: ModeLattice, path):
         for row in reader:
             if not row or row[0].startswith("#") or row[0] == "index":
                 continue
-            if len(row) < 3:
-                raise ValueError(f"Cauchy CSV line {reader.line_num}: "
-                                 "expected three fields index,phi0,pi0")
-            idx.append(int(row[0]))
-            phi.append(float(row[1]))
-            pi.append(float(row[2]))
+            where = f"Cauchy CSV line {reader.line_num}"
+            if len(row) != 3:
+                raise ValueError(f"{where}: expected three fields index,phi0,pi0")
+            try:
+                k, a, b = int(row[0]), float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not np.isfinite([a, b]).all():
+                raise ValueError(f"{where}: phi0 and pi0 must be finite")
+            idx.append(k)
+            phi.append(a)
+            pi.append(b)
     n_cells = int(np.prod(lat.grid_shape))
     if len(idx) != n_cells or sorted(idx) != list(range(n_cells)):
         raise ValueError("Cauchy CSV does not cover the grid exactly once")

@@ -320,10 +320,10 @@ def vacuum_flag(lat, zeta, f) -> float:
 def _random_state(lat, rng, degree: int, degree_bound: int = 6):
     n = comb(lat.n_modes + degree, degree)  # monomials of degree <= degree
     picks = np.sort(rng.choice(n, size=min(6, n), replace=False))
-    coeffs = {pq.monomial_at(lat, degree, int(i)):
-              complex(rng.standard_normal(), rng.standard_normal())
-              for i in picks}
-    state = pq.PolarizedState(lat, coeffs, degree_bound)
+    rows = np.array([pq.monomial_at(lat, degree, int(i)) for i in picks])
+    amp = rng.standard_normal((len(picks), 2)).view(complex).ravel()  # re, im
+    state = pq.PolarizedState(lat, rows, amp, np.zeros(len(picks), np.intp),
+                              degree_bound)
     norm = np.sqrt(abs(pq.inner_product(state, state)))
     return pq.state_scale(1.0 / norm, state)
 
@@ -382,9 +382,10 @@ def suite_prequant(cfg: RunConfig) -> list:
               - pq.inner_product(s1, pq.op_a_star(np.conj(f), s2)))
     out.append(cfg.check("prequant.adjointness", adj, 0.0))
 
+    vac = pq.vacuum(lat)
     comm_vac = pq.commutator(lambda s: pq.op_a(f, s),
-                             lambda s: pq.op_a_star(g, s), pq.vacuum(lat))
-    scalar = comm_vac.coeffs.get((), 0.0 + 0.0j)
+                             lambda s: pq.op_a_star(g, s), vac)
+    scalar = pq.inner_product(vac, comm_vac)  # <0|0> = 1
     classical = obs.bracket_regularized(lat, f, g)
     out.append(cfg.check("prequant.cross_module_ccr", scalar,
                          (lat.hbar / 1j) * classical))

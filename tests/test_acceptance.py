@@ -248,7 +248,7 @@ def test_11_vacuum_energy_vanishes(lat):
     zeta_r = rng.standard_normal(2)
     vac_exact = pq.is_zero_state(pq.op_p(zeta0, pq.vacuum(lat)))
     worst_eig, min_energy = 0.0, np.inf
-    for alpha in pq.monomials_up_to_degree(lat, 3):
+    for alpha in pq.row_alphas(lat, pq.monomial_rows(lat, 3)):
         state = pq.monomial(lat, list(alpha))
         for zeta in (zeta0, zeta_r):
             out = pq.op_p(zeta, state)
@@ -266,7 +266,7 @@ def test_11_vacuum_energy_vanishes(lat):
 
 def test_12_lowering_adjoint_to_raising(lat):
     rng = np.random.default_rng(47)
-    pool = pq.monomials_up_to_degree(lat, 4)
+    pool = pq.row_alphas(lat, pq.monomial_rows(lat, 4))
 
     def rand_state():
         s = pq.vacuum(lat, degree_bound=6)

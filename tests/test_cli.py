@@ -59,10 +59,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for dt in ("0", "-1", "nan", "inf"):
         assert main(["simulate", "--n-out", "3", f"--leapfrog-dt={dt}"]) == 2
         assert "leapfrog-dt" in capsys.readouterr().err
-    cauchy = tmp_path / "short.csv"
-    cauchy.write_text("index,phi0,pi0\n0,1.0\n", encoding="utf-8")
-    assert main(["simulate", "--cauchy", str(cauchy)]) == 2
-    assert "line 2" in capsys.readouterr().err
+        assert main(["simulate", "--n-out", "3", f"--t-final={dt}"]) == 2
+        assert "t-final must be a finite positive" in capsys.readouterr().err
+    cauchy = tmp_path / "bad.csv"
+    for row in ("0,1.0", "0,1.0,2.0,9", "0,1.0,abc", "0,inf,2.0"):
+        cauchy.write_text(f"index,phi0,pi0\n{row}\n", encoding="utf-8")
+        assert main(["simulate", "--cauchy", str(cauchy)]) == 2
+        assert "Cauchy CSV line 2" in capsys.readouterr().err
     assert main(["verify", "--lambda", "nan"]) == 2
     assert "'lam'" in capsys.readouterr().err
     assert main(["prequant", "--max-degree", "9"]) == 2
@@ -227,7 +230,7 @@ def test_brackets_report_passes(tmp_path):
 def test_prequant_spectrum_csv(tmp_path):
     out = tmp_path / "pq.json"
     spectrum = tmp_path / "spectrum.csv"
-    code = main(["prequant", "--max-degree", "1", "--out", str(out),
+    code = main(["prequant", "--max-degree", "2", "--out", str(out),
                  "--spectrum-out", str(spectrum)])
     assert code == 0
     lines = _read(spectrum).strip().split("\n")
@@ -237,9 +240,14 @@ def test_prequant_spectrum_csv(tmp_path):
     vac = lines[2].split(",")
     assert float(vac[1]) == 0.0 and float(vac[2]) == 0.0
     rows = [ln.split(",") for ln in lines[3:]]
+    assert len(rows) == 135  # C(15 + 2, 2) monomials, the vacuum aside
     for label, eig, energy in rows:
         assert float(energy) == -float(eig)
         assert float(energy) > 0.0
+    # by degree: the vacuum first, then degrees never decrease
+    degrees = [sum(int(p.split(":")[1]) for p in label.split(";"))
+               for label, _, _ in rows]
+    assert degrees[0] == 1 and degrees == sorted(degrees)
 
 
 def test_prequant_fg_file(tmp_path, lat):

@@ -25,17 +25,15 @@ from covkg import (
 )
 from covkg.observables import bracket_regularized
 from covkg.prequant import (
-    alpha_degree,
-    canonical_alpha,
+    _keys,
     is_zero_state,
     minkowski_kz,
     monomial_at,
     monomial_block,
-    monomial_norm_sq,
     monomial_rows,
-    monomials_up_to_degree,
     p_eigenvalue,
     prune,
+    row_alphas,
     state_add,
     state_scale,
     state_sub,
@@ -75,18 +73,22 @@ def _dyadic(lat, seed):
 # State plumbing
 # ---------------------------------------------------------------------------
 
-def test_canonical_alpha_sorts_and_drops_zeros():
-    assert canonical_alpha([(5, 2), (1, 1)]) == ((1, 1), (5, 2))
-    assert canonical_alpha([(3, 0), (2, 1)]) == ((2, 1),)
-    assert canonical_alpha([]) == ()
-    assert alpha_degree(((1, 1), (5, 2))) == 3
+def test_monomial_row_sorts_and_drops_zeros(lat):
+    """The index row lists mode k alpha_k times, in ascending mode order."""
+    assert monomial(lat, [(5, 2), (1, 1)]).idx.tolist() == [[1, 5, 5]]
+    assert monomial(lat, [(3, 0), (2, 1)]).idx.tolist() == [[2]]
+    assert monomial(lat, []).idx.shape == (1, 0)
 
 
-def test_canonical_alpha_rejects_negative_collapses_duplicate():
-    with pytest.raises(ValueError):
-        canonical_alpha([(1, -1)])
+def test_monomial_rejects_bad_input_collapses_duplicate(lat):
+    with pytest.raises(ValueError, match="nonnegative"):
+        monomial(lat, [(1, -1)])
+    with pytest.raises(ValueError, match="out of range"):
+        monomial(lat, [(lat.n_modes, 1)])
+    with pytest.raises(DegreeOverflowError):
+        monomial(lat, [(1, 2), (4, 1)], degree_bound=2)
     # duplicate slots collapse like dict construction: the last entry wins
-    assert canonical_alpha([(1, 1), (1, 2)]) == ((1, 2),)
+    assert monomial(lat, [(1, 1), (1, 2)]).idx.tolist() == [[1, 1]]
 
 
 def test_vacuum_and_monomial(lat, i0):
@@ -106,36 +108,33 @@ def test_state_arithmetic(lat, i0):
     assert is_zero_state(prune(z))
 
 
-def test_monomials_up_to_degree_counts(lat):
+def test_monomial_rows_counts(lat):
     """15 generators: C(15 + D, D) monomials through degree D."""
-    assert len(monomials_up_to_degree(lat, 2)) == 136
-    assert len(monomials_up_to_degree(lat, 4)) == 3876
-
-
-def test_monomials_up_to_degree_order_pinned():
-    """By degree, then by the (mode, exponent) tuple, on 3 modes."""
-    lat3 = build_lattice(d=1, L=2 * np.pi, N=4, n_max=1, m=1.0)
-    assert monomials_up_to_degree(lat3, 3) == [
-        (),
-        ((0, 1),), ((1, 1),), ((2, 1),),
-        ((0, 1), (1, 1)), ((0, 1), (2, 1)), ((0, 2),), ((1, 1), (2, 1)),
-        ((1, 2),), ((2, 2),),
-        ((0, 1), (1, 1), (2, 1)), ((0, 1), (1, 2)), ((0, 1), (2, 2)),
-        ((0, 2), (1, 1)), ((0, 2), (2, 1)), ((0, 3),), ((1, 1), (2, 2)),
-        ((1, 2), (2, 1)), ((1, 3),), ((2, 3),),
-    ]
-    rows = monomial_rows(lat3, 3)
-    assert rows.shape == (20, 3)
-    assert rows[0].tolist() == [3, 3, 3]  # the vacuum is all sentinel
+    assert len(monomial_rows(lat, 2)) == 136
+    assert len(monomial_rows(lat, 4)) == 3876
 
 
 def test_monomial_at_walks_the_listed_order(lat):
+    """Rows sorted by (degree, ``_keys`` rank); ``monomial_at`` is row i."""
+    lat3 = build_lattice(d=1, L=2 * np.pi, N=4, n_max=1, m=1.0)
+    rows = monomial_rows(lat3, 3)
+    assert rows.shape == (20, 3)
+    assert rows[0].tolist() == [3, 3, 3]  # the vacuum is all sentinel
+    # degree 2 on 3 modes in colex order
+    assert rows[4:10, :2].tolist() == [[0, 0], [0, 1], [1, 1],
+                                       [0, 2], [1, 2], [2, 2]]
     for max_degree in (0, 1, 3):
-        listed = monomials_up_to_degree(lat, max_degree)
-        assert [monomial_at(lat, max_degree, i)
-                for i in range(len(listed))] == listed
-    with pytest.raises(IndexError):
-        monomial_at(lat, 3, len(listed))
+        rows = monomial_rows(lat, max_degree)
+        degree = np.sum(rows < lat.n_modes, axis=1)
+        rank = _keys(lat.n_modes, rows, np.zeros(len(rows), dtype=np.intp))
+        assert len(np.unique(rank)) == len(rows)
+        assert np.array_equal(np.lexsort((rank, degree)),
+                              np.arange(len(rows)))
+        for i, row in enumerate(rows):
+            assert np.array_equal(monomial_at(lat, max_degree, i), row)
+    for index in (-1, len(rows)):
+        with pytest.raises(IndexError):
+            monomial_at(lat, 3, index)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def test_minkowski_pairing(lat):
 def test_p_diagonal_with_additive_eigenvalues(lat, i0):
     """P on a monomial is -hbar sum alpha_k (k.zeta) times the monomial."""
     zeta = np.array([1.0, 0.3])
-    alpha = canonical_alpha([(i0, 2), (3, 1)])
+    alpha = tuple(sorted([(i0, 2), (3, 1)]))
     state = monomial(lat, [(i0, 2), (3, 1)])
     out = op_p(zeta, state)
     eig = p_eigenvalue(lat, alpha, zeta)
@@ -223,7 +222,7 @@ def test_vacuum_annihilated_exactly(lat):
 def test_energy_eigenvalues_nonnegative(lat):
     """-eigenvalue of P along e_0 is a sum of frequencies, never negative."""
     zeta = np.array([1.0, 0.0])
-    for alpha in monomials_up_to_degree(lat, 2):
+    for alpha in row_alphas(lat, monomial_rows(lat, 2)):
         assert -p_eigenvalue(lat, alpha, zeta) >= 0.0
     assert p_eigenvalue(lat, (), zeta) == 0.0
 
@@ -242,7 +241,7 @@ def _ccr_defect(lat, f, g, alpha):
 @pytest.mark.parametrize("seed", range(4))
 def test_ccr_on_low_degree_monomials(lat, seed):
     f, g = _rand_fg(lat, seed)
-    for alpha in monomials_up_to_degree(lat, 2)[:60]:
+    for alpha in row_alphas(lat, monomial_rows(lat, 2))[:60]:
         defect = _ccr_defect(lat, f, g, alpha)
         worst = max((abs(c) for c in defect.coeffs.values()), default=0.0)
         assert worst < 1e-12
@@ -292,7 +291,7 @@ def test_tagged_block_matches_single_monomials(wide_lat):
         "ccr": partial(commutator, partial(op_a, f), partial(op_a_star, g)),
     }
     rows = monomial_rows(lat, 3)[::7]
-    alphas = monomials_up_to_degree(lat, 3)[::7]
+    alphas = row_alphas(lat, rows)
     block = monomial_block(lat, rows)
     for name, op in ops.items():
         out = op(block)
@@ -310,7 +309,7 @@ def test_translation_raising_commutator(lat):
     zeta = np.array([0.9, 0.2])
     g = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
     kz = minkowski_kz(lat, zeta)
-    for alpha in monomials_up_to_degree(lat, 2)[:40]:
+    for alpha in row_alphas(lat, monomial_rows(lat, 2))[:40]:
         state = monomial(lat, list(alpha))
         comm = commutator(partial(op_p, zeta), partial(op_a_star, g), state)
         want = state_scale(-lat.hbar, op_a_star(kz * g, state))
@@ -334,12 +333,15 @@ def test_quantum_bracket_matches_classical(lat):
 
 def test_monomial_norms_hand_values(lat, i0):
     """||(u*)^alpha||^2 = prod alpha_k! (hbar / w_k)^alpha_k."""
-    assert monomial_norm_sq(lat, ()) == 1.0
-    assert monomial_norm_sq(lat, ((i0, 1),)) == pytest.approx(2.0)
-    assert monomial_norm_sq(lat, ((i0, 2),)) == pytest.approx(8.0)
-    alpha = canonical_alpha([(2, 1), (9, 3)])
+    def norm_sq(pairs):
+        m = monomial(lat, pairs)
+        return inner_product(m, m)
+
+    assert norm_sq([]) == 1.0
+    assert norm_sq([(i0, 1)]) == pytest.approx(2.0)
+    assert norm_sq([(i0, 2)]) == pytest.approx(8.0)
     want = (1.0 / lat.w[2]) * math.factorial(3) * (1.0 / lat.w[9]) ** 3
-    assert monomial_norm_sq(lat, alpha) == pytest.approx(want)
+    assert norm_sq([(2, 1), (9, 3)]) == pytest.approx(want)
 
 
 def test_inner_product_orthogonal_monomials(lat, i0):
@@ -364,7 +366,7 @@ def test_lowering_adjoint_to_raising(lat, seed):
     f = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
 
     def rand_state(bound=5):
-        pool = monomials_up_to_degree(lat, 3)
+        pool = row_alphas(lat, monomial_rows(lat, 3))
         s = vacuum(lat, degree_bound=bound)
         for _ in range(5):
             alpha = pool[rng.integers(len(pool))]

@@ -226,6 +226,22 @@ def test_cauchy_csv_round_trip(lat, sol, tmp_path):
     np.testing.assert_allclose(pi, sd.p[0], atol=1e-15)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,1.0,2.0,9", "expected three fields"),
+    ("1,1.0", "expected three fields"),
+    ("1,1.0,abc", "could not convert"),
+    ("x,1.0,2.0", "invalid literal"),
+    ("1,inf,2.0", "must be finite"),
+    ("1,1.0,nan", "must be finite"),
+])
+def test_read_cauchy_csv_rejects_bad_row(lat, tmp_path, row, message):
+    """The row after a good one is line 3 of the file."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"index,phi0,pi0\n0,1.0,2.0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^Cauchy CSV line 3: .*{message}"):
+        read_cauchy_csv(lat, path)
+
+
 def test_solution_vector_space_ops(lat):
     rng = np.random.default_rng(9)
     A = random_solution(lat, rng)
