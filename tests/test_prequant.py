@@ -117,12 +117,14 @@ def test_monomial_rows_counts(lat):
 def test_monomial_at_walks_the_listed_order(lat):
     """Rows sorted by (degree, ``_keys`` rank); ``monomial_at`` is row i."""
     lat3 = build_lattice(d=1, L=2 * np.pi, N=4, n_max=1, m=1.0)
-    rows = monomial_rows(lat3, 3)
-    assert rows.shape == (20, 3)
-    assert rows[0].tolist() == [3, 3, 3]  # the vacuum is all sentinel
-    # degree 2 on 3 modes in colex order
-    assert rows[4:10, :2].tolist() == [[0, 0], [0, 1], [1, 1],
-                                       [0, 2], [1, 2], [2, 2]]
+    # 3 modes, sentinel 3: the vacuum, then each degree in colex order
+    assert monomial_rows(lat3, 3).tolist() == [
+        [3, 3, 3],
+        [0, 3, 3], [1, 3, 3], [2, 3, 3],
+        [0, 0, 3], [0, 1, 3], [1, 1, 3], [0, 2, 3], [1, 2, 3], [2, 2, 3],
+        [0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1], [0, 0, 2], [0, 1, 2],
+        [1, 1, 2], [0, 2, 2], [1, 2, 2], [2, 2, 2],
+    ]
     for max_degree in (0, 1, 3):
         rows = monomial_rows(lat, max_degree)
         degree = np.sum(rows < lat.n_modes, axis=1)
