@@ -114,17 +114,31 @@ def test_monomial_rows_counts(lat):
     assert len(monomial_rows(lat, 4)) == 3876
 
 
-def test_monomial_at_walks_the_listed_order(lat):
-    """Rows sorted by (degree, ``_keys`` rank); ``monomial_at`` is row i."""
+def test_monomials_up_to_degree_order_pinned():
+    """By degree, then in colex order of the index row, on 3 modes."""
     lat3 = build_lattice(d=1, L=2 * np.pi, N=4, n_max=1, m=1.0)
-    # 3 modes, sentinel 3: the vacuum, then each degree in colex order
-    assert monomial_rows(lat3, 3).tolist() == [
+    rows = monomial_rows(lat3, 3)
+    # sentinel 3 pads the rows; the vacuum is all sentinel
+    assert rows.tolist() == [
         [3, 3, 3],
         [0, 3, 3], [1, 3, 3], [2, 3, 3],
         [0, 0, 3], [0, 1, 3], [1, 1, 3], [0, 2, 3], [1, 2, 3], [2, 2, 3],
         [0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1], [0, 0, 2], [0, 1, 2],
         [1, 1, 2], [0, 2, 2], [1, 2, 2], [2, 2, 2],
     ]
+    assert row_alphas(lat3, rows) == [
+        (),
+        ((0, 1),), ((1, 1),), ((2, 1),),
+        ((0, 2),), ((0, 1), (1, 1)), ((1, 2),), ((0, 1), (2, 1)),
+        ((1, 1), (2, 1)), ((2, 2),),
+        ((0, 3),), ((0, 2), (1, 1)), ((0, 1), (1, 2)), ((1, 3),),
+        ((0, 2), (2, 1)), ((0, 1), (1, 1), (2, 1)), ((1, 2), (2, 1)),
+        ((0, 1), (2, 2)), ((1, 1), (2, 2)), ((2, 3),),
+    ]
+
+
+def test_monomial_at_walks_the_listed_order(lat):
+    """Rows sorted by (degree, ``_keys`` rank); ``monomial_at`` is row i."""
     for max_degree in (0, 1, 3):
         rows = monomial_rows(lat, max_degree)
         degree = np.sum(rows < lat.n_modes, axis=1)
