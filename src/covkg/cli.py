@@ -11,7 +11,8 @@ Every check record is named by its key in ``reporting.TOLERANCES``, or by
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 usage or configuration error, an unknown tolerance name included.
 Reports carry no timestamps, so a fixed config and seed reproduce
-byte-identical output.
+byte-identical output; ``verify --timings FILE`` puts per-check wall
+seconds in a separate file.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from time import perf_counter
 
 import numpy as np
 
@@ -73,6 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("--suite", default="all",
                           choices=[*SUITES, "all"])
+    p_verify.add_argument("--timings", metavar="FILE",
+                          help="also write each check's wall seconds to this "
+                          "JSON file; the report does not change")
     _add_common(p_verify)
 
     p_sim = sub.add_parser("simulate", help="emit conserved-quantity time series")
@@ -134,8 +139,28 @@ def _finish_report(cfg: RunConfig, suite: str, records) -> int:
     return 0 if report.all_pass else 1
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    return _finish_report(cfg, suite, run_suite(cfg, suite))
+def cmd_verify(cfg: RunConfig, suite: str, timings=None) -> int:
+    """Run the suite; with ``timings``, also write the sidecar JSON.
+
+    A check's wall time is the time since the previous record of its suite
+    was made, or since the suite started for its first record.  The file
+    is opened first, so a bad path fails before any suite runs.
+    """
+    if timings is None:
+        return _finish_report(cfg, suite, run_suite(cfg, suite))
+    with open(timings, "w", encoding="utf-8", newline="") as fh:
+        records, rows = [], []
+        for name in (list(SUITES) if suite == "all" else [suite]):
+            last = perf_counter()
+            for rec in run_suite(cfg, name):
+                rows.append({"suite": name, "name": rec.name,
+                             "wall_s": rec.made_at - last})
+                last = rec.made_at
+                records.append(rec)
+        doc = {"schema_version": SCHEMA_VERSION, "suite": suite,
+               "checks": rows}
+        fh.write(json.dumps(doc, indent=2) + "\n")
+    return _finish_report(cfg, suite, records)
 
 
 def _parse_track(arg, lat, sol):
@@ -179,8 +204,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         row = [t, obs.energy_integral(sol, t, cfg.lam)]
         row += [obs.momentum_integral(sol, i, t, cfg.lam)
                 for i in range(1, lat.d + 1)]
-        row += [abs(complex(obs.slice_integral(obs.AlphaK(k), sol, t)))
-                for k in track]
+        row += [abs(complex(v)) for v in obs.slice_integral(
+            obs.AlphaK(np.array(track, dtype=int)), sol, t)]
         if leap is not None:
             if j > 0:
                 span = ts[j] - ts[j - 1]
@@ -256,9 +281,10 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
     if args.spectrum_out:
         lines = [f"# schema_version={SCHEMA_VERSION}",
                  "multi_index,eigenvalue,energy"]
-        for alpha in pq.row_alphas(lat, rows):
-            eig = pq.p_eigenvalue(lat, alpha, zeta)
-            energy = -eig + 0.0  # normalizes -0.0 for the vacuum row
+        eigs = pq.p_eigenvalues(lat, rows, zeta).tolist()
+        for alpha, eig in zip(pq.row_alphas(lat, rows), eigs):
+            eig += 0.0  # normalizes -0.0 for the vacuum row
+            energy = -eig + 0.0
             lines.append(f"{_alpha_label(alpha)},{eig!r},{energy!r}")
         with open(args.spectrum_out, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -281,7 +307,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
+            return cmd_verify(cfg, args.suite, args.timings)
         if args.command == "simulate":
             return cmd_simulate(cfg, args)
         if args.command == "brackets":

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -175,17 +176,29 @@ def dft_inverse(lat: ModeLattice, mode_coefficients) -> np.ndarray:
 def mode_sum_grid(lat: ModeLattice, plus_coeff, minus_coeff) -> np.ndarray:
     """Evaluate sum_k (c+_k e^{+i k.x} + c-_k e^{-i k.x}) on the grid.
 
-    The two coefficient arrays sit on the same mode list; the e^{-ik.x}
-    branch is scattered onto the reflected FFT bins.  Exact for the retained
-    band since all bin residues are distinct.  Coefficient arrays of shape
-    (n_t, n_modes) give stacked grids of shape (n_t,) + grid_shape, time
-    axis first, from one inverse FFT over the trailing grid axes.
+    The two coefficient arrays sit on the same mode list.  The e^{-ik.x}
+    branch of mode -k lands on the bin of mode k, so every retained bin gets
+    plus[k] + minus[conj(k)] in one assignment; the bins are distinct because
+    ``conj_index`` reverses the mode list.  Exact for the retained band
+    since all bin residues are distinct.  Coefficient arrays with leading
+    axes, shape (..., n_modes), give stacked grids of shape
+    (...) + grid_shape from one inverse FFT over the trailing grid axes.
     """
-    spec = np.zeros(np.shape(plus_coeff)[:-1] + lat.grid_shape, dtype=complex)
-    ridx = tuple(np.mod(-lat.modes[:, a], lat.N) for a in range(lat.d))
-    spec[(Ellipsis,) + lat.fft_indices()] += plus_coeff
-    spec[(Ellipsis,) + ridx] += minus_coeff
+    bins, conj = _scatter_indices(lat)
+    plus_coeff = np.asarray(plus_coeff)
+    spec = np.zeros(plus_coeff.shape[:-1] + lat.grid_shape, dtype=complex)
+    spec[bins] = plus_coeff + np.asarray(minus_coeff)[..., conj]
     return np.fft.ifftn(spec, axes=range(-lat.d, 0)) * lat.N ** lat.d
+
+
+@lru_cache(maxsize=64)
+def _scatter_indices(lat: ModeLattice) -> tuple:
+    """(index of the retained bins on stacked grids, ``conj_index``), all
+    read-only."""
+    bins, conj = lat.fft_indices(), lat.conj_index()
+    for arr in (*bins, conj):
+        arr.setflags(write=False)
+    return (Ellipsis,) + bins, conj
 
 
 def _fft_wavenumbers(lat: ModeLattice) -> list:

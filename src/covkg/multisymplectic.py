@@ -39,9 +39,9 @@ from .solution import (
     Solution,
     SolutionHistory,
     TimeWindow,
-    WindowedPerturbation,
     evaluate_fields,
     second_derivatives,
+    windowed_fields,
 )
 
 
@@ -307,17 +307,30 @@ def theta_pullback_density(lat: ModeLattice, phi, dtphi, dttphi, lam: float):
 _BLOCK_CELLS = 4096
 
 
+def _time_blocks(lat: ModeLattice, t1: float, t2: float, n_t: int):
+    """The Simpson nodes on [t1, t2] and their blocks of at most
+    ``_BLOCK_CELLS`` grid values."""
+    ts = np.linspace(t1, t2, n_t)
+    step = max(1, _BLOCK_CELLS // int(np.prod(lat.grid_shape)))
+    return ts, [ts[i:i + step] for i in range(0, n_t, step)]
+
+
+def _slice_sums(lat: ModeLattice, dens) -> np.ndarray:
+    """Grid integral of each slice of a stacked density."""
+    return lat.cell_volume * np.sum(dens.reshape(len(dens), -1), axis=1)
+
+
 def _time_quadrature(lat: ModeLattice, hist, density, t1: float, t2: float,
                      n_t: int):
     """Simpson rule over [t1, t2] of the grid integral of ``density``, which
     gets the stacked fields (phi, d_t phi, d_tt phi) of one block of times."""
-    ts = np.linspace(t1, t2, n_t)
-    step = max(1, _BLOCK_CELLS // int(np.prod(lat.grid_shape)))
-    vals = []
-    for i in range(0, n_t, step):
-        dens = density(*hist.at(ts[i:i + step]))
-        vals.append(lat.cell_volume * np.sum(dens.reshape(len(dens), -1), axis=1))
+    ts, blocks = _time_blocks(lat, t1, t2, n_t)
+    vals = [_slice_sums(lat, density(*hist.at(tb))) for tb in blocks]
     return simpson(np.concatenate(vals), ts[1] - ts[0])
+
+
+def _real_or_complex(value):
+    return complex(value) if np.iscomplexobj(value) else float(value)
 
 
 def action_of_history(lat: ModeLattice, hist, lam: float, t1: float, t2: float,
@@ -325,9 +338,8 @@ def action_of_history(lat: ModeLattice, hist, lam: float, t1: float, t2: float,
     """Integral of the theta_lambda pullback over t in [t1, t2] (Simpson)."""
     if not t2 > t1:
         raise ValueError("need t1 < t2")
-    out = _time_quadrature(
-        lat, hist, lambda *f: theta_pullback_density(lat, *f, lam), t1, t2, n_t)
-    return complex(out) if np.iscomplexobj(out) else float(out)
+    return _real_or_complex(_time_quadrature(
+        lat, hist, lambda *f: theta_pullback_density(lat, *f, lam), t1, t2, n_t))
 
 
 def action_between_slices(sol: Solution, lam: float, t1: float, t2: float,
@@ -359,12 +371,21 @@ def action_criticality(sol: Solution, variation: Solution, lam: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if not t2 > t1:
+        raise ValueError("need t1 < t2")
     lat = sol.lat
     base = base_history if base_history is not None else SolutionHistory(sol)
     win = TimeWindow(t1, t2, window_power)
     var = SolutionHistory(variation)
-    plus = action_of_history(
-        lat, WindowedPerturbation(base, var, win, eps), lam, t1, t2, n_t)
-    minus = action_of_history(
-        lat, WindowedPerturbation(base, var, win, -eps), lam, t1, t2, n_t)
+    # One evaluation of base and variation per block serves both signs; each
+    # sign's fields are those WindowedPerturbation(+-eps) gives.
+    ts, blocks = _time_blocks(lat, t1, t2, n_t)
+    signs, sums = (float(eps), -float(eps)), ([], [])
+    for tb in blocks:
+        b, v, w = base.at(tb), var.at(tb), win.on_grid(tb, lat.d)
+        for e, vals in zip(signs, sums):
+            dens = theta_pullback_density(lat, *windowed_fields(b, v, w, e), lam)
+            vals.append(_slice_sums(lat, dens))
+    plus, minus = (_real_or_complex(simpson(np.concatenate(vals), ts[1] - ts[0]))
+                   for vals in sums)
     return abs(plus - minus) / (2.0 * eps)

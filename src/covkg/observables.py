@@ -53,12 +53,12 @@ class FPhi:
 
 @dataclass(frozen=True)
 class AlphaK:
-    k: int
+    k: int  # or an array of mode indices: a batch of generators
 
 
 @dataclass(frozen=True)
 class AlphaStarK:
-    k: int
+    k: int  # or an array of mode indices: a batch of generators
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,30 @@ class Pmu:
     lam: float = 1.0
 
 
-def generator_alpha_k(lat: ModeLattice, k: int) -> Solution:
-    """The solution i exp(+i k.x)/(2 pi)^{d/2} generating a_k."""
-    us = np.zeros(lat.n_modes, dtype=complex)
-    us[k] = 1j / lat.w[k]
-    return Solution(lat, np.zeros(lat.n_modes, dtype=complex), us, False)
+def _single_mode_generators(lat: ModeLattice, k, coef) -> np.ndarray:
+    """Rows with ``coef[k]`` at mode k and zeros elsewhere, one per index of k."""
+    k = np.asarray(k)
+    rows = np.zeros((k.size, lat.n_modes), dtype=complex)
+    rows[np.arange(k.size), k.ravel()] = coef[k.ravel()]
+    return rows.reshape(k.shape + (lat.n_modes,))
 
 
-def generator_alpha_star_k(lat: ModeLattice, k: int) -> Solution:
-    """The solution -i exp(-i k.x)/(2 pi)^{d/2} generating a*_k."""
-    u = np.zeros(lat.n_modes, dtype=complex)
-    u[k] = -1j / lat.w[k]
-    return Solution(lat, u, np.zeros(lat.n_modes, dtype=complex), False)
+def generator_alpha_k(lat: ModeLattice, k) -> Solution:
+    """The solution i exp(+i k.x)/(2 pi)^{d/2} generating a_k.
+
+    An array of mode indices gives a batch of generators, one per index.
+    """
+    us = _single_mode_generators(lat, k, 1j / lat.w)
+    return Solution(lat, np.zeros_like(us), us, False)
+
+
+def generator_alpha_star_k(lat: ModeLattice, k) -> Solution:
+    """The solution -i exp(-i k.x)/(2 pi)^{d/2} generating a*_k.
+
+    An array of mode indices gives a batch of generators, one per index.
+    """
+    u = _single_mode_generators(lat, k, -1j / lat.w)
+    return Solution(lat, u, np.zeros_like(u), False)
 
 
 def generator_alpha_f(lat: ModeLattice, f) -> Solution:
@@ -120,8 +132,20 @@ def _as_generator(form, lat: ModeLattice):
     return None
 
 
+# Grid values per chunk of a generator batch: bounds the stacked generator
+# fields of a batched slice integral.
+_BATCH_CELLS = 1 << 12
+
+
 def slice_integral(form, sol: Solution, t: float = 0.0):
-    """Integral of the observable form over the slice t = const of the graph."""
+    """Integral of the observable form over the slice t = const of the graph.
+
+    A form whose generator carries a batch axis (``AlphaK``/``AlphaStarK``
+    with an array of mode indices) gives an array with one integral per
+    generator, each equal bit for bit to that generator's own integral.
+    The batch is synthesized in chunks of at most ``_BATCH_CELLS`` grid
+    values.
+    """
     lat = sol.lat
     if isinstance(form, Pmu):
         return _pmu_slice_integral(form, sol, t)
@@ -129,10 +153,16 @@ def slice_integral(form, sol: Solution, t: float = 0.0):
     if gen is None:
         raise TypeError(f"not an observable form: {form!r}")
     base = evaluate_fields(sol, t)
-    val = synthesize(gen, t)
-    dval = synthesize(gen, t, (0,))
-    total = lat.cell_volume * np.sum(base.p[0] * val - base.phi * dval)
-    return _maybe_real(total, sol, gen)
+    u, ustar = (np.reshape(c, (-1, lat.n_modes)) for c in (gen.u, gen.ustar))
+    step = max(1, _BATCH_CELLS // int(np.prod(lat.grid_shape)))
+    totals = np.empty(len(u), dtype=complex)
+    for i in range(0, len(u), step):
+        part = Solution(lat, u[i:i + step], ustar[i:i + step], gen.real_flag)
+        val, dval = synthesize(part, t, [(), (0,)])
+        dens = base.p[0] * val - base.phi * dval
+        totals[i:i + step] = lat.cell_volume * np.sum(
+            dens.reshape(len(dens), -1), axis=1)
+    return _maybe_real(totals.reshape(np.shape(gen.u)[:-1]), sol, gen)
 
 
 def _pmu_slice_integral(form: Pmu, sol: Solution, t: float):
@@ -166,14 +196,21 @@ def momentum_integral(sol: Solution, i: int, t: float = 0.0,
     return -np.real(slice_integral(Pmu(i, lam), sol, t))
 
 
-def a_k(sol: Solution, k: int) -> complex:
-    """Annihilation functional a_k = integral alpha_k; equals u_k."""
-    return complex(slice_integral(AlphaK(k), sol))
+def a_k(sol: Solution, k) -> complex:
+    """Annihilation functional a_k = integral alpha_k; equals u_k.
+
+    An array of mode indices gives the array of a_k from one slice
+    quadrature over the generator batch.
+    """
+    return slice_integral(AlphaK(k), sol)
 
 
-def a_star_k(sol: Solution, k: int) -> complex:
-    """Creation functional a*_k = integral alpha*_k; equals u*_k."""
-    return complex(slice_integral(AlphaStarK(k), sol))
+def a_star_k(sol: Solution, k) -> complex:
+    """Creation functional a*_k = integral alpha*_k; equals u*_k.
+
+    An array of mode indices gives the array of a*_k, as ``a_k`` does.
+    """
+    return slice_integral(AlphaStarK(k), sol)
 
 
 def bracket_slice_integral(phi: Solution, psi: Solution, t: float = 0.0):
@@ -184,8 +221,8 @@ def bracket_slice_integral(phi: Solution, psi: Solution, t: float = 0.0):
     holds exactly.
     """
     lat = phi.lat
-    a, da = synthesize(phi, t), synthesize(phi, t, (0,))
-    b, db = synthesize(psi, t), synthesize(psi, t, (0,))
+    a, da = synthesize(phi, t, [(), (0,)])
+    b, db = synthesize(psi, t, [(), (0,)])
     total = lat.cell_volume * np.sum(_cmul(da, b) - _cmul(a, db))
     return _maybe_real(total, phi, psi)
 
@@ -209,13 +246,16 @@ def bracket_regularized(lat: ModeLattice, f, g) -> complex:
 
 
 def _noether_terms(gen, lat: ModeLattice, t):
-    """(value, d_t value, spatial laplacian) of the current generator at t."""
+    """(value, d_t value, [d_a value for a = 1..d], spatial laplacian) of the
+    current generator at t."""
+    d = lat.d
     if isinstance(gen, Solution):
-        lap = sum(synthesize(gen, t, (a, a)) for a in range(1, lat.d + 1))
-        return synthesize(gen, t), synthesize(gen, t, (0,)), lap
+        grids = synthesize(gen, t, [(), (0,)] + [(a,) for a in range(1, d + 1)]
+                           + [(a, a) for a in range(1, d + 1)])
+        return grids[0], grids[1], grids[2:d + 2], sum(grids[d + 2:])
     if isinstance(gen, PolynomialTimeHistory):
         val, dval, _ = gen.at(t)
-        return val, dval, np.zeros_like(val)
+        return val, dval, [np.zeros_like(val)] * d, np.zeros_like(val)
     raise TypeError(f"unsupported current generator: {gen!r}")
 
 
@@ -230,14 +270,14 @@ def noether_divergence(gen, sol: Solution, t_grid) -> float:
         gen = gen.phi
     dt = _uniform_dt(t_grid)
     sd = evaluate_fields(sol, t_grid)
-    val, dval, lap_gen = _noether_terms(gen, lat, t_grid)
+    val, dval, dgen, lap_gen = _noether_terms(gen, lat, t_grid)
+    sol_aa = synthesize(sol, t_grid, [(a, a) for a in range(1, lat.d + 1)])
     j0 = sd.p[:, 0] * val - sd.phi * dval
     div_space = np.zeros(sd.phi.shape, dtype=complex)
     for a in range(1, lat.d + 1):
         # d_a (p^a Phi + phi d_a Phi) expanded termwise
-        dgen_a = (synthesize(gen, t_grid, (a,)) if isinstance(gen, Solution)
-                  else np.zeros_like(val))
-        div_space += (-synthesize(sol, t_grid, (a, a)) * val
+        dgen_a = dgen[a - 1]
+        div_space += (-sol_aa[a - 1] * val
                       + sd.p[:, a] * dgen_a + sd.dphi[:, a] * dgen_a)
     div_space += sd.phi * lap_gen
     resid = (j0[2:] - j0[:-2]) / (2.0 * dt) + div_space[1:-1]

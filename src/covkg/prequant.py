@@ -30,7 +30,9 @@ Coalescing.  Terms with equal (tag, row) are merged: each row is ranked in
 the combinatorial number system (Knuth, TAOCP 4A, section 7.2.1.3), a
 sorted row c_0 <= ... <= c_{D-1} over the n_modes + 1 symbols having the
 rank sum_i C(c_i + i, i + 1) < C(n_modes + D, D), and the int64 key
-tag * C(n_modes + D, D) + rank is grouped with ``np.unique``.
+tag * C(n_modes + D, D) + rank is grouped by one stable argsort: equal keys
+form runs in term order, the first term of each run stands for its group,
+and a cumulative sum over the run starts labels every term with its group.
 ``np.bincount`` then sums each group's real and imaginary parts in the
 order the terms were made.
 
@@ -46,7 +48,9 @@ the alpha_k copies would leave roundoff in the off-diagonal terms of
 [a_f, a*_g] for alpha_k >= 3, which cancel exactly this way.)  P_zeta
 multiplies each term by -hbar times the row sum of k.zeta over its index
 columns; ``p_eigenvalue`` computes the same number as a dot product over
-the distinct modes, a separate path for the checks to compare.
+the distinct modes, and ``p_eigenvalues`` for many rows at once as a
+product of the per-mode exponent counts with k.zeta, separate paths for
+the checks to compare.
 
 Product rule.  Complex products inside the operators are formed from
 float64 real and imaginary parts, each in its own ufunc call
@@ -101,6 +105,8 @@ import numpy as np
 from .lattice import ModeLattice, _cmul, _complex
 
 _INT64_MAX = np.iinfo(np.int64).max
+# Entries per block of the exponent-count matrix of ``p_eigenvalues``.
+_COUNT_CELLS = 1 << 18
 
 
 class DegreeOverflowError(Exception):
@@ -143,10 +149,20 @@ def _trim(idx: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def _coalesce(n_modes: int, idx, amp, tag):
-    """Merge equal (tag, row) terms, summing amplitudes in term order."""
+    """Merge equal (tag, row) terms, summing amplitudes in term order.
+
+    Groups come out in key order, each kept at its first term, as
+    ``np.unique(return_index=True, return_inverse=True)`` would give them.
+    """
     idx = _trim(idx, n_modes)
-    _, first, inverse = np.unique(_keys(n_modes, idx, tag),
-                                  return_index=True, return_inverse=True)
+    keys = _keys(n_modes, idx, tag)
+    order = np.argsort(keys, kind="stable")
+    starts = np.ones(len(keys), dtype=bool)
+    sorted_keys = keys[order]
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first = order[starts]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
     n = len(first)
     amp = _complex(np.bincount(inverse, amp.real, n),
                    np.bincount(inverse, amp.imag, n))
@@ -269,26 +285,34 @@ def _mode_coefficients(lat: ModeLattice, f, name: str) -> np.ndarray:
     return f
 
 
+@lru_cache(maxsize=None)
+def _drop_table(width: int) -> np.ndarray:
+    """Row j lists the columns 0..width-1 other than j."""
+    drop = np.array([[c for c in range(width) if c != j]
+                     for j in range(width)], dtype=np.intp)
+    drop = drop.reshape(width, max(width - 1, 0))
+    drop.setflags(write=False)
+    return drop
+
+
 def op_a(f, state: PolarizedState) -> PolarizedState:
     """Annihilation: c_alpha feeds hbar f_k alpha_k into alpha - e_k."""
     lat = state.lat
     hf = np.append(lat.hbar * _mode_coefficients(lat, f, "f"), 0.0)
-    idx = state.idx
+    idx = np.ascontiguousarray(state.idx)
     width = idx.shape[1]
     # Term (i, j) lowers row i at column j, the last of a run of mode k,
     # with the run length alpha_k as factor; the sentinel and zero
     # coefficients make no term.
-    drop = np.array([[c for c in range(width) if c != j]
-                     for j in range(width)], dtype=np.intp)
-    drop = drop.reshape(width, max(width - 1, 0))
     run_end = np.ones(idx.shape, dtype=bool)
     run_end[:, :-1] = idx[:, 1:] != idx[:, :-1]
     coef = hf[idx] * _run_positions(idx)
     src, col = np.nonzero(run_end & (coef != 0))
     amp = _cmul(coef[src, col], state.amp[src])
+    rows = idx.ravel().take(src[:, None] * width + _drop_table(width)[col])
     return PolarizedState(
-        lat, *_coalesce(lat.n_modes, idx[src[:, None], drop[col]], amp,
-                        state.tag[src]), state.degree_bound)
+        lat, *_coalesce(lat.n_modes, rows, amp, state.tag[src]),
+        state.degree_bound)
 
 
 def op_a_star(g, state: PolarizedState) -> PolarizedState:
@@ -334,6 +358,27 @@ def p_eigenvalue(lat: ModeLattice, alpha, zeta) -> float:
     ks = np.array([k for k, _ in alpha])
     es = np.array([e for _, e in alpha], dtype=float)
     return float(-lat.hbar * np.dot(es, kz[ks]))
+
+
+def p_eigenvalues(lat: ModeLattice, rows, zeta) -> np.ndarray:
+    """``p_eigenvalue`` of every sentinel-padded sorted index row at once.
+
+    The exponent counts alpha_k of each row, one matrix row per monomial,
+    multiply k.zeta in one matrix product; op_p instead sums k.zeta over
+    the index columns.  The count matrix is built in blocks of at most
+    ``_COUNT_CELLS`` entries.
+    """
+    kz = minkowski_kz(lat, zeta)
+    rows = np.asarray(rows, dtype=np.intp)
+    width = lat.n_modes + 1  # the last column counts the sentinel
+    step = max(1, _COUNT_CELLS // width)
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        cells = part + width * np.arange(len(part))[:, None]
+        counts = np.bincount(cells.ravel(), minlength=len(part) * width)
+        out[start:start + step] = counts.reshape(len(part), width)[:, :-1] @ kz
+    return -lat.hbar * out
 
 
 def op_p(zeta, state: PolarizedState) -> PolarizedState:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -162,6 +163,10 @@ class CheckRecord:
     abs_diff: float
     tolerance: float
     passed: bool
+    # perf_counter() when the record was made, for ``verify --timings``;
+    # not part of the report.
+    made_at: float = field(default_factory=perf_counter, compare=False,
+                           repr=False)
 
 
 def check(name: str, lhs, rhs, tolerance: float) -> CheckRecord:

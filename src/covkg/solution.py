@@ -10,6 +10,16 @@ and the u* branch its reflection.  Real fields satisfy u*_k = conj(u_k).
 Time never enters the state: evaluation is exact mode arithmetic, and
 ``evolve_exact`` merely re-bases the phases.  A leapfrog integrator is kept
 alongside as an independent finite-difference oracle for the same equation.
+
+Evaluation.  ``synthesize`` makes grids from the mode data in one pass: one
+phase table, one scatter onto the FFT bins and one inverse FFT over stacked
+leading axes.  A call may ask for a list of derivative orders, a 1-D array
+of times and, through ``u``/``ustar`` of shape (n_batch, n_modes), a batch
+of solutions (the observables suite stacks its ladder generators this way);
+the grids come out with the axes (order, batch, time) + grid_shape.  Each
+grid equals, bit for bit, the grid of the call that asks for it alone.
+``evaluate_fields``, ``second_derivatives`` and each history's ``at`` make
+one such call.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,10 +68,12 @@ class Solution:
 
 
 def _maybe_real(value, *sols):
-    """``value`` as a float when every solution is real, else as a complex."""
-    if all(s.real_flag for s in sols):
-        return float(np.real(value))
-    return complex(value)
+    """``value`` as a float when every solution is real, else as a complex;
+    an array of values stays an array of that kind."""
+    real = all(s.real_flag for s in sols)
+    if np.ndim(value):
+        return np.real(value) if real else np.asarray(value, dtype=complex)
+    return float(np.real(value)) if real else complex(value)
 
 
 @dataclass(frozen=True)
@@ -143,31 +156,62 @@ def derivative_solution(sol: Solution, mu: int) -> Solution:
     return Solution(sol.lat, a * sol.u, b * sol.ustar, sol.real_flag)
 
 
+@lru_cache(maxsize=64)
+def _order_factors(lat: ModeLattice, orders: tuple):
+    """Branch multipliers (fu, fus) of each derivative order, stacked into
+    two read-only arrays of shape (len(orders), n_modes)."""
+    stacks = ([], [])
+    for mus in orders:
+        fu = np.ones(lat.n_modes, dtype=complex)
+        fus = np.ones(lat.n_modes, dtype=complex)
+        for mu in mus:
+            a, b = derivative_factors(lat, mu)
+            fu, fus = fu * a, fus * b
+        stacks[0].append(fu)
+        stacks[1].append(fus)
+    out = tuple(np.stack(s) for s in stacks)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
     """Evaluate (prod_mu d_mu) phi on the grid at time t.
 
     ``t`` is a scalar, giving one grid, or a 1-D array of n_t times, giving
     stacked grids of shape (n_t,) + grid_shape with the time axis first.
-    ``extra_u``/``extra_us`` multiply the two branches with arbitrary
-    per-mode factors, shape (n_modes,) or (n_t, n_modes) (used for
-    operator polynomials such as the Klein-Gordon symbol).  Real solutions
-    yield real grids whenever the branch factors are conjugate.
+    A solution with a batch axis (``u`` of shape (n_batch, n_modes)) puts
+    that axis before the time axis.  ``mus`` is one derivative order, a
+    tuple of axes, or a list of such tuples: a list stacks one grid per
+    order on a new leading axis, all from one phase table, one scatter and
+    one inverse FFT, each equal bit for bit to the call with that order
+    alone.  ``extra_u``/``extra_us`` multiply the two branches with
+    arbitrary per-mode factors (used for operator polynomials such as the
+    Klein-Gordon symbol); they broadcast against the coefficient table of
+    shape ([n_orders,] [n_batch,] [n_t,] n_modes).  Real solutions yield
+    real grids whenever the branch factors are conjugate.
     """
     lat = sol.lat
-    fu = np.ones(lat.n_modes, dtype=complex)
-    fus = np.ones(lat.n_modes, dtype=complex)
-    for mu in mus:
-        a, b = derivative_factors(lat, mu)
-        fu, fus = fu * a, fus * b
+    stacked = isinstance(mus, list)
+    orders = mus if stacked else [mus]
+    t = np.asarray(t, dtype=float)
+    shape = ((len(orders),) + (1,) * (np.ndim(sol.u) - 1 + t.ndim)
+             + (lat.n_modes,))
+    fu, fus = (f.reshape(shape)
+               for f in _order_factors(lat, tuple(map(tuple, orders))))
     if extra_u is not None:
         fu = fu * extra_u
     if extra_us is not None:
         fus = fus * extra_us
     pref = (2.0 * np.pi) ** (-lat.d / 2.0)
-    t = np.asarray(t, dtype=float)[..., None]
-    plus = pref * lat.w * sol.u * np.exp(-1j * lat.k0 * t) * fu
-    minus = pref * lat.w * sol.ustar * np.exp(1j * lat.k0 * t) * fus
+    tc = t[..., None]
+    u, ustar = (np.expand_dims(c, tuple(range(-1 - t.ndim, -1)))
+                for c in (sol.u, sol.ustar))
+    plus = pref * lat.w * u * np.exp(-1j * lat.k0 * tc) * fu
+    minus = pref * lat.w * ustar * np.exp(1j * lat.k0 * tc) * fus
     grid = mode_sum_grid(lat, plus, minus)
+    if not stacked:
+        grid = grid[0]
     if sol.real_flag and extra_u is None and extra_us is None:
         return grid.real
     return grid
@@ -188,24 +232,23 @@ def evaluate_fields(sol: Solution, t) -> SliceData:
     """All slice fields (phi, d_mu phi, p^mu, e) at time t.
 
     A 1-D array of times gives stacked fields with a leading time axis.
+    phi and the d + 1 first derivatives come from one stacked synthesis.
     """
     lat = sol.lat
-    phi = synthesize(sol, t)
-    dphi = np.stack([synthesize(sol, t, (mu,)) for mu in range(lat.d + 1)],
-                    axis=-lat.d - 1)
+    grids = synthesize(sol, t, [()] + [(mu,) for mu in range(lat.d + 1)])
+    dphi = np.stack(grids[1:], axis=-lat.d - 1)
     t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
-    return _slice_data(lat, t, phi, dphi)
+    return _slice_data(lat, t, grids[0], dphi)
 
 
 def second_derivatives(sol: Solution, t: float) -> np.ndarray:
     """The matrix d_mu d_nu phi on the grid, shape (d+1, d+1, N^d)."""
     n = sol.lat.d + 1
-    out = np.empty((n, n) + sol.lat.grid_shape,
-                   dtype=float if sol.real_flag else complex)
-    for mu in range(n):
-        for nu in range(mu, n):
-            out[mu, nu] = synthesize(sol, t, (mu, nu))
-            out[nu, mu] = out[mu, nu]
+    pairs = [(mu, nu) for mu in range(n) for nu in range(mu, n)]
+    grids = synthesize(sol, t, pairs)
+    out = np.empty((n, n) + sol.lat.grid_shape, dtype=grids.dtype)
+    for (mu, nu), grid in zip(pairs, grids):
+        out[mu, nu] = out[nu, mu] = grid
     return out
 
 
@@ -301,10 +344,7 @@ class SolutionHistory:
 
     def at(self, t):
         """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
-        s = self.sol
-        return (synthesize(s, t),
-                synthesize(s, t, (0,)),
-                synthesize(s, t, (0, 0)))
+        return tuple(synthesize(self.sol, t, [(), (0,), (0, 0)]))
 
 
 class DetunedHistory:
@@ -326,10 +366,11 @@ class DetunedHistory:
         tc = np.asarray(t, dtype=float)[..., None]
         down = np.exp(-1j * (om - lat.k0) * tc)
         up = np.exp(1j * (om - lat.k0) * tc)
-        grids = [synthesize(s, t, extra_u=(-1j * om) ** order * down,
-                            extra_us=(1j * om) ** order * up)
-                 for order in range(3)]
-        return tuple(g.real if s.real_flag else g for g in grids)
+        grids = synthesize(
+            s, t, [()] * 3,
+            extra_u=np.stack([(-1j * om) ** order * down for order in range(3)]),
+            extra_us=np.stack([(1j * om) ** order * up for order in range(3)]))
+        return tuple(grids.real if s.real_flag else grids)
 
 
 class PolynomialTimeHistory:
@@ -382,6 +423,26 @@ class TimeWindow:
                                - 2.0 * u ** (q - 1))
         return np.where(inside, core / T ** 2, 0.0)
 
+    def on_grid(self, t, d: int):
+        """(eta, eta', eta'') at t, shaped to broadcast over d grid axes."""
+        grid = (Ellipsis,) + (None,) * d
+        return self.value(t)[grid], self.d1(t)[grid], self.d2(t)[grid]
+
+
+def windowed_fields(base, var, window, eps: float):
+    """(phi, d_t phi, d_tt phi) of base + eps * eta * var by the product rule.
+
+    ``base`` and ``var`` are the (phi, d_t phi, d_tt phi) of the two
+    histories and ``window`` is ``TimeWindow.on_grid`` at the same times.
+    """
+    b0, b1, b2 = base
+    v0, v1, v2 = var
+    w, w1, w2 = window
+    e = eps
+    return (b0 + e * w * v0,
+            b1 + e * (w1 * v0 + w * v1),
+            b2 + e * (w2 * v0 + 2.0 * w1 * v1 + w * v2))
+
 
 class WindowedPerturbation:
     """base + eps * eta(t) * variation, with exact time derivatives."""
@@ -395,15 +456,8 @@ class WindowedPerturbation:
 
     def at(self, t):
         """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
-        b0, b1, b2 = self.base.at(t)
-        v0, v1, v2 = self.var.at(t)
-        grid = (Ellipsis,) + (None,) * self.lat.d
-        w, w1, w2 = (self.window.value(t)[grid], self.window.d1(t)[grid],
-                     self.window.d2(t)[grid])
-        e = self.eps
-        return (b0 + e * w * v0,
-                b1 + e * (w1 * v0 + w * v1),
-                b2 + e * (w2 * v0 + 2.0 * w1 * v1 + w * v2))
+        return windowed_fields(self.base.at(t), self.var.at(t),
+                               self.window.on_grid(t, self.lat.d), self.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,14 @@ def suite_observables(cfg: RunConfig) -> list:
     psi = random_solution(lat, rng, real_flag=False)
     out = []
 
-    a_vals = np.array([obs.a_k(sol, k) for k in range(lat.n_modes)])
-    astar_vals = np.array([obs.a_star_k(sol, k) for k in range(lat.n_modes)])
+    modes = np.arange(lat.n_modes)
+    a_vals = obs.a_k(sol, modes)
+    astar_vals = obs.a_star_k(sol, modes)
     out.append(cfg.check("observables.a_k_equals_modes",
                          float(np.max(np.abs(a_vals - sol.u))), 0.0))
 
-    shift = max(abs(complex(obs.slice_integral(obs.AlphaK(k), sol, 1.7))
-                    - a_vals[k]) for k in range(lat.n_modes))
+    later = obs.slice_integral(obs.AlphaK(modes), sol, 1.7)
+    shift = max(abs(complex(v) - a) for v, a in zip(later, a_vals))
     out.append(cfg.check("observables.a_k_t_independent", shift, 0.0))
 
     rebuilt = from_modes(lat, a_vals, astar_vals, real_flag=False)
@@ -353,11 +354,9 @@ def suite_prequant(cfg: RunConfig) -> list:
     out.append(cfg.check("prequant.vacuum_annihilated",
                          vacuum_flag(lat, zeta, f), 0.0))
 
-    # op_p's row sum against p_eigenvalue's dot product, per monomial.
-    monos = pq.row_alphas(lat, rows)
+    # op_p's row sum against p_eigenvalues' exponent counts, per monomial.
     zetas = [zeta, np.concatenate(([0.7], rng.standard_normal(lat.d)))]
-    eigs = [np.array([pq.p_eigenvalue(lat, mono, z) for mono in monos])
-            for z in zetas]
+    eigs = [pq.p_eigenvalues(lat, rows, z) for z in zetas]
     worst = 0.0
     for z, eig in zip(zetas, eigs):
         for part, block in _blocks(lat, rows, 1):

@@ -120,6 +120,26 @@ def test_verify_report_byte_deterministic(tmp_path):
     assert _read(a) == _read(b)
 
 
+def test_verify_timings_sidecar_leaves_report_unchanged(tmp_path, capsys):
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    side = tmp_path / "timings.json"
+    assert main(["verify", "--seed", "2", "--out", str(plain)]) == 0
+    assert main(["verify", "--seed", "2", "--out", str(timed),
+                 "--timings", str(side)]) == 0
+    assert _read(timed) == _read(plain)
+    rows = json.loads(_read(side))["checks"]
+    names = [c["name"] for c in json.loads(_read(plain))["checks"]]
+    assert sorted(r["name"] for r in rows) == names
+    assert {r["suite"] for r in rows} == {"msymp", "observables",
+                                          "phase-space", "prequant"}
+    assert all(r["wall_s"] >= 0.0 for r in rows)
+    capsys.readouterr()
+    bad = tmp_path / "missing" / "timings.json"
+    assert main(["verify", "--suite", "msymp", "--timings", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not bad.exists()
+
+
 def test_verify_report_structure(tmp_path):
     out = tmp_path / "report.json"
     main(["verify", "--suite", "msymp", "--out", str(out)])

@@ -327,6 +327,27 @@ def test_action_not_critical_off_shell(lat, sol):
                               base_history=bad) > 1e-3
 
 
+@pytest.mark.parametrize("detune", [None, 0.5])
+@pytest.mark.parametrize("lat_args", [(1, 2 * np.pi, 32, 7), (2, 5.0, 12, 3)])
+def test_criticality_equals_two_windowed_actions(lat_args, detune):
+    """Shared +-eps fields give, bit for bit, |A(+eps) - A(-eps)| / (2 eps)
+    from two action_of_history calls on WindowedPerturbation(+-eps)."""
+    d, L, N, n_max = lat_args
+    lat_d = build_lattice(d=d, L=L, N=N, n_max=n_max, m=1.0)
+    rng = np.random.default_rng(17)
+    base_sol, var = random_solution(lat_d, rng), random_solution(lat_d, rng)
+    base = (SolutionHistory(base_sol) if detune is None
+            else DetunedHistory(base_sol, detune))
+    eps, lam, n_t = 1e-3, 0.37, 257
+    win = TimeWindow(0.0, 1.0, 6)
+    plus, minus = (action_of_history(
+        lat_d, WindowedPerturbation(base, SolutionHistory(var), win, e), lam,
+        0.0, 1.0, n_t) for e in (eps, -eps))
+    got = action_criticality(base_sol, var, lam, eps=eps, n_t=n_t,
+                             base_history=None if detune is None else base)
+    assert got == abs(plus - minus) / (2.0 * eps)
+
+
 def test_action_additive_over_time_intervals(lat, sol):
     a = action_between_slices(sol, 1.0, 0.0, 0.8, n_t=513)
     b = action_between_slices(sol, 1.0, 0.8, 1.6, n_t=513)

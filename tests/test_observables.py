@@ -94,6 +94,41 @@ def test_field_rebuilt_from_mode_readout(lat, sol):
                                atol=1e-12)
 
 
+def _alpha_integral_one_k(gen, sol, t):
+    """Reference slice integral of one unbatched generator."""
+    base = evaluate_fields(sol, t)
+    val, dval = synthesize(gen, t), synthesize(gen, t, (0,))
+    return complex(sol.lat.cell_volume
+                   * np.sum(base.p[0] * val - base.phi * dval))
+
+
+@pytest.mark.parametrize("d,N,n_max", [(1, 32, 7), (3, 8, 2)])
+@pytest.mark.parametrize("budget", [None, 1500])
+def test_batched_alpha_integrals_equal_one_k_at_a_time(d, N, n_max, budget,
+                                                        monkeypatch):
+    """a_k and a*_k over a generator batch equal, bit for bit, the slice
+    integral of each generator alone, also when the batch is chunked."""
+    import covkg.observables as obs
+    if budget is not None:
+        monkeypatch.setattr(obs, "_BATCH_CELLS", budget)
+    lat_d = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
+    sol_d = random_solution(lat_d, np.random.default_rng(3))
+    modes = np.arange(lat_d.n_modes)
+    for t in (0.0, 1.7):
+        got_a = slice_integral(AlphaK(modes), sol_d, t)
+        got_s = slice_integral(AlphaStarK(modes), sol_d, t)
+        assert got_a.shape == got_s.shape == (lat_d.n_modes,)
+        for k in modes:
+            assert got_a[k] == _alpha_integral_one_k(
+                generator_alpha_k(lat_d, int(k)), sol_d, t)
+            assert got_s[k] == _alpha_integral_one_k(
+                generator_alpha_star_k(lat_d, int(k)), sol_d, t)
+    assert np.array_equal(a_k(sol_d, modes), slice_integral(AlphaK(modes), sol_d))
+    assert np.array_equal(a_star_k(sol_d, modes),
+                          slice_integral(AlphaStarK(modes), sol_d))
+    assert slice_integral(AlphaK(modes[:0]), sol_d).shape == (0,)
+
+
 def test_fphi_slice_integral_closed_form(lat, sol, rng):
     """Quadrature of p^0 Phi - phi d_t Phi matches the weighted mode sum."""
     probe = random_solution(lat, rng, real_flag=False)

@@ -243,6 +243,47 @@ def test_energy_eigenvalues_nonnegative(lat):
     assert p_eigenvalue(lat, (), zeta) == 0.0
 
 
+@pytest.mark.parametrize("budget", [None, 40])
+def test_p_eigenvalues_match_per_monomial_dot_products(wide_lat, budget,
+                                                       monkeypatch):
+    """The exponent-count product equals p_eigenvalue on every row of degree
+    <= 3 to within the rounding of a sum of at most three terms."""
+    import covkg.prequant as pq
+    if budget is not None:
+        monkeypatch.setattr(pq, "_COUNT_CELLS", budget)
+    rows = monomial_rows(wide_lat, 3)
+    for zeta in (np.array([1.0, 0.0]), np.array([0.7, -1.3])):
+        got = pq.p_eigenvalues(wide_lat, rows, zeta)
+        want = np.array([p_eigenvalue(wide_lat, alpha, zeta)
+                         for alpha in row_alphas(wide_lat, rows)])
+        scale = np.abs(minkowski_kz(wide_lat, zeta)).max() * 3
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * scale
+        assert got[0] == 0.0  # the vacuum row
+
+
+def test_coalesce_matches_unique_grouping(lat):
+    """Run-based grouping keeps np.unique's group order, first terms and
+    summation order, so the merged state is identical bit for bit."""
+    from covkg.lattice import _complex
+    from covkg.prequant import _coalesce
+    rng = np.random.default_rng(6)
+    idx = np.sort(rng.integers(0, lat.n_modes + 1, size=(400, 3)), axis=1)
+    tag = rng.integers(0, 5, size=400)
+    amp = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    _, first, inverse = np.unique(_keys(lat.n_modes, idx, tag),
+                                  return_index=True, return_inverse=True)
+    n = len(first)
+    assert n < 400  # some terms merge
+    want_amp = _complex(np.bincount(inverse, amp.real, n),
+                        np.bincount(inverse, amp.imag, n))
+    got_idx, got_amp, got_tag = _coalesce(lat.n_modes, idx, amp, tag)
+    assert np.array_equal(got_idx, idx[first])
+    assert np.array_equal(got_tag, tag[first])
+    assert np.array_equal(got_amp.view(float), want_amp.view(float))
+    empty = _coalesce(lat.n_modes, idx[:0], amp[:0], tag[:0])
+    assert [len(a) for a in empty] == [0, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Commutators
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from covkg import build_lattice, evolve_exact, from_cauchy, from_modes, kg_residual
+from covkg.lattice import mode_sum_grid
 from covkg.solution import (
+    Solution,
     SolutionHistory,
     DetunedHistory,
     PolynomialTimeHistory,
@@ -304,3 +306,81 @@ def test_time_window_compact_support_and_derivatives():
         fd2 = (win.value(t + h2) - 2 * win.value(t) + win.value(t - h2)) / h2 ** 2
         assert float(win.d1(t)) == pytest.approx(fd1, abs=1e-7)
         assert float(win.d2(t)) == pytest.approx(fd2, abs=1e-4)
+
+
+def _synthesize_one_order(sol, t, mus=(), extra_u=None, extra_us=None):
+    """Reference synthesis of one derivative order of one solution, with
+    its own phase table and mode sum (pinned in test_lattice)."""
+    lat = sol.lat
+    fu = np.ones(lat.n_modes, dtype=complex)
+    fus = np.ones(lat.n_modes, dtype=complex)
+    for mu in mus:
+        f = -1j * lat.k0 if mu == 0 else 1j * lat.k[:, mu - 1]
+        fu, fus = fu * f, fus * -f
+    if extra_u is not None:
+        fu = fu * extra_u
+    if extra_us is not None:
+        fus = fus * extra_us
+    pref = (2.0 * np.pi) ** (-lat.d / 2.0)
+    tc = np.asarray(t, dtype=float)[..., None]
+    plus = pref * lat.w * sol.u * np.exp(-1j * lat.k0 * tc) * fu
+    minus = pref * lat.w * sol.ustar * np.exp(1j * lat.k0 * tc) * fus
+    grid = mode_sum_grid(lat, plus, minus)
+    if sol.real_flag and extra_u is None and extra_us is None:
+        return grid.real
+    return grid
+
+
+@pytest.mark.parametrize("d,N,n_max", [(1, 32, 7), (3, 8, 2)])
+@pytest.mark.parametrize("real_flag", [True, False])
+@pytest.mark.parametrize("t", [0.37, np.array([-0.2, 0.0, 0.45, 1.3])])
+def test_stacked_orders_equal_one_call_per_order(d, N, n_max, real_flag, t):
+    """A list of orders gives, bit for bit, one reference synthesis per order."""
+    lat_d = build_lattice(d=d, L=5.0, N=N, n_max=n_max, m=0.8)
+    sol = random_solution(lat_d, np.random.default_rng(d), real_flag=real_flag)
+    orders = [(), (0,)] + [(mu,) for mu in range(1, d + 1)] + [(0, 0), (1, d)]
+    grids = synthesize(sol, t, orders)
+    assert grids.shape == (len(orders),) + np.shape(t) + lat_d.grid_shape
+    for mus, grid in zip(orders, grids):
+        assert np.array_equal(grid, _synthesize_one_order(sol, t, mus))
+        assert np.array_equal(grid, synthesize(sol, t, mus))
+
+
+@pytest.mark.parametrize("t", [0.6, np.array([0.1, 0.6, 2.0])])
+def test_solution_batch_equals_each_solution_alone(lat, t):
+    rng = np.random.default_rng(9)
+    sols = [random_solution(lat, rng, real_flag=False) for _ in range(4)]
+    batch = Solution(lat, np.stack([s.u for s in sols]),
+                     np.stack([s.ustar for s in sols]), False)
+    grids = synthesize(batch, t, [(), (0,)])
+    assert grids.shape == (2, 4) + np.shape(t) + lat.grid_shape
+    for b, s in enumerate(sols):
+        for mus, grid in zip([(), (0,)], grids[:, b]):
+            assert np.array_equal(grid, _synthesize_one_order(s, t, mus))
+
+
+def test_history_at_equals_one_synthesis_per_order(lat, sol):
+    ts = np.array([0.0, 0.3, 0.9])
+    want = [_synthesize_one_order(sol, ts, (0,) * r) for r in range(3)]
+    for got, ref in zip(SolutionHistory(sol).at(ts), want):
+        assert np.array_equal(got, ref)
+    detune = 0.5
+    om = lat.k0 + detune
+    tc = ts[:, None]
+    for r, got in enumerate(DetunedHistory(sol, detune).at(ts)):
+        ref = _synthesize_one_order(
+            sol, ts, extra_u=(-1j * om) ** r * np.exp(-1j * detune * tc),
+            extra_us=(1j * om) ** r * np.exp(1j * detune * tc))
+        assert np.array_equal(got, ref.real)
+
+
+def test_fields_and_second_derivatives_equal_one_synthesis_per_order(lat, sol):
+    sd = evaluate_fields(sol, 0.8)
+    assert np.array_equal(sd.phi, _synthesize_one_order(sol, 0.8))
+    for mu in range(lat.d + 1):
+        assert np.array_equal(sd.dphi[mu], _synthesize_one_order(sol, 0.8, (mu,)))
+    dd = second_derivatives(sol, 0.8)
+    for mu in range(lat.d + 1):
+        for nu in range(lat.d + 1):
+            ref = _synthesize_one_order(sol, 0.8, (min(mu, nu), max(mu, nu)))
+            assert np.array_equal(dd[mu, nu], ref)
