@@ -51,14 +51,18 @@ class FPhi:
     phi: Solution
 
 
-@dataclass(frozen=True)
+# eq=False: a batch of mode indices is an ndarray, which has no truth
+# value, so forms compare (and hash) by identity.
+@dataclass(frozen=True, eq=False)
 class AlphaK:
-    k: int  # or an array of mode indices: a batch of generators
+    k: int | np.ndarray  # an array of mode indices is a batch of generators
 
 
-@dataclass(frozen=True)
+# eq=False: a batch of mode indices is an ndarray, which has no truth
+# value, so forms compare (and hash) by identity.
+@dataclass(frozen=True, eq=False)
 class AlphaStarK:
-    k: int  # or an array of mode indices: a batch of generators
+    k: int | np.ndarray  # an array of mode indices is a batch of generators
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,7 @@ def momentum_integral(sol: Solution, i: int, t: float = 0.0,
     return -np.real(slice_integral(Pmu(i, lam), sol, t))
 
 
-def a_k(sol: Solution, k) -> complex:
+def a_k(sol: Solution, k: int | np.ndarray) -> complex | np.ndarray:
     """Annihilation functional a_k = integral alpha_k; equals u_k.
 
     An array of mode indices gives the array of a_k from one slice
@@ -205,7 +209,7 @@ def a_k(sol: Solution, k) -> complex:
     return slice_integral(AlphaK(k), sol)
 
 
-def a_star_k(sol: Solution, k) -> complex:
+def a_star_k(sol: Solution, k: int | np.ndarray) -> complex | np.ndarray:
     """Creation functional a*_k = integral alpha*_k; equals u*_k.
 
     An array of mode indices gives the array of a*_k, as ``a_k`` does.

@@ -185,7 +185,8 @@ def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
     tuple of axes, or a list of such tuples: a list stacks one grid per
     order on a new leading axis, all from one phase table, one scatter and
     one inverse FFT, each equal bit for bit to the call with that order
-    alone.  ``extra_u``/``extra_us`` multiply the two branches with
+    alone; anything else, a tuple of tuples included, is a TypeError.
+    ``extra_u``/``extra_us`` multiply the two branches with
     arbitrary per-mode factors (used for operator polynomials such as the
     Klein-Gordon symbol); they broadcast against the coefficient table of
     shape ([n_orders,] [n_batch,] [n_t,] n_modes).  Real solutions yield
@@ -194,6 +195,11 @@ def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
     lat = sol.lat
     stacked = isinstance(mus, list)
     orders = mus if stacked else [mus]
+    for order in orders:
+        if not (isinstance(order, tuple)
+                and all(isinstance(a, (int, np.integer)) for a in order)):
+            raise TypeError("mus must be a tuple of axes or a list of "
+                            f"such tuples, not {mus!r}")
     t = np.asarray(t, dtype=float)
     shape = ((len(orders),) + (1,) * (np.ndim(sol.u) - 1 + t.ndim)
              + (lat.n_modes,))

@@ -261,9 +261,7 @@ def suite_phase_space(cfg: RunConfig) -> list:
     c = 0.7
     lam = cfg.lam
     shifted = ps.theta_sigma_pointwise(sol, d1, lam, 0.0, shift=(c, 0))
-    phi0 = synthesize(sol, 0.0)
-    dt0 = synthesize(sol, 0.0, (0,))
-    dtt0 = synthesize(sol, 0.0, (0, 0))
+    phi0, dt0, dtt0 = synthesize(sol, 0.0, [(), (0,), (0, 0)])
     dens = ms.theta_pullback_density(lat, phi0, dt0, dtt0, lam)
     expected = complex(closed) + c * lat.cell_volume * np.sum(dens)
     out.append(cfg.check("phase_space.theta_time_shift_identity", shifted,
@@ -400,8 +398,7 @@ SUITES = {
 
 
 def run_suite(cfg: RunConfig, name: str) -> list:
-    if name == "all":
-        return [record for suite in SUITES.values() for record in suite(cfg)]
+    """The records of one suite; ``cli.cmd_verify`` expands "all"."""
     if name not in SUITES:
         raise KeyError(name)
     return SUITES[name](cfg)

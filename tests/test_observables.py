@@ -127,6 +127,10 @@ def test_batched_alpha_integrals_equal_one_k_at_a_time(d, N, n_max, budget,
     assert np.array_equal(a_star_k(sol_d, modes),
                           slice_integral(AlphaStarK(modes), sol_d))
     assert slice_integral(AlphaK(modes[:0]), sol_d).shape == (0,)
+    # Batched forms compare and hash by identity, not by their index array.
+    form = AlphaK(modes)
+    assert form == form and form != AlphaK(modes)
+    assert len({form, AlphaStarK(modes)}) == 2
 
 
 def test_fphi_slice_integral_closed_form(lat, sol, rng):

@@ -346,6 +346,14 @@ def test_stacked_orders_equal_one_call_per_order(d, N, n_max, real_flag, t):
         assert np.array_equal(grid, synthesize(sol, t, mus))
 
 
+@pytest.mark.parametrize("mus", [((), (0,)), np.array([0, 1]), [(0,), [1]],
+                                 (0.5,), 0])
+def test_synthesize_rejects_ambiguous_orders(lat, sol, mus):
+    """Only a tuple of axes or a list of such tuples names the orders."""
+    with pytest.raises(TypeError, match="mus must be"):
+        synthesize(sol, 0.3, mus)
+
+
 @pytest.mark.parametrize("t", [0.6, np.array([0.1, 0.6, 2.0])])
 def test_solution_batch_equals_each_solution_alone(lat, t):
     rng = np.random.default_rng(9)
