@@ -2,8 +2,8 @@
 
 Subcommands: verify (invariant suites), simulate (time series from Cauchy
 data), brackets (the bracket records of the observables suite), prequant
-(ladder operator checks on caller-chosen f, g and the translation
-spectrum), spec (resolved configuration).
+(the prequant suite's ladder checks on caller-chosen f, g and the
+translation spectrum), spec (resolved configuration).
 
 Every check record is named by its key in ``reporting.TOLERANCES``, or by
 ``<key>_<index>`` for a per-index family, and ``--tol`` takes those keys.
@@ -43,14 +43,7 @@ from .solution import (
     read_cauchy_csv,
     synthesize,
 )
-from .suites import (
-    SUITES,
-    _dyadic,
-    ccr_residual,
-    commutator_flag,
-    run_suite,
-    vacuum_flag,
-)
+from .suites import SUITES, ladder_checks
 
 # Record-name prefixes of the observables checks that ``brackets`` reports.
 _BRACKET_RECORDS = ("observables.bracket_", "observables.pmu_identity_")
@@ -153,7 +146,7 @@ def cmd_verify(cfg: RunConfig, suite: str, timings=None) -> int:
         records, rows = [], []
         for name in (list(SUITES) if suite == "all" else [suite]):
             last = perf_counter()
-            for rec in run_suite(cfg, name):
+            for rec in SUITES[name](cfg):
                 rows.append({"suite": name, "name": rec.name,
                              "wall_s": rec.made_at - last})
                 last = rec.made_at
@@ -222,7 +215,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_brackets(cfg: RunConfig) -> int:
-    records = [c for c in run_suite(cfg, "observables")
+    records = [c for c in SUITES["observables"](cfg)
                if c.name.startswith(_BRACKET_RECORDS)]
     return _finish_report(cfg, "brackets", records)
 
@@ -264,26 +257,12 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
     if args.max_degree < 0 or args.max_degree > 4:
         raise ValueError("max-degree must lie in 0..4")
     rows = pq.monomial_rows(lat, args.max_degree)
-    fd1, fd2 = _dyadic(rng, lat.n_modes), _dyadic(rng, lat.n_modes)
-    zeta = np.zeros(lat.d + 1)
-    zeta[0] = 1.0
-    records = [
-        cfg.check("prequant.ccr_monomials", ccr_residual(lat, f, g, rows),
-                  0.0),
-        cfg.check("prequant.aa_exact_zero", commutator_flag(
-            lat, rows, lambda s: pq.op_a(fd1, s), lambda s: pq.op_a(fd2, s),
-            rows.shape[1] ** 2), 0.0),
-        cfg.check("prequant.astar_astar_exact_zero", commutator_flag(
-            lat, rows, lambda s: pq.op_a_star(f, s),
-            lambda s: pq.op_a_star(g, s), lat.n_modes ** 2), 0.0),
-        cfg.check("prequant.vacuum_annihilated", vacuum_flag(lat, zeta, f),
-                  0.0),
-    ]
+    records = ladder_checks(cfg, rng, f, g, rows, rows)
 
     if args.spectrum_out:
         lines = [f"# schema_version={SCHEMA_VERSION}",
                  "multi_index,eigenvalue,energy"]
-        eigs = pq.p_eigenvalues(lat, rows, zeta).tolist()
+        eigs = pq.p_eigenvalues(lat, rows, np.eye(lat.d + 1)[0]).tolist()
         for alpha, eig in zip(pq.row_alphas(lat, rows), eigs):
             eig += 0.0  # normalizes -0.0 for the vacuum row
             energy = -eig + 0.0

@@ -307,26 +307,24 @@ def theta_pullback_density(lat: ModeLattice, phi, dtphi, dttphi, lam: float):
 _BLOCK_CELLS = 4096
 
 
-def _time_blocks(lat: ModeLattice, t1: float, t2: float, n_t: int):
-    """The Simpson nodes on [t1, t2] and their blocks of at most
-    ``_BLOCK_CELLS`` grid values."""
+def _time_quadrature(lat: ModeLattice, fields, densities, t1: float, t2: float,
+                     n_t: int) -> list:
+    """Simpson rule over [t1, t2] of the grid integral of each density.
+
+    ``fields`` is evaluated once per block of at most ``_BLOCK_CELLS`` grid
+    values of times; each density gets its result unpacked and returns one
+    stacked density slice per time.  Returns one Simpson sum per density.
+    """
     ts = np.linspace(t1, t2, n_t)
     step = max(1, _BLOCK_CELLS // int(np.prod(lat.grid_shape)))
-    return ts, [ts[i:i + step] for i in range(0, n_t, step)]
-
-
-def _slice_sums(lat: ModeLattice, dens) -> np.ndarray:
-    """Grid integral of each slice of a stacked density."""
-    return lat.cell_volume * np.sum(dens.reshape(len(dens), -1), axis=1)
-
-
-def _time_quadrature(lat: ModeLattice, hist, density, t1: float, t2: float,
-                     n_t: int):
-    """Simpson rule over [t1, t2] of the grid integral of ``density``, which
-    gets the stacked fields (phi, d_t phi, d_tt phi) of one block of times."""
-    ts, blocks = _time_blocks(lat, t1, t2, n_t)
-    vals = [_slice_sums(lat, density(*hist.at(tb))) for tb in blocks]
-    return simpson(np.concatenate(vals), ts[1] - ts[0])
+    sums = [[] for _ in densities]
+    for i in range(0, n_t, step):
+        block = fields(ts[i:i + step])
+        for density, vals in zip(densities, sums):
+            dens = density(*block)
+            vals.append(lat.cell_volume
+                        * np.sum(dens.reshape(len(dens), -1), axis=1))
+    return [simpson(np.concatenate(vals), ts[1] - ts[0]) for vals in sums]
 
 
 def _real_or_complex(value):
@@ -338,8 +336,10 @@ def action_of_history(lat: ModeLattice, hist, lam: float, t1: float, t2: float,
     """Integral of the theta_lambda pullback over t in [t1, t2] (Simpson)."""
     if not t2 > t1:
         raise ValueError("need t1 < t2")
-    return _real_or_complex(_time_quadrature(
-        lat, hist, lambda *f: theta_pullback_density(lat, *f, lam), t1, t2, n_t))
+    total, = _time_quadrature(
+        lat, hist.at, [lambda *f: theta_pullback_density(lat, *f, lam)],
+        t1, t2, n_t)
+    return _real_or_complex(total)
 
 
 def action_between_slices(sol: Solution, lam: float, t1: float, t2: float,
@@ -354,7 +354,7 @@ def lagrangian_action(lat: ModeLattice, hist, t1: float, t2: float,
         grad = spectral_gradient(lat, phi)
         return 0.5 * (dtphi ** 2 - np.sum(grad ** 2, axis=-lat.d - 1)) \
             - 0.5 * lat.m ** 2 * phi ** 2
-    return _time_quadrature(lat, hist, density, t1, t2, n_t)
+    return _time_quadrature(lat, hist.at, [density], t1, t2, n_t)[0]
 
 
 def action_criticality(sol: Solution, variation: Solution, lam: float,
@@ -379,13 +379,11 @@ def action_criticality(sol: Solution, variation: Solution, lam: float,
     var = SolutionHistory(variation)
     # One evaluation of base and variation per block serves both signs; each
     # sign's fields are those WindowedPerturbation(+-eps) gives.
-    ts, blocks = _time_blocks(lat, t1, t2, n_t)
-    signs, sums = (float(eps), -float(eps)), ([], [])
-    for tb in blocks:
-        b, v, w = base.at(tb), var.at(tb), win.on_grid(tb, lat.d)
-        for e, vals in zip(signs, sums):
-            dens = theta_pullback_density(lat, *windowed_fields(b, v, w, e), lam)
-            vals.append(_slice_sums(lat, dens))
-    plus, minus = (_real_or_complex(simpson(np.concatenate(vals), ts[1] - ts[0]))
-                   for vals in sums)
+    def density(e):
+        return lambda b, v, w: theta_pullback_density(
+            lat, *windowed_fields(b, v, w, e), lam)
+
+    plus, minus = (_real_or_complex(total) for total in _time_quadrature(
+        lat, lambda tb: (base.at(tb), var.at(tb), win.on_grid(tb, lat.d)),
+        [density(float(eps)), density(-float(eps))], t1, t2, n_t))
     return abs(plus - minus) / (2.0 * eps)

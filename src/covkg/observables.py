@@ -4,8 +4,10 @@ A test solution Phi defines the linear observable
 
     F_Phi = (p^mu Phi - phi eta^{mu nu} d_nu Phi) beta_mu,
 
-whose slice integral on a graph is (L/N)^d sum_j (p^0 Phi - phi d_t Phi).
-The ladder forms are special cases with explicit generators:
+whose slice integral on a graph is (L/N)^d sum_j (p^0 Phi - phi d_t Phi):
+the bracket pairing {F_Phi, F_Psi} of the sign table below with the
+solution as Phi and the generator as Psi, one kernel for both.  The ladder
+forms are special cases with explicit generators:
 
     alpha_k      <->  Phi =  i exp(+i k.x) / (2 pi)^{d/2}
     alpha*_k     <->  Phi = -i exp(-i k.x) / (2 pi)^{d/2}
@@ -136,37 +138,19 @@ def _as_generator(form, lat: ModeLattice):
     return None
 
 
-# Grid values per chunk of a generator batch: bounds the stacked generator
-# fields of a batched slice integral.
-_BATCH_CELLS = 1 << 12
-
-
 def slice_integral(form, sol: Solution, t: float = 0.0):
     """Integral of the observable form over the slice t = const of the graph.
 
-    A form whose generator carries a batch axis (``AlphaK``/``AlphaStarK``
-    with an array of mode indices) gives an array with one integral per
-    generator, each equal bit for bit to that generator's own integral.
-    The batch is synthesized in chunks of at most ``_BATCH_CELLS`` grid
-    values.
+    A linear form's integral is ``bracket_slice_integral(sol, gen, t)`` with
+    its generator; a batch of generators (``AlphaK``/``AlphaStarK`` with an
+    array of mode indices) gives one integral per generator.
     """
-    lat = sol.lat
     if isinstance(form, Pmu):
         return _pmu_slice_integral(form, sol, t)
-    gen = _as_generator(form, lat)
+    gen = _as_generator(form, sol.lat)
     if gen is None:
         raise TypeError(f"not an observable form: {form!r}")
-    base = evaluate_fields(sol, t)
-    u, ustar = (np.reshape(c, (-1, lat.n_modes)) for c in (gen.u, gen.ustar))
-    step = max(1, _BATCH_CELLS // int(np.prod(lat.grid_shape)))
-    totals = np.empty(len(u), dtype=complex)
-    for i in range(0, len(u), step):
-        part = Solution(lat, u[i:i + step], ustar[i:i + step], gen.real_flag)
-        val, dval = synthesize(part, t, [(), (0,)])
-        dens = base.p[0] * val - base.phi * dval
-        totals[i:i + step] = lat.cell_volume * np.sum(
-            dens.reshape(len(dens), -1), axis=1)
-    return _maybe_real(totals.reshape(np.shape(gen.u)[:-1]), sol, gen)
+    return bracket_slice_integral(sol, gen, t)
 
 
 def _pmu_slice_integral(form: Pmu, sol: Solution, t: float):
@@ -217,18 +201,34 @@ def a_star_k(sol: Solution, k: int | np.ndarray) -> complex | np.ndarray:
     return slice_integral(AlphaStarK(k), sol)
 
 
+# Grid values per chunk of a solution batch: bounds the stacked fields of a
+# batched bracket pairing.
+_BATCH_CELLS = 1 << 12
+
+
 def bracket_slice_integral(phi: Solution, psi: Solution, t: float = 0.0):
     """Grid quadrature of integral (d_t Phi Psi - Phi d_t Psi) at time t.
 
     Evaluated termwise with commutative products so that swapping the
     arguments negates every floating-point intermediate: antisymmetry
-    holds exactly.
+    holds exactly.  A ``psi`` with a batch axis gives one integral per
+    member, each equal bit for bit to that member's own integral; the batch
+    is synthesized in chunks of at most ``_BATCH_CELLS`` grid values.
     """
     lat = phi.lat
+    if np.ndim(phi.u) != 1:
+        raise ValueError("only the second solution may carry a batch axis")
     a, da = synthesize(phi, t, [(), (0,)])
-    b, db = synthesize(psi, t, [(), (0,)])
-    total = lat.cell_volume * np.sum(_cmul(da, b) - _cmul(a, db))
-    return _maybe_real(total, phi, psi)
+    u, ustar = (np.reshape(c, (-1, lat.n_modes)) for c in (psi.u, psi.ustar))
+    step = max(1, _BATCH_CELLS // int(np.prod(lat.grid_shape)))
+    totals = np.empty(len(u), dtype=complex)
+    for i in range(0, len(u), step):
+        part = Solution(lat, u[i:i + step], ustar[i:i + step], psi.real_flag)
+        b, db = synthesize(part, t, [(), (0,)])
+        dens = _cmul(da, b) - _cmul(a, db)
+        totals[i:i + step] = lat.cell_volume * np.sum(
+            dens.reshape(len(dens), -1), axis=1)
+    return _maybe_real(totals.reshape(np.shape(psi.u)[:-1]), phi, psi)
 
 
 def bracket_regularized(lat: ModeLattice, f, g) -> complex:

@@ -41,6 +41,7 @@ from .multisymplectic import (
     vertical_tangent,
 )
 from .solution import (
+    SliceData,
     Solution,
     _maybe_real,
     derivative_solution,
@@ -49,22 +50,21 @@ from .solution import (
 )
 
 
-def deformation_fields(sol: Solution, delta: Solution, t: float):
-    """Vertical components (delta phi, delta p^mu, delta e) on the slice."""
-    base, dfl = evaluate_fields(sol, t), evaluate_fields(delta, t)
+def deformation_fields(base: SliceData, delta: Solution):
+    """Vertical components (delta phi, delta p^mu, delta e) on the slice of
+    the base fields ``base`` (a ``SliceData`` at one time)."""
+    dfl = evaluate_fields(delta, base.t)
     quad = (base.dphi[0] * dfl.dphi[0]
             - np.sum(base.dphi[1:] * dfl.dphi[1:], axis=0))
-    return dfl.phi, dfl.p, -quad - sol.lat.m ** 2 * base.phi * dfl.phi
+    return dfl.phi, dfl.p, -quad - delta.lat.m ** 2 * base.phi * dfl.phi
 
 
 def theta_sigma(sol: Solution, delta: Solution, lam: float, t: float):
     """Slice 1-form Theta^Sigma_lambda evaluated on one deformation."""
-    lat = sol.lat
-    base = evaluate_fields(sol, t)
-    dphi_val = synthesize(delta, t)
-    dp0 = synthesize(delta, t, (0,))
-    integrand = lam * base.p[0] * dphi_val - (1.0 - lam) * base.phi * dp0
-    return _maybe_real(lat.cell_volume * np.sum(integrand), sol, delta)
+    phi, p0 = synthesize(sol, t, [(), (0,)])
+    dphi_val, dp0 = synthesize(delta, t, [(), (0,)])
+    integrand = lam * p0 * dphi_val - (1.0 - lam) * phi * dp0
+    return _maybe_real(sol.lat.cell_volume * np.sum(integrand), sol, delta)
 
 
 def _representative(frame, fields, shift=None):
@@ -96,7 +96,7 @@ def theta_sigma_pointwise(sol: Solution, delta: Solution, lam: float, t: float,
     lat = sol.lat
     frame = graph_frame(sol, t)
     sd = frame.slice
-    xi = _representative(frame, deformation_fields(sol, delta, t), shift)
+    xi = _representative(frame, deformation_fields(sd, delta), shift)
     point = MPoint(x=np.zeros(lat.d + 1), phi=sd.phi, e=sd.e, p=sd.p)
     spatial = [graph_tangent(frame, a) for a in range(1, lat.d + 1)]
     return _slice_sum(lat, theta_eval(lam, point, [xi] + spatial))
@@ -116,8 +116,8 @@ def omega_sigma_pointwise(sol: Solution, d1: Solution, d2: Solution, t: float,
     """
     lat = sol.lat
     frame = graph_frame(sol, t)
-    xi1 = _representative(frame, deformation_fields(sol, d1, t), shift1)
-    xi2 = _representative(frame, deformation_fields(sol, d2, t), shift2)
+    xi1 = _representative(frame, deformation_fields(frame.slice, d1), shift1)
+    xi2 = _representative(frame, deformation_fields(frame.slice, d2), shift2)
     spatial = [graph_tangent(frame, a) for a in range(1, lat.d + 1)]
     return _slice_sum(lat, omega_eval([xi1, xi2] + spatial))
 
@@ -131,12 +131,9 @@ def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t: float = 0.0,
     the slice directions.  Their disagreement beyond 1e-10 signals an
     internal inconsistency and raises.
     """
-    lat = sol.lat
-    d1p0 = synthesize(d1, t, (0,))
-    d2p0 = synthesize(d2, t, (0,))
-    d1v = synthesize(d1, t)
-    d2v = synthesize(d2, t)
-    path_a = lat.cell_volume * np.sum(d1p0 * d2v - d2p0 * d1v)
+    d1v, d1p0 = synthesize(d1, t, [(), (0,)])
+    d2v, d2p0 = synthesize(d2, t, [(), (0,)])
+    path_a = sol.lat.cell_volume * np.sum(d1p0 * d2v - d2p0 * d1v)
     if check:
         path_b = omega_sigma_pointwise(sol, d1, d2, t)
         if abs(complex(path_a) - path_b) > 1e-10:

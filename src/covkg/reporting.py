@@ -100,6 +100,11 @@ class RunConfig:
                 raise ValueError(f"config {name!r} must be " + (
                     "an integer" if kind is int else "a finite real number")
                     + f", got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"config 'seed' must be nonnegative, got {self.seed}")
+        if not isinstance(self.tolerances, dict):
+            raise ValueError("config 'tolerances' must be a JSON object, got "
+                             f"{self.tolerances!r}")
         for name, value in self.tolerances.items():
             if name not in TOLERANCES:
                 raise ValueError(f"unknown tolerance name {name!r}")

@@ -309,11 +309,29 @@ def commutator_flag(lat, rows, op1, op2, fan_out: int) -> float:
     return 0.0
 
 
-def vacuum_flag(lat, zeta, f) -> float:
-    """0.0 when P_zeta and a_f both annihilate the vacuum exactly, else 1.0."""
+def ladder_checks(cfg: RunConfig, rng: np.random.Generator, f, g, rows,
+                  raise_rows) -> list:
+    """The ccr, [a, a], [a*, a*] and vacuum records of the prequant suite:
+    [a*_f, a*_g] on ``raise_rows``, the commutators with a lowering on
+    ``rows``.  [a, a] takes dyadic coefficients drawn from ``rng``, so it
+    vanishes bitwise."""
+    lat = cfg.lattice()
+    fd1, fd2 = _dyadic(rng, lat.n_modes), _dyadic(rng, lat.n_modes)
     vac = pq.vacuum(lat)
-    return 0.0 if (pq.is_zero_state(pq.op_p(zeta, vac))
-                   and pq.is_zero_state(pq.op_a(f, vac))) else 1.0
+    return [
+        cfg.check("prequant.ccr_monomials", ccr_residual(lat, f, g, rows),
+                  0.0),
+        cfg.check("prequant.aa_exact_zero", commutator_flag(
+            lat, rows, lambda s: pq.op_a(fd1, s), lambda s: pq.op_a(fd2, s),
+            rows.shape[1] ** 2), 0.0),
+        cfg.check("prequant.astar_astar_exact_zero", commutator_flag(
+            lat, raise_rows, lambda s: pq.op_a_star(f, s),
+            lambda s: pq.op_a_star(g, s), lat.n_modes ** 2), 0.0),
+        # P_time and a_f must both annihilate the vacuum exactly.
+        cfg.check("prequant.vacuum_annihilated", 0.0 if (
+            pq.is_zero_state(pq.op_p(np.eye(lat.d + 1)[0], vac))
+            and pq.is_zero_state(pq.op_a(f, vac))) else 1.0, 0.0),
+    ]
 
 
 def _random_state(lat, rng, degree: int, degree_bound: int = 6):
@@ -333,24 +351,9 @@ def suite_prequant(cfg: RunConfig) -> list:
     mm = lat.n_modes
     f = rng.standard_normal(mm) + 1j * rng.standard_normal(mm)
     g = rng.standard_normal(mm) + 1j * rng.standard_normal(mm)
-    out = []
-
     rows = pq.monomial_rows(lat, 3)
-    out.append(cfg.check("prequant.ccr_monomials",
-                         ccr_residual(lat, f, g, rows), 0.0))
-
-    fd1, fd2 = _dyadic(rng, mm), _dyadic(rng, mm)
-    out.append(cfg.check("prequant.aa_exact_zero", commutator_flag(
-        lat, rows, lambda s: pq.op_a(fd1, s), lambda s: pq.op_a(fd2, s),
-        rows.shape[1] ** 2), 0.0))
-    out.append(cfg.check("prequant.astar_astar_exact_zero", commutator_flag(
-        lat, pq.monomial_rows(lat, 2), lambda s: pq.op_a_star(f, s),
-        lambda s: pq.op_a_star(g, s), mm ** 2), 0.0))
-
-    zeta = np.zeros(lat.d + 1)
-    zeta[0] = 1.0
-    out.append(cfg.check("prequant.vacuum_annihilated",
-                         vacuum_flag(lat, zeta, f), 0.0))
+    out = ladder_checks(cfg, rng, f, g, rows, pq.monomial_rows(lat, 2))
+    zeta = np.eye(lat.d + 1)[0]
 
     # op_p's row sum against p_eigenvalues' exponent counts, per monomial.
     zetas = [zeta, np.concatenate(([0.7], rng.standard_normal(lat.d)))]
@@ -395,10 +398,3 @@ SUITES = {
     "phase-space": suite_phase_space,
     "prequant": suite_prequant,
 }
-
-
-def run_suite(cfg: RunConfig, name: str) -> list:
-    """The records of one suite; ``cli.cmd_verify`` expands "all"."""
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](cfg)

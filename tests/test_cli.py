@@ -88,6 +88,25 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err
 
 
+def test_non_object_tolerances_exit_two(tmp_path, capsys):
+    """A config whose tolerances are not a JSON object is a usage error that
+    names the key, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    for value in ([1, 2], None):
+        cfg.write_text(json.dumps({"tolerances": value}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "'tolerances'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spec", "verify"])
+def test_negative_seed_exits_two(command, capsys):
+    capsys.readouterr()
+    assert main([command, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "'seed'" in captured.err and captured.out == ""
+
+
 def test_valid_config_values_serialize_as_given(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     raw = {"d": 1, "L": 6, "N": 32, "n_max": 7, "m": 1.0, "hbar": 2,
@@ -280,6 +299,32 @@ def test_prequant_fg_file(tmp_path, lat):
     out = tmp_path / "pq.json"
     assert main(["prequant", "--fg", str(path), "--out", str(out)]) == 0
     assert json.loads(_read(out))["all_pass"] is True
+
+
+def test_prequant_records_are_the_suite_ladder_checks(tmp_path, lat):
+    """``covkg prequant --fg`` reports exactly the records of
+    ``suites.ladder_checks`` on the same f, g, rows and generator."""
+    from covkg import prequant as pq
+    from covkg.reporting import Report, RunConfig
+    from covkg.suites import ladder_checks
+    rng = np.random.default_rng(4)
+    fg = {key: rng.standard_normal((lat.n_modes, 2)).tolist()
+          for key in ("f", "g")}
+    path = tmp_path / "fg.json"
+    path.write_text(json.dumps(fg), encoding="utf-8")
+    out = tmp_path / "pq.json"
+    assert main(["prequant", "--fg", str(path), "--max-degree", "2",
+                 "--out", str(out)]) == 0
+    cfg = RunConfig()
+    f, g = (np.array([complex(*z) for z in fg[key]]) for key in ("f", "g"))
+    rows = pq.monomial_rows(lat, 2)
+    records = ladder_checks(cfg, np.random.default_rng([cfg.seed, 11]), f, g,
+                            rows, rows)
+    want = Report(config={}, checks=records).to_dict()["checks"]
+    assert [r.name for r in records] == [
+        "prequant.ccr_monomials", "prequant.aa_exact_zero",
+        "prequant.astar_astar_exact_zero", "prequant.vacuum_annihilated"]
+    assert json.loads(_read(out))["checks"] == want
 
 
 def test_prequant_honours_tolerance_override(tmp_path):

@@ -38,6 +38,7 @@ from covkg.observables import (
 )
 from covkg.solution import (
     PolynomialTimeHistory,
+    Solution,
     evaluate_fields,
     field_energy,
     from_modes,
@@ -131,6 +132,45 @@ def test_batched_alpha_integrals_equal_one_k_at_a_time(d, N, n_max, budget,
     form = AlphaK(modes)
     assert form == form and form != AlphaK(modes)
     assert len({form, AlphaStarK(modes)}) == 2
+
+
+def test_linear_slice_integrals_equal_the_direct_integrand(lat, sol):
+    """On a real solution the slice integral of every linear form equals,
+    bit for bit, a direct quadrature cell_volume * sum(p^0 val - phi d_t val)
+    over its generator's fields."""
+    rng = np.random.default_rng(8)
+    f, g = _random_pair(lat, rng)
+    phi = random_solution(lat, rng, real_flag=False)
+    cases = ((FPhi(phi), phi), (AlphaF(f), generator_alpha_f(lat, f)),
+             (AlphaStarG(g), generator_alpha_star_g(lat, g)),
+             (AlphaK(3), generator_alpha_k(lat, 3)))
+    for form, gen in cases:
+        for t in (0.0, 1.3):
+            assert slice_integral(form, sol, t) == _alpha_integral_one_k(
+                gen, sol, t)
+
+
+@pytest.mark.parametrize("budget", [None, 32])
+def test_batched_bracket_equals_one_call_per_member(lat, sol, budget,
+                                                    monkeypatch):
+    """A batched second argument gives, bit for bit, one bracket per member
+    (also when chunked), and each member's bracket is exactly antisymmetric."""
+    import covkg.observables as obs
+    if budget is not None:
+        monkeypatch.setattr(obs, "_BATCH_CELLS", budget)
+    rng = np.random.default_rng(9)
+    members = [random_solution(lat, rng, real_flag=False) for _ in range(3)]
+    batch = Solution(lat, np.stack([m.u for m in members]),
+                     np.stack([m.ustar for m in members]), False)
+    for phi in (sol, random_solution(lat, rng, real_flag=False)):
+        got = bracket_slice_integral(phi, batch, 0.7)
+        assert got.shape == (3,)
+        for value, psi in zip(got, members):
+            one = bracket_slice_integral(phi, psi, 0.7)
+            assert value == one
+            assert one == -bracket_slice_integral(psi, phi, 0.7)
+    with pytest.raises(ValueError, match="batch axis"):
+        bracket_slice_integral(batch, sol, 0.7)
 
 
 def test_fphi_slice_integral_closed_form(lat, sol, rng):

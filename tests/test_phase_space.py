@@ -102,7 +102,7 @@ def test_omega_pointwise_matches_quadrature(lat, sol, defs):
 def test_deformation_fields_consistent(lat, sol, defs):
     """delta e matches the finite difference of the constraint energy."""
     d1, _ = defs
-    val, dp, de = deformation_fields(sol, d1, 0.4)
+    val, dp, de = deformation_fields(evaluate_fields(sol, 0.4), d1)
     eps = 1e-6
     e_plus = evaluate_fields(sol + eps * d1, 0.4).e
     e_minus = evaluate_fields(sol - eps * d1, 0.4).e
@@ -160,7 +160,7 @@ def test_pointwise_slice_forms_match_a_loop_over_cells(lat, sol, defs):
     t, c = 0.4, 0.7 + 0.2j
     frame = graph_frame(sol, t)
     sd = frame.slice
-    (v1, p1, e1), (v2, p2, e2) = (deformation_fields(sol, d, t)
+    (v1, p1, e1), (v2, p2, e2) = (deformation_fields(sd, d)
                                   for d in (d1, d2))
     omega_total = theta_total = 0.0j
     for (j,) in np.ndindex(lat.grid_shape):
