@@ -188,8 +188,7 @@ class GraphFrame:
 
 def graph_frame(sol: Solution, t: float) -> GraphFrame:
     lat = sol.lat
-    sd = evaluate_fields(sol, t)
-    dd = second_derivatives(sol, t)
+    sd, dd = second_derivatives(sol, t)
     eta = np.array([1.0] + [-1.0] * lat.d)
     dp = np.einsum("n,mn...->mn...", eta, dd)
     quad = dd[:, 0] * sd.dphi[0] - np.sum(dd[:, 1:] * sd.dphi[1:], axis=1)

@@ -42,7 +42,7 @@ from .solution import (
     Solution,
     _maybe_real,
     derivative_solution,
-    evaluate_fields,
+    fields_and_orders,
     second_derivatives,
     synthesize,
 )
@@ -158,8 +158,7 @@ def _pmu_slice_integral(form: Pmu, sol: Solution, t: float):
     mu, lam = form.mu, form.lam
     if not 0 <= mu <= lat.d:
         raise ValueError(f"mu must lie in 0..{lat.d}")
-    sd = evaluate_fields(sol, t)
-    dd = second_derivatives(sol, t)
+    sd, dd = second_derivatives(sol, t)
     if mu == 0:
         # e + lam p^a d_a phi - (1 - lam) phi d_a p^a, with p^a = -d_a phi
         lap = sum(dd[a, a] for a in range(1, lat.d + 1))
@@ -273,9 +272,9 @@ def noether_divergence(gen, sol: Solution, t_grid) -> float:
     if isinstance(gen, FPhi):
         gen = gen.phi
     dt = _uniform_dt(t_grid)
-    sd = evaluate_fields(sol, t_grid)
+    sd, sol_aa = fields_and_orders(sol, t_grid,
+                                   [(a, a) for a in range(1, lat.d + 1)])
     val, dval, dgen, lap_gen = _noether_terms(gen, lat, t_grid)
-    sol_aa = synthesize(sol, t_grid, [(a, a) for a in range(1, lat.d + 1)])
     j0 = sd.p[:, 0] * val - sd.phi * dval
     div_space = np.zeros(sd.phi.shape, dtype=complex)
     for a in range(1, lat.d + 1):

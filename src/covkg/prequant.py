@@ -4,17 +4,20 @@ A state is psi = h(u*) |0> with h a polynomial and |0> the implicit
 Gaussian exp(-(1/2 hbar) sum_k w_k u_k u*_k).  Only the coefficients of h
 are stored.
 
-Storage.  A state holds three arrays with one entry per term:
+Storage.  A state holds four arrays with one entry per term:
 
-  * ``idx`` (n_terms, D): the term's monomial as its sorted mode indices,
+  * ``idx`` (n_terms, W): the term's monomial as its sorted mode indices,
     mode k written alpha_k times, padded on the right with the sentinel
-    ``lat.n_modes``; D is at least the largest degree present;
+    ``lat.n_modes``; W is at least the largest degree present;
   * ``amp`` (n_terms,): the complex amplitude;
-  * ``tag`` (n_terms,): an integer naming the input the term descends from.
+  * ``tag`` (n_terms,): an integer naming the input the term descends from;
+  * ``key`` (n_terms,): the int64 group key of (tag, row), below.
 
-``PolarizedState(lat, idx, amp, tag, degree_bound)`` takes the arrays as
-they are (sorted rows, no (tag, row) pair twice); ``vacuum``, ``monomial``,
-``monomial_block`` and the operators return states in that form.
+``PolarizedState(lat, idx, amp, tag, degree_bound)`` takes the first three
+as they are (sorted rows, no (tag, row) pair twice), computes the keys and
+raises ``DegreeOverflowError`` when a row's degree exceeds
+``degree_bound``; ``vacuum``, ``monomial``, ``monomial_block`` and the
+operators return states in that form, key-sorted.
 
 Tags let one state carry many independent inputs: the operators act
 linearly and never mix terms of different tags, so a block of monomials
@@ -26,31 +29,42 @@ reaches inside the check (n_modes^2 for two raisings), which bounds the
 block's peak memory.  ``coeffs`` is a read-only dict view of a state,
 {sorted (mode, exponent) tuple: amplitude}, summed over tags.
 
-Coalescing.  Terms with equal (tag, row) are merged: each row is ranked in
-the combinatorial number system (Knuth, TAOCP 4A, section 7.2.1.3), a
-sorted row c_0 <= ... <= c_{D-1} over the n_modes + 1 symbols having the
-rank sum_i C(c_i + i, i + 1) < C(n_modes + D, D), and the int64 key
-tag * C(n_modes + D, D) + rank is grouped by one stable argsort: equal keys
-form runs in term order, the first term of each run stands for its group,
-and a cumulative sum over the run starts labels every term with its group.
-``np.bincount`` then sums each group's real and imaginary parts in the
-order the terms were made.
+Keys.  Each term carries an int64 key, ``tag * S + rank``.  The rank is
+that of the row padded with sentinels to width D = ``degree_bound`` in the
+combinatorial number system (Knuth, TAOCP 4A, section 7.2.1.3): a sorted
+row c_0 <= ... <= c_{D-1} over the n_modes + 1 symbols has the rank
+sum_i C(c_i + i, i + 1) < S = C(n_modes + D, D).  A row of width W < D has
+that rank minus sum_{i >= W} C(n_modes + i, i + 1), the same for every row,
+so keys are computed from the columns a row happens to have and their
+order (degree descending, then colex) does not depend on D.  The operators,
+``state_sum``, ``prune`` and ``state_scale`` hand the keys on, and
+``inner_product`` pairs terms by them; no row is ranked twice.
+
+Coalescing.  Terms with equal keys are merged by one stable argsort: equal
+keys form runs in term order, the first term of each run stands for its
+group, and a cumulative sum over the run starts labels the sorted terms
+with their group.  ``np.bincount`` then sums each group's real and imaginary parts in
+the order the terms were made, so an operator's output is key-sorted with
+no key twice, and ``state_sum`` of key-sorted states merges presorted runs.
+Only the rows of the group representatives are gathered.
 
 Monomial order.  ``monomial_rows``, ``monomial_at`` and ``covkg prequant
 --spectrum-out`` list monomials by degree, then by that rank (the colex
 order of the rows), so the vacuum comes first.
 
-Operators.  Raising appends a column and re-sorts the row.  Lowering drops
-one column position, the last of each run of mode k, with the run length
-alpha_k as its factor, so the term is (hbar f_k alpha_k) c_alpha as one
-product.  (Dropping every position of the run and letting coalescing add
-the alpha_k copies would leave roundoff in the off-diagonal terms of
-[a_f, a*_g] for alpha_k >= 3, which cancel exactly this way.)  P_zeta
-multiplies each term by -hbar times the row sum of k.zeta over its index
-columns; ``p_eigenvalue`` computes the same number as a dot product over
-the distinct modes, and ``p_eigenvalues`` for many rows at once as a
-product of the per-mode exponent counts with k.zeta, separate paths for
-the checks to compare.
+Operators.  Raising writes the new mode into an extra last column and moves
+it to its place in the sorted row with one compare-exchange pass from the
+right, over column-major rows; the output keys are ranked from those
+columns.  Lowering drops one column position, the last of each run of mode
+k, with the run length alpha_k as its factor, so the term is
+(hbar f_k alpha_k) c_alpha as one product.  (Dropping every position of
+the run and letting coalescing add the alpha_k copies would leave roundoff
+in the off-diagonal terms of [a_f, a*_g] for alpha_k >= 3, which cancel
+exactly this way.)  P_zeta multiplies each term by -hbar times the row sum
+of k.zeta over its index columns; ``p_eigenvalue`` computes the same number
+as a dot product over the distinct modes, and ``p_eigenvalues`` for many
+rows at once as a product of the per-mode exponent counts with k.zeta,
+separate paths for the checks to compare.
 
 Product rule.  Complex products inside the operators are formed from
 float64 real and imaginary parts, each in its own ufunc call
@@ -94,7 +108,7 @@ prod_k alpha_k! (hbar / w_k)^{alpha_k}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import groupby
 from math import comb
@@ -127,17 +141,35 @@ def _binomials(n_modes: int, width: int) -> np.ndarray:
                      for r in range(width + 1)], dtype=np.int64)
 
 
-def _keys(n_modes: int, idx: np.ndarray, tag: np.ndarray) -> np.ndarray:
-    """int64 key tag * C(n_modes + D, D) + combinatorial rank of each row."""
-    width = idx.shape[1]
+@lru_cache(maxsize=None)
+def _pad_rank(n_modes: int, columns: int, width: int) -> int:
+    """Rank of the sentinels that pad a row of ``columns`` to ``width``."""
+    return sum(comb(n_modes + i, i + 1) for i in range(columns, width))
+
+
+def _column_keys(n_modes: int, columns, tag: np.ndarray,
+                 width: int) -> np.ndarray:
+    """int64 key tag * C(n_modes + D, D) + rank of each row padded to D.
+
+    ``columns`` holds the rows' columns, at most D = ``width`` of them.
+    """
+    if not len(tag):
+        return np.empty(0, dtype=np.int64)
     span = comb(n_modes + width, width)
-    if (int(tag.max(initial=0)) + 1) * span > _INT64_MAX:
+    if (int(tag.max()) + 1) * span > _INT64_MAX:
         raise ValueError("state too large for int64 coalescing keys")
-    keys = tag * span
+    keys = tag * span + _pad_rank(n_modes, len(columns), width)
     binom = _binomials(n_modes, width)
-    for i in range(width):
-        keys += binom[i + 1].take(idx[:, i] + i)
+    for i, column in enumerate(columns):
+        keys += binom[i + 1, i:].take(column)
     return keys
+
+
+def _keys(n_modes: int, idx: np.ndarray, tag: np.ndarray,
+          width: int | None = None) -> np.ndarray:
+    """``_column_keys`` of index rows padded to ``width`` (default: theirs)."""
+    return _column_keys(n_modes, idx.T, tag,
+                        idx.shape[1] if width is None else width)
 
 
 def _trim(idx: np.ndarray, n_modes: int) -> np.ndarray:
@@ -148,25 +180,31 @@ def _trim(idx: np.ndarray, n_modes: int) -> np.ndarray:
     return idx[:, :width]
 
 
-def _coalesce(n_modes: int, idx, amp, tag):
-    """Merge equal (tag, row) terms, summing amplitudes in term order.
+def _group(keys: np.ndarray, amp: np.ndarray):
+    """(first, group keys, summed amplitudes) of equal-key runs.
 
     Groups come out in key order, each kept at its first term, as
-    ``np.unique(return_index=True, return_inverse=True)`` would give them.
+    ``np.unique(return_index=True, return_inverse=True)`` would give them;
+    each group sums its amplitudes in term order.
     """
-    idx = _trim(idx, n_modes)
-    keys = _keys(n_modes, idx, tag)
     order = np.argsort(keys, kind="stable")
     starts = np.ones(len(keys), dtype=bool)
-    sorted_keys = keys[order]
+    sorted_keys = keys.take(order)
     starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    first = order[starts]
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
+    first = order.compress(starts)
+    # Sorted by key, each group's terms keep their term order.
+    label = np.cumsum(starts) - 1
     n = len(first)
-    amp = _complex(np.bincount(inverse, amp.real, n),
-                   np.bincount(inverse, amp.imag, n))
-    return idx[first], amp, tag[first]
+    amp = _complex(np.bincount(label, amp.real.take(order), n),
+                   np.bincount(label, amp.imag.take(order), n))
+    return first, sorted_keys.compress(starts), amp
+
+
+def _coalesce(n_modes: int, idx, amp, tag):
+    """Merge equal (tag, row) terms of raw arrays, summing in term order."""
+    idx = _trim(idx, n_modes)
+    first, _, amp = _group(_keys(n_modes, idx, tag), amp)
+    return idx.take(first, axis=0), amp, tag.take(first)
 
 
 def _run_positions(idx: np.ndarray) -> np.ndarray:
@@ -179,6 +217,8 @@ def _run_positions(idx: np.ndarray) -> np.ndarray:
 
 def _widen(idx: np.ndarray, width: int, n_modes: int) -> np.ndarray:
     """Pad rows with sentinel columns up to ``width``."""
+    if idx.shape[1] == width:
+        return idx
     pad = np.full((len(idx), width - idx.shape[1]), n_modes, dtype=idx.dtype)
     return np.concatenate([idx, pad], axis=1)
 
@@ -187,8 +227,8 @@ def _widen(idx: np.ndarray, width: int, n_modes: int) -> np.ndarray:
 class PolarizedState:
     """Polynomial h(u*) applied to the implicit Gaussian vacuum.
 
-    The term arrays ``idx``, ``amp`` and ``tag`` are described in the
-    module docstring and taken as they are.
+    The term arrays ``idx``, ``amp``, ``tag`` and ``key`` are described in
+    the module docstring; ``key`` is computed when not given.
     """
 
     lat: ModeLattice
@@ -196,6 +236,25 @@ class PolarizedState:
     amp: np.ndarray
     tag: np.ndarray
     degree_bound: int = 6
+    key: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.key is not None:
+            return
+        n_modes = self.lat.n_modes
+        self.idx = np.asarray(self.idx, dtype=np.intp)
+        self.amp = np.asarray(self.amp, dtype=complex)
+        self.tag = np.asarray(self.tag, dtype=np.intp)
+        if self.idx.ndim != 2 or not (len(self.idx) == len(self.amp)
+                                      == len(self.tag)):
+            raise ValueError("idx must hold one index row per amplitude "
+                             "and tag")
+        degree = _trim(self.idx, n_modes).shape[1]
+        if degree > self.degree_bound:
+            raise DegreeOverflowError(
+                f"degree {degree} exceeds bound {self.degree_bound}")
+        self.key = _keys(n_modes, self.idx[:, :degree], self.tag,
+                         self.degree_bound)
 
     @cached_property
     def coeffs(self) -> MappingProxyType:
@@ -210,7 +269,8 @@ def prune(state: PolarizedState) -> PolarizedState:
     """Drop exactly-zero amplitudes (keeps structural zeros visible as absence)."""
     keep = state.amp != 0
     return replace(state, idx=_trim(state.idx[keep], state.lat.n_modes),
-                   amp=state.amp[keep], tag=state.tag[keep])
+                   amp=state.amp[keep], tag=state.tag[keep],
+                   key=state.key[keep])
 
 
 def monomial_block(lat: ModeLattice, rows, amp=None,
@@ -219,12 +279,9 @@ def monomial_block(lat: ModeLattice, rows, amp=None,
     rows = np.asarray(rows, dtype=np.intp)
     amp = (np.ones(len(rows), dtype=complex) if amp is None
            else np.asarray(amp, dtype=complex))
-    state = PolarizedState(
+    return PolarizedState(
         lat, *_coalesce(lat.n_modes, rows, amp, np.arange(len(rows))),
         degree_bound)
-    if state.idx.shape[1] > degree_bound:
-        raise DegreeOverflowError("monomial exceeds degree bound")
-    return state
 
 
 def vacuum(lat: ModeLattice, degree_bound: int = 6) -> PolarizedState:
@@ -233,7 +290,13 @@ def vacuum(lat: ModeLattice, degree_bound: int = 6) -> PolarizedState:
 
 def monomial(lat: ModeLattice, pairs, degree_bound: int = 6) -> PolarizedState:
     """The state (u*)^alpha |0> for alpha given as {mode: exponent}."""
-    alpha = sorted((int(k), int(e)) for k, e in dict(pairs).items())
+    alpha = []
+    for k, e in dict(pairs).items():
+        if int(k) != k or int(e) != e:
+            raise ValueError(f"pairs must map integer modes to integer "
+                             f"exponents, got {k!r}: {e!r}")
+        alpha.append((int(k), int(e)))
+    alpha.sort()
     if any(e < 0 for _, e in alpha):
         raise ValueError("exponents must be nonnegative")
     row = [k for k, e in alpha for _ in range(e)]
@@ -243,17 +306,43 @@ def monomial(lat: ModeLattice, pairs, degree_bound: int = 6) -> PolarizedState:
     return monomial_block(lat, [row], degree_bound=degree_bound)
 
 
+def _keys_at(state: PolarizedState, degree_bound: int) -> np.ndarray:
+    """The state's keys as carried by a state of bound ``degree_bound``."""
+    if degree_bound == state.degree_bound:
+        return state.key
+    n_modes = state.lat.n_modes
+    return _keys(n_modes, _trim(state.idx, n_modes), state.tag, degree_bound)
+
+
+def _same_lattice(states) -> ModeLattice:
+    lat = states[0].lat
+    if any(s.lat != lat for s in states[1:]):
+        raise ValueError("states on different lattices do not combine")
+    return lat
+
+
+def state_sum(*states: PolarizedState) -> PolarizedState:
+    """The sum of states on one lattice, merged once.
+
+    Each (tag, row) sums its amplitudes in argument order, so the sum
+    equals, bit for bit, adding the states left to right with exact zeros
+    pruned between the steps.
+    """
+    lat = _same_lattice(states)
+    n_modes = lat.n_modes
+    bound = max(s.degree_bound for s in states)
+    first, key, amp = _group(
+        np.concatenate([_keys_at(s, bound) for s in states]),
+        np.concatenate([s.amp for s in states]))
+    width = max(s.idx.shape[1] for s in states)
+    idx = np.concatenate([_widen(s.idx, width, n_modes) for s in states])
+    tag = np.concatenate([s.tag for s in states])
+    return PolarizedState(lat, _trim(idx.take(first, axis=0), n_modes), amp,
+                          tag.take(first), bound, key)
+
+
 def state_add(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
-    n_modes = s1.lat.n_modes
-    width = max(s1.idx.shape[1], s2.idx.shape[1])
-    merged = _coalesce(
-        n_modes,
-        np.concatenate([_widen(s1.idx, width, n_modes),
-                        _widen(s2.idx, width, n_modes)]),
-        np.concatenate([s1.amp, s2.amp]),
-        np.concatenate([s1.tag, s2.tag]))
-    return PolarizedState(s1.lat, *merged,
-                          max(s1.degree_bound, s2.degree_bound))
+    return state_sum(s1, s2)
 
 
 def state_scale(c, s: PolarizedState) -> PolarizedState:
@@ -261,11 +350,26 @@ def state_scale(c, s: PolarizedState) -> PolarizedState:
 
 
 def state_sub(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
-    return state_add(s1, state_scale(-1.0, s2))
+    return state_sum(s1, state_scale(-1.0, s2))
 
 
 def is_zero_state(s: PolarizedState) -> bool:
     return not np.any(s.amp != 0)
+
+
+def states_equal(s1: PolarizedState, s2: PolarizedState) -> bool:
+    """Whether s1 - s2 is exactly the zero state.
+
+    Both states must be key-sorted with no key twice, as every operator
+    output is, and have finite amplitudes.  Then the difference vanishes
+    exactly when their nonzero terms have the same keys and equal
+    amplitudes, since x - y == 0 for finite floats only when x == y.
+    """
+    _same_lattice((s1, s2))
+    bound = max(s1.degree_bound, s2.degree_bound)
+    nz1, nz2 = s1.amp != 0, s2.amp != 0
+    return (np.array_equal(_keys_at(s1, bound)[nz1], _keys_at(s2, bound)[nz2])
+            and np.array_equal(s1.amp[nz1], s2.amp[nz2]))
 
 
 def max_abs(s: PolarizedState) -> float:
@@ -298,43 +402,56 @@ def _drop_table(width: int) -> np.ndarray:
 def op_a(f, state: PolarizedState) -> PolarizedState:
     """Annihilation: c_alpha feeds hbar f_k alpha_k into alpha - e_k."""
     lat = state.lat
+    n_modes = lat.n_modes
     hf = np.append(lat.hbar * _mode_coefficients(lat, f, "f"), 0.0)
-    idx = np.ascontiguousarray(state.idx)
+    idx = np.ascontiguousarray(_trim(state.idx, n_modes))
     width = idx.shape[1]
     # Term (i, j) lowers row i at column j, the last of a run of mode k,
     # with the run length alpha_k as factor; the sentinel and zero
     # coefficients make no term.
     run_end = np.ones(idx.shape, dtype=bool)
     run_end[:, :-1] = idx[:, 1:] != idx[:, :-1]
-    coef = hf[idx] * _run_positions(idx)
-    src, col = np.nonzero(run_end & (coef != 0))
-    amp = _cmul(coef[src, col], state.amp[src])
-    rows = idx.ravel().take(src[:, None] * width + _drop_table(width)[col])
-    return PolarizedState(
-        lat, *_coalesce(lat.n_modes, rows, amp, state.tag[src]),
-        state.degree_bound)
+    coef = hf.take(idx) * _run_positions(idx)
+    term = np.flatnonzero(run_end & (coef != 0))
+    src, col = np.divmod(term, width)
+    amp = _cmul(coef.ravel().take(term), state.amp.take(src))
+    rows = idx.ravel().take(src[:, None] * width
+                            + _drop_table(width).take(col, axis=0))
+    tag = state.tag.take(src)
+    first, key, amp = _group(_keys(n_modes, rows, tag, state.degree_bound),
+                             amp)
+    return PolarizedState(lat, _trim(rows.take(first, axis=0), n_modes), amp,
+                          tag.take(first), state.degree_bound, key)
 
 
 def op_a_star(g, state: PolarizedState) -> PolarizedState:
     """Creation: c_alpha feeds w_k g_k into alpha + e_k."""
     lat = state.lat
+    n_modes = lat.n_modes
     g = _mode_coefficients(lat, g, "g")
     modes = np.flatnonzero(g != 0)
-    idx = state.idx
+    idx = _trim(state.idx, n_modes)
     (n, width), n_new = idx.shape, len(modes)
     if n and n_new and width + 1 > state.degree_bound:
         raise DegreeOverflowError(
             f"degree {width + 1} exceeds bound {state.degree_bound}")
-    # Term (i, k) raises row i by mode modes[k].
-    rows = np.empty((n, n_new, width + 1), dtype=np.intp)
-    rows[:, :, :width] = idx[:, None, :]
-    rows[:, :, width] = modes
-    rows = rows.reshape(n * n_new, width + 1)
-    rows.sort(axis=1)
+    # Term (i, k) raises row i by mode modes[k]: the mode enters as a new
+    # last column, and one compare-exchange pass from the right moves it
+    # to its place in the sorted row.  Rows are held column-major.
+    cols = np.empty((width + 1, n, n_new), dtype=np.intp)
+    cols[:width] = idx.T[:, :, None]
+    cols[width] = modes
+    cols = cols.reshape(width + 1, n * n_new)
+    for j in reversed(range(width)):
+        low = np.minimum(cols[j], cols[j + 1])
+        np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
+        cols[j] = low
     amp = _cmul((lat.w * g)[modes], state.amp[:, None]).reshape(-1)
-    return PolarizedState(
-        lat, *_coalesce(lat.n_modes, rows, amp, np.repeat(state.tag, n_new)),
-        state.degree_bound)
+    tag = np.repeat(state.tag, n_new)
+    first, key, amp = _group(
+        _column_keys(n_modes, cols, tag, state.degree_bound), amp)
+    return PolarizedState(lat, _trim(cols.take(first, axis=1).T, n_modes),
+                          amp, tag.take(first), state.degree_bound, key)
 
 
 def minkowski_kz(lat: ModeLattice, zeta) -> np.ndarray:
@@ -415,15 +532,11 @@ def inner_product(s1: PolarizedState, s2: PolarizedState) -> complex:
 
     Terms pair up when tag and monomial agree.
     """
-    n_modes = s1.lat.n_modes
-    width = max(s1.idx.shape[1], s2.idx.shape[1])
-    idx1 = _widen(s1.idx, width, n_modes)
-    _, i1, i2 = np.intersect1d(
-        _keys(n_modes, idx1, s1.tag),
-        _keys(n_modes, _widen(s2.idx, width, n_modes), s2.tag),
-        assume_unique=True, return_indices=True)
-    terms = _cmul(np.conj(s1.amp[i1]), s2.amp[i2]) * _norm_sq(s1.lat,
-                                                              idx1[i1])
+    lat = _same_lattice((s1, s2))
+    bound = max(s1.degree_bound, s2.degree_bound)
+    _, i1, i2 = np.intersect1d(_keys_at(s1, bound), _keys_at(s2, bound),
+                               assume_unique=True, return_indices=True)
+    terms = _cmul(np.conj(s1.amp[i1]), s2.amp[i2]) * _norm_sq(lat, s1.idx[i1])
     return complex(np.sum(terms))
 
 
@@ -442,11 +555,17 @@ def _unrank(n_modes: int, degree: int, ranks) -> np.ndarray:
     return rows
 
 
+def _check_max_degree(max_degree: int) -> None:
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+
+
 def monomial_rows(lat: ModeLattice, max_degree: int) -> np.ndarray:
     """Every monomial of degree <= max_degree as a sentinel-padded index row.
 
     Ordered by degree, then by rank, so the vacuum row comes first.
     """
+    _check_max_degree(max_degree)
     n = lat.n_modes
     return np.concatenate([
         _widen(_unrank(n, d, np.arange(comb(n + d - 1, d))), max_degree, n)
@@ -455,6 +574,7 @@ def monomial_rows(lat: ModeLattice, max_degree: int) -> np.ndarray:
 
 def monomial_at(lat: ModeLattice, max_degree: int, index: int) -> np.ndarray:
     """``monomial_rows(lat, max_degree)[index]``, without the other rows."""
+    _check_max_degree(max_degree)
     n = lat.n_modes
     if not 0 <= index < comb(n + max_degree, max_degree):
         raise IndexError(f"monomial index {index} out of range")

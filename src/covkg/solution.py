@@ -18,8 +18,8 @@ of times and, through ``u``/``ustar`` of shape (n_batch, n_modes), a batch
 of solutions (the observables suite stacks its ladder generators this way);
 the grids come out with the axes (order, batch, time) + grid_shape.  Each
 grid equals, bit for bit, the grid of the call that asks for it alone.
-``evaluate_fields``, ``second_derivatives`` and each history's ``at`` make
-one such call.
+``fields_and_orders`` (with ``evaluate_fields`` and ``second_derivatives``
+built on it) and each history's ``at`` make one such call.
 """
 
 from __future__ import annotations
@@ -234,28 +234,42 @@ def _slice_data(lat: ModeLattice, t, phi, dphi) -> SliceData:
     return SliceData(t=t, phi=phi, dphi=dphi, p=p, e=e)
 
 
+def fields_and_orders(sol: Solution, t, orders) -> tuple:
+    """(slice fields at time t, grids of the further derivative ``orders``).
+
+    The slice fields are those of ``evaluate_fields``; phi, the d + 1 first
+    derivatives and the listed orders come from one stacked synthesis, the
+    extra grids stacked on a leading axis in the order listed.
+    """
+    lat = sol.lat
+    first = [()] + [(mu,) for mu in range(lat.d + 1)]
+    grids = synthesize(sol, t, first + list(orders))
+    dphi = np.stack(grids[1:len(first)], axis=-lat.d - 1)
+    t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    return _slice_data(lat, t, grids[0], dphi), grids[len(first):]
+
+
 def evaluate_fields(sol: Solution, t) -> SliceData:
     """All slice fields (phi, d_mu phi, p^mu, e) at time t.
 
     A 1-D array of times gives stacked fields with a leading time axis.
     phi and the d + 1 first derivatives come from one stacked synthesis.
     """
-    lat = sol.lat
-    grids = synthesize(sol, t, [()] + [(mu,) for mu in range(lat.d + 1)])
-    dphi = np.stack(grids[1:], axis=-lat.d - 1)
-    t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
-    return _slice_data(lat, t, grids[0], dphi)
+    return fields_and_orders(sol, t, [])[0]
 
 
-def second_derivatives(sol: Solution, t: float) -> np.ndarray:
-    """The matrix d_mu d_nu phi on the grid, shape (d+1, d+1, N^d)."""
+def second_derivatives(sol: Solution, t: float) -> tuple:
+    """(slice fields, the matrix d_mu d_nu phi of shape (d+1, d+1, N^d)).
+
+    Both come from one stacked synthesis (``fields_and_orders``).
+    """
     n = sol.lat.d + 1
     pairs = [(mu, nu) for mu in range(n) for nu in range(mu, n)]
-    grids = synthesize(sol, t, pairs)
+    sd, grids = fields_and_orders(sol, t, pairs)
     out = np.empty((n, n) + sol.lat.grid_shape, dtype=grids.dtype)
     for (mu, nu), grid in zip(pairs, grids):
         out[mu, nu] = out[nu, mu] = grid
-    return out
+    return sd, out
 
 
 def from_cauchy(lat: ModeLattice, phi0, pi0) -> Solution:

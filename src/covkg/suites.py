@@ -284,15 +284,20 @@ def _blocks(lat, rows, fan_out: int):
 
 
 def ccr_residual(lat, f, g, rows) -> float:
-    """Max coefficient of ([a_f, a*_g] - hbar sum w f g) over monomial rows."""
+    """Max coefficient of ([a_f, a*_g] - hbar sum w f g) over monomial rows.
+
+    A_f A*_g x, -A*_g A_f x and -s x are summed in one merge, bit for bit
+    the nested ``state_sub`` of ``commutator`` and the scalar term.
+    """
     scalar = lat.hbar * np.sum(lat.w * np.asarray(f) * np.asarray(g))
     worst = 0.0
     # a*_g makes up to n_modes terms, a_f lowers each at up to D+1 places.
     fan_out = lat.n_modes * (rows.shape[1] + 1)
     for _, block in _blocks(lat, rows, fan_out):
-        comm = pq.commutator(lambda s: pq.op_a(f, s),
-                             lambda s: pq.op_a_star(g, s), block)
-        resid = pq.state_sub(comm, pq.state_scale(scalar, block))
+        ab = pq.op_a(f, pq.op_a_star(g, block))
+        ba = pq.op_a_star(g, pq.op_a(f, block))
+        resid = pq.state_sum(ab, pq.state_scale(-1.0, ba),
+                             pq.state_scale(-scalar, block))
         worst = max(worst, pq.max_abs(resid))
     return worst
 
@@ -301,10 +306,11 @@ def commutator_flag(lat, rows, op1, op2, fan_out: int) -> float:
     """0.0 when [op1, op2] is exactly zero on every monomial row, else 1.0.
 
     ``fan_out`` bounds the terms op1 op2 makes from one monomial: D^2 for
-    two lowerings of degree-D rows, n_modes^2 for two raisings.
+    two lowerings of degree-D rows, n_modes^2 for two raisings.  The two
+    products are compared term by term (``states_equal``).
     """
     for _, block in _blocks(lat, rows, fan_out):
-        if not pq.is_zero_state(pq.commutator(op1, op2, block)):
+        if not pq.states_equal(op1(op2(block)), op2(op1(block))):
             return 1.0
     return 0.0
 

@@ -27,6 +27,7 @@ from covkg.observables import bracket_regularized
 from covkg.prequant import (
     _keys,
     is_zero_state,
+    max_abs,
     minkowski_kz,
     monomial_at,
     monomial_block,
@@ -37,6 +38,8 @@ from covkg.prequant import (
     state_add,
     state_scale,
     state_sub,
+    state_sum,
+    states_equal,
 )
 
 
@@ -346,6 +349,10 @@ def test_tagged_block_matches_single_monomials(wide_lat):
         "a_star": partial(op_a_star, g),
         "p": partial(op_p, zeta),
         "ccr": partial(commutator, partial(op_a, f), partial(op_a_star, g)),
+        "ccr_merged": lambda s: state_sum(
+            op_a(f, op_a_star(g, s)),
+            state_scale(-1.0, op_a_star(g, op_a(f, s))),
+            state_scale(-0.3j, s)),
     }
     rows = monomial_rows(lat, 3)[::7]
     alphas = row_alphas(lat, rows)
@@ -436,3 +443,244 @@ def test_lowering_adjoint_to_raising(lat, seed):
     lhs = inner_product(op_a(f, psi1), psi2)
     rhs = inner_product(psi1, op_a_star(np.conj(f), psi2))
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+def test_raising_checks_the_degree_present_not_the_padded_width(lat):
+    """A degree-1 state with one sentinel pad column raises to degree 2."""
+    g = np.ones(lat.n_modes)
+    state = PolarizedState(lat, [[0, lat.n_modes]], [1], [0], degree_bound=2)
+    raised = op_a_star(g, state)
+    assert raised.idx.shape == (lat.n_modes, 2)
+    with pytest.raises(DegreeOverflowError, match="degree 3 exceeds bound 2"):
+        op_a_star(g, raised)
+    with pytest.raises(DegreeOverflowError, match="degree 3 exceeds bound 2"):
+        PolarizedState(lat, [[0, 0, 0]], [1], [0], degree_bound=2)
+
+
+def test_states_on_different_lattices_do_not_combine(lat):
+    lat7 = build_lattice(d=1, L=2 * np.pi, N=8, n_max=3, m=1.0)
+    wide = monomial(lat, [(10, 1)])
+    small = vacuum(lat7)
+    for combine in (state_add, state_sub, inner_product):
+        with pytest.raises(ValueError, match="different lattices"):
+            combine(wide, small)
+    twin = build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
+    assert inner_product(monomial(twin, [(10, 1)]), wide) == pytest.approx(
+        inner_product(wide, wide))
+
+
+def test_bad_monomial_arguments_name_the_argument(lat):
+    with pytest.raises(ValueError, match="pairs"):
+        monomial(lat, {1: 1.5})
+    with pytest.raises(ValueError, match="pairs"):
+        monomial(lat, {1.5: 1})
+    assert monomial(lat, {1: 2.0}).idx.tolist() == [[1, 1]]
+    with pytest.raises(ValueError, match="max_degree"):
+        monomial_rows(lat, -1)
+    with pytest.raises(ValueError, match="max_degree"):
+        monomial_at(lat, -1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Sort-free kernels against test-local copies of the sorting kernels
+# ---------------------------------------------------------------------------
+
+def _old_keys(n_modes, idx, tag):
+    width = idx.shape[1]
+    keys = tag * math.comb(n_modes + width, width)
+    for i in range(width):
+        keys = keys + np.array([math.comb(int(c) + i, i + 1)
+                                for c in idx[:, i]], dtype=np.int64)
+    return keys
+
+
+def _old_coalesce(n_modes, idx, amp, tag):
+    """The row-ranking coalescer: trim, rank each row, stable argsort."""
+    from covkg.lattice import _complex
+    width = idx.shape[1]
+    while width and not (idx[:, width - 1] < n_modes).any():
+        width -= 1
+    idx = idx[:, :width]
+    keys = _old_keys(n_modes, idx, tag)
+    order = np.argsort(keys, kind="stable")
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[order][1:] != keys[order][:-1]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    n = int(starts.sum())
+    first = order[starts]
+    return (idx[first], _complex(np.bincount(inverse, amp.real, n),
+                                 np.bincount(inverse, amp.imag, n)),
+            tag[first])
+
+
+def _old_op_a_star(lat, g, idx, amp, tag):
+    """Append the mode, sort each row, coalesce."""
+    from covkg.lattice import _cmul
+    modes = np.flatnonzero(g != 0)
+    n, width = idx.shape
+    rows = np.empty((n, len(modes), width + 1), dtype=np.intp)
+    rows[:, :, :width] = idx[:, None, :]
+    rows[:, :, width] = modes
+    rows = rows.reshape(-1, width + 1)
+    rows.sort(axis=1)
+    out = _cmul((lat.w * g)[modes], amp[:, None]).reshape(-1)
+    return _old_coalesce(lat.n_modes, rows, out, np.repeat(tag, len(modes)))
+
+
+def _old_op_a(lat, f, idx, amp, tag):
+    """Drop-table lowering, coalesced by ranking every lowered row."""
+    from covkg.lattice import _cmul
+    hf = np.append(lat.hbar * f, 0.0)
+    width = idx.shape[1]
+    run_end = np.ones(idx.shape, dtype=bool)
+    run_end[:, :-1] = idx[:, 1:] != idx[:, :-1]
+    pos = np.ones(idx.shape)
+    for j in range(1, width):
+        pos[:, j] = np.where(idx[:, j] == idx[:, j - 1], pos[:, j - 1] + 1, 1)
+    coef = hf[idx] * pos
+    src, col = np.nonzero(run_end & (coef != 0))
+    drop = np.array([[c for c in range(width) if c != j]
+                     for j in range(width)], dtype=np.intp)
+    drop = drop.reshape(width, max(width - 1, 0))
+    rows = idx.ravel()[src[:, None] * width + drop[col]]
+    return _old_coalesce(lat.n_modes, rows,
+                         _cmul(coef[src, col], amp[src]), tag[src])
+
+
+def _random_tagged_state(lat, rng, width, n_terms=60, n_tags=5):
+    """Distinct (tag, row) terms of degree <= width, some amplitudes zero."""
+    n = lat.n_modes
+    rows = np.sort(rng.integers(0, n + 1, size=(n_terms, width)), axis=1)
+    tag = rng.integers(0, n_tags, size=n_terms)
+    amp = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
+    amp[::7] = 0.0
+    idx, amp, tag = _old_coalesce(n, rows, amp, tag)
+    perm = rng.permutation(len(amp))
+    return idx[perm], amp[perm], tag[perm]
+
+
+def _assert_same_terms(state, want):
+    idx, amp, tag = want
+    assert np.array_equal(state.idx, idx)
+    assert state.amp.tobytes() == amp.tobytes()
+    assert np.array_equal(state.tag, tag)
+
+
+def _assert_keys_carried(state):
+    n = state.lat.n_modes
+    width = int(np.sum(state.idx < n, axis=1).max(initial=0))
+    assert np.all(state.idx[:, width:] == n)
+    want = _keys(n, state.idx[:, :width], state.tag, state.degree_bound)
+    assert np.array_equal(state.key, want)
+
+
+@pytest.mark.parametrize("width", range(6))
+def test_sort_free_ladders_equal_the_sorting_kernels(lat, width):
+    """Insertion raising and key-carrying lowering give the same states as
+    append-and-sort plus row ranking, bit for bit, on tagged multi-row
+    states; the input may carry a sentinel pad column."""
+    rng = np.random.default_rng(40 + width)
+    f, g = _rand_fg(lat, width)
+    f[::3] = 0.0
+    g[1::4] = 0.0
+    idx, amp, tag = _random_tagged_state(lat, rng, width)
+    padded = np.concatenate([idx, np.full((len(idx), 1), lat.n_modes)], axis=1)
+    for rows in (idx, padded):
+        state = PolarizedState(lat, rows, amp, tag)
+        _assert_same_terms(op_a_star(g, state),
+                           _old_op_a_star(lat, g, idx, amp, tag))
+        _assert_same_terms(op_a(f, state), _old_op_a(lat, f, idx, amp, tag))
+        _assert_same_terms(op_a(f, op_a_star(g, state)),
+                           _old_op_a(lat, f, *_old_op_a_star(lat, g, idx,
+                                                             amp, tag)))
+
+
+@pytest.mark.parametrize("width", range(6))
+def test_keys_are_carried_through_every_operation(lat, width):
+    """After each operator, sum, prune and scale, the carried keys equal
+    the keys ranked afresh from (idx, tag, degree_bound)."""
+    rng = np.random.default_rng(50 + width)
+    f, g = _rand_fg(lat, 10 + width)
+    state = PolarizedState(lat, *_random_tagged_state(lat, rng, width))
+    other = PolarizedState(lat, *_random_tagged_state(lat, rng, width))
+    _assert_keys_carried(state)
+    results = [op_a_star(g, state), op_a(f, state),
+               op_p(np.array([0.7, -0.4]), state), state_scale(0.5j, state),
+               state_add(state, other), state_sub(state, other),
+               prune(state), state_sum(state, other, op_a(f, other))]
+    for out in results:
+        _assert_keys_carried(out)
+    wider = PolarizedState(lat, state.idx, state.amp, state.tag, 8)
+    _assert_keys_carried(state_add(wider, other))
+    assert inner_product(wider, other) == inner_product(state, other)
+
+
+def _nested_ccr(lat, f, g, block):
+    scalar = lat.hbar * np.sum(lat.w * f * g)
+    comm = commutator(partial(op_a, f), partial(op_a_star, g), block)
+    return state_sub(comm, state_scale(scalar, block))
+
+
+def test_one_merge_equals_nested_state_sub(wide_lat):
+    """The ccr residual summed in one merge equals, bit for bit, the
+    nested ``state_sub`` of the commutator and the scalar term."""
+    from covkg import suites
+    lat = wide_lat
+    f, g = _rand_fg(lat, 5)
+    scalar = lat.hbar * np.sum(lat.w * f * g)
+    rows = monomial_rows(lat, 3)
+    worst = 0.0
+    for start in range(0, len(rows), 300):
+        block = monomial_block(lat, rows[start:start + 300])
+        ab = op_a(f, op_a_star(g, block))
+        ba = op_a_star(g, op_a(f, block))
+        merged = state_sum(ab, state_scale(-1.0, ba),
+                           state_scale(-scalar, block))
+        nested = _nested_ccr(lat, f, g, block)
+        got, want = prune(merged), prune(nested)
+        assert np.array_equal(got.idx, want.idx)
+        assert np.array_equal(got.key, want.key)
+        assert got.amp.tobytes() == want.amp.tobytes()
+        worst = max(worst, max_abs(nested))
+    assert suites.ccr_residual(lat, f, g, rows) == worst
+
+
+def test_equal_products_flag_equals_zero_commutator(wide_lat):
+    """``states_equal(AB x, BA x)`` is ``is_zero_state([A, B] x)``."""
+    lat = wide_lat
+    f, g = _rand_fg(lat, 8)
+    ops = [(partial(op_a, f), partial(op_a_star, g)),          # nonzero
+           (partial(op_a_star, f), partial(op_a_star, g)),     # cancels
+           (partial(op_a, _dyadic(lat, 2)), partial(op_a, _dyadic(lat, 3))),
+           (partial(op_a, f), partial(op_a, g))]
+    rows = monomial_rows(lat, 2)
+    flags = []
+    for op1, op2 in ops:
+        for start in (0, 40, 200):
+            block = monomial_block(lat, rows[start:start + 40])
+            want = is_zero_state(commutator(op1, op2, block))
+            assert states_equal(op1(op2(block)), op2(op1(block))) == want
+            flags.append(want)
+    assert True in flags and False in flags
+
+
+def test_equal_states_ignore_zero_terms_and_zero_signs(lat):
+    rows = monomial_rows(lat, 2)[:4]
+    block = partial(monomial_block, lat, rows)
+    a = block([1.5, complex(0.0, -0.0), 0.0, 2.0 - 1.0j])
+    cases = [
+        (block([1.5, 0.0, complex(-0.0, 0.0), 2.0 - 1.0j]), True),
+        (prune(a), True),
+        (block([1.5, 0.0, 0.0, 2.0 - (1.0 - 2.0 ** -40) * 1j]), False),
+        (block([1.5, 1e-300, 0.0, 2.0 - 1.0j]), False),
+        (monomial_block(lat, rows[:3], [1.5, 0.0, 0.0]), False),
+    ]
+    for b, want in cases:
+        assert states_equal(a, b) == want
+        assert states_equal(b, a) == want
+        assert is_zero_state(prune(state_sub(a, b))) == want

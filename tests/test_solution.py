@@ -19,6 +19,7 @@ from covkg.solution import (
     derivative_solution,
     evaluate_fields,
     field_energy,
+    fields_and_orders,
     kg_residual_grid,
     leapfrog_evolve,
     random_solution,
@@ -101,7 +102,7 @@ def test_energy_density_field_negative_sum(lat, sol):
 
 
 def test_second_derivatives_symmetric_and_consistent(lat, sol):
-    hess = second_derivatives(sol, 0.8)
+    _, hess = second_derivatives(sol, 0.8)
     assert hess.shape == (2, 2, 32)
     np.testing.assert_allclose(hess[0, 1], hess[1, 0], atol=1e-13)
     h = 1e-5
@@ -387,7 +388,13 @@ def test_fields_and_second_derivatives_equal_one_synthesis_per_order(lat, sol):
     assert np.array_equal(sd.phi, _synthesize_one_order(sol, 0.8))
     for mu in range(lat.d + 1):
         assert np.array_equal(sd.dphi[mu], _synthesize_one_order(sol, 0.8, (mu,)))
-    dd = second_derivatives(sol, 0.8)
+    sd2, dd = second_derivatives(sol, 0.8)
+    for name in ("phi", "dphi", "p", "e"):
+        assert np.array_equal(getattr(sd2, name), getattr(sd, name))
+    ts = np.array([0.3, 0.8])
+    sd3, (d11,) = fields_and_orders(sol, ts, [(1, 1)])
+    assert np.array_equal(sd3.dphi[1, 0], sd.dphi[0])
+    assert np.array_equal(d11[1], _synthesize_one_order(sol, 0.8, (1, 1)))
     for mu in range(lat.d + 1):
         for nu in range(lat.d + 1):
             ref = _synthesize_one_order(sol, 0.8, (min(mu, nu), max(mu, nu)))
