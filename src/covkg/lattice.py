@@ -144,9 +144,10 @@ def dispersion(lat: ModeLattice, kvec) -> float:
 
 
 def _check_grid(lat: ModeLattice, grid_field, batched: bool = False) -> np.ndarray:
-    """The field as an array; ``batched`` also admits one leading (time) axis."""
+    """The field as an array; ``batched`` also admits leading (batch, time)
+    axes before the grid axes."""
     arr = np.asarray(grid_field)
-    shape = arr.shape[1:] if batched and arr.ndim == lat.d + 1 else arr.shape
+    shape = arr.shape[arr.ndim - lat.d:] if batched else arr.shape
     if shape != lat.grid_shape:
         raise ValueError(f"grid field must have shape {lat.grid_shape}, "
                          f"got {arr.shape}")
@@ -208,41 +209,74 @@ def _fft_wavenumbers(lat: ModeLattice) -> list:
             for a in range(lat.d)]
 
 
-def spectral_gradient(lat: ModeLattice, grid_field, axis=None) -> np.ndarray:
-    """All spatial derivatives of a band-limited grid field, shape (d, N^d).
+def _spectral(lat: ModeLattice, grid_field, mult, stacked: bool) -> np.ndarray:
+    """ifft(mult * fft(field)) over the grid axes, real for a real field.
 
-    A stack of fields with a leading time axis, shape (n_t,) + grid_shape,
-    gives shape (n_t, d) + grid_shape.  With ``axis`` only d/dx^axis is
-    transformed back, and the output has the shape of the input.
+    The one transform pair behind every spectral derivative.  With
+    ``stacked`` the multipliers carry an axis of their own, which lands
+    just before the grid axes of the output; each of its grids equals, bit
+    for bit, the grid of that multiplier applied alone.
     """
     arr = _check_grid(lat, grid_field, batched=True)
     axes = range(-lat.d, 0)
     spec = np.fft.fftn(arr, axes=axes)
-    if axis is None:
+    if stacked:
         spec = np.expand_dims(spec, -lat.d - 1)
-        ik = 1j * np.stack(np.broadcast_arrays(*_fft_wavenumbers(lat)))
-    else:
-        ik = 1j * _fft_wavenumbers(lat)[axis]
-    out = np.fft.ifftn(ik * spec, axes=axes)
+    out = np.fft.ifftn(mult * spec, axes=axes)
     if np.isrealobj(arr):
         return out.real
     return out
+
+
+@lru_cache(maxsize=64)
+def _multipliers(lat: ModeLattice) -> tuple:
+    """Read-only full-grid multipliers: (i k_a stacked over the d axes,
+    -|k|^2, both stacked with the Laplacian last)."""
+    ks = _fft_wavenumbers(lat)
+    grad = 1j * np.stack(np.broadcast_arrays(*ks))
+    lap = -sum(k ** 2 for k in ks)
+    both = np.concatenate([grad, lap[None]])
+    for arr in (grad, lap, both):
+        arr.setflags(write=False)
+    return grad, lap, both
+
+
+def spectral_gradient(lat: ModeLattice, grid_field, axis=None) -> np.ndarray:
+    """All spatial derivatives of a band-limited grid field, shape (d, N^d).
+
+    A stack of fields with leading (batch, time) axes gives those axes,
+    then d, then grid_shape.  With ``axis`` only d/dx^axis is transformed
+    back, and the output has the shape of the input.
+    """
+    if axis is None:
+        return _spectral(lat, grid_field, _multipliers(lat)[0], True)
+    return _spectral(lat, grid_field, 1j * _fft_wavenumbers(lat)[axis], False)
 
 
 def spectral_laplacian(lat: ModeLattice, grid_field) -> np.ndarray:
     """Laplacian of a band-limited grid field via the full-grid FFT.
 
-    Accepts a stack of fields with a leading time axis, like
+    Accepts a stack of fields with leading (batch, time) axes, like
     ``spectral_gradient``; the output has the shape of the input.
     """
-    arr = _check_grid(lat, grid_field, batched=True)
-    axes = range(-lat.d, 0)
-    spec = np.fft.fftn(arr, axes=axes)
-    k2 = sum(k ** 2 for k in _fft_wavenumbers(lat))
-    out = np.fft.ifftn(-k2 * spec, axes=axes)
-    if np.isrealobj(arr):
-        return out.real
-    return out
+    return _spectral(lat, grid_field, _multipliers(lat)[1], False)
+
+
+def spectral_gradient_laplacian(lat: ModeLattice, grid_field) -> tuple:
+    """(``spectral_gradient``, ``spectral_laplacian``) of one field, from one
+    forward transform with the d + 1 multipliers stacked; each equals, bit
+    for bit, the output of its own function."""
+    out = _spectral(lat, grid_field, _multipliers(lat)[2], True)
+    grid = (slice(None),) * lat.d
+    return out[(Ellipsis, slice(0, lat.d)) + grid], out[(Ellipsis, lat.d) + grid]
+
+
+def grid_integral(lat: ModeLattice, values):
+    """Cell volume times the sum of ``values`` over the trailing grid axes,
+    one pairwise sum per grid; leading axes stay."""
+    values = np.asarray(values)
+    flat = values.reshape(values.shape[:values.ndim - lat.d] + (-1,))
+    return lat.cell_volume * np.sum(flat, axis=-1)
 
 
 def out_of_band_fraction(lat: ModeLattice, grid_field) -> float:

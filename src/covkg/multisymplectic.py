@@ -33,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ModeLattice, _cmul, spectral_gradient, spectral_laplacian
+from .lattice import (
+    ModeLattice,
+    _cmul,
+    grid_integral,
+    spectral_gradient,
+    spectral_gradient_laplacian,
+)
 from .solution import (
     SliceData,
     Solution,
@@ -148,8 +154,12 @@ def dtheta_fd(lam: float, point: MPoint, vectors, eps: float = 1e-3):
     d theta(v_0..v_n) = sum_i (-1)^i v_i[theta(.. v_i omitted ..)];
     the coefficients of theta are linear in the point coordinates, so the
     central differences below are exact up to roundoff and the result must
-    reproduce omega_eval on the same vectors for every lambda.
+    reproduce omega_eval on the same vectors for every lambda.  Points and
+    vectors with cell axes, and ``lam`` as an array over the cells, give
+    one difference per cell from the same 2 (n + 1) ``theta_eval`` calls.
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     vectors = list(vectors)
 
     def shifted(v: MTangent, s: float) -> MPoint:
@@ -275,85 +285,135 @@ def hamilton_residual(sol: Solution, t_grid) -> float:
 # ---------------------------------------------------------------------------
 
 def simpson(values, dt: float):
-    """Composite Simpson rule; requires an odd number of samples."""
+    """Composite Simpson rule over the last axis; requires an odd number of
+    samples.  Leading axes give one sum each."""
     values = np.asarray(values)
-    n = values.shape[0]
+    n = values.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ValueError("Simpson rule needs an odd number >= 3 of samples")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return (dt / 3.0) * np.sum(w * values)
+    return (dt / 3.0) * np.sum(w * values, axis=-1)
 
 
-def theta_pullback_density(lat: ModeLattice, phi, dtphi, dttphi, lam: float):
+def theta_pullback_density(lat: ModeLattice, phi, dtphi, dttphi, lam):
     """Density of the pullback of theta_lambda to a holonomic graph.
 
     Everything is derived from (phi, d_t phi, d_tt phi) on one slice:
     p^mu = eta grad phi and d_mu p^mu = box phi, with spectral space
-    derivatives.  On shell the density reduces to (2 lambda - 1) times the
-    Lagrangian density.  Stacked (n_t,) + grid_shape fields give a stacked
-    density.
+    derivatives from one forward transform.  On shell the density reduces
+    to (2 lambda - 1) times the Lagrangian density.  Fields with leading
+    (batch, time) axes give a density with those axes; an array ``lam``
+    broadcasts against them, so a lambda family shares one gradient and
+    Laplacian.
     """
-    grad = spectral_gradient(lat, phi)
+    grad, lap = spectral_gradient_laplacian(lat, phi)
     quad = dtphi ** 2 - np.sum(grad ** 2, axis=-lat.d - 1)
-    divp = dttphi - spectral_laplacian(lat, phi)
+    divp = dttphi - lap
     en = -0.5 * quad - 0.5 * lat.m ** 2 * phi ** 2
     return en + lam * quad - (1.0 - lam) * phi * divp
 
 
-# Grid values per block of times: keeps the stacked fields of long time grids small.
+def _lagrangian_density(lat: ModeLattice, phi, dtphi, _):
+    """The Lagrangian density, from first derivatives only."""
+    grad = spectral_gradient(lat, phi)
+    return 0.5 * (dtphi ** 2 - np.sum(grad ** 2, axis=-lat.d - 1)) \
+        - 0.5 * lat.m ** 2 * phi ** 2
+
+
+# Grid values per block of times and solution: keeps the stacked fields of
+# long time grids small.
 _BLOCK_CELLS = 4096
 
 
 def _time_quadrature(lat: ModeLattice, fields, densities, t1: float, t2: float,
-                     n_t: int) -> list:
+                     n_t: int, members: int = 1) -> list:
     """Simpson rule over [t1, t2] of the grid integral of each density.
 
-    ``fields`` is evaluated once per block of at most ``_BLOCK_CELLS`` grid
-    values of times; each density gets its result unpacked and returns one
-    stacked density slice per time.  Returns one Simpson sum per density.
+    ``fields`` is evaluated once per block of times, for ``members``
+    solutions (a batch) at most ``_BLOCK_CELLS`` grid values in all; each
+    density gets its result unpacked and returns its values on the block,
+    shape (..., block times) + grid_shape.  Returns one Simpson sum per
+    density, with the density's leading axes (a lambda family, the two
+    signs of eps, a solution batch).  Blocks do not change any value.
     """
     ts = np.linspace(t1, t2, n_t)
-    step = max(1, _BLOCK_CELLS // int(np.prod(lat.grid_shape)))
+    step = max(1, _BLOCK_CELLS // (members * int(np.prod(lat.grid_shape))))
     sums = [[] for _ in densities]
     for i in range(0, n_t, step):
         block = fields(ts[i:i + step])
         for density, vals in zip(densities, sums):
-            dens = density(*block)
-            vals.append(lat.cell_volume
-                        * np.sum(dens.reshape(len(dens), -1), axis=1))
-    return [simpson(np.concatenate(vals), ts[1] - ts[0]) for vals in sums]
+            vals.append(grid_integral(lat, density(*block)))
+    return [simpson(np.concatenate(vals, axis=-1), ts[1] - ts[0])
+            for vals in sums]
 
 
 def _real_or_complex(value):
+    """A float or complex per value: a scalar for a scalar, else a list."""
+    if np.ndim(value):
+        return [_real_or_complex(v) for v in value]
     return complex(value) if np.iscomplexobj(value) else float(value)
 
 
-def action_of_history(lat: ModeLattice, hist, lam: float, t1: float, t2: float,
+def _family_axis(values, lat: ModeLattice):
+    """A scalar as a float; a 1-D array on a leading axis of its own, before
+    the (time,) + grid_shape axes of the fields it multiplies."""
+    if np.ndim(values) == 0:
+        return float(values)
+    return np.asarray(values, dtype=float).reshape((-1,) + (1,) * (lat.d + 1))
+
+
+def action_of_history(lat: ModeLattice, hist, lam, t1: float, t2: float,
                       n_t: int):
-    """Integral of the theta_lambda pullback over t in [t1, t2] (Simpson)."""
+    """Integral of the theta_lambda pullback over t in [t1, t2] (Simpson).
+
+    A 1-D array of lambdas gives a list of actions, one per lambda; they
+    share every field and spectral derivative.  A history of a solution
+    batch gives one action per member, in blocks of fewer times.
+    """
     if not t2 > t1:
         raise ValueError("need t1 < t2")
+    lam = _family_axis(lam, lat)
+    sol = getattr(hist, "sol", None)  # SolutionHistory, DetunedHistory
+    members = 1 if sol is None else int(np.prod(np.shape(sol.u)[:-1]))
     total, = _time_quadrature(
         lat, hist.at, [lambda *f: theta_pullback_density(lat, *f, lam)],
-        t1, t2, n_t)
+        t1, t2, n_t, members)
     return _real_or_complex(total)
 
 
-def action_between_slices(sol: Solution, lam: float, t1: float, t2: float,
-                          n_t: int = 257) -> float:
+def action_between_slices(sol: Solution, lam, t1: float, t2: float,
+                          n_t: int = 257):
+    """``action_of_history`` of the solution.  A solution batch gives one
+    action per member, and a lambda array one per lambda (lambda first)."""
     return action_of_history(sol.lat, SolutionHistory(sol), lam, t1, t2, n_t)
 
 
 def lagrangian_action(lat: ModeLattice, hist, t1: float, t2: float,
                       n_t: int) -> float:
     """Independent quadrature of the Lagrangian (first derivatives only)."""
-    def density(phi, dtphi, _):
-        grad = spectral_gradient(lat, phi)
-        return 0.5 * (dtphi ** 2 - np.sum(grad ** 2, axis=-lat.d - 1)) \
-            - 0.5 * lat.m ** 2 * phi ** 2
-    return _time_quadrature(lat, hist.at, [density], t1, t2, n_t)[0]
+    return _time_quadrature(lat, hist.at,
+                            [lambda *f: _lagrangian_density(lat, *f)],
+                            t1, t2, n_t)[0]
+
+
+def lagrangian_and_actions(lat: ModeLattice, hist, lams, t1: float, t2: float,
+                           n_t: int) -> tuple:
+    """(``lagrangian_action``, ``action_of_history`` at each of ``lams``)
+    from one quadrature pass: one ``hist.at`` per block serves both
+    densities, and the lambda family shares one gradient and Laplacian.
+    The Lagrangian keeps its own first-derivative density, so it stays an
+    independent computation; each value equals, bit for bit, that of its
+    own function."""
+    if not t2 > t1:
+        raise ValueError("need t1 < t2")
+    lam = _family_axis(np.atleast_1d(lams), lat)
+    lag, acts = _time_quadrature(
+        lat, hist.at, [lambda *f: _lagrangian_density(lat, *f),
+                       lambda *f: theta_pullback_density(lat, *f, lam)],
+        t1, t2, n_t)
+    return lag, _real_or_complex(acts)
 
 
 def action_criticality(sol: Solution, variation: Solution, lam: float,
@@ -376,13 +436,17 @@ def action_criticality(sol: Solution, variation: Solution, lam: float,
     base = base_history if base_history is not None else SolutionHistory(sol)
     win = TimeWindow(t1, t2, window_power)
     var = SolutionHistory(variation)
-    # One evaluation of base and variation per block serves both signs; each
-    # sign's fields are those WindowedPerturbation(+-eps) gives.
-    def density(e):
-        return lambda b, v, w: theta_pullback_density(
-            lat, *windowed_fields(b, v, w, e), lam)
+    # One evaluation of base and variation per block; the fields of
+    # WindowedPerturbation(+eps) and (-eps) are stacked on a leading axis
+    # and go through one density call.
+    signs = _family_axis([float(eps), -float(eps)], lat)
 
-    plus, minus = (_real_or_complex(total) for total in _time_quadrature(
+    def density(b, v, w):
+        return theta_pullback_density(lat, *windowed_fields(b, v, w, signs),
+                                      lam)
+
+    total, = _time_quadrature(
         lat, lambda tb: (base.at(tb), var.at(tb), win.on_grid(tb, lat.d)),
-        [density(float(eps)), density(-float(eps))], t1, t2, n_t))
+        [density], t1, t2, n_t)
+    plus, minus = _real_or_complex(total)
     return abs(plus - minus) / (2.0 * eps)

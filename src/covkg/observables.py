@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ModeLattice, _cmul
+from .lattice import ModeLattice, _cmul, grid_integral
 from .multisymplectic import _uniform_dt
 from .phase_space import omega_sigma, translation_deformation
 from .solution import (
@@ -167,7 +167,7 @@ def _pmu_slice_integral(form: Pmu, sol: Solution, t: float):
     else:
         dens = (-lam * sd.p[0] * sd.dphi[mu]
                 + (1.0 - lam) * sd.phi * dd[mu, 0])
-    return _maybe_real(lat.cell_volume * np.sum(dens), sol)
+    return _maybe_real(grid_integral(lat, dens), sol)
 
 
 def energy_integral(sol: Solution, t: float = 0.0, lam: float = 1.0) -> float:
@@ -225,8 +225,7 @@ def bracket_slice_integral(phi: Solution, psi: Solution, t: float = 0.0):
         part = Solution(lat, u[i:i + step], ustar[i:i + step], psi.real_flag)
         b, db = synthesize(part, t, [(), (0,)])
         dens = _cmul(da, b) - _cmul(a, db)
-        totals[i:i + step] = lat.cell_volume * np.sum(
-            dens.reshape(len(dens), -1), axis=1)
+        totals[i:i + step] = grid_integral(lat, dens)
     return _maybe_real(totals.reshape(np.shape(psi.u)[:-1]), phi, psi)
 
 

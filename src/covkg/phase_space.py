@@ -23,13 +23,19 @@ observable bracket {F, G} for every implemented observable pair, and in
 mode coordinates Omega = i sum_k w_k (delta1 u*_k delta2 u_k -
 delta1 u_k delta2 u*_k); two real deformations concentrated on one mode k
 give exactly 2 w_k Im(delta1 u_k conj(delta2 u_k)).
+
+Central differences evaluate each family in one pass: ``fd_delta_theta``
+stacks its four shifted bases and their deformations into two solution
+batches (``stack_solutions``) for one ``theta_sigma`` call, and
+``theta_difference_vs_action`` integrates the two shifted actions as one
+batch.  Each member's value equals, bit for bit, that of its own call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lattice import ModeLattice, _cmul
+from .lattice import ModeLattice, _cmul, grid_integral
 from .multisymplectic import (
     MPoint,
     _tangent,
@@ -46,6 +52,7 @@ from .solution import (
     _maybe_real,
     derivative_solution,
     evaluate_fields,
+    stack_solutions,
     synthesize,
 )
 
@@ -60,11 +67,15 @@ def deformation_fields(base: SliceData, delta: Solution):
 
 
 def theta_sigma(sol: Solution, delta: Solution, lam: float, t: float):
-    """Slice 1-form Theta^Sigma_lambda evaluated on one deformation."""
+    """Slice 1-form Theta^Sigma_lambda evaluated on one deformation.
+
+    A base or deformation with a batch axis gives an array of values, one
+    per member of the (broadcast) batch.
+    """
     phi, p0 = synthesize(sol, t, [(), (0,)])
     dphi_val, dp0 = synthesize(delta, t, [(), (0,)])
     integrand = lam * p0 * dphi_val - (1.0 - lam) * phi * dp0
-    return _maybe_real(sol.lat.cell_volume * np.sum(integrand), sol, delta)
+    return _maybe_real(grid_integral(sol.lat, integrand), sol, delta)
 
 
 def _representative(frame, fields, shift=None):
@@ -133,7 +144,7 @@ def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t: float = 0.0,
     """
     d1v, d1p0 = synthesize(d1, t, [(), (0,)])
     d2v, d2p0 = synthesize(d2, t, [(), (0,)])
-    path_a = sol.lat.cell_volume * np.sum(d1p0 * d2v - d2p0 * d1v)
+    path_a = grid_integral(sol.lat, d1p0 * d2v - d2p0 * d1v)
     if check:
         path_b = omega_sigma_pointwise(sol, d1, d2, t)
         if abs(complex(path_a) - path_b) > 1e-10:
@@ -153,13 +164,11 @@ def fd_delta_theta(sol: Solution, d1: Solution, d2: Solution, lam: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-
-    def d_along(da, db):
-        plus = theta_sigma(sol + eps * da, db, lam, t)
-        minus = theta_sigma(sol - eps * da, db, lam, t)
-        return (plus - minus) / (2.0 * eps)
-
-    return d_along(d1, d2) - d_along(d2, d1)
+    bases = stack_solutions([sol + eps * d1, sol - eps * d1,
+                             sol + eps * d2, sol - eps * d2])
+    plus1, minus1, plus2, minus2 = theta_sigma(
+        bases, stack_solutions([d2, d2, d1, d1]), lam, t).tolist()
+    return (plus1 - minus1) / (2.0 * eps) - (plus2 - minus2) / (2.0 * eps)
 
 
 def gram_matrix(lat: ModeLattice):
@@ -190,9 +199,12 @@ def theta_difference_vs_action(sol: Solution, delta: Solution, lam: float,
     along the deformation is exact and the pair must agree to the time
     quadrature tolerance.
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     lhs = theta_sigma(sol, delta, lam, t2) - theta_sigma(sol, delta, lam, t1)
-    plus = action_between_slices(sol + eps * delta, lam, t1, t2, n_t)
-    minus = action_between_slices(sol - eps * delta, lam, t1, t2, n_t)
+    plus, minus = action_between_slices(
+        stack_solutions([sol + eps * delta, sol - eps * delta]),
+        lam, t1, t2, n_t)
     rhs = (plus - minus) / (2.0 * eps)
     return lhs, rhs
 

@@ -14,9 +14,9 @@ Storage.  A state holds four arrays with one entry per term:
   * ``key`` (n_terms,): the int64 group key of (tag, row), below.
 
 ``PolarizedState(lat, idx, amp, tag, degree_bound)`` takes the first three
-as they are (sorted rows, no (tag, row) pair twice), computes the keys and
-raises ``DegreeOverflowError`` when a row's degree exceeds
-``degree_bound``; ``vacuum``, ``monomial``, ``monomial_block`` and the
+as they are (sorted rows), computes the keys, raises ``ValueError`` when a
+(tag, row) pair comes twice and ``DegreeOverflowError`` when a row's degree
+exceeds ``degree_bound``; ``vacuum``, ``monomial``, ``monomial_block`` and the
 operators return states in that form, key-sorted.
 
 Tags let one state carry many independent inputs: the operators act
@@ -253,8 +253,13 @@ class PolarizedState:
         if degree > self.degree_bound:
             raise DegreeOverflowError(
                 f"degree {degree} exceeds bound {self.degree_bound}")
-        self.key = _keys(n_modes, self.idx[:, :degree], self.tag,
-                         self.degree_bound)
+        key = _keys(n_modes, self.idx[:, :degree], self.tag, self.degree_bound)
+        # Key-sorted input (every state built here) costs one comparison pass.
+        if (key[1:] <= key[:-1]).any():
+            ordered = np.sort(key)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ValueError("repeated (tag, row) term")
+        self.key = key
 
     @cached_property
     def coeffs(self) -> MappingProxyType:

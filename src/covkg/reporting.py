@@ -109,9 +109,9 @@ class RunConfig:
             if name not in TOLERANCES:
                 raise ValueError(f"unknown tolerance name {name!r}")
             if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not value >= 0.0):
-                raise ValueError(f"tolerance {name!r} must be a nonnegative "
-                                 "number")
+                    or not 0.0 <= value < np.inf):
+                raise ValueError(f"tolerance {name!r} must be a finite "
+                                 "nonnegative number")
 
     def lattice(self) -> ModeLattice:
         return build_lattice(self.d, self.L, self.N, self.n_max, self.m,

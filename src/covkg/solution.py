@@ -35,6 +35,7 @@ from .lattice import (
     ModeLattice,
     build_lattice,
     dft_forward,
+    grid_integral,
     mode_sum_grid,
     out_of_band_fraction,
     spectral_gradient,
@@ -65,6 +66,17 @@ class Solution:
     def __rmul__(self, c) -> "Solution":
         stays_real = self.real_flag and np.imag(c) == 0
         return Solution(self.lat, c * self.u, c * self.ustar, stays_real)
+
+
+def stack_solutions(sols) -> Solution:
+    """The solutions as one batch: ``u`` and ``ustar`` of shape
+    (len(sols), n_modes), real when every member is."""
+    lat = sols[0].lat
+    if any(s.lat is not lat and s.lat != lat for s in sols):
+        raise ValueError("solutions live on different lattices")
+    return Solution(lat, np.stack([s.u for s in sols]),
+                    np.stack([s.ustar for s in sols]),
+                    all(s.real_flag for s in sols))
 
 
 def _maybe_real(value, *sols):
@@ -346,7 +358,7 @@ def field_energy(lat: ModeLattice, phi, pi) -> float:
     """Grid quadrature of (pi^2 + |grad phi|^2 + m^2 phi^2) / 2."""
     grad = spectral_gradient(lat, phi)
     dens = 0.5 * (pi ** 2 + np.sum(grad ** 2, axis=0) + lat.m ** 2 * phi ** 2)
-    return float(lat.cell_volume * np.sum(dens))
+    return float(grid_integral(lat, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +466,7 @@ def windowed_fields(base, var, window, eps: float):
 
     ``base`` and ``var`` are the (phi, d_t phi, d_tt phi) of the two
     histories and ``window`` is ``TimeWindow.on_grid`` at the same times.
+    An array ``eps`` with a leading axis stacks one set of fields per value.
     """
     b0, b1, b2 = base
     v0, v1, v2 = var

@@ -67,20 +67,22 @@ def suite_msymp(cfg: RunConfig) -> list:
     out.append(cfg.check("msymp.hamilton_order",
                          _order_of_convergence(residuals), 2.0))
 
-    worst = 0.0
+    # Four random points and coordinate-vector picks per lambda, drawn in
+    # turn, then one dtheta_fd and one omega_eval over all 12 as cells.
+    draws = []
     for lam in (0.0, 0.37, 1.0):
         for _ in range(4):
-            point = ms.MPoint(x=np.zeros(lat.d + 1),
-                              phi=rng.standard_normal(),
-                              e=rng.standard_normal(),
-                              p=rng.standard_normal(lat.d + 1))
-            basis = ms.basis_tangents(lat.d)
-            picks = rng.choice(len(basis), size=lat.d + 2, replace=False)
-            vectors = [basis[i] for i in picks]
-            diff = abs(ms.dtheta_fd(lam, point, vectors)
-                       - ms.omega_eval(vectors))
-            worst = max(worst, diff)
-    out.append(cfg.check("msymp.dtheta_vs_omega", worst, 0.0))
+            phi, e = rng.standard_normal(), rng.standard_normal()
+            p = rng.standard_normal(lat.d + 1)
+            picks = rng.choice(2 * lat.d + 4, size=lat.d + 2, replace=False)
+            draws.append((lam, phi, e, p, picks))
+    lams, phis, es, moms, picks = (np.array(c) for c in zip(*draws))
+    point = ms.MPoint(x=np.zeros((lat.d + 1, len(draws))), phi=phis, e=es,
+                      p=moms.T)
+    eye = np.eye(2 * lat.d + 4)
+    vectors = [ms._tangent(eye[:, col]) for col in picks.T]
+    diffs = np.abs(ms.dtheta_fd(lams, point, vectors) - ms.omega_eval(vectors))
+    out.append(cfg.check("msymp.dtheta_vs_omega", float(np.max(diffs)), 0.0))
 
     out.append(cfg.check("msymp.hamilton2_pointwise",
                          ms.hamilton_pointwise_residual(sol, 0.3), 0.0))
@@ -93,10 +95,10 @@ def suite_msymp(cfg: RunConfig) -> list:
     sigma_min = float(np.linalg.svd(q, compute_uv=False)[-1])
     out.append(cfg.lower_bound("msymp.omega_nondegenerate", sigma_min))
 
-    hist = SolutionHistory(sol)
-    lag = ms.lagrangian_action(lat, hist, 0.0, 1.0, 257)
-    for lam in (0.0, 0.5, 1.0):
-        got = ms.action_between_slices(sol, lam, 0.0, 1.0, 257)
+    lams = (0.0, 0.5, 1.0)
+    lag, acts = ms.lagrangian_and_actions(lat, SolutionHistory(sol), lams,
+                                          0.0, 1.0, 257)
+    for lam, got in zip(lams, acts):
         out.append(cfg.check("msymp.action_lagrangian", got,
                              (2.0 * lam - 1.0) * lag, f"lam{lam:g}"))
 

@@ -88,6 +88,40 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err
 
 
+def test_non_finite_tolerances_exit_two(tmp_path, capsys):
+    """An infinite or NaN tolerance is a usage error: it would pass any
+    check, fail any lower bound and print as the non-JSON ``Infinity``."""
+    for value in ("inf", "-inf", "nan"):
+        for name in ("msymp.kg_residual", "msymp.omega_nondegenerate"):
+            capsys.readouterr()
+            assert main(["verify", "--suite", "msymp",
+                         "--tol", f"{name}={value}"]) == 2
+            assert "finite" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tolerances": {"msymp.kg_residual": Infinity}}',
+                   encoding="utf-8")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "'msymp.kg_residual'" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and +-Infinity."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("seed", [0, 4007])
+def test_verify_reports_are_strict_json(tmp_path, seed):
+    """Every record of a full report, failing ones included, is plain JSON."""
+    out = tmp_path / "report.json"
+    main(["verify", "--seed", str(seed), "--out", str(out),
+          "--tol", "msymp.kg_residual=1e300"])
+    data = _strict_json(_read(out))
+    assert len(data["checks"]) > 40
+    assert data["config"]["tolerances"] == {"msymp.kg_residual": 1e300}
+
+
 def test_non_object_tolerances_exit_two(tmp_path, capsys):
     """A config whose tolerances are not a JSON object is a usage error that
     names the key, not a traceback."""

@@ -5,11 +5,14 @@ import pytest
 
 from covkg import build_lattice, dft_forward, dft_inverse, dispersion
 from covkg.lattice import (
+    grid_integral,
     mode_sum_grid,
     out_of_band_fraction,
     spectral_gradient,
+    spectral_gradient_laplacian,
     spectral_laplacian,
 )
+from covkg.solution import random_solution, stack_solutions, synthesize
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +209,54 @@ def test_spectral_laplacian_on_plane_wave(lat2d):
         assert np.array_equal(row, spectral_laplacian(lat2d, w))
     with pytest.raises(ValueError):
         spectral_laplacian(lat2d, waves[:, :-1, :])
+
+
+_CONFIGS = [(1, 2 * np.pi, 32, 7), (2, 5.0, 16, 5), (3, 4.0, 8, 3)]
+
+
+def _band_fields(d, L, N, n_max, real):
+    """A band-limited field at one time, at 5 times and for a batch of 2 at
+    5 times: shapes grid, (5,) + grid and (2, 5) + grid."""
+    lat = build_lattice(d=d, L=L, N=N, n_max=n_max, m=1.0)
+    rng = np.random.default_rng(d)
+    sols = [random_solution(lat, rng, real_flag=real) for _ in range(2)]
+    ts = np.linspace(0.1, 0.9, 5)
+    if not real:
+        sols = [0.5j * s for s in sols]  # complex grids
+    return lat, [synthesize(sols[0], 0.3), synthesize(sols[0], ts),
+                 synthesize(stack_solutions(sols), ts)]
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_one_transform_gradient_laplacian_is_bitwise(config, real):
+    """One forward FFT with the gradient and Laplacian multipliers stacked
+    gives, bit for bit, spectral_gradient and spectral_laplacian, on one
+    grid and on time- and (batch, time)-stacked grids."""
+    lat, fields = _band_fields(*config, real)
+    for field in fields:
+        grad, lap = spectral_gradient_laplacian(lat, field)
+        assert np.isrealobj(grad) == np.isrealobj(lap) == real
+        assert grad.shape == field.shape[:field.ndim - lat.d] + (lat.d,) \
+            + lat.grid_shape
+        assert np.array_equal(grad, spectral_gradient(lat, field))
+        assert np.array_equal(lap, spectral_laplacian(lat, field))
+        for lead in np.ndindex(field.shape[:field.ndim - lat.d]):
+            alone = spectral_gradient_laplacian(lat, field[lead])
+            assert np.array_equal(grad[lead], alone[0])
+            assert np.array_equal(lap[lead], alone[1])
+    with pytest.raises(ValueError):
+        spectral_gradient_laplacian(lat, fields[1][..., :-1])
+
+
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_grid_integral_sums_each_grid_like_np_sum(config):
+    lat, fields = _band_fields(*config, True)
+    for field in fields:
+        got = grid_integral(lat, field)
+        assert np.shape(got) == field.shape[:field.ndim - lat.d]
+        for lead in np.ndindex(np.shape(got)):
+            assert got[lead] == lat.cell_volume * np.sum(field[lead])
 
 
 def test_out_of_band_fraction(lat1d):

@@ -23,6 +23,7 @@ from covkg import (
 )
 from covkg.multisymplectic import (
     _BLOCK_CELLS,
+    _tangent,
     action_of_history,
     hamilton_residual_fields,
     basis_tangents,
@@ -30,10 +31,12 @@ from covkg.multisymplectic import (
     graph_tangent,
     hamilton_pointwise_residual,
     lagrangian_action,
+    lagrangian_and_actions,
     simpson,
     theta_pullback_density,
     vertical_tangent,
 )
+from covkg.phase_space import theta_difference_vs_action
 from covkg.solution import (
     DetunedHistory,
     SolutionHistory,
@@ -141,6 +144,54 @@ def test_dtheta_equals_omega(lam):
     got = dtheta_fd(lam, pt, vs)
     want = omega_eval(vs)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def _dtheta_draws(rng, d, lams=(0.0, 0.37, 1.0), per_lam=4):
+    """Random points and coordinate-vector picks, one per (lambda, draw)."""
+    n_dim = 2 * d + 4
+    draws = []
+    for lam in lams:
+        for _ in range(per_lam):
+            point = MPoint(x=rng.standard_normal(d + 1),
+                           phi=rng.standard_normal(), e=rng.standard_normal(),
+                           p=rng.standard_normal(d + 1))
+            draws.append((lam, point, rng.choice(n_dim, d + 2, replace=False)))
+    return draws
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_dtheta_equals_per_draw_calls(d):
+    """One dtheta_fd/omega_eval call over all draws as cells, lambda per
+    cell, gives bit for bit the per-draw scalar calls."""
+    draws = _dtheta_draws(np.random.default_rng(30 + d), d)
+    basis = basis_tangents(d)
+    eye = np.eye(2 * d + 4)
+    lams = np.array([lam for lam, _, _ in draws])
+    point = MPoint(x=np.stack([pt.x for _, pt, _ in draws], axis=1),
+                   phi=np.array([pt.phi for _, pt, _ in draws]),
+                   e=np.array([pt.e for _, pt, _ in draws]),
+                   p=np.stack([pt.p for _, pt, _ in draws], axis=1))
+    picks = np.array([pk for _, _, pk in draws])
+    vectors = [_tangent(eye[:, col]) for col in picks.T]
+    stacked = dtheta_fd(lams, point, vectors)
+    forms = omega_eval(vectors)
+    assert stacked.shape == forms.shape == (len(draws),)
+    for j, (lam, pt, pk) in enumerate(draws):
+        vs = [basis[i] for i in pk]
+        assert stacked[j] == dtheta_fd(lam, pt, vs)
+        assert forms[j] == omega_eval(vs)
+    assert np.max(np.abs(stacked - forms)) < 1e-9
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan")])
+def test_central_differences_need_positive_eps(lat, sol, eps):
+    vs = basis_tangents(1)[:3]
+    with pytest.raises(ValueError, match="eps must be positive"):
+        dtheta_fd(0.5, _point(), vs, eps=eps)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        theta_difference_vs_action(sol, sol, 0.5, 0.0, 1.0, eps=eps)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        action_criticality(sol, sol, 0.5, eps=eps)
 
 
 def test_hamiltonian_hand_value():
@@ -299,6 +350,36 @@ def test_action_of_history_spans_several_time_blocks():
     got = action_of_history(lat2, hist, 0.37, 0.0, 1.0, n_t)
     assert abs(want) > 1e-3
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_simpson_sums_each_leading_row():
+    rows = np.random.default_rng(4).standard_normal((3, 2, 9))
+    got = simpson(rows, 0.1)
+    assert got.shape == (3, 2)
+    for lead in np.ndindex(3, 2):
+        assert got[lead] == simpson(rows[lead], 0.1)
+
+
+@pytest.mark.parametrize("lat_args", [(1, 2 * np.pi, 32, 7), (2, 5.0, 12, 3),
+                                      (3, 4.0, 8, 3)])
+def test_lambda_family_quadrature_is_bitwise(lat_args):
+    """lagrangian_and_actions, one quadrature pass, gives bit for bit
+    lagrangian_action and action_between_slices at each lambda.  n_t spans
+    several _BLOCK_CELLS blocks and ends in a partial one."""
+    d, L, N, n_max = lat_args
+    lat_d = build_lattice(d=d, L=L, N=N, n_max=n_max, m=1.0)
+    sol_d = random_solution(lat_d, np.random.default_rng(3))
+    step = _BLOCK_CELLS // N ** d
+    n_t = 2 * step + 9
+    assert n_t % 2 == 1 and n_t % step != 0
+    lams = (0.0, 0.37, 0.5, 1.0)
+    hist = SolutionHistory(sol_d)
+    lag, acts = lagrangian_and_actions(lat_d, hist, lams, 0.1, 0.9, n_t)
+    assert lag == lagrangian_action(lat_d, hist, 0.1, 0.9, n_t)
+    assert acts == [action_between_slices(sol_d, lam, 0.1, 0.9, n_t)
+                    for lam in lams]
+    assert action_of_history(lat_d, hist, np.array(lams), 0.1, 0.9,
+                             n_t) == acts
 
 
 @pytest.mark.parametrize("lam,factor", [(0.0, -1.0), (0.5, 0.0), (1.0, 1.0)])

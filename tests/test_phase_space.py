@@ -33,7 +33,14 @@ from covkg.phase_space import (
     theta_sigma_pointwise,
     translation_deformation,
 )
-from covkg.solution import Solution, evaluate_fields, from_modes, synthesize
+from covkg.multisymplectic import action_between_slices
+from covkg.solution import (
+    Solution,
+    evaluate_fields,
+    from_modes,
+    stack_solutions,
+    synthesize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +244,55 @@ def test_theta_time_shift_identity(lat, sol, defs, lam):
     assert shifted == pytest.approx(complex(plain + extra), abs=1e-10)
     if lam == 0.5:
         assert abs(extra) < 1e-13
+
+
+def _three_solutions(d, real):
+    lat_d = (build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0) if d == 1
+             else build_lattice(d=2, L=5.0, N=12, n_max=3, m=0.8))
+    rng = np.random.default_rng(60 + d)
+    return [random_solution(lat_d, rng, real_flag=real) for _ in range(3)]
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [1, 2])
+def test_batched_fd_delta_theta_equals_four_theta_sigma_calls(d, real):
+    """The two-batch fd_delta_theta gives, bit for bit, the formula from
+    four separate theta_sigma calls."""
+    sol_d, d1, d2 = _three_solutions(d, real)
+    for lam, eps in ((0.0, 1e-4), (1.0, 1e-4), (0.37, 5e-5)):
+        def d_along(da, db):
+            plus = theta_sigma(sol_d + eps * da, db, lam, 0.4)
+            minus = theta_sigma(sol_d - eps * da, db, lam, 0.4)
+            return (plus - minus) / (2.0 * eps)
+        want = d_along(d1, d2) - d_along(d2, d1)
+        got = fd_delta_theta(sol_d, d1, d2, lam, 0.4, eps=eps)
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [1, 2])
+def test_batched_theta_sigma_and_action_equal_member_calls(d, real):
+    sol_d, d1, d2 = _three_solutions(d, real)
+    batch = stack_solutions([sol_d, d1, d2])
+    vals = theta_sigma(batch, stack_solutions([d1, d2, sol_d]), 0.3, 0.7)
+    assert vals.tolist() == [theta_sigma(sol_d, d1, 0.3, 0.7),
+                             theta_sigma(d1, d2, 0.3, 0.7),
+                             theta_sigma(d2, sol_d, 0.3, 0.7)]
+    acts = action_between_slices(batch, 0.3, 0.0, 1.0, 129)
+    assert acts == [action_between_slices(s, 0.3, 0.0, 1.0, 129)
+                    for s in (sol_d, d1, d2)]
+    eps = 1e-3
+    _, rhs = theta_difference_vs_action(sol_d, d1, 0.3, 0.0, 1.0, eps, 129)
+    plus = action_between_slices(sol_d + eps * d1, 0.3, 0.0, 1.0, 129)
+    minus = action_between_slices(sol_d - eps * d1, 0.3, 0.0, 1.0, 129)
+    assert rhs == (plus - minus) / (2.0 * eps)
+
+
+def test_stack_solutions_needs_one_lattice(sol):
+    other = random_solution(build_lattice(d=1, L=3.0, N=16, n_max=5, m=1.0),
+                            np.random.default_rng(2))
+    with pytest.raises(ValueError, match="different lattices"):
+        stack_solutions([sol, other])
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])

@@ -461,6 +461,23 @@ def test_raising_checks_the_degree_present_not_the_padded_width(lat):
         PolarizedState(lat, [[0, 0, 0]], [1], [0], degree_bound=2)
 
 
+def test_repeated_terms_are_rejected(lat):
+    """A (tag, row) pair given twice would break the one-term-per-key
+    pairing of inner_product and states_equal, so construction refuses it;
+    the same row under two tags, or unsorted distinct terms, are fine."""
+    pad = lat.n_modes
+    for rows, tags in (([[1], [1]], [0, 0]),
+                       ([[1, 2], [0, 0], [1, 2]], [3, 1, 3]),
+                       ([[4, pad], [0, 0], [4, pad]], [0, 0, 0])):
+        with pytest.raises(ValueError, match="repeated"):
+            PolarizedState(lat, rows, np.ones(len(tags)), tags)
+    two_tags = PolarizedState(lat, [[1], [1]], [1, 1], [0, 1])
+    assert inner_product(two_tags, two_tags) == 2 * inner_product(
+        monomial(lat, {1: 1}), monomial(lat, {1: 1}))
+    unsorted = PolarizedState(lat, [[3], [1]], [1, 2], [0, 0])
+    assert len(unsorted.key) == 2
+
+
 def test_states_on_different_lattices_do_not_combine(lat):
     lat7 = build_lattice(d=1, L=2 * np.pi, N=8, n_max=3, m=1.0)
     wide = monomial(lat, [(10, 1)])
