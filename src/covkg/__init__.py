@@ -11,7 +11,6 @@ from .lattice import (
     build_lattice,
     dft_forward,
     dft_inverse,
-    dispersion,
 )
 from .multisymplectic import (
     MPoint,
@@ -71,8 +70,7 @@ from .solution import (
 
 __all__ = [
     "__version__",
-    "ModeLattice", "build_lattice", "dispersion", "dft_forward",
-    "dft_inverse",
+    "ModeLattice", "build_lattice", "dft_forward", "dft_inverse",
     "MPoint", "MTangent", "omega_eval", "theta_eval", "dtheta_fd",
     "hamiltonian", "hamilton_residual", "action_between_slices",
     "action_criticality",

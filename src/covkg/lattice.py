@@ -31,6 +31,17 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
+def _check_number(what: str, value, integral: bool) -> None:
+    """The rule for lattice and config numbers: integers where ``integral``,
+    else int or float, never a bool, inf or nan."""
+    kind = int if integral else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not abs(value) < np.inf):
+        raise ValueError(f"{what} must be " + (
+            "an integer" if integral else "a finite real number")
+            + f", got {value!r}")
+
+
 def _cmul(a, b) -> np.ndarray:
     """a * b from real and imaginary parts, one ufunc call per product."""
     return _complex(a.real * b.real - a.imag * b.imag,
@@ -66,6 +77,9 @@ class ModeLattice:
     w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("d", "L", "N", "n_max", "m", "hbar"):
+            _check_number(f"lattice {name!r}", getattr(self, name),
+                          name in ("d", "N", "n_max"))
         if self.d < 1:
             raise ValueError("spatial dimension d must be >= 1")
         if not self.L > 0:
@@ -133,14 +147,7 @@ class ModeLattice:
 def build_lattice(d: int, L: float, N: int, n_max: int, m: float,
                   hbar: float = 1.0) -> ModeLattice:
     """Validate parameters and construct a ModeLattice."""
-    return ModeLattice(d=int(d), L=float(L), N=int(N), n_max=int(n_max),
-                       m=float(m), hbar=float(hbar))
-
-
-def dispersion(lat: ModeLattice, kvec) -> float:
-    """Mass-shell frequency k0 = sqrt(m^2 + |k|^2)."""
-    kvec = np.atleast_1d(np.asarray(kvec, dtype=float))
-    return float(np.sqrt(lat.m ** 2 + np.sum(kvec ** 2)))
+    return ModeLattice(d=d, L=L, N=N, n_max=n_max, m=m, hbar=hbar)
 
 
 def _check_grid(lat: ModeLattice, grid_field, batched: bool = False) -> np.ndarray:
@@ -241,16 +248,23 @@ def _multipliers(lat: ModeLattice) -> tuple:
     return grad, lap, both
 
 
-def spectral_gradient(lat: ModeLattice, grid_field, axis=None) -> np.ndarray:
+def spectral_gradient(lat: ModeLattice, grid_field) -> np.ndarray:
     """All spatial derivatives of a band-limited grid field, shape (d, N^d).
 
     A stack of fields with leading (batch, time) axes gives those axes,
-    then d, then grid_shape.  With ``axis`` only d/dx^axis is transformed
-    back, and the output has the shape of the input.
+    then d, then grid_shape.
     """
-    if axis is None:
-        return _spectral(lat, grid_field, _multipliers(lat)[0], True)
-    return _spectral(lat, grid_field, 1j * _fft_wavenumbers(lat)[axis], False)
+    return _spectral(lat, grid_field, _multipliers(lat)[0], True)
+
+
+def spectral_divergence(lat: ModeLattice, vector_field) -> np.ndarray:
+    """sum_a d/dx^a of component a, for fields of shape (..., d) + grid_shape,
+    from one transform pair; the terms are added in component order."""
+    terms = _spectral(lat, vector_field, _multipliers(lat)[0], False)
+    total = 0.0
+    for term in np.moveaxis(terms, -lat.d - 1, 0):
+        total = total + term
+    return total
 
 
 def spectral_laplacian(lat: ModeLattice, grid_field) -> np.ndarray:

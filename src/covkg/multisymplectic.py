@@ -37,10 +37,12 @@ from .lattice import (
     ModeLattice,
     _cmul,
     grid_integral,
+    spectral_divergence,
     spectral_gradient,
     spectral_gradient_laplacian,
 )
 from .solution import (
+    _BLOCK_CELLS,
     SliceData,
     Solution,
     SolutionHistory,
@@ -87,11 +89,6 @@ def vertical_tangent(n: int, dphi=0.0, de=0.0, dp=None) -> MTangent:
     """Tangent with no spacetime component (a deformation direction)."""
     dp = np.zeros(n) if dp is None else np.asarray(dp)
     return MTangent(dx=np.zeros(n), dphi=dphi, de=de, dp=dp)
-
-
-def basis_tangents(d: int) -> list:
-    """Coordinate directions of M, ordered (x^mu, phi, e, p^mu)."""
-    return [_tangent(row) for row in np.eye(2 * d + 4)]
 
 
 def _stack(vectors, extra: int, point=None):
@@ -265,12 +262,10 @@ def hamilton_residual_fields(lat: ModeLattice, t_grid, phis, ps) -> float:
     mid, p_mid = phis[1:-1], ps[1:-1]
     dphi_dt = (phis[2:] - phis[:-2]) / (2.0 * dt)
     dp0_dt = (ps[2:, 0] - ps[:-2, 0]) / (2.0 * dt)
-    div_sp = np.zeros_like(mid)
-    for a in range(lat.d):
-        div_sp = div_sp + spectral_gradient(lat, p_mid[:, a + 1], axis=a)
     resids = (dphi_dt - p_mid[:, 0],
               spectral_gradient(lat, mid) + p_mid[:, 1:],
-              dp0_dt + div_sp + lat.m ** 2 * mid)
+              dp0_dt + spectral_divergence(lat, p_mid[:, 1:])
+              + lat.m ** 2 * mid)
     return max(float(np.max(np.abs(r))) for r in resids)
 
 
@@ -284,13 +279,17 @@ def hamilton_residual(sol: Solution, t_grid) -> float:
 # Action between slices and criticality
 # ---------------------------------------------------------------------------
 
+def _check_simpson_count(n: int) -> None:
+    if n < 3 or n % 2 == 0:
+        raise ValueError("Simpson rule needs an odd number >= 3 of samples")
+
+
 def simpson(values, dt: float):
     """Composite Simpson rule over the last axis; requires an odd number of
     samples.  Leading axes give one sum each."""
     values = np.asarray(values)
     n = values.shape[-1]
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson rule needs an odd number >= 3 of samples")
+    _check_simpson_count(n)
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -322,11 +321,6 @@ def _lagrangian_density(lat: ModeLattice, phi, dtphi, _):
         - 0.5 * lat.m ** 2 * phi ** 2
 
 
-# Grid values per block of times and solution: keeps the stacked fields of
-# long time grids small.
-_BLOCK_CELLS = 4096
-
-
 def _time_quadrature(lat: ModeLattice, fields, densities, t1: float, t2: float,
                      n_t: int, members: int = 1) -> list:
     """Simpson rule over [t1, t2] of the grid integral of each density.
@@ -338,6 +332,9 @@ def _time_quadrature(lat: ModeLattice, fields, densities, t1: float, t2: float,
     density, with the density's leading axes (a lambda family, the two
     signs of eps, a solution batch).  Blocks do not change any value.
     """
+    if not t2 > t1:
+        raise ValueError("need t1 < t2")
+    _check_simpson_count(n_t)
     ts = np.linspace(t1, t2, n_t)
     step = max(1, _BLOCK_CELLS // (members * int(np.prod(lat.grid_shape))))
     sums = [[] for _ in densities]
@@ -372,8 +369,6 @@ def action_of_history(lat: ModeLattice, hist, lam, t1: float, t2: float,
     share every field and spectral derivative.  A history of a solution
     batch gives one action per member, in blocks of fewer times.
     """
-    if not t2 > t1:
-        raise ValueError("need t1 < t2")
     lam = _family_axis(lam, lat)
     sol = getattr(hist, "sol", None)  # SolutionHistory, DetunedHistory
     members = 1 if sol is None else int(np.prod(np.shape(sol.u)[:-1]))
@@ -406,8 +401,6 @@ def lagrangian_and_actions(lat: ModeLattice, hist, lams, t1: float, t2: float,
     The Lagrangian keeps its own first-derivative density, so it stays an
     independent computation; each value equals, bit for bit, that of its
     own function."""
-    if not t2 > t1:
-        raise ValueError("need t1 < t2")
     lam = _family_axis(np.atleast_1d(lams), lat)
     lag, acts = _time_quadrature(
         lat, hist.at, [lambda *f: _lagrangian_density(lat, *f),
@@ -418,8 +411,7 @@ def lagrangian_and_actions(lat: ModeLattice, hist, lams, t1: float, t2: float,
 
 def action_criticality(sol: Solution, variation: Solution, lam: float,
                        eps: float = 1e-3, t1: float = 0.0, t2: float = 1.0,
-                       n_t: int = 1025, window_power: int = 6,
-                       base_history=None) -> float:
+                       n_t: int = 1025, base_history=None) -> float:
     """|dA/d eps| for a compact-in-time holonomic variation of the graph.
 
     The variation is eta(t) * variation-field with eta a smooth bump
@@ -430,11 +422,9 @@ def action_criticality(sol: Solution, variation: Solution, lam: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if not t2 > t1:
-        raise ValueError("need t1 < t2")
     lat = sol.lat
     base = base_history if base_history is not None else SolutionHistory(sol)
-    win = TimeWindow(t1, t2, window_power)
+    win = TimeWindow(t1, t2)
     var = SolutionHistory(variation)
     # One evaluation of base and variation per block; the fields of
     # WindowedPerturbation(+eps) and (-eps) are stacked on a leading axis

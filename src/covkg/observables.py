@@ -38,6 +38,7 @@ from .lattice import ModeLattice, _cmul, grid_integral
 from .multisymplectic import _uniform_dt
 from .phase_space import omega_sigma, translation_deformation
 from .solution import (
+    _BLOCK_CELLS,
     PolynomialTimeHistory,
     Solution,
     _maybe_real,
@@ -53,18 +54,17 @@ class FPhi:
     phi: Solution
 
 
-# eq=False: a batch of mode indices is an ndarray, which has no truth
-# value, so forms compare (and hash) by identity.
+# AlphaK and AlphaStarK take an int or an array of mode indices, a batch of
+# generators.  eq=False: an ndarray has no truth value, so these forms
+# compare (and hash) by identity.
 @dataclass(frozen=True, eq=False)
 class AlphaK:
-    k: int | np.ndarray  # an array of mode indices is a batch of generators
+    k: int | np.ndarray
 
 
-# eq=False: a batch of mode indices is an ndarray, which has no truth
-# value, so forms compare (and hash) by identity.
 @dataclass(frozen=True, eq=False)
 class AlphaStarK:
-    k: int | np.ndarray  # an array of mode indices is a batch of generators
+    k: int | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,6 @@ def a_star_k(sol: Solution, k: int | np.ndarray) -> complex | np.ndarray:
     return slice_integral(AlphaStarK(k), sol)
 
 
-# Grid values per chunk of a solution batch: bounds the stacked fields of a
-# batched bracket pairing.
-_BATCH_CELLS = 1 << 12
-
-
 def bracket_slice_integral(phi: Solution, psi: Solution, t: float = 0.0):
     """Grid quadrature of integral (d_t Phi Psi - Phi d_t Psi) at time t.
 
@@ -212,14 +207,14 @@ def bracket_slice_integral(phi: Solution, psi: Solution, t: float = 0.0):
     arguments negates every floating-point intermediate: antisymmetry
     holds exactly.  A ``psi`` with a batch axis gives one integral per
     member, each equal bit for bit to that member's own integral; the batch
-    is synthesized in chunks of at most ``_BATCH_CELLS`` grid values.
+    is synthesized in chunks of at most ``_BLOCK_CELLS`` grid values.
     """
     lat = phi.lat
     if np.ndim(phi.u) != 1:
         raise ValueError("only the second solution may carry a batch axis")
     a, da = synthesize(phi, t, [(), (0,)])
     u, ustar = (np.reshape(c, (-1, lat.n_modes)) for c in (psi.u, psi.ustar))
-    step = max(1, _BATCH_CELLS // int(np.prod(lat.grid_shape)))
+    step = max(1, _BLOCK_CELLS // int(np.prod(lat.grid_shape)))
     totals = np.empty(len(u), dtype=complex)
     for i in range(0, len(u), step):
         part = Solution(lat, u[i:i + step], ustar[i:i + step], psi.real_flag)

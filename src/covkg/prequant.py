@@ -13,10 +13,10 @@ Storage.  A state holds four arrays with one entry per term:
   * ``tag`` (n_terms,): an integer naming the input the term descends from;
   * ``key`` (n_terms,): the int64 group key of (tag, row), below.
 
-``PolarizedState(lat, idx, amp, tag, degree_bound)`` takes the first three
-as they are (sorted rows), computes the keys, raises ``ValueError`` when a
-(tag, row) pair comes twice and ``DegreeOverflowError`` when a row's degree
-exceeds ``degree_bound``; ``vacuum``, ``monomial``, ``monomial_block`` and the
+``PolarizedState(lat, idx, amp, tag)`` takes the three arrays as they are
+(sorted rows), computes the keys, raises ``ValueError`` when a (tag, row)
+pair comes twice and ``DegreeOverflowError`` when a row's degree exceeds
+``DEGREE_BOUND``; ``vacuum``, ``monomial``, ``monomial_block`` and the
 operators return states in that form, key-sorted.
 
 Tags let one state carry many independent inputs: the operators act
@@ -30,13 +30,13 @@ block's peak memory.  ``coeffs`` is a read-only dict view of a state,
 {sorted (mode, exponent) tuple: amplitude}, summed over tags.
 
 Keys.  Each term carries an int64 key, ``tag * S + rank``.  The rank is
-that of the row padded with sentinels to width D = ``degree_bound`` in the
+that of the row padded with sentinels to width D = ``DEGREE_BOUND`` in the
 combinatorial number system (Knuth, TAOCP 4A, section 7.2.1.3): a sorted
 row c_0 <= ... <= c_{D-1} over the n_modes + 1 symbols has the rank
 sum_i C(c_i + i, i + 1) < S = C(n_modes + D, D).  A row of width W < D has
 that rank minus sum_{i >= W} C(n_modes + i, i + 1), the same for every row,
-so keys are computed from the columns a row happens to have and their
-order (degree descending, then colex) does not depend on D.  The operators,
+so keys are computed from the columns a row happens to have, in one order
+(degree descending, then colex) for every width.  The operators,
 ``state_sum``, ``prune`` and ``state_scale`` hand the keys on, and
 ``inner_product`` pairs terms by them; no row is ranked twice.
 
@@ -119,12 +119,15 @@ import numpy as np
 from .lattice import ModeLattice, _cmul, _complex
 
 _INT64_MAX = np.iinfo(np.int64).max
+# The most raisings any state takes: ``covkg prequant --max-degree 4``
+# raises degree-4 rows twice.  Keys rank rows padded to this width.
+DEGREE_BOUND = 6
 # Entries per block of the exponent-count matrix of ``p_eigenvalues``.
 _COUNT_CELLS = 1 << 18
 
 
 class DegreeOverflowError(Exception):
-    """Raised when a raising operator exceeds the state's degree bound."""
+    """Raised when a state's degree would exceed ``DEGREE_BOUND``."""
 
 
 def row_alphas(lat: ModeLattice, rows) -> list:
@@ -165,13 +168,6 @@ def _column_keys(n_modes: int, columns, tag: np.ndarray,
     return keys
 
 
-def _keys(n_modes: int, idx: np.ndarray, tag: np.ndarray,
-          width: int | None = None) -> np.ndarray:
-    """``_column_keys`` of index rows padded to ``width`` (default: theirs)."""
-    return _column_keys(n_modes, idx.T, tag,
-                        idx.shape[1] if width is None else width)
-
-
 def _trim(idx: np.ndarray, n_modes: int) -> np.ndarray:
     """Drop the right-hand columns that hold only the sentinel."""
     width = idx.shape[1]
@@ -203,7 +199,8 @@ def _group(keys: np.ndarray, amp: np.ndarray):
 def _coalesce(n_modes: int, idx, amp, tag):
     """Merge equal (tag, row) terms of raw arrays, summing in term order."""
     idx = _trim(idx, n_modes)
-    first, _, amp = _group(_keys(n_modes, idx, tag), amp)
+    first, _, amp = _group(_column_keys(n_modes, idx.T, tag, idx.shape[1]),
+                           amp)
     return idx.take(first, axis=0), amp, tag.take(first)
 
 
@@ -235,7 +232,6 @@ class PolarizedState:
     idx: np.ndarray
     amp: np.ndarray
     tag: np.ndarray
-    degree_bound: int = 6
     key: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -250,10 +246,11 @@ class PolarizedState:
             raise ValueError("idx must hold one index row per amplitude "
                              "and tag")
         degree = _trim(self.idx, n_modes).shape[1]
-        if degree > self.degree_bound:
+        if degree > DEGREE_BOUND:
             raise DegreeOverflowError(
-                f"degree {degree} exceeds bound {self.degree_bound}")
-        key = _keys(n_modes, self.idx[:, :degree], self.tag, self.degree_bound)
+                f"degree {degree} exceeds bound {DEGREE_BOUND}")
+        key = _column_keys(n_modes, self.idx[:, :degree].T, self.tag,
+                           DEGREE_BOUND)
         # Key-sorted input (every state built here) costs one comparison pass.
         if (key[1:] <= key[:-1]).any():
             ordered = np.sort(key)
@@ -278,22 +275,20 @@ def prune(state: PolarizedState) -> PolarizedState:
                    key=state.key[keep])
 
 
-def monomial_block(lat: ModeLattice, rows, amp=None,
-                   degree_bound: int = 6) -> PolarizedState:
+def monomial_block(lat: ModeLattice, rows, amp=None) -> PolarizedState:
     """One term per index row, tagged 0..len(rows)-1, amplitudes default 1."""
     rows = np.asarray(rows, dtype=np.intp)
     amp = (np.ones(len(rows), dtype=complex) if amp is None
            else np.asarray(amp, dtype=complex))
     return PolarizedState(
-        lat, *_coalesce(lat.n_modes, rows, amp, np.arange(len(rows))),
-        degree_bound)
+        lat, *_coalesce(lat.n_modes, rows, amp, np.arange(len(rows))))
 
 
-def vacuum(lat: ModeLattice, degree_bound: int = 6) -> PolarizedState:
-    return monomial_block(lat, np.zeros((1, 0)), degree_bound=degree_bound)
+def vacuum(lat: ModeLattice) -> PolarizedState:
+    return monomial_block(lat, np.zeros((1, 0)))
 
 
-def monomial(lat: ModeLattice, pairs, degree_bound: int = 6) -> PolarizedState:
+def monomial(lat: ModeLattice, pairs) -> PolarizedState:
     """The state (u*)^alpha |0> for alpha given as {mode: exponent}."""
     alpha = []
     for k, e in dict(pairs).items():
@@ -308,15 +303,7 @@ def monomial(lat: ModeLattice, pairs, degree_bound: int = 6) -> PolarizedState:
     for k in row:
         if not 0 <= k < lat.n_modes:
             raise ValueError(f"mode index {k} out of range")
-    return monomial_block(lat, [row], degree_bound=degree_bound)
-
-
-def _keys_at(state: PolarizedState, degree_bound: int) -> np.ndarray:
-    """The state's keys as carried by a state of bound ``degree_bound``."""
-    if degree_bound == state.degree_bound:
-        return state.key
-    n_modes = state.lat.n_modes
-    return _keys(n_modes, _trim(state.idx, n_modes), state.tag, degree_bound)
+    return monomial_block(lat, [row])
 
 
 def _same_lattice(states) -> ModeLattice:
@@ -335,19 +322,13 @@ def state_sum(*states: PolarizedState) -> PolarizedState:
     """
     lat = _same_lattice(states)
     n_modes = lat.n_modes
-    bound = max(s.degree_bound for s in states)
-    first, key, amp = _group(
-        np.concatenate([_keys_at(s, bound) for s in states]),
-        np.concatenate([s.amp for s in states]))
+    first, key, amp = _group(np.concatenate([s.key for s in states]),
+                             np.concatenate([s.amp for s in states]))
     width = max(s.idx.shape[1] for s in states)
     idx = np.concatenate([_widen(s.idx, width, n_modes) for s in states])
     tag = np.concatenate([s.tag for s in states])
     return PolarizedState(lat, _trim(idx.take(first, axis=0), n_modes), amp,
-                          tag.take(first), bound, key)
-
-
-def state_add(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
-    return state_sum(s1, s2)
+                          tag.take(first), key)
 
 
 def state_scale(c, s: PolarizedState) -> PolarizedState:
@@ -371,9 +352,8 @@ def states_equal(s1: PolarizedState, s2: PolarizedState) -> bool:
     amplitudes, since x - y == 0 for finite floats only when x == y.
     """
     _same_lattice((s1, s2))
-    bound = max(s1.degree_bound, s2.degree_bound)
     nz1, nz2 = s1.amp != 0, s2.amp != 0
-    return (np.array_equal(_keys_at(s1, bound)[nz1], _keys_at(s2, bound)[nz2])
+    return (np.array_equal(s1.key[nz1], s2.key[nz2])
             and np.array_equal(s1.amp[nz1], s2.amp[nz2]))
 
 
@@ -423,10 +403,10 @@ def op_a(f, state: PolarizedState) -> PolarizedState:
     rows = idx.ravel().take(src[:, None] * width
                             + _drop_table(width).take(col, axis=0))
     tag = state.tag.take(src)
-    first, key, amp = _group(_keys(n_modes, rows, tag, state.degree_bound),
+    first, key, amp = _group(_column_keys(n_modes, rows.T, tag, DEGREE_BOUND),
                              amp)
     return PolarizedState(lat, _trim(rows.take(first, axis=0), n_modes), amp,
-                          tag.take(first), state.degree_bound, key)
+                          tag.take(first), key)
 
 
 def op_a_star(g, state: PolarizedState) -> PolarizedState:
@@ -437,9 +417,9 @@ def op_a_star(g, state: PolarizedState) -> PolarizedState:
     modes = np.flatnonzero(g != 0)
     idx = _trim(state.idx, n_modes)
     (n, width), n_new = idx.shape, len(modes)
-    if n and n_new and width + 1 > state.degree_bound:
+    if n and n_new and width + 1 > DEGREE_BOUND:
         raise DegreeOverflowError(
-            f"degree {width + 1} exceeds bound {state.degree_bound}")
+            f"degree {width + 1} exceeds bound {DEGREE_BOUND}")
     # Term (i, k) raises row i by mode modes[k]: the mode enters as a new
     # last column, and one compare-exchange pass from the right moves it
     # to its place in the sorted row.  Rows are held column-major.
@@ -453,10 +433,10 @@ def op_a_star(g, state: PolarizedState) -> PolarizedState:
         cols[j] = low
     amp = _cmul((lat.w * g)[modes], state.amp[:, None]).reshape(-1)
     tag = np.repeat(state.tag, n_new)
-    first, key, amp = _group(
-        _column_keys(n_modes, cols, tag, state.degree_bound), amp)
+    first, key, amp = _group(_column_keys(n_modes, cols, tag, DEGREE_BOUND),
+                             amp)
     return PolarizedState(lat, _trim(cols.take(first, axis=1).T, n_modes),
-                          amp, tag.take(first), state.degree_bound, key)
+                          amp, tag.take(first), key)
 
 
 def minkowski_kz(lat: ModeLattice, zeta) -> np.ndarray:
@@ -538,15 +518,14 @@ def inner_product(s1: PolarizedState, s2: PolarizedState) -> complex:
     Terms pair up when tag and monomial agree.
     """
     lat = _same_lattice((s1, s2))
-    bound = max(s1.degree_bound, s2.degree_bound)
-    _, i1, i2 = np.intersect1d(_keys_at(s1, bound), _keys_at(s2, bound),
-                               assume_unique=True, return_indices=True)
+    _, i1, i2 = np.intersect1d(s1.key, s2.key, assume_unique=True,
+                               return_indices=True)
     terms = _cmul(np.conj(s1.amp[i1]), s2.amp[i2]) * _norm_sq(lat, s1.idx[i1])
     return complex(np.sum(terms))
 
 
 def _unrank(n_modes: int, degree: int, ranks) -> np.ndarray:
-    """Sorted rows of one degree with these ranks, the inverse of ``_keys``.
+    """Sorted rows of one degree with these ranks; inverts ``_column_keys``.
 
     From the last column, c_i + i is the largest b with C(b, i + 1) <= rank.
     """

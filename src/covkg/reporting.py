@@ -18,7 +18,7 @@ from time import perf_counter
 import numpy as np
 
 from ._version import __version__
-from .lattice import ModeLattice, build_lattice
+from .lattice import ModeLattice, _check_number, build_lattice
 
 SCHEMA_VERSION = 1
 
@@ -93,13 +93,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name in self._KEYS:
-            value = getattr(self, name)
-            kind = int if name in ("d", "N", "n_max", "seed") else (int, float)
-            if (isinstance(value, bool) or not isinstance(value, kind)
-                    or not abs(value) < np.inf):
-                raise ValueError(f"config {name!r} must be " + (
-                    "an integer" if kind is int else "a finite real number")
-                    + f", got {value!r}")
+            _check_number(f"config {name!r}", getattr(self, name),
+                          name in ("d", "N", "n_max", "seed"))
         if self.seed < 0:
             raise ValueError(f"config 'seed' must be nonnegative, got {self.seed}")
         if not isinstance(self.tolerances, dict):

@@ -19,13 +19,13 @@ of solutions (the observables suite stacks its ladder generators this way);
 the grids come out with the axes (order, batch, time) + grid_shape.  Each
 grid equals, bit for bit, the grid of the call that asks for it alone.
 ``fields_and_orders`` (with ``evaluate_fields`` and ``second_derivatives``
-built on it) and each history's ``at`` make one such call.
+built on it) and each history's ``at`` make one such call.  A time window's
+``on_grid`` gives the window and its two derivatives from one pass.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .lattice import (
     ModeLattice,
-    build_lattice,
+    _check_number,
     dft_forward,
     grid_integral,
     mode_sum_grid,
@@ -43,6 +43,9 @@ from .lattice import (
 )
 
 _CONJ_TOL = 1e-12
+# Grid values per block of stacked synthesized fields: bounds the memory of
+# the action quadratures and of the batched bracket pairing.
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -134,15 +137,10 @@ def from_modes(lat: ModeLattice, u, ustar=None, real_flag: bool = True) -> Solut
     return Solution(lat, u, ustar, bool(real_flag))
 
 
-def zero_solution(lat: ModeLattice, real_flag: bool = True) -> Solution:
-    z = np.zeros(lat.n_modes, dtype=complex)
-    return from_modes(lat, z, z.copy(), real_flag)
-
-
 def random_solution(lat: ModeLattice, rng: np.random.Generator,
-                    real_flag: bool = True, scale: float = 1.0) -> Solution:
+                    real_flag: bool = True) -> Solution:
     """Seeded random solution with mildly decaying mode amplitudes."""
-    amp = scale / (1.0 + np.sum(lat.k ** 2, axis=1))
+    amp = 1.0 / (1.0 + np.sum(lat.k ** 2, axis=1))
     def draw():
         z = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
         return amp * z / np.sqrt(2.0)
@@ -315,17 +313,6 @@ def kg_residual(sol: Solution, t: float = 0.0) -> float:
     return float(np.max(np.abs(grid)))
 
 
-def kg_residual_grid(lat: ModeLattice, phi_tx, dt: float) -> float:
-    """Max-norm KG residual of a sampled history, centered FD in time."""
-    phi_tx = np.asarray(phi_tx)
-    if phi_tx.shape[0] < 3:
-        raise ValueError("need at least three time samples")
-    mid = phi_tx[1:-1]
-    dtt = (phi_tx[2:] - 2.0 * mid + phi_tx[:-2]) / dt ** 2
-    resid = dtt - spectral_laplacian(lat, mid) + lat.m ** 2 * mid
-    return float(np.max(np.abs(resid)))
-
-
 def leapfrog_evolve(lat: ModeLattice, phi0, pi0, dt: float, steps: int) -> SliceData:
     """Kick-drift-kick integration of phidotdot = Lap phi - m^2 phi.
 
@@ -334,6 +321,9 @@ def leapfrog_evolve(lat: ModeLattice, phi0, pi0, dt: float, steps: int) -> Slice
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    _check_number("steps", steps, True)
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     if dt * float(np.max(lat.k0)) >= 2.0:
         raise ValueError("unstable step: require dt * max(k0) < 2")
     phi = np.array(phi0, dtype=float)
@@ -430,35 +420,19 @@ class TimeWindow:
     t2: float
     q: int = 6
 
-    def _uv(self, t):
-        T = self.t2 - self.t1
+    def on_grid(self, t, d: int):
+        """(eta, eta', eta'') at t, shaped to broadcast over d grid axes."""
+        T, q = self.t2 - self.t1, self.q
         s = (np.asarray(t, dtype=float) - self.t1) / T
         inside = (s > 0.0) & (s < 1.0)
         s = np.where(inside, s, 0.0)
-        return s, inside, T
-
-    def value(self, t):
-        s, inside, _ = self._uv(t)
-        return np.where(inside, (4.0 * s * (1.0 - s)) ** self.q, 0.0)
-
-    def d1(self, t):
-        s, inside, T = self._uv(t)
         u = s * (1.0 - s)
-        core = self.q * 4.0 ** self.q * u ** (self.q - 1) * (1.0 - 2.0 * s)
-        return np.where(inside, core / T, 0.0)
-
-    def d2(self, t):
-        s, inside, T = self._uv(t)
-        u = s * (1.0 - s)
-        q = self.q
-        core = q * 4.0 ** q * ((q - 1) * u ** (q - 2) * (1.0 - 2.0 * s) ** 2
-                               - 2.0 * u ** (q - 1))
-        return np.where(inside, core / T ** 2, 0.0)
-
-    def on_grid(self, t, d: int):
-        """(eta, eta', eta'') at t, shaped to broadcast over d grid axes."""
+        value = (4.0 * s * (1.0 - s)) ** q
+        d1 = q * 4.0 ** q * u ** (q - 1) * (1.0 - 2.0 * s) / T
+        d2 = q * 4.0 ** q * ((q - 1) * u ** (q - 2) * (1.0 - 2.0 * s) ** 2
+                             - 2.0 * u ** (q - 1)) / T ** 2
         grid = (Ellipsis,) + (None,) * d
-        return self.value(t)[grid], self.d1(t)[grid], self.d2(t)[grid]
+        return tuple(np.where(inside, v, 0.0)[grid] for v in (value, d1, d2))
 
 
 def windowed_fields(base, var, window, eps: float):
@@ -491,35 +465,6 @@ class WindowedPerturbation:
         """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
         return windowed_fields(self.base.at(t), self.var.at(t),
                                self.window.on_grid(t, self.lat.d), self.eps)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def _pairs(arr) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(arr, dtype=complex)]
-
-
-def solution_to_json(sol: Solution) -> str:
-    lat = sol.lat
-    doc = {
-        "schema_version": 1,
-        "lattice": {"d": lat.d, "L": lat.L, "N": lat.N, "n_max": lat.n_max,
-                    "m": lat.m, "hbar": lat.hbar},
-        "u": _pairs(sol.u),
-        "ustar": _pairs(sol.ustar),
-        "real_flag": sol.real_flag,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def solution_from_json(text: str) -> Solution:
-    doc = json.loads(text)
-    lat = build_lattice(**doc["lattice"])
-    u = np.array([complex(re, im) for re, im in doc["u"]])
-    ustar = np.array([complex(re, im) for re, im in doc["ustar"]])
-    return from_modes(lat, u, ustar, bool(doc["real_flag"]))
 
 
 def write_cauchy_csv(lat: ModeLattice, phi0, pi0, path) -> None:

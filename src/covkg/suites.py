@@ -88,7 +88,6 @@ def suite_msymp(cfg: RunConfig) -> list:
                          ms.hamilton_pointwise_residual(sol, 0.3), 0.0))
 
     # q[row, c] = omega(e_row, e_c0, .., e_cd) for every (d+1)-subset c
-    eye = np.eye(2 * lat.d + 4)
     combos = np.array(list(combinations(range(len(eye)), lat.d + 1))).T
     q = ms.omega_eval([ms._tangent(eye[:, :, None])]
                       + [ms._tangent(eye[:, None, c]) for c in combos])
@@ -342,13 +341,12 @@ def ladder_checks(cfg: RunConfig, rng: np.random.Generator, f, g, rows,
     ]
 
 
-def _random_state(lat, rng, degree: int, degree_bound: int = 6):
+def _random_state(lat, rng, degree: int):
     n = comb(lat.n_modes + degree, degree)  # monomials of degree <= degree
     picks = np.sort(rng.choice(n, size=min(6, n), replace=False))
     rows = np.array([pq.monomial_at(lat, degree, int(i)) for i in picks])
     amp = rng.standard_normal((len(picks), 2)).view(complex).ravel()  # re, im
-    state = pq.PolarizedState(lat, rows, amp, np.zeros(len(picks), np.intp),
-                              degree_bound)
+    state = pq.PolarizedState(lat, rows, amp, np.zeros(len(picks), np.intp))
     norm = np.sqrt(abs(pq.inner_product(state, state)))
     return pq.state_scale(1.0 / norm, state)
 

@@ -269,12 +269,12 @@ def test_12_lowering_adjoint_to_raising(lat):
     pool = pq.row_alphas(lat, pq.monomial_rows(lat, 4))
 
     def rand_state():
-        s = pq.vacuum(lat, degree_bound=6)
+        s = pq.vacuum(lat)
         for _ in range(6):
             alpha = pool[rng.integers(len(pool))]
             c = complex(rng.standard_normal(), rng.standard_normal())
-            s = pq.state_add(s, pq.state_scale(
-                c, pq.monomial(lat, list(alpha), degree_bound=6)))
+            s = pq.state_sum(s, pq.state_scale(
+                c, pq.monomial(lat, list(alpha))))
         norm = np.sqrt(abs(pq.inner_product(s, s)))
         return pq.state_scale(1.0 / norm, s)
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from covkg import build_lattice, dft_forward, dft_inverse, dispersion
+from covkg import build_lattice, dft_forward, dft_inverse
 from covkg.lattice import (
+    ModeLattice,
     grid_integral,
     mode_sum_grid,
     out_of_band_fraction,
+    spectral_divergence,
     spectral_gradient,
     spectral_gradient_laplacian,
     spectral_laplacian,
@@ -55,7 +57,8 @@ def test_zero_mode_weight_is_half(lat1d):
 
 def test_dispersion_matches_table(lat2d):
     for i in range(lat2d.n_modes):
-        assert dispersion(lat2d, lat2d.k[i]) == pytest.approx(lat2d.k0[i])
+        k0 = np.sqrt(lat2d.m ** 2 + lat2d.k[i] @ lat2d.k[i])
+        assert k0 == pytest.approx(lat2d.k0[i])
 
 
 def test_conj_index_reverses(lat2d):
@@ -76,6 +79,27 @@ def test_conj_index_reverses(lat2d):
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(ValueError):
         build_lattice(**bad)
+
+
+_GOOD = dict(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0, hbar=1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("N", 32.5), ("N", 32.0), ("N", True), ("N", "32"),
+    ("d", 1.7), ("d", True), ("n_max", True), ("n_max", 7.0),
+    ("L", np.inf), ("L", np.nan), ("L", True), ("L", "6.28"),
+    ("m", np.inf), ("m", -np.inf), ("m", False), ("hbar", np.inf),
+])
+def test_parameters_are_validated_not_coerced(name, value):
+    """Integers stay integers (no bool, no truncation) and reals are finite,
+    as in RunConfig; the error names the parameter."""
+    for make in (build_lattice, ModeLattice):
+        with pytest.raises(ValueError, match=f"lattice '{name}' must be"):
+            make(**{**_GOOD, name: value})
+
+
+def test_integer_reals_are_accepted():
+    assert build_lattice(1, 6, 32, 7, 1, 1) == build_lattice(1, 6.0, 32, 7, 1.0)
 
 
 def _direct_hat(lat, grid_field):
@@ -188,10 +212,15 @@ def test_spectral_gradient_on_plane_wave(lat2d):
         assert np.array_equal(row, spectral_gradient(lat2d, w))
     with pytest.raises(ValueError):
         spectral_gradient(lat2d, waves[:, :, :-1])
+    # The divergence of a stack of vector fields from one transform pair is,
+    # bit for bit, the gradient components of each component added in order.
+    fields = np.stack([waves.real, waves.imag], axis=1)[:, :lat2d.d]
+    div = spectral_divergence(lat2d, fields)
+    assert div.shape == waves.shape
+    want = np.zeros(waves.shape)
     for a in range(lat2d.d):
-        one = spectral_gradient(lat2d, waves.real, axis=a)
-        assert one.shape == waves.shape
-        assert np.array_equal(one, spectral_gradient(lat2d, waves.real)[:, a])
+        want = want + spectral_gradient(lat2d, fields[:, a])[:, a]
+    assert np.array_equal(div, want)
 
 
 def test_spectral_laplacian_on_plane_wave(lat2d):

@@ -26,7 +26,6 @@ from covkg.multisymplectic import (
     _tangent,
     action_of_history,
     hamilton_residual_fields,
-    basis_tangents,
     graph_frame,
     graph_tangent,
     hamilton_pointwise_residual,
@@ -62,6 +61,11 @@ def _point(n=2, phi=2.0, e=3.0, p=(1.0, 2.0), x=None):
                   phi=phi, e=e, p=np.asarray(p, float))
 
 
+def basis_tangents(d):
+    """Coordinate directions of M, ordered (x^mu, phi, e, p^mu)."""
+    return [_tangent(row) for row in np.eye(2 * d + 4)]
+
+
 def _basis_dict(d):
     """Basis tangents keyed by coordinate name for d = 1."""
     vs = basis_tangents(d)
@@ -71,10 +75,14 @@ def _basis_dict(d):
 
 
 def test_basis_tangents_span(lat):
+    """_tangent reads components in coordinate order; components() gives
+    them back."""
     vs = basis_tangents(1)
     assert len(vs) == 6
     stack = np.array([np.concatenate([v.dx, [v.dphi, v.de], v.dp]) for v in vs])
     np.testing.assert_array_equal(stack, np.eye(6))
+    np.testing.assert_array_equal(np.stack([v.components() for v in vs]),
+                                  np.eye(6))
 
 
 @pytest.mark.parametrize("triple,want", [
@@ -323,6 +331,22 @@ def test_simpson_exact_on_cubics():
 def test_simpson_requires_odd_count():
     with pytest.raises(ValueError):
         simpson(np.zeros(4), 0.1)
+
+
+@pytest.mark.parametrize("n_t", [0, 1, 2, 4, 256])
+def test_time_quadratures_require_odd_sample_count(lat, sol, n_t):
+    """Every action quadrature raises the Simpson error on a bad n_t,
+    before any field is evaluated."""
+    hist = SolutionHistory(sol)
+    calls = (lambda: action_between_slices(sol, 1.0, 0.0, 1.0, n_t),
+             lambda: action_of_history(lat, hist, 0.5, 0.0, 1.0, n_t),
+             lambda: lagrangian_action(lat, hist, 0.0, 1.0, n_t),
+             lambda: lagrangian_and_actions(lat, hist, (0.0, 1.0), 0.0, 1.0,
+                                            n_t),
+             lambda: action_criticality(sol, sol, 1.0, n_t=n_t))
+    for call in calls:
+        with pytest.raises(ValueError, match="odd number >= 3"):
+            call()
 
 
 def test_simpson_fourth_order():

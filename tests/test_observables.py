@@ -111,7 +111,7 @@ def test_batched_alpha_integrals_equal_one_k_at_a_time(d, N, n_max, budget,
     integral of each generator alone, also when the batch is chunked."""
     import covkg.observables as obs
     if budget is not None:
-        monkeypatch.setattr(obs, "_BATCH_CELLS", budget)
+        monkeypatch.setattr(obs, "_BLOCK_CELLS", budget)
     lat_d = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
     sol_d = random_solution(lat_d, np.random.default_rng(3))
     modes = np.arange(lat_d.n_modes)
@@ -157,7 +157,7 @@ def test_batched_bracket_equals_one_call_per_member(lat, sol, budget,
     (also when chunked), and each member's bracket is exactly antisymmetric."""
     import covkg.observables as obs
     if budget is not None:
-        monkeypatch.setattr(obs, "_BATCH_CELLS", budget)
+        monkeypatch.setattr(obs, "_BLOCK_CELLS", budget)
     rng = np.random.default_rng(9)
     members = [random_solution(lat, rng, real_flag=False) for _ in range(3)]
     batch = Solution(lat, np.stack([m.u for m in members]),

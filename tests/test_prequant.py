@@ -25,7 +25,8 @@ from covkg import (
 )
 from covkg.observables import bracket_regularized
 from covkg.prequant import (
-    _keys,
+    DEGREE_BOUND,
+    _column_keys,
     is_zero_state,
     max_abs,
     minkowski_kz,
@@ -35,7 +36,6 @@ from covkg.prequant import (
     p_eigenvalue,
     prune,
     row_alphas,
-    state_add,
     state_scale,
     state_sub,
     state_sum,
@@ -89,7 +89,7 @@ def test_monomial_rejects_bad_input_collapses_duplicate(lat):
     with pytest.raises(ValueError, match="out of range"):
         monomial(lat, [(lat.n_modes, 1)])
     with pytest.raises(DegreeOverflowError):
-        monomial(lat, [(1, 2), (4, 1)], degree_bound=2)
+        monomial(lat, [(1, 4), (4, DEGREE_BOUND - 3)])
     # duplicate slots collapse like dict construction: the last entry wins
     assert monomial(lat, [(1, 1), (1, 2)]).idx.tolist() == [[1, 1]]
 
@@ -104,7 +104,7 @@ def test_vacuum_and_monomial(lat, i0):
 def test_state_arithmetic(lat, i0):
     a = monomial(lat, [(i0, 1)])
     b = monomial(lat, [(i0, 2)])
-    s = state_add(state_scale(2.0, a), state_scale(-3.0j, b))
+    s = state_sum(state_scale(2.0, a), state_scale(-3.0j, b))
     assert s.coeffs[((i0, 1),)] == 2.0 + 0j
     assert s.coeffs[((i0, 2),)] == -3.0j
     z = state_sub(s, s)
@@ -141,11 +141,12 @@ def test_monomials_up_to_degree_order_pinned():
 
 
 def test_monomial_at_walks_the_listed_order(lat):
-    """Rows sorted by (degree, ``_keys`` rank); ``monomial_at`` is row i."""
+    """Rows sorted by (degree, key rank); ``monomial_at`` is row i."""
     for max_degree in (0, 1, 3):
         rows = monomial_rows(lat, max_degree)
         degree = np.sum(rows < lat.n_modes, axis=1)
-        rank = _keys(lat.n_modes, rows, np.zeros(len(rows), dtype=np.intp))
+        rank = _column_keys(lat.n_modes, rows.T,
+                            np.zeros(len(rows), dtype=np.intp), rows.shape[1])
         assert len(np.unique(rank)) == len(rows)
         assert np.array_equal(np.lexsort((rank, degree)),
                               np.arange(len(rows)))
@@ -183,7 +184,7 @@ def test_raising_hand_values(lat, i0):
 
 def test_raising_past_bound_raises(lat, i0):
     g = np.ones(lat.n_modes)
-    state = monomial(lat, [(i0, 2)], degree_bound=2)
+    state = monomial(lat, [(i0, DEGREE_BOUND)])
     with pytest.raises(DegreeOverflowError):
         op_a_star(g, state)
 
@@ -273,7 +274,8 @@ def test_coalesce_matches_unique_grouping(lat):
     idx = np.sort(rng.integers(0, lat.n_modes + 1, size=(400, 3)), axis=1)
     tag = rng.integers(0, 5, size=400)
     amp = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-    _, first, inverse = np.unique(_keys(lat.n_modes, idx, tag),
+    _, first, inverse = np.unique(_column_keys(lat.n_modes, idx.T, tag,
+                                               idx.shape[1]),
                                   return_index=True, return_inverse=True)
     n = len(first)
     assert n < 400  # some terms merge
@@ -429,14 +431,13 @@ def test_lowering_adjoint_to_raising(lat, seed):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
 
-    def rand_state(bound=5):
+    def rand_state():
         pool = row_alphas(lat, monomial_rows(lat, 3))
-        s = vacuum(lat, degree_bound=bound)
+        s = vacuum(lat)
         for _ in range(5):
             alpha = pool[rng.integers(len(pool))]
             coeff = complex(rng.standard_normal(), rng.standard_normal())
-            s = state_add(s, state_scale(coeff, monomial(lat, list(alpha),
-                                                         degree_bound=bound)))
+            s = state_sum(s, state_scale(coeff, monomial(lat, list(alpha))))
         return s
 
     psi1, psi2 = rand_state(), rand_state()
@@ -450,15 +451,20 @@ def test_lowering_adjoint_to_raising(lat, seed):
 # ---------------------------------------------------------------------------
 
 def test_raising_checks_the_degree_present_not_the_padded_width(lat):
-    """A degree-1 state with one sentinel pad column raises to degree 2."""
-    g = np.ones(lat.n_modes)
-    state = PolarizedState(lat, [[0, lat.n_modes]], [1], [0], degree_bound=2)
+    """A state one below the bound, with one sentinel pad column, raises to
+    the bound."""
+    g = np.zeros(lat.n_modes)
+    g[3] = 1.0
+    top = DEGREE_BOUND
+    state = PolarizedState(lat, [[0] * (top - 1) + [lat.n_modes]], [1], [0])
     raised = op_a_star(g, state)
-    assert raised.idx.shape == (lat.n_modes, 2)
-    with pytest.raises(DegreeOverflowError, match="degree 3 exceeds bound 2"):
+    assert raised.idx.shape == (1, top)
+    with pytest.raises(DegreeOverflowError,
+                       match=f"degree {top + 1} exceeds bound {top}"):
         op_a_star(g, raised)
-    with pytest.raises(DegreeOverflowError, match="degree 3 exceeds bound 2"):
-        PolarizedState(lat, [[0, 0, 0]], [1], [0], degree_bound=2)
+    with pytest.raises(DegreeOverflowError,
+                       match=f"degree {top + 1} exceeds bound {top}"):
+        PolarizedState(lat, [[0] * (top + 1)], [1], [0])
 
 
 def test_repeated_terms_are_rejected(lat):
@@ -482,7 +488,7 @@ def test_states_on_different_lattices_do_not_combine(lat):
     lat7 = build_lattice(d=1, L=2 * np.pi, N=8, n_max=3, m=1.0)
     wide = monomial(lat, [(10, 1)])
     small = vacuum(lat7)
-    for combine in (state_add, state_sub, inner_product):
+    for combine in (state_sum, state_sub, inner_product):
         with pytest.raises(ValueError, match="different lattices"):
             combine(wide, small)
     twin = build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
@@ -592,7 +598,7 @@ def _assert_keys_carried(state):
     n = state.lat.n_modes
     width = int(np.sum(state.idx < n, axis=1).max(initial=0))
     assert np.all(state.idx[:, width:] == n)
-    want = _keys(n, state.idx[:, :width], state.tag, state.degree_bound)
+    want = _column_keys(n, state.idx[:, :width].T, state.tag, DEGREE_BOUND)
     assert np.array_equal(state.key, want)
 
 
@@ -620,7 +626,7 @@ def test_sort_free_ladders_equal_the_sorting_kernels(lat, width):
 @pytest.mark.parametrize("width", range(6))
 def test_keys_are_carried_through_every_operation(lat, width):
     """After each operator, sum, prune and scale, the carried keys equal
-    the keys ranked afresh from (idx, tag, degree_bound)."""
+    the keys ranked afresh from (idx, tag) at DEGREE_BOUND."""
     rng = np.random.default_rng(50 + width)
     f, g = _rand_fg(lat, 10 + width)
     state = PolarizedState(lat, *_random_tagged_state(lat, rng, width))
@@ -628,13 +634,10 @@ def test_keys_are_carried_through_every_operation(lat, width):
     _assert_keys_carried(state)
     results = [op_a_star(g, state), op_a(f, state),
                op_p(np.array([0.7, -0.4]), state), state_scale(0.5j, state),
-               state_add(state, other), state_sub(state, other),
+               state_sum(state, other), state_sub(state, other),
                prune(state), state_sum(state, other, op_a(f, other))]
     for out in results:
         _assert_keys_carried(out)
-    wider = PolarizedState(lat, state.idx, state.amp, state.tag, 8)
-    _assert_keys_carried(state_add(wider, other))
-    assert inner_product(wider, other) == inner_product(state, other)
 
 
 def _nested_ccr(lat, f, g, block):

@@ -1,4 +1,4 @@
-"""Mode-synthesis, evolution, and serialization tests.
+"""Mode-synthesis, evolution, and Cauchy-file tests.
 
 Closed-form oracles: a single retained mode is an explicit traveling wave,
 so every field and derivative is checkable by hand.
@@ -20,16 +20,12 @@ from covkg.solution import (
     evaluate_fields,
     field_energy,
     fields_and_orders,
-    kg_residual_grid,
     leapfrog_evolve,
     random_solution,
     read_cauchy_csv,
     second_derivatives,
-    solution_from_json,
-    solution_to_json,
     synthesize,
     write_cauchy_csv,
-    zero_solution,
 )
 
 
@@ -168,24 +164,26 @@ def test_kg_residual_vanishes_on_solutions(lat, sol, t):
     assert kg_residual(sol, t) < 1e-12
 
 
-def test_kg_residual_grid_detects_wrong_mass(lat):
-    """The FD residual distinguishes the true dispersion from a detuned one."""
-    sol = _single_mode(lat, (2,))
-    dt = 1e-3
-    good = np.stack([synthesize(sol, s * dt) for s in range(3)])
-    assert kg_residual_grid(lat, good, dt) < 1e-5
-    i = lat.mode_index((2,))
-    wrong_k0 = lat.k0[i] * 1.1
-    x = lat.axis()
-    bad = np.stack([2.0 * lat.w[i] * np.cos(wrong_k0 * s * dt - lat.k[i, 0] * x)
-                    / np.sqrt(2 * np.pi) for s in range(3)])
-    assert kg_residual_grid(lat, bad, dt) > 1e-3
-
-
 def test_leapfrog_requires_stable_step(lat):
     phi = np.zeros(32)
     with pytest.raises(ValueError):
         leapfrog_evolve(lat, phi, phi, dt=2.0 / lat.k0.max(), steps=1)
+
+
+@pytest.mark.parametrize("steps", [-5, -1, 2.5, True, "3"])
+def test_leapfrog_rejects_bad_step_count(lat, steps):
+    """A negative count would return the t = 0 fields labelled t < 0."""
+    phi = np.zeros(32)
+    with pytest.raises(ValueError, match="^steps must be"):
+        leapfrog_evolve(lat, phi, phi, dt=0.05, steps=steps)
+
+
+def test_leapfrog_zero_steps_returns_the_cauchy_data(lat, sol):
+    sd = evaluate_fields(sol, 0.0)
+    out = leapfrog_evolve(lat, sd.phi, sd.p[0], 0.05, 0)
+    assert out.t == 0.0
+    assert np.array_equal(out.phi, sd.phi)
+    assert np.array_equal(out.p[0], sd.p[0])
 
 
 def test_leapfrog_energy_drift_second_order(lat, sol):
@@ -204,20 +202,6 @@ def test_leapfrog_tracks_exact_solution(lat, sol):
     sd = evaluate_fields(sol, 0.0)
     out = leapfrog_evolve(lat, sd.phi, sd.p[0], 0.002, 500)
     np.testing.assert_allclose(out.phi, synthesize(sol, 1.0), atol=1e-4)
-
-
-def test_zero_solution_is_zero(lat):
-    z = zero_solution(lat)
-    assert np.all(synthesize(z, 0.9) == 0.0)
-
-
-def test_json_round_trip(lat, sol):
-    text = solution_to_json(sol)
-    back = solution_from_json(text)
-    np.testing.assert_array_equal(back.u, sol.u)
-    np.testing.assert_array_equal(back.ustar, sol.ustar)
-    assert back.lat == lat
-    assert back.real_flag == sol.real_flag
 
 
 def test_cauchy_csv_round_trip(lat, sol, tmp_path):
@@ -299,14 +283,25 @@ def test_polynomial_history_derivatives(lat):
 
 def test_time_window_compact_support_and_derivatives():
     win = TimeWindow(0.0, 1.0, q=6)
-    assert win.value(-0.1) == 0.0 and win.value(1.1) == 0.0
-    assert win.value(0.5) == 1.0
+
+    def value(t):
+        return win.on_grid(t, 0)[0]
+
+    for t in (-0.1, 0.0, 1.0, 1.1):
+        assert all(v == 0.0 for v in win.on_grid(t, 0))
+    assert value(0.5) == 1.0
     h1, h2 = 1e-6, 1e-4
     for t in (0.3, 0.71):
-        fd1 = (win.value(t + h1) - win.value(t - h1)) / (2 * h1)
-        fd2 = (win.value(t + h2) - 2 * win.value(t) + win.value(t - h2)) / h2 ** 2
-        assert float(win.d1(t)) == pytest.approx(fd1, abs=1e-7)
-        assert float(win.d2(t)) == pytest.approx(fd2, abs=1e-4)
+        fd1 = (value(t + h1) - value(t - h1)) / (2 * h1)
+        fd2 = (value(t + h2) - 2 * value(t) + value(t - h2)) / h2 ** 2
+        _, d1, d2 = win.on_grid(t, 0)
+        assert float(d1) == pytest.approx(fd1, abs=1e-7)
+        assert float(d2) == pytest.approx(fd2, abs=1e-4)
+    ts = np.array([-0.2, 0.3, 0.71, 1.4])
+    stacked = win.on_grid(ts, 2)
+    for got, want in zip(stacked, zip(*(win.on_grid(t, 0) for t in ts))):
+        assert got.shape == (4, 1, 1)
+        assert np.array_equal(got[:, 0, 0], np.array(want))
 
 
 def _synthesize_one_order(sol, t, mus=(), extra_u=None, extra_us=None):
