@@ -13,10 +13,9 @@ from .lattice import (
     dft_inverse,
 )
 from .multisymplectic import (
-    MPoint,
-    MTangent,
     action_between_slices,
     action_criticality,
+    coords,
     dtheta_fd,
     hamilton_residual,
     hamiltonian,
@@ -24,10 +23,6 @@ from .multisymplectic import (
     theta_eval,
 )
 from .observables import (
-    AlphaF,
-    AlphaK,
-    AlphaStarG,
-    AlphaStarK,
     FPhi,
     Pmu,
     a_k,
@@ -71,12 +66,12 @@ from .solution import (
 __all__ = [
     "__version__",
     "ModeLattice", "build_lattice", "dft_forward", "dft_inverse",
-    "MPoint", "MTangent", "omega_eval", "theta_eval", "dtheta_fd",
+    "coords", "omega_eval", "theta_eval", "dtheta_fd",
     "hamiltonian", "hamilton_residual", "action_between_slices",
     "action_criticality",
     "Solution", "from_modes", "from_cauchy", "random_solution",
     "evolve_exact", "kg_residual", "leapfrog_evolve",
-    "FPhi", "AlphaK", "AlphaStarK", "AlphaF", "AlphaStarG", "Pmu",
+    "FPhi", "Pmu",
     "slice_integral", "a_k", "a_star_k", "bracket_regularized",
     "noether_divergence", "pmu_bracket_identity",
     "energy_integral", "momentum_integral",

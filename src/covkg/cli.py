@@ -22,6 +22,7 @@ import dataclasses
 import json
 import sys
 from contextlib import nullcontext
+from math import comb
 from time import perf_counter
 
 import numpy as np
@@ -47,6 +48,9 @@ from .suites import SUITES, ladder_checks
 
 # Record-name prefixes of the observables checks that ``brackets`` reports.
 _BRACKET_RECORDS = ("observables.bracket_", "observables.pmu_identity_")
+# Most terms ``covkg prequant`` may take on: its largest check, [a*, a*] on
+# every monomial row, makes rows x n_modes^2 of them.
+PREQUANT_TERM_BUDGET = 10 ** 9
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -161,9 +165,11 @@ def cmd_verify(cfg: RunConfig, suite: str, timings=None) -> int:
 def _parse_track(arg, lat, sol):
     if arg:
         picks = [int(s) for s in arg.split(",") if s.strip() != ""]
-        for k in picks:
+        for i, k in enumerate(picks):
             if not 0 <= k < lat.n_modes:
                 raise ValueError(f"track index {k} out of range")
+            if k in picks[:i]:
+                raise ValueError(f"track index {k} repeated")
         return picks
     order = np.argsort(-np.abs(sol.u), kind="stable")
     return sorted(int(k) for k in order[:3])
@@ -184,6 +190,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         raise ValueError("leapfrog-dt must be a finite positive number")
     ts = np.linspace(0.0, args.t_final, args.n_out)
     track = _parse_track(args.track, lat, sol)
+    alpha_k = obs.generator_alpha_k(lat, np.array(track, dtype=int))
 
     columns = (["t", "energy"]
                + [f"momentum_{i}" for i in range(1, lat.d + 1)]
@@ -199,8 +206,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         row = [t, obs.energy_integral(sol, t, cfg.lam)]
         row += [obs.momentum_integral(sol, i, t, cfg.lam)
                 for i in range(1, lat.d + 1)]
-        row += [abs(complex(v)) for v in obs.slice_integral(
-            obs.AlphaK(np.array(track, dtype=int)), sol, t)]
+        row += [abs(complex(v))
+                for v in obs.bracket_slice_integral(sol, alpha_k, t)]
         if leap is not None:
             if j > 0:
                 span = ts[j] - ts[j - 1]
@@ -242,6 +249,14 @@ def _alpha_label(alpha) -> str:
 
 def cmd_prequant(cfg: RunConfig, args) -> int:
     lat = cfg.lattice()
+    n, degree = lat.n_modes, args.max_degree
+    if not 0 <= degree <= 4:
+        raise ValueError("max-degree must lie in 0..4")
+    terms = comb(n + degree, degree) * n ** 2
+    if terms > PREQUANT_TERM_BUDGET:
+        raise ValueError(f"max-degree {degree} on {n} modes takes about "
+                         f"{terms:.1e} terms, over the budget of "
+                         f"{PREQUANT_TERM_BUDGET:.0e}")
     rng = np.random.default_rng([cfg.seed, 11])
     if args.fg:
         with open(args.fg, "r", encoding="utf-8") as fh:
@@ -249,14 +264,12 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
         if not isinstance(raw, dict):
             raise ValueError("--fg file must hold a JSON object "
                              "{\"f\": [...], \"g\": [...]}")
-        f = _parse_complex_list(raw.get("f"), lat.n_modes, "f")
-        g = _parse_complex_list(raw.get("g"), lat.n_modes, "g")
+        f = _parse_complex_list(raw.get("f"), n, "f")
+        g = _parse_complex_list(raw.get("g"), n, "g")
     else:
-        f = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
-        g = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
-    if args.max_degree < 0 or args.max_degree > 4:
-        raise ValueError("max-degree must lie in 0..4")
-    rows = pq.monomial_rows(lat, args.max_degree)
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rows = pq.monomial_rows(lat, degree)
     records = ladder_checks(cfg, rng, f, g, rows, rows)
 
     if args.spectrum_out:
@@ -275,7 +288,7 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
 def cmd_spec(cfg: RunConfig) -> int:
     data = cfg.to_dict()
     data["schema_version"] = SCHEMA_VERSION
-    sys.stdout.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", cfg.out)
     return 0
 
 

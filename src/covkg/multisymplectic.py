@@ -13,18 +13,18 @@ Both forms are evaluated by explicit determinant expansion over the fixed
 coordinate order (x^0..x^(n-1), phi, e, p^0..p^(n-1)); the space has
 dimension 2n + 2, so no general exterior-algebra machinery is needed.
 
-The forms evaluate whole slices at once: any component may carry trailing
-cell axes (``phi``, ``e``, ``dphi``, ``de`` shape ``cells``; ``x``, ``p``,
-``dx``, ``dp`` shape (n,) + cells), broadcast against the others, and a
-point or tangent without them is the zero-axis case of the same code,
-which returns a numpy scalar where a stack returns an array of cells.  A
-cell's value is bitwise that of evaluating the cell alone because each
-minor is one ``np.linalg.det`` over matrices [..., b, a] = component a of
-vector b, which factors every cell separately in that orientation, and
-because complex products go through ``lattice._cmul`` (numpy's array
-multiply may fuse into an FMA, its scalar one does not).  For the same
-parity ``phase_space`` sums cell values in C order, one after the other,
-not pairwise as ``np.sum`` does.
+Points and tangents of M are arrays of their 2n + 2 coordinates in that
+order, shape (2n + 2,) + cells; ``coords`` stacks one from its parts.  The
+forms evaluate whole slices at once: the cell axes of the point and the
+tangents broadcast against each other, and a point or tangent without them
+is the zero-axis case of the same code, which returns a numpy scalar where
+a stack returns an array of cells.  A cell's value is bitwise that of
+evaluating the cell alone because each minor is one ``np.linalg.det`` over
+matrices [..., b, a] = component a of vector b, which factors every cell
+separately in that orientation, and because complex products go through
+``lattice._cmul`` (numpy's array multiply may fuse into an FMA, its scalar
+one does not).  For the same parity ``phase_space`` sums cell values in C
+order, one after the other, not pairwise as ``np.sum`` does.
 """
 
 from __future__ import annotations
@@ -53,49 +53,17 @@ from .solution import (
 )
 
 
-@dataclass(frozen=True)
-class MPoint:
-    """A point of M: spacetime position, field value, energy, momenta."""
-
-    x: np.ndarray
-    phi: float
-    e: float
-    p: np.ndarray
-
-
-@dataclass(frozen=True)
-class MTangent:
-    """A tangent vector of M in the coordinate splitting (dx, dphi, de, dp)."""
-
-    dx: np.ndarray
-    dphi: float
-    de: float
-    dp: np.ndarray
-
-    def components(self) -> np.ndarray:
-        """Components in coordinate order, shape (2n + 2,) + cells."""
-        rows = [*np.asarray(self.dx), self.dphi, self.de, *np.asarray(self.dp)]
-        return np.stack(np.broadcast_arrays(*rows))
-
-
-def _tangent(comps) -> MTangent:
-    """The tangent with components ``comps`` in coordinate order."""
-    n = len(comps) // 2 - 1
-    return MTangent(dx=comps[:n], dphi=comps[n], de=comps[n + 1],
-                    dp=comps[n + 2:])
-
-
-def vertical_tangent(n: int, dphi=0.0, de=0.0, dp=None) -> MTangent:
-    """Tangent with no spacetime component (a deformation direction)."""
-    dp = np.zeros(n) if dp is None else np.asarray(dp)
-    return MTangent(dx=np.zeros(n), dphi=dphi, de=de, dp=dp)
+def coords(x, phi, e, p) -> np.ndarray:
+    """A point or tangent of M as its 2n + 2 coordinates (x^mu, phi, e, p^mu),
+    the parts broadcast against each other: shape (2n + 2,) + cells."""
+    return np.stack(np.broadcast_arrays(*x, phi, e, *p))
 
 
 def _stack(vectors, extra: int, point=None):
     """(mats, n) for n + ``extra`` tangents: per cell the matrix
     [..., b, a] = component a of vector b.  Rejects bad tangent dimensions,
-    a wrong vector count and a point without n momenta."""
-    comps = [np.moveaxis(v.components(), 0, -1) for v in vectors]
+    a wrong vector count and a point without 2n + 2 coordinates."""
+    comps = [np.moveaxis(np.asarray(v), 0, -1) for v in vectors]
     dim = comps[0].shape[-1] if comps else 0
     if any(c.shape[-1] != dim for c in comps):
         raise ValueError("tangent vectors have mismatched dimensions")
@@ -105,8 +73,8 @@ def _stack(vectors, extra: int, point=None):
     if len(comps) != n + extra:
         raise ValueError(f"the form takes n + {extra} = {n + extra} vectors, "
                          f"got {len(comps)}")
-    if point is not None and np.shape(point.p)[:1] != (n,):
-        raise ValueError(f"point.p must have n = {n} components")
+    if point is not None and np.shape(point)[:1] != (dim,):
+        raise ValueError(f"the point must have 2n + 2 = {dim} coordinates")
     return np.stack(np.broadcast_arrays(*comps), axis=-2), n
 
 
@@ -130,22 +98,22 @@ def omega_eval(vectors):
     return val
 
 
-def theta_eval(lam: float, point: MPoint, vectors):
+def theta_eval(lam: float, point, vectors):
     """Evaluate theta_lambda at ``point`` on exactly n tangent vectors."""
     mats, n = _stack(vectors, 0, point)
     ix, iphi, ip = list(range(n)), n, n + 2
-    val = _mul(point.e, _det_on(ix, mats))
+    phi, e, p = point[n], point[n + 1], point[n + 2:]
+    val = _mul(e, _det_on(ix, mats))
     for mu in range(n):
         sign = -1.0 if mu % 2 else 1.0
         rest = [a for a in ix if a != mu]
-        val = val + _mul(lam * point.p[mu] * sign,
-                         _det_on([iphi] + rest, mats))
-        val = val - _mul((1.0 - lam) * point.phi * sign,
+        val = val + _mul(lam * p[mu] * sign, _det_on([iphi] + rest, mats))
+        val = val - _mul((1.0 - lam) * phi * sign,
                          _det_on([ip + mu] + rest, mats))
     return val
 
 
-def dtheta_fd(lam: float, point: MPoint, vectors, eps: float = 1e-3):
+def dtheta_fd(lam: float, point, vectors, eps: float = 1e-3):
     """Exterior derivative d theta_lambda on n + 1 constant vector fields.
 
     d theta(v_0..v_n) = sum_i (-1)^i v_i[theta(.. v_i omitted ..)];
@@ -158,26 +126,22 @@ def dtheta_fd(lam: float, point: MPoint, vectors, eps: float = 1e-3):
     if not eps > 0:
         raise ValueError("eps must be positive")
     vectors = list(vectors)
-
-    def shifted(v: MTangent, s: float) -> MPoint:
-        return MPoint(x=point.x + s * v.dx, phi=point.phi + s * v.dphi,
-                      e=point.e + s * v.de, p=point.p + s * v.dp)
-
     total = 0.0
     for i, v in enumerate(vectors):
         rest = vectors[:i] + vectors[i + 1:]
-        der = (theta_eval(lam, shifted(v, eps), rest)
-               - theta_eval(lam, shifted(v, -eps), rest)) / (2.0 * eps)
+        der = (theta_eval(lam, point + eps * v, rest)
+               - theta_eval(lam, point - eps * v, rest)) / (2.0 * eps)
         total = total + (-1.0 if i % 2 else 1.0) * der
     return total
 
 
-def hamiltonian(point: MPoint, m: float):
+def hamiltonian(point, m: float):
     """H = e + (1/2) eta_{mu nu} p^mu p^nu + (1/2) m^2 phi^2."""
-    p = np.asarray(point.p)
+    n = len(point) // 2 - 1
+    phi, e, p = point[n], point[n + 1], point[n + 2:]
     sq = _mul(p, p)
     quad = sq[0] - np.sum(sq[1:], axis=0)
-    return point.e + 0.5 * quad + 0.5 * m ** 2 * _mul(point.phi, point.phi)
+    return e + 0.5 * quad + 0.5 * m ** 2 * _mul(phi, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +167,11 @@ def graph_frame(sol: Solution, t: float) -> GraphFrame:
                       dp=dp)
 
 
-def graph_tangent(frame: GraphFrame, mu: int, j=None) -> MTangent:
-    """X_mu = d/dx^mu + d_mu phi d/dphi + d_mu e d/de + d_mu p^nu d/dp^nu,
-    over the whole slice, or at cell ``j`` when given."""
-    cell = (...,) if j is None else np.index_exp[j]
+def graph_tangent(frame: GraphFrame, mu: int) -> np.ndarray:
+    """X_mu = d/dx^mu + d_mu phi d/dphi + d_mu e d/de + d_mu p^nu d/dp^nu."""
     dx = np.zeros(frame.dp.shape[0])
     dx[mu] = 1.0
-    return MTangent(dx=dx, dphi=frame.slice.dphi[mu][cell],
-                    de=frame.de[mu][cell],
-                    dp=frame.dp[mu][(slice(None),) + cell])
+    return coords(dx, frame.slice.dphi[mu], frame.de[mu], frame.dp[mu])
 
 
 def hamilton_pointwise_residual(sol: Solution, t: float) -> float:
@@ -225,10 +185,10 @@ def hamilton_pointwise_residual(sol: Solution, t: float) -> float:
     sd = frame.slice
     n = lat.d + 1
     xs = [graph_tangent(frame, mu) for mu in range(n)]
-    beta_x = float(np.linalg.det(np.stack([x.dx for x in xs]).T))
+    beta_x = float(np.linalg.det(np.eye(n)))  # X_mu has dx = e_mu
     # xi: every coordinate direction, along one leading axis
     eye = np.eye(2 * n + 2).reshape((2 * n + 2,) * 2 + (1,) * lat.d)
-    lhs = omega_eval([_tangent(eye)] + xs)
+    lhs = omega_eval([eye] + xs)
     # dH components in coordinate order (x, phi, e, p)
     dh = np.zeros_like(lhs)
     dh[n], dh[n + 1] = lat.m ** 2 * sd.phi, 1.0

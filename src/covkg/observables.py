@@ -6,8 +6,10 @@ A test solution Phi defines the linear observable
 
 whose slice integral on a graph is (L/N)^d sum_j (p^0 Phi - phi d_t Phi):
 the bracket pairing {F_Phi, F_Psi} of the sign table below with the
-solution as Phi and the generator as Psi, one kernel for both.  The ladder
-forms are special cases with explicit generators:
+solution as Phi and the generator as Psi, one kernel for both.  There are
+two kinds of form: ``FPhi(Phi)`` and the translation currents ``Pmu``.  The
+ladder forms are F_Phi of explicit generators (``generator_alpha_k`` and
+its three siblings; an array of mode indices gives a generator batch):
 
     alpha_k      <->  Phi =  i exp(+i k.x) / (2 pi)^{d/2}
     alpha*_k     <->  Phi = -i exp(-i k.x) / (2 pi)^{d/2}
@@ -52,29 +54,6 @@ from .solution import (
 @dataclass(frozen=True)
 class FPhi:
     phi: Solution
-
-
-# AlphaK and AlphaStarK take an int or an array of mode indices, a batch of
-# generators.  eq=False: an ndarray has no truth value, so these forms
-# compare (and hash) by identity.
-@dataclass(frozen=True, eq=False)
-class AlphaK:
-    k: int | np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class AlphaStarK:
-    k: int | np.ndarray
-
-
-@dataclass(frozen=True)
-class AlphaF:
-    f: np.ndarray
-
-
-@dataclass(frozen=True)
-class AlphaStarG:
-    g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,34 +102,17 @@ def generator_alpha_star_g(lat: ModeLattice, g) -> Solution:
     return Solution(lat, -1j * g, np.zeros_like(g), False)
 
 
-def _as_generator(form, lat: ModeLattice):
-    """The solution whose F_Phi realizes the form, or None for Pmu."""
-    if isinstance(form, FPhi):
-        return form.phi
-    if isinstance(form, AlphaK):
-        return generator_alpha_k(lat, form.k)
-    if isinstance(form, AlphaStarK):
-        return generator_alpha_star_k(lat, form.k)
-    if isinstance(form, AlphaF):
-        return generator_alpha_f(lat, form.f)
-    if isinstance(form, AlphaStarG):
-        return generator_alpha_star_g(lat, form.g)
-    return None
-
-
 def slice_integral(form, sol: Solution, t: float = 0.0):
     """Integral of the observable form over the slice t = const of the graph.
 
-    A linear form's integral is ``bracket_slice_integral(sol, gen, t)`` with
-    its generator; a batch of generators (``AlphaK``/``AlphaStarK`` with an
-    array of mode indices) gives one integral per generator.
+    ``FPhi(gen)`` integrates to ``bracket_slice_integral(sol, gen, t)``; a
+    batch of generators gives one integral per generator.
     """
     if isinstance(form, Pmu):
         return _pmu_slice_integral(form, sol, t)
-    gen = _as_generator(form, sol.lat)
-    if gen is None:
-        raise TypeError(f"not an observable form: {form!r}")
-    return bracket_slice_integral(sol, gen, t)
+    if isinstance(form, FPhi):
+        return bracket_slice_integral(sol, form.phi, t)
+    raise TypeError(f"not an observable form: {form!r}")
 
 
 def _pmu_slice_integral(form: Pmu, sol: Solution, t: float):
@@ -189,7 +151,7 @@ def a_k(sol: Solution, k: int | np.ndarray) -> complex | np.ndarray:
     An array of mode indices gives the array of a_k from one slice
     quadrature over the generator batch.
     """
-    return slice_integral(AlphaK(k), sol)
+    return bracket_slice_integral(sol, generator_alpha_k(sol.lat, k))
 
 
 def a_star_k(sol: Solution, k: int | np.ndarray) -> complex | np.ndarray:
@@ -197,7 +159,7 @@ def a_star_k(sol: Solution, k: int | np.ndarray) -> complex | np.ndarray:
 
     An array of mode indices gives the array of a*_k, as ``a_k`` does.
     """
-    return slice_integral(AlphaStarK(k), sol)
+    return bracket_slice_integral(sol, generator_alpha_star_k(sol.lat, k))
 
 
 def bracket_slice_integral(phi: Solution, psi: Solution, t: float = 0.0):
@@ -285,10 +247,9 @@ def hamiltonian_deformation(form, sol: Solution) -> Solution:
     """The phase-space vector field Xi_F of an observable, as a Solution."""
     if isinstance(form, Pmu):
         return translation_deformation(sol, form.mu)
-    gen = _as_generator(form, sol.lat)
-    if gen is None:
-        raise TypeError(f"no Hamiltonian deformation for {form!r}")
-    return gen
+    if isinstance(form, FPhi):
+        return form.phi
+    raise TypeError(f"no Hamiltonian deformation for {form!r}")
 
 
 def classical_bracket_integral(form1, form2, sol: Solution, t: float = 0.0):
@@ -297,15 +258,15 @@ def classical_bracket_integral(form1, form2, sol: Solution, t: float = 0.0):
     Pairs of linear observables use the slice bracket of their generators;
     {P_mu, F_Phi} = F_{d_mu Phi}; translations commute among themselves.
     """
-    lat = sol.lat
-    g1 = _as_generator(form1, lat)
-    g2 = _as_generator(form2, lat)
-    if g1 is not None and g2 is not None:
-        return bracket_slice_integral(g1, g2, t)
-    if isinstance(form1, Pmu) and g2 is not None:
-        return slice_integral(FPhi(derivative_solution(g2, form1.mu)), sol, t)
-    if g1 is not None and isinstance(form2, Pmu):
-        return -slice_integral(FPhi(derivative_solution(g1, form2.mu)), sol, t)
+    linear1, linear2 = isinstance(form1, FPhi), isinstance(form2, FPhi)
+    if linear1 and linear2:
+        return bracket_slice_integral(form1.phi, form2.phi, t)
+    if isinstance(form1, Pmu) and linear2:
+        return slice_integral(FPhi(derivative_solution(form2.phi, form1.mu)),
+                              sol, t)
+    if linear1 and isinstance(form2, Pmu):
+        return -slice_integral(FPhi(derivative_solution(form1.phi, form2.mu)),
+                               sol, t)
     if isinstance(form1, Pmu) and isinstance(form2, Pmu):
         return 0.0
     raise TypeError(f"no bracket rule for {form1!r}, {form2!r}")

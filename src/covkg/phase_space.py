@@ -37,14 +37,12 @@ import numpy as np
 
 from .lattice import ModeLattice, _cmul, grid_integral
 from .multisymplectic import (
-    MPoint,
-    _tangent,
     action_between_slices,
+    coords,
     graph_frame,
     graph_tangent,
     omega_eval,
     theta_eval,
-    vertical_tangent,
 )
 from .solution import (
     SliceData,
@@ -82,13 +80,11 @@ def _representative(frame, fields, shift=None):
     """The vertical tangent with ``deformation_fields`` ``fields`` over the
     slice, plus c * X_mu when ``shift = (c, mu)`` (c may vary by cell)."""
     val, dp, de = fields
-    xi = vertical_tangent(len(dp), dphi=val, de=de, dp=dp)
+    xi = coords(np.zeros(len(dp)), val, de, dp)
     if shift is None:
         return xi
     c, mu = shift
-    tangential = _cmul(np.asarray(c, dtype=complex),
-                       graph_tangent(frame, mu).components())
-    return _tangent(xi.components() + tangential)
+    return xi + _cmul(np.asarray(c, dtype=complex), graph_tangent(frame, mu))
 
 
 def _slice_sum(lat: ModeLattice, values) -> complex:
@@ -108,7 +104,7 @@ def theta_sigma_pointwise(sol: Solution, delta: Solution, lam: float, t: float,
     frame = graph_frame(sol, t)
     sd = frame.slice
     xi = _representative(frame, deformation_fields(sd, delta), shift)
-    point = MPoint(x=np.zeros(lat.d + 1), phi=sd.phi, e=sd.e, p=sd.p)
+    point = coords(np.zeros(lat.d + 1), sd.phi, sd.e, sd.p)
     spatial = [graph_tangent(frame, a) for a in range(1, lat.d + 1)]
     return _slice_sum(lat, theta_eval(lam, point, [xi] + spatial))
 

@@ -196,14 +196,6 @@ def _group(keys: np.ndarray, amp: np.ndarray):
     return first, sorted_keys.compress(starts), amp
 
 
-def _coalesce(n_modes: int, idx, amp, tag):
-    """Merge equal (tag, row) terms of raw arrays, summing in term order."""
-    idx = _trim(idx, n_modes)
-    first, _, amp = _group(_column_keys(n_modes, idx.T, tag, idx.shape[1]),
-                           amp)
-    return idx.take(first, axis=0), amp, tag.take(first)
-
-
 def _run_positions(idx: np.ndarray) -> np.ndarray:
     """1-based position of each entry within its run of equal modes."""
     pos = np.ones(idx.shape)
@@ -260,10 +252,11 @@ class PolarizedState:
 
     @cached_property
     def coeffs(self) -> MappingProxyType:
-        """Read-only {sorted (mode, exponent) tuple: complex}, tags summed."""
-        idx, amp, _ = _coalesce(self.lat.n_modes, self.idx, self.amp,
-                                np.zeros(len(self.amp), dtype=np.intp))
-        return MappingProxyType(dict(zip(row_alphas(self.lat, idx),
+        """Read-only {sorted (mode, exponent) tuple: complex}, tags summed:
+        terms group by the rank part of their keys."""
+        span = comb(self.lat.n_modes + DEGREE_BOUND, DEGREE_BOUND)
+        first, _, amp = _group(self.key % span, self.amp)
+        return MappingProxyType(dict(zip(row_alphas(self.lat, self.idx[first]),
                                          amp.tolist())))
 
 
@@ -280,8 +273,8 @@ def monomial_block(lat: ModeLattice, rows, amp=None) -> PolarizedState:
     rows = np.asarray(rows, dtype=np.intp)
     amp = (np.ones(len(rows), dtype=complex) if amp is None
            else np.asarray(amp, dtype=complex))
-    return PolarizedState(
-        lat, *_coalesce(lat.n_modes, rows, amp, np.arange(len(rows))))
+    return PolarizedState(lat, _trim(rows, lat.n_modes), amp,
+                          np.arange(len(rows)))
 
 
 def vacuum(lat: ModeLattice) -> PolarizedState:

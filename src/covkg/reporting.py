@@ -151,7 +151,10 @@ def parse_tol_overrides(items) -> dict:
         if not sep or not name:
             raise ValueError(f"bad tolerance override {item!r}, "
                              "expected NAME=VALUE")
-        out[name] = float(value)
+        try:
+            out[name] = float(value)
+        except ValueError:
+            raise ValueError(f"tolerance {name!r}: {value!r} is not a number")
     return out
 
 

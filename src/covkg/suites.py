@@ -77,10 +77,9 @@ def suite_msymp(cfg: RunConfig) -> list:
             picks = rng.choice(2 * lat.d + 4, size=lat.d + 2, replace=False)
             draws.append((lam, phi, e, p, picks))
     lams, phis, es, moms, picks = (np.array(c) for c in zip(*draws))
-    point = ms.MPoint(x=np.zeros((lat.d + 1, len(draws))), phi=phis, e=es,
-                      p=moms.T)
+    point = ms.coords(np.zeros((lat.d + 1, len(draws))), phis, es, moms.T)
     eye = np.eye(2 * lat.d + 4)
-    vectors = [ms._tangent(eye[:, col]) for col in picks.T]
+    vectors = [eye[:, col] for col in picks.T]
     diffs = np.abs(ms.dtheta_fd(lams, point, vectors) - ms.omega_eval(vectors))
     out.append(cfg.check("msymp.dtheta_vs_omega", float(np.max(diffs)), 0.0))
 
@@ -89,8 +88,7 @@ def suite_msymp(cfg: RunConfig) -> list:
 
     # q[row, c] = omega(e_row, e_c0, .., e_cd) for every (d+1)-subset c
     combos = np.array(list(combinations(range(len(eye)), lat.d + 1))).T
-    q = ms.omega_eval([ms._tangent(eye[:, :, None])]
-                      + [ms._tangent(eye[:, None, c]) for c in combos])
+    q = ms.omega_eval([eye[:, :, None]] + [eye[:, None, c] for c in combos])
     sigma_min = float(np.linalg.svd(q, compute_uv=False)[-1])
     out.append(cfg.lower_bound("msymp.omega_nondegenerate", sigma_min))
 
@@ -126,7 +124,8 @@ def suite_observables(cfg: RunConfig) -> list:
     out.append(cfg.check("observables.a_k_equals_modes",
                          float(np.max(np.abs(a_vals - sol.u))), 0.0))
 
-    later = obs.slice_integral(obs.AlphaK(modes), sol, 1.7)
+    later = obs.bracket_slice_integral(sol, obs.generator_alpha_k(lat, modes),
+                                       1.7)
     shift = max(abs(complex(v) - a) for v, a in zip(later, a_vals))
     out.append(cfg.check("observables.a_k_t_independent", shift, 0.0))
 

@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 from covkg import (
-    AlphaF,
-    AlphaStarG,
     FPhi,
     Pmu,
     action_between_slices,
@@ -131,7 +129,9 @@ def test_05_regularized_bracket_two_paths(lat, sol):
                                      generator_alpha_star_g(lat, g), 0.0)
         worst_pair = max(worst_pair, abs(got - bracket_regularized(lat, f, g)))
         f2, _ = _pair(lat, np.random.default_rng(seed + 1000))
-        null = classical_bracket_integral(AlphaF(f), AlphaF(f2), sol)
+        null = classical_bracket_integral(FPhi(generator_alpha_f(lat, f)),
+                                          FPhi(generator_alpha_f(lat, f2)),
+                                          sol)
         worst_null = max(worst_null, abs(null))
     print(f"max two-path gap = {worst_pair:.3e} (tol 1e-10), "
           f"max same-branch bracket = {worst_null:.3e} (tol 1e-12)")
@@ -179,7 +179,8 @@ def test_08_bracket_coincides_with_omega_on_all_pairs(lat, sol):
     rng = np.random.default_rng(29)
     f, g = _pair(lat, rng)
     probe = random_solution(lat, rng, real_flag=False)
-    forms = [FPhi(probe), AlphaF(f), AlphaStarG(g), Pmu(0), Pmu(1)]
+    forms = [FPhi(probe), FPhi(generator_alpha_f(lat, f)),
+             FPhi(generator_alpha_star_g(lat, g)), Pmu(0), Pmu(1)]
     worst = 0.0
     for F in forms:
         for G in forms:

@@ -72,6 +72,29 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_input_errors_name_the_bad_value(capsys):
+    """A non-numeric --tol value names its tolerance; a repeated --track
+    index exits 2 instead of emitting two columns for one mode."""
+    assert main(["verify", "--tol", "msymp.kg_residual=abc"]) == 2
+    err = capsys.readouterr().err
+    assert "msymp.kg_residual" in err and "'abc'" in err
+    assert main(["simulate", "--n-out", "2", "--track", "1,1"]) == 2
+    assert "track index 1 repeated" in capsys.readouterr().err
+    assert main(["simulate", "--n-out", "2", "--track", "3,0,3"]) == 2
+    assert "track index 3 repeated" in capsys.readouterr().err
+
+
+def test_spec_writes_the_out_file(tmp_path, capsys):
+    """spec --out writes the resolved configuration to the file, not stdout."""
+    assert main(["spec", "--seed", "3"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "spec.json"
+    assert main(["spec", "--seed", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert _read(out) == printed
+    assert json.loads(printed)["seed"] == 3
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for raw in ({"N": 16, "n_mx": 3}, {"tolerances": {"nope": 1.0}},
@@ -368,6 +391,53 @@ def test_prequant_honours_tolerance_override(tmp_path):
     checks = {c["name"]: c for c in json.loads(_read(out))["checks"]}
     assert checks["prequant.vacuum_annihilated"]["tolerance"] == 0.5
     assert checks["prequant.aa_exact_zero"]["tolerance"] == 0.0
+
+
+class _WorkBegan(Exception):
+    pass
+
+
+@pytest.mark.parametrize("config, degree, estimate", [
+    ({}, 4, None),                               # 8.7e5 terms
+    ({"d": 2, "N": 16, "n_max": 5}, 2, None),    # 1.1e8
+    ({"d": 3, "N": 8, "n_max": 3}, 1, None),     # 4.1e7
+    ({"d": 3, "N": 8, "n_max": 3}, 2, "7.0e+09"),
+    ({"d": 2, "N": 16, "n_max": 5}, 3, "4.5e+09"),
+], ids=["A4", "B2", "C1", "C2", "B3"])
+def test_prequant_refuses_work_over_the_term_budget(tmp_path, capsys,
+                                                    monkeypatch, config,
+                                                    degree, estimate):
+    """Before building any monomial row, prequant estimates rows x
+    n_modes^2 terms and exits 2 naming the estimate when it is over the
+    budget; under it, the work begins."""
+    from covkg import prequant as pq
+
+    def work(*args):
+        raise _WorkBegan
+
+    monkeypatch.setattr(pq, "monomial_rows", work)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["prequant", "--config", str(path), "--max-degree", str(degree)]
+    if estimate is None:
+        with pytest.raises(_WorkBegan):
+            main(argv)
+    else:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert estimate in err and "1e+09" in err
+
+
+def test_prequant_term_budget_is_one_constant(tmp_path, monkeypatch):
+    """The estimate at config A, degree 1 is C(16, 1) x 15^2 = 3,600 terms:
+    a budget of 3,600 runs it and one of 3,599 refuses it."""
+    import covkg.cli as cli
+    out = tmp_path / "pq.json"
+    argv = ["prequant", "--max-degree", "1", "--out", str(out)]
+    monkeypatch.setattr(cli, "PREQUANT_TERM_BUDGET", 3600)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "PREQUANT_TERM_BUDGET", 3599)
+    assert main(argv) == 2
 
 
 def test_prequant_rejects_wrong_length_fg(tmp_path):

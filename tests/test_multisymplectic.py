@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from covkg import (
-    MPoint,
-    MTangent,
     action_between_slices,
     action_criticality,
     build_lattice,
+    coords,
     dtheta_fd,
     hamilton_residual,
     hamiltonian,
@@ -23,7 +22,6 @@ from covkg import (
 )
 from covkg.multisymplectic import (
     _BLOCK_CELLS,
-    _tangent,
     action_of_history,
     hamilton_residual_fields,
     graph_frame,
@@ -33,7 +31,6 @@ from covkg.multisymplectic import (
     lagrangian_and_actions,
     simpson,
     theta_pullback_density,
-    vertical_tangent,
 )
 from covkg.phase_space import theta_difference_vs_action
 from covkg.solution import (
@@ -57,13 +54,12 @@ def sol(lat):
 
 
 def _point(n=2, phi=2.0, e=3.0, p=(1.0, 2.0), x=None):
-    return MPoint(x=np.zeros(n) if x is None else np.asarray(x, float),
-                  phi=phi, e=e, p=np.asarray(p, float))
+    return coords(np.zeros(n) if x is None else x, phi, e, p)
 
 
 def basis_tangents(d):
     """Coordinate directions of M, ordered (x^mu, phi, e, p^mu)."""
-    return [_tangent(row) for row in np.eye(2 * d + 4)]
+    return list(np.eye(2 * d + 4))
 
 
 def _basis_dict(d):
@@ -75,14 +71,16 @@ def _basis_dict(d):
 
 
 def test_basis_tangents_span(lat):
-    """_tangent reads components in coordinate order; components() gives
-    them back."""
+    """coords stacks the parts in coordinate order (x^mu, phi, e, p^mu) and
+    broadcasts them against each other."""
     vs = basis_tangents(1)
     assert len(vs) == 6
-    stack = np.array([np.concatenate([v.dx, [v.dphi, v.de], v.dp]) for v in vs])
+    stack = np.array([coords(v[:2], v[2], v[3], v[4:]) for v in vs])
     np.testing.assert_array_equal(stack, np.eye(6))
-    np.testing.assert_array_equal(np.stack([v.components() for v in vs]),
-                                  np.eye(6))
+    cells = coords([0.0, 1.0], np.arange(3.0), 2.0, np.ones((2, 3)))
+    assert cells.shape == (6, 3)
+    np.testing.assert_array_equal(cells[1], [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(cells[2], np.arange(3.0))
 
 
 @pytest.mark.parametrize("triple,want", [
@@ -100,8 +98,7 @@ def test_omega_hand_values(triple, want):
 def test_omega_antisymmetry():
     b = _basis_dict(1)
     rng = np.random.default_rng(3)
-    raw = rng.standard_normal((3, 6))
-    vs = [MTangent(dx=r[:2], dphi=r[2], de=r[3], dp=r[4:]) for r in raw]
+    vs = list(rng.standard_normal((3, 6)))
     base = omega_eval(vs)
     assert omega_eval([vs[1], vs[0], vs[2]]) == pytest.approx(-base, abs=1e-12)
     assert omega_eval([vs[0], vs[2], vs[1]]) == pytest.approx(-base, abs=1e-12)
@@ -111,10 +108,8 @@ def test_omega_antisymmetry():
 def test_omega_multilinearity():
     b = _basis_dict(1)
     rng = np.random.default_rng(8)
-    raw = rng.standard_normal((4, 6))
-    v = [MTangent(dx=r[:2], dphi=r[2], de=r[3], dp=r[4:]) for r in raw]
-    combo = MTangent(dx=2.0 * v[0].dx - v[3].dx, dphi=2.0 * v[0].dphi - v[3].dphi,
-                     de=2.0 * v[0].de - v[3].de, dp=2.0 * v[0].dp - v[3].dp)
+    v = list(rng.standard_normal((4, 6)))
+    combo = 2.0 * v[0] - v[3]
     lhs = omega_eval([combo, v[1], v[2]])
     rhs = 2.0 * omega_eval([v[0], v[1], v[2]]) - omega_eval([v[3], v[1], v[2]])
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -136,8 +131,7 @@ def test_theta_hand_values(lam):
 def test_theta_antisymmetry():
     pt = _point()
     rng = np.random.default_rng(5)
-    raw = rng.standard_normal((2, 6))
-    v = [MTangent(dx=r[:2], dphi=r[2], de=r[3], dp=r[4:]) for r in raw]
+    v = list(rng.standard_normal((2, 6)))
     assert theta_eval(0.7, pt, [v[0], v[1]]) == pytest.approx(
         -theta_eval(0.7, pt, [v[1], v[0]]), abs=1e-12)
 
@@ -147,8 +141,7 @@ def test_dtheta_equals_omega(lam):
     """d theta_lambda = omega for every gauge lam, on random constant fields."""
     rng = np.random.default_rng(11)
     pt = _point(phi=0.3, e=-1.1, p=(0.4, -0.9), x=rng.standard_normal(2))
-    raw = rng.standard_normal((3, 6))
-    vs = [MTangent(dx=r[:2], dphi=r[2], de=r[3], dp=r[4:]) for r in raw]
+    vs = list(rng.standard_normal((3, 6)))
     got = dtheta_fd(lam, pt, vs)
     want = omega_eval(vs)
     assert got == pytest.approx(want, abs=1e-9)
@@ -160,9 +153,8 @@ def _dtheta_draws(rng, d, lams=(0.0, 0.37, 1.0), per_lam=4):
     draws = []
     for lam in lams:
         for _ in range(per_lam):
-            point = MPoint(x=rng.standard_normal(d + 1),
-                           phi=rng.standard_normal(), e=rng.standard_normal(),
-                           p=rng.standard_normal(d + 1))
+            point = coords(rng.standard_normal(d + 1), rng.standard_normal(),
+                           rng.standard_normal(), rng.standard_normal(d + 1))
             draws.append((lam, point, rng.choice(n_dim, d + 2, replace=False)))
     return draws
 
@@ -175,12 +167,9 @@ def test_stacked_dtheta_equals_per_draw_calls(d):
     basis = basis_tangents(d)
     eye = np.eye(2 * d + 4)
     lams = np.array([lam for lam, _, _ in draws])
-    point = MPoint(x=np.stack([pt.x for _, pt, _ in draws], axis=1),
-                   phi=np.array([pt.phi for _, pt, _ in draws]),
-                   e=np.array([pt.e for _, pt, _ in draws]),
-                   p=np.stack([pt.p for _, pt, _ in draws], axis=1))
+    point = np.stack([pt for _, pt, _ in draws], axis=1)
     picks = np.array([pk for _, _, pk in draws])
-    vectors = [_tangent(eye[:, col]) for col in picks.T]
+    vectors = [eye[:, col] for col in picks.T]
     stacked = dtheta_fd(lams, point, vectors)
     forms = omega_eval(vectors)
     assert stacked.shape == forms.shape == (len(draws),)
@@ -211,7 +200,7 @@ def test_hamiltonian_hand_value():
 
 def test_forms_reject_malformed_tangents_and_points():
     def tangent(n_x, n_p):
-        return MTangent(dx=np.zeros(n_x), dphi=1.0, de=0.0, dp=np.ones(n_p))
+        return coords(np.zeros(n_x), 1.0, 0.0, np.ones(n_p))
 
     for vectors in ([tangent(3, 2)] * 3,                      # dimension 7
                     [tangent(1, 1)] * 2,                      # dimension 4
@@ -221,16 +210,13 @@ def test_forms_reject_malformed_tangents_and_points():
         with pytest.raises(ValueError, match="dimension"):
             theta_eval(0.5, _point(), vectors[:-1])
     for p in ((1.0,), (1.0, 2.0, 3.0)):
-        with pytest.raises(ValueError, match="point.p"):
+        with pytest.raises(ValueError, match="2n \\+ 2 = 6 coordinates"):
             theta_eval(0.5, _point(p=p), [tangent(2, 2)] * 2)
 
 
 def _cell(obj, j):
     """The point or tangent ``obj`` at cell ``j`` of its trailing axes."""
-    fields = vars(obj)
-    vector = {"x", "p", "dx", "dp"}
-    return type(obj)(**{k: v[(slice(None),) + j] if k in vector else v[j]
-                        for k, v in fields.items()})
+    return obj[(slice(None),) + j]
 
 
 @pytest.mark.parametrize("cells", [(5,), (3, 4)])
@@ -248,9 +234,8 @@ def test_forms_on_cell_stacks_match_single_cells(d, dtype, cells):
             x = x + 1j * rng.standard_normal(lead + cells)
         return x
 
-    point = MPoint(x=draw(n), phi=draw(), e=draw(), p=draw(n))
-    vectors = [MTangent(dx=draw(n), dphi=draw(), de=draw(), dp=draw(n))
-               for _ in range(n)]
+    point = coords(draw(n), draw(), draw(), draw(n))
+    vectors = [coords(draw(n), draw(), draw(), draw(n)) for _ in range(n)]
     e_dir = basis_tangents(d)[n + 1]          # no cell axes: broadcast
     omega = omega_eval(vectors + [e_dir])
     theta = theta_eval(0.37, point, vectors)
@@ -268,24 +253,23 @@ def test_hamiltonian_vanishes_on_solution_graph(lat, sol):
     frame = graph_frame(sol, 0.55)
     sd = frame.slice
     for j in range(0, 32, 4):
-        pt = MPoint(x=np.array([0.55, lat.axis()[j]]), phi=sd.phi[j],
-                    e=sd.e[j], p=sd.p[:, j])
+        pt = coords([0.55, lat.axis()[j]], sd.phi[j], sd.e[j], sd.p[:, j])
         assert hamiltonian(pt, lat.m) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_graph_tangent_holonomic(lat, sol):
     """Graph tangents carry the chain-rule derivatives of the slice fields."""
     frame = graph_frame(sol, 0.2)
-    v = graph_tangent(frame, 0, 5)
+    v = graph_tangent(frame, 0)[:, 5]
     h = 1e-6
     from covkg.solution import synthesize
 
     fd_phi = (synthesize(sol, 0.2 + h)[5] - synthesize(sol, 0.2 - h)[5]) / (2 * h)
-    assert v.dx[0] == 1.0 and v.dx[1] == 0.0
-    assert v.dphi == pytest.approx(fd_phi, abs=1e-8)
+    assert v[0] == 1.0 and v[1] == 0.0
+    assert v[2] == pytest.approx(fd_phi, abs=1e-8)
     fd_e = (evaluate_fields(sol, 0.2 + h).e[5]
             - evaluate_fields(sol, 0.2 - h).e[5]) / (2 * h)
-    assert v.de == pytest.approx(fd_e, abs=1e-8)
+    assert v[3] == pytest.approx(fd_e, abs=1e-8)
 
 
 def test_hamilton_pointwise_residual_onshell(lat, sol):

@@ -8,10 +8,6 @@ import numpy as np
 import pytest
 
 from covkg import (
-    AlphaF,
-    AlphaK,
-    AlphaStarG,
-    AlphaStarK,
     FPhi,
     Pmu,
     a_k,
@@ -81,14 +77,14 @@ def test_a_k_reads_mode_coefficients(lat, sol):
 def test_alpha_slice_integral_time_independent(lat, sol, t):
     """The slice functional returns u_k at any time, not just t = 0."""
     for k in (2, 9):
-        got = slice_integral(AlphaK(k), sol, t)
+        got = slice_integral(FPhi(generator_alpha_k(lat, k)), sol, t)
         assert got == pytest.approx(sol.u[k], abs=1e-12)
-        got = slice_integral(AlphaStarK(k), sol, t)
+        got = slice_integral(FPhi(generator_alpha_star_k(lat, k)), sol, t)
         assert got == pytest.approx(sol.ustar[k], abs=1e-12)
 
 
 def test_field_rebuilt_from_mode_readout(lat, sol):
-    us = np.array([slice_integral(AlphaK(k), sol, 0.6)
+    us = np.array([slice_integral(FPhi(generator_alpha_k(lat, k)), sol, 0.6)
                    for k in range(lat.n_modes)])
     rebuilt = from_modes(lat, us)
     np.testing.assert_allclose(synthesize(rebuilt, 0.9), synthesize(sol, 0.9),
@@ -115,23 +111,21 @@ def test_batched_alpha_integrals_equal_one_k_at_a_time(d, N, n_max, budget,
     lat_d = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
     sol_d = random_solution(lat_d, np.random.default_rng(3))
     modes = np.arange(lat_d.n_modes)
+    alpha = FPhi(generator_alpha_k(lat_d, modes))
+    alpha_star = FPhi(generator_alpha_star_k(lat_d, modes))
     for t in (0.0, 1.7):
-        got_a = slice_integral(AlphaK(modes), sol_d, t)
-        got_s = slice_integral(AlphaStarK(modes), sol_d, t)
+        got_a = slice_integral(alpha, sol_d, t)
+        got_s = slice_integral(alpha_star, sol_d, t)
         assert got_a.shape == got_s.shape == (lat_d.n_modes,)
         for k in modes:
             assert got_a[k] == _alpha_integral_one_k(
                 generator_alpha_k(lat_d, int(k)), sol_d, t)
             assert got_s[k] == _alpha_integral_one_k(
                 generator_alpha_star_k(lat_d, int(k)), sol_d, t)
-    assert np.array_equal(a_k(sol_d, modes), slice_integral(AlphaK(modes), sol_d))
+    assert np.array_equal(a_k(sol_d, modes), slice_integral(alpha, sol_d))
     assert np.array_equal(a_star_k(sol_d, modes),
-                          slice_integral(AlphaStarK(modes), sol_d))
-    assert slice_integral(AlphaK(modes[:0]), sol_d).shape == (0,)
-    # Batched forms compare and hash by identity, not by their index array.
-    form = AlphaK(modes)
-    assert form == form and form != AlphaK(modes)
-    assert len({form, AlphaStarK(modes)}) == 2
+                          slice_integral(alpha_star, sol_d))
+    assert a_k(sol_d, modes[:0]).shape == (0,)
 
 
 def test_linear_slice_integrals_equal_the_direct_integrand(lat, sol):
@@ -141,12 +135,10 @@ def test_linear_slice_integrals_equal_the_direct_integrand(lat, sol):
     rng = np.random.default_rng(8)
     f, g = _random_pair(lat, rng)
     phi = random_solution(lat, rng, real_flag=False)
-    cases = ((FPhi(phi), phi), (AlphaF(f), generator_alpha_f(lat, f)),
-             (AlphaStarG(g), generator_alpha_star_g(lat, g)),
-             (AlphaK(3), generator_alpha_k(lat, 3)))
-    for form, gen in cases:
+    for gen in (phi, generator_alpha_f(lat, f), generator_alpha_star_g(lat, g),
+                generator_alpha_k(lat, 3)):
         for t in (0.0, 1.3):
-            assert slice_integral(form, sol, t) == _alpha_integral_one_k(
+            assert slice_integral(FPhi(gen), sol, t) == _alpha_integral_one_k(
                 gen, sol, t)
 
 
@@ -246,11 +238,13 @@ def test_annihilator_bracket_vanishes(lat, seed):
     """{a_f, a_f'} = 0: both generators live on the same branch."""
     rng = np.random.default_rng(seed)
     f, fp = _random_pair(lat, rng)
-    got = classical_bracket_integral(AlphaF(f), AlphaF(fp),
+    got = classical_bracket_integral(FPhi(generator_alpha_f(lat, f)),
+                                     FPhi(generator_alpha_f(lat, fp)),
                                      random_solution(lat, rng), 0.0)
     assert abs(got) < 1e-12
     g, gp = _random_pair(lat, rng)
-    got = classical_bracket_integral(AlphaStarG(g), AlphaStarG(gp),
+    got = classical_bracket_integral(FPhi(generator_alpha_star_g(lat, g)),
+                                     FPhi(generator_alpha_star_g(lat, gp)),
                                      random_solution(lat, rng), 0.0)
     assert abs(got) < 1e-12
 
@@ -285,7 +279,8 @@ def test_bracket_paths_agree_on_all_pairs(lat, sol, rng):
     """Omega(Xi_F, Xi_G) equals the closed bracket for every observable pair."""
     f, g = _random_pair(lat, rng)
     probe = random_solution(lat, rng, real_flag=False)
-    forms = [FPhi(probe), AlphaF(f), AlphaStarG(g), Pmu(0), Pmu(1)]
+    forms = [FPhi(probe), FPhi(generator_alpha_f(lat, f)),
+             FPhi(generator_alpha_star_g(lat, g)), Pmu(0), Pmu(1)]
     for F in forms:
         for G in forms:
             a = omega_bracket_integral(F, G, sol, 0.0)

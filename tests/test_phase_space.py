@@ -17,14 +17,12 @@ from covkg import (
     theta_sigma,
 )
 from covkg.multisymplectic import (
-    MPoint,
-    MTangent,
+    coords,
     graph_frame,
     graph_tangent,
     omega_eval,
     theta_eval,
     theta_pullback_density,
-    vertical_tangent,
 )
 from covkg.phase_space import (
     deformation_fields,
@@ -169,16 +167,16 @@ def test_pointwise_slice_forms_match_a_loop_over_cells(lat, sol, defs):
     sd = frame.slice
     (v1, p1, e1), (v2, p2, e2) = (deformation_fields(sd, d)
                                   for d in (d1, d2))
+    x0, x1 = graph_tangent(frame, 0), graph_tangent(frame, 1)
     omega_total = theta_total = 0.0j
     for (j,) in np.ndindex(lat.grid_shape):
-        xi1 = vertical_tangent(2, dphi=v1[j], de=e1[j], dp=p1[:, j])
-        xi2 = vertical_tangent(2, dphi=v2[j], de=e2[j], dp=p2[:, j])
-        x0, x1 = graph_tangent(frame, 0, j), graph_tangent(frame, 1, j)
-        shifted = MTangent(dx=xi1.dx + c * x0.dx, dphi=xi1.dphi + c * x0.dphi,
-                           de=xi1.de + c * x0.de, dp=xi1.dp + c * x0.dp)
-        point = MPoint(x=np.zeros(2), phi=sd.phi[j], e=sd.e[j], p=sd.p[:, j])
-        omega_total += omega_eval([xi1, xi2, x1])
-        theta_total += theta_eval(0.3, point, [shifted, x1])
+        xi1 = coords(np.zeros(2), v1[j], e1[j], p1[:, j])
+        xi2 = coords(np.zeros(2), v2[j], e2[j], p2[:, j])
+        # one scalar product per coordinate, as a single cell computes it
+        shifted = xi1 + [c * v for v in x0[:, j]]
+        point = coords(np.zeros(2), sd.phi[j], sd.e[j], sd.p[:, j])
+        omega_total += omega_eval([xi1, xi2, x1[:, j]])
+        theta_total += theta_eval(0.3, point, [shifted, x1[:, j]])
     assert omega_sigma_pointwise(sol, d1, d2, t) == complex(
         lat.cell_volume * omega_total)
     assert theta_sigma_pointwise(sol, d1, 0.3, t, shift=(c, 0)) == complex(

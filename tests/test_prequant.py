@@ -265,28 +265,40 @@ def test_p_eigenvalues_match_per_monomial_dot_products(wide_lat, budget,
         assert got[0] == 0.0  # the vacuum row
 
 
+def test_monomial_block_keeps_rows_and_amplitudes(lat):
+    """One term per row, tagged by its position: the rows lose only their
+    sentinel columns and the amplitudes keep every bit, -0.0 included."""
+    rows = np.array([[0, 3, lat.n_modes], [2, 2, lat.n_modes],
+                     [0, 3, lat.n_modes]])
+    amp = np.array([1.5 - 0.5j, -0.0, 2.0j])
+    block = monomial_block(lat, rows, amp)
+    assert np.array_equal(block.idx, rows[:, :2])
+    assert block.amp.tobytes() == amp.tobytes()
+    assert np.array_equal(block.tag, [0, 1, 2])
+    assert block.coeffs == {((0, 1), (3, 1)): 1.5 + 1.5j, ((2, 2),): 0.0}
+
+
 def test_coalesce_matches_unique_grouping(lat):
     """Run-based grouping keeps np.unique's group order, first terms and
     summation order, so the merged state is identical bit for bit."""
     from covkg.lattice import _complex
-    from covkg.prequant import _coalesce
+    from covkg.prequant import _group
     rng = np.random.default_rng(6)
     idx = np.sort(rng.integers(0, lat.n_modes + 1, size=(400, 3)), axis=1)
     tag = rng.integers(0, 5, size=400)
     amp = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-    _, first, inverse = np.unique(_column_keys(lat.n_modes, idx.T, tag,
-                                               idx.shape[1]),
-                                  return_index=True, return_inverse=True)
+    keys = _column_keys(lat.n_modes, idx.T, tag, idx.shape[1])
+    want_keys, first, inverse = np.unique(keys, return_index=True,
+                                          return_inverse=True)
     n = len(first)
     assert n < 400  # some terms merge
     want_amp = _complex(np.bincount(inverse, amp.real, n),
                         np.bincount(inverse, amp.imag, n))
-    got_idx, got_amp, got_tag = _coalesce(lat.n_modes, idx, amp, tag)
-    assert np.array_equal(got_idx, idx[first])
-    assert np.array_equal(got_tag, tag[first])
+    got_first, got_keys, got_amp = _group(keys, amp)
+    assert np.array_equal(got_first, first)
+    assert np.array_equal(got_keys, want_keys)
     assert np.array_equal(got_amp.view(float), want_amp.view(float))
-    empty = _coalesce(lat.n_modes, idx[:0], amp[:0], tag[:0])
-    assert [len(a) for a in empty] == [0, 0, 0]
+    assert [len(a) for a in _group(keys[:0], amp[:0])] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
