@@ -23,7 +23,6 @@ from .multisymplectic import (
     theta_eval,
 )
 from .observables import (
-    FPhi,
     Pmu,
     a_k,
     a_star_k,
@@ -71,7 +70,7 @@ __all__ = [
     "action_criticality",
     "Solution", "from_modes", "from_cauchy", "random_solution",
     "evolve_exact", "kg_residual", "leapfrog_evolve",
-    "FPhi", "Pmu",
+    "Pmu",
     "slice_integral", "a_k", "a_star_k", "bracket_regularized",
     "noether_divergence", "pmu_bracket_identity",
     "energy_integral", "momentum_integral",

@@ -164,7 +164,13 @@ def cmd_verify(cfg: RunConfig, suite: str, timings=None) -> int:
 
 def _parse_track(arg, lat, sol):
     if arg:
-        picks = [int(s) for s in arg.split(",") if s.strip() != ""]
+        picks = []
+        for entry in filter(str.strip, arg.split(",")):
+            try:
+                picks.append(int(entry))
+            except ValueError:
+                raise ValueError(f"--track entry {entry.strip()!r} is not "
+                                 "a mode index") from None
         for i, k in enumerate(picks):
             if not 0 <= k < lat.n_modes:
                 raise ValueError(f"track index {k} out of range")
@@ -250,8 +256,9 @@ def _alpha_label(alpha) -> str:
 def cmd_prequant(cfg: RunConfig, args) -> int:
     lat = cfg.lattice()
     n, degree = lat.n_modes, args.max_degree
-    if not 0 <= degree <= 4:
-        raise ValueError("max-degree must lie in 0..4")
+    top = pq.DEGREE_BOUND - 2  # [a*, a*] raises max-degree rows twice
+    if not 0 <= degree <= top:
+        raise ValueError(f"max-degree must lie in 0..{top}")
     terms = comb(n + degree, degree) * n ** 2
     if terms > PREQUANT_TERM_BUDGET:
         raise ValueError(f"max-degree {degree} on {n} modes takes about "

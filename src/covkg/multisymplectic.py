@@ -14,8 +14,9 @@ coordinate order (x^0..x^(n-1), phi, e, p^0..p^(n-1)); the space has
 dimension 2n + 2, so no general exterior-algebra machinery is needed.
 
 Points and tangents of M are arrays of their 2n + 2 coordinates in that
-order, shape (2n + 2,) + cells; ``coords`` stacks one from its parts.  The
-forms evaluate whole slices at once: the cell axes of the point and the
+order, shape (2n + 2,) + cells; ``coords`` stacks one from its parts and
+``graph_frame`` builds the tangents X_mu of a solution's graph.  The forms
+evaluate whole slices at once: the cell axes of the point and the
 tangents broadcast against each other, and a point or tangent without them
 is the zero-axis case of the same code, which returns a numpy scalar where
 a stack returns an array of cells.  A cell's value is bitwise that of
@@ -29,8 +30,6 @@ order, one after the other, not pairwise as ``np.sum`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lattice import (
@@ -43,7 +42,6 @@ from .lattice import (
 )
 from .solution import (
     _BLOCK_CELLS,
-    SliceData,
     Solution,
     SolutionHistory,
     TimeWindow,
@@ -148,30 +146,16 @@ def hamiltonian(point, m: float):
 # Graph frames: the canonical tangent basis X_mu of a solution graph in M
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphFrame:
-    """Slice fields plus the derivatives (d_mu e, d_mu p^nu) along the graph."""
-
-    slice: SliceData
-    de: np.ndarray   # (d+1, grid)
-    dp: np.ndarray   # (d+1, d+1, grid), [mu, nu] = d_mu p^nu
-
-
-def graph_frame(sol: Solution, t: float) -> GraphFrame:
+def graph_frame(sol: Solution, t: float) -> tuple:
+    """(slice fields, [X_0, ..., X_d]) of the solution graph at time t, with
+    X_mu = d/dx^mu + d_mu phi d/dphi + d_mu e d/de + d_mu p^nu d/dp^nu."""
     lat = sol.lat
     sd, dd = second_derivatives(sol, t)
     eta = np.array([1.0] + [-1.0] * lat.d)
     dp = np.einsum("n,mn...->mn...", eta, dd)
     quad = dd[:, 0] * sd.dphi[0] - np.sum(dd[:, 1:] * sd.dphi[1:], axis=1)
-    return GraphFrame(slice=sd, de=-quad - lat.m ** 2 * sd.phi * sd.dphi,
-                      dp=dp)
-
-
-def graph_tangent(frame: GraphFrame, mu: int) -> np.ndarray:
-    """X_mu = d/dx^mu + d_mu phi d/dphi + d_mu e d/de + d_mu p^nu d/dp^nu."""
-    dx = np.zeros(frame.dp.shape[0])
-    dx[mu] = 1.0
-    return coords(dx, frame.slice.dphi[mu], frame.de[mu], frame.dp[mu])
+    de = -quad - lat.m ** 2 * sd.phi * sd.dphi
+    return sd, list(map(coords, np.eye(lat.d + 1), sd.dphi, de, dp))
 
 
 def hamilton_pointwise_residual(sol: Solution, t: float) -> float:
@@ -181,10 +165,8 @@ def hamilton_pointwise_residual(sol: Solution, t: float) -> float:
     Exact mode derivatives make this a roundoff-level identity on solutions.
     """
     lat = sol.lat
-    frame = graph_frame(sol, t)
-    sd = frame.slice
+    sd, xs = graph_frame(sol, t)
     n = lat.d + 1
-    xs = [graph_tangent(frame, mu) for mu in range(n)]
     beta_x = float(np.linalg.det(np.eye(n)))  # X_mu has dx = e_mu
     # xi: every coordinate direction, along one leading axis
     eye = np.eye(2 * n + 2).reshape((2 * n + 2,) * 2 + (1,) * lat.d)

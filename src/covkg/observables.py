@@ -6,10 +6,11 @@ A test solution Phi defines the linear observable
 
 whose slice integral on a graph is (L/N)^d sum_j (p^0 Phi - phi d_t Phi):
 the bracket pairing {F_Phi, F_Psi} of the sign table below with the
-solution as Phi and the generator as Psi, one kernel for both.  There are
-two kinds of form: ``FPhi(Phi)`` and the translation currents ``Pmu``.  The
-ladder forms are F_Phi of explicit generators (``generator_alpha_k`` and
-its three siblings; an array of mode indices gives a generator batch):
+solution as Phi and the generator as Psi, one kernel for both.  A linear
+observable is its generator, a ``Solution``; ``Pmu`` are the translation
+currents.  The ladder forms are F_Phi of explicit generators
+(``generator_alpha_k`` and its three siblings; an array of mode indices
+gives a generator batch):
 
     alpha_k      <->  Phi =  i exp(+i k.x) / (2 pi)^{d/2}
     alpha*_k     <->  Phi = -i exp(-i k.x) / (2 pi)^{d/2}
@@ -49,11 +50,6 @@ from .solution import (
     second_derivatives,
     synthesize,
 )
-
-
-@dataclass(frozen=True)
-class FPhi:
-    phi: Solution
 
 
 @dataclass(frozen=True)
@@ -105,13 +101,13 @@ def generator_alpha_star_g(lat: ModeLattice, g) -> Solution:
 def slice_integral(form, sol: Solution, t: float = 0.0):
     """Integral of the observable form over the slice t = const of the graph.
 
-    ``FPhi(gen)`` integrates to ``bracket_slice_integral(sol, gen, t)``; a
-    batch of generators gives one integral per generator.
+    A generator ``Solution`` integrates to ``bracket_slice_integral(sol,
+    gen, t)``; a batch of generators gives one integral per generator.
     """
     if isinstance(form, Pmu):
         return _pmu_slice_integral(form, sol, t)
-    if isinstance(form, FPhi):
-        return bracket_slice_integral(sol, form.phi, t)
+    if isinstance(form, Solution):
+        return bracket_slice_integral(sol, form, t)
     raise TypeError(f"not an observable form: {form!r}")
 
 
@@ -225,8 +221,6 @@ def noether_divergence(gen, sol: Solution, t_grid) -> float:
     by centered differences over the uniform t_grid (order Delta t^2).
     """
     lat = sol.lat
-    if isinstance(gen, FPhi):
-        gen = gen.phi
     dt = _uniform_dt(t_grid)
     sd, sol_aa = fields_and_orders(sol, t_grid,
                                    [(a, a) for a in range(1, lat.d + 1)])
@@ -247,8 +241,8 @@ def hamiltonian_deformation(form, sol: Solution) -> Solution:
     """The phase-space vector field Xi_F of an observable, as a Solution."""
     if isinstance(form, Pmu):
         return translation_deformation(sol, form.mu)
-    if isinstance(form, FPhi):
-        return form.phi
+    if isinstance(form, Solution):
+        return form
     raise TypeError(f"no Hamiltonian deformation for {form!r}")
 
 
@@ -258,15 +252,13 @@ def classical_bracket_integral(form1, form2, sol: Solution, t: float = 0.0):
     Pairs of linear observables use the slice bracket of their generators;
     {P_mu, F_Phi} = F_{d_mu Phi}; translations commute among themselves.
     """
-    linear1, linear2 = isinstance(form1, FPhi), isinstance(form2, FPhi)
+    linear1, linear2 = (isinstance(f, Solution) for f in (form1, form2))
     if linear1 and linear2:
-        return bracket_slice_integral(form1.phi, form2.phi, t)
+        return bracket_slice_integral(form1, form2, t)
     if isinstance(form1, Pmu) and linear2:
-        return slice_integral(FPhi(derivative_solution(form2.phi, form1.mu)),
-                              sol, t)
+        return slice_integral(derivative_solution(form2, form1.mu), sol, t)
     if linear1 and isinstance(form2, Pmu):
-        return -slice_integral(FPhi(derivative_solution(form1.phi, form2.mu)),
-                               sol, t)
+        return -slice_integral(derivative_solution(form1, form2.mu), sol, t)
     if isinstance(form1, Pmu) and isinstance(form2, Pmu):
         return 0.0
     raise TypeError(f"no bracket rule for {form1!r}, {form2!r}")
@@ -282,6 +274,6 @@ def omega_bracket_integral(form1, form2, sol: Solution, t: float = 0.0):
 def pmu_bracket_identity(mu: int, phi: Solution, sol: Solution,
                          t: float = 0.0):
     """({P_mu, F_Phi} via Omega, integral F_{d_mu Phi}); the pair must agree."""
-    via_omega = omega_bracket_integral(Pmu(mu), FPhi(phi), sol, t)
-    direct = slice_integral(FPhi(derivative_solution(phi, mu)), sol, t)
+    via_omega = omega_bracket_integral(Pmu(mu), phi, sol, t)
+    direct = slice_integral(derivative_solution(phi, mu), sol, t)
     return complex(via_omega), complex(direct)

@@ -27,8 +27,9 @@ give exactly 2 w_k Im(delta1 u_k conj(delta2 u_k)).
 Central differences evaluate each family in one pass: ``fd_delta_theta``
 stacks its four shifted bases and their deformations into two solution
 batches (``stack_solutions``) for one ``theta_sigma`` call, and
-``theta_difference_vs_action`` integrates the two shifted actions as one
-batch.  Each member's value equals, bit for bit, that of its own call.
+``theta_difference_vs_action`` takes Theta on both slices from one call and
+the two shifted actions as one batch.  Each member's value equals, bit for
+bit, that of its own call.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .multisymplectic import (
     action_between_slices,
     coords,
     graph_frame,
-    graph_tangent,
     omega_eval,
     theta_eval,
 )
@@ -68,7 +68,8 @@ def theta_sigma(sol: Solution, delta: Solution, lam: float, t: float):
     """Slice 1-form Theta^Sigma_lambda evaluated on one deformation.
 
     A base or deformation with a batch axis gives an array of values, one
-    per member of the (broadcast) batch.
+    per member of the (broadcast) batch; a 1-D array of times adds a last
+    axis with one value per time.
     """
     phi, p0 = synthesize(sol, t, [(), (0,)])
     dphi_val, dp0 = synthesize(delta, t, [(), (0,)])
@@ -76,15 +77,15 @@ def theta_sigma(sol: Solution, delta: Solution, lam: float, t: float):
     return _maybe_real(grid_integral(sol.lat, integrand), sol, delta)
 
 
-def _representative(frame, fields, shift=None):
-    """The vertical tangent with ``deformation_fields`` ``fields`` over the
-    slice, plus c * X_mu when ``shift = (c, mu)`` (c may vary by cell)."""
+def _representative(tangents, fields, shift=None):
+    """Vertical tangent with ``deformation_fields`` ``fields``, plus c X_mu
+    = c * ``tangents[mu]`` when ``shift = (c, mu)`` (c may vary by cell)."""
     val, dp, de = fields
     xi = coords(np.zeros(len(dp)), val, de, dp)
     if shift is None:
         return xi
     c, mu = shift
-    return xi + _cmul(np.asarray(c, dtype=complex), graph_tangent(frame, mu))
+    return xi + _cmul(np.asarray(c, dtype=complex), tangents[mu])
 
 
 def _slice_sum(lat: ModeLattice, values) -> complex:
@@ -101,12 +102,10 @@ def theta_sigma_pointwise(sol: Solution, delta: Solution, lam: float, t: float,
     representative xi, probing representative independence.
     """
     lat = sol.lat
-    frame = graph_frame(sol, t)
-    sd = frame.slice
-    xi = _representative(frame, deformation_fields(sd, delta), shift)
+    sd, xs = graph_frame(sol, t)
+    xi = _representative(xs, deformation_fields(sd, delta), shift)
     point = coords(np.zeros(lat.d + 1), sd.phi, sd.e, sd.p)
-    spatial = [graph_tangent(frame, a) for a in range(1, lat.d + 1)]
-    return _slice_sum(lat, theta_eval(lam, point, [xi] + spatial))
+    return _slice_sum(lat, theta_eval(lam, point, [xi] + xs[1:]))
 
 
 def omega_mode_form(lat: ModeLattice, d1: Solution, d2: Solution):
@@ -121,12 +120,10 @@ def omega_sigma_pointwise(sol: Solution, d1: Solution, d2: Solution, t: float,
     Optional shifts add tangential components c * X_mu to either
     representative (they must not change the value).
     """
-    lat = sol.lat
-    frame = graph_frame(sol, t)
-    xi1 = _representative(frame, deformation_fields(frame.slice, d1), shift1)
-    xi2 = _representative(frame, deformation_fields(frame.slice, d2), shift2)
-    spatial = [graph_tangent(frame, a) for a in range(1, lat.d + 1)]
-    return _slice_sum(lat, omega_eval([xi1, xi2] + spatial))
+    sd, xs = graph_frame(sol, t)
+    xi1 = _representative(xs, deformation_fields(sd, d1), shift1)
+    xi2 = _representative(xs, deformation_fields(sd, d2), shift2)
+    return _slice_sum(sol.lat, omega_eval([xi1, xi2] + xs[1:]))
 
 
 def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t: float = 0.0,
@@ -197,7 +194,9 @@ def theta_difference_vs_action(sol: Solution, delta: Solution, lam: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    lhs = theta_sigma(sol, delta, lam, t2) - theta_sigma(sol, delta, lam, t1)
+    theta1, theta2 = theta_sigma(sol, delta, lam,
+                                 np.array([t1, t2])).tolist()
+    lhs = theta2 - theta1
     plus, minus = action_between_slices(
         stack_solutions([sol + eps * delta, sol - eps * delta]),
         lam, t1, t2, n_t)

@@ -119,8 +119,9 @@ import numpy as np
 from .lattice import ModeLattice, _cmul, _complex
 
 _INT64_MAX = np.iinfo(np.int64).max
-# The most raisings any state takes: ``covkg prequant --max-degree 4``
-# raises degree-4 rows twice.  Keys rank rows padded to this width.
+# The largest degree of any state; keys rank rows padded to this width.
+# ``covkg prequant`` takes --max-degree up to DEGREE_BOUND - 2, since its
+# [a*, a*] check raises max-degree rows twice.
 DEGREE_BOUND = 6
 # Entries per block of the exponent-count matrix of ``p_eigenvalues``.
 _COUNT_CELLS = 1 << 18
@@ -268,12 +269,10 @@ def prune(state: PolarizedState) -> PolarizedState:
                    key=state.key[keep])
 
 
-def monomial_block(lat: ModeLattice, rows, amp=None) -> PolarizedState:
-    """One term per index row, tagged 0..len(rows)-1, amplitudes default 1."""
-    rows = np.asarray(rows, dtype=np.intp)
-    amp = (np.ones(len(rows), dtype=complex) if amp is None
-           else np.asarray(amp, dtype=complex))
-    return PolarizedState(lat, _trim(rows, lat.n_modes), amp,
+def monomial_block(lat: ModeLattice, rows) -> PolarizedState:
+    """One term of amplitude 1 per index row, tagged 0..len(rows)-1."""
+    rows = _trim(np.asarray(rows, dtype=np.intp), lat.n_modes)
+    return PolarizedState(lat, rows, np.ones(len(rows), dtype=complex),
                           np.arange(len(rows)))
 
 

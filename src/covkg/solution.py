@@ -48,9 +48,10 @@ _CONJ_TOL = 1e-12
 _BLOCK_CELLS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
-    """A Hamiltonian n-curve: per-mode coefficients (u_k, u*_k)."""
+    """A Hamiltonian n-curve: per-mode coefficients (u_k, u*_k); its
+    fields are arrays, so it compares and hashes by identity."""
 
     lat: ModeLattice
     u: np.ndarray

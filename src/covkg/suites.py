@@ -134,8 +134,8 @@ def suite_observables(cfg: RunConfig) -> list:
                                 - synthesize(sol, 0.6))))
     out.append(cfg.check("observables.field_reconstruction", recon, 0.0))
 
-    base_val = obs.slice_integral(obs.FPhi(phi), sol, 0.0)
-    drift = max(abs(obs.slice_integral(obs.FPhi(phi), sol, t) - base_val)
+    base_val = obs.slice_integral(phi, sol, 0.0)
+    drift = max(abs(obs.slice_integral(phi, sol, t) - base_val)
                 for t in (1.0, 2.5, 7.0))
     out.append(cfg.check("observables.fphi_t_independent", drift, 0.0))
 
@@ -366,9 +366,9 @@ def suite_prequant(cfg: RunConfig) -> list:
     worst = 0.0
     for z, eig in zip(zetas, eigs):
         for part, block in _blocks(lat, rows, 1):
-            resid = pq.state_sub(pq.op_p(z, block),
-                                 pq.monomial_block(lat, rows[part], eig[part]))
-            worst = max(worst, pq.max_abs(resid))
+            resid = pq.op_p(z, block).amp - eig[part]
+            worst = max(worst, float(np.max(np.hypot(resid.real, resid.imag),
+                                            initial=0.0)))
     emin = min((-e for e in eigs[0].tolist()), default=np.inf)
     out.append(cfg.check("prequant.p_eigenvalues", worst, 0.0))
     out.append(lower_bound_check("prequant.energy_nonnegative", emin, 0.0))

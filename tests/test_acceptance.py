@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from covkg import (
-    FPhi,
     Pmu,
     action_between_slices,
     action_criticality,
@@ -129,8 +128,8 @@ def test_05_regularized_bracket_two_paths(lat, sol):
                                      generator_alpha_star_g(lat, g), 0.0)
         worst_pair = max(worst_pair, abs(got - bracket_regularized(lat, f, g)))
         f2, _ = _pair(lat, np.random.default_rng(seed + 1000))
-        null = classical_bracket_integral(FPhi(generator_alpha_f(lat, f)),
-                                          FPhi(generator_alpha_f(lat, f2)),
+        null = classical_bracket_integral(generator_alpha_f(lat, f),
+                                          generator_alpha_f(lat, f2),
                                           sol)
         worst_null = max(worst_null, abs(null))
     print(f"max two-path gap = {worst_pair:.3e} (tol 1e-10), "
@@ -179,8 +178,8 @@ def test_08_bracket_coincides_with_omega_on_all_pairs(lat, sol):
     rng = np.random.default_rng(29)
     f, g = _pair(lat, rng)
     probe = random_solution(lat, rng, real_flag=False)
-    forms = [FPhi(probe), FPhi(generator_alpha_f(lat, f)),
-             FPhi(generator_alpha_star_g(lat, g)), Pmu(0), Pmu(1)]
+    forms = [probe, generator_alpha_f(lat, f),
+             generator_alpha_star_g(lat, g), Pmu(0), Pmu(1)]
     worst = 0.0
     for F in forms:
         for G in forms:
@@ -197,12 +196,12 @@ def test_09_noether_current_conserved(lat, sol):
     res = {}
     for dt in (0.1, 0.05, 0.025):
         n = int(round(0.4 / dt))
-        res[dt] = noether_divergence(FPhi(probe), sol,
+        res[dt] = noether_divergence(probe, sol,
                                      0.5 + dt * np.arange(n + 1))
     order = 0.5 * (np.log2(res[0.1] / res[0.05])
                    + np.log2(res[0.05] / res[0.025]))
-    drift = max(abs(slice_integral(FPhi(probe), sol, t)
-                    - slice_integral(FPhi(probe), sol, 0.0))
+    drift = max(abs(slice_integral(probe, sol, t)
+                    - slice_integral(probe, sol, 0.0))
                 for t in (1.0, 2.5, 7.0))
     print(f"divergence order = {order:.4f} (target 2.0 +- 0.15), "
           f"slice-integral drift = {drift:.3e} (tol 1e-12)")

@@ -15,8 +15,8 @@ import numpy as np
 from covkg import solution, suites
 from covkg.reporting import RunConfig
 
-SYNTHESIZE_BUDGET = 91
-FFT_BUDGET = {"fftn": 36, "ifftn": 127}
+SYNTHESIZE_BUDGET = 89
+FFT_BUDGET = {"fftn": 36, "ifftn": 125}
 
 
 def _counting(counts, key, fn):

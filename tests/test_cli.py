@@ -82,6 +82,8 @@ def test_input_errors_name_the_bad_value(capsys):
     assert "track index 1 repeated" in capsys.readouterr().err
     assert main(["simulate", "--n-out", "2", "--track", "3,0,3"]) == 2
     assert "track index 3 repeated" in capsys.readouterr().err
+    assert main(["simulate", "--n-out", "2", "--track", "1, x"]) == 2
+    assert "--track entry 'x' is not a mode index" in capsys.readouterr().err
 
 
 def test_spec_writes_the_out_file(tmp_path, capsys):
@@ -426,6 +428,24 @@ def test_prequant_refuses_work_over_the_term_budget(tmp_path, capsys,
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert estimate in err and "1e+09" in err
+
+
+@pytest.mark.parametrize("bound", [4, 6, 8])
+def test_prequant_degree_range_follows_the_degree_bound(capsys, monkeypatch,
+                                                        bound):
+    """--max-degree runs up to DEGREE_BOUND - 2, since [a*, a*] raises the
+    top rows twice; one more exits 2 before any monomial row is built."""
+    from covkg import prequant as pq
+
+    def work(*args):
+        raise _WorkBegan
+
+    monkeypatch.setattr(pq, "DEGREE_BOUND", bound)
+    monkeypatch.setattr(pq, "monomial_rows", work)
+    with pytest.raises(_WorkBegan):
+        main(["prequant", "--max-degree", str(bound - 2)])
+    assert main(["prequant", "--max-degree", str(bound - 1)]) == 2
+    assert f"max-degree must lie in 0..{bound - 2}" in capsys.readouterr().err
 
 
 def test_prequant_term_budget_is_one_constant(tmp_path, monkeypatch):

@@ -25,7 +25,6 @@ from covkg.multisymplectic import (
     action_of_history,
     hamilton_residual_fields,
     graph_frame,
-    graph_tangent,
     hamilton_pointwise_residual,
     lagrangian_action,
     lagrangian_and_actions,
@@ -250,8 +249,7 @@ def test_forms_on_cell_stacks_match_single_cells(d, dtype, cells):
 
 
 def test_hamiltonian_vanishes_on_solution_graph(lat, sol):
-    frame = graph_frame(sol, 0.55)
-    sd = frame.slice
+    sd, _ = graph_frame(sol, 0.55)
     for j in range(0, 32, 4):
         pt = coords([0.55, lat.axis()[j]], sd.phi[j], sd.e[j], sd.p[:, j])
         assert hamiltonian(pt, lat.m) == pytest.approx(0.0, abs=1e-13)
@@ -259,8 +257,8 @@ def test_hamiltonian_vanishes_on_solution_graph(lat, sol):
 
 def test_graph_tangent_holonomic(lat, sol):
     """Graph tangents carry the chain-rule derivatives of the slice fields."""
-    frame = graph_frame(sol, 0.2)
-    v = graph_tangent(frame, 0)[:, 5]
+    _, tangents = graph_frame(sol, 0.2)
+    v = tangents[0][:, 5]
     h = 1e-6
     from covkg.solution import synthesize
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from covkg import (
-    FPhi,
     Pmu,
     a_k,
     a_star_k,
@@ -77,14 +76,14 @@ def test_a_k_reads_mode_coefficients(lat, sol):
 def test_alpha_slice_integral_time_independent(lat, sol, t):
     """The slice functional returns u_k at any time, not just t = 0."""
     for k in (2, 9):
-        got = slice_integral(FPhi(generator_alpha_k(lat, k)), sol, t)
+        got = slice_integral(generator_alpha_k(lat, k), sol, t)
         assert got == pytest.approx(sol.u[k], abs=1e-12)
-        got = slice_integral(FPhi(generator_alpha_star_k(lat, k)), sol, t)
+        got = slice_integral(generator_alpha_star_k(lat, k), sol, t)
         assert got == pytest.approx(sol.ustar[k], abs=1e-12)
 
 
 def test_field_rebuilt_from_mode_readout(lat, sol):
-    us = np.array([slice_integral(FPhi(generator_alpha_k(lat, k)), sol, 0.6)
+    us = np.array([slice_integral(generator_alpha_k(lat, k), sol, 0.6)
                    for k in range(lat.n_modes)])
     rebuilt = from_modes(lat, us)
     np.testing.assert_allclose(synthesize(rebuilt, 0.9), synthesize(sol, 0.9),
@@ -111,8 +110,8 @@ def test_batched_alpha_integrals_equal_one_k_at_a_time(d, N, n_max, budget,
     lat_d = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
     sol_d = random_solution(lat_d, np.random.default_rng(3))
     modes = np.arange(lat_d.n_modes)
-    alpha = FPhi(generator_alpha_k(lat_d, modes))
-    alpha_star = FPhi(generator_alpha_star_k(lat_d, modes))
+    alpha = generator_alpha_k(lat_d, modes)
+    alpha_star = generator_alpha_star_k(lat_d, modes)
     for t in (0.0, 1.7):
         got_a = slice_integral(alpha, sol_d, t)
         got_s = slice_integral(alpha_star, sol_d, t)
@@ -138,7 +137,7 @@ def test_linear_slice_integrals_equal_the_direct_integrand(lat, sol):
     for gen in (phi, generator_alpha_f(lat, f), generator_alpha_star_g(lat, g),
                 generator_alpha_k(lat, 3)):
         for t in (0.0, 1.3):
-            assert slice_integral(FPhi(gen), sol, t) == _alpha_integral_one_k(
+            assert slice_integral(gen, sol, t) == _alpha_integral_one_k(
                 gen, sol, t)
 
 
@@ -168,7 +167,7 @@ def test_batched_bracket_equals_one_call_per_member(lat, sol, budget,
 def test_fphi_slice_integral_closed_form(lat, sol, rng):
     """Quadrature of p^0 Phi - phi d_t Phi matches the weighted mode sum."""
     probe = random_solution(lat, rng, real_flag=False)
-    got = slice_integral(FPhi(probe), sol, 0.0)
+    got = slice_integral(probe, sol, 0.0)
     want = 1j * np.sum(lat.w * (sol.ustar * probe.u - sol.u * probe.ustar))
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -176,9 +175,8 @@ def test_fphi_slice_integral_closed_form(lat, sol, rng):
 @pytest.mark.parametrize("t", [0.0, 1.0, 2.5, 7.0])
 def test_fphi_slice_integral_time_independent(lat, sol, t):
     probe = random_solution(lat, np.random.default_rng(77))
-    base = slice_integral(FPhi(probe), sol, 0.0)
-    assert slice_integral(FPhi(probe), sol, t) == pytest.approx(base,
-                                                                abs=1e-12)
+    base = slice_integral(probe, sol, 0.0)
+    assert slice_integral(probe, sol, t) == pytest.approx(base, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +236,13 @@ def test_annihilator_bracket_vanishes(lat, seed):
     """{a_f, a_f'} = 0: both generators live on the same branch."""
     rng = np.random.default_rng(seed)
     f, fp = _random_pair(lat, rng)
-    got = classical_bracket_integral(FPhi(generator_alpha_f(lat, f)),
-                                     FPhi(generator_alpha_f(lat, fp)),
+    got = classical_bracket_integral(generator_alpha_f(lat, f),
+                                     generator_alpha_f(lat, fp),
                                      random_solution(lat, rng), 0.0)
     assert abs(got) < 1e-12
     g, gp = _random_pair(lat, rng)
-    got = classical_bracket_integral(FPhi(generator_alpha_star_g(lat, g)),
-                                     FPhi(generator_alpha_star_g(lat, gp)),
+    got = classical_bracket_integral(generator_alpha_star_g(lat, g),
+                                     generator_alpha_star_g(lat, gp),
                                      random_solution(lat, rng), 0.0)
     assert abs(got) < 1e-12
 
@@ -279,8 +277,8 @@ def test_bracket_paths_agree_on_all_pairs(lat, sol, rng):
     """Omega(Xi_F, Xi_G) equals the closed bracket for every observable pair."""
     f, g = _random_pair(lat, rng)
     probe = random_solution(lat, rng, real_flag=False)
-    forms = [FPhi(probe), FPhi(generator_alpha_f(lat, f)),
-             FPhi(generator_alpha_star_g(lat, g)), Pmu(0), Pmu(1)]
+    forms = [probe, generator_alpha_f(lat, f),
+             generator_alpha_star_g(lat, g), Pmu(0), Pmu(1)]
     for F in forms:
         for G in forms:
             a = omega_bracket_integral(F, G, sol, 0.0)
@@ -356,7 +354,7 @@ def test_noether_divergence_second_order(lat, sol):
     res = {}
     for dt in (0.1, 0.05, 0.025):
         n = int(round(0.4 / dt))
-        res[dt] = noether_divergence(FPhi(probe), sol,
+        res[dt] = noether_divergence(probe, sol,
                                      0.5 + dt * np.arange(n + 1))
     p1 = np.log2(res[0.1] / res[0.05])
     p2 = np.log2(res[0.05] / res[0.025])
@@ -374,5 +372,5 @@ def test_noether_divergence_nonsolution_probe(lat, sol):
 def test_noether_divergence_solution_probe_small(lat, sol):
     probe = random_solution(lat, np.random.default_rng(3), real_flag=False)
     dt = 0.01
-    got = noether_divergence(FPhi(probe), sol, 0.5 + dt * np.arange(5))
+    got = noether_divergence(probe, sol, 0.5 + dt * np.arange(5))
     assert got < 1e-3

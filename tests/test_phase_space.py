@@ -19,7 +19,6 @@ from covkg import (
 from covkg.multisymplectic import (
     coords,
     graph_frame,
-    graph_tangent,
     omega_eval,
     theta_eval,
     theta_pullback_density,
@@ -163,11 +162,9 @@ def test_pointwise_slice_forms_match_a_loop_over_cells(lat, sol, defs):
     by cell sum of omega_eval and theta_eval added in grid order."""
     d1, d2 = defs
     t, c = 0.4, 0.7 + 0.2j
-    frame = graph_frame(sol, t)
-    sd = frame.slice
+    sd, (x0, x1) = graph_frame(sol, t)
     (v1, p1, e1), (v2, p2, e2) = (deformation_fields(sd, d)
                                   for d in (d1, d2))
-    x0, x1 = graph_tangent(frame, 0), graph_tangent(frame, 1)
     omega_total = theta_total = 0.0j
     for (j,) in np.ndindex(lat.grid_shape):
         xi1 = coords(np.zeros(2), v1[j], e1[j], p1[:, j])

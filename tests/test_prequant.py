@@ -266,16 +266,21 @@ def test_p_eigenvalues_match_per_monomial_dot_products(wide_lat, budget,
 
 
 def test_monomial_block_keeps_rows_and_amplitudes(lat):
-    """One term per row, tagged by its position: the rows lose only their
-    sentinel columns and the amplitudes keep every bit, -0.0 included."""
+    """One term of amplitude 1 per row, tagged by its position: the rows
+    lose only their sentinel columns.  Built directly with those tags, the
+    terms keep every bit of their amplitudes, -0.0 included."""
     rows = np.array([[0, 3, lat.n_modes], [2, 2, lat.n_modes],
                      [0, 3, lat.n_modes]])
     amp = np.array([1.5 - 0.5j, -0.0, 2.0j])
-    block = monomial_block(lat, rows, amp)
+    block = monomial_block(lat, rows)
     assert np.array_equal(block.idx, rows[:, :2])
-    assert block.amp.tobytes() == amp.tobytes()
+    assert block.amp.tobytes() == np.ones(3, dtype=complex).tobytes()
     assert np.array_equal(block.tag, [0, 1, 2])
-    assert block.coeffs == {((0, 1), (3, 1)): 1.5 + 1.5j, ((2, 2),): 0.0}
+    assert block.coeffs == {((0, 1), (3, 1)): 2.0, ((2, 2),): 1.0}
+    tagged = PolarizedState(lat, rows, amp, np.arange(len(rows)))
+    assert np.array_equal(tagged.key, block.key)
+    assert tagged.amp.tobytes() == amp.tobytes()
+    assert tagged.coeffs == {((0, 1), (3, 1)): 1.5 + 1.5j, ((2, 2),): 0.0}
 
 
 def test_coalesce_matches_unique_grouping(lat):
@@ -703,14 +708,17 @@ def test_equal_products_flag_equals_zero_commutator(wide_lat):
 
 def test_equal_states_ignore_zero_terms_and_zero_signs(lat):
     rows = monomial_rows(lat, 2)[:4]
-    block = partial(monomial_block, lat, rows)
+
+    def block(amp):
+        return PolarizedState(lat, rows[:len(amp)], amp, np.arange(len(amp)))
+
     a = block([1.5, complex(0.0, -0.0), 0.0, 2.0 - 1.0j])
     cases = [
         (block([1.5, 0.0, complex(-0.0, 0.0), 2.0 - 1.0j]), True),
         (prune(a), True),
         (block([1.5, 0.0, 0.0, 2.0 - (1.0 - 2.0 ** -40) * 1j]), False),
         (block([1.5, 1e-300, 0.0, 2.0 - 1.0j]), False),
-        (monomial_block(lat, rows[:3], [1.5, 0.0, 0.0]), False),
+        (block([1.5, 0.0, 0.0]), False),
     ]
     for b, want in cases:
         assert states_equal(a, b) == want

@@ -241,6 +241,17 @@ def test_solution_vector_space_ops(lat):
                                atol=1e-13)
 
 
+def test_solution_compares_and_hashes_by_identity(lat, sol):
+    """A solution is a linear observable's generator, so it is used as a
+    form, a dict key and a list member; its array fields must not be
+    compared elementwise."""
+    twin = Solution(lat, sol.u.copy(), sol.ustar.copy(), sol.real_flag)
+    assert sol == sol and sol != twin
+    assert [twin, sol].index(sol) == 1
+    assert {sol: 1, twin: 2}[sol] == 1
+    assert hash(sol) == hash(sol)
+
+
 def test_history_wrappers_agree_with_synthesize(lat, sol):
     hist = SolutionHistory(sol)
     phi, dt1, dt2 = hist.at(0.45)
