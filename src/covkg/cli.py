@@ -163,7 +163,7 @@ def cmd_verify(cfg: RunConfig, suite: str, timings=None) -> int:
 
 
 def _parse_track(arg, lat, sol):
-    if arg:
+    if arg is not None:
         picks = []
         for entry in filter(str.strip, arg.split(",")):
             try:
@@ -171,6 +171,8 @@ def _parse_track(arg, lat, sol):
             except ValueError:
                 raise ValueError(f"--track entry {entry.strip()!r} is not "
                                  "a mode index") from None
+        if not picks:
+            raise ValueError(f"--track {arg!r} names no mode index")
         for i, k in enumerate(picks):
             if not 0 <= k < lat.n_modes:
                 raise ValueError(f"track index {k} out of range")

@@ -46,7 +46,7 @@ from .solution import (
     SolutionHistory,
     TimeWindow,
     evaluate_fields,
-    second_derivatives,
+    fields_and_orders,
     windowed_fields,
 )
 
@@ -150,7 +150,10 @@ def graph_frame(sol: Solution, t: float) -> tuple:
     """(slice fields, [X_0, ..., X_d]) of the solution graph at time t, with
     X_mu = d/dx^mu + d_mu phi d/dphi + d_mu e d/de + d_mu p^nu d/dp^nu."""
     lat = sol.lat
-    sd, dd = second_derivatives(sol, t)
+    upper = np.triu_indices(lat.d + 1)  # the distinct d_mu d_nu phi
+    sd, grids = fields_and_orders(sol, t, list(zip(*upper)))
+    dd = np.empty((lat.d + 1,) * 2 + grids.shape[1:], dtype=grids.dtype)
+    dd[upper] = dd[upper[::-1]] = grids
     eta = np.array([1.0] + [-1.0] * lat.d)
     dp = np.einsum("n,mn...->mn...", eta, dd)
     quad = dd[:, 0] * sd.dphi[0] - np.sum(dd[:, 1:] * sd.dphi[1:], axis=1)

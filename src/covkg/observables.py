@@ -29,6 +29,8 @@ Sign table, fixed by requiring Omega(Xi_F, Xi_G) = integral of {F, G}:
 
 and the translation invariants are nonnegative with the convention
 energy = -integral P_0^{(lambda)}, momentum_i = -integral P_i^{(lambda)}.
+A 1-D array of times gives each slice integral a last axis, one value per
+time equal bit for bit to its own call (a scalar time, a Python scalar).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .solution import (
     _maybe_real,
     derivative_solution,
     fields_and_orders,
-    second_derivatives,
     synthesize,
 )
 
@@ -98,7 +99,7 @@ def generator_alpha_star_g(lat: ModeLattice, g) -> Solution:
     return Solution(lat, -1j * g, np.zeros_like(g), False)
 
 
-def slice_integral(form, sol: Solution, t: float = 0.0):
+def slice_integral(form, sol: Solution, t=0.0):
     """Integral of the observable form over the slice t = const of the graph.
 
     A generator ``Solution`` integrates to ``bracket_slice_integral(sol,
@@ -111,30 +112,29 @@ def slice_integral(form, sol: Solution, t: float = 0.0):
     raise TypeError(f"not an observable form: {form!r}")
 
 
-def _pmu_slice_integral(form: Pmu, sol: Solution, t: float):
+def _pmu_slice_integral(form: Pmu, sol: Solution, t):
     lat = sol.lat
     mu, lam = form.mu, form.lam
     if not 0 <= mu <= lat.d:
         raise ValueError(f"mu must lie in 0..{lat.d}")
-    sd, dd = second_derivatives(sol, t)
+    orders = [(0, mu)] if mu else [(a, a) for a in range(1, lat.d + 1)]
+    sd, dd = fields_and_orders(sol, t, orders)
+    dphi = np.moveaxis(sd.dphi, -lat.d - 1, 0)  # before any time axis
     if mu == 0:
         # e + lam p^a d_a phi - (1 - lam) phi d_a p^a, with p^a = -d_a phi
-        lap = sum(dd[a, a] for a in range(1, lat.d + 1))
-        dens = (sd.e - lam * np.sum(sd.dphi[1:] ** 2, axis=0)
-                + (1.0 - lam) * sd.phi * lap)
-    else:
-        dens = (-lam * sd.p[0] * sd.dphi[mu]
-                + (1.0 - lam) * sd.phi * dd[mu, 0])
+        dens = (sd.e - lam * np.sum(dphi[1:] ** 2, axis=0)
+                + (1.0 - lam) * sd.phi * sum(dd))
+    else:  # p^0 = d_0 phi
+        dens = -lam * dphi[0] * dphi[mu] + (1.0 - lam) * sd.phi * dd[0]
     return _maybe_real(grid_integral(lat, dens), sol)
 
 
-def energy_integral(sol: Solution, t: float = 0.0, lam: float = 1.0) -> float:
+def energy_integral(sol: Solution, t=0.0, lam: float = 1.0):
     """Total energy -integral P_0^{(lambda)}; nonnegative on real solutions."""
     return -np.real(slice_integral(Pmu(0, lam), sol, t))
 
 
-def momentum_integral(sol: Solution, i: int, t: float = 0.0,
-                      lam: float = 1.0) -> float:
+def momentum_integral(sol: Solution, i: int, t=0.0, lam: float = 1.0):
     """Spatial momentum -integral P_i^{(lambda)}."""
     if not 1 <= i <= sol.lat.d:
         raise ValueError(f"i must lie in 1..{sol.lat.d}")
@@ -158,28 +158,30 @@ def a_star_k(sol: Solution, k: int | np.ndarray) -> complex | np.ndarray:
     return bracket_slice_integral(sol, generator_alpha_star_k(sol.lat, k))
 
 
-def bracket_slice_integral(phi: Solution, psi: Solution, t: float = 0.0):
+def bracket_slice_integral(phi: Solution, psi: Solution, t=0.0):
     """Grid quadrature of integral (d_t Phi Psi - Phi d_t Psi) at time t.
 
     Evaluated termwise with commutative products so that swapping the
     arguments negates every floating-point intermediate: antisymmetry
     holds exactly.  A ``psi`` with a batch axis gives one integral per
-    member, each equal bit for bit to that member's own integral; the batch
-    is synthesized in chunks of at most ``_BLOCK_CELLS`` grid values.
+    member and a 1-D array of times one per time (a last axis), each equal
+    bit for bit to its own integral; the batch is synthesized in chunks of
+    at most ``_BLOCK_CELLS`` grid values.
     """
     lat = phi.lat
     if np.ndim(phi.u) != 1:
         raise ValueError("only the second solution may carry a batch axis")
     a, da = synthesize(phi, t, [(), (0,)])
     u, ustar = (np.reshape(c, (-1, lat.n_modes)) for c in (psi.u, psi.ustar))
-    step = max(1, _BLOCK_CELLS // int(np.prod(lat.grid_shape)))
-    totals = np.empty(len(u), dtype=complex)
+    step = max(1, _BLOCK_CELLS // a.size)
+    totals = np.empty((len(u),) + np.shape(t), dtype=complex)
     for i in range(0, len(u), step):
         part = Solution(lat, u[i:i + step], ustar[i:i + step], psi.real_flag)
         b, db = synthesize(part, t, [(), (0,)])
         dens = _cmul(da, b) - _cmul(a, db)
         totals[i:i + step] = grid_integral(lat, dens)
-    return _maybe_real(totals.reshape(np.shape(psi.u)[:-1]), phi, psi)
+    return _maybe_real(totals.reshape(np.shape(psi.u)[:-1] + np.shape(t)),
+                       phi, psi)
 
 
 def bracket_regularized(lat: ModeLattice, f, g) -> complex:

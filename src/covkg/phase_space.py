@@ -26,10 +26,10 @@ give exactly 2 w_k Im(delta1 u_k conj(delta2 u_k)).
 
 Central differences evaluate each family in one pass: ``fd_delta_theta``
 stacks its four shifted bases and their deformations into two solution
-batches (``stack_solutions``) for one ``theta_sigma`` call, and
-``theta_difference_vs_action`` takes Theta on both slices from one call and
-the two shifted actions as one batch.  Each member's value equals, bit for
-bit, that of its own call.
+batches (``stack_solutions``) for one ``theta_sigma`` call over every
+lambda, and ``theta_difference_vs_action`` takes Theta on both slices from
+one call and the two shifted actions as one batch.  Each value equals, bit
+for bit, that of its own call.
 """
 
 from __future__ import annotations
@@ -64,15 +64,16 @@ def deformation_fields(base: SliceData, delta: Solution):
     return dfl.phi, dfl.p, -quad - delta.lat.m ** 2 * base.phi * dfl.phi
 
 
-def theta_sigma(sol: Solution, delta: Solution, lam: float, t: float):
+def theta_sigma(sol: Solution, delta: Solution, lam, t):
     """Slice 1-form Theta^Sigma_lambda evaluated on one deformation.
 
-    A base or deformation with a batch axis gives an array of values, one
-    per member of the (broadcast) batch; a 1-D array of times adds a last
-    axis with one value per time.
+    A base or deformation with a batch axis gives one value per member of
+    the (broadcast) batch; a 1-D array of times adds a last axis, and one
+    of lambdas a first axis.
     """
     phi, p0 = synthesize(sol, t, [(), (0,)])
     dphi_val, dp0 = synthesize(delta, t, [(), (0,)])
+    lam = np.reshape(lam, np.shape(lam) + (1,) * max(p0.ndim, dp0.ndim))
     integrand = lam * p0 * dphi_val - (1.0 - lam) * phi * dp0
     return _maybe_real(grid_integral(sol.lat, integrand), sol, delta)
 
@@ -133,8 +134,10 @@ def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t: float = 0.0,
     Path (a) is the closed-form slice reduction; path (b) re-evaluates the
     multisymplectic form pointwise on full vertical tangents wedged with
     the slice directions.  Their disagreement beyond 1e-10 signals an
-    internal inconsistency and raises.
+    internal inconsistency and raises; ``check=False`` takes time arrays.
     """
+    if check and np.ndim(t):
+        raise ValueError("omega_sigma's pointwise check takes one time")
     d1v, d1p0 = synthesize(d1, t, [(), (0,)])
     d2v, d2p0 = synthesize(d2, t, [(), (0,)])
     path_a = grid_integral(sol.lat, d1p0 * d2v - d2p0 * d1v)
@@ -147,21 +150,22 @@ def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t: float = 0.0,
     return _maybe_real(path_a, sol, d1, d2)
 
 
-def fd_delta_theta(sol: Solution, d1: Solution, d2: Solution, lam: float,
+def fd_delta_theta(sol: Solution, d1: Solution, d2: Solution, lam,
                    t: float, eps: float = 1e-4):
     """delta1 Theta(delta2) - delta2 Theta(delta1) by central differences.
 
     Theta is bilinear in (base, deformation), so the central difference in
     mode coordinates is exact up to roundoff and must reproduce omega_sigma
-    for every lambda.
+    for every lambda; a 1-D array of lambdas gives one value per lambda.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     bases = stack_solutions([sol + eps * d1, sol - eps * d1,
                              sol + eps * d2, sol - eps * d2])
-    plus1, minus1, plus2, minus2 = theta_sigma(
-        bases, stack_solutions([d2, d2, d1, d1]), lam, t).tolist()
-    return (plus1 - minus1) / (2.0 * eps) - (plus2 - minus2) / (2.0 * eps)
+    plus1, minus1, plus2, minus2 = np.moveaxis(theta_sigma(
+        bases, stack_solutions([d2, d2, d1, d1]), lam, t), -1, 0)
+    return _maybe_real((plus1 - minus1) / (2.0 * eps)
+                       - (plus2 - minus2) / (2.0 * eps), sol, d1, d2)
 
 
 def gram_matrix(lat: ModeLattice):

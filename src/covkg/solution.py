@@ -18,9 +18,10 @@ of times and, through ``u``/``ustar`` of shape (n_batch, n_modes), a batch
 of solutions (the observables suite stacks its ladder generators this way);
 the grids come out with the axes (order, batch, time) + grid_shape.  Each
 grid equals, bit for bit, the grid of the call that asks for it alone.
-``fields_and_orders`` (with ``evaluate_fields`` and ``second_derivatives``
-built on it) and each history's ``at`` make one such call.  A time window's
-``on_grid`` gives the window and its two derivatives from one pass.
+``fields_and_orders`` (with ``evaluate_fields`` built on it) and each
+history's ``at`` make one such call; the slice functionals keep the time
+axis.  A time window's ``on_grid`` gives the window and its two
+derivatives from one pass.
 """
 
 from __future__ import annotations
@@ -267,20 +268,6 @@ def evaluate_fields(sol: Solution, t) -> SliceData:
     phi and the d + 1 first derivatives come from one stacked synthesis.
     """
     return fields_and_orders(sol, t, [])[0]
-
-
-def second_derivatives(sol: Solution, t: float) -> tuple:
-    """(slice fields, the matrix d_mu d_nu phi of shape (d+1, d+1, N^d)).
-
-    Both come from one stacked synthesis (``fields_and_orders``).
-    """
-    n = sol.lat.d + 1
-    pairs = [(mu, nu) for mu in range(n) for nu in range(mu, n)]
-    sd, grids = fields_and_orders(sol, t, pairs)
-    out = np.empty((n, n) + sol.lat.grid_shape, dtype=grids.dtype)
-    for (mu, nu), grid in zip(pairs, grids):
-        out[mu, nu] = out[nu, mu] = grid
-    return sd, out
 
 
 def from_cauchy(lat: ModeLattice, phi0, pi0) -> Solution:

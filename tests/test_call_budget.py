@@ -1,10 +1,13 @@
-"""Call budget of the msymp and phase-space suites at the default config.
+"""Call budget of the msymp, phase-space and observables suites at the
+default config.
 
-Each finite-difference or lambda family is evaluated as one stacked pass
-(the lambda actions, the +-eps criticality fields, the dtheta draws, the
-shifted bases of fd_delta_theta and theta_difference_vs_action).  The
-bounds are the totals of that design; a change that splits a family into
-separate evaluations again raises them and fails here.
+Each finite-difference, lambda or time family is evaluated as one stacked
+pass (the lambda actions, the +-eps criticality fields, the dtheta draws,
+the shifted bases of fd_delta_theta and theta_difference_vs_action, the
+lambda pair of fd_delta_theta, the Theta linearity triple, and the slice
+integrals compared across times).  The bounds are the totals of that
+design; a change that splits a family into separate evaluations again
+raises them and fails here.
 """
 
 import sys
@@ -15,8 +18,9 @@ import numpy as np
 from covkg import solution, suites
 from covkg.reporting import RunConfig
 
-SYNTHESIZE_BUDGET = 89
-FFT_BUDGET = {"fftn": 36, "ifftn": 125}
+SYNTHESIZE_BUDGET = 77
+FFT_BUDGET = {"fftn": 36, "ifftn": 113}
+OBSERVABLES_BUDGET = {"synthesize": 45, "ifftn": 45}
 
 
 def _counting(counts, key, fn):
@@ -26,7 +30,9 @@ def _counting(counts, key, fn):
     return wrapper
 
 
-def test_msymp_and_phase_space_call_budget(monkeypatch):
+def _count_calls(monkeypatch, suite_fns):
+    """(records, Counter of synthesize and FFT calls) of the suites run at
+    the default config."""
     counts = Counter()
     original = solution.synthesize
     counted = _counting(counts, "synthesize", original)
@@ -34,12 +40,25 @@ def test_msymp_and_phase_space_call_budget(monkeypatch):
         if (name.startswith("covkg") and mod is not None
                 and getattr(mod, "synthesize", None) is original):
             monkeypatch.setattr(mod, "synthesize", counted)
-    for key in FFT_BUDGET:
+    for key in ("fftn", "ifftn"):
         monkeypatch.setattr(np.fft, key,
                             _counting(counts, key, getattr(np.fft, key)))
     cfg = RunConfig()
-    records = suites.suite_msymp(cfg) + suites.suite_phase_space(cfg)
+    records = [rec for fn in suite_fns for rec in fn(cfg)]
+    return records, counts
+
+
+def test_msymp_and_phase_space_call_budget(monkeypatch):
+    records, counts = _count_calls(
+        monkeypatch, [suites.suite_msymp, suites.suite_phase_space])
     assert len(records) == 24
     assert 0 < counts["synthesize"] <= SYNTHESIZE_BUDGET
     for key, budget in FFT_BUDGET.items():
+        assert 0 < counts[key] <= budget, key
+
+
+def test_observables_call_budget(monkeypatch):
+    records, counts = _count_calls(monkeypatch, [suites.suite_observables])
+    assert len(records) == 18
+    for key, budget in OBSERVABLES_BUDGET.items():
         assert 0 < counts[key] <= budget, key

@@ -74,7 +74,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
 def test_input_errors_name_the_bad_value(capsys):
     """A non-numeric --tol value names its tolerance; a repeated --track
-    index exits 2 instead of emitting two columns for one mode."""
+    index exits 2 instead of emitting two columns for one mode, and a
+    --track naming no mode exits 2 instead of dropping every a_abs column."""
     assert main(["verify", "--tol", "msymp.kg_residual=abc"]) == 2
     err = capsys.readouterr().err
     assert "msymp.kg_residual" in err and "'abc'" in err
@@ -84,6 +85,10 @@ def test_input_errors_name_the_bad_value(capsys):
     assert "track index 3 repeated" in capsys.readouterr().err
     assert main(["simulate", "--n-out", "2", "--track", "1, x"]) == 2
     assert "--track entry 'x' is not a mode index" in capsys.readouterr().err
+    for empty in (",", ""):
+        assert main(["simulate", "--n-out", "2", "--track", empty]) == 2
+        assert (f"--track {empty!r} names no mode index"
+                in capsys.readouterr().err)
 
 
 def test_spec_writes_the_out_file(tmp_path, capsys):

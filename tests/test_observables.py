@@ -127,6 +127,38 @@ def test_batched_alpha_integrals_equal_one_k_at_a_time(d, N, n_max, budget,
     assert a_k(sol_d, modes[:0]).shape == (0,)
 
 
+@pytest.mark.parametrize("d,N,n_max", [(1, 32, 7), (3, 8, 2)])
+def test_time_axis_equals_one_call_per_time(d, N, n_max):
+    """A 1-D array of times gives, bit for bit, the scalar call at each
+    time: a generator batch crossed with times (chunked at d = 3), a single
+    bracket, the P_mu integrals, energy and momentum.  Scalar calls keep
+    returning Python scalars."""
+    lat_d = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
+    rng = np.random.default_rng(21)
+    sol_d = random_solution(lat_d, rng)
+    phi = random_solution(lat_d, rng, real_flag=False)
+    ts = np.array([0.0, 1.0, 2.5, 7.0])
+    alpha = generator_alpha_k(lat_d, np.arange(lat_d.n_modes))
+    batch = bracket_slice_integral(sol_d, alpha, ts)
+    assert batch.shape == (lat_d.n_modes, len(ts))
+    single = bracket_slice_integral(phi, sol_d, ts)
+    pmus = {(mu, lam): slice_integral(Pmu(mu, lam), sol_d, ts)
+            for mu in range(d + 1) for lam in (0.0, 0.4)}
+    energy = energy_integral(sol_d, ts, 0.4)
+    momenta = [momentum_integral(sol_d, i, ts, 0.4) for i in range(1, d + 1)]
+    for j, t in enumerate(ts.tolist()):
+        assert np.array_equal(batch[:, j],
+                              bracket_slice_integral(sol_d, alpha, t))
+        one = bracket_slice_integral(phi, sol_d, t)
+        assert type(one) is complex and single[j] == one
+        for (mu, lam), vals in pmus.items():
+            one = slice_integral(Pmu(mu, lam), sol_d, t)
+            assert type(one) is float and vals[j] == one
+        assert energy[j] == energy_integral(sol_d, t, 0.4)
+        for i, vals in enumerate(momenta, start=1):
+            assert vals[j] == momentum_integral(sol_d, i, t, 0.4)
+
+
 def test_linear_slice_integrals_equal_the_direct_integrand(lat, sol):
     """On a real solution the slice integral of every linear form equals,
     bit for bit, a direct quadrature cell_volume * sum(p^0 val - phi d_t val)

@@ -283,6 +283,36 @@ def test_batched_theta_sigma_and_action_equal_member_calls(d, real):
     assert rhs == (plus - minus) / (2.0 * eps)
 
 
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [1, 2])
+def test_time_and_lambda_axes_equal_one_call_each(d, real):
+    """omega_sigma(check=False) over times, theta_sigma over lambdas, a
+    deformation batch and times, and fd_delta_theta over lambdas give, bit
+    for bit, the scalar call for each entry."""
+    sol_d, d1, d2 = _three_solutions(d, real)
+    ts = np.array([0.0, 1.3, 2.6])
+    lams = np.array([0.0, 0.37, 1.0])
+    omegas = omega_sigma(sol_d, d1, d2, ts, check=False)
+    thetas = theta_sigma(sol_d, stack_solutions([d1, d2]), lams, ts)
+    fds = fd_delta_theta(sol_d, d1, d2, lams, 0.4)
+    assert omegas.shape == (3,) and thetas.shape == (3, 2, 3)
+    assert fds.shape == (3,)
+    for j, t in enumerate(ts.tolist()):
+        assert omegas[j] == omega_sigma(sol_d, d1, d2, t, check=False)
+    for a, lam in enumerate(lams.tolist()):
+        for b, delta in enumerate((d1, d2)):
+            for j, t in enumerate(ts.tolist()):
+                assert thetas[a, b, j] == theta_sigma(sol_d, delta, lam, t)
+        one = fd_delta_theta(sol_d, d1, d2, lam, 0.4)
+        assert type(one) is (float if real else complex) and fds[a] == one
+
+
+def test_omega_pointwise_check_takes_one_time(lat, sol, defs):
+    d1, d2 = defs
+    with pytest.raises(ValueError, match="pointwise check takes one time"):
+        omega_sigma(sol, d1, d2, np.array([0.0, 1.3]))
+
+
 def test_stack_solutions_needs_one_lattice(sol):
     other = random_solution(build_lattice(d=1, L=3.0, N=16, n_max=5, m=1.0),
                             np.random.default_rng(2))
