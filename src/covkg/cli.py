@@ -22,7 +22,7 @@ import dataclasses
 import json
 import sys
 from contextlib import nullcontext
-from math import comb
+from math import ceil, comb
 from time import perf_counter
 
 import numpy as np
@@ -219,7 +219,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         if leap is not None:
             if j > 0:
                 span = ts[j] - ts[j - 1]
-                steps = max(1, int(round(span / args.leapfrog_dt)))
+                # the fewest steps no longer than asked, up to roundoff
+                steps = max(1, ceil(span / args.leapfrog_dt - 1e-9))
                 sd = leapfrog_evolve(lat, leap[0], leap[1],
                                      span / steps, steps)
                 leap = (sd.phi, sd.p[0])

@@ -28,8 +28,9 @@ Central differences evaluate each family in one pass: ``fd_delta_theta``
 stacks its four shifted bases and their deformations into two solution
 batches (``stack_solutions``) for one ``theta_sigma`` call over every
 lambda, and ``theta_difference_vs_action`` takes Theta on both slices from
-one call and the two shifted actions as one batch.  Each value equals, bit
-for bit, that of its own call.
+one call and the two shifted actions as one batch.  The pointwise forms
+take a deformation batch and 1-D arrays (c, mu) of representative shifts
+c X_mu on one graph frame.  Each value equals, bit for bit, its own call.
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ from .solution import (
 
 def deformation_fields(base: SliceData, delta: Solution):
     """Vertical components (delta phi, delta p^mu, delta e) on the slice of
-    the base fields ``base`` (a ``SliceData`` at one time)."""
+    ``base`` (a ``SliceData``), a batch axis after delta p's component one."""
     dfl = evaluate_fields(delta, base.t)
-    quad = (base.dphi[0] * dfl.dphi[0]
-            - np.sum(base.dphi[1:] * dfl.dphi[1:], axis=0))
-    return dfl.phi, dfl.p, -quad - delta.lat.m ** 2 * base.phi * dfl.phi
+    d, m = delta.lat.d, delta.lat.m
+    prod = np.moveaxis(base.dphi * dfl.dphi, -d - 1, 0)
+    de = -(prod[0] - np.sum(prod[1:], axis=0)) - m ** 2 * base.phi * dfl.phi
+    return dfl.phi, np.moveaxis(dfl.p, -d - 1, 0), de
 
 
 def theta_sigma(sol: Solution, delta: Solution, lam, t):
@@ -80,19 +82,25 @@ def theta_sigma(sol: Solution, delta: Solution, lam, t):
 
 def _representative(tangents, fields, shift=None):
     """Vertical tangent with ``deformation_fields`` ``fields``, plus c X_mu
-    = c * ``tangents[mu]`` when ``shift = (c, mu)`` (c may vary by cell)."""
+    when ``shift = (c, mu)``; 1-D c and mu give one each, on a first axis."""
     val, dp, de = fields
     xi = coords(np.zeros(len(dp)), val, de, dp)
     if shift is None:
         return xi
-    c, mu = shift
-    return xi + _cmul(np.asarray(c, dtype=complex), tangents[mu])
+    c, mu = np.broadcast_arrays(np.asarray(shift[0], dtype=complex), shift[1])
+    if np.any((mu < 0) | (mu >= len(tangents))):
+        raise ValueError(f"mu must lie in 0..{len(tangents) - 1}")
+    batch = tuple(range(2, 2 + xi.ndim - tangents[0].ndim))
+    frame = np.expand_dims(np.stack(tangents), batch)[mu]
+    shifts = _cmul(c.reshape(c.shape + (1,) * (frame.ndim - c.ndim)), frame)
+    return (xi[:, None] if mu.ndim else xi) + np.moveaxis(shifts, mu.ndim, 0)
 
 
-def _slice_sum(lat: ModeLattice, values) -> complex:
+def _slice_sum(lat: ModeLattice, values):
     """Cell volume times the sum of ``values`` over the grid, added in C
-    order one cell after another, as a loop over the cells would."""
-    return complex(lat.cell_volume * complex(np.cumsum(values)[-1]))
+    order one cell after another, as a cell loop would; leading axes stay."""
+    flat = values.reshape(values.shape[:-lat.d] + (-1,))
+    return lat.cell_volume * np.cumsum(flat, axis=-1)[..., -1]
 
 
 def theta_sigma_pointwise(sol: Solution, delta: Solution, lam: float, t: float,
@@ -143,10 +151,10 @@ def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t: float = 0.0,
     path_a = grid_integral(sol.lat, d1p0 * d2v - d2p0 * d1v)
     if check:
         path_b = omega_sigma_pointwise(sol, d1, d2, t)
-        if abs(complex(path_a) - path_b) > 1e-10:
+        if np.max(np.abs(path_a - path_b)) > 1e-10:
             raise RuntimeError(
                 "omega_sigma internal check failed: slice reduction "
-                f"{complex(path_a)} vs pointwise form {path_b}")
+                f"{path_a} vs pointwise form {path_b}")
     return _maybe_real(path_a, sol, d1, d2)
 
 

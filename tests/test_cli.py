@@ -10,7 +10,7 @@ import pytest
 from covkg import build_lattice, random_solution
 from covkg.cli import main
 from covkg.reporting import TOLERANCES
-from covkg.solution import evaluate_fields, write_cauchy_csv
+from covkg.solution import evaluate_fields, leapfrog_evolve, write_cauchy_csv
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +291,32 @@ def test_simulate_leapfrog_column_tracks_energy(tmp_path):
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
     exact, stepped = rows[:, 1], rows[:, -1]
     assert np.max(np.abs(stepped - exact) / exact[0]) < 1e-4
+
+
+@pytest.mark.parametrize("t_final,n_out,dt,steps", [
+    ("0.35", "2", "0.25", 2),  # one step of 0.35 would be unstable
+    ("0.5", "3", "0.01", 25),  # 0.25 / 0.01 is 25.000000000000004
+])
+def test_simulate_leapfrog_step_is_no_longer_than_asked(
+        tmp_path, monkeypatch, t_final, n_out, dt, steps):
+    """Each output interval takes the fewest leapfrog steps whose length
+    does not exceed --leapfrog-dt, up to roundoff."""
+    import covkg.cli as cli
+    calls = []
+
+    def recording(lat, phi0, pi0, step, n_steps):
+        calls.append((step, n_steps))
+        return leapfrog_evolve(lat, phi0, pi0, step, n_steps)
+
+    monkeypatch.setattr(cli, "leapfrog_evolve", recording)
+    out = tmp_path / "series.csv"
+    assert main(["simulate", "--t-final", t_final, "--n-out", n_out,
+                 "--leapfrog-dt", dt, "--out", str(out)]) == 0
+    assert [n for _, n in calls] == [steps] * (int(n_out) - 1)
+    assert all(step <= float(dt) * (1 + 1e-12) for step, _ in calls)
+    rows = np.array([[float(v) for v in ln.split(",")]
+                     for ln in _read(out).strip().split("\n")[2:]])
+    assert np.max(np.abs(rows[:, -1] - rows[:, 1]) / rows[0, 1]) < 1e-2
 
 
 def test_simulate_from_cauchy_file(tmp_path, lat):

@@ -31,6 +31,7 @@ from covkg.observables import (
     hamiltonian_deformation,
     omega_bracket_integral,
 )
+from covkg.phase_space import omega_sigma, translation_deformation
 from covkg.solution import (
     PolynomialTimeHistory,
     Solution,
@@ -233,6 +234,20 @@ def test_bracket_regularized_closed_form(lat, rng):
         1j * np.sum(lat.w * f * g), abs=1e-12)
 
 
+def test_bracket_regularized_is_only_the_closed_form(lat, monkeypatch):
+    """The value is 1j * sum(w f g) exactly, with no slice bracket run: a
+    broken slice quadrature cannot make it raise."""
+    import covkg.observables as obs
+
+    def broken(*args, **kwargs):
+        raise AssertionError("bracket_regularized ran a slice bracket")
+
+    monkeypatch.setattr(obs, "bracket_slice_integral", broken)
+    f, g = _random_pair(lat, np.random.default_rng(12))
+    got = bracket_regularized(lat, f, g)
+    assert type(got) is complex and got == 1j * np.sum(lat.w * f * g)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_bracket_two_path_agreement(lat, seed):
     """Slice quadrature of the generators equals the weighted mode sum."""
@@ -285,10 +300,42 @@ def test_annihilator_bracket_vanishes(lat, seed):
 
 @pytest.mark.parametrize("mu", [0, 1])
 def test_pmu_bracket_identity(lat, sol, mu):
-    """Omega route and the direct derivative route give the same number."""
+    """Omega route and the direct derivative route give the same number for
+    each translation of a mu array, here both of them starting at ``mu``."""
     probe = random_solution(lat, np.random.default_rng(5), real_flag=False)
-    via_omega, direct = pmu_bracket_identity(mu, probe, sol)
-    assert via_omega == pytest.approx(direct, abs=1e-10)
+    via_omega, direct = pmu_bracket_identity(np.array([mu, 1 - mu]), probe,
+                                             sol)
+    assert via_omega.shape == direct.shape == (2,)
+    for got, want in zip(via_omega, direct):
+        assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("d,N,n_max", [(1, 32, 7), (3, 8, 2)])
+def test_pmu_families_equal_one_call_per_member(d, N, n_max):
+    """The mu array of ``pmu_bracket_identity`` gives, bit for bit, one
+    Omega pairing and one slice integral per translation, and a lambda
+    array in ``Pmu`` one P_mu integral per lambda (also across times)."""
+    lat_d = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
+    rng = np.random.default_rng(31)
+    sol_d = random_solution(lat_d, rng)
+    phi = random_solution(lat_d, rng, real_flag=False)
+    mus = np.arange(d, -1, -1)
+    via_omega, direct = pmu_bracket_identity(mus, phi, sol_d, 0.3)
+    lams, ts = np.array([0.0, 0.4, 1.0]), np.array([0.0, 2.5])
+    for i, mu in enumerate(mus.tolist()):
+        assert via_omega[i] == omega_sigma(
+            sol_d, translation_deformation(sol_d, mu), phi, 0.3)
+        assert direct[i] == slice_integral(derivative_solution(phi, mu),
+                                           sol_d, 0.3)
+        at_t = slice_integral(Pmu(mu, lams), sol_d, 0.4)
+        over_t = slice_integral(Pmu(mu, lams), sol_d, ts)
+        assert at_t.shape == (3,) and over_t.shape == (3, 2)
+        for j, lam in enumerate(lams.tolist()):
+            assert at_t[j] == slice_integral(Pmu(mu, lam), sol_d, 0.4)
+            for k, t in enumerate(ts.tolist()):
+                assert over_t[j, k] == slice_integral(Pmu(mu, lam), sol_d, t)
+    with pytest.raises(ValueError, match="1-D"):
+        pmu_bracket_identity(0, phi, sol_d)
 
 
 def test_translation_deformation_shifts_fields(lat, sol):

@@ -307,6 +307,51 @@ def test_time_and_lambda_axes_equal_one_call_each(d, real):
         assert type(one) is (float if real else complex) and fds[a] == one
 
 
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [1, 2])
+def test_pointwise_families_equal_one_call_each(d, real):
+    """Shift families of the pointwise Theta and Omega, a deformation batch
+    through them and through omega_sigma's pointwise check, and a batch
+    crossed with a shift family give, bit for bit, the scalar call for
+    each entry."""
+    sol_d, d1, d2 = _three_solutions(d, real)
+    mus = np.arange(d, -1, -1)
+    cs = 0.8 - 0.3j * mus
+    shifts = list(zip(cs.tolist(), mus.tolist()))
+    thetas = theta_sigma_pointwise(sol_d, d1, 0.37, 0.4, shift=(cs, mus))
+    omegas = omega_sigma_pointwise(sol_d, d1, d2, 0.4, shift1=(cs, mus),
+                                   shift2=(-0.6, mus))
+    assert thetas.shape == omegas.shape == (d + 1,)
+    for i, (c, mu) in enumerate(shifts):
+        assert thetas[i] == theta_sigma_pointwise(sol_d, d1, 0.37, 0.4,
+                                                  shift=(c, mu))
+        assert omegas[i] == omega_sigma_pointwise(
+            sol_d, d1, d2, 0.4, shift1=(c, mu), shift2=(-0.6, mu))
+    members = (d1, d2, d1 + d2)
+    batch = stack_solutions(members)
+    checked = omega_sigma(sol_d, batch, d2, 0.4)
+    pointwise = omega_sigma_pointwise(sol_d, d2, batch, 0.4)
+    crossed = theta_sigma_pointwise(sol_d, batch, 0.37, 0.4, shift=(cs, mus))
+    assert checked.shape == pointwise.shape == (3,)
+    assert crossed.shape == (d + 1, 3)
+    for b, delta in enumerate(members):
+        assert checked[b] == omega_sigma(sol_d, delta, d2, 0.4)
+        assert pointwise[b] == omega_sigma_pointwise(sol_d, d2, delta, 0.4)
+        for i, (c, mu) in enumerate(shifts):
+            assert crossed[i, b] == theta_sigma_pointwise(
+                sol_d, delta, 0.37, 0.4, shift=(c, mu))
+
+
+@pytest.mark.parametrize("mu", [-1, 2, [0, 2]])
+def test_representative_shift_rejects_mu_outside_the_frame(lat, sol, defs,
+                                                           mu):
+    d1, d2 = defs
+    with pytest.raises(ValueError, match=r"mu must lie in 0\.\.1"):
+        theta_sigma_pointwise(sol, d1, 0.5, 0.4, shift=(0.8, mu))
+    with pytest.raises(ValueError, match=r"mu must lie in 0\.\.1"):
+        omega_sigma_pointwise(sol, d1, d2, 0.4, shift2=(0.8, mu))
+
+
 def test_omega_pointwise_check_takes_one_time(lat, sol, defs):
     d1, d2 = defs
     with pytest.raises(ValueError, match="pointwise check takes one time"):

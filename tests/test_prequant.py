@@ -41,6 +41,8 @@ from covkg.prequant import (
     state_sum,
     states_equal,
 )
+from covkg.reporting import RunConfig
+from covkg.suites import suite_prequant
 
 
 @pytest.fixture(scope="module")
@@ -724,3 +726,15 @@ def test_equal_states_ignore_zero_terms_and_zero_signs(lat):
         assert states_equal(a, b) == want
         assert states_equal(b, a) == want
         assert is_zero_state(prune(state_sub(a, b))) == want
+
+
+@pytest.mark.parametrize("hbar", [0.3, 1.7, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_aa_flag_is_exact_at_every_hbar(hbar, seed):
+    """[a_f, a_f'] vanishes bitwise on dyadic f, f' at a non-dyadic hbar as
+    well: the flag runs at hbar = 1, where hbar f_k alpha_k stays exact,
+    while every other record of the suite keeps the configured hbar."""
+    cfg = RunConfig(d=1, N=8, n_max=3, hbar=hbar, seed=seed)
+    records = {r.name: r for r in suite_prequant(cfg)}
+    assert records["prequant.aa_exact_zero"].lhs == 0.0
+    assert all(r.passed for r in records.values())

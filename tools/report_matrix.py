@@ -26,12 +26,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from covkg.cli import main  # noqa: E402
 
-# The three fixed configs of the ROADMAP, plus the wide prequant lattice.
+# The three fixed configs of the ROADMAP, the wide prequant lattice and a
+# small lattice at a non-dyadic hbar.
 CONFIGS = {
     "A": {"d": 1, "N": 32, "n_max": 7},
     "B": {"d": 2, "N": 16, "n_max": 5},
     "C": {"d": 3, "N": 8, "n_max": 3},
     "wide": {"d": 1, "N": 32, "n_max": 11},
+    "hbar": {"d": 1, "N": 8, "n_max": 3, "hbar": 0.3},
 }
 
 
@@ -42,6 +44,8 @@ def runs():
     for seed in (0, 1):
         yield (f"verify_prequant_wide_s{seed}", "wide",
                ["verify", "--suite", "prequant", "--seed", str(seed)], [])
+    yield ("verify_prequant_hbar_s0", "hbar",
+           ["verify", "--suite", "prequant", "--seed", "0"], [])
     for cfg in ("B", "C"):
         for suite in ("msymp", "observables", "phase-space"):
             yield (f"verify_{suite}_{cfg}_s0", cfg,
@@ -56,6 +60,10 @@ def runs():
         yield f"brackets_{cfg}", cfg, ["brackets"], []
     yield ("simulate_A", "A",
            ["simulate", "--leapfrog-dt", "0.01", "--track", "0,3,7"], [])
+    # A leapfrog step that divides no output interval evenly.
+    yield ("simulate_leapfrog_short_A", "A",
+           ["simulate", "--t-final", "0.35", "--n-out", "2",
+            "--leapfrog-dt", "0.25"], [])
     yield "simulate_C", "C", ["simulate"], []
 
 
