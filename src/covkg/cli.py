@@ -8,8 +8,9 @@ translation spectrum), spec (resolved configuration).
 Every check record is named by its key in ``reporting.TOLERANCES``, or by
 ``<key>_<index>`` for a per-index family, and ``--tol`` takes those keys.
 
-Exit codes: 0 all checks passed, 1 at least one check failed,
-2 usage or configuration error, an unknown tolerance name included.
+Exit codes: 0 all checks passed, 1 at least one check failed (a ``verify``
+suite that raises is one failing record ``<suite>.raised``), 2 usage or
+configuration error, an unknown tolerance name or bad lattice included.
 Reports carry no timestamps, so a fixed config and seed reproduce
 byte-identical output; ``verify --timings FILE`` puts per-check wall
 seconds in a separate file.
@@ -33,6 +34,7 @@ from .reporting import (
     SCHEMA_VERSION,
     Report,
     RunConfig,
+    check,
     config_from_file,
     parse_tol_overrides,
 )
@@ -142,7 +144,8 @@ def cmd_verify(cfg: RunConfig, suite: str, timings=None) -> int:
 
     A check's wall time is the time since the previous record of its suite
     was made, or since the suite started for its first record.  The file
-    is opened first, so a bad path fails before any suite runs.
+    is opened first, so a bad path fails before any suite runs.  A suite
+    that raises gives one failing ``<suite>.raised`` record instead.
     """
     sidecar = (open(timings, "w", encoding="utf-8", newline="")
                if timings is not None else nullcontext())
@@ -150,7 +153,12 @@ def cmd_verify(cfg: RunConfig, suite: str, timings=None) -> int:
         records, rows = [], []
         for name in (list(SUITES) if suite == "all" else [suite]):
             last = perf_counter()
-            for rec in SUITES[name](cfg):
+            try:
+                made = SUITES[name](cfg)
+            except Exception as exc:
+                print(f"error: suite {name} raised {exc!r}", file=sys.stderr)
+                made = [check(f"{name.replace('-', '_')}.raised", 1, 0, 0)]
+            for rec in made:
                 rows.append({"suite": name, "name": rec.name,
                              "wall_s": rec.made_at - last})
                 last = rec.made_at

@@ -24,8 +24,7 @@ evaluating the cell alone because each minor is one ``np.linalg.det`` over
 matrices [..., b, a] = component a of vector b, which factors every cell
 separately in that orientation, and because complex products go through
 ``lattice._cmul`` (numpy's array multiply may fuse into an FMA, its scalar
-one does not).  For the same parity ``phase_space`` sums cell values in C
-order, one after the other, not pairwise as ``np.sum`` does.
+one does not).  ``phase_space`` sums the cell values with ``grid_integral``.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ import numpy as np
 
 from .lattice import ModeLattice, _cmul, grid_integral
 from .multisymplectic import _uniform_dt
-from .phase_space import omega_sigma, translation_deformation
+from .phase_space import (omega_sigma, omega_sigma_pointwise,
+                          translation_deformation)
 from .solution import (
     _BLOCK_CELLS,
     PolynomialTimeHistory,
@@ -55,7 +56,7 @@ from .solution import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmu:
     mu: int
     lam: float = 1.0
@@ -269,13 +270,14 @@ def omega_bracket_integral(form1, form2, sol: Solution, t: float = 0.0):
 
 
 def pmu_bracket_identity(mus, phi: Solution, sol: Solution, t: float = 0.0):
-    """({P_mu, F_Phi} via Omega, integral F_{d_mu Phi}) as complex arrays over
-    the 1-D array ``mus``, from one ``omega_sigma`` call on the stacked
-    translations and one slice integral; the entries must agree."""
+    """{P_mu, F_Phi} three ways, as complex arrays over the 1-D array
+    ``mus``: Omega(Xi_{P_mu}, Phi) by the closed slice reduction and by the
+    pointwise form, each one call on the stacked translations, and the
+    integral of F_{d_mu Phi}, one slice integral; the entries must agree."""
     if np.ndim(mus) != 1:
         raise ValueError("mus must be a 1-D array of translation indices")
-    via_omega = omega_sigma(sol, stack_solutions(
-        [translation_deformation(sol, mu) for mu in mus]), phi, t)
-    direct = slice_integral(stack_solutions(
-        [derivative_solution(phi, mu) for mu in mus]), sol, t)
-    return via_omega.astype(complex), direct.astype(complex)
+    xis = stack_solutions([translation_deformation(sol, mu) for mu in mus])
+    dmu_phi = stack_solutions([derivative_solution(phi, mu) for mu in mus])
+    return tuple(np.asarray(v, dtype=complex) for v in (
+        omega_sigma(sol, xis, phi, t), omega_sigma_pointwise(sol, xis, phi, t),
+        slice_integral(dmu_phi, sol, t)))

@@ -28,7 +28,10 @@ Central differences evaluate each family in one pass: ``fd_delta_theta``
 stacks its four shifted bases and their deformations into two solution
 batches (``stack_solutions``) for one ``theta_sigma`` call over every
 lambda, and ``theta_difference_vs_action`` takes Theta on both slices from
-one call and the two shifted actions as one batch.  The pointwise forms
+one call and the two shifted actions as one batch.  Omega's two paths,
+the slice reduction ``omega_sigma`` and the pointwise form
+``omega_sigma_pointwise``, share only mode synthesis; the suites record
+their comparison.  The pointwise forms sum cells with ``grid_integral`` and
 take a deformation batch and 1-D arrays (c, mu) of representative shifts
 c X_mu on one graph frame.  Each value equals, bit for bit, its own call.
 """
@@ -96,13 +99,6 @@ def _representative(tangents, fields, shift=None):
     return (xi[:, None] if mu.ndim else xi) + np.moveaxis(shifts, mu.ndim, 0)
 
 
-def _slice_sum(lat: ModeLattice, values):
-    """Cell volume times the sum of ``values`` over the grid, added in C
-    order one cell after another, as a cell loop would; leading axes stay."""
-    flat = values.reshape(values.shape[:-lat.d] + (-1,))
-    return lat.cell_volume * np.cumsum(flat, axis=-1)[..., -1]
-
-
 def theta_sigma_pointwise(sol: Solution, delta: Solution, lam: float, t: float,
                           shift=None):
     """Theta^Sigma via pointwise theta_eval on (xi, X_1..X_d).
@@ -114,7 +110,7 @@ def theta_sigma_pointwise(sol: Solution, delta: Solution, lam: float, t: float,
     sd, xs = graph_frame(sol, t)
     xi = _representative(xs, deformation_fields(sd, delta), shift)
     point = coords(np.zeros(lat.d + 1), sd.phi, sd.e, sd.p)
-    return _slice_sum(lat, theta_eval(lam, point, [xi] + xs[1:]))
+    return grid_integral(lat, theta_eval(lam, point, [xi] + xs[1:]))
 
 
 def omega_mode_form(lat: ModeLattice, d1: Solution, d2: Solution):
@@ -132,30 +128,18 @@ def omega_sigma_pointwise(sol: Solution, d1: Solution, d2: Solution, t: float,
     sd, xs = graph_frame(sol, t)
     xi1 = _representative(xs, deformation_fields(sd, d1), shift1)
     xi2 = _representative(xs, deformation_fields(sd, d2), shift2)
-    return _slice_sum(sol.lat, omega_eval([xi1, xi2] + xs[1:]))
+    return grid_integral(sol.lat, omega_eval([xi1, xi2] + xs[1:]))
 
 
-def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t: float = 0.0,
-                check: bool = True):
-    """Symplectic pairing of two Jacobi deformations.
-
-    Path (a) is the closed-form slice reduction; path (b) re-evaluates the
-    multisymplectic form pointwise on full vertical tangents wedged with
-    the slice directions.  Their disagreement beyond 1e-10 signals an
-    internal inconsistency and raises; ``check=False`` takes time arrays.
-    """
-    if check and np.ndim(t):
-        raise ValueError("omega_sigma's pointwise check takes one time")
+def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t=0.0):
+    """Symplectic pairing of two Jacobi deformations by the closed-form
+    slice reduction integral (delta1 p^0 delta2 phi - delta2 p^0 delta1 phi);
+    ``omega_sigma_pointwise`` is the independent path.  A 1-D array of
+    times gives one value per time on a last axis."""
     d1v, d1p0 = synthesize(d1, t, [(), (0,)])
     d2v, d2p0 = synthesize(d2, t, [(), (0,)])
-    path_a = grid_integral(sol.lat, d1p0 * d2v - d2p0 * d1v)
-    if check:
-        path_b = omega_sigma_pointwise(sol, d1, d2, t)
-        if np.max(np.abs(path_a - path_b)) > 1e-10:
-            raise RuntimeError(
-                "omega_sigma internal check failed: slice reduction "
-                f"{path_a} vs pointwise form {path_b}")
-    return _maybe_real(path_a, sol, d1, d2)
+    return _maybe_real(grid_integral(sol.lat, d1p0 * d2v - d2p0 * d1v),
+                       sol, d1, d2)
 
 
 def fd_delta_theta(sol: Solution, d1: Solution, d2: Solution, lam,

@@ -26,7 +26,8 @@ SCHEMA_VERSION = 1
 # Default tolerance of every check, keyed by the check's name.  A family key
 # tunes the records named ``<key>_<index>``, one per index.  A lower-bound
 # row holds the threshold the value must reach.  The two energy
-# non-negativity checks have no row: their threshold is a fixed 0.0.
+# non-negativity checks and the ``<suite>.raised`` record of a suite that
+# raised have no row: their threshold is a fixed 0.0.
 TOLERANCES = {
     "msymp.kg_residual": 1e-12,
     "msymp.hamilton_order": 0.1,
@@ -107,6 +108,7 @@ class RunConfig:
                     or not 0.0 <= value < np.inf):
                 raise ValueError(f"tolerance {name!r} must be a finite "
                                  "nonnegative number")
+        self.lattice()  # an invalid lattice fails here, not in a command
 
     def lattice(self) -> ModeLattice:
         return build_lattice(self.d, self.L, self.N, self.n_max, self.m,

@@ -180,10 +180,13 @@ def suite_observables(cfg: RunConfig) -> list:
     bad = obs.noether_divergence(probe, sol, np.linspace(0.5, 1.5, 9))
     out.append(cfg.lower_bound("observables.noether_counterexample", bad))
 
-    via_omega, direct = obs.pmu_bracket_identity(range(lat.d + 1), phi, sol)
+    closed, pointwise, direct = obs.pmu_bracket_identity(range(lat.d + 1),
+                                                         phi, sol)
     for mu in range(lat.d + 1):
-        out.append(cfg.check("observables.pmu_identity", via_omega[mu],
+        out.append(cfg.check("observables.pmu_identity", closed[mu],
                              direct[mu], f"mu{mu}"))
+        out.append(cfg.check("observables.pmu_identity", pointwise[mu],
+                             direct[mu], f"pointwise_mu{mu}"))
         p0, p1 = obs.slice_integral(obs.Pmu(mu, (0.0, 1.0)), sol, 0.4)
         out.append(cfg.check("observables.pmu_lambda_independent", p0, p1,
                              f"mu{mu}"))
@@ -207,14 +210,13 @@ def suite_phase_space(cfg: RunConfig) -> list:
     d2 = random_solution(lat, rng)
     out = []
 
-    omegas = ps.omega_sigma(sol, d1, d2, np.array([0.0, 1.3, 2.6]),
-                            check=False)
+    omegas = ps.omega_sigma(sol, d1, d2, np.array([0.0, 1.3, 2.6]))
     path_a = omegas[0]
     path_b = ps.omega_sigma_pointwise(sol, d1, d2, 0.0)
     out.append(cfg.check("phase_space.omega_two_path", path_a, path_b))
 
     out.append(cfg.check("phase_space.omega_antisymmetry",
-                         ps.omega_sigma(sol, d1, d1, 0.0, check=False), 0.0))
+                         ps.omega_sigma(sol, d1, d1, 0.0), 0.0))
 
     out.append(cfg.check("phase_space.omega_t_independent", _drift(omegas),
                          0.0))

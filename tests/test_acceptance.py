@@ -142,7 +142,7 @@ def test_06_solution_space_symplectic_form(lat, sol):
     rng = np.random.default_rng(17)
     d1 = random_solution(lat, rng)
     d2 = random_solution(lat, rng)
-    quad = omega_sigma(sol, d1, d2, 0.0, check=False)
+    quad = omega_sigma(sol, d1, d2, 0.0)
     mode = omega_mode_form(lat, d1, d2)
     path_gap = abs(complex(quad) - complex(mode))
     t_drift = max(abs(complex(omega_sigma(sol, d1, d2, t)) - complex(quad))

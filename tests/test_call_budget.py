@@ -65,7 +65,7 @@ def test_msymp_and_phase_space_call_budget(monkeypatch):
 
 def test_observables_call_budget(monkeypatch):
     records, counts = _count_calls(monkeypatch, [suites.suite_observables])
-    assert len(records) == 18
+    assert len(records) == 20
     for key, budget in OBSERVABLES_BUDGET.items():
         assert 0 < counts[key] <= budget, key
 

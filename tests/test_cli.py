@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from covkg import build_lattice, random_solution
+from covkg import build_lattice, observables, phase_space, random_solution
+from covkg import suites
 from covkg.cli import main
 from covkg.reporting import TOLERANCES
 from covkg.solution import evaluate_fields, leapfrog_evolve, write_cauchy_csv
@@ -118,6 +119,26 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, problem", [
+    ({"N": 7}, "grid size N must be a positive even integer"),
+    ({"N": 8, "n_max": 4}, "aliasing: need 2*n_max + 1 <= N"),
+])
+def test_invalid_lattice_exits_two_when_the_config_loads(tmp_path, capsys,
+                                                         raw, problem):
+    """A config whose lattice no command can build fails as it loads: spec
+    prints nothing and verify creates no timings file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["spec", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert problem in captured.err and captured.out == ""
+    side = tmp_path / "timings.json"
+    assert main(["verify", "--config", str(cfg), "--timings", str(side)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not side.exists()
+
+
 def test_non_finite_tolerances_exit_two(tmp_path, capsys):
     """An infinite or NaN tolerance is a usage error: it would pass any
     check, fail any lower bound and print as the non-JSON ``Infinity``."""
@@ -221,6 +242,55 @@ def test_verify_timings_sidecar_leaves_report_unchanged(tmp_path, capsys):
     assert main(["verify", "--suite", "msymp", "--timings", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not bad.exists()
+
+
+def test_a_raising_suite_still_writes_the_report(tmp_path, capsys,
+                                                 monkeypatch):
+    """A suite that raises becomes one failing ``<suite>.raised`` record;
+    the other suites run and the report and timings are written."""
+    plain = tmp_path / "plain.json"
+    assert main(["verify", "--out", str(plain)]) == 0
+    others = [c for c in json.loads(_read(plain))["checks"]
+              if not c["name"].startswith("observables.")]
+
+    def raiser(cfg):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setitem(suites.SUITES, "observables", raiser)
+    out, side = tmp_path / "report.json", tmp_path / "timings.json"
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out), "--timings", str(side)]) == 1
+    assert ("error: suite observables raised ZeroDivisionError('injected')"
+            in capsys.readouterr().err)
+    checks = json.loads(_read(out))["checks"]
+    raised = {"name": "observables.raised", "lhs": 1.0, "rhs": 0.0,
+              "abs_diff": 1.0, "tolerance": 0.0, "pass": False}
+    assert sorted(checks, key=lambda c: c["name"]) == sorted(
+        others + [raised], key=lambda c: c["name"])
+    rows = json.loads(_read(side))["checks"]
+    assert sorted(r["name"] for r in rows) == [c["name"] for c in checks]
+
+
+def test_pointwise_omega_defect_fails_records_not_the_run(tmp_path,
+                                                          monkeypatch):
+    """A 1e-6 relative defect on the pointwise Omega path fails the records
+    that compare it with the closed form, and the report is written."""
+    original = phase_space.omega_sigma_pointwise
+
+    def mutant(*args, **kwargs):
+        return original(*args, **kwargs) * (1.0 + 1e-6)
+
+    for module in (phase_space, observables):
+        monkeypatch.setattr(module, "omega_sigma_pointwise", mutant)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--seed", "0",
+                 "--out", str(out)]) == 1
+    checks = json.loads(_read(out))["checks"]
+    failed = [c["name"] for c in checks if not c["pass"]]
+    assert len(checks) == 53 and failed == ["observables.pmu_identity_pointwise_mu0",
+                      "observables.pmu_identity_pointwise_mu1",
+                      "phase_space.omega_rep_independent",
+                      "phase_space.omega_two_path"]
 
 
 def test_verify_report_structure(tmp_path):

@@ -31,7 +31,11 @@ from covkg.observables import (
     hamiltonian_deformation,
     omega_bracket_integral,
 )
-from covkg.phase_space import omega_sigma, translation_deformation
+from covkg.phase_space import (
+    omega_sigma,
+    omega_sigma_pointwise,
+    translation_deformation,
+)
 from covkg.solution import (
     PolynomialTimeHistory,
     Solution,
@@ -300,31 +304,36 @@ def test_annihilator_bracket_vanishes(lat, seed):
 
 @pytest.mark.parametrize("mu", [0, 1])
 def test_pmu_bracket_identity(lat, sol, mu):
-    """Omega route and the direct derivative route give the same number for
-    each translation of a mu array, here both of them starting at ``mu``."""
+    """The closed and pointwise Omega routes and the direct derivative route
+    give the same number for each translation of a mu array, here both of
+    them starting at ``mu``."""
     probe = random_solution(lat, np.random.default_rng(5), real_flag=False)
-    via_omega, direct = pmu_bracket_identity(np.array([mu, 1 - mu]), probe,
-                                             sol)
-    assert via_omega.shape == direct.shape == (2,)
-    for got, want in zip(via_omega, direct):
+    closed, pointwise, direct = pmu_bracket_identity(np.array([mu, 1 - mu]),
+                                                     probe, sol)
+    assert closed.shape == pointwise.shape == direct.shape == (2,)
+    for got, want in zip(closed, direct):
+        assert got == pytest.approx(want, abs=1e-10)
+    for got, want in zip(pointwise, direct):
         assert got == pytest.approx(want, abs=1e-10)
 
 
 @pytest.mark.parametrize("d,N,n_max", [(1, 32, 7), (3, 8, 2)])
 def test_pmu_families_equal_one_call_per_member(d, N, n_max):
     """The mu array of ``pmu_bracket_identity`` gives, bit for bit, one
-    Omega pairing and one slice integral per translation, and a lambda
-    array in ``Pmu`` one P_mu integral per lambda (also across times)."""
+    closed and one pointwise Omega pairing and one slice integral per
+    translation, and a lambda array in ``Pmu`` one P_mu integral per lambda
+    (also across times)."""
     lat_d = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
     rng = np.random.default_rng(31)
     sol_d = random_solution(lat_d, rng)
     phi = random_solution(lat_d, rng, real_flag=False)
     mus = np.arange(d, -1, -1)
-    via_omega, direct = pmu_bracket_identity(mus, phi, sol_d, 0.3)
+    closed, pointwise, direct = pmu_bracket_identity(mus, phi, sol_d, 0.3)
     lams, ts = np.array([0.0, 0.4, 1.0]), np.array([0.0, 2.5])
     for i, mu in enumerate(mus.tolist()):
-        assert via_omega[i] == omega_sigma(
-            sol_d, translation_deformation(sol_d, mu), phi, 0.3)
+        xi = translation_deformation(sol_d, mu)
+        assert closed[i] == omega_sigma(sol_d, xi, phi, 0.3)
+        assert pointwise[i] == omega_sigma_pointwise(sol_d, xi, phi, 0.3)
         assert direct[i] == slice_integral(derivative_solution(phi, mu),
                                            sol_d, 0.3)
         at_t = slice_integral(Pmu(mu, lams), sol_d, 0.4)
@@ -336,6 +345,16 @@ def test_pmu_families_equal_one_call_per_member(d, N, n_max):
                 assert over_t[j, k] == slice_integral(Pmu(mu, lam), sol_d, t)
     with pytest.raises(ValueError, match="1-D"):
         pmu_bracket_identity(0, phi, sol_d)
+
+
+def test_pmu_compares_by_identity():
+    """A Pmu with a lambda array compares and hashes as an object, as a
+    Solution does, instead of raising on its ndarray field."""
+    lams = np.array([0.0, 1.0])
+    form = Pmu(0, lams)
+    other = Pmu(0, lams.copy())
+    assert form == form and form != other
+    assert len({form, other, form}) == 2
 
 
 def test_translation_deformation_shifts_fields(lat, sol):

@@ -30,6 +30,7 @@ from covkg.phase_space import (
     theta_sigma_pointwise,
     translation_deformation,
 )
+from covkg.lattice import grid_integral
 from covkg.multisymplectic import action_between_slices
 from covkg.solution import (
     Solution,
@@ -72,11 +73,17 @@ def test_rest_mode_pair_pinned(lat, sol):
 
 
 def test_omega_two_paths_agree(lat, sol, defs):
-    """omega_sigma cross-checks quadrature against the mode sum internally."""
+    """The closed slice reduction and the pointwise multisymplectic form
+    give the same Omega, and the mode sum, on real deformations and with a
+    complex one on either side."""
     d1, d2 = defs
-    got = omega_sigma(sol, d1, d2, 0.0, check=True)
-    assert got == pytest.approx(complex(omega_mode_form(lat, d1, d2)),
-                                abs=1e-12)
+    dc = random_solution(lat, np.random.default_rng(23), real_flag=False)
+    for a, b in ((d1, d2), (dc, d2), (d1, dc)):
+        closed = complex(omega_sigma(sol, a, b, 0.0))
+        assert complex(omega_sigma_pointwise(sol, a, b, 0.0)) == \
+            pytest.approx(closed, abs=1e-12)
+        assert closed == pytest.approx(complex(omega_mode_form(lat, a, b)),
+                                       abs=1e-12)
 
 
 def test_omega_antisymmetry_and_bilinearity(lat, sol, defs):
@@ -158,26 +165,26 @@ def test_gram_matrix_is_omega_mode_form_on_basis():
 
 
 def test_pointwise_slice_forms_match_a_loop_over_cells(lat, sol, defs):
-    """The whole-slice pointwise Omega and Theta equal, bitwise, the cell
-    by cell sum of omega_eval and theta_eval added in grid order."""
+    """The whole-slice pointwise Omega and Theta equal, bitwise, the
+    grid_integral of omega_eval and theta_eval evaluated cell by cell."""
     d1, d2 = defs
     t, c = 0.4, 0.7 + 0.2j
     sd, (x0, x1) = graph_frame(sol, t)
     (v1, p1, e1), (v2, p2, e2) = (deformation_fields(sd, d)
                                   for d in (d1, d2))
-    omega_total = theta_total = 0.0j
+    omega_cells, theta_cells = [], []
     for (j,) in np.ndindex(lat.grid_shape):
         xi1 = coords(np.zeros(2), v1[j], e1[j], p1[:, j])
         xi2 = coords(np.zeros(2), v2[j], e2[j], p2[:, j])
         # one scalar product per coordinate, as a single cell computes it
         shifted = xi1 + [c * v for v in x0[:, j]]
         point = coords(np.zeros(2), sd.phi[j], sd.e[j], sd.p[:, j])
-        omega_total += omega_eval([xi1, xi2, x1[:, j]])
-        theta_total += theta_eval(0.3, point, [shifted, x1[:, j]])
-    assert omega_sigma_pointwise(sol, d1, d2, t) == complex(
-        lat.cell_volume * omega_total)
-    assert theta_sigma_pointwise(sol, d1, 0.3, t, shift=(c, 0)) == complex(
-        lat.cell_volume * theta_total)
+        omega_cells.append(omega_eval([xi1, xi2, x1[:, j]]))
+        theta_cells.append(theta_eval(0.3, point, [shifted, x1[:, j]]))
+    assert omega_sigma_pointwise(sol, d1, d2, t) == grid_integral(
+        lat, np.array(omega_cells))
+    assert theta_sigma_pointwise(sol, d1, 0.3, t, shift=(c, 0)) == \
+        grid_integral(lat, np.array(theta_cells))
 
 
 def test_theta_closed_form_matches_pointwise(lat, sol, defs):
@@ -286,19 +293,19 @@ def test_batched_theta_sigma_and_action_equal_member_calls(d, real):
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("d", [1, 2])
 def test_time_and_lambda_axes_equal_one_call_each(d, real):
-    """omega_sigma(check=False) over times, theta_sigma over lambdas, a
+    """omega_sigma over times, theta_sigma over lambdas, a
     deformation batch and times, and fd_delta_theta over lambdas give, bit
     for bit, the scalar call for each entry."""
     sol_d, d1, d2 = _three_solutions(d, real)
     ts = np.array([0.0, 1.3, 2.6])
     lams = np.array([0.0, 0.37, 1.0])
-    omegas = omega_sigma(sol_d, d1, d2, ts, check=False)
+    omegas = omega_sigma(sol_d, d1, d2, ts)
     thetas = theta_sigma(sol_d, stack_solutions([d1, d2]), lams, ts)
     fds = fd_delta_theta(sol_d, d1, d2, lams, 0.4)
     assert omegas.shape == (3,) and thetas.shape == (3, 2, 3)
     assert fds.shape == (3,)
     for j, t in enumerate(ts.tolist()):
-        assert omegas[j] == omega_sigma(sol_d, d1, d2, t, check=False)
+        assert omegas[j] == omega_sigma(sol_d, d1, d2, t)
     for a, lam in enumerate(lams.tolist()):
         for b, delta in enumerate((d1, d2)):
             for j, t in enumerate(ts.tolist()):
@@ -311,9 +318,8 @@ def test_time_and_lambda_axes_equal_one_call_each(d, real):
 @pytest.mark.parametrize("d", [1, 2])
 def test_pointwise_families_equal_one_call_each(d, real):
     """Shift families of the pointwise Theta and Omega, a deformation batch
-    through them and through omega_sigma's pointwise check, and a batch
-    crossed with a shift family give, bit for bit, the scalar call for
-    each entry."""
+    through them and through omega_sigma, and a batch crossed with a shift
+    family give, bit for bit, the scalar call for each entry."""
     sol_d, d1, d2 = _three_solutions(d, real)
     mus = np.arange(d, -1, -1)
     cs = 0.8 - 0.3j * mus
@@ -329,13 +335,13 @@ def test_pointwise_families_equal_one_call_each(d, real):
             sol_d, d1, d2, 0.4, shift1=(c, mu), shift2=(-0.6, mu))
     members = (d1, d2, d1 + d2)
     batch = stack_solutions(members)
-    checked = omega_sigma(sol_d, batch, d2, 0.4)
+    closed = omega_sigma(sol_d, batch, d2, 0.4)
     pointwise = omega_sigma_pointwise(sol_d, d2, batch, 0.4)
     crossed = theta_sigma_pointwise(sol_d, batch, 0.37, 0.4, shift=(cs, mus))
-    assert checked.shape == pointwise.shape == (3,)
+    assert closed.shape == pointwise.shape == (3,)
     assert crossed.shape == (d + 1, 3)
     for b, delta in enumerate(members):
-        assert checked[b] == omega_sigma(sol_d, delta, d2, 0.4)
+        assert closed[b] == omega_sigma(sol_d, delta, d2, 0.4)
         assert pointwise[b] == omega_sigma_pointwise(sol_d, d2, delta, 0.4)
         for i, (c, mu) in enumerate(shifts):
             assert crossed[i, b] == theta_sigma_pointwise(
@@ -350,12 +356,6 @@ def test_representative_shift_rejects_mu_outside_the_frame(lat, sol, defs,
         theta_sigma_pointwise(sol, d1, 0.5, 0.4, shift=(0.8, mu))
     with pytest.raises(ValueError, match=r"mu must lie in 0\.\.1"):
         omega_sigma_pointwise(sol, d1, d2, 0.4, shift2=(0.8, mu))
-
-
-def test_omega_pointwise_check_takes_one_time(lat, sol, defs):
-    d1, d2 = defs
-    with pytest.raises(ValueError, match="pointwise check takes one time"):
-        omega_sigma(sol, d1, d2, np.array([0.0, 1.3]))
 
 
 def test_stack_solutions_needs_one_lattice(sol):

@@ -26,14 +26,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from covkg.cli import main  # noqa: E402
 
-# The three fixed configs of the ROADMAP, the wide prequant lattice and a
-# small lattice at a non-dyadic hbar.
+# The three fixed configs of the ROADMAP, the wide prequant lattice, a
+# small lattice at a non-dyadic hbar and an aliased lattice (2 n_max + 1 > N)
+# that every command must reject.
 CONFIGS = {
     "A": {"d": 1, "N": 32, "n_max": 7},
     "B": {"d": 2, "N": 16, "n_max": 5},
     "C": {"d": 3, "N": 8, "n_max": 3},
     "wide": {"d": 1, "N": 32, "n_max": 11},
     "hbar": {"d": 1, "N": 8, "n_max": 3, "hbar": 0.3},
+    "aliased": {"d": 1, "N": 8, "n_max": 4},
 }
 
 
@@ -65,6 +67,7 @@ def runs():
            ["simulate", "--t-final", "0.35", "--n-out", "2",
             "--leapfrog-dt", "0.25"], [])
     yield "simulate_C", "C", ["simulate"], []
+    yield "spec_aliased", "aliased", ["spec"], []
 
 
 def main_matrix(out_dir: str) -> int:
