@@ -8,9 +8,9 @@ translation spectrum), spec (resolved configuration).
 Every check record is named by its key in ``reporting.TOLERANCES``, or by
 ``<key>_<index>`` for a per-index family, and ``--tol`` takes those keys.
 
-Exit codes: 0 all checks passed, 1 at least one check failed (a ``verify``
-suite that raises is one failing record ``<suite>.raised``), 2 usage or
-configuration error, an unknown tolerance name or bad lattice included.
+Exit codes: 0 all checks passed, 1 at least one check failed (a suite that
+raises, in ``verify`` or ``brackets``, is one failing ``<suite>.raised``
+record), 2 usage or config error, an unknown tolerance or bad lattice too.
 Reports carry no timestamps, so a fixed config and seed reproduce
 byte-identical output; ``verify --timings FILE`` puts per-check wall
 seconds in a separate file.
@@ -49,7 +49,8 @@ from .solution import (
 from .suites import SUITES, ladder_checks
 
 # Record-name prefixes of the observables checks that ``brackets`` reports.
-_BRACKET_RECORDS = ("observables.bracket_", "observables.pmu_identity_")
+_BRACKET_RECORDS = ("observables.bracket_", "observables.pmu_identity_",
+                    "observables.raised")
 # Most terms ``covkg prequant`` may take on: its largest check, [a*, a*] on
 # every monomial row, makes rows x n_modes^2 of them.
 PREQUANT_TERM_BUDGET = 10 ** 9
@@ -139,13 +140,20 @@ def _finish_report(cfg: RunConfig, suite: str, records) -> int:
     return 0 if report.all_pass else 1
 
 
+def _run_suite(name: str, cfg: RunConfig) -> list:
+    try:
+        return SUITES[name](cfg)
+    except Exception as exc:
+        print(f"error: suite {name} raised {exc!r}", file=sys.stderr)
+        return [check(f"{name.replace('-', '_')}.raised", 1, 0, 0)]
+
+
 def cmd_verify(cfg: RunConfig, suite: str, timings=None) -> int:
     """Run the suite; with ``timings``, also write the sidecar JSON.
 
     A check's wall time is the time since the previous record of its suite
     was made, or since the suite started for its first record.  The file
-    is opened first, so a bad path fails before any suite runs.  A suite
-    that raises gives one failing ``<suite>.raised`` record instead.
+    is opened first, so a bad path fails before any suite runs.
     """
     sidecar = (open(timings, "w", encoding="utf-8", newline="")
                if timings is not None else nullcontext())
@@ -153,12 +161,7 @@ def cmd_verify(cfg: RunConfig, suite: str, timings=None) -> int:
         records, rows = [], []
         for name in (list(SUITES) if suite == "all" else [suite]):
             last = perf_counter()
-            try:
-                made = SUITES[name](cfg)
-            except Exception as exc:
-                print(f"error: suite {name} raised {exc!r}", file=sys.stderr)
-                made = [check(f"{name.replace('-', '_')}.raised", 1, 0, 0)]
-            for rec in made:
+            for rec in _run_suite(name, cfg):
                 rows.append({"suite": name, "name": rec.name,
                              "wall_s": rec.made_at - last})
                 last = rec.made_at
@@ -239,7 +242,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_brackets(cfg: RunConfig) -> int:
-    records = [c for c in SUITES["observables"](cfg)
+    records = [c for c in _run_suite("observables", cfg)
                if c.name.startswith(_BRACKET_RECORDS)]
     return _finish_report(cfg, "brackets", records)
 

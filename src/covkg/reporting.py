@@ -48,7 +48,7 @@ TOLERANCES = {
     "observables.bracket_single_mode_pinned": 1e-12,
     "observables.noether_order": 0.15,
     "observables.noether_counterexample": 1e-3,
-    "observables.pmu_identity": 1e-10,
+    "observables.pmu_identity": 1e-10,  # closed and pointwise Omega paths
     "observables.pmu_lambda_independent": 1e-11,
     "observables.energy_conserved": 1e-10,
     "observables.momentum_conserved": 1e-10,

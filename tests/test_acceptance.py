@@ -36,9 +36,10 @@ from covkg.observables import (
     classical_bracket_integral,
     generator_alpha_f,
     generator_alpha_star_g,
+    hamiltonian_deformation,
     omega_bracket_integral,
 )
-from covkg.phase_space import omega_mode_form
+from covkg.phase_space import omega_mode_form, omega_sigma_pointwise
 from covkg.multisymplectic import lagrangian_action
 from covkg.solution import DetunedHistory, SolutionHistory
 from covkg import prequant as pq
@@ -147,14 +148,19 @@ def test_06_solution_space_symplectic_form(lat, sol):
     path_gap = abs(complex(quad) - complex(mode))
     t_drift = max(abs(complex(omega_sigma(sol, d1, d2, t)) - complex(quad))
                   for t in (1.3, 2.6))
+    pointwise_gap = max(abs(complex(omega_sigma_pointwise(sol, d1, d2, t))
+                            - complex(omega_sigma(sol, d1, d2, t)))
+                        for t in (0.0, 1.3, 2.6))
     fds = {lam: fd_delta_theta(sol, d1, d2, lam, 0.0) for lam in (0.0, 0.5, 1.0)}
     lam_drift = max(abs(fds[a] - fds[b]) for a in fds for b in fds)
     fd_gap = max(abs(v - complex(quad)) for v in fds.values())
     _, ratio = gram_matrix(lat)
-    print(f"path gap = {path_gap:.3e} (1e-10), t drift = {t_drift:.3e} (1e-12), "
+    print(f"path gap = {path_gap:.3e} (1e-10), pointwise gap = "
+          f"{pointwise_gap:.3e} (1e-10), t drift = {t_drift:.3e} (1e-12), "
           f"gauge drift = {lam_drift:.3e} (1e-12), fd gap = {fd_gap:.3e} "
           f"(1e-10), gram ratio = {ratio:.3e} (floor 1e-8)")
     assert path_gap <= 1e-10
+    assert pointwise_gap <= 1e-10
     assert t_drift <= 1e-12
     assert lam_drift <= 1e-12
     assert fd_gap <= 1e-10
@@ -185,9 +191,12 @@ def test_08_bracket_coincides_with_omega_on_all_pairs(lat, sol):
         for G in forms:
             a = complex(omega_bracket_integral(F, G, sol, 0.0))
             b = complex(classical_bracket_integral(F, G, sol, 0.0))
-            worst = max(worst, abs(a - b))
+            c = complex(omega_sigma_pointwise(
+                sol, hamiltonian_deformation(F, sol),
+                hamiltonian_deformation(G, sol), 0.0))
+            worst = max(worst, abs(a - b), abs(c - b))
     print(f"max |Omega(Xi_F, Xi_G) - integral of bracket| = {worst:.3e} "
-          f"(tol 1e-10) over {len(forms) ** 2} pairs")
+          f"(tol 1e-10) over {len(forms) ** 2} pairs, closed and pointwise")
     assert worst <= 1e-10
 
 

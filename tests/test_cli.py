@@ -269,6 +269,9 @@ def test_a_raising_suite_still_writes_the_report(tmp_path, capsys,
         others + [raised], key=lambda c: c["name"])
     rows = json.loads(_read(side))["checks"]
     assert sorted(r["name"] for r in rows) == [c["name"] for c in checks]
+    brackets = tmp_path / "brackets.json"
+    assert main(["brackets", "--out", str(brackets)]) == 1
+    assert json.loads(_read(brackets))["checks"] == [raised]
 
 
 def test_pointwise_omega_defect_fails_records_not_the_run(tmp_path,
@@ -287,7 +290,8 @@ def test_pointwise_omega_defect_fails_records_not_the_run(tmp_path,
                  "--out", str(out)]) == 1
     checks = json.loads(_read(out))["checks"]
     failed = [c["name"] for c in checks if not c["pass"]]
-    assert len(checks) == 53 and failed == ["observables.pmu_identity_pointwise_mu0",
+    assert len(checks) == 53
+    assert failed == ["observables.pmu_identity_pointwise_mu0",
                       "observables.pmu_identity_pointwise_mu1",
                       "phase_space.omega_rep_independent",
                       "phase_space.omega_two_path"]

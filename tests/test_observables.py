@@ -322,7 +322,7 @@ def test_pmu_families_equal_one_call_per_member(d, N, n_max):
     """The mu array of ``pmu_bracket_identity`` gives, bit for bit, one
     closed and one pointwise Omega pairing and one slice integral per
     translation, and a lambda array in ``Pmu`` one P_mu integral per lambda
-    (also across times)."""
+    (also across times); the pointwise pairing agrees with the closed one."""
     lat_d = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
     rng = np.random.default_rng(31)
     sol_d = random_solution(lat_d, rng)
@@ -334,6 +334,7 @@ def test_pmu_families_equal_one_call_per_member(d, N, n_max):
         xi = translation_deformation(sol_d, mu)
         assert closed[i] == omega_sigma(sol_d, xi, phi, 0.3)
         assert pointwise[i] == omega_sigma_pointwise(sol_d, xi, phi, 0.3)
+        assert pointwise[i] == pytest.approx(closed[i], abs=1e-10)
         assert direct[i] == slice_integral(derivative_solution(phi, mu),
                                            sol_d, 0.3)
         at_t = slice_integral(Pmu(mu, lams), sol_d, 0.4)
@@ -372,7 +373,8 @@ def test_translations_commute(lat, sol):
 
 
 def test_bracket_paths_agree_on_all_pairs(lat, sol, rng):
-    """Omega(Xi_F, Xi_G) equals the closed bracket for every observable pair."""
+    """Omega(Xi_F, Xi_G), closed and pointwise, equals the closed bracket
+    for every observable pair."""
     f, g = _random_pair(lat, rng)
     probe = random_solution(lat, rng, real_flag=False)
     forms = [probe, generator_alpha_f(lat, f),
@@ -381,7 +383,10 @@ def test_bracket_paths_agree_on_all_pairs(lat, sol, rng):
         for G in forms:
             a = omega_bracket_integral(F, G, sol, 0.0)
             b = classical_bracket_integral(F, G, sol, 0.0)
+            c = omega_sigma_pointwise(sol, hamiltonian_deformation(F, sol),
+                                      hamiltonian_deformation(G, sol), 0.0)
             assert abs(complex(a) - complex(b)) < 1e-10, (F, G)
+            assert abs(complex(c) - complex(b)) < 1e-10, (F, G)
 
 
 @pytest.mark.parametrize("mu", [0, 1])

@@ -319,7 +319,8 @@ def test_time_and_lambda_axes_equal_one_call_each(d, real):
 def test_pointwise_families_equal_one_call_each(d, real):
     """Shift families of the pointwise Theta and Omega, a deformation batch
     through them and through omega_sigma, and a batch crossed with a shift
-    family give, bit for bit, the scalar call for each entry."""
+    family give, bit for bit, the scalar call for each entry; the batch's
+    pointwise Omega agrees with the closed one."""
     sol_d, d1, d2 = _three_solutions(d, real)
     mus = np.arange(d, -1, -1)
     cs = 0.8 - 0.3j * mus
@@ -343,6 +344,8 @@ def test_pointwise_families_equal_one_call_each(d, real):
     for b, delta in enumerate(members):
         assert closed[b] == omega_sigma(sol_d, delta, d2, 0.4)
         assert pointwise[b] == omega_sigma_pointwise(sol_d, d2, delta, 0.4)
+        assert pointwise[b] == pytest.approx(
+            omega_sigma(sol_d, d2, delta, 0.4), abs=1e-10)
         for i, (c, mu) in enumerate(shifts):
             assert crossed[i, b] == theta_sigma_pointwise(
                 sol_d, delta, 0.37, 0.4, shift=(c, mu))
