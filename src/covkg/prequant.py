@@ -8,16 +8,17 @@ Storage.  A state holds four arrays with one entry per term:
 
   * ``idx`` (n_terms, W): the term's monomial as its sorted mode indices,
     mode k written alpha_k times, padded on the right with the sentinel
-    ``lat.n_modes``; W is at least the largest degree present;
+    ``lat.n_modes``, in the narrowest dtype that holds it (uint8 up to 255
+    modes, then uint16); W is at least the largest degree present;
   * ``amp`` (n_terms,): the complex amplitude;
   * ``tag`` (n_terms,): an integer naming the input the term descends from;
   * ``key`` (n_terms,): the int64 group key of (tag, row), below.
 
 ``PolarizedState(lat, idx, amp, tag)`` takes the three arrays as they are
-(sorted rows), computes the keys, raises ``ValueError`` when a (tag, row)
-pair comes twice and ``DegreeOverflowError`` when a row's degree exceeds
-``DEGREE_BOUND``; ``vacuum``, ``monomial``, ``monomial_block`` and the
-operators return states in that form, key-sorted.
+(sorted rows), computes the keys, raises ``ValueError`` for a mode outside
+0..n_modes or a (tag, row) pair given twice and ``DegreeOverflowError``
+when a row's degree exceeds ``DEGREE_BOUND``; ``vacuum``, ``monomial``,
+``monomial_block`` and the operators return states in that form, key-sorted.
 
 Tags let one state carry many independent inputs: the operators act
 linearly and never mix terms of different tags, so a block of monomials
@@ -26,8 +27,11 @@ bit for bit, those of that monomial processed alone.  ``suites`` runs its
 per-monomial checks this way; a block holds floor(``suites._BLOCK_TERMS``
 / fan-out) monomials, the fan-out being the most terms one monomial
 reaches inside the check (n_modes^2 for two raisings), which bounds the
-block's peak memory.  ``coeffs`` is a read-only dict view of a state,
-{sorted (mode, exponent) tuple: amplitude}, summed over tags.
+block's peak memory.  A ccr term peaks near 160 bytes; 8192 terms is the
+largest power of two at which both benchmark workloads' ``peak_rss_mb``
+stays within 2% of that of 4096-term blocks of intp rows.
+``coeffs`` is a read-only dict view of a state, {sorted (mode, exponent)
+tuple: amplitude}, summed over tags.
 
 Keys.  Each term carries an int64 key, ``tag * S + rank``.  The rank is
 that of the row padded with sentinels to width D = ``DEGREE_BOUND`` in the
@@ -42,11 +46,12 @@ so keys are computed from the columns a row happens to have, in one order
 
 Coalescing.  Terms with equal keys are merged by one stable argsort: equal
 keys form runs in term order, the first term of each run stands for its
-group, and a cumulative sum over the run starts labels the sorted terms
-with their group.  ``np.bincount`` then sums each group's real and imaginary parts in
-the order the terms were made, so an operator's output is key-sorted with
-no key twice, and ``state_sum`` of key-sorted states merges presorted runs.
-Only the rows of the group representatives are gathered.
+group, and a cumulative sum over the run starts, scattered back into term
+order, labels each term with its group.  ``np.bincount`` then sums each
+group's real and imaginary parts as they lie, in the order the terms were
+made, so an operator's output is key-sorted with no key twice, and
+``state_sum`` of key-sorted states merges presorted runs.  Only the rows
+of the group representatives are gathered, and ``max_abs`` gathers none.
 
 Monomial order.  ``monomial_rows``, ``monomial_at`` and ``covkg prequant
 --spectrum-out`` list monomials by degree, then by that rank (the colex
@@ -189,17 +194,19 @@ def _group(keys: np.ndarray, amp: np.ndarray):
     sorted_keys = keys.take(order)
     starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
     first = order.compress(starts)
-    # Sorted by key, each group's terms keep their term order.
-    label = np.cumsum(starts) - 1
-    n = len(first)
-    amp = _complex(np.bincount(label, amp.real.take(order), n),
-                   np.bincount(label, amp.imag.take(order), n))
+    # Groups counted from 1, in term order: bincount adds in input order,
+    # and the stable sort keeps term order within a group.
+    label = np.empty_like(order)
+    label[order] = np.cumsum(starts)
+    n = len(first) + 1
+    amp = _complex(np.bincount(label, amp.real, n)[1:],
+                   np.bincount(label, amp.imag, n)[1:])
     return first, sorted_keys.compress(starts), amp
 
 
 def _run_positions(idx: np.ndarray) -> np.ndarray:
     """1-based position of each entry within its run of equal modes."""
-    pos = np.ones(idx.shape)
+    pos = np.ones(idx.shape, dtype=np.uint8)
     for j in range(1, idx.shape[1]):
         pos[:, j] = np.where(idx[:, j] == idx[:, j - 1], pos[:, j - 1] + 1, 1)
     return pos
@@ -231,7 +238,10 @@ class PolarizedState:
         if self.key is not None:
             return
         n_modes = self.lat.n_modes
-        self.idx = np.asarray(self.idx, dtype=np.intp)
+        idx = np.asarray(self.idx, dtype=np.intp)
+        if not ((idx >= 0) & (idx <= n_modes)).all():
+            raise ValueError("mode index out of range")
+        self.idx = idx.astype(np.min_scalar_type(n_modes))
         self.amp = np.asarray(self.amp, dtype=complex)
         self.tag = np.asarray(self.tag, dtype=np.intp)
         if self.idx.ndim != 2 or not (len(self.idx) == len(self.amp)
@@ -349,13 +359,14 @@ def states_equal(s1: PolarizedState, s2: PolarizedState) -> bool:
             and np.array_equal(s1.amp[nz1], s2.amp[nz2]))
 
 
-def max_abs(s: PolarizedState) -> float:
-    """Largest |amplitude| of the state, 0.0 when it has no terms.
-
-    np.hypot rounds like Python's abs(complex); np.abs on a complex array
-    may differ from it in the last bit.
-    """
-    return float(np.max(np.hypot(s.amp.real, s.amp.imag), initial=0.0))
+def max_abs(*states: PolarizedState) -> float:
+    """Largest |amplitude| of the states' sum, merged on keys and amplitudes
+    alone, 0.0 when it has no terms.  np.hypot rounds like Python's
+    abs(complex); np.abs on a complex array may differ in the last bit."""
+    _same_lattice(states)
+    _, _, amp = _group(np.concatenate([s.key for s in states]),
+                       np.concatenate([s.amp for s in states]))
+    return float(np.max(np.hypot(amp.real, amp.imag), initial=0.0))
 
 
 def _mode_coefficients(lat: ModeLattice, f, name: str) -> np.ndarray:
@@ -364,16 +375,6 @@ def _mode_coefficients(lat: ModeLattice, f, name: str) -> np.ndarray:
         raise ValueError(f"{name} must have shape ({lat.n_modes},), "
                          f"got {f.shape}")
     return f
-
-
-@lru_cache(maxsize=None)
-def _drop_table(width: int) -> np.ndarray:
-    """Row j lists the columns 0..width-1 other than j."""
-    drop = np.array([[c for c in range(width) if c != j]
-                     for j in range(width)], dtype=np.intp)
-    drop = drop.reshape(width, max(width - 1, 0))
-    drop.setflags(write=False)
-    return drop
 
 
 def op_a(f, state: PolarizedState) -> PolarizedState:
@@ -386,19 +387,24 @@ def op_a(f, state: PolarizedState) -> PolarizedState:
     # Term (i, j) lowers row i at column j, the last of a run of mode k,
     # with the run length alpha_k as factor; the sentinel and zero
     # coefficients make no term.
-    run_end = np.ones(idx.shape, dtype=bool)
-    run_end[:, :-1] = idx[:, 1:] != idx[:, :-1]
-    coef = hf.take(idx) * _run_positions(idx)
-    term = np.flatnonzero(run_end & (coef != 0))
-    src, col = np.divmod(term, width)
-    amp = _cmul(coef.ravel().take(term), state.amp.take(src))
-    rows = idx.ravel().take(src[:, None] * width
-                            + _drop_table(width).take(col, axis=0))
+    lowers = (hf != 0).take(idx)
+    lowers[:, :-1] &= idx[:, 1:] != idx[:, :-1]
+    term = np.flatnonzero(lowers)
+    mode = idx.ravel().take(term)
+    pos = _run_positions(idx).ravel().take(term)
+    src = np.floor_divide(term, width, out=term)  # the source rows
+    amp = _cmul(hf.take(mode) * pos, state.amp.take(src))
+    # Lowered column c is source column c + 1 where that exceeds the mode
+    # (past the dropped column), else column c; column-major, in place.
+    cols = idx.T.take(src, axis=1)
+    for c in reversed(range(width - 1)):
+        np.copyto(cols[c + 1], cols[c], where=cols[c + 1] <= mode)
+    cols = cols[1:]
     tag = state.tag.take(src)
-    first, key, amp = _group(_column_keys(n_modes, rows.T, tag, DEGREE_BOUND),
+    first, key, amp = _group(_column_keys(n_modes, cols, tag, DEGREE_BOUND),
                              amp)
-    return PolarizedState(lat, _trim(rows.take(first, axis=0), n_modes), amp,
-                          tag.take(first), key)
+    return PolarizedState(lat, _trim(cols.take(first, axis=1).T, n_modes),
+                          amp, tag.take(first), key)
 
 
 def op_a_star(g, state: PolarizedState) -> PolarizedState:
@@ -415,7 +421,7 @@ def op_a_star(g, state: PolarizedState) -> PolarizedState:
     # Term (i, k) raises row i by mode modes[k]: the mode enters as a new
     # last column, and one compare-exchange pass from the right moves it
     # to its place in the sorted row.  Rows are held column-major.
-    cols = np.empty((width + 1, n, n_new), dtype=np.intp)
+    cols = np.empty((width + 1, n, n_new), dtype=idx.dtype)
     cols[:width] = idx.T[:, :, None]
     cols[width] = modes
     cols = cols.reshape(width + 1, n * n_new)

@@ -1,6 +1,6 @@
 """Call budget of the msymp, phase-space and observables suites at the
-default config, and of the phase-space and observables suites at config C
-(d = 3, N = 8, n_max = 3).
+default config, of the phase-space and observables suites at config C
+(d = 3, N = 8, n_max = 3), and of the prequant suite's ladder operators.
 
 Each finite-difference, lambda or time family is evaluated as one stacked
 pass (the lambda actions, the +-eps criticality fields, the dtheta draws,
@@ -11,6 +11,10 @@ translations of the P_mu bracket identity and the lambda pair of each P_mu
 integral).  The bounds are the totals of that design; a change that splits
 a family into separate evaluations again raises them and fails here.  At
 config C a family split back per mu makes d + 1 = 4 evaluations of one.
+
+The prequant suite applies ``op_a`` and ``op_a_star`` to tagged blocks of
+``suites._BLOCK_TERMS`` terms; smaller blocks, or a check split back per
+monomial, raise its operator calls.
 """
 
 import sys
@@ -19,7 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from covkg import solution, suites
+from covkg import prequant, solution, suites
 from covkg.reporting import RunConfig
 
 SYNTHESIZE_BUDGET = 72
@@ -27,6 +31,10 @@ FFT_BUDGET = {"fftn": 36, "ifftn": 108}
 OBSERVABLES_BUDGET = {"synthesize": 36, "ifftn": 36}
 CONFIG_C = {"d": 3, "N": 8, "n_max": 3}
 CONFIG_C_SYNTHESIZE_BUDGET = {"observables": 167, "phase-space": 88}
+PREQUANT_OP_BUDGET = {
+    "A": ({}, {"op_a": 20, "op_a_star": 34}),
+    "wide": ({"d": 1, "N": 32, "n_max": 11}, {"op_a": 76, "op_a_star": 146}),
+}
 
 
 def _counting(counts, key, fn):
@@ -76,3 +84,16 @@ def test_config_c_call_budget(monkeypatch, suite):
                                    **CONFIG_C)
     assert records
     assert 0 < counts["synthesize"] <= CONFIG_C_SYNTHESIZE_BUDGET[suite]
+
+
+@pytest.mark.parametrize("config", sorted(PREQUANT_OP_BUDGET))
+def test_prequant_ladder_call_budget(monkeypatch, config):
+    fields, budget = PREQUANT_OP_BUDGET[config]
+    counts = Counter()
+    for key in budget:
+        monkeypatch.setattr(prequant, key,
+                            _counting(counts, key, getattr(prequant, key)))
+    records = suites.suite_prequant(RunConfig(**fields))
+    assert len(records) == 9
+    for key, bound in budget.items():
+        assert 0 < counts[key] <= bound, key

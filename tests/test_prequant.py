@@ -5,6 +5,7 @@ the raising operator once gives the coefficient w g = g/2 and the squared
 monomial norm hbar / w = 2.
 """
 
+import dataclasses
 import math
 from functools import partial
 
@@ -53,6 +54,12 @@ def lat():
 @pytest.fixture(scope="module", params=[7, 11], ids=["n_max7", "n_max11"])
 def wide_lat(request):
     return build_lattice(d=1, L=2 * np.pi, N=32, n_max=request.param, m=1.0)
+
+
+@pytest.fixture(scope="module")
+def rows_lats(lat):
+    """``lat`` (uint8 index rows) and a 289-mode lattice (uint16 rows)."""
+    return lat, build_lattice(d=2, L=2 * np.pi, N=18, n_max=8, m=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +510,31 @@ def test_repeated_terms_are_rejected(lat):
     assert len(unsorted.key) == 2
 
 
+def test_out_of_range_rows_are_rejected(lat):
+    """Rows are stored in the narrowest dtype that holds the sentinel, so a
+    mode outside 0..n_modes is refused before the cast could wrap it (256
+    would read as mode 0 in uint8); a row of sentinels is the vacuum."""
+    for row in ([-1], [lat.n_modes + 1], [256]):
+        with pytest.raises(ValueError, match="mode index out of range"):
+            PolarizedState(lat, [row], [1.0], [0])
+    padded = PolarizedState(lat, [[lat.n_modes]], [1.0], [0])
+    assert padded.key.tolist() == vacuum(lat).key.tolist()
+
+
+def test_key_guard_raises_instead_of_wrapping():
+    """At 343 modes (config C) a key spans C(349, 6) ranks per tag, so
+    3,837,376 tags fill int64 and one more would wrap: the guard raises."""
+    n_modes, most = 343, 3_837_376
+    column = np.array([n_modes - 1, n_modes - 1], dtype=np.uint16)
+    keys = _column_keys(n_modes, [column], np.array([0, most - 1]),
+                        DEGREE_BOUND)
+    span = math.comb(n_modes + DEGREE_BOUND, DEGREE_BOUND)
+    assert 0 <= keys[0] < span
+    assert int(keys[1]) == (most - 1) * span + int(keys[0])
+    with pytest.raises(ValueError, match="too large for int64"):
+        _column_keys(n_modes, [column], np.array([0, most]), DEGREE_BOUND)
+
+
 def test_states_on_different_lattices_do_not_combine(lat):
     lat7 = build_lattice(d=1, L=2 * np.pi, N=8, n_max=3, m=1.0)
     wide = monomial(lat, [(10, 1)])
@@ -621,42 +653,57 @@ def _assert_keys_carried(state):
     assert np.array_equal(state.key, want)
 
 
+def _assert_row_dtype(*states):
+    for state in states:
+        assert state.idx.dtype == np.min_scalar_type(state.lat.n_modes)
+
+
 @pytest.mark.parametrize("width", range(6))
-def test_sort_free_ladders_equal_the_sorting_kernels(lat, width):
+def test_sort_free_ladders_equal_the_sorting_kernels(rows_lats, width):
     """Insertion raising and key-carrying lowering give the same states as
     append-and-sort plus row ranking, bit for bit, on tagged multi-row
-    states; the input may carry a sentinel pad column."""
-    rng = np.random.default_rng(40 + width)
-    f, g = _rand_fg(lat, width)
-    f[::3] = 0.0
-    g[1::4] = 0.0
-    idx, amp, tag = _random_tagged_state(lat, rng, width)
-    padded = np.concatenate([idx, np.full((len(idx), 1), lat.n_modes)], axis=1)
-    for rows in (idx, padded):
-        state = PolarizedState(lat, rows, amp, tag)
-        _assert_same_terms(op_a_star(g, state),
-                           _old_op_a_star(lat, g, idx, amp, tag))
-        _assert_same_terms(op_a(f, state), _old_op_a(lat, f, idx, amp, tag))
-        _assert_same_terms(op_a(f, op_a_star(g, state)),
-                           _old_op_a(lat, f, *_old_op_a_star(lat, g, idx,
-                                                             amp, tag)))
+    states; the input may carry a sentinel pad column.  Both row dtypes
+    run: uint8 at 15 modes, uint16 at 289."""
+    assert [np.min_scalar_type(lat.n_modes) for lat in rows_lats] == [
+        np.uint8, np.uint16]
+    for lat in rows_lats:
+        rng = np.random.default_rng(40 + width)
+        f, g = _rand_fg(lat, width)
+        f[::3] = 0.0
+        g[1::4] = 0.0
+        idx, amp, tag = _random_tagged_state(lat, rng, width)
+        padded = np.concatenate([idx, np.full((len(idx), 1), lat.n_modes)],
+                                axis=1)
+        for rows in (idx, padded):
+            state = PolarizedState(lat, rows, amp, tag)
+            raised, lowered = op_a_star(g, state), op_a(f, state)
+            both = op_a(f, raised)
+            _assert_row_dtype(state, raised, lowered, both)
+            _assert_same_terms(raised, _old_op_a_star(lat, g, idx, amp, tag))
+            _assert_same_terms(lowered, _old_op_a(lat, f, idx, amp, tag))
+            _assert_same_terms(both, _old_op_a(
+                lat, f, *_old_op_a_star(lat, g, idx, amp, tag)))
 
 
 @pytest.mark.parametrize("width", range(6))
-def test_keys_are_carried_through_every_operation(lat, width):
+def test_keys_are_carried_through_every_operation(rows_lats, width):
     """After each operator, sum, prune and scale, the carried keys equal
-    the keys ranked afresh from (idx, tag) at DEGREE_BOUND."""
-    rng = np.random.default_rng(50 + width)
-    f, g = _rand_fg(lat, 10 + width)
-    state = PolarizedState(lat, *_random_tagged_state(lat, rng, width))
-    other = PolarizedState(lat, *_random_tagged_state(lat, rng, width))
-    _assert_keys_carried(state)
-    results = [op_a_star(g, state), op_a(f, state),
-               op_p(np.array([0.7, -0.4]), state), state_scale(0.5j, state),
-               state_sum(state, other), state_sub(state, other),
-               prune(state), state_sum(state, other, op_a(f, other))]
-    for out in results:
-        _assert_keys_carried(out)
+    the keys ranked afresh from (idx, tag) at DEGREE_BOUND, and the rows
+    keep the narrowest dtype that holds the sentinel."""
+    for lat in rows_lats:
+        rng = np.random.default_rng(50 + width)
+        f, g = _rand_fg(lat, 10 + width)
+        zeta = np.linspace(0.7, -0.4, lat.d + 1)
+        state = PolarizedState(lat, *_random_tagged_state(lat, rng, width))
+        other = PolarizedState(lat, *_random_tagged_state(lat, rng, width))
+        _assert_keys_carried(state)
+        results = [op_a_star(g, state), op_a(f, state), op_p(zeta, state),
+                   state_scale(0.5j, state), state_sum(state, other),
+                   state_sub(state, other), prune(state),
+                   state_sum(state, other, op_a(f, other))]
+        _assert_row_dtype(state, *results)
+        for out in results:
+            _assert_keys_carried(out)
 
 
 def _nested_ccr(lat, f, g, block):
@@ -667,7 +714,9 @@ def _nested_ccr(lat, f, g, block):
 
 def test_one_merge_equals_nested_state_sub(wide_lat):
     """The ccr residual summed in one merge equals, bit for bit, the
-    nested ``state_sub`` of the commutator and the scalar term."""
+    nested ``state_sub`` of the commutator and the scalar term, and
+    ``max_abs`` of the three states, merged on keys and amplitudes alone,
+    equals that of the merged state."""
     from covkg import suites
     lat = wide_lat
     f, g = _rand_fg(lat, 5)
@@ -685,8 +734,38 @@ def test_one_merge_equals_nested_state_sub(wide_lat):
         assert np.array_equal(got.idx, want.idx)
         assert np.array_equal(got.key, want.key)
         assert got.amp.tobytes() == want.amp.tobytes()
+        assert max_abs(ab, state_scale(-1.0, ba),
+                       state_scale(-scalar, block)) == max_abs(nested)
         worst = max(worst, max_abs(nested))
     assert suites.ccr_residual(lat, f, g, rows) == worst
+
+
+def test_ladder_checks_do_not_depend_on_the_block_size(wide_lat,
+                                                       monkeypatch):
+    """Tags keep each monomial's terms apart and sum them in the same order
+    in any block, so the batched checks read the same at 64 terms per
+    block as at the shipped budget: a retune cannot move a record.  Every
+    third row keeps the test short; at 64 terms a ccr or [a*, a*] block
+    holds one monomial."""
+    from covkg import suites
+    lat = wide_lat
+    f, g = _rand_fg(lat, 6)
+    fd1, fd2 = _dyadic(lat, 4), _dyadic(lat, 5)
+    unit = dataclasses.replace(lat, hbar=1.0)
+    rows, raise_rows = monomial_rows(lat, 3)[::3], monomial_rows(lat, 2)[::3]
+
+    def checks():
+        return [suites.ccr_residual(lat, f, g, rows),
+                suites.commutator_flag(unit, rows, partial(op_a, fd1),
+                                       partial(op_a, fd2), 9),
+                suites.commutator_flag(lat, raise_rows, partial(op_a_star, f),
+                                       partial(op_a_star, g),
+                                       lat.n_modes ** 2)]
+
+    shipped = checks()
+    monkeypatch.setattr(suites, "_BLOCK_TERMS", 64)
+    assert checks() == shipped
+    assert 0.0 < shipped[0] < 1e-12 and shipped[1:] == [0.0, 0.0]
 
 
 def test_equal_products_flag_equals_zero_commutator(wide_lat):
