@@ -181,71 +181,89 @@ def dft_inverse(lat: ModeLattice, mode_coefficients) -> np.ndarray:
     return np.fft.ifftn(spec) * lat.N ** lat.d
 
 
-def mode_sum_grid(lat: ModeLattice, plus_coeff, minus_coeff) -> np.ndarray:
+def mode_sum_grid(lat: ModeLattice, plus_coeff, minus_coeff,
+                  real: bool = False) -> np.ndarray:
     """Evaluate sum_k (c+_k e^{+i k.x} + c-_k e^{-i k.x}) on the grid.
 
     The two coefficient arrays sit on the same mode list.  The e^{-ik.x}
     branch of mode -k lands on the bin of mode k, so every retained bin gets
-    plus[k] + minus[conj(k)] in one assignment; the bins are distinct because
-    ``conj_index`` reverses the mode list.  Exact for the retained band
-    since all bin residues are distinct.  Coefficient arrays with leading
-    axes, shape (..., n_modes), give stacked grids of shape
+    S_k = plus[k] + minus[conj(k)] in one assignment; the bins are distinct
+    because ``conj_index`` reverses the mode list.  Exact for the retained
+    band since all bin residues are distinct.  Coefficient arrays with
+    leading axes, shape (..., n_modes), give stacked grids of shape
     (...) + grid_shape from one inverse FFT over the trailing grid axes.
+    With ``real`` the grids are the real part of the sum, from one
+    ``irfftn`` of the Hermitian part (S_k + conj(S_-k)) / 2 on the modes
+    with last component >= 0, unscaled; exact when S is Hermitian.
     """
-    bins, conj = _scatter_indices(lat)
-    plus_coeff = np.asarray(plus_coeff)
-    spec = np.zeros(plus_coeff.shape[:-1] + lat.grid_shape, dtype=complex)
-    spec[bins] = plus_coeff + np.asarray(minus_coeff)[..., conj]
-    return np.fft.ifftn(spec, axes=range(-lat.d, 0)) * lat.N ** lat.d
+    bins, conj, half_bins, half, half_conj = _scatter_indices(lat)
+    spec_k = np.asarray(plus_coeff) + np.asarray(minus_coeff)[..., conj]
+    axes, lead = range(-lat.d, 0), spec_k.shape[:-1]
+    if real:
+        spec = np.zeros(lead + lat.grid_shape[:-1] + (lat.N // 2 + 1,),
+                        dtype=complex)
+        spec[half_bins] = 0.5 * (spec_k[..., half]
+                                 + np.conj(spec_k[..., half_conj]))
+        return np.fft.irfftn(spec, lat.grid_shape, axes, norm="forward")
+    spec = np.zeros(lead + lat.grid_shape, dtype=complex)
+    spec[bins] = spec_k
+    return np.fft.ifftn(spec, axes=axes) * lat.N ** lat.d
 
 
 @lru_cache(maxsize=64)
 def _scatter_indices(lat: ModeLattice) -> tuple:
-    """(index of the retained bins on stacked grids, ``conj_index``), all
-    read-only."""
+    """Read-only (retained bins on stacked grids, ``conj_index``, and the
+    half bins, indices and reflections of modes with last component >= 0)."""
     bins, conj = lat.fft_indices(), lat.conj_index()
-    for arr in (*bins, conj):
+    half = np.flatnonzero(lat.modes[:, -1] >= 0)
+    half_bins, half_conj = tuple(b[half] for b in bins), conj[half]
+    for arr in (*bins, conj, *half_bins, half, half_conj):
         arr.setflags(write=False)
-    return (Ellipsis,) + bins, conj
+    return (Ellipsis,) + bins, conj, (Ellipsis,) + half_bins, half, half_conj
 
 
-def _fft_wavenumbers(lat: ModeLattice) -> list:
-    """Full-grid angular wavenumbers per axis, shaped to broadcast on the grid."""
-    k = 2.0 * np.pi * np.fft.fftfreq(lat.N, d=lat.L / lat.N)
-    return [k.reshape([lat.N if b == a else 1 for b in range(lat.d)])
-            for a in range(lat.d)]
-
-
-def _spectral(lat: ModeLattice, grid_field, mult, stacked: bool) -> np.ndarray:
-    """ifft(mult * fft(field)) over the grid axes, real for a real field.
+def _spectral(lat: ModeLattice, grid_field, kind: int,
+              stacked: bool) -> np.ndarray:
+    """ifft(mult * fft(field)) over the grid axes, mult the ``kind`` entry
+    of ``_multipliers``; a real field takes ``rfftn``/``irfftn`` on the half
+    spectrum and gets the real part of the full-grid result.
 
     The one transform pair behind every spectral derivative.  With
     ``stacked`` the multipliers carry an axis of their own, which lands
     just before the grid axes of the output; each of its grids equals, bit
-    for bit, the grid of that multiplier applied alone.
-    """
+    for bit, the grid of that multiplier applied alone."""
     arr = _check_grid(lat, grid_field, batched=True)
     axes = range(-lat.d, 0)
-    spec = np.fft.fftn(arr, axes=axes)
+    real = np.isrealobj(arr)
+    spec = (np.fft.rfftn if real else np.fft.fftn)(arr, axes=axes)
     if stacked:
         spec = np.expand_dims(spec, -lat.d - 1)
-    out = np.fft.ifftn(mult * spec, axes=axes)
-    if np.isrealobj(arr):
-        return out.real
-    return out
+    spec = _multipliers(lat)[real][kind] * spec
+    if real:
+        return np.fft.irfftn(spec, lat.grid_shape, axes)
+    return np.fft.ifftn(spec, axes=axes)
 
 
 @lru_cache(maxsize=64)
 def _multipliers(lat: ModeLattice) -> tuple:
-    """Read-only full-grid multipliers: (i k_a stacked over the d axes,
-    -|k|^2, both stacked with the Laplacian last)."""
-    ks = _fft_wavenumbers(lat)
-    grad = 1j * np.stack(np.broadcast_arrays(*ks))
-    lap = -sum(k ** 2 for k in ks)
-    both = np.concatenate([grad, lap[None]])
-    for arr in (grad, lap, both):
+    """Read-only (i k_a stacked over the d axes, -|k|^2, both stacked with
+    the Laplacian last), on the full grid and then on the half spectrum.
+    The half gradient is 0 on the Nyquist bin of its axis, a term the real
+    part of the full-grid gradient of a real field drops, so the half path
+    gives that real part for any real field."""
+    k = 2.0 * np.pi * np.fft.fftfreq(lat.N, d=lat.L / lat.N)
+    k_odd = np.where(np.arange(lat.N) == lat.N // 2, 0.0, k)
+    kk, kk_odd = (np.stack(np.broadcast_arrays(*(
+        v.reshape([-1 if b == a else 1 for b in range(lat.d)])
+        for a in range(lat.d)))) for v in (k, k_odd))
+    lap = -sum(ka ** 2 for ka in kk)
+    half = (Ellipsis, slice(0, lat.N // 2 + 1))
+    out = tuple((grad, lap_part, np.concatenate([grad, lap_part[None]]))
+                for grad, lap_part in ((1j * kk, lap),
+                                       (1j * kk_odd[half], lap[half])))
+    for arr in itertools.chain(*out):
         arr.setflags(write=False)
-    return grad, lap, both
+    return out
 
 
 def spectral_gradient(lat: ModeLattice, grid_field) -> np.ndarray:
@@ -254,13 +272,13 @@ def spectral_gradient(lat: ModeLattice, grid_field) -> np.ndarray:
     A stack of fields with leading (batch, time) axes gives those axes,
     then d, then grid_shape.
     """
-    return _spectral(lat, grid_field, _multipliers(lat)[0], True)
+    return _spectral(lat, grid_field, 0, True)
 
 
 def spectral_divergence(lat: ModeLattice, vector_field) -> np.ndarray:
     """sum_a d/dx^a of component a, for fields of shape (..., d) + grid_shape,
     from one transform pair; the terms are added in component order."""
-    terms = _spectral(lat, vector_field, _multipliers(lat)[0], False)
+    terms = _spectral(lat, vector_field, 0, False)
     total = 0.0
     for term in np.moveaxis(terms, -lat.d - 1, 0):
         total = total + term
@@ -273,14 +291,14 @@ def spectral_laplacian(lat: ModeLattice, grid_field) -> np.ndarray:
     Accepts a stack of fields with leading (batch, time) axes, like
     ``spectral_gradient``; the output has the shape of the input.
     """
-    return _spectral(lat, grid_field, _multipliers(lat)[1], False)
+    return _spectral(lat, grid_field, 1, False)
 
 
 def spectral_gradient_laplacian(lat: ModeLattice, grid_field) -> tuple:
     """(``spectral_gradient``, ``spectral_laplacian``) of one field, from one
     forward transform with the d + 1 multipliers stacked; each equals, bit
     for bit, the output of its own function."""
-    out = _spectral(lat, grid_field, _multipliers(lat)[2], True)
+    out = _spectral(lat, grid_field, 2, True)
     grid = (slice(None),) * lat.d
     return out[(Ellipsis, slice(0, lat.d)) + grid], out[(Ellipsis, lat.d) + grid]
 

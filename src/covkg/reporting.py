@@ -184,12 +184,13 @@ def check(name: str, lhs, rhs, tolerance: float) -> CheckRecord:
 
 def lower_bound_check(name: str, value: float,
                       threshold: float) -> CheckRecord:
-    """Value must be at least threshold."""
-    value = float(value)
-    shortfall = max(0.0, threshold - value)
-    return CheckRecord(name=name, lhs=value, rhs=float(threshold),
-                       abs_diff=shortfall, tolerance=0.0,
-                       passed=bool(shortfall <= 0.0))
+    """Value must be at least threshold; a NaN value fails, with a NaN
+    shortfall."""
+    value, threshold = float(value), float(threshold)
+    passed = value >= threshold
+    return CheckRecord(name=name, lhs=value, rhs=threshold,
+                       abs_diff=0.0 if passed else threshold - value,
+                       tolerance=0.0, passed=passed)
 
 
 def _num(value):

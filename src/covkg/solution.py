@@ -13,7 +13,8 @@ alongside as an independent finite-difference oracle for the same equation.
 
 Evaluation.  ``synthesize`` makes grids from the mode data in one pass: one
 phase table, one scatter onto the FFT bins and one inverse FFT over stacked
-leading axes.  A call may ask for a list of derivative orders, a 1-D array
+leading axes, an ``irfftn`` on the half spectrum when the grids are real.  A
+call may ask for a list of derivative orders, a 1-D array
 of times and, through ``u``/``ustar`` of shape (n_batch, n_modes), a batch
 of solutions (the observables suite stacks its ladder generators this way);
 the grids come out with the axes (order, batch, time) + grid_shape.  Each
@@ -116,7 +117,7 @@ def from_modes(lat: ModeLattice, u, ustar=None, real_flag: bool = True) -> Solut
 
     With ``real_flag`` the conjugacy u*_k = conj(u_k) is enforced: it is
     filled in when ``ustar`` is omitted and validated (within 1e-12) when
-    both arrays are supplied.
+    both arrays are supplied.  Non-finite coefficients are a ValueError.
     """
     u = np.array(u, dtype=complex)
     if u.shape != (lat.n_modes,):
@@ -129,11 +130,13 @@ def from_modes(lat: ModeLattice, u, ustar=None, real_flag: bool = True) -> Solut
         ustar = np.array(ustar, dtype=complex)
         if ustar.shape != u.shape:
             raise ValueError("u and ustar shapes differ")
-        if real_flag:
-            err = np.max(np.abs(ustar - np.conj(u))) if u.size else 0.0
-            if err > _CONJ_TOL:
-                raise ValueError(
-                    f"reality violated: max |ustar - conj(u)| = {err:.3e}")
+    if not (np.isfinite(u).all() and np.isfinite(ustar).all()):
+        raise ValueError("mode coefficients u and ustar must be finite")
+    if real_flag:
+        err = np.max(np.abs(ustar - np.conj(u))) if u.size else 0.0
+        if not err <= _CONJ_TOL:
+            raise ValueError(
+                f"reality violated: max |ustar - conj(u)| = {err:.3e}")
     u.setflags(write=False)
     ustar.setflags(write=False)
     return Solution(lat, u, ustar, bool(real_flag))
@@ -201,8 +204,9 @@ def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
     ``extra_u``/``extra_us`` multiply the two branches with
     arbitrary per-mode factors (used for operator polynomials such as the
     Klein-Gordon symbol); they broadcast against the coefficient table of
-    shape ([n_orders,] [n_batch,] [n_t,] n_modes).  Real solutions yield
-    real grids whenever the branch factors are conjugate.
+    shape ([n_orders,] [n_batch,] [n_t,] n_modes).  A real solution gives
+    real grids, from one ``irfftn``, when the branch factors are absent or
+    conjugate (``extra_us == conj(extra_u)``), and complex ones otherwise.
     """
     lat = sol.lat
     stacked = isinstance(mus, list)
@@ -217,22 +221,20 @@ def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
              + (lat.n_modes,))
     fu, fus = (f.reshape(shape)
                for f in _order_factors(lat, tuple(map(tuple, orders))))
+    real = sol.real_flag and (extra_u is None) == (extra_us is None)
     if extra_u is not None:
         fu = fu * extra_u
     if extra_us is not None:
         fus = fus * extra_us
+        real = real and np.array_equal(np.conj(extra_u), extra_us)
     pref = (2.0 * np.pi) ** (-lat.d / 2.0)
-    tc = t[..., None]
+    phase = np.exp(-1j * lat.k0 * t[..., None])
     u, ustar = (np.expand_dims(c, tuple(range(-1 - t.ndim, -1)))
                 for c in (sol.u, sol.ustar))
-    plus = pref * lat.w * u * np.exp(-1j * lat.k0 * tc) * fu
-    minus = pref * lat.w * ustar * np.exp(1j * lat.k0 * tc) * fus
-    grid = mode_sum_grid(lat, plus, minus)
-    if not stacked:
-        grid = grid[0]
-    if sol.real_flag and extra_u is None and extra_us is None:
-        return grid.real
-    return grid
+    plus = pref * lat.w * u * phase * fu
+    minus = pref * lat.w * ustar * np.conj(phase) * fus
+    grid = mode_sum_grid(lat, plus, minus, real)
+    return grid if stacked else grid[0]
 
 
 def _slice_data(lat: ModeLattice, t, phi, dphi) -> SliceData:
@@ -376,11 +378,10 @@ class DetunedHistory:
         tc = np.asarray(t, dtype=float)[..., None]
         down = np.exp(-1j * (om - lat.k0) * tc)
         up = np.exp(1j * (om - lat.k0) * tc)
-        grids = synthesize(
+        return tuple(synthesize(
             s, t, [()] * 3,
             extra_u=np.stack([(-1j * om) ** order * down for order in range(3)]),
-            extra_us=np.stack([(1j * om) ** order * up for order in range(3)]))
-        return tuple(grids.real if s.real_flag else grids)
+            extra_us=np.stack([(1j * om) ** order * up for order in range(3)])))
 
 
 class PolynomialTimeHistory:

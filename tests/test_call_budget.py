@@ -11,6 +11,9 @@ translations of the P_mu bracket identity and the lambda pair of each P_mu
 integral).  The bounds are the totals of that design; a change that splits
 a family into separate evaluations again raises them and fails here.  At
 config C a family split back per mu makes d + 1 = 4 evaluations of one.
+Real grids take the half-spectrum transforms (``rfftn``/``irfftn``) and
+complex ones the full-grid pair, so each of the four kinds has its own
+bound; a real field sent down the complex path fails here.
 
 The prequant suite applies ``op_a`` and ``op_a_star`` to tagged blocks of
 ``suites._BLOCK_TERMS`` terms; smaller blocks, or a check split back per
@@ -27,8 +30,10 @@ from covkg import prequant, solution, suites
 from covkg.reporting import RunConfig
 
 SYNTHESIZE_BUDGET = 72
-FFT_BUDGET = {"fftn": 36, "ifftn": 108}
-OBSERVABLES_BUDGET = {"synthesize": 36, "ifftn": 36}
+FFT_KINDS = ("fftn", "ifftn", "rfftn", "irfftn")
+FFT_BUDGET = {"fftn": 0, "ifftn": 0, "rfftn": 36, "irfftn": 108}
+OBSERVABLES_BUDGET = {"synthesize": 36, "fftn": 0, "ifftn": 20, "rfftn": 0,
+                      "irfftn": 16}
 CONFIG_C = {"d": 3, "N": 8, "n_max": 3}
 CONFIG_C_SYNTHESIZE_BUDGET = {"observables": 167, "phase-space": 88}
 PREQUANT_OP_BUDGET = {
@@ -45,7 +50,8 @@ def _counting(counts, key, fn):
 
 
 def _count_calls(monkeypatch, suite_fns, **config):
-    """(records, Counter of synthesize and FFT calls) of the suites run at
+    """(records, Counter of synthesize calls and of the calls of each
+    FFT kind in ``FFT_KINDS``) of the suites run at
     the default config, or with the given config fields."""
     counts = Counter()
     original = solution.synthesize
@@ -54,7 +60,7 @@ def _count_calls(monkeypatch, suite_fns, **config):
         if (name.startswith("covkg") and mod is not None
                 and getattr(mod, "synthesize", None) is original):
             monkeypatch.setattr(mod, "synthesize", counted)
-    for key in ("fftn", "ifftn"):
+    for key in FFT_KINDS:
         monkeypatch.setattr(np.fft, key,
                             _counting(counts, key, getattr(np.fft, key)))
     cfg = RunConfig(**config)
@@ -62,20 +68,24 @@ def _count_calls(monkeypatch, suite_fns, **config):
     return records, counts
 
 
+def _check_budget(counts, budget):
+    """Each count within its bound, and positive unless the bound is 0."""
+    for key, bound in budget.items():
+        assert counts[key] <= bound and (counts[key] > 0 or bound == 0), key
+
+
 def test_msymp_and_phase_space_call_budget(monkeypatch):
     records, counts = _count_calls(
         monkeypatch, [suites.suite_msymp, suites.suite_phase_space])
     assert len(records) == 24
     assert 0 < counts["synthesize"] <= SYNTHESIZE_BUDGET
-    for key, budget in FFT_BUDGET.items():
-        assert 0 < counts[key] <= budget, key
+    _check_budget(counts, FFT_BUDGET)
 
 
 def test_observables_call_budget(monkeypatch):
     records, counts = _count_calls(monkeypatch, [suites.suite_observables])
     assert len(records) == 20
-    for key, budget in OBSERVABLES_BUDGET.items():
-        assert 0 < counts[key] <= budget, key
+    _check_budget(counts, OBSERVABLES_BUDGET)
 
 
 @pytest.mark.parametrize("suite", sorted(CONFIG_C_SYNTHESIZE_BUDGET))

@@ -10,7 +10,7 @@ import pytest
 from covkg import build_lattice, observables, phase_space, random_solution
 from covkg import suites
 from covkg.cli import main
-from covkg.reporting import TOLERANCES
+from covkg.reporting import TOLERANCES, lower_bound_check
 from covkg.solution import evaluate_fields, leapfrog_evolve, write_cauchy_csv
 
 
@@ -22,6 +22,18 @@ def lat():
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+@pytest.mark.parametrize("value,passed,shortfall", [
+    (np.nan, False, np.nan), (np.inf, True, 0.0), (-np.inf, False, np.inf),
+    (1e-3, True, 0.0), (2e-3, True, 0.0), (0.5e-3, False, 0.5e-3)])
+def test_lower_bound_record(value, passed, shortfall):
+    """A value at or above the threshold passes with no shortfall; below
+    it, or NaN, the record fails and abs_diff is threshold - value."""
+    rec = lower_bound_check("x", value, 1e-3)
+    assert rec.passed is passed
+    np.testing.assert_equal(rec.abs_diff, shortfall)
+    assert (rec.tolerance, rec.rhs) == (0.0, 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,62 @@ def _band_fields(d, L, N, n_max, real):
                  synthesize(stack_solutions(sols), ts)]
 
 
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_real_mode_sum_is_the_real_part_of_the_complex_one(config):
+    """The half-spectrum sum equals the real part of the full-grid sum for
+    arbitrary coefficients with (order, batch, time) axes, within
+    4 eps sum_k (|c+_k| + |c-_k|) per grid, and each stacked grid equals,
+    bit for bit, the grid of its coefficients alone."""
+    d, L, N, n_max = config
+    lat = build_lattice(d=d, L=L, N=N, n_max=n_max, m=1.0)
+    rng = np.random.default_rng(d)
+    shape = (2, 2, 3, lat.n_modes)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = mode_sum_grid(lat, a, b, real=True)
+    assert got.dtype == np.float64
+    assert got.shape == shape[:-1] + lat.grid_shape
+    bound = 4 * _EPS * np.sum(np.abs(a) + np.abs(b), axis=-1)
+    err = np.abs(got - mode_sum_grid(lat, a, b).real)
+    assert np.all(err <= bound[(Ellipsis,) + (None,) * d])
+    for lead in np.ndindex(shape[:-1]):
+        assert np.array_equal(got[lead],
+                              mode_sum_grid(lat, a[lead], b[lead], real=True))
+
+
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_real_spectral_derivatives_are_the_real_part_of_the_complex_path(
+        config):
+    """On real stacked fields, band-limited or not, the half-spectrum
+    gradient, Laplacian, divergence and gradient-Laplacian pair are real and
+    equal the real part of the full-grid results on the same fields cast to
+    complex, within 4 eps |k|_max^p max sum_x |f| for p derivatives."""
+    lat, fields = _band_fields(*config, True)
+    rng = np.random.default_rng(7)
+    fields.append(rng.standard_normal((2, 3) + lat.grid_shape))
+    k_max = np.pi * lat.N / lat.L
+    vector = rng.standard_normal((2, lat.d) + lat.grid_shape)
+    for field in fields + [vector]:
+        cells = np.abs(field).reshape(-1, lat.N ** lat.d).sum(axis=-1).max()
+        z = field.astype(complex)
+        pairs = [(spectral_gradient(lat, field), spectral_gradient(lat, z), 1),
+                 (spectral_laplacian(lat, field),
+                  spectral_laplacian(lat, z), 2)]
+        pairs += [(got, want, p) for got, want, p in zip(
+            spectral_gradient_laplacian(lat, field),
+            spectral_gradient_laplacian(lat, z), (1, 2))]
+        if field is vector:
+            pairs.append((spectral_divergence(lat, field),
+                          spectral_divergence(lat, z), 1))
+        for got, want, p in pairs:
+            assert got.dtype == np.float64 and got.shape == want.shape
+            bound = 4 * _EPS * (lat.d * k_max ** 2) ** (p / 2) * cells
+            assert np.max(np.abs(got - want.real)) <= bound
+
+
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("config", _CONFIGS)
 def test_one_transform_gradient_laplacian_is_bitwise(config, real):

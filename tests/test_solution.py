@@ -14,6 +14,7 @@ from covkg.solution import (
     Solution,
     SolutionHistory,
     DetunedHistory,
+    _order_factors,
     PolynomialTimeHistory,
     TimeWindow,
     WindowedPerturbation,
@@ -140,6 +141,55 @@ def test_real_flag_gives_real_fields(lat):
     sol = random_solution(lat, np.random.default_rng(4))
     vals = synthesize(sol, 0.37)
     assert vals.dtype == np.float64
+
+
+def test_real_grids_whenever_the_branch_factors_are_conjugate(lat, sol):
+    """A real solution gives real grids for absent or conjugate branch
+    factors (the detuned history, the Klein-Gordon symbol); one factor
+    alone, non-conjugate factors or a complex solution give complex ones."""
+    ts = np.array([0.0, 0.3, 0.9])
+    for grid in DetunedHistory(sol, 0.5).at(ts):
+        assert grid.dtype == np.float64 and grid.shape == (3,) + lat.grid_shape
+    sym = lat.m ** 2 + np.sum(lat.k ** 2, axis=1) - lat.k0 ** 2
+    assert synthesize(sol, 0.4, extra_u=sym, extra_us=sym).dtype == np.float64
+    f = np.exp(0.3j * lat.k0)
+    assert synthesize(sol, 0.4, extra_u=f, extra_us=np.conj(f)).dtype \
+        == np.float64
+    assert np.iscomplexobj(synthesize(sol, 0.4, extra_u=f, extra_us=f))
+    assert np.iscomplexobj(synthesize(sol, 0.4, extra_u=sym))
+    assert np.iscomplexobj(synthesize(sol, 0.4, extra_us=sym))
+    complex_sol = random_solution(lat, np.random.default_rng(3), False)
+    assert np.iscomplexobj(synthesize(complex_sol, 0.4))
+
+
+def test_conjugate_phase_table_is_the_reflected_exponential(lat):
+    """synthesize's u* branch takes conj(exp(-i k0 t)) for exp(+i k0 t):
+    equal bit for bit on the lattice's phases and on 15,000 random ones."""
+    rng = np.random.default_rng(11)
+    for k0, t in ((lat.k0, np.linspace(-3.0, 40.0, 1001)[:, None]),
+                  (rng.uniform(0.1, 50.0, 15000), rng.uniform(-100, 100))):
+        assert np.array_equal(np.conj(np.exp(-1j * k0 * t)),
+                              np.exp(1j * k0 * t))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_from_modes_rejects_non_finite_coefficients(lat, bad):
+    """A NaN must not hide a reality violation: with u = [1, nan, 3, ...]
+    and ustar = conj(u) + 0.5 the conjugacy error is NaN, not > 1e-12."""
+    u = np.arange(1.0, lat.n_modes + 1) + 0.5j
+    bad_u = u.copy()
+    bad_u[1] = bad
+    bad_ustar = np.conj(bad_u)
+    for args, real_flag in [((bad_u,), True),
+                            ((bad_u, np.conj(u) + 0.5), True),
+                            ((bad_u, bad_ustar), True),
+                            ((u, bad_ustar), True),
+                            ((bad_u, u), False),
+                            ((u, bad_ustar), False)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            from_modes(lat, *args, real_flag=real_flag)
+    with pytest.raises(ValueError, match="reality violated"):
+        from_modes(lat, u, np.conj(u) + 0.5)
 
 
 def test_from_cauchy_round_trip(lat):
@@ -327,7 +377,9 @@ def test_time_window_compact_support_and_derivatives():
 
 def _synthesize_one_order(sol, t, mus=(), extra_u=None, extra_us=None):
     """Reference synthesis of one derivative order of one solution, with
-    its own phase table and mode sum (pinned in test_lattice)."""
+    its own phase table and mode sum (pinned in test_lattice); a real
+    solution with absent or conjugate branch factors takes the real mode
+    sum."""
     lat = sol.lat
     fu = np.ones(lat.n_modes, dtype=complex)
     fus = np.ones(lat.n_modes, dtype=complex)
@@ -340,12 +392,14 @@ def _synthesize_one_order(sol, t, mus=(), extra_u=None, extra_us=None):
         fus = fus * extra_us
     pref = (2.0 * np.pi) ** (-lat.d / 2.0)
     tc = np.asarray(t, dtype=float)[..., None]
-    plus = pref * lat.w * sol.u * np.exp(-1j * lat.k0 * tc) * fu
-    minus = pref * lat.w * sol.ustar * np.exp(1j * lat.k0 * tc) * fus
-    grid = mode_sum_grid(lat, plus, minus)
-    if sol.real_flag and extra_u is None and extra_us is None:
-        return grid.real
-    return grid
+    phase = np.exp(-1j * lat.k0 * tc)
+    plus = pref * lat.w * sol.u * phase * fu
+    minus = pref * lat.w * sol.ustar * np.conj(phase) * fus
+    real = sol.real_flag and (
+        extra_u is None and extra_us is None
+        or extra_u is not None and extra_us is not None
+        and np.array_equal(np.conj(extra_u), extra_us))
+    return mode_sum_grid(lat, plus, minus, real)
 
 
 @pytest.mark.parametrize("d,N,n_max", [(1, 32, 7), (3, 8, 2)])
@@ -396,7 +450,7 @@ def test_history_at_equals_one_synthesis_per_order(lat, sol):
         ref = _synthesize_one_order(
             sol, ts, extra_u=(-1j * om) ** r * np.exp(-1j * detune * tc),
             extra_us=(1j * om) ** r * np.exp(1j * detune * tc))
-        assert np.array_equal(got, ref.real)
+        assert np.array_equal(got, ref)
 
 
 def test_fields_and_second_derivatives_equal_one_synthesis_per_order(lat, sol):
