@@ -355,7 +355,7 @@ def lagrangian_and_actions(lat: ModeLattice, hist, lams, t1: float, t2: float,
 
 def action_criticality(sol: Solution, variation: Solution, lam: float,
                        eps: float = 1e-3, t1: float = 0.0, t2: float = 1.0,
-                       n_t: int = 1025, base_history=None) -> float:
+                       n_t: int = 1025, base_history=None):
     """|dA/d eps| for a compact-in-time holonomic variation of the graph.
 
     The variation is eta(t) * variation-field with eta a smooth bump
@@ -363,24 +363,33 @@ def action_criticality(sol: Solution, variation: Solution, lam: float,
     so the configuration leaves the shell and the derivative probes true
     criticality.  The action is quadratic in eps, hence the central
     difference equals the exact derivative up to quadrature error.
+
+    ``base_history`` replaces the solution's own history as the base.  A
+    list or tuple of bases (None for the solution's own) gives a list with
+    one value per base from one quadrature pass, which evaluates the
+    variation and the window once per block for all of them.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     lat = sol.lat
-    base = base_history if base_history is not None else SolutionHistory(sol)
+    single = not isinstance(base_history, (list, tuple))
+    bases = [SolutionHistory(sol) if b is None else b
+             for b in ([base_history] if single else base_history)]
     win = TimeWindow(t1, t2)
     var = SolutionHistory(variation)
-    # One evaluation of base and variation per block; the fields of
-    # WindowedPerturbation(+eps) and (-eps) are stacked on a leading axis
-    # and go through one density call.
+    # One evaluation of each base and of the variation per block; the
+    # fields of WindowedPerturbation(+eps) and (-eps) are stacked on a
+    # leading axis and go through one density call per base.
     signs = _family_axis([float(eps), -float(eps)], lat)
 
-    def density(b, v, w):
-        return theta_pullback_density(lat, *windowed_fields(b, v, w, signs),
-                                      lam)
+    def density(i):
+        return lambda b, v, w: theta_pullback_density(
+            lat, *windowed_fields(b[i], v, w, signs), lam)
 
-    total, = _time_quadrature(
-        lat, lambda tb: (base.at(tb), var.at(tb), win.on_grid(tb, lat.d)),
-        [density], t1, t2, n_t)
-    plus, minus = _real_or_complex(total)
-    return abs(plus - minus) / (2.0 * eps)
+    totals = _time_quadrature(
+        lat, lambda tb: ([b.at(tb) for b in bases], var.at(tb),
+                         win.on_grid(tb, lat.d)),
+        [density(i) for i in range(len(bases))], t1, t2, n_t)
+    values = [abs(plus - minus) / (2.0 * eps)
+              for plus, minus in map(_real_or_complex, totals)]
+    return values[0] if single else values

@@ -44,14 +44,26 @@ so keys are computed from the columns a row happens to have, in one order
 ``state_sum``, ``prune`` and ``state_scale`` hand the keys on, and
 ``inner_product`` pairs terms by them; no row is ranked twice.
 
-Coalescing.  Terms with equal keys are merged by one stable argsort: equal
-keys form runs in term order, the first term of each run stands for its
-group, and a cumulative sum over the run starts, scattered back into term
-order, labels each term with its group.  ``np.bincount`` then sums each
-group's real and imaginary parts as they lie, in the order the terms were
-made, so an operator's output is key-sorted with no key twice, and
-``state_sum`` of key-sorted states merges presorted runs.  Only the rows
-of the group representatives are gathered, and ``max_abs`` gathers none.
+Coalescing.  An operator merges its terms with equal keys by one stable
+argsort (``_group``): equal keys form runs in term order, the first term of
+each run stands for its group, and a cumulative sum over the run starts,
+scattered back into term order, labels each term with its group.
+``np.bincount`` then sums each group's real and imaginary parts as they
+lie, in the order the terms were made, so an operator's output is
+key-sorted with no key twice.  Keys that arrive strictly increasing, as
+from the first raising of a monomial block, are their own groups and skip
+the sort.  Only the rows of the group representatives are gathered.
+
+Merging.  ``state_sum`` and ``max_abs`` add whole states, each key-sorted
+already, so they sort nothing (``_merge``): a left-to-right fold in which
+the running keys absorb each state by ``np.searchsorted``, amplitudes
+adding where a key is present and new keys inserted with their rows and
+tags.  Equal key arrays, such as those of A_f A*_g x and A*_g A_f x in the
+ccr check, add in one vector step; a state that is not key-sorted (one
+built by hand) is argsorted alone first.  The fold starts from amp + 0.0,
+as bincount starts from +0.0, and adds in argument order, so every
+amplitude, zero signs included, equals that of grouping the concatenated
+terms.  ``max_abs`` carries no rows or tags.
 
 Monomial order.  ``monomial_rows``, ``monomial_at`` and ``covkg prequant
 --spectrum-out`` list monomials by degree, then by that rank (the colex
@@ -182,13 +194,20 @@ def _trim(idx: np.ndarray, n_modes: int) -> np.ndarray:
     return idx[:, :width]
 
 
+def _increasing(keys: np.ndarray) -> bool:
+    return bool((keys[1:] > keys[:-1]).all())
+
+
 def _group(keys: np.ndarray, amp: np.ndarray):
     """(first, group keys, summed amplitudes) of equal-key runs.
 
     Groups come out in key order, each kept at its first term, as
     ``np.unique(return_index=True, return_inverse=True)`` would give them;
-    each group sums its amplitudes in term order.
+    each group sums its amplitudes in term order.  Strictly increasing keys
+    are their own groups; + 0.0 turns -0.0 into +0.0, as bincount's sum does.
     """
+    if _increasing(keys):
+        return np.arange(len(keys)), keys, amp + 0.0
     order = np.argsort(keys, kind="stable")
     starts = np.ones(len(keys), dtype=bool)
     sorted_keys = keys.take(order)
@@ -255,7 +274,7 @@ class PolarizedState:
         key = _column_keys(n_modes, self.idx[:, :degree].T, self.tag,
                            DEGREE_BOUND)
         # Key-sorted input (every state built here) costs one comparison pass.
-        if (key[1:] <= key[:-1]).any():
+        if not _increasing(key):
             ordered = np.sort(key)
             if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("repeated (tag, row) term")
@@ -315,8 +334,41 @@ def _same_lattice(states) -> ModeLattice:
     return lat
 
 
+def _key_sorted(part):
+    """``part``'s arrays, reordered so that its first, the keys, increase."""
+    if _increasing(part[0]):
+        return part
+    order = np.argsort(part[0])
+    return [x.take(order, axis=0) for x in part]
+
+
+def _merge(parts):
+    """(keys, summed amplitudes, *payload) of ``parts``, tuples (key, amp,
+    *payload) of states' arrays with no key twice, by the fold of the module
+    docstring ("Merging"); a key keeps the payload of its first part."""
+    parts = [p for p in parts if len(p[0])] or parts[:1]  # empty adds nothing
+    key, amp, *rest = _key_sorted(parts[0])
+    amp = amp + 0.0  # bincount's sum starts from +0.0, so -0.0 becomes +0.0
+    for part in parts[1:]:
+        k, a, *more = _key_sorted(part)
+        if np.array_equal(key, k):
+            amp += a
+            continue
+        pos = np.searchsorted(key, k)
+        hit = key.take(pos, mode="clip") == k
+        amp[pos[hit]] += a[hit]
+        new = ~hit
+        if new.any():
+            at = pos[new]
+            key = np.insert(key, at, k[new])
+            amp = np.insert(amp, at, a[new] + 0.0)
+            rest = [np.insert(x, at, y[new], axis=0)
+                    for x, y in zip(rest, more)]
+    return key, amp, *rest
+
+
 def state_sum(*states: PolarizedState) -> PolarizedState:
-    """The sum of states on one lattice, merged once.
+    """The sum of states on one lattice, merged once (``_merge``).
 
     Each (tag, row) sums its amplitudes in argument order, so the sum
     equals, bit for bit, adding the states left to right with exact zeros
@@ -324,13 +376,10 @@ def state_sum(*states: PolarizedState) -> PolarizedState:
     """
     lat = _same_lattice(states)
     n_modes = lat.n_modes
-    first, key, amp = _group(np.concatenate([s.key for s in states]),
-                             np.concatenate([s.amp for s in states]))
     width = max(s.idx.shape[1] for s in states)
-    idx = np.concatenate([_widen(s.idx, width, n_modes) for s in states])
-    tag = np.concatenate([s.tag for s in states])
-    return PolarizedState(lat, _trim(idx.take(first, axis=0), n_modes), amp,
-                          tag.take(first), key)
+    key, amp, idx, tag = _merge([(s.key, s.amp, _widen(s.idx, width, n_modes),
+                                  s.tag) for s in states])
+    return PolarizedState(lat, _trim(idx, n_modes), amp, tag, key)
 
 
 def state_scale(c, s: PolarizedState) -> PolarizedState:
@@ -364,8 +413,7 @@ def max_abs(*states: PolarizedState) -> float:
     alone, 0.0 when it has no terms.  np.hypot rounds like Python's
     abs(complex); np.abs on a complex array may differ in the last bit."""
     _same_lattice(states)
-    _, _, amp = _group(np.concatenate([s.key for s in states]),
-                       np.concatenate([s.amp for s in states]))
+    _, amp = _merge([(s.key, s.amp) for s in states])
     return float(np.max(np.hypot(amp.real, amp.imag), initial=0.0))
 
 

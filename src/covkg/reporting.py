@@ -193,13 +193,18 @@ def lower_bound_check(name: str, value: float,
                        tolerance=0.0, passed=passed)
 
 
+def _finite(x: float):
+    """x, or "NaN", "Infinity" or "-Infinity", so reports stay strict JSON."""
+    return x if np.isfinite(x) else json.dumps(x)
+
+
 def _num(value):
     if isinstance(value, complex) or np.iscomplexobj(value):
         z = complex(value)
         if z.imag == 0.0:
-            return float(z.real)
-        return [z.real, z.imag]
-    return float(value)
+            return _finite(z.real)
+        return [_finite(z.real), _finite(z.imag)]
+    return _finite(float(value))
 
 
 @dataclass
@@ -229,4 +234,5 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"

@@ -10,7 +10,7 @@ import pytest
 from covkg import build_lattice, observables, phase_space, random_solution
 from covkg import suites
 from covkg.cli import main
-from covkg.reporting import TOLERANCES, lower_bound_check
+from covkg.reporting import TOLERANCES, Report, check, lower_bound_check
 from covkg.solution import evaluate_fields, leapfrog_evolve, write_cauchy_csv
 
 
@@ -183,6 +183,27 @@ def test_verify_reports_are_strict_json(tmp_path, seed):
     data = _strict_json(_read(out))
     assert len(data["checks"]) > 40
     assert data["config"]["tolerances"] == {"msymp.kg_residual": 1e300}
+
+
+def test_non_finite_values_are_strings_in_strict_json():
+    """NaN and the infinities, alone or as a part of a complex value, are
+    written as the strings JSON's own constants would be."""
+    nan, inf = float("nan"), float("inf")
+    records = [check("nan", nan, 0.0, 1e-3), check("inf", inf, 1.0, 1e-3),
+               lower_bound_check("ninf", -inf, 1e-3),
+               check("cnan", complex(2.0, nan), complex(-inf, 0.5), 1e-3)]
+    rows = {c["name"]: c for c in _strict_json(
+        Report(config={}, checks=records).to_json())["checks"]}
+    assert [rows["nan"][k] for k in ("lhs", "rhs", "abs_diff")] == [
+        "NaN", 0.0, "NaN"]
+    assert [rows["inf"][k] for k in ("lhs", "rhs", "abs_diff")] == [
+        "Infinity", 1.0, "Infinity"]
+    assert [rows["ninf"][k] for k in ("lhs", "rhs", "abs_diff")] == [
+        "-Infinity", 1e-3, "Infinity"]
+    assert (rows["cnan"]["lhs"], rows["cnan"]["rhs"]) == (
+        [2.0, "NaN"], ["-Infinity", 0.5])
+    assert rows["cnan"]["abs_diff"] == "Infinity"  # |inf + i nan| is inf
+    assert not any(row["pass"] for row in rows.values())
 
 
 def test_non_object_tolerances_exit_two(tmp_path, capsys):

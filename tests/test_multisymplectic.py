@@ -435,6 +435,25 @@ def test_criticality_equals_two_windowed_actions(lat_args, detune):
     assert got == abs(plus - minus) / (2.0 * eps)
 
 
+@pytest.mark.parametrize("lat_args", [(1, 2 * np.pi, 32, 7), (2, 5.0, 12, 3)])
+def test_criticality_bases_in_one_pass_equal_one_call_each(lat_args):
+    """A tuple of bases gives a list that equals, bit for bit, one call per
+    base, the variation and the window evaluated once per block for all."""
+    d, L, N, n_max = lat_args
+    lat_d = build_lattice(d=d, L=L, N=N, n_max=n_max, m=1.0)
+    rng = np.random.default_rng(23)
+    base_sol, var = random_solution(lat_d, rng), random_solution(lat_d, rng)
+    bases = (None, DetunedHistory(base_sol, 0.5),
+             DetunedHistory(base_sol, -0.2))
+    got = action_criticality(base_sol, var, 0.37, n_t=257, base_history=bases)
+    want = [action_criticality(base_sol, var, 0.37, n_t=257, base_history=b)
+            for b in bases]
+    assert got == want
+    assert got[0] < 1e-8 < got[1]
+    assert action_criticality(base_sol, var, 0.37, n_t=257,
+                              base_history=[bases[1]]) == [want[1]]
+
+
 def test_action_additive_over_time_intervals(lat, sol):
     a = action_between_slices(sol, 1.0, 0.0, 0.8, n_t=513)
     b = action_between_slices(sol, 1.0, 0.8, 1.6, n_t=513)

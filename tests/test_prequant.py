@@ -24,10 +24,14 @@ from covkg import (
     op_p,
     vacuum,
 )
+from covkg.lattice import _complex
 from covkg.observables import bracket_regularized
 from covkg.prequant import (
     DEGREE_BOUND,
     _column_keys,
+    _group,
+    _trim,
+    _widen,
     is_zero_state,
     max_abs,
     minkowski_kz,
@@ -295,8 +299,6 @@ def test_monomial_block_keeps_rows_and_amplitudes(lat):
 def test_coalesce_matches_unique_grouping(lat):
     """Run-based grouping keeps np.unique's group order, first terms and
     summation order, so the merged state is identical bit for bit."""
-    from covkg.lattice import _complex
-    from covkg.prequant import _group
     rng = np.random.default_rng(6)
     idx = np.sort(rng.integers(0, lat.n_modes + 1, size=(400, 3)), axis=1)
     tag = rng.integers(0, 5, size=400)
@@ -313,6 +315,20 @@ def test_coalesce_matches_unique_grouping(lat):
     assert np.array_equal(got_keys, want_keys)
     assert np.array_equal(got_amp.view(float), want_amp.view(float))
     assert [len(a) for a in _group(keys[:0], amp[:0])] == [0, 0, 0]
+    # Strictly increasing keys (an operator's first raising of a block) are
+    # their own groups; the sums still start from +0.0, as bincount's do.
+    amp = amp[:n].copy()
+    amp[::3] = complex(-0.0, -0.0)
+    amp[1::3] = complex(1.5, -0.0)
+    got_first, got_keys, got_amp = _group(want_keys, amp)
+    assert np.array_equal(got_first, np.arange(n))
+    assert np.array_equal(got_keys, want_keys)
+    assert got_amp.tobytes() == _complex(
+        np.bincount(np.arange(n), amp.real, n),
+        np.bincount(np.arange(n), amp.imag, n)).tobytes()
+    assert not np.signbit(got_amp[::3].real).any()
+    assert not np.signbit(got_amp[::3].imag).any()
+    assert not np.signbit(got_amp[1::3].imag).any()
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +720,74 @@ def test_keys_are_carried_through_every_operation(rows_lats, width):
         _assert_row_dtype(state, *results)
         for out in results:
             _assert_keys_carried(out)
+
+
+def _concat_merge(*states):
+    """The merge ``state_sum`` and ``max_abs`` made before the fold: all
+    terms concatenated in argument order and grouped by one ``_group``."""
+    n = states[0].lat.n_modes
+    first, key, amp = _group(np.concatenate([s.key for s in states]),
+                             np.concatenate([s.amp for s in states]))
+    width = max(s.idx.shape[1] for s in states)
+    idx = np.concatenate([_widen(s.idx, width, n) for s in states])
+    tag = np.concatenate([s.tag for s in states])
+    return _trim(idx.take(first, axis=0), n), amp, tag.take(first), key
+
+
+def _merge_cases(lat):
+    """Named operand lists: equal, disjoint and partly overlapping key
+    sets, an empty operand, a key-unsorted hand-built state, +-0.0
+    amplitudes, one and four operands."""
+    f, g = _rand_fg(lat, 9)
+    rows = monomial_rows(lat, 2)
+    vac_block = monomial_block(lat, rows[:30])  # the vacuum has tag 0
+    block = monomial_block(lat, rows[1:31])
+    ab = op_a(f, op_a_star(g, block))
+    neg_ba = state_scale(-1.0, op_a_star(g, op_a(f, block)))
+    assert np.array_equal(ab.key, neg_ba.key)
+    vac_ab = op_a(f, op_a_star(g, vac_block))
+    vac_ba = state_scale(-1.0, op_a_star(g, op_a(f, vac_block)))
+    assert not np.array_equal(vac_ab.key, vac_ba.key)
+    hand = PolarizedState(lat, *_random_tagged_state(
+        lat, np.random.default_rng(3), 3))
+    assert (np.diff(hand.key) < 0).any()
+    signed = np.array([complex(-0.0, -0.0), complex(0.0, -0.0),
+                       complex(-0.0, 0.0), complex(-0.0, 2.0)] * 10)
+    zeros = PolarizedState(lat, rows[5:45], signed, np.arange(40) % 7)
+    empty = PolarizedState(lat, np.zeros((0, 2), np.intp), [], [])
+    return {
+        "equal": [ab, neg_ba],
+        "disjoint": [block, monomial_block(lat, rows[31:61])],
+        "overlap": [vac_ab, vac_ba, state_scale(-0.7, vac_block)],
+        "empty_first": [empty, zeros, ab, neg_ba],
+        "empty_later": [block, empty],
+        "one_unsorted": [hand],
+        "one_signed_zero": [zeros],
+        "signed_zeros": [zeros, state_scale(-1.0, zeros), zeros],
+        "four": [hand, vac_ab, zeros, state_scale(2.0 - 1.0j, hand)],
+    }
+
+
+@pytest.mark.parametrize("case", ["equal", "disjoint", "overlap",
+                                  "empty_first", "empty_later", "one_unsorted",
+                                  "one_signed_zero", "signed_zeros", "four"])
+def test_fold_merge_equals_the_concatenating_merge(rows_lats, case):
+    """``state_sum`` equals the concatenate-and-group merge bit for bit in
+    keys, amplitudes (zero signs included), rows, row dtype and tags, and
+    ``max_abs`` equals the largest modulus of that merge, on both row
+    dtypes."""
+    for lat in rows_lats:
+        states = _merge_cases(lat)[case]
+        idx, amp, tag, key = _concat_merge(*states)
+        got = state_sum(*states)
+        assert np.array_equal(got.key, key) and got.key.dtype == key.dtype
+        assert got.amp.tobytes() == amp.tobytes()
+        assert got.idx.shape == idx.shape and got.idx.dtype == idx.dtype
+        assert np.array_equal(got.idx, idx)
+        assert np.array_equal(got.tag, tag) and got.tag.dtype == tag.dtype
+        assert max_abs(*states) == float(
+            np.max(np.hypot(amp.real, amp.imag), initial=0.0))
+        _assert_keys_carried(got)
 
 
 def _nested_ccr(lat, f, g, block):

@@ -48,6 +48,9 @@ def runs():
                ["verify", "--suite", "prequant", "--seed", str(seed)], [])
     yield ("verify_prequant_hbar_s0", "hbar",
            ["verify", "--suite", "prequant", "--seed", "0"], [])
+    # The heaviest prequant config; about 50 s on a 2-core machine.
+    yield ("verify_prequant_B_s0", "B",
+           ["verify", "--suite", "prequant", "--seed", "0"], [])
     for cfg in ("B", "C"):
         for suite in ("msymp", "observables", "phase-space"):
             yield (f"verify_{suite}_{cfg}_s0", cfg,
