@@ -43,9 +43,16 @@ def _check_number(what: str, value, integral: bool) -> None:
 
 
 def _cmul(a, b) -> np.ndarray:
-    """a * b from real and imaginary parts, one ufunc call per product."""
-    return _complex(a.real * b.real - a.imag * b.imag,
-                    a.real * b.imag + a.imag * b.real)
+    """a * b from real and imaginary parts, one ufunc call per product,
+    written into the parts of the output with one scratch array."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)),
+                   dtype=complex)
+    re, im, scratch = out.real, out.imag, np.empty(out.shape)
+    np.multiply(a.real, b.real, out=re)
+    np.subtract(re, np.multiply(a.imag, b.imag, out=scratch), out=re)
+    np.multiply(a.real, b.imag, out=im)
+    np.add(im, np.multiply(a.imag, b.real, out=scratch), out=im)
+    return out
 
 
 @dataclass(frozen=True)

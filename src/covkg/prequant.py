@@ -27,9 +27,10 @@ bit for bit, those of that monomial processed alone.  ``suites`` runs its
 per-monomial checks this way; a block holds floor(``suites._BLOCK_TERMS``
 / fan-out) monomials, the fan-out being the most terms one monomial
 reaches inside the check (n_modes^2 for two raisings), which bounds the
-block's peak memory.  A ccr term peaks near 160 bytes; 8192 terms is the
-largest power of two at which both benchmark workloads' ``peak_rss_mb``
-stays within 2% of that of 4096-term blocks of intp rows.
+block's peak memory.  At n_max = 11 the ccr check peaks near 130 traced
+bytes per budget term and [a*, a*] near 90; at that cost 16384-term
+blocks raise both benchmark workloads' ``peak_rss_mb`` by under 2% over
+the 8192-term blocks they replaced (CHANGES.md).
 ``coeffs`` is a read-only dict view of a state, {sorted (mode, exponent)
 tuple: amplitude}, summed over tags.
 
@@ -52,7 +53,11 @@ scattered back into term order, labels each term with its group.
 lie, in the order the terms were made, so an operator's output is
 key-sorted with no key twice.  Keys that arrive strictly increasing, as
 from the first raising of a monomial block, are their own groups and skip
-the sort.  Only the rows of the group representatives are gathered.
+the sort.  Only the rows of the group representatives are gathered, and
+none when every term is its own group.  An operator holds no per-term tag
+array and frees its lowering indices before coalescing: the keys are
+ranked in place over a copy of the source tags, and the output tags are
+the group keys' quotients by S (``_tags``).
 
 Merging.  ``state_sum`` and ``max_abs`` add whole states, each key-sorted
 already, so they sort nothing (``_merge``): a left-to-right fold in which
@@ -168,22 +173,30 @@ def _pad_rank(n_modes: int, columns: int, width: int) -> int:
     return sum(comb(n_modes + i, i + 1) for i in range(columns, width))
 
 
-def _column_keys(n_modes: int, columns, tag: np.ndarray,
-                 width: int) -> np.ndarray:
+def _column_keys(n_modes: int, columns, tag: np.ndarray, width: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """int64 key tag * C(n_modes + D, D) + rank of each row padded to D.
 
     ``columns`` holds the rows' columns, at most D = ``width`` of them.
+    The keys are built in ``out`` when given (an int64 array, which may be
+    ``tag`` itself), else in a new array.
     """
     if not len(tag):
         return np.empty(0, dtype=np.int64)
     span = comb(n_modes + width, width)
     if (int(tag.max()) + 1) * span > _INT64_MAX:
         raise ValueError("state too large for int64 coalescing keys")
-    keys = tag * span + _pad_rank(n_modes, len(columns), width)
+    keys = np.multiply(tag, span, out=out, dtype=np.int64)
+    keys += _pad_rank(n_modes, len(columns), width)
     binom = _binomials(n_modes, width)
     for i, column in enumerate(columns):
         keys += binom[i + 1, i:].take(column)
     return keys
+
+
+def _tags(n_modes: int, keys: np.ndarray) -> np.ndarray:
+    """The tags of int64 keys: key // C(n_modes + D, D), D = DEGREE_BOUND."""
+    return keys // comb(n_modes + DEGREE_BOUND, DEGREE_BOUND)
 
 
 def _trim(idx: np.ndarray, n_modes: int) -> np.ndarray:
@@ -204,23 +217,33 @@ def _group(keys: np.ndarray, amp: np.ndarray):
     Groups come out in key order, each kept at its first term, as
     ``np.unique(return_index=True, return_inverse=True)`` would give them;
     each group sums its amplitudes in term order.  Strictly increasing keys
-    are their own groups; + 0.0 turns -0.0 into +0.0, as bincount's sum does.
+    are their own groups: ``first`` is then None, not an index of every term
+    (``_firsts`` reads both); + 0.0 turns -0.0 into +0.0, as bincount does.
     """
     if _increasing(keys):
-        return np.arange(len(keys)), keys, amp + 0.0
+        return None, keys, amp + 0.0
     order = np.argsort(keys, kind="stable")
     starts = np.ones(len(keys), dtype=bool)
     sorted_keys = keys.take(order)
     starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    group_keys = sorted_keys.compress(starts)
+    del sorted_keys
     first = order.compress(starts)
     # Groups counted from 1, in term order: bincount adds in input order,
     # and the stable sort keeps term order within a group.
     label = np.empty_like(order)
     label[order] = np.cumsum(starts)
+    del order, starts
     n = len(first) + 1
     amp = _complex(np.bincount(label, amp.real, n)[1:],
                    np.bincount(label, amp.imag, n)[1:])
-    return first, sorted_keys.compress(starts), amp
+    return first, group_keys, amp
+
+
+def _firsts(a: np.ndarray, first, axis: int = 0) -> np.ndarray:
+    """``a``'s entries at the group representatives ``first`` of ``_group``,
+    all of ``a`` when ``first`` is None."""
+    return a if first is None else a.take(first, axis=axis)
 
 
 def _run_positions(idx: np.ndarray) -> np.ndarray:
@@ -286,7 +309,8 @@ class PolarizedState:
         terms group by the rank part of their keys."""
         span = comb(self.lat.n_modes + DEGREE_BOUND, DEGREE_BOUND)
         first, _, amp = _group(self.key % span, self.amp)
-        return MappingProxyType(dict(zip(row_alphas(self.lat, self.idx[first]),
+        return MappingProxyType(dict(zip(row_alphas(self.lat,
+                                                    _firsts(self.idx, first)),
                                          amp.tolist())))
 
 
@@ -448,11 +472,12 @@ def op_a(f, state: PolarizedState) -> PolarizedState:
     for c in reversed(range(width - 1)):
         np.copyto(cols[c + 1], cols[c], where=cols[c + 1] <= mode)
     cols = cols[1:]
-    tag = state.tag.take(src)
-    first, key, amp = _group(_column_keys(n_modes, cols, tag, DEGREE_BOUND),
-                             amp)
-    return PolarizedState(lat, _trim(cols.take(first, axis=1).T, n_modes),
-                          amp, tag.take(first), key)
+    keys = state.tag.take(src)  # the terms' tags, ranked into keys in place
+    del lowers, term, mode, pos, src  # not held while coalescing
+    first, key, amp = _group(
+        _column_keys(n_modes, cols, keys, DEGREE_BOUND, out=keys), amp)
+    return PolarizedState(lat, _trim(_firsts(cols, first, axis=1).T, n_modes),
+                          amp, _tags(n_modes, key), key)
 
 
 def op_a_star(g, state: PolarizedState) -> PolarizedState:
@@ -478,11 +503,11 @@ def op_a_star(g, state: PolarizedState) -> PolarizedState:
         np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
         cols[j] = low
     amp = _cmul((lat.w * g)[modes], state.amp[:, None]).reshape(-1)
-    tag = np.repeat(state.tag, n_new)
-    first, key, amp = _group(_column_keys(n_modes, cols, tag, DEGREE_BOUND),
-                             amp)
-    return PolarizedState(lat, _trim(cols.take(first, axis=1).T, n_modes),
-                          amp, tag.take(first), key)
+    keys = np.repeat(state.tag, n_new)  # ranked into keys in place
+    first, key, amp = _group(
+        _column_keys(n_modes, cols, keys, DEGREE_BOUND, out=keys), amp)
+    return PolarizedState(lat, _trim(_firsts(cols, first, axis=1).T, n_modes),
+                          amp, _tags(n_modes, key), key)
 
 
 def minkowski_kz(lat: ModeLattice, zeta) -> np.ndarray:

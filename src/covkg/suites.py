@@ -35,8 +35,9 @@ _SUITE_TAG = {"msymp": 1, "observables": 2, "phase-space": 3, "prequant": 4}
 # Term budget of the batched prequant checks: a block holds
 # floor(_BLOCK_TERMS / fan_out) monomials (at least one), where fan_out is
 # the most terms one monomial can spread to inside the check.  Chosen by
-# peak memory (prequant module docstring, CHANGES.md).
-_BLOCK_TERMS = 8192
+# peak memory: under 130 traced bytes per term at n_max = 11 (prequant
+# module docstring, tests/test_prequant.py, CHANGES.md).
+_BLOCK_TERMS = 16384
 
 
 def _rng(cfg: RunConfig, suite: str) -> np.random.Generator:
@@ -272,7 +273,7 @@ def _dyadic(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _blocks(lat, rows, fan_out: int):
     """Tagged states of one block of monomial rows each, with their slices;
-    at most ``_BLOCK_TERMS`` tags, over 400 times fewer than the 3,837,376
+    at most ``_BLOCK_TERMS`` tags, over 230 times fewer than the 3,837,376
     that int64 keys hold at config C's 343 modes (``pq._column_keys``)."""
     size = max(1, _BLOCK_TERMS // max(1, fan_out))
     for start in range(0, len(rows), size):
@@ -366,7 +367,8 @@ def suite_prequant(cfg: RunConfig) -> list:
             resid = pq.op_p(z, block).amp - eig[part]
             worst = max(worst, float(np.max(np.hypot(resid.real, resid.imag),
                                             initial=0.0)))
-    emin = min((-e for e in eigs[0].tolist()), default=np.inf)
+    # min(-e) as -max(e): the vacuum's eigenvalue -0.0 gives +0.0.
+    emin = -float(np.max(eigs[0], initial=-np.inf))
     out.append(cfg.check("prequant.p_eigenvalues", worst, 0.0))
     out.append(lower_bound_check("prequant.energy_nonnegative", emin, 0.0))
 

@@ -39,13 +39,13 @@ OBSERVABLES_BUDGET = {"synthesize": 36, "fftn": 0, "ifftn": 20, "rfftn": 0,
 CONFIG_C = {"d": 3, "N": 8, "n_max": 3}
 CONFIG_C_SYNTHESIZE_BUDGET = {"observables": 167, "phase-space": 88}
 PREQUANT_OP_BUDGET = {
-    "A": ({}, {"op_a": 20, "op_a_star": 34}),
-    "wide": ({"d": 1, "N": 32, "n_max": 11}, {"op_a": 76, "op_a_star": 146}),
+    "A": ({}, {"op_a": 14, "op_a_star": 20}),
+    "wide": ({"d": 1, "N": 32, "n_max": 11}, {"op_a": 42, "op_a_star": 76}),
 }
 # np.argsort calls of the prequant suite at the same configs: the operators'
 # coalescing of unsorted keys only, since merges of key-sorted states fold
 # by np.searchsorted and a block's first raising comes out key-sorted.
-PREQUANT_ARGSORT_BUDGET = {"A": 42, "wide": 154}
+PREQUANT_ARGSORT_BUDGET = {"A": 29, "wide": 85}
 
 
 def _counting(counts, key, fn):

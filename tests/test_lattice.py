@@ -6,6 +6,7 @@ import pytest
 from covkg import build_lattice, dft_forward, dft_inverse
 from covkg.lattice import (
     ModeLattice,
+    _cmul,
     grid_integral,
     mode_sum_grid,
     out_of_band_fraction,
@@ -351,3 +352,30 @@ def test_out_of_band_fraction(lat1d):
     assert out_of_band_fraction(lat1d, inside) < 1e-14
     assert out_of_band_fraction(lat1d, outside) > 0.9
     assert out_of_band_fraction(lat1d, inside + 0.1 * outside) > 1e-3
+
+
+def _parts_product(a, b):
+    """a * b as separate real and imaginary products, each a fresh array."""
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    return re, im
+
+
+def test_cmul_writes_the_part_products_bitwise():
+    """``_cmul`` gives the real and imaginary parts of the part-wise
+    products, bit for bit (signed zeros included), for broadcast arrays,
+    0-d operands, a real operand and mirrored operands."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+    b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    b[0] = complex(-0.0, 0.0)
+    cases = [(a, b), (b, a), (np.complex128(0.3 - 1.7j), b), (b, 1.5 - 0.5j),
+             (np.complex128(2.0 + 1.0j), np.complex128(-0.5 + 0.25j)),
+             (b.real, a), (a[:, 0], a[::-1, 0])]
+    for x, y in cases:
+        got = _cmul(x, y)
+        re, im = _parts_product(x, y)
+        assert got.dtype == complex and got.shape == np.shape(re)
+        assert got.real.tobytes() == np.asarray(re).tobytes()
+        assert got.imag.tobytes() == np.asarray(im).tobytes()
+    assert _cmul(a, b).tobytes() == _cmul(b, a).tobytes()

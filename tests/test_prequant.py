@@ -7,6 +7,7 @@ monomial norm hbar / w = 2.
 
 import dataclasses
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -29,6 +30,7 @@ from covkg.observables import bracket_regularized
 from covkg.prequant import (
     DEGREE_BOUND,
     _column_keys,
+    _firsts,
     _group,
     _trim,
     _widen,
@@ -260,6 +262,21 @@ def test_energy_eigenvalues_nonnegative(lat):
     assert p_eigenvalue(lat, (), zeta) == 0.0
 
 
+def test_energy_record_is_the_least_negated_eigenvalue():
+    """The suite's energy lower bound equals Python's min over the negated
+    eigenvalues of every degree <= 3 row, +0.0 from the vacuum's -0.0."""
+    import covkg.prequant as pq
+    cfg = RunConfig()
+    lat = cfg.lattice()
+    eigs = pq.p_eigenvalues(lat, monomial_rows(lat, 3), np.eye(lat.d + 1)[0])
+    assert math.copysign(1.0, eigs[0]) == -1.0
+    want = min((-e for e in eigs.tolist()), default=np.inf)
+    record, = [r for r in suite_prequant(cfg)
+               if r.name == "prequant.energy_nonnegative"]
+    assert record.lhs == want == 0.0
+    assert math.copysign(1.0, record.lhs) == 1.0
+
+
 @pytest.mark.parametrize("budget", [None, 40])
 def test_p_eigenvalues_match_per_monomial_dot_products(wide_lat, budget,
                                                        monkeypatch):
@@ -314,14 +331,16 @@ def test_coalesce_matches_unique_grouping(lat):
     assert np.array_equal(got_first, first)
     assert np.array_equal(got_keys, want_keys)
     assert np.array_equal(got_amp.view(float), want_amp.view(float))
-    assert [len(a) for a in _group(keys[:0], amp[:0])] == [0, 0, 0]
+    first, got_keys, got_amp = _group(keys[:0], amp[:0])
+    assert first is None and len(got_keys) == len(got_amp) == 0
     # Strictly increasing keys (an operator's first raising of a block) are
-    # their own groups; the sums still start from +0.0, as bincount's do.
+    # their own groups, with no index array of their first terms; the sums
+    # still start from +0.0, as bincount's do.
     amp = amp[:n].copy()
     amp[::3] = complex(-0.0, -0.0)
     amp[1::3] = complex(1.5, -0.0)
     got_first, got_keys, got_amp = _group(want_keys, amp)
-    assert np.array_equal(got_first, np.arange(n))
+    assert got_first is None
     assert np.array_equal(got_keys, want_keys)
     assert got_amp.tobytes() == _complex(
         np.bincount(np.arange(n), amp.real, n),
@@ -731,7 +750,7 @@ def _concat_merge(*states):
     width = max(s.idx.shape[1] for s in states)
     idx = np.concatenate([_widen(s.idx, width, n) for s in states])
     tag = np.concatenate([s.tag for s in states])
-    return _trim(idx.take(first, axis=0), n), amp, tag.take(first), key
+    return _trim(_firsts(idx, first), n), amp, _firsts(tag, first), key
 
 
 def _merge_cases(lat):
@@ -850,6 +869,43 @@ def test_ladder_checks_do_not_depend_on_the_block_size(wide_lat,
     monkeypatch.setattr(suites, "_BLOCK_TERMS", 64)
     assert checks() == shipped
     assert 0.0 < shipped[0] < 1e-12 and shipped[1:] == [0.0, 0.0]
+
+
+# Bounds on the traced peak bytes per ``suites._BLOCK_TERMS`` term of the
+# ccr and [a*, a*] checks at n_max = 11: measured 127.3 and 88.2 at 16384
+# terms, plus a margin of about 7.5%.  They hold the lean ladder kernels
+# that pay for blocks of that size (prequant docstring).
+LADDER_PEAK_BYTES_PER_TERM = {"ccr": 137, "astar_astar": 95}
+
+
+def _traced_peak(fn) -> int:
+    """tracemalloc peak of ``fn()``, after one warm-up call fills caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ladder_checks_peak_memory_per_budget_term():
+    """The ccr check over the degree <= 3 rows and [a*, a*] over the
+    degree <= 2 rows at n_max = 11 peak under their
+    ``LADDER_PEAK_BYTES_PER_TERM`` bytes per term of the shipped budget."""
+    from covkg import suites
+    lat = build_lattice(d=1, L=2 * np.pi, N=32, n_max=11, m=1.0)
+    f, g = _rand_fg(lat, 6)
+    rows, raise_rows = monomial_rows(lat, 3), monomial_rows(lat, 2)
+    peaks = {
+        "ccr": _traced_peak(lambda: suites.ccr_residual(lat, f, g, rows)),
+        "astar_astar": _traced_peak(lambda: suites.commutator_flag(
+            lat, raise_rows, partial(op_a_star, f), partial(op_a_star, g),
+            lat.n_modes ** 2)),
+    }
+    for name, peak in peaks.items():
+        bound = LADDER_PEAK_BYTES_PER_TERM[name] * suites._BLOCK_TERMS
+        assert peak <= bound, (name, peak)
 
 
 def test_equal_products_flag_equals_zero_commutator(wide_lat):
