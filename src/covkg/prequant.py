@@ -10,27 +10,20 @@ Storage.  A state holds four arrays with one entry per term:
     mode k written alpha_k times, padded on the right with the sentinel
     ``lat.n_modes``, in the narrowest dtype that holds it (uint8 up to 255
     modes, then uint16); W is at least the largest degree present;
-  * ``amp`` (n_terms,): the complex amplitude;
+  * ``amp`` (n_terms,): the complex amplitude, or (members, n_terms) for
+    a family (below);
   * ``tag`` (n_terms,): an integer naming the input the term descends from;
   * ``key`` (n_terms,): the int64 group key of (tag, row), below.
 
-``PolarizedState(lat, idx, amp, tag)`` takes the three arrays as they are
-(sorted rows), computes the keys, raises ``ValueError`` for a mode outside
-0..n_modes or a (tag, row) pair given twice and ``DegreeOverflowError``
-when a row's degree exceeds ``DEGREE_BOUND``; ``vacuum``, ``monomial``,
-``monomial_block`` and the operators return states in that form, key-sorted.
+``PolarizedState(lat, idx, amp, tag)`` computes the keys and raises
+``ValueError`` for a mode outside 0..n_modes or a (tag, row) pair given
+twice, ``DegreeOverflowError`` past ``DEGREE_BOUND``; ``vacuum``,
+``monomial``, ``monomial_block`` and the operators return key-sorted states.
 
-Tags let one state carry many independent inputs: the operators act
-linearly and never mix terms of different tags, so a block of monomials
-with tags 0..B-1 is processed as one array pass and each tag's terms equal,
-bit for bit, those of that monomial processed alone.  ``suites`` runs its
-per-monomial checks this way; a block holds floor(``suites._BLOCK_TERMS``
-/ fan-out) monomials, the fan-out being the most terms one monomial
-reaches inside the check (n_modes^2 for two raisings), which bounds the
-block's peak memory.  At n_max = 11 the ccr check peaks near 130 traced
-bytes per budget term and [a*, a*] near 90; at that cost 16384-term
-blocks raise both benchmark workloads' ``peak_rss_mb`` by under 2% over
-the 8192-term blocks they replaced (CHANGES.md).
+Tags let one state carry many independent inputs: the operators never
+mix terms of different tags, so each tag's terms in a block of monomials
+tagged 0..B-1 equal, bit for bit, those of its monomial alone.  ``suites``
+runs its per-monomial checks on blocks of ``suites._BLOCK_TERMS`` terms.
 ``coeffs`` is a read-only dict view of a state, {sorted (mode, exponent)
 tuple: amplitude}, summed over tags.
 
@@ -46,53 +39,53 @@ so keys are computed from the columns a row happens to have, in one order
 ``inner_product`` pairs terms by them; no row is ranked twice.
 
 Coalescing.  An operator merges its terms with equal keys by one stable
-argsort (``_group``): equal keys form runs in term order, the first term of
-each run stands for its group, and a cumulative sum over the run starts,
-scattered back into term order, labels each term with its group.
-``np.bincount`` then sums each group's real and imaginary parts as they
-lie, in the order the terms were made, so an operator's output is
-key-sorted with no key twice.  Keys that arrive strictly increasing, as
-from the first raising of a monomial block, are their own groups and skip
-the sort.  Only the rows of the group representatives are gathered, and
-none when every term is its own group.  An operator holds no per-term tag
-array and frees its lowering indices before coalescing: the keys are
-ranked in place over a copy of the source tags, and the output tags are
-the group keys' quotients by S (``_tags``).
+sort (``_group``); the first term of each run of equal keys stands for its
+group, and each term's group label, scattered back into term order, lets
+``np.bincount`` sum the amplitudes in the order the terms were made.  The
+sort is one ``np.sort`` of (key << b) | term, b the bit length of the term
+count: the packed values are distinct and break ties by term, so they
+sort into the stable order, for keys under 2^(63 - b); wider keys take a
+stable argsort, as config C's [a, a] blocks do (910 tags, 64 bits).
+Strictly increasing keys, as from a block's first raising, skip the sort.
+An operator holds no per-term tag array: its keys are ranked in place over
+a copy of the source tags, and the output tags are the group keys'
+quotients by S (``_tags``).
 
-Merging.  ``state_sum`` and ``max_abs`` add whole states, each key-sorted
-already, so they sort nothing (``_merge``): a left-to-right fold in which
-the running keys absorb each state by ``np.searchsorted``, amplitudes
-adding where a key is present and new keys inserted with their rows and
-tags.  Equal key arrays, such as those of A_f A*_g x and A*_g A_f x in the
-ccr check, add in one vector step; a state that is not key-sorted (one
-built by hand) is argsorted alone first.  The fold starts from amp + 0.0,
-as bincount starts from +0.0, and adds in argument order, so every
-amplitude, zero signs included, equals that of grouping the concatenated
-terms.  ``max_abs`` carries no rows or tags.
+Families.  ``op_a`` and ``op_a_star`` also take coefficients of shape
+(members, n_modes) and return one state with amplitudes of shape
+(members, n_terms), acting member by member on such a state.  Rows, keys,
+sort and group labels are built once, from the union of the members'
+nonzero modes; each member forms and sums its own amplitudes in the term
+order of a single call, its zero coefficients adding only exact zeros,
+so its nonzero amplitudes and their keys are its single call's, bit for
+bit.  A family's ``coeffs`` lists the members' amplitudes per monomial.
+
+Merging.  ``state_sum`` and ``max_abs`` fold key-sorted states in left
+to right by ``np.searchsorted`` (``_merge``), adding amplitudes where a key
+is present and inserting new keys; equal key arrays add in one step, and
+a state out of key order is argsorted alone first.  Starting from
+amp + 0.0, as bincount does, every amplitude, zero signs included, equals
+that of grouping the concatenated terms.
 
 Monomial order.  ``monomial_rows``, ``monomial_at`` and ``covkg prequant
 --spectrum-out`` list monomials by degree, then by that rank (the colex
 order of the rows), so the vacuum comes first.
 
 Operators.  Raising writes the new mode into an extra last column and moves
-it to its place in the sorted row with one compare-exchange pass from the
-right, over column-major rows; the output keys are ranked from those
-columns.  Lowering drops one column position, the last of each run of mode
-k, with the run length alpha_k as its factor, so the term is
-(hbar f_k alpha_k) c_alpha as one product.  (Dropping every position of
-the run and letting coalescing add the alpha_k copies would leave roundoff
-in the off-diagonal terms of [a_f, a*_g] for alpha_k >= 3, which cancel
-exactly this way.)  P_zeta multiplies each term by -hbar times the row sum
-of k.zeta over its index columns; ``p_eigenvalue`` computes the same number
-as a dot product over the distinct modes, and ``p_eigenvalues`` for many
-rows at once as a product of the per-mode exponent counts with k.zeta,
-separate paths for the checks to compare.
+it into place with one compare-exchange pass over column-major rows.
+Lowering drops the last column of each run of mode k, with the run length
+alpha_k as its factor, so the term is (hbar f_k alpha_k) c_alpha as one
+product: adding alpha_k dropped copies instead would leave roundoff in the
+off-diagonal terms of [a_f, a*_g] for alpha_k >= 3.  P_zeta multiplies
+each term by -hbar times the row sum of k.zeta over its index columns;
+``p_eigenvalue`` (a dot product over the distinct modes) and
+``p_eigenvalues`` (exponent counts times k.zeta) are separate paths for
+the checks to compare.
 
 Product rule.  Complex products inside the operators are formed from
-float64 real and imaginary parts, each in its own ufunc call
-(``_cmul``).  numpy's array complex multiply may fuse a product and a sum
-into one FMA, which makes a*b and b*a differ in the last bit; the
-exact-zero checks on [a*_f, a*_g] compare exactly such mirrored products.
+float64 parts, one ufunc call each (``_cmul``): numpy's complex multiply
+may fuse a product and a sum (FMA), so a*b and b*a may differ in the last
+bit, and the [a*_f, a*_g] check compares exactly such mirrored products.
 
 Why the operators take the reduced form used here.  Write G for the
 Gaussian exponent, so d|0>/du*_k = -(w_k/(2 hbar)) u_k |0> and
@@ -175,12 +168,9 @@ def _pad_rank(n_modes: int, columns: int, width: int) -> int:
 
 def _column_keys(n_modes: int, columns, tag: np.ndarray, width: int,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """int64 key tag * C(n_modes + D, D) + rank of each row padded to D.
-
-    ``columns`` holds the rows' columns, at most D = ``width`` of them.
-    The keys are built in ``out`` when given (an int64 array, which may be
-    ``tag`` itself), else in a new array.
-    """
+    """int64 key tag * C(n_modes + D, D) + rank of each row padded to D =
+    ``width``, from its (at most D) ``columns``; built in ``out`` when given
+    (an int64 array, which may be ``tag`` itself)."""
     if not len(tag):
         return np.empty(0, dtype=np.int64)
     span = comb(n_modes + width, width)
@@ -211,20 +201,35 @@ def _increasing(keys: np.ndarray) -> bool:
     return bool((keys[1:] > keys[:-1]).all())
 
 
+def _stable_order(keys: np.ndarray):
+    """(order, keys.take(order)) of a stable sort of nonnegative int64 keys,
+    packed with the term index when they fit (module docstring)."""
+    bits = len(keys).bit_length()
+    if int(keys.max()) >> (63 - bits):  # too wide to pack
+        order = np.argsort(keys, kind="stable")
+        return order, keys.take(order)
+    order = np.left_shift(keys, bits)
+    order |= np.arange(len(keys))
+    order.sort()
+    sorted_keys = order >> bits
+    order &= (1 << bits) - 1
+    return order, sorted_keys
+
+
 def _group(keys: np.ndarray, amp: np.ndarray):
     """(first, group keys, summed amplitudes) of equal-key runs.
 
     Groups come out in key order, each kept at its first term, as
     ``np.unique(return_index=True, return_inverse=True)`` would give them;
-    each group sums its amplitudes in term order.  Strictly increasing keys
-    are their own groups: ``first`` is then None, not an index of every term
+    each group sums its amplitudes in term order, per member of a family
+    (``amp`` of shape (members, n_terms)).  Strictly increasing keys are
+    their own groups: ``first`` is then None, not an index of every term
     (``_firsts`` reads both); + 0.0 turns -0.0 into +0.0, as bincount does.
     """
     if _increasing(keys):
         return None, keys, amp + 0.0
-    order = np.argsort(keys, kind="stable")
+    order, sorted_keys = _stable_order(keys)
     starts = np.ones(len(keys), dtype=bool)
-    sorted_keys = keys.take(order)
     starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
     group_keys = sorted_keys.compress(starts)
     del sorted_keys
@@ -235,9 +240,11 @@ def _group(keys: np.ndarray, amp: np.ndarray):
     label[order] = np.cumsum(starts)
     del order, starts
     n = len(first) + 1
-    amp = _complex(np.bincount(label, amp.real, n)[1:],
-                   np.bincount(label, amp.imag, n)[1:])
-    return first, group_keys, amp
+    sums = [_complex(np.bincount(label, a.real, n)[1:],
+                     np.bincount(label, a.imag, n)[1:])
+            for a in amp.reshape(-1, len(keys))]
+    del label
+    return first, group_keys, sums[0] if amp.ndim == 1 else np.stack(sums)
 
 
 def _firsts(a: np.ndarray, first, axis: int = 0) -> np.ndarray:
@@ -311,7 +318,7 @@ class PolarizedState:
         first, _, amp = _group(self.key % span, self.amp)
         return MappingProxyType(dict(zip(row_alphas(self.lat,
                                                     _firsts(self.idx, first)),
-                                         amp.tolist())))
+                                         amp.T.tolist())))
 
 
 def prune(state: PolarizedState) -> PolarizedState:
@@ -392,12 +399,8 @@ def _merge(parts):
 
 
 def state_sum(*states: PolarizedState) -> PolarizedState:
-    """The sum of states on one lattice, merged once (``_merge``).
-
-    Each (tag, row) sums its amplitudes in argument order, so the sum
-    equals, bit for bit, adding the states left to right with exact zeros
-    pruned between the steps.
-    """
+    """The sum of states on one lattice, merged once (``_merge``): bit for
+    bit, adding them left to right with exact zeros pruned between steps."""
     lat = _same_lattice(states)
     n_modes = lat.n_modes
     width = max(s.idx.shape[1] for s in states)
@@ -419,13 +422,9 @@ def is_zero_state(s: PolarizedState) -> bool:
 
 
 def states_equal(s1: PolarizedState, s2: PolarizedState) -> bool:
-    """Whether s1 - s2 is exactly the zero state.
-
-    Both states must be key-sorted with no key twice, as every operator
-    output is, and have finite amplitudes.  Then the difference vanishes
-    exactly when their nonzero terms have the same keys and equal
-    amplitudes, since x - y == 0 for finite floats only when x == y.
-    """
+    """Whether s1 - s2 is exactly the zero state, for key-sorted states
+    with no key twice and finite amplitudes: their nonzero terms have the
+    same keys and equal amplitudes, as x - y == 0 only when x == y."""
     _same_lattice((s1, s2))
     nz1, nz2 = s1.amp != 0, s2.amp != 0
     return (np.array_equal(s1.key[nz1], s2.key[nz2])
@@ -441,31 +440,35 @@ def max_abs(*states: PolarizedState) -> float:
     return float(np.max(np.hypot(amp.real, amp.imag), initial=0.0))
 
 
-def _mode_coefficients(lat: ModeLattice, f, name: str) -> np.ndarray:
+def _mode_coefficients(lat: ModeLattice, f, name: str):
+    """``f`` as complex, of shape (n_modes,) or (members, n_modes), and the
+    modes where any member's coefficient is nonzero."""
     f = np.asarray(f, dtype=complex)
-    if f.shape != (lat.n_modes,):
-        raise ValueError(f"{name} must have shape ({lat.n_modes},), "
-                         f"got {f.shape}")
-    return f
+    if f.ndim not in (1, 2) or f.shape[-1] != lat.n_modes:
+        raise ValueError(f"{name} must have shape ({lat.n_modes},) or "
+                         f"(members, {lat.n_modes}), got {f.shape}")
+    return f, (f != 0).reshape(-1, lat.n_modes).any(axis=0)
 
 
 def op_a(f, state: PolarizedState) -> PolarizedState:
-    """Annihilation: c_alpha feeds hbar f_k alpha_k into alpha - e_k."""
+    """Annihilation: c_alpha feeds hbar f_k alpha_k into alpha - e_k;
+    ``f`` of shape (members, n_modes) makes a family."""
     lat = state.lat
     n_modes = lat.n_modes
-    hf = np.append(lat.hbar * _mode_coefficients(lat, f, "f"), 0.0)
+    f, live = _mode_coefficients(lat, f, "f")
+    hf = np.concatenate([lat.hbar * f, np.zeros_like(f[..., :1])], axis=-1)
     idx = np.ascontiguousarray(_trim(state.idx, n_modes))
     width = idx.shape[1]
     # Term (i, j) lowers row i at column j, the last of a run of mode k,
-    # with the run length alpha_k as factor; the sentinel and zero
-    # coefficients make no term.
-    lowers = (hf != 0).take(idx)
+    # with the run length alpha_k as factor; the sentinel and modes whose
+    # coefficient is zero in every member make no term.
+    lowers = np.append(live, False).take(idx)
     lowers[:, :-1] &= idx[:, 1:] != idx[:, :-1]
     term = np.flatnonzero(lowers)
     mode = idx.ravel().take(term)
     pos = _run_positions(idx).ravel().take(term)
     src = np.floor_divide(term, width, out=term)  # the source rows
-    amp = _cmul(hf.take(mode) * pos, state.amp.take(src))
+    amp = _cmul(hf.take(mode, axis=-1) * pos, state.amp.take(src, axis=-1))
     # Lowered column c is source column c + 1 where that exceeds the mode
     # (past the dropped column), else column c; column-major, in place.
     cols = idx.T.take(src, axis=1)
@@ -481,11 +484,12 @@ def op_a(f, state: PolarizedState) -> PolarizedState:
 
 
 def op_a_star(g, state: PolarizedState) -> PolarizedState:
-    """Creation: c_alpha feeds w_k g_k into alpha + e_k."""
+    """Creation: c_alpha feeds w_k g_k into alpha + e_k; ``g`` of shape
+    (members, n_modes) makes a family."""
     lat = state.lat
     n_modes = lat.n_modes
-    g = _mode_coefficients(lat, g, "g")
-    modes = np.flatnonzero(g != 0)
+    g, live = _mode_coefficients(lat, g, "g")
+    modes = np.flatnonzero(live)
     idx = _trim(state.idx, n_modes)
     (n, width), n_new = idx.shape, len(modes)
     if n and n_new and width + 1 > DEGREE_BOUND:
@@ -502,7 +506,8 @@ def op_a_star(g, state: PolarizedState) -> PolarizedState:
         low = np.minimum(cols[j], cols[j + 1])
         np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
         cols[j] = low
-    amp = _cmul((lat.w * g)[modes], state.amp[:, None]).reshape(-1)
+    amp = _cmul((lat.w * g)[..., None, modes], state.amp[..., None])
+    amp = amp.reshape(amp.shape[:-2] + (-1,))
     keys = np.repeat(state.tag, n_new)  # ranked into keys in place
     first, key, amp = _group(
         _column_keys(n_modes, cols, keys, DEGREE_BOUND, out=keys), amp)
@@ -519,12 +524,9 @@ def minkowski_kz(lat: ModeLattice, zeta) -> np.ndarray:
 
 
 def p_eigenvalue(lat: ModeLattice, alpha, zeta) -> float:
-    """-hbar sum_k alpha_k (k.zeta), the diagonal value of op_p on alpha.
-
-    Accumulated with a dot product over the distinct modes, independently
-    of the row sum over index columns inside op_p, so comparing the two is
-    a nontrivial consistency check.
-    """
+    """-hbar sum_k alpha_k (k.zeta), the diagonal value of op_p on alpha,
+    as a dot product over the distinct modes: op_p's row sum over index
+    columns is a separate path, so comparing the two is a real check."""
     kz = minkowski_kz(lat, zeta)
     if not alpha:
         return 0.0
@@ -534,13 +536,9 @@ def p_eigenvalue(lat: ModeLattice, alpha, zeta) -> float:
 
 
 def p_eigenvalues(lat: ModeLattice, rows, zeta) -> np.ndarray:
-    """``p_eigenvalue`` of every sentinel-padded sorted index row at once.
-
-    The exponent counts alpha_k of each row, one matrix row per monomial,
-    multiply k.zeta in one matrix product; op_p instead sums k.zeta over
-    the index columns.  The count matrix is built in blocks of at most
-    ``_COUNT_CELLS`` entries.
-    """
+    """``p_eigenvalue`` of every sentinel-padded sorted index row at once:
+    the exponent counts alpha_k of each row times k.zeta in one matrix
+    product, in blocks of at most ``_COUNT_CELLS`` count entries."""
     kz = minkowski_kz(lat, zeta)
     rows = np.asarray(rows, dtype=np.intp)
     width = lat.n_modes + 1  # the last column counts the sentinel

@@ -32,11 +32,11 @@ from .solution import (
 )
 
 _SUITE_TAG = {"msymp": 1, "observables": 2, "phase-space": 3, "prequant": 4}
-# Term budget of the batched prequant checks: a block holds
-# floor(_BLOCK_TERMS / fan_out) monomials (at least one), where fan_out is
-# the most terms one monomial can spread to inside the check.  Chosen by
-# peak memory: under 130 traced bytes per term at n_max = 11 (prequant
-# module docstring, tests/test_prequant.py, CHANGES.md).
+# Term budget of the batched prequant checks: a block holds at least one
+# and floor(_BLOCK_TERMS / fan_out) monomials, fan_out being the most terms
+# one monomial reaches per member of a coefficient family (two members in
+# the exact-zero checks).  Chosen by peak memory, under 130 traced bytes per
+# term at n_max = 11; keys pack for one np.sort but in config C's [a, a].
 _BLOCK_TERMS = 16384
 
 
@@ -282,11 +282,9 @@ def _blocks(lat, rows, fan_out: int):
 
 
 def ccr_residual(lat, f, g, rows) -> float:
-    """Max coefficient of ([a_f, a*_g] - hbar sum w f g) over monomial rows.
-
-    A_f A*_g x, -A*_g A_f x and -s x are summed in one merge of keys and
-    amplitudes, bit for bit the nested ``state_sub`` and the scalar term.
-    """
+    """Max coefficient of ([a_f, a*_g] - hbar sum w f g) over monomial rows:
+    A_f A*_g x, -A*_g A_f x and -s x summed in one merge of keys and
+    amplitudes, bit for bit the nested ``state_sub`` and the scalar term."""
     scalar = lat.hbar * np.sum(lat.w * np.asarray(f) * np.asarray(g))
     worst = 0.0
     # a*_g makes up to n_modes terms, a_f lowers each at up to D+1 places.
@@ -299,15 +297,21 @@ def ccr_residual(lat, f, g, rows) -> float:
     return worst
 
 
-def commutator_flag(lat, rows, op1, op2, fan_out: int) -> float:
-    """0.0 when [op1, op2] is exactly zero on every monomial row, else 1.0.
+def commutator_flag(lat, rows, op, f, g, fan_out: int) -> float:
+    """0.0 when [op(f), op(g)] (``op`` is ``pq.op_a`` or ``pq.op_a_star``)
+    is exactly zero on every monomial row, else 1.0.
 
-    ``fan_out`` bounds the terms op1 op2 makes from one monomial: D^2 for
-    two lowerings of degree-D rows, n_modes^2 for two raisings.  The two
-    products are compared term by term (``states_equal``).
+    op([f, g], op([g, f], x)) is a family (``pq`` docstring) of the members
+    A B x and B A x, A = op(f), B = op(g): only the index work is shared,
+    each forms its own amplitudes, and ``pq.states_equal`` compares them as
+    it would the two products made apart.  ``fan_out`` bounds one product's
+    terms per monomial: D^2 for two lowerings of degree-D rows, n_modes^2
+    for two raisings; a block counts it per member.
     """
-    for _, block in _blocks(lat, rows, fan_out):
-        if not pq.states_equal(op1(op2(block)), op2(op1(block))):
+    for _, block in _blocks(lat, rows, 2 * fan_out):
+        both = op(np.stack([f, g]), op(np.stack([g, f]), block))
+        if not pq.states_equal(*(dataclasses.replace(both, amp=amp)
+                                 for amp in both.amp)):
             return 1.0
     return 0.0
 
@@ -326,11 +330,9 @@ def ladder_checks(cfg: RunConfig, rng: np.random.Generator, f, g, rows,
         cfg.check("prequant.ccr_monomials", ccr_residual(lat, f, g, rows),
                   0.0),
         cfg.check("prequant.aa_exact_zero", commutator_flag(
-            unit, rows, lambda s: pq.op_a(fd1, s), lambda s: pq.op_a(fd2, s),
-            rows.shape[1] ** 2), 0.0),
+            unit, rows, pq.op_a, fd1, fd2, rows.shape[1] ** 2), 0.0),
         cfg.check("prequant.astar_astar_exact_zero", commutator_flag(
-            lat, raise_rows, lambda s: pq.op_a_star(f, s),
-            lambda s: pq.op_a_star(g, s), lat.n_modes ** 2), 0.0),
+            lat, raise_rows, pq.op_a_star, f, g, lat.n_modes ** 2), 0.0),
         # P_time and a_f must both annihilate the vacuum exactly.
         cfg.check("prequant.vacuum_annihilated", 0.0 if (
             pq.is_zero_state(pq.op_p(np.eye(lat.d + 1)[0], vac))

@@ -17,9 +17,12 @@ complex ones the full-grid pair, so each of the four kinds has its own
 bound; a real field sent down the complex path fails here.
 
 The prequant suite applies ``op_a`` and ``op_a_star`` to tagged blocks of
-``suites._BLOCK_TERMS`` terms; smaller blocks, or a check split back per
-monomial, raise its operator calls, and a merge that sorts again raises its
-``np.argsort`` calls.
+``suites._BLOCK_TERMS`` terms, and each exact-zero check applies them to
+both orders of its commutator as one coefficient family; smaller blocks, a
+check split back per monomial or an exact-zero check whose two orders run
+apart raise its operator calls.  Each sort of an unsorted operator output
+is one ``prequant._stable_order`` call, whichever way it sorts; a merge
+that sorts again, or keys too wide to pack, raise the ``np.argsort`` calls.
 """
 
 import sys
@@ -39,13 +42,16 @@ OBSERVABLES_BUDGET = {"synthesize": 36, "fftn": 0, "ifftn": 20, "rfftn": 0,
 CONFIG_C = {"d": 3, "N": 8, "n_max": 3}
 CONFIG_C_SYNTHESIZE_BUDGET = {"observables": 167, "phase-space": 88}
 PREQUANT_OP_BUDGET = {
-    "A": ({}, {"op_a": 14, "op_a_star": 20}),
-    "wide": ({"d": 1, "N": 32, "n_max": 11}, {"op_a": 42, "op_a_star": 76}),
+    "A": ({}, {"op_a": 12, "op_a_star": 20}),
+    "wide": ({"d": 1, "N": 32, "n_max": 11}, {"op_a": 40, "op_a_star": 76}),
 }
-# np.argsort calls of the prequant suite at the same configs: the operators'
-# coalescing of unsorted keys only, since merges of key-sorted states fold
-# by np.searchsorted and a block's first raising comes out key-sorted.
-PREQUANT_ARGSORT_BUDGET = {"A": 29, "wide": 85}
+# Coalescing sorts of the prequant suite at the same configs: a block's
+# first raising comes out key-sorted and sorts nothing.
+PREQUANT_SORT_BUDGET = {"A": 21, "wide": 77}
+# np.argsort calls there: those of inner_product's np.intersect1d only,
+# since merges of key-sorted states fold by np.searchsorted and every
+# operator output's keys pack into one np.sort.
+PREQUANT_ARGSORT_BUDGET = {"A": 6, "wide": 6}
 
 
 def _counting(counts, key, fn):
@@ -109,10 +115,12 @@ def test_prequant_ladder_call_budget(monkeypatch, config):
     for key in budget:
         monkeypatch.setattr(prequant, key,
                             _counting(counts, key, getattr(prequant, key)))
+    monkeypatch.setattr(prequant, "_stable_order", _counting(
+        counts, "sorts", prequant._stable_order))
     monkeypatch.setattr(np, "argsort",
                         _counting(counts, "argsort", np.argsort))
     records = suites.suite_prequant(RunConfig(**fields))
     assert len(records) == 9
-    for key, bound in {**budget,
+    for key, bound in {**budget, "sorts": PREQUANT_SORT_BUDGET[config],
                        "argsort": PREQUANT_ARGSORT_BUDGET[config]}.items():
         assert 0 < counts[key] <= bound, key

@@ -32,6 +32,7 @@ from covkg.prequant import (
     _column_keys,
     _firsts,
     _group,
+    _increasing,
     _trim,
     _widen,
     is_zero_state,
@@ -206,12 +207,16 @@ def test_raising_past_bound_raises(lat, i0):
 
 @pytest.mark.parametrize("n", [14, 16])
 def test_ladder_rejects_wrong_coefficient_shape(lat, i0, n):
-    """One coefficient per mode (15 here); short and long arrays fail."""
+    """One coefficient per mode (15 here); short and long arrays and
+    families of them fail."""
     state = monomial(lat, [(i0, 1), (14, 1)])
     with pytest.raises(ValueError, match="shape"):
         op_a(np.ones(n), state)
     with pytest.raises(ValueError, match="shape"):
         op_a_star(np.ones(n), state)
+    for op in op_a, op_a_star:  # a family, one row per member
+        with pytest.raises(ValueError, match="shape"):
+            op(np.ones((2, n)), state)
 
 
 def test_ladder_mixes_modes(lat):
@@ -313,9 +318,11 @@ def test_monomial_block_keeps_rows_and_amplitudes(lat):
     assert tagged.coeffs == {((0, 1), (3, 1)): 1.5 + 1.5j, ((2, 2),): 0.0}
 
 
-def test_coalesce_matches_unique_grouping(lat):
+def test_coalesce_matches_unique_grouping(lat, monkeypatch):
     """Run-based grouping keeps np.unique's group order, first terms and
-    summation order, so the merged state is identical bit for bit."""
+    summation order, so the merged state is identical bit for bit; the
+    packed-key sort gives a stable argsort's groups on either side of the
+    packing bound, and sorts by argsort only past it."""
     rng = np.random.default_rng(6)
     idx = np.sort(rng.integers(0, lat.n_modes + 1, size=(400, 3)), axis=1)
     tag = rng.integers(0, 5, size=400)
@@ -348,6 +355,62 @@ def test_coalesce_matches_unique_grouping(lat):
     assert not np.signbit(got_amp[::3].real).any()
     assert not np.signbit(got_amp[::3].imag).any()
     assert not np.signbit(got_amp[1::3].imag).any()
+    # The packed-key sort against a stable argsort, on both sides of the
+    # pack/fallback choice: max key < 2^(63 - b), b the term count's bits.
+    argsorts = []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorts.append(1)
+                        or _np_argsort(*a, **k))
+    for keys, amp, packs in _grouping_cases(rng):
+        argsorts.clear()
+        first, got_keys, got_amp = _group(keys, amp)
+        want_first, want_keys, want_amp = _argsort_group(keys, amp)
+        assert np.array_equal(_firsts(np.arange(len(keys)), first),
+                              want_first)
+        assert np.array_equal(got_keys, want_keys)
+        assert got_amp.tobytes() == want_amp.tobytes()
+        assert len(argsorts) == (0 if packs or _increasing(keys) else 1)
+
+
+_np_argsort = np.argsort
+
+
+def _argsort_group(keys, amp):
+    """The reference grouping: one stable argsort, bincount sums."""
+    order = _np_argsort(keys, kind="stable")
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[order][1:] != keys[order][:-1]
+    label = np.empty(len(keys), dtype=np.intp)
+    label[order] = np.cumsum(starts) - 1
+    n = int(starts.sum())
+    return order[starts], keys[order][starts], _complex(
+        np.bincount(label, amp.real, n), np.bincount(label, amp.imag, n))
+
+
+def _grouping_cases(rng):
+    """(keys, amp, whether the keys pack) with many ties, signed zeros and
+    keys either side of the packing bound, plus 0, 1 and increasing terms."""
+    def amp_of(n):
+        parts = rng.choice([-0.0, 0.0, 1.5, -2.25, 0.1], size=(n, 2))
+        return _complex(parts[:, 0], parts[:, 1])
+
+    n = 500  # 9 bits of term index: keys pack below 2^54
+    ties = rng.integers(0, 6, size=n)
+    cases = [(ties, amp_of(n), True)]
+    for top, packs in ((1 << 54) - 1, True), (1 << 54, False):
+        keys = top - ties
+        cases.append((keys, amp_of(n), packs))
+    # Config C's span of C(349, 6) ranks per tag, with the widest tags.
+    n_modes, most = 343, 3_837_376
+    column = np.sort(rng.integers(0, 3, size=(2, n)), axis=0)
+    for tags, packs in (rng.integers(0, 8, size=n), True), \
+            (most - 1 - rng.integers(0, 8, size=n), False):
+        keys = _column_keys(n_modes, column.astype(np.uint16), tags,
+                            DEGREE_BOUND)
+        cases.append((keys, amp_of(n), packs))
+    increasing = np.cumsum(rng.integers(1, 4, size=n))
+    for keys in ties[:0], ties[:1], increasing, (1 << 62) + increasing:
+        cases.append((keys, amp_of(len(keys)), True))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -859,10 +922,8 @@ def test_ladder_checks_do_not_depend_on_the_block_size(wide_lat,
 
     def checks():
         return [suites.ccr_residual(lat, f, g, rows),
-                suites.commutator_flag(unit, rows, partial(op_a, fd1),
-                                       partial(op_a, fd2), 9),
-                suites.commutator_flag(lat, raise_rows, partial(op_a_star, f),
-                                       partial(op_a_star, g),
+                suites.commutator_flag(unit, rows, op_a, fd1, fd2, 9),
+                suites.commutator_flag(lat, raise_rows, op_a_star, f, g,
                                        lat.n_modes ** 2)]
 
     shipped = checks()
@@ -900,8 +961,7 @@ def test_ladder_checks_peak_memory_per_budget_term():
     peaks = {
         "ccr": _traced_peak(lambda: suites.ccr_residual(lat, f, g, rows)),
         "astar_astar": _traced_peak(lambda: suites.commutator_flag(
-            lat, raise_rows, partial(op_a_star, f), partial(op_a_star, g),
-            lat.n_modes ** 2)),
+            lat, raise_rows, op_a_star, f, g, lat.n_modes ** 2)),
     }
     for name, peak in peaks.items():
         bound = LADDER_PEAK_BYTES_PER_TERM[name] * suites._BLOCK_TERMS
@@ -957,3 +1017,81 @@ def test_aa_flag_is_exact_at_every_hbar(hbar, seed):
     records = {r.name: r for r in suite_prequant(cfg)}
     assert records["prequant.aa_exact_zero"].lhs == 0.0
     assert all(r.passed for r in records.values())
+
+
+# ---------------------------------------------------------------------------
+# Coefficient families
+# ---------------------------------------------------------------------------
+
+def _families(lat):
+    """One member; two dyadic members whose zero modes differ (mode 3 is
+    zero in both, so no member raises or lowers it); three members."""
+    f, g = _rand_fg(lat, 9)
+    fd1, fd2 = _dyadic(lat, 4), _dyadic(lat, 5)
+    fd1[[0, 3, 5]] = 0.0
+    fd2[[1, 3]] = 0.0
+    return {"one": f[None], "zeros_differ": np.stack([fd1, fd2]),
+            "three": np.stack([f, g, fd1])}
+
+
+def _member(state, i):
+    return dataclasses.replace(state, amp=state.amp[i])
+
+
+def _assert_same_nonzero_terms(state, want):
+    """Keys, rows, tags and amplitudes equal, bit for bit, on the nonzero
+    terms: a member's zero coefficient only adds exact-zero terms."""
+    n = state.lat.n_modes
+    nz, wz = state.amp != 0, want.amp != 0
+    assert np.array_equal(state.key[nz], want.key[wz])
+    assert state.amp[nz].tobytes() == want.amp[wz].tobytes()
+    assert np.array_equal(_trim(state.idx[nz], n), _trim(want.idx[wz], n))
+    assert np.array_equal(state.tag[nz], want.tag[wz])
+
+
+@pytest.mark.parametrize("family", ["one", "zeros_differ", "three"])
+@pytest.mark.parametrize("op", [op_a, op_a_star], ids=["a", "a_star"])
+def test_family_members_equal_single_calls(rows_lats, op, family):
+    """Each member of a family, and of a family applied to a family member
+    by member, equals its single-coefficient calls; ``coeffs`` lists the
+    members' amplitudes per monomial.  Both row dtypes run."""
+    rng = np.random.default_rng(12)
+    for lat in rows_lats:
+        coeffs = _families(lat)[family]
+        for width in range(DEGREE_BOUND - 1):
+            state = PolarizedState(lat, *_random_tagged_state(
+                lat, rng, width, n_terms=4))
+            fam = op(coeffs, state)
+            assert fam.amp.shape == (len(coeffs), len(fam.key))
+            _assert_keys_carried(fam)
+            singles = [op(c, state) for c in coeffs]
+            for i, single in enumerate(singles):
+                _assert_same_nonzero_terms(_member(fam, i), single)
+            for alpha, amps in fam.coeffs.items():
+                assert amps == [s.coeffs.get(alpha, 0.0) for s in singles]
+            again = op(coeffs[::-1], fam)
+            for i, (c, single) in enumerate(zip(coeffs[::-1], singles)):
+                _assert_same_nonzero_terms(_member(again, i), op(c, single))
+
+
+def test_shared_index_pass_keeps_each_order_its_own_products(monkeypatch):
+    """The exact-zero checks share rows, keys and groups between A B x and
+    B A x, but each order forms its own amplitudes: a complex product whose
+    last bit depends on operand order turns [a*, a*] to 1.0."""
+    from covkg import prequant
+
+    def flag():
+        records = {r.name: r for r in suite_prequant(RunConfig())}
+        return records["prequant.astar_astar_exact_zero"].lhs
+
+    assert flag() == 0.0
+    cmul = prequant._cmul
+
+    def skewed(a, b):
+        out = cmul(a, b)
+        bump = np.broadcast_to(np.abs(a) > np.abs(b), out.shape)
+        out.real[bump] = np.nextafter(out.real[bump], np.inf)
+        return out
+
+    monkeypatch.setattr(prequant, "_cmul", skewed)
+    assert flag() == 1.0
