@@ -44,9 +44,9 @@ from .solution import (
     Solution,
     SolutionHistory,
     TimeWindow,
+    WindowedPerturbation,
     evaluate_fields,
     fields_and_orders,
-    windowed_fields,
 )
 
 
@@ -247,10 +247,11 @@ def theta_pullback_density(lat: ModeLattice, phi, dtphi, dttphi, lam):
     p^mu = eta grad phi and d_mu p^mu = box phi, with spectral space
     derivatives from one forward transform.  On shell the density reduces
     to (2 lambda - 1) times the Lagrangian density.  Fields with leading
-    (batch, time) axes give a density with those axes; an array ``lam``
-    broadcasts against them, so a lambda family shares one gradient and
-    Laplacian.
+    (family, time) axes give a density with those axes; a 1-D array ``lam``
+    puts its own axis in front of them, so a lambda family shares one
+    gradient and Laplacian.
     """
+    lam = np.reshape(lam, np.shape(lam) + (1,) * np.ndim(phi))
     grad, lap = spectral_gradient_laplacian(lat, phi)
     quad = dtphi ** 2 - np.sum(grad ** 2, axis=-lat.d - 1)
     divp = dttphi - lap
@@ -297,23 +298,15 @@ def _real_or_complex(value):
     return complex(value) if np.iscomplexobj(value) else float(value)
 
 
-def _family_axis(values, lat: ModeLattice):
-    """A scalar as a float; a 1-D array on a leading axis of its own, before
-    the (time,) + grid_shape axes of the fields it multiplies."""
-    if np.ndim(values) == 0:
-        return float(values)
-    return np.asarray(values, dtype=float).reshape((-1,) + (1,) * (lat.d + 1))
-
-
 def action_of_history(lat: ModeLattice, hist, lam, t1: float, t2: float,
                       n_t: int):
     """Integral of the theta_lambda pullback over t in [t1, t2] (Simpson).
 
-    A 1-D array of lambdas gives a list of actions, one per lambda; they
-    share every field and spectral derivative.  A history of a solution
-    batch gives one action per member, in blocks of fewer times.
+    A 1-D array of lambdas gives one action per lambda, sharing every field
+    and spectral derivative; a history with family axes (a solution batch,
+    a ``WindowedPerturbation`` family) one per member, after the lambda
+    axis.  A solution batch runs in blocks of fewer times.
     """
-    lam = _family_axis(lam, lat)
     sol = getattr(hist, "sol", None)  # SolutionHistory, DetunedHistory
     members = 1 if sol is None else int(np.prod(np.shape(sol.u)[:-1]))
     total, = _time_quadrature(
@@ -329,23 +322,15 @@ def action_between_slices(sol: Solution, lam, t1: float, t2: float,
     return action_of_history(sol.lat, SolutionHistory(sol), lam, t1, t2, n_t)
 
 
-def lagrangian_action(lat: ModeLattice, hist, t1: float, t2: float,
-                      n_t: int) -> float:
-    """Independent quadrature of the Lagrangian (first derivatives only)."""
-    return _time_quadrature(lat, hist.at,
-                            [lambda *f: _lagrangian_density(lat, *f)],
-                            t1, t2, n_t)[0]
-
-
 def lagrangian_and_actions(lat: ModeLattice, hist, lams, t1: float, t2: float,
                            n_t: int) -> tuple:
-    """(``lagrangian_action``, ``action_of_history`` at each of ``lams``)
-    from one quadrature pass: one ``hist.at`` per block serves both
-    densities, and the lambda family shares one gradient and Laplacian.
-    The Lagrangian keeps its own first-derivative density, so it stays an
-    independent computation; each value equals, bit for bit, that of its
-    own function."""
-    lam = _family_axis(np.atleast_1d(lams), lat)
+    """(Lagrangian action, ``action_of_history`` at each of ``lams``) from
+    one quadrature pass: one ``hist.at`` per block serves both densities,
+    and the lambda family shares one gradient and Laplacian.  The
+    Lagrangian keeps its own first-derivative density, so it stays an
+    independent computation; each action equals, bit for bit, that of
+    ``action_of_history``."""
+    lam = np.atleast_1d(lams)
     lag, acts = _time_quadrature(
         lat, hist.at, [lambda *f: _lagrangian_density(lat, *f),
                        lambda *f: theta_pullback_density(lat, *f, lam)],
@@ -353,43 +338,23 @@ def lagrangian_and_actions(lat: ModeLattice, hist, lams, t1: float, t2: float,
     return lag, _real_or_complex(acts)
 
 
-def action_criticality(sol: Solution, variation: Solution, lam: float,
+def action_criticality(bases, variation: Solution, lam: float,
                        eps: float = 1e-3, t1: float = 0.0, t2: float = 1.0,
-                       n_t: int = 1025, base_history=None):
-    """|dA/d eps| for a compact-in-time holonomic variation of the graph.
+                       n_t: int = 1025) -> list:
+    """|dA/d eps| for a compact-in-time holonomic variation of each base
+    history, one value per base.
 
     The variation is eta(t) * variation-field with eta a smooth bump
     supported in (t1, t2); p and e follow the perturbed phi holonomically,
     so the configuration leaves the shell and the derivative probes true
     criticality.  The action is quadratic in eps, hence the central
-    difference equals the exact derivative up to quadrature error.
-
-    ``base_history`` replaces the solution's own history as the base.  A
-    list or tuple of bases (None for the solution's own) gives a list with
-    one value per base from one quadrature pass, which evaluates the
-    variation and the window once per block for all of them.
+    difference equals the exact derivative up to quadrature error.  Both
+    signs of eps and every base form one ``WindowedPerturbation`` family,
+    integrated by one ``action_of_history`` call.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    lat = sol.lat
-    single = not isinstance(base_history, (list, tuple))
-    bases = [SolutionHistory(sol) if b is None else b
-             for b in ([base_history] if single else base_history)]
-    win = TimeWindow(t1, t2)
-    var = SolutionHistory(variation)
-    # One evaluation of each base and of the variation per block; the
-    # fields of WindowedPerturbation(+eps) and (-eps) are stacked on a
-    # leading axis and go through one density call per base.
-    signs = _family_axis([float(eps), -float(eps)], lat)
-
-    def density(i):
-        return lambda b, v, w: theta_pullback_density(
-            lat, *windowed_fields(b[i], v, w, signs), lam)
-
-    totals = _time_quadrature(
-        lat, lambda tb: ([b.at(tb) for b in bases], var.at(tb),
-                         win.on_grid(tb, lat.d)),
-        [density(i) for i in range(len(bases))], t1, t2, n_t)
-    values = [abs(plus - minus) / (2.0 * eps)
-              for plus, minus in map(_real_or_complex, totals)]
-    return values[0] if single else values
+    family = WindowedPerturbation(bases, SolutionHistory(variation),
+                                  TimeWindow(t1, t2), [eps, -eps])
+    plus, minus = action_of_history(variation.lat, family, lam, t1, t2, n_t)
+    return [abs(p - m) / (2.0 * eps) for p, m in zip(plus, minus)]

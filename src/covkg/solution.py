@@ -19,9 +19,9 @@ of times and, through ``u``/``ustar`` of shape (n_batch, n_modes), a batch
 of solutions (the observables suite stacks its ladder generators this way);
 the grids come out with the axes (order, batch, time) + grid_shape.  Each
 grid equals, bit for bit, the grid of the call that asks for it alone.
-``fields_and_orders`` (with ``evaluate_fields`` built on it) and each
-history's ``at`` make one such call; the slice functionals keep the time
-axis.  A time window's ``on_grid`` gives the window and its two
+``fields_and_orders`` (with ``evaluate_fields`` built on it) and the
+``at`` of each solution history make one such call; the slice functionals
+keep the time axis.  A time window's ``on_grid`` gives the window and its two
 derivatives from one pass.
 """
 
@@ -190,7 +190,7 @@ def _order_factors(lat: ModeLattice, orders: tuple):
     return out
 
 
-def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
+def synthesize(sol: Solution, t, mus=(), factor=None):
     """Evaluate (prod_mu d_mu) phi on the grid at time t.
 
     ``t`` is a scalar, giving one grid, or a 1-D array of n_t times, giving
@@ -201,12 +201,12 @@ def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
     order on a new leading axis, all from one phase table, one scatter and
     one inverse FFT, each equal bit for bit to the call with that order
     alone; anything else, a tuple of tuples included, is a TypeError.
-    ``extra_u``/``extra_us`` multiply the two branches with
-    arbitrary per-mode factors (used for operator polynomials such as the
-    Klein-Gordon symbol); they broadcast against the coefficient table of
-    shape ([n_orders,] [n_batch,] [n_t,] n_modes).  A real solution gives
-    real grids, from one ``irfftn``, when the branch factors are absent or
-    conjugate (``extra_us == conj(extra_u)``), and complex ones otherwise.
+    ``factor`` multiplies the u branch per mode and its conjugate the u*
+    branch (an operator polynomial such as the Klein-Gordon symbol, or a
+    detuning phase); it broadcasts against the coefficient table of shape
+    ([n_orders,] [n_batch,] [n_t,] n_modes).  The branch factors stay
+    conjugate, so a real solution always gives real grids, from one
+    ``irfftn``.
     """
     lat = sol.lat
     stacked = isinstance(mus, list)
@@ -221,19 +221,15 @@ def synthesize(sol: Solution, t, mus=(), extra_u=None, extra_us=None):
              + (lat.n_modes,))
     fu, fus = (f.reshape(shape)
                for f in _order_factors(lat, tuple(map(tuple, orders))))
-    real = sol.real_flag and (extra_u is None) == (extra_us is None)
-    if extra_u is not None:
-        fu = fu * extra_u
-    if extra_us is not None:
-        fus = fus * extra_us
-        real = real and np.array_equal(np.conj(extra_u), extra_us)
+    if factor is not None:
+        fu, fus = fu * factor, fus * np.conj(factor)
     pref = (2.0 * np.pi) ** (-lat.d / 2.0)
     phase = np.exp(-1j * lat.k0 * t[..., None])
     u, ustar = (np.expand_dims(c, tuple(range(-1 - t.ndim, -1)))
                 for c in (sol.u, sol.ustar))
     plus = pref * lat.w * u * phase * fu
     minus = pref * lat.w * ustar * np.conj(phase) * fus
-    grid = mode_sum_grid(lat, plus, minus, real)
+    grid = mode_sum_grid(lat, plus, minus, sol.real_flag)
     return grid if stacked else grid[0]
 
 
@@ -299,7 +295,7 @@ def kg_residual(sol: Solution, t: float = 0.0) -> float:
     """Max-norm of (box + m^2) phi with exact mode derivatives."""
     lat = sol.lat
     sym = lat.m ** 2 + np.sum(lat.k ** 2, axis=1) - lat.k0 ** 2
-    grid = synthesize(sol, t, extra_u=sym, extra_us=sym)
+    grid = synthesize(sol, t, factor=sym)
     return float(np.max(np.abs(grid)))
 
 
@@ -342,9 +338,10 @@ def field_energy(lat: ModeLattice, phi, pi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Field histories: anything that can produce (phi, d_t phi, d_tt phi) grids.
-# They let the action and current functionals run on configurations that are
-# not solutions (windowed perturbations, detuned frequencies, probes).
+# Field histories: ``at(t)`` gives (phi, d_t phi, d_tt phi) grids, family
+# axes first, then a time axis for a 1-D array of times.  Every action
+# quadrature takes one, so it runs on configurations that are not solutions:
+# detuned frequencies, probes, windowed perturbations of bases at eps values.
 # ---------------------------------------------------------------------------
 
 class SolutionHistory:
@@ -373,15 +370,11 @@ class DetunedHistory:
 
     def at(self, t):
         """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
-        lat, s = self.lat, self.sol
-        om = lat.k0 + self.detune
+        om = self.lat.k0 + self.detune
         tc = np.asarray(t, dtype=float)[..., None]
-        down = np.exp(-1j * (om - lat.k0) * tc)
-        up = np.exp(1j * (om - lat.k0) * tc)
-        return tuple(synthesize(
-            s, t, [()] * 3,
-            extra_u=np.stack([(-1j * om) ** order * down for order in range(3)]),
-            extra_us=np.stack([(1j * om) ** order * up for order in range(3)])))
+        down = np.exp(-1j * (om - self.lat.k0) * tc)
+        return tuple(synthesize(self.sol, t, [()] * 3, factor=np.stack(
+            [(-1j * om) ** order * down for order in range(3)])))
 
 
 class PolynomialTimeHistory:
@@ -424,36 +417,31 @@ class TimeWindow:
         return tuple(np.where(inside, v, 0.0)[grid] for v in (value, d1, d2))
 
 
-def windowed_fields(base, var, window, eps: float):
-    """(phi, d_t phi, d_tt phi) of base + eps * eta * var by the product rule.
-
-    ``base`` and ``var`` are the (phi, d_t phi, d_tt phi) of the two
-    histories and ``window`` is ``TimeWindow.on_grid`` at the same times.
-    An array ``eps`` with a leading axis stacks one set of fields per value.
-    """
-    b0, b1, b2 = base
-    v0, v1, v2 = var
-    w, w1, w2 = window
-    e = eps
-    return (b0 + e * w * v0,
-            b1 + e * (w1 * v0 + w * v1),
-            b2 + e * (w2 * v0 + 2.0 * w1 * v1 + w * v2))
-
-
 class WindowedPerturbation:
-    """base + eps * eta(t) * variation, with exact time derivatives."""
+    """base + eps * eta(t) * variation for each base and each eps.
 
-    def __init__(self, base, variation, window: TimeWindow, eps: float):
-        self.base = base
+    The bases' fields are stacked on a leading axis, and a 1-D array ``eps``
+    puts its own axis in front of that: shape ([n_eps,] n_bases) + a base's.
+    ``at`` evaluates the variation and the window once; the time derivatives
+    are exact, by the product rule.
+    """
+
+    def __init__(self, bases, variation, window: TimeWindow, eps):
+        self.bases = list(bases)
         self.var = variation
         self.window = window
-        self.eps = float(eps)
-        self.lat = base.lat
+        self.eps = np.asarray(eps, dtype=float)
+        self.lat = variation.lat
 
     def at(self, t):
-        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
-        return windowed_fields(self.base.at(t), self.var.at(t),
-                               self.window.on_grid(t, self.lat.d), self.eps)
+        """(phi, d_t phi, d_tt phi) at t, after the eps and base axes."""
+        b0, b1, b2 = (np.stack(f) for f in zip(*(b.at(t) for b in self.bases)))
+        v0, v1, v2 = self.var.at(t)
+        w, w1, w2 = self.window.on_grid(t, self.lat.d)
+        e = self.eps.reshape(self.eps.shape + (1,) * b0.ndim)
+        return (b0 + e * w * v0,
+                b1 + e * (w1 * v0 + w * v1),
+                b2 + e * (w2 * v0 + 2.0 * w1 * v1 + w * v2))
 
 
 def write_cauchy_csv(lat: ModeLattice, phi0, pi0, path) -> None:

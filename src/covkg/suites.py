@@ -112,7 +112,7 @@ def suite_msymp(cfg: RunConfig) -> list:
     # The on-shell base and a detuned one, in one quadrature pass.
     var = random_solution(lat, rng)
     crit, crit_off = ms.action_criticality(
-        sol, var, cfg.lam, base_history=(None, DetunedHistory(sol, 0.5)))
+        [SolutionHistory(sol), DetunedHistory(sol, 0.5)], var, cfg.lam)
     out.append(cfg.check("msymp.criticality_onshell", crit, 0.0))
     out.append(cfg.lower_bound("msymp.criticality_offshell", crit_off))
     return out

@@ -40,7 +40,7 @@ from covkg.observables import (
     omega_bracket_integral,
 )
 from covkg.phase_space import omega_mode_form, omega_sigma_pointwise
-from covkg.multisymplectic import lagrangian_action
+from covkg.multisymplectic import lagrangian_and_actions
 from covkg.solution import DetunedHistory, SolutionHistory
 from covkg import prequant as pq
 
@@ -81,7 +81,8 @@ def test_02_action_equals_lagrangian_quadrature(lat):
     for seed in range(20):
         s = random_solution(lat, np.random.default_rng(seed))
         act1 = action_between_slices(s, 1.0, 0.2, 1.4, n_t=257)
-        lag = lagrangian_action(lat, SolutionHistory(s), 0.2, 1.4, n_t=257)
+        lag, _ = lagrangian_and_actions(lat, SolutionHistory(s), [1.0], 0.2,
+                                        1.4, 257)
         worst_match = max(worst_match, abs(act1 - lag))
         act_half = action_between_slices(s, 0.5, 0.2, 1.4, n_t=257)
         worst_null = max(worst_null, abs(act_half))
@@ -97,9 +98,11 @@ def test_03_action_critical_on_solutions_only(lat, sol):
         rng = np.random.default_rng(seed)
         base = random_solution(lat, rng)
         variation = random_solution(lat, rng)
-        worst = max(worst, action_criticality(base, variation, 1.0))
-    off = action_criticality(sol, random_solution(lat, np.random.default_rng(99)),
-                             1.0, base_history=DetunedHistory(sol, 0.5))
+        on, = action_criticality([SolutionHistory(base)], variation, 1.0)
+        worst = max(worst, on)
+    off, = action_criticality([DetunedHistory(sol, 0.5)],
+                              random_solution(lat, np.random.default_rng(99)),
+                              1.0)
     print(f"max on-shell |dA| = {worst:.3e} (tol 1e-8), "
           f"off-shell |dA| = {off:.3e} (floor 1e-3)")
     assert worst <= 1e-8

@@ -1,15 +1,15 @@
 """Call budget of the msymp, phase-space and observables suites at the
-default config, of the phase-space and observables suites at config C
-(d = 3, N = 8, n_max = 3), and of the prequant suite's ladder operators.
+default config and at config C (d = 3, N = 8, n_max = 3), of the default
+``covkg simulate``, and of the prequant suite's ladder operators.
 
 Each finite-difference, lambda or time family is evaluated as one stacked
-pass (the lambda actions, the +-eps criticality fields, the dtheta draws,
+pass (the lambda actions, the criticality pair's one ``WindowedPerturbation``
+family over both signs of eps and both bases, the dtheta draws,
 the shifted bases of fd_delta_theta and theta_difference_vs_action, the
 lambda pair of fd_delta_theta, the Theta linearity triple, the slice
 integrals compared across times, the representative shifts, the
 translations of the P_mu bracket identity, the lambda pair of each P_mu
-integral and the on-shell and detuned bases of the criticality pair).
-The bounds are the totals of that design; a change that splits
+integral).  The bounds are the totals of that design; a change that splits
 a family into separate evaluations again raises them and fails here.  At
 config C a family split back per mu makes d + 1 = 4 evaluations of one.
 Real grids take the half-spectrum transforms (``rfftn``/``irfftn``) and
@@ -31,16 +31,22 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from covkg import prequant, solution, suites
+from covkg import cli, prequant, solution, suites
 from covkg.reporting import RunConfig
 
 SYNTHESIZE_BUDGET = 63
 FFT_KINDS = ("fftn", "ifftn", "rfftn", "irfftn")
-FFT_BUDGET = {"fftn": 0, "ifftn": 0, "rfftn": 36, "irfftn": 99}
+FFT_BUDGET = {"fftn": 0, "ifftn": 0, "rfftn": 27, "irfftn": 90}
 OBSERVABLES_BUDGET = {"synthesize": 36, "fftn": 0, "ifftn": 20, "rfftn": 0,
                       "irfftn": 16}
 CONFIG_C = {"d": 3, "N": 8, "n_max": 3}
-CONFIG_C_SYNTHESIZE_BUDGET = {"observables": 167, "phase-space": 88}
+CONFIG_C_BUDGET = {
+    "msymp": {"synthesize": 425, "fftn": 0, "ifftn": 0, "rfftn": 201,
+              "irfftn": 626},
+    "observables": {"synthesize": 167},
+    "phase-space": {"synthesize": 88},
+}
+SIMULATE_SYNTHESIZE_BUDGET = 4
 PREQUANT_OP_BUDGET = {
     "A": ({}, {"op_a": 12, "op_a_star": 20}),
     "wide": ({"d": 1, "N": 32, "n_max": 11}, {"op_a": 40, "op_a_star": 76}),
@@ -65,6 +71,15 @@ def _count_calls(monkeypatch, suite_fns, **config):
     """(records, Counter of synthesize calls and of the calls of each
     FFT kind in ``FFT_KINDS``) of the suites run at
     the default config, or with the given config fields."""
+    counts = _patch_counters(monkeypatch)
+    cfg = RunConfig(**config)
+    records = [rec for fn in suite_fns for rec in fn(cfg)]
+    return records, counts
+
+
+def _patch_counters(monkeypatch):
+    """A Counter that counts every covkg ``synthesize`` call and the calls
+    of each FFT kind from now on."""
     counts = Counter()
     original = solution.synthesize
     counted = _counting(counts, "synthesize", original)
@@ -75,9 +90,7 @@ def _count_calls(monkeypatch, suite_fns, **config):
     for key in FFT_KINDS:
         monkeypatch.setattr(np.fft, key,
                             _counting(counts, key, getattr(np.fft, key)))
-    cfg = RunConfig(**config)
-    records = [rec for fn in suite_fns for rec in fn(cfg)]
-    return records, counts
+    return counts
 
 
 def _check_budget(counts, budget):
@@ -100,12 +113,21 @@ def test_observables_call_budget(monkeypatch):
     _check_budget(counts, OBSERVABLES_BUDGET)
 
 
-@pytest.mark.parametrize("suite", sorted(CONFIG_C_SYNTHESIZE_BUDGET))
+@pytest.mark.parametrize("suite", sorted(CONFIG_C_BUDGET))
 def test_config_c_call_budget(monkeypatch, suite):
     records, counts = _count_calls(monkeypatch, [suites.SUITES[suite]],
                                    **CONFIG_C)
     assert records
-    assert 0 < counts["synthesize"] <= CONFIG_C_SYNTHESIZE_BUDGET[suite]
+    _check_budget(counts, CONFIG_C_BUDGET[suite])
+
+
+def test_simulate_call_budget(monkeypatch, tmp_path):
+    """The default ``covkg simulate`` computes its energy, momentum and
+    |a_k| columns by one slice-functional call each over all 21 output
+    times: 4 syntheses at config A, where one per time made 84."""
+    counts = _patch_counters(monkeypatch)
+    assert cli.main(["simulate", "--out", str(tmp_path / "sim.csv")]) == 0
+    assert 0 < counts["synthesize"] <= SIMULATE_SYNTHESIZE_BUDGET
 
 
 @pytest.mark.parametrize("config", sorted(PREQUANT_OP_BUDGET))

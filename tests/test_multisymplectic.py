@@ -26,7 +26,6 @@ from covkg.multisymplectic import (
     hamilton_residual_fields,
     graph_frame,
     hamilton_pointwise_residual,
-    lagrangian_action,
     lagrangian_and_actions,
     simpson,
     theta_pullback_density,
@@ -39,6 +38,7 @@ from covkg.solution import (
     WindowedPerturbation,
     evaluate_fields,
     evolve_exact,
+    stack_solutions,
 )
 
 
@@ -187,7 +187,7 @@ def test_central_differences_need_positive_eps(lat, sol, eps):
     with pytest.raises(ValueError, match="eps must be positive"):
         theta_difference_vs_action(sol, sol, 0.5, 0.0, 1.0, eps=eps)
     with pytest.raises(ValueError, match="eps must be positive"):
-        action_criticality(sol, sol, 0.5, eps=eps)
+        action_criticality([SolutionHistory(sol)], sol, 0.5, eps=eps)
 
 
 def test_hamiltonian_hand_value():
@@ -322,10 +322,9 @@ def test_time_quadratures_require_odd_sample_count(lat, sol, n_t):
     hist = SolutionHistory(sol)
     calls = (lambda: action_between_slices(sol, 1.0, 0.0, 1.0, n_t),
              lambda: action_of_history(lat, hist, 0.5, 0.0, 1.0, n_t),
-             lambda: lagrangian_action(lat, hist, 0.0, 1.0, n_t),
              lambda: lagrangian_and_actions(lat, hist, (0.0, 1.0), 0.0, 1.0,
                                             n_t),
-             lambda: action_criticality(sol, sol, 1.0, n_t=n_t))
+             lambda: action_criticality([hist], sol, 1.0, n_t=n_t))
     for call in calls:
         with pytest.raises(ValueError, match="odd number >= 3"):
             call()
@@ -344,7 +343,8 @@ def test_action_of_history_spans_several_time_blocks():
     lat2 = build_lattice(d=2, L=5.0, N=12, n_max=3, m=0.7)
     rng = np.random.default_rng(8)
     base = SolutionHistory(random_solution(lat2, rng))
-    hist = WindowedPerturbation(base, SolutionHistory(random_solution(lat2, rng)),
+    hist = WindowedPerturbation([base],
+                                SolutionHistory(random_solution(lat2, rng)),
                                 TimeWindow(0.1, 0.9), 0.3)
     n_t = 2 * (_BLOCK_CELLS // 144) + 9
     assert n_t % (_BLOCK_CELLS // 144) != 0
@@ -353,7 +353,7 @@ def test_action_of_history_spans_several_time_blocks():
             * np.sum(theta_pullback_density(lat2, *hist.at(t), 0.37))
             for t in ts]
     want = simpson(np.array(vals), ts[1] - ts[0])
-    got = action_of_history(lat2, hist, 0.37, 0.0, 1.0, n_t)
+    got, = action_of_history(lat2, hist, 0.37, 0.0, 1.0, n_t)
     assert abs(want) > 1e-3
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -370,8 +370,9 @@ def test_simpson_sums_each_leading_row():
                                       (3, 4.0, 8, 3)])
 def test_lambda_family_quadrature_is_bitwise(lat_args):
     """lagrangian_and_actions, one quadrature pass, gives bit for bit
-    lagrangian_action and action_between_slices at each lambda.  n_t spans
-    several _BLOCK_CELLS blocks and ends in a partial one."""
+    action_between_slices at each lambda, and a Lagrangian action that does
+    not depend on the lambdas it rides with.  n_t spans several
+    _BLOCK_CELLS blocks and ends in a partial one."""
     d, L, N, n_max = lat_args
     lat_d = build_lattice(d=d, L=L, N=N, n_max=n_max, m=1.0)
     sol_d = random_solution(lat_d, np.random.default_rng(3))
@@ -381,11 +382,22 @@ def test_lambda_family_quadrature_is_bitwise(lat_args):
     lams = (0.0, 0.37, 0.5, 1.0)
     hist = SolutionHistory(sol_d)
     lag, acts = lagrangian_and_actions(lat_d, hist, lams, 0.1, 0.9, n_t)
-    assert lag == lagrangian_action(lat_d, hist, 0.1, 0.9, n_t)
+    assert lag == lagrangian_and_actions(lat_d, hist, lams[:1], 0.1, 0.9,
+                                         n_t)[0]
     assert acts == [action_between_slices(sol_d, lam, 0.1, 0.9, n_t)
                     for lam in lams]
     assert action_of_history(lat_d, hist, np.array(lams), 0.1, 0.9,
                              n_t) == acts
+
+
+def test_lambda_family_of_a_solution_batch_is_bitwise(lat, sol):
+    """A lambda array and a solution batch give one action per (lambda,
+    member), lambda first, each equal bit for bit to its own call."""
+    members = [sol, 2.0 * evolve_exact(sol, 0.3)]
+    lams = np.array([0.0, 0.37, 1.0])
+    got = action_between_slices(stack_solutions(members), lams, 0.0, 1.0, 33)
+    assert got == [[action_between_slices(s, lam, 0.0, 1.0, 33)
+                    for s in members] for lam in lams]
 
 
 @pytest.mark.parametrize("lam,factor", [(0.0, -1.0), (0.5, 0.0), (1.0, 1.0)])
@@ -393,7 +405,8 @@ def test_action_matches_scaled_lagrangian(lat, sol, lam, factor):
     """Slice-to-slice action equals (2 lam - 1) times the Lagrangian action."""
     t1, t2 = 0.2, 1.4
     act = action_between_slices(sol, lam, t1, t2, n_t=257)
-    lag = lagrangian_action(lat, SolutionHistory(sol), t1, t2, n_t=257)
+    lag, _ = lagrangian_and_actions(lat, SolutionHistory(sol), [lam], t1, t2,
+                                    257)
     assert abs(lag) > 1e-3  # the comparison is not vacuous
     assert act == pytest.approx(factor * lag, abs=1e-8)
 
@@ -404,14 +417,15 @@ def test_action_critical_on_solutions(lat, lam, seed):
     rng = np.random.default_rng(seed)
     base = random_solution(lat, rng)
     variation = random_solution(lat, rng)
-    assert action_criticality(base, variation, lam) < 1e-8
+    crit, = action_criticality([SolutionHistory(base)], variation, lam)
+    assert crit < 1e-8
 
 
 def test_action_not_critical_off_shell(lat, sol):
     variation = random_solution(lat, np.random.default_rng(21))
     bad = DetunedHistory(sol, 0.5)
-    assert action_criticality(sol, variation, 1.0,
-                              base_history=bad) > 1e-3
+    crit, = action_criticality([bad], variation, 1.0)
+    assert crit > 1e-3
 
 
 @pytest.mark.parametrize("detune", [None, 0.5])
@@ -427,31 +441,27 @@ def test_criticality_equals_two_windowed_actions(lat_args, detune):
             else DetunedHistory(base_sol, detune))
     eps, lam, n_t = 1e-3, 0.37, 257
     win = TimeWindow(0.0, 1.0, 6)
-    plus, minus = (action_of_history(
-        lat_d, WindowedPerturbation(base, SolutionHistory(var), win, e), lam,
-        0.0, 1.0, n_t) for e in (eps, -eps))
-    got = action_criticality(base_sol, var, lam, eps=eps, n_t=n_t,
-                             base_history=None if detune is None else base)
-    assert got == abs(plus - minus) / (2.0 * eps)
+    (plus,), (minus,) = (action_of_history(
+        lat_d, WindowedPerturbation([base], SolutionHistory(var), win, e),
+        lam, 0.0, 1.0, n_t) for e in (eps, -eps))
+    got = action_criticality([base], var, lam, eps=eps, n_t=n_t)
+    assert got == [abs(plus - minus) / (2.0 * eps)]
 
 
 @pytest.mark.parametrize("lat_args", [(1, 2 * np.pi, 32, 7), (2, 5.0, 12, 3)])
 def test_criticality_bases_in_one_pass_equal_one_call_each(lat_args):
-    """A tuple of bases gives a list that equals, bit for bit, one call per
+    """A list of bases gives a list that equals, bit for bit, one call per
     base, the variation and the window evaluated once per block for all."""
     d, L, N, n_max = lat_args
     lat_d = build_lattice(d=d, L=L, N=N, n_max=n_max, m=1.0)
     rng = np.random.default_rng(23)
     base_sol, var = random_solution(lat_d, rng), random_solution(lat_d, rng)
-    bases = (None, DetunedHistory(base_sol, 0.5),
-             DetunedHistory(base_sol, -0.2))
-    got = action_criticality(base_sol, var, 0.37, n_t=257, base_history=bases)
-    want = [action_criticality(base_sol, var, 0.37, n_t=257, base_history=b)
-            for b in bases]
+    bases = [SolutionHistory(base_sol), DetunedHistory(base_sol, 0.5),
+             DetunedHistory(base_sol, -0.2)]
+    got = action_criticality(bases, var, 0.37, n_t=257)
+    want = [action_criticality([b], var, 0.37, n_t=257)[0] for b in bases]
     assert got == want
     assert got[0] < 1e-8 < got[1]
-    assert action_criticality(base_sol, var, 0.37, n_t=257,
-                              base_history=[bases[1]]) == [want[1]]
 
 
 def test_action_additive_over_time_intervals(lat, sol):

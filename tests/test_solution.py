@@ -144,20 +144,17 @@ def test_real_flag_gives_real_fields(lat):
 
 
 def test_real_grids_whenever_the_branch_factors_are_conjugate(lat, sol):
-    """A real solution gives real grids for absent or conjugate branch
-    factors (the detuned history, the Klein-Gordon symbol); one factor
-    alone, non-conjugate factors or a complex solution give complex ones."""
+    """A real solution gives real grids with or without a branch factor
+    (the detuned history, the Klein-Gordon symbol, a complex phase), since
+    the u* branch takes its conjugate; a complex solution gives complex
+    ones."""
     ts = np.array([0.0, 0.3, 0.9])
     for grid in DetunedHistory(sol, 0.5).at(ts):
         assert grid.dtype == np.float64 and grid.shape == (3,) + lat.grid_shape
     sym = lat.m ** 2 + np.sum(lat.k ** 2, axis=1) - lat.k0 ** 2
-    assert synthesize(sol, 0.4, extra_u=sym, extra_us=sym).dtype == np.float64
+    assert synthesize(sol, 0.4, factor=sym).dtype == np.float64
     f = np.exp(0.3j * lat.k0)
-    assert synthesize(sol, 0.4, extra_u=f, extra_us=np.conj(f)).dtype \
-        == np.float64
-    assert np.iscomplexobj(synthesize(sol, 0.4, extra_u=f, extra_us=f))
-    assert np.iscomplexobj(synthesize(sol, 0.4, extra_u=sym))
-    assert np.iscomplexobj(synthesize(sol, 0.4, extra_us=sym))
+    assert synthesize(sol, 0.4, factor=f).dtype == np.float64
     complex_sol = random_solution(lat, np.random.default_rng(3), False)
     assert np.iscomplexobj(synthesize(complex_sol, 0.4))
 
@@ -323,14 +320,39 @@ def test_history_wrappers_agree_with_synthesize(lat, sol):
     var = random_solution(lat, np.random.default_rng(4))
     histories = [hist, DetunedHistory(sol, 0.5),
                  PolynomialTimeHistory(lat, [2.0, -1.0, 0.25, 0.125]),
-                 WindowedPerturbation(hist, SolutionHistory(var),
+                 WindowedPerturbation([hist], SolutionHistory(var),
                                       TimeWindow(0.0, 1.0), 1e-3)]
-    for h in histories:
+    for h, lead in zip(histories, [()] * 3 + [(1,)]):
         stacked = h.at(ts)
         for i, t in enumerate(ts):
             for grid, row in zip(h.at(t), stacked):
-                assert row.shape == (len(ts),) + lat.grid_shape
-                assert np.array_equal(row[i], grid)
+                assert row.shape == lead + (len(ts),) + lat.grid_shape
+                assert np.array_equal(row[..., i, :], grid)
+
+
+def test_windowed_family_equals_one_perturbation_per_member(lat, sol):
+    """Each (eps, base) member of a family equals, bit for bit, its own
+    single-base, single-eps perturbation, and one ``at`` of the family
+    evaluates the variation once."""
+    calls = []
+
+    class Counted(SolutionHistory):
+        def at(self, t):
+            calls.append(t)
+            return super().at(t)
+
+    ts = np.array([-0.3, 0.2, 0.45, 0.9])
+    bases = [SolutionHistory(sol), DetunedHistory(sol, 0.5)]
+    var = Counted(random_solution(lat, np.random.default_rng(4)))
+    win, eps = TimeWindow(0.0, 1.0), np.array([1e-3, -1e-3, 0.25])
+    family = WindowedPerturbation(bases, var, win, eps).at(ts)
+    assert len(calls) == 1
+    for i, e in enumerate(eps):
+        for j, base in enumerate(bases):
+            single = WindowedPerturbation([base], var, win, e).at(ts)
+            for got, want in zip(family, single):
+                assert got.shape == (3, 2, 4) + lat.grid_shape
+                assert np.array_equal(got[i, j], want[0])
 
 
 def test_detuned_history_breaks_dispersion(lat, sol):
@@ -375,31 +397,25 @@ def test_time_window_compact_support_and_derivatives():
         assert np.array_equal(got[:, 0, 0], np.array(want))
 
 
-def _synthesize_one_order(sol, t, mus=(), extra_u=None, extra_us=None):
+def _synthesize_one_order(sol, t, mus=(), factor=None):
     """Reference synthesis of one derivative order of one solution, with
-    its own phase table and mode sum (pinned in test_lattice); a real
-    solution with absent or conjugate branch factors takes the real mode
-    sum."""
+    its own phase table and mode sum (pinned in test_lattice); ``factor``
+    multiplies the u branch and its conjugate the u* branch, and a real
+    solution takes the real mode sum."""
     lat = sol.lat
     fu = np.ones(lat.n_modes, dtype=complex)
     fus = np.ones(lat.n_modes, dtype=complex)
     for mu in mus:
         f = -1j * lat.k0 if mu == 0 else 1j * lat.k[:, mu - 1]
         fu, fus = fu * f, fus * -f
-    if extra_u is not None:
-        fu = fu * extra_u
-    if extra_us is not None:
-        fus = fus * extra_us
+    if factor is not None:
+        fu, fus = fu * factor, fus * np.conj(factor)
     pref = (2.0 * np.pi) ** (-lat.d / 2.0)
     tc = np.asarray(t, dtype=float)[..., None]
     phase = np.exp(-1j * lat.k0 * tc)
     plus = pref * lat.w * sol.u * phase * fu
     minus = pref * lat.w * sol.ustar * np.conj(phase) * fus
-    real = sol.real_flag and (
-        extra_u is None and extra_us is None
-        or extra_u is not None and extra_us is not None
-        and np.array_equal(np.conj(extra_u), extra_us))
-    return mode_sum_grid(lat, plus, minus, real)
+    return mode_sum_grid(lat, plus, minus, sol.real_flag)
 
 
 @pytest.mark.parametrize("d,N,n_max", [(1, 32, 7), (3, 8, 2)])
@@ -447,10 +463,11 @@ def test_history_at_equals_one_synthesis_per_order(lat, sol):
     om = lat.k0 + detune
     tc = ts[:, None]
     for r, got in enumerate(DetunedHistory(sol, detune).at(ts)):
-        ref = _synthesize_one_order(
-            sol, ts, extra_u=(-1j * om) ** r * np.exp(-1j * detune * tc),
-            extra_us=(1j * om) ** r * np.exp(1j * detune * tc))
-        assert np.array_equal(got, ref)
+        factor = (-1j * om) ** r * np.exp(-1j * detune * tc)
+        # the u* branch's factor is the reflected one, bit for bit
+        assert np.array_equal(np.conj(factor),
+                              (1j * om) ** r * np.exp(1j * detune * tc))
+        assert np.array_equal(got, _synthesize_one_order(sol, ts, factor=factor))
 
 
 def test_fields_and_second_derivatives_equal_one_synthesis_per_order(lat, sol):
