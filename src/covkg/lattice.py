@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -40,6 +41,14 @@ def _check_number(what: str, value, integral: bool) -> None:
         raise ValueError(f"{what} must be " + (
             "an integer" if integral else "a finite real number")
             + f", got {value!r}")
+
+
+def _integers(what: str, value) -> np.ndarray:
+    """``value`` as intp; a nonempty float or boolean array is a ValueError."""
+    arr = np.asarray(value)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    return arr.astype(np.intp, copy=False)
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -132,14 +141,11 @@ class ModeLattice:
 
     def mode_index(self, n) -> int:
         """Index of the mode with integer vector n (lexicographic order)."""
-        n = np.atleast_1d(np.asarray(n, dtype=int))
+        n = np.atleast_1d(_integers("a mode vector", n))
         if n.shape != (self.d,) or np.any(np.abs(n) > self.n_max):
             raise ValueError(f"{n} is not a lattice mode")
-        width = 2 * self.n_max + 1
-        idx = 0
-        for ni in n:
-            idx = idx * width + (int(ni) + self.n_max)
-        return idx
+        return int(np.ravel_multi_index(n + self.n_max,
+                                        (2 * self.n_max + 1,) * self.d))
 
     def conj_index(self) -> np.ndarray:
         """Permutation sending each mode to its spatial reflection k -> -k."""
@@ -312,9 +318,9 @@ def spectral_gradient_laplacian(lat: ModeLattice, grid_field) -> tuple:
 
 def grid_integral(lat: ModeLattice, values):
     """Cell volume times the sum of ``values`` over the trailing grid axes,
-    one pairwise sum per grid; leading axes stay."""
+    one pairwise sum per grid; leading axes stay, empty ones included."""
     values = np.asarray(values)
-    flat = values.reshape(values.shape[:values.ndim - lat.d] + (-1,))
+    flat = values.reshape(*values.shape[:-lat.d], prod(values.shape[-lat.d:]))
     return lat.cell_volume * np.sum(flat, axis=-1)
 
 

@@ -43,7 +43,6 @@ from .solution import (
     _BLOCK_CELLS,
     Solution,
     SolutionHistory,
-    TimeWindow,
     WindowedPerturbation,
     evaluate_fields,
     fields_and_orders,
@@ -266,27 +265,31 @@ def _lagrangian_density(lat: ModeLattice, phi, dtphi, _):
         - 0.5 * lat.m ** 2 * phi ** 2
 
 
-def _time_quadrature(lat: ModeLattice, fields, densities, t1: float, t2: float,
-                     n_t: int, members: int = 1) -> list:
+def _time_quadrature(hist, densities, t1: float, t2: float, n_t: int) -> list:
     """Simpson rule over [t1, t2] of the grid integral of each density.
 
-    ``fields`` is evaluated once per block of times, for ``members``
-    solutions (a batch) at most ``_BLOCK_CELLS`` grid values in all; each
-    density gets its result unpacked and returns its values on the block,
-    shape (..., block times) + grid_shape.  Returns one Simpson sum per
-    density, with the density's leading axes (a lambda family, the two
-    signs of eps, a solution batch).  Blocks do not change any value.
+    ``hist.at`` is evaluated once per block of times: each synthesis holds
+    at most ``_BLOCK_CELLS`` grid values per derivative order, summed over
+    a solution batch's members (``hist.sol``); a ``WindowedPerturbation``
+    family holds n_eps x n_bases such grids, 4 for the criticality pair.
+    Each density maps (lat, *fields) to its values on the block, shape
+    (..., block times) + grid_shape.  Returns one Simpson sum per density,
+    with its leading axes (a lambda family, the eps signs, a batch); blocks
+    do not change any value.
     """
     if not t2 > t1:
         raise ValueError("need t1 < t2")
     _check_simpson_count(n_t)
+    lat = hist.lat
+    sol = getattr(hist, "sol", None)  # SolutionHistory, DetunedHistory
+    members = 1 if sol is None else int(np.prod(np.shape(sol.u)[:-1]))
     ts = np.linspace(t1, t2, n_t)
     step = max(1, _BLOCK_CELLS // (members * int(np.prod(lat.grid_shape))))
     sums = [[] for _ in densities]
     for i in range(0, n_t, step):
-        block = fields(ts[i:i + step])
+        block = hist.at(ts[i:i + step])
         for density, vals in zip(densities, sums):
-            vals.append(grid_integral(lat, density(*block)))
+            vals.append(grid_integral(lat, density(lat, *block)))
     return [simpson(np.concatenate(vals, axis=-1), ts[1] - ts[0])
             for vals in sums]
 
@@ -298,20 +301,15 @@ def _real_or_complex(value):
     return complex(value) if np.iscomplexobj(value) else float(value)
 
 
-def action_of_history(lat: ModeLattice, hist, lam, t1: float, t2: float,
-                      n_t: int):
+def action_of_history(hist, lam, t1: float, t2: float, n_t: int):
     """Integral of the theta_lambda pullback over t in [t1, t2] (Simpson).
 
     A 1-D array of lambdas gives one action per lambda, sharing every field
     and spectral derivative; a history with family axes (a solution batch,
-    a ``WindowedPerturbation`` family) one per member, after the lambda
-    axis.  A solution batch runs in blocks of fewer times.
+    a ``WindowedPerturbation`` family) one per member, after the lambda axis.
     """
-    sol = getattr(hist, "sol", None)  # SolutionHistory, DetunedHistory
-    members = 1 if sol is None else int(np.prod(np.shape(sol.u)[:-1]))
     total, = _time_quadrature(
-        lat, hist.at, [lambda *f: theta_pullback_density(lat, *f, lam)],
-        t1, t2, n_t, members)
+        hist, [lambda *f: theta_pullback_density(*f, lam)], t1, t2, n_t)
     return _real_or_complex(total)
 
 
@@ -319,22 +317,20 @@ def action_between_slices(sol: Solution, lam, t1: float, t2: float,
                           n_t: int = 257):
     """``action_of_history`` of the solution.  A solution batch gives one
     action per member, and a lambda array one per lambda (lambda first)."""
-    return action_of_history(sol.lat, SolutionHistory(sol), lam, t1, t2, n_t)
+    return action_of_history(SolutionHistory(sol), lam, t1, t2, n_t)
 
 
-def lagrangian_and_actions(lat: ModeLattice, hist, lams, t1: float, t2: float,
-                           n_t: int) -> tuple:
+def lagrangian_and_actions(hist, lams, t1: float, t2: float, n_t: int) -> tuple:
     """(Lagrangian action, ``action_of_history`` at each of ``lams``) from
     one quadrature pass: one ``hist.at`` per block serves both densities,
     and the lambda family shares one gradient and Laplacian.  The
     Lagrangian keeps its own first-derivative density, so it stays an
     independent computation; each action equals, bit for bit, that of
-    ``action_of_history``."""
+    ``action_of_history``, and an empty ``lams`` gives an empty list."""
     lam = np.atleast_1d(lams)
     lag, acts = _time_quadrature(
-        lat, hist.at, [lambda *f: _lagrangian_density(lat, *f),
-                       lambda *f: theta_pullback_density(lat, *f, lam)],
-        t1, t2, n_t)
+        hist, [_lagrangian_density,
+               lambda *f: theta_pullback_density(*f, lam)], t1, t2, n_t)
     return lag, _real_or_complex(acts)
 
 
@@ -354,7 +350,7 @@ def action_criticality(bases, variation: Solution, lam: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    family = WindowedPerturbation(bases, SolutionHistory(variation),
-                                  TimeWindow(t1, t2), [eps, -eps])
-    plus, minus = action_of_history(variation.lat, family, lam, t1, t2, n_t)
+    family = WindowedPerturbation(bases, SolutionHistory(variation), t1, t2,
+                                  [eps, -eps])
+    plus, minus = action_of_history(family, lam, t1, t2, n_t)
     return [abs(p - m) / (2.0 * eps) for p, m in zip(plus, minus)]

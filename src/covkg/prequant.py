@@ -131,7 +131,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .lattice import ModeLattice, _cmul, _complex
+from .lattice import ModeLattice, _cmul, _complex, _integers
 
 _INT64_MAX = np.iinfo(np.int64).max
 # The largest degree of any state; keys rank rows padded to this width.
@@ -287,12 +287,12 @@ class PolarizedState:
         if self.key is not None:
             return
         n_modes = self.lat.n_modes
-        idx = np.asarray(self.idx, dtype=np.intp)
+        idx = _integers("index rows", self.idx)
         if not ((idx >= 0) & (idx <= n_modes)).all():
             raise ValueError("mode index out of range")
         self.idx = idx.astype(np.min_scalar_type(n_modes))
         self.amp = np.asarray(self.amp, dtype=complex)
-        self.tag = np.asarray(self.tag, dtype=np.intp)
+        self.tag = _integers("tags", self.tag)
         if self.idx.ndim != 2 or not (len(self.idx) == len(self.amp)
                                       == len(self.tag)):
             raise ValueError("idx must hold one index row per amplitude "
@@ -331,7 +331,7 @@ def prune(state: PolarizedState) -> PolarizedState:
 
 def monomial_block(lat: ModeLattice, rows) -> PolarizedState:
     """One term of amplitude 1 per index row, tagged 0..len(rows)-1."""
-    rows = _trim(np.asarray(rows, dtype=np.intp), lat.n_modes)
+    rows = _trim(_integers("index rows", rows), lat.n_modes)
     return PolarizedState(lat, rows, np.ones(len(rows), dtype=complex),
                           np.arange(len(rows)))
 

@@ -21,8 +21,7 @@ the grids come out with the axes (order, batch, time) + grid_shape.  Each
 grid equals, bit for bit, the grid of the call that asks for it alone.
 ``fields_and_orders`` (with ``evaluate_fields`` built on it) and the
 ``at`` of each solution history make one such call; the slice functionals
-keep the time axis.  A time window's ``on_grid`` gives the window and its two
-derivatives from one pass.
+keep the time axis.
 """
 
 from __future__ import annotations
@@ -45,9 +44,12 @@ from .lattice import (
 )
 
 _CONJ_TOL = 1e-12
-# Grid values per block of stacked synthesized fields: bounds the memory of
-# the action quadratures and of the batched bracket pairing.
+# Grid values of each synthesis in a block, per derivative order and summed
+# over a batch's members: bounds the action quadratures and the batched
+# bracket pairing.  A ``WindowedPerturbation`` family holds n_eps x n_bases
+# such grids per block, 4 for the criticality pair.
 _BLOCK_CELLS = 4096
+_WINDOW_ORDER = 6  # q of the bump (4 s (1-s))^q of ``WindowedPerturbation``
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,10 +340,10 @@ def field_energy(lat: ModeLattice, phi, pi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Field histories: ``at(t)`` gives (phi, d_t phi, d_tt phi) grids, family
-# axes first, then a time axis for a 1-D array of times.  Every action
-# quadrature takes one, so it runs on configurations that are not solutions:
-# detuned frequencies, probes, windowed perturbations of bases at eps values.
+# Field histories: ``at(t)`` gives (phi, d_t phi, d_tt phi) grids on ``lat``,
+# family axes first, then a time axis for a 1-D array of times.  An action
+# quadrature takes only a history, so it runs on configurations that are not
+# solutions: detuned frequencies, probes, windowed perturbations of bases.
 # ---------------------------------------------------------------------------
 
 class SolutionHistory:
@@ -390,54 +392,44 @@ class PolynomialTimeHistory:
         return tuple(np.polyval(np.polyder(self.coeffs[::-1], r), tx) for r in range(3))
 
 
-@dataclass(frozen=True)
-class TimeWindow:
-    """Polynomial bump on [t1, t2]: eta = (4 s (1-s))^q, zero outside.
+class WindowedPerturbation:
+    """base + eps * eta(t) * variation for each base and each eps.
 
-    q derivatives vanish at both ends, keeping the windowed integrand
-    smooth enough for clean Simpson convergence.
+    eta is the bump (4 s (1-s))^q, s = (t - t1) / (t2 - t1), on [t1, t2] and
+    zero outside; its q derivatives vanish at both ends, keeping the windowed
+    integrand smooth enough for clean Simpson convergence.  The bases' fields
+    are stacked on a leading axis, and a 1-D array ``eps`` puts its own axis
+    in front of that: shape ([n_eps,] n_bases) + a base's.  ``at`` evaluates
+    the variation and the window once; the time derivatives are exact, by
+    the product rule.
     """
 
-    t1: float
-    t2: float
-    q: int = 6
+    def __init__(self, bases, variation, t1: float, t2: float, eps):
+        self.bases = list(bases)
+        self.var = variation
+        self.t1, self.t2 = t1, t2
+        self.eps = np.asarray(eps, dtype=float)
+        self.lat = variation.lat
 
-    def on_grid(self, t, d: int):
-        """(eta, eta', eta'') at t, shaped to broadcast over d grid axes."""
-        T, q = self.t2 - self.t1, self.q
+    def _window(self, t):
+        """(eta, eta', eta'') at t, shaped to broadcast over the grid axes."""
+        T, q = self.t2 - self.t1, _WINDOW_ORDER
         s = (np.asarray(t, dtype=float) - self.t1) / T
         inside = (s > 0.0) & (s < 1.0)
         s = np.where(inside, s, 0.0)
         u = s * (1.0 - s)
-        value = (4.0 * s * (1.0 - s)) ** q
-        d1 = q * 4.0 ** q * u ** (q - 1) * (1.0 - 2.0 * s) / T
-        d2 = q * 4.0 ** q * ((q - 1) * u ** (q - 2) * (1.0 - 2.0 * s) ** 2
-                             - 2.0 * u ** (q - 1)) / T ** 2
-        grid = (Ellipsis,) + (None,) * d
-        return tuple(np.where(inside, v, 0.0)[grid] for v in (value, d1, d2))
-
-
-class WindowedPerturbation:
-    """base + eps * eta(t) * variation for each base and each eps.
-
-    The bases' fields are stacked on a leading axis, and a 1-D array ``eps``
-    puts its own axis in front of that: shape ([n_eps,] n_bases) + a base's.
-    ``at`` evaluates the variation and the window once; the time derivatives
-    are exact, by the product rule.
-    """
-
-    def __init__(self, bases, variation, window: TimeWindow, eps):
-        self.bases = list(bases)
-        self.var = variation
-        self.window = window
-        self.eps = np.asarray(eps, dtype=float)
-        self.lat = variation.lat
+        eta = ((4.0 * s * (1.0 - s)) ** q,
+               q * 4.0 ** q * u ** (q - 1) * (1.0 - 2.0 * s) / T,
+               q * 4.0 ** q * ((q - 1) * u ** (q - 2) * (1.0 - 2.0 * s) ** 2
+                               - 2.0 * u ** (q - 1)) / T ** 2)
+        grid = (Ellipsis,) + (None,) * self.lat.d
+        return tuple(np.where(inside, v, 0.0)[grid] for v in eta)
 
     def at(self, t):
         """(phi, d_t phi, d_tt phi) at t, after the eps and base axes."""
         b0, b1, b2 = (np.stack(f) for f in zip(*(b.at(t) for b in self.bases)))
         v0, v1, v2 = self.var.at(t)
-        w, w1, w2 = self.window.on_grid(t, self.lat.d)
+        w, w1, w2 = self._window(t)
         e = self.eps.reshape(self.eps.shape + (1,) * b0.ndim)
         return (b0 + e * w * v0,
                 b1 + e * (w1 * v0 + w * v1),

@@ -103,8 +103,8 @@ def suite_msymp(cfg: RunConfig) -> list:
     out.append(cfg.lower_bound("msymp.omega_nondegenerate", sigma_min))
 
     lams = (0.0, 0.5, 1.0)
-    lag, acts = ms.lagrangian_and_actions(lat, SolutionHistory(sol), lams,
-                                          0.0, 1.0, 257)
+    lag, acts = ms.lagrangian_and_actions(SolutionHistory(sol), lams, 0.0,
+                                          1.0, 257)
     for lam, got in zip(lams, acts):
         out.append(cfg.check("msymp.action_lagrangian", got,
                              (2.0 * lam - 1.0) * lag, f"lam{lam:g}"))

@@ -81,8 +81,8 @@ def test_02_action_equals_lagrangian_quadrature(lat):
     for seed in range(20):
         s = random_solution(lat, np.random.default_rng(seed))
         act1 = action_between_slices(s, 1.0, 0.2, 1.4, n_t=257)
-        lag, _ = lagrangian_and_actions(lat, SolutionHistory(s), [1.0], 0.2,
-                                        1.4, 257)
+        lag, _ = lagrangian_and_actions(SolutionHistory(s), [1.0], 0.2, 1.4,
+                                        257)
         worst_match = max(worst_match, abs(act1 - lag))
         act_half = action_between_slices(s, 0.5, 0.2, 1.4, n_t=257)
         worst_null = max(worst_null, abs(act_half))

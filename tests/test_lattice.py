@@ -56,6 +56,15 @@ def test_zero_mode_weight_is_half(lat1d):
     assert lat1d.w[i0] == 0.5
 
 
+@pytest.mark.parametrize("n", [[0.9], [-0.5], True, [True], np.array([1.0])])
+def test_mode_index_rejects_non_integer_vectors(lat1d, n):
+    """A float or boolean mode vector raises instead of truncating to a
+    neighbouring mode (0.9 and -0.5 read as the zero mode, True as mode 1)."""
+    with pytest.raises(ValueError, match="must be integers"):
+        lat1d.mode_index(n)
+    assert lat1d.mode_index(np.array([1])) == lat1d.mode_index((1,)) == 8
+
+
 def test_dispersion_matches_table(lat2d):
     for i in range(lat2d.n_modes):
         k0 = np.sqrt(lat2d.m ** 2 + lat2d.k[i] @ lat2d.k[i])

@@ -34,7 +34,6 @@ from covkg.phase_space import theta_difference_vs_action
 from covkg.solution import (
     DetunedHistory,
     SolutionHistory,
-    TimeWindow,
     WindowedPerturbation,
     evaluate_fields,
     evolve_exact,
@@ -321,9 +320,8 @@ def test_time_quadratures_require_odd_sample_count(lat, sol, n_t):
     before any field is evaluated."""
     hist = SolutionHistory(sol)
     calls = (lambda: action_between_slices(sol, 1.0, 0.0, 1.0, n_t),
-             lambda: action_of_history(lat, hist, 0.5, 0.0, 1.0, n_t),
-             lambda: lagrangian_and_actions(lat, hist, (0.0, 1.0), 0.0, 1.0,
-                                            n_t),
+             lambda: action_of_history(hist, 0.5, 0.0, 1.0, n_t),
+             lambda: lagrangian_and_actions(hist, (0.0, 1.0), 0.0, 1.0, n_t),
              lambda: action_criticality([hist], sol, 1.0, n_t=n_t))
     for call in calls:
         with pytest.raises(ValueError, match="odd number >= 3"):
@@ -345,7 +343,7 @@ def test_action_of_history_spans_several_time_blocks():
     base = SolutionHistory(random_solution(lat2, rng))
     hist = WindowedPerturbation([base],
                                 SolutionHistory(random_solution(lat2, rng)),
-                                TimeWindow(0.1, 0.9), 0.3)
+                                0.1, 0.9, 0.3)
     n_t = 2 * (_BLOCK_CELLS // 144) + 9
     assert n_t % (_BLOCK_CELLS // 144) != 0
     ts = np.linspace(0.0, 1.0, n_t)
@@ -353,7 +351,7 @@ def test_action_of_history_spans_several_time_blocks():
             * np.sum(theta_pullback_density(lat2, *hist.at(t), 0.37))
             for t in ts]
     want = simpson(np.array(vals), ts[1] - ts[0])
-    got, = action_of_history(lat2, hist, 0.37, 0.0, 1.0, n_t)
+    got, = action_of_history(hist, 0.37, 0.0, 1.0, n_t)
     assert abs(want) > 1e-3
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -381,13 +379,11 @@ def test_lambda_family_quadrature_is_bitwise(lat_args):
     assert n_t % 2 == 1 and n_t % step != 0
     lams = (0.0, 0.37, 0.5, 1.0)
     hist = SolutionHistory(sol_d)
-    lag, acts = lagrangian_and_actions(lat_d, hist, lams, 0.1, 0.9, n_t)
-    assert lag == lagrangian_and_actions(lat_d, hist, lams[:1], 0.1, 0.9,
-                                         n_t)[0]
+    lag, acts = lagrangian_and_actions(hist, lams, 0.1, 0.9, n_t)
+    assert lag == lagrangian_and_actions(hist, lams[:1], 0.1, 0.9, n_t)[0]
     assert acts == [action_between_slices(sol_d, lam, 0.1, 0.9, n_t)
                     for lam in lams]
-    assert action_of_history(lat_d, hist, np.array(lams), 0.1, 0.9,
-                             n_t) == acts
+    assert action_of_history(hist, np.array(lams), 0.1, 0.9, n_t) == acts
 
 
 def test_lambda_family_of_a_solution_batch_is_bitwise(lat, sol):
@@ -400,13 +396,40 @@ def test_lambda_family_of_a_solution_batch_is_bitwise(lat, sol):
                     for s in members] for lam in lams]
 
 
+def test_lagrangian_alone_from_an_empty_lambda_list(lat, sol):
+    """No lambdas give the Lagrangian action and an empty action list; the
+    Lagrangian equals, bit for bit, the one that rides with a lambda."""
+    hist = SolutionHistory(sol)
+    lag, acts = lagrangian_and_actions(hist, [], 0.2, 1.4, 257)
+    assert acts == []
+    assert lag == lagrangian_and_actions(hist, [0.5], 0.2, 1.4, 257)[0]
+
+
+def test_quadrature_blocks_bound_each_synthesis(lat, sol, monkeypatch):
+    """On a 2-member batch, every synthesis of both action quadratures holds
+    at most _BLOCK_CELLS grid values per derivative order."""
+    import covkg.solution as solution
+
+    per_order, real = [], solution.synthesize
+
+    def spy(*args, **kwargs):
+        grids = real(*args, **kwargs)  # (order, batch, time) + grid_shape
+        per_order.append(grids[0].size)
+        return grids
+
+    monkeypatch.setattr(solution, "synthesize", spy)
+    hist = SolutionHistory(stack_solutions([sol, evolve_exact(sol, 0.3)]))
+    action_of_history(hist, 0.5, 0.0, 1.0, 257)
+    lagrangian_and_actions(hist, [0.0, 1.0], 0.0, 1.0, 257)
+    assert per_order and max(per_order) <= _BLOCK_CELLS
+
+
 @pytest.mark.parametrize("lam,factor", [(0.0, -1.0), (0.5, 0.0), (1.0, 1.0)])
 def test_action_matches_scaled_lagrangian(lat, sol, lam, factor):
     """Slice-to-slice action equals (2 lam - 1) times the Lagrangian action."""
     t1, t2 = 0.2, 1.4
     act = action_between_slices(sol, lam, t1, t2, n_t=257)
-    lag, _ = lagrangian_and_actions(lat, SolutionHistory(sol), [lam], t1, t2,
-                                    257)
+    lag, _ = lagrangian_and_actions(SolutionHistory(sol), [lam], t1, t2, 257)
     assert abs(lag) > 1e-3  # the comparison is not vacuous
     assert act == pytest.approx(factor * lag, abs=1e-8)
 
@@ -440,9 +463,8 @@ def test_criticality_equals_two_windowed_actions(lat_args, detune):
     base = (SolutionHistory(base_sol) if detune is None
             else DetunedHistory(base_sol, detune))
     eps, lam, n_t = 1e-3, 0.37, 257
-    win = TimeWindow(0.0, 1.0, 6)
     (plus,), (minus,) = (action_of_history(
-        lat_d, WindowedPerturbation([base], SolutionHistory(var), win, e),
+        WindowedPerturbation([base], SolutionHistory(var), 0.0, 1.0, e),
         lam, 0.0, 1.0, n_t) for e in (eps, -eps))
     got = action_criticality([base], var, lam, eps=eps, n_t=n_t)
     assert got == [abs(plus - minus) / (2.0 * eps)]

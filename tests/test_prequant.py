@@ -619,6 +619,35 @@ def test_out_of_range_rows_are_rejected(lat):
     assert padded.key.tolist() == vacuum(lat).key.tolist()
 
 
+@pytest.mark.parametrize("rows,tags", [
+    ([[1.5, 2.9]], [0]),        # float rows would truncate to [1, 2]
+    ([[True, False]], [0]),     # boolean rows would read as modes 1 and 0
+    ([[1, 2]], [0.7]),          # a float tag would truncate to 0
+    ([[1, 2]], [True]),
+])
+def test_non_integer_rows_and_tags_are_rejected(lat, rows, tags):
+    with pytest.raises(ValueError, match="must be integers"):
+        PolarizedState(lat, rows, [1.0], tags)
+
+
+@pytest.mark.parametrize("rows", [[[1.5, 2.9]], [[True, False]],
+                                  np.array([[1.0, 2.0]])])
+def test_monomial_block_rejects_non_integer_rows(lat, rows):
+    with pytest.raises(ValueError, match="must be integers"):
+        monomial_block(lat, rows)
+
+
+def test_empty_float_rows_still_build_the_vacuum(lat):
+    """``vacuum`` and ``monomial(lat, {})`` pass empty float arrays, which
+    hold no value to truncate."""
+    want = PolarizedState(lat, np.zeros((1, 0), np.intp), [1.0], [0])
+    for state in (vacuum(lat), monomial(lat, {}),
+                  monomial_block(lat, np.zeros((1, 0)))):
+        assert state.idx.shape == (1, 0)
+        assert state.key.tolist() == want.key.tolist()
+    assert len(PolarizedState(lat, np.zeros((0, 2), np.intp), [], []).key) == 0
+
+
 def test_key_guard_raises_instead_of_wrapping():
     """At 343 modes (config C) a key spans C(349, 6) ranks per tag, so
     3,837,376 tags fill int64 and one more would wrap: the guard raises."""

@@ -16,7 +16,6 @@ from covkg.solution import (
     DetunedHistory,
     _order_factors,
     PolynomialTimeHistory,
-    TimeWindow,
     WindowedPerturbation,
     derivative_solution,
     evaluate_fields,
@@ -320,8 +319,8 @@ def test_history_wrappers_agree_with_synthesize(lat, sol):
     var = random_solution(lat, np.random.default_rng(4))
     histories = [hist, DetunedHistory(sol, 0.5),
                  PolynomialTimeHistory(lat, [2.0, -1.0, 0.25, 0.125]),
-                 WindowedPerturbation([hist], SolutionHistory(var),
-                                      TimeWindow(0.0, 1.0), 1e-3)]
+                 WindowedPerturbation([hist], SolutionHistory(var), 0.0, 1.0,
+                                      1e-3)]
     for h, lead in zip(histories, [()] * 3 + [(1,)]):
         stacked = h.at(ts)
         for i, t in enumerate(ts):
@@ -344,12 +343,12 @@ def test_windowed_family_equals_one_perturbation_per_member(lat, sol):
     ts = np.array([-0.3, 0.2, 0.45, 0.9])
     bases = [SolutionHistory(sol), DetunedHistory(sol, 0.5)]
     var = Counted(random_solution(lat, np.random.default_rng(4)))
-    win, eps = TimeWindow(0.0, 1.0), np.array([1e-3, -1e-3, 0.25])
-    family = WindowedPerturbation(bases, var, win, eps).at(ts)
+    eps = np.array([1e-3, -1e-3, 0.25])
+    family = WindowedPerturbation(bases, var, 0.0, 1.0, eps).at(ts)
     assert len(calls) == 1
     for i, e in enumerate(eps):
         for j, base in enumerate(bases):
-            single = WindowedPerturbation([base], var, win, e).at(ts)
+            single = WindowedPerturbation([base], var, 0.0, 1.0, e).at(ts)
             for got, want in zip(family, single):
                 assert got.shape == (3, 2, 4) + lat.grid_shape
                 assert np.array_equal(got[i, j], want[0])
@@ -374,27 +373,37 @@ def test_polynomial_history_derivatives(lat):
     np.testing.assert_allclose(d2, 0.5)
 
 
-def test_time_window_compact_support_and_derivatives():
-    win = TimeWindow(0.0, 1.0, q=6)
+def test_time_window_compact_support_and_derivatives(lat):
+    """A zero base plus the window times a unit variation: ``at`` gives the
+    window (eta, eta', eta'') in every cell."""
+    hist = WindowedPerturbation([PolynomialTimeHistory(lat, [0.0])],
+                                PolynomialTimeHistory(lat, [1.0]), 0.0, 1.0,
+                                1.0)
+
+    def window(t):
+        fields = hist.at(t)
+        for f in fields:
+            assert f.shape == (1,) + lat.grid_shape and np.all(f == f[0, 0])
+        return tuple(f[0, 0] for f in fields)
 
     def value(t):
-        return win.on_grid(t, 0)[0]
+        return window(t)[0]
 
     for t in (-0.1, 0.0, 1.0, 1.1):
-        assert all(v == 0.0 for v in win.on_grid(t, 0))
+        assert all(v == 0.0 for v in window(t))
     assert value(0.5) == 1.0
     h1, h2 = 1e-6, 1e-4
     for t in (0.3, 0.71):
         fd1 = (value(t + h1) - value(t - h1)) / (2 * h1)
         fd2 = (value(t + h2) - 2 * value(t) + value(t - h2)) / h2 ** 2
-        _, d1, d2 = win.on_grid(t, 0)
+        _, d1, d2 = window(t)
         assert float(d1) == pytest.approx(fd1, abs=1e-7)
         assert float(d2) == pytest.approx(fd2, abs=1e-4)
     ts = np.array([-0.2, 0.3, 0.71, 1.4])
-    stacked = win.on_grid(ts, 2)
-    for got, want in zip(stacked, zip(*(win.on_grid(t, 0) for t in ts))):
-        assert got.shape == (4, 1, 1)
-        assert np.array_equal(got[:, 0, 0], np.array(want))
+    stacked = hist.at(ts)
+    for got, want in zip(stacked, zip(*(window(t) for t in ts))):
+        assert got.shape == (1, 4) + lat.grid_shape
+        assert np.array_equal(got[0, :, 0], np.array(want))
 
 
 def _synthesize_one_order(sol, t, mus=(), factor=None):
