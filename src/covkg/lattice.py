@@ -44,9 +44,13 @@ def _check_number(what: str, value, integral: bool) -> None:
 
 
 def _integers(what: str, value) -> np.ndarray:
-    """``value`` as intp; a nonempty float or boolean array is a ValueError."""
+    """``value`` as intp; a nonempty float or boolean array, or a boolean
+    among integers (numpy would cast it to 0 or 1), is a ValueError."""
     arr = np.asarray(value)
-    if arr.size and arr.dtype.kind not in "iu":
+    mixed = not isinstance(value, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(value, object).flat
+    )
+    if arr.size and (arr.dtype.kind not in "iu" or mixed):
         raise ValueError(f"{what} must be integers, got {value!r}")
     return arr.astype(np.intp, copy=False)
 

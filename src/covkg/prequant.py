@@ -4,28 +4,26 @@ A state is psi = h(u*) |0> with h a polynomial and |0> the implicit
 Gaussian exp(-(1/2 hbar) sum_k w_k u_k u*_k).  Only the coefficients of h
 are stored.
 
-Storage.  A state holds four arrays with one entry per term:
-
-  * ``idx`` (n_terms, W): the term's monomial as its sorted mode indices,
-    mode k written alpha_k times, padded on the right with the sentinel
-    ``lat.n_modes``, in the narrowest dtype that holds it (uint8 up to 255
-    modes, then uint16); W is at least the largest degree present;
-  * ``amp`` (n_terms,): the complex amplitude, or (members, n_terms) for
-    a family (below);
-  * ``tag`` (n_terms,): an integer naming the input the term descends from;
-  * ``key`` (n_terms,): the int64 group key of (tag, row), below.
-
+Storage.  A state holds four arrays with one entry per term: ``idx``
+(n_terms, W), the term's monomial as its sorted mode indices, mode k
+written alpha_k times, padded on the right with the sentinel
+``lat.n_modes``, in the narrowest dtype that holds it (uint8 up to 255
+modes, then uint16), W at least the largest degree present; ``amp``
+(n_terms,), the complex amplitude, or (members, n_terms) for a family
+(below); ``tag``, an integer naming the input the term descends from;
+and ``key``, the int64 group key of (tag, row), below.
 ``PolarizedState(lat, idx, amp, tag)`` computes the keys and raises
-``ValueError`` for a mode outside 0..n_modes or a (tag, row) pair given
-twice, ``DegreeOverflowError`` past ``DEGREE_BOUND``; ``vacuum``,
-``monomial``, ``monomial_block`` and the operators return key-sorted states.
+``ValueError`` for a mode outside 0..n_modes, a non-integer or boolean
+row or tag, or a (tag, row) pair given twice, ``DegreeOverflowError``
+past ``DEGREE_BOUND``; ``vacuum``, ``monomial``, ``monomial_block`` and
+the operators return key-sorted states.
 
 Tags let one state carry many independent inputs: the operators never
 mix terms of different tags, so each tag's terms in a block of monomials
-tagged 0..B-1 equal, bit for bit, those of its monomial alone.  ``suites``
-runs its per-monomial checks on blocks of ``suites._BLOCK_TERMS`` terms.
-``coeffs`` is a read-only dict view of a state, {sorted (mode, exponent)
-tuple: amplitude}, summed over tags.
+tagged 0..B-1 equal, bit for bit, those of its monomial alone (``suites``
+checks blocks of ``suites._BLOCK_TERMS`` terms).  ``coeffs`` is a
+read-only dict view, {sorted (mode, exponent) tuple: amplitude}, summed
+over tags.
 
 Keys.  Each term carries an int64 key, ``tag * S + rank``.  The rank is
 that of the row padded with sentinels to width D = ``DEGREE_BOUND`` in the
@@ -34,38 +32,38 @@ row c_0 <= ... <= c_{D-1} over the n_modes + 1 symbols has the rank
 sum_i C(c_i + i, i + 1) < S = C(n_modes + D, D).  A row of width W < D has
 that rank minus sum_{i >= W} C(n_modes + i, i + 1), the same for every row,
 so keys are computed from the columns a row happens to have, in one order
-(degree descending, then colex) for every width.  The operators,
-``state_sum``, ``prune`` and ``state_scale`` hand the keys on, and
+(degree descending, then colex) for every width.  The operators, the
+merges, ``prune`` and ``state_scale`` hand the keys on, and
 ``inner_product`` pairs terms by them; no row is ranked twice.
 
 Coalescing.  An operator merges its terms with equal keys by one stable
-sort (``_group``); the first term of each run of equal keys stands for its
-group, and each term's group label, scattered back into term order, lets
-``np.bincount`` sum the amplitudes in the order the terms were made.  The
-sort is one ``np.sort`` of (key << b) | term, b the bit length of the term
-count: the packed values are distinct and break ties by term, so they
-sort into the stable order, for keys under 2^(63 - b); wider keys take a
-stable argsort, as config C's [a, a] blocks do (910 tags, 64 bits).
-Strictly increasing keys, as from a block's first raising, skip the sort.
-An operator holds no per-term tag array: its keys are ranked in place over
-a copy of the source tags, and the output tags are the group keys'
+sort (``_group``): each group keeps its first term and sums its terms from
++0.0 in the order they were made, by ``np.add.at`` over group labels
+scattered back into term order.  The sort is one ``np.sort`` of
+(key << b) | term, b the bit length of the term count: the packed values
+are distinct and break ties by term, so they sort into the stable order,
+for keys under 2^(63 - b); wider keys take a stable argsort, as config C's
+[a, a] blocks do (910 tags, 64 bits), and strictly increasing keys (a
+block's first raising) skip the sort.  An operator ranks its keys in place
+over a copy of the source tags; the output tags are the group keys'
 quotients by S (``_tags``).
 
 Families.  ``op_a`` and ``op_a_star`` also take coefficients of shape
-(members, n_modes) and return one state with amplitudes of shape
-(members, n_terms), acting member by member on such a state.  Rows, keys,
-sort and group labels are built once, from the union of the members'
-nonzero modes; each member forms and sums its own amplitudes in the term
-order of a single call, its zero coefficients adding only exact zeros,
-so its nonzero amplitudes and their keys are its single call's, bit for
-bit.  A family's ``coeffs`` lists the members' amplitudes per monomial.
+(members, n_modes) and return amplitudes of shape (members, n_terms),
+acting member by member on such a state.  Rows, keys, sort and group
+labels are built once, over the union of the members' nonzero modes; each
+member forms and sums its own amplitudes in a single call's term order,
+its zero coefficients adding only exact zeros, so its nonzero amplitudes
+and their keys are its single call's, bit for bit.  A family's ``coeffs``
+lists the members' amplitudes per monomial.
 
-Merging.  ``state_sum`` and ``max_abs`` fold key-sorted states in left
-to right by ``np.searchsorted`` (``_merge``), adding amplitudes where a key
-is present and inserting new keys; equal key arrays add in one step, and
-a state out of key order is argsorted alone first.  Starting from
-amp + 0.0, as bincount does, every amplitude, zero signs included, equals
-that of grouping the concatenated terms.
+Merging.  ``state_sum``, ``state_sub`` and ``max_abs_diff`` fold the later
+key-sorted states into the first by ``np.searchsorted`` (``_merge``),
+adding, or subtracting, amplitudes where a key is present (in one step
+for equal key arrays) and inserting the keys it lacks; a state out of key
+order is argsorted alone first.  From amp + 0.0, every amplitude, zero
+signs included, is that of grouping the concatenated terms, subtracted
+states negated.
 
 Monomial order.  ``monomial_rows``, ``monomial_at`` and ``covkg prequant
 --spectrum-out`` list monomials by degree, then by that rank (the colex
@@ -73,14 +71,14 @@ order of the rows), so the vacuum comes first.
 
 Operators.  Raising writes the new mode into an extra last column and moves
 it into place with one compare-exchange pass over column-major rows.
-Lowering drops the last column of each run of mode k, with the run length
-alpha_k as its factor, so the term is (hbar f_k alpha_k) c_alpha as one
-product: adding alpha_k dropped copies instead would leave roundoff in the
-off-diagonal terms of [a_f, a*_g] for alpha_k >= 3.  P_zeta multiplies
-each term by -hbar times the row sum of k.zeta over its index columns;
-``p_eigenvalue`` (a dot product over the distinct modes) and
-``p_eigenvalues`` (exponent counts times k.zeta) are separate paths for
-the checks to compare.
+Lowering drops the last column of each run of mode k (``_runs``), with the
+run length alpha_k as its factor, so the term is (hbar f_k alpha_k)
+c_alpha as one product: adding alpha_k dropped copies instead would leave
+roundoff in the off-diagonal terms of [a_f, a*_g] for alpha_k >= 3.
+P_zeta multiplies each term by -hbar times the row sum of k.zeta over its
+index columns; ``p_eigenvalue`` (a dot product over the distinct modes)
+and ``p_eigenvalues`` (exponent counts times k.zeta) are separate paths
+for the checks to compare.
 
 Product rule.  Complex products inside the operators are formed from
 float64 parts, one ufunc call each (``_cmul``): numpy's complex multiply
@@ -167,14 +165,14 @@ def _pad_rank(n_modes: int, columns: int, width: int) -> int:
 
 
 def _column_keys(n_modes: int, columns, tag: np.ndarray, width: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out=None, tags=None) -> np.ndarray:
     """int64 key tag * C(n_modes + D, D) + rank of each row padded to D =
-    ``width``, from its (at most D) ``columns``; built in ``out`` when given
-    (an int64 array, which may be ``tag`` itself)."""
+    ``width``, from its (at most D) ``columns``, in ``out`` when given (an
+    int64 array, maybe ``tag``); the int64 guard reads ``tags`` if given."""
     if not len(tag):
         return np.empty(0, dtype=np.int64)
     span = comb(n_modes + width, width)
-    if (int(tag.max()) + 1) * span > _INT64_MAX:
+    if (int((tag if tags is None else tags).max()) + 1) * span > _INT64_MAX:
         raise ValueError("state too large for int64 coalescing keys")
     keys = np.multiply(tag, span, out=out, dtype=np.int64)
     keys += _pad_rank(n_modes, len(columns), width)
@@ -217,34 +215,31 @@ def _stable_order(keys: np.ndarray):
 
 
 def _group(keys: np.ndarray, amp: np.ndarray):
-    """(first, group keys, summed amplitudes) of equal-key runs.
-
-    Groups come out in key order, each kept at its first term, as
-    ``np.unique(return_index=True, return_inverse=True)`` would give them;
-    each group sums its amplitudes in term order, per member of a family
-    (``amp`` of shape (members, n_terms)).  Strictly increasing keys are
-    their own groups: ``first`` is then None, not an index of every term
-    (``_firsts`` reads both); + 0.0 turns -0.0 into +0.0, as bincount does.
-    """
+    """(first, group keys, summed amplitudes) of equal-key runs, in key
+    order and each kept at its first term, as ``np.unique(return_index=True,
+    return_inverse=True)`` would give them; each group sums its amplitudes
+    in term order, per member of a family (``amp`` of shape (members,
+    n_terms)).  Strictly increasing keys are their own groups: ``first`` is
+    then None (``_firsts`` reads both), and + 0.0 turns -0.0 into +0.0."""
     if _increasing(keys):
         return None, keys, amp + 0.0
     order, sorted_keys = _stable_order(keys)
     starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    group_keys = sorted_keys.compress(starts)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    group_keys = sorted_keys[starts]
     del sorted_keys
-    first = order.compress(starts)
-    # Groups counted from 1, in term order: bincount adds in input order,
-    # and the stable sort keeps term order within a group.
+    first = order[starts]
+    # Labels count groups from 0, in term order: np.add.at sums in index
+    # order from +0.0, and the stable sort keeps term order in a group.
+    starts[0] = False
     label = np.empty_like(order)
-    label[order] = np.cumsum(starts)
+    label[order] = starts.cumsum()
     del order, starts
-    n = len(first) + 1
-    sums = [_complex(np.bincount(label, a.real, n)[1:],
-                     np.bincount(label, a.imag, n)[1:])
-            for a in amp.reshape(-1, len(keys))]
-    del label
-    return first, group_keys, sums[0] if amp.ndim == 1 else np.stack(sums)
+    sums = np.zeros(amp.shape[:-1] + (len(first),), dtype=complex)
+    for total, a in zip(sums.reshape(-1, len(first)),
+                        amp.reshape(-1, len(keys))):
+        np.add.at(total, label, a)
+    return first, group_keys, sums
 
 
 def _firsts(a: np.ndarray, first, axis: int = 0) -> np.ndarray:
@@ -253,12 +248,15 @@ def _firsts(a: np.ndarray, first, axis: int = 0) -> np.ndarray:
     return a if first is None else a.take(first, axis=axis)
 
 
-def _run_positions(idx: np.ndarray) -> np.ndarray:
-    """1-based position of each entry within its run of equal modes."""
-    pos = np.ones(idx.shape, dtype=np.uint8)
-    for j in range(1, idx.shape[1]):
-        pos[:, j] = np.where(idx[:, j] == idx[:, j - 1], pos[:, j - 1] + 1, 1)
-    return pos
+def _runs(idx: np.ndarray):
+    """(flat, end, length): the rows end to end, copied by columns (faster)
+    unless C-ordered, and each equal-mode run's last flat index and length."""
+    flat = (idx if idx.flags.c_contiguous else np.stack(idx.T, axis=1)).ravel()
+    ends = np.ones(len(flat), dtype=bool)  # the next entry differs or row ends
+    np.not_equal(flat[:-1], flat[1:], out=ends[:-1])
+    ends[idx.shape[1] - 1::idx.shape[1] or 1] = True  # no step 0 at width 0
+    end = ends.nonzero()[0]
+    return flat, end, end - np.concatenate(([-1], end[:-1]))
 
 
 def _widen(idx: np.ndarray, width: int, n_modes: int) -> np.ndarray:
@@ -344,7 +342,7 @@ def monomial(lat: ModeLattice, pairs) -> PolarizedState:
     """The state (u*)^alpha |0> for alpha given as {mode: exponent}."""
     alpha = []
     for k, e in dict(pairs).items():
-        if int(k) != k or int(e) != e:
+        if any(isinstance(v, (bool, np.bool_)) or int(v) != v for v in (k, e)):
             raise ValueError(f"pairs must map integer modes to integer "
                              f"exponents, got {k!r}: {e!r}")
         alpha.append((int(k), int(e)))
@@ -373,40 +371,41 @@ def _key_sorted(part):
     return [x.take(order, axis=0) for x in part]
 
 
-def _merge(parts):
-    """(keys, summed amplitudes, *payload) of ``parts``, tuples (key, amp,
-    *payload) of states' arrays with no key twice, by the fold of the module
-    docstring ("Merging"); a key keeps the payload of its first part."""
-    parts = [p for p in parts if len(p[0])] or parts[:1]  # empty adds nothing
+def _merge(states, subtract: bool = False) -> PolarizedState:
+    """The first of ``states`` plus (or minus) each later one, folded into
+    its keys ("Merging" above); a key keeps its first state's row and tag."""
+    lat = _same_lattice(states)
+    n_modes = lat.n_modes
+    width = max(s.idx.shape[1] for s in states)
+    parts = [(s.key, s.amp, _widen(s.idx, width, n_modes), s.tag)
+             for s in states]
+    combine = np.subtract if subtract else np.add
     key, amp, *rest = _key_sorted(parts[0])
-    amp = amp + 0.0  # bincount's sum starts from +0.0, so -0.0 becomes +0.0
+    amp = amp + 0.0  # group sums start from +0.0, so -0.0 becomes +0.0
     for part in parts[1:]:
         k, a, *more = _key_sorted(part)
         if np.array_equal(key, k):
-            amp += a
+            combine(amp, a, out=amp)
             continue
         pos = np.searchsorted(key, k)
-        hit = key.take(pos, mode="clip") == k
-        amp[pos[hit]] += a[hit]
+        hit = (key.take(pos, mode="clip") == k if len(key)
+               else np.zeros(len(k), dtype=bool))
+        at = pos[hit]
+        amp[at] = combine(amp[at], a[hit])
         new = ~hit
         if new.any():
             at = pos[new]
             key = np.insert(key, at, k[new])
-            amp = np.insert(amp, at, a[new] + 0.0)
+            amp = np.insert(amp, at, combine(0.0, a[new]))  # +0.0 as above
             rest = [np.insert(x, at, y[new], axis=0)
                     for x, y in zip(rest, more)]
-    return key, amp, *rest
+    return PolarizedState(lat, _trim(rest[0], n_modes), amp, rest[1], key)
 
 
 def state_sum(*states: PolarizedState) -> PolarizedState:
     """The sum of states on one lattice, merged once (``_merge``): bit for
     bit, adding them left to right with exact zeros pruned between steps."""
-    lat = _same_lattice(states)
-    n_modes = lat.n_modes
-    width = max(s.idx.shape[1] for s in states)
-    key, amp, idx, tag = _merge([(s.key, s.amp, _widen(s.idx, width, n_modes),
-                                  s.tag) for s in states])
-    return PolarizedState(lat, _trim(idx, n_modes), amp, tag, key)
+    return _merge(states)
 
 
 def state_scale(c, s: PolarizedState) -> PolarizedState:
@@ -414,7 +413,7 @@ def state_scale(c, s: PolarizedState) -> PolarizedState:
 
 
 def state_sub(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
-    return state_sum(s1, state_scale(-1.0, s2))
+    return _merge((s1, s2), subtract=True)
 
 
 def is_zero_state(s: PolarizedState) -> bool:
@@ -431,23 +430,24 @@ def states_equal(s1: PolarizedState, s2: PolarizedState) -> bool:
             and np.array_equal(s1.amp[nz1], s2.amp[nz2]))
 
 
-def max_abs(*states: PolarizedState) -> float:
-    """Largest |amplitude| of the states' sum, merged on keys and amplitudes
-    alone, 0.0 when it has no terms.  np.hypot rounds like Python's
-    abs(complex); np.abs on a complex array may differ in the last bit."""
-    _same_lattice(states)
-    _, amp = _merge([(s.key, s.amp) for s in states])
+def max_abs_diff(first: PolarizedState, *rest: PolarizedState) -> float:
+    """Largest |amplitude| of first - rest[0] - ... over every operand's
+    keys (``_merge``), 0.0 for no terms; np.hypot rounds like Python's
+    abs(complex), np.abs on a complex array may differ in the last bit."""
+    amp = _merge((first, *rest), subtract=True).amp
     return float(np.max(np.hypot(amp.real, amp.imag), initial=0.0))
 
 
 def _mode_coefficients(lat: ModeLattice, f, name: str):
-    """``f`` as complex, of shape (n_modes,) or (members, n_modes), and the
-    modes where any member's coefficient is nonzero."""
-    f = np.asarray(f, dtype=complex)
+    """``f`` as complex, padded with a zero sentinel coefficient to shape
+    (..., n_modes + 1), and the symbols where any member's is nonzero."""
+    f = np.asarray(f)
     if f.ndim not in (1, 2) or f.shape[-1] != lat.n_modes:
         raise ValueError(f"{name} must have shape ({lat.n_modes},) or "
                          f"(members, {lat.n_modes}), got {f.shape}")
-    return f, (f != 0).reshape(-1, lat.n_modes).any(axis=0)
+    padded = np.zeros(f.shape[:-1] + (lat.n_modes + 1,), dtype=complex)
+    padded[..., :-1] = f
+    return padded, (padded != 0).reshape(-1, lat.n_modes + 1).any(axis=0)
 
 
 def op_a(f, state: PolarizedState) -> PolarizedState:
@@ -455,30 +455,33 @@ def op_a(f, state: PolarizedState) -> PolarizedState:
     ``f`` of shape (members, n_modes) makes a family."""
     lat = state.lat
     n_modes = lat.n_modes
-    f, live = _mode_coefficients(lat, f, "f")
-    hf = np.concatenate([lat.hbar * f, np.zeros_like(f[..., :1])], axis=-1)
-    idx = np.ascontiguousarray(_trim(state.idx, n_modes))
+    hf, live = _mode_coefficients(lat, f, "f")
+    hf *= lat.hbar
+    idx = _trim(state.idx, n_modes)
     width = idx.shape[1]
     # Term (i, j) lowers row i at column j, the last of a run of mode k,
     # with the run length alpha_k as factor; the sentinel and modes whose
     # coefficient is zero in every member make no term.
-    lowers = np.append(live, False).take(idx)
-    lowers[:, :-1] &= idx[:, 1:] != idx[:, :-1]
-    term = np.flatnonzero(lowers)
-    mode = idx.ravel().take(term)
-    pos = _run_positions(idx).ravel().take(term)
+    flat, term, alpha = _runs(idx)
+    mode = flat.take(term)
+    lowers = live.take(mode)
+    term, alpha, mode = term[lowers], alpha[lowers], mode[lowers]
     src = np.floor_divide(term, width, out=term)  # the source rows
-    amp = _cmul(hf.take(mode, axis=-1) * pos, state.amp.take(src, axis=-1))
+    amp = _cmul(hf.take(mode, axis=-1) * alpha, state.amp.take(src, axis=-1))
     # Lowered column c is source column c + 1 where that exceeds the mode
-    # (past the dropped column), else column c; column-major, in place.
-    cols = idx.T.take(src, axis=1)
+    # (past the dropped column), else column c: in sorted rows, the larger of
+    # column c and column c + 1 zeroed where not past; column-major.
+    cols = np.empty((width, len(src)), dtype=idx.dtype)
+    for c, column in enumerate(idx.T):
+        column.take(src, out=cols[c])
     for c in reversed(range(width - 1)):
-        np.copyto(cols[c + 1], cols[c], where=cols[c + 1] <= mode)
+        np.multiply(cols[c + 1], cols[c + 1] > mode, out=cols[c + 1])
+        np.maximum(cols[c], cols[c + 1], out=cols[c + 1])
     cols = cols[1:]
     keys = state.tag.take(src)  # the terms' tags, ranked into keys in place
-    del lowers, term, mode, pos, src  # not held while coalescing
-    first, key, amp = _group(
-        _column_keys(n_modes, cols, keys, DEGREE_BOUND, out=keys), amp)
+    del flat, lowers, term, alpha, mode, src  # not held while coalescing
+    first, key, amp = _group(_column_keys(n_modes, cols, keys, DEGREE_BOUND,
+                                          out=keys, tags=state.tag), amp)
     return PolarizedState(lat, _trim(_firsts(cols, first, axis=1).T, n_modes),
                           amp, _tags(n_modes, key), key)
 
@@ -489,7 +492,7 @@ def op_a_star(g, state: PolarizedState) -> PolarizedState:
     lat = state.lat
     n_modes = lat.n_modes
     g, live = _mode_coefficients(lat, g, "g")
-    modes = np.flatnonzero(live)
+    modes = live.nonzero()[0]  # the sentinel's coefficient is zero
     idx = _trim(state.idx, n_modes)
     (n, width), n_new = idx.shape, len(modes)
     if n and n_new and width + 1 > DEGREE_BOUND:
@@ -506,11 +509,11 @@ def op_a_star(g, state: PolarizedState) -> PolarizedState:
         low = np.minimum(cols[j], cols[j + 1])
         np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
         cols[j] = low
-    amp = _cmul((lat.w * g)[..., None, modes], state.amp[..., None])
+    amp = _cmul((lat.w * g[..., :-1])[..., None, modes], state.amp[..., None])
     amp = amp.reshape(amp.shape[:-2] + (-1,))
-    keys = np.repeat(state.tag, n_new)  # ranked into keys in place
-    first, key, amp = _group(
-        _column_keys(n_modes, cols, keys, DEGREE_BOUND, out=keys), amp)
+    keys = state.tag.repeat(n_new)  # ranked into keys in place
+    first, key, amp = _group(_column_keys(n_modes, cols, keys, DEGREE_BOUND,
+                                          out=keys, tags=state.tag), amp)
     return PolarizedState(lat, _trim(_firsts(cols, first, axis=1).T, n_modes),
                           amp, _tags(n_modes, key), key)
 
@@ -571,21 +574,18 @@ def commutator(op_left, op_right, state: PolarizedState) -> PolarizedState:
 
 
 def _norm_sq(lat: ModeLattice, idx: np.ndarray) -> np.ndarray:
-    """prod_k alpha_k! (hbar / w_k)^alpha_k of each row.
-
-    Each column contributes (hbar / w_k) times its position in the run of
-    mode k, so a run of length e contributes e! (hbar / w_k)^e.
-    """
+    """prod_k alpha_k! (hbar / w_k)^alpha_k of each row: each entry gives
+    hbar / w_k times its position in its run of mode k (``_runs``)."""
     ratio = np.append(lat.hbar / lat.w, 1.0)
+    flat, end, length = _runs(idx)
+    pos = np.arange(len(flat)) - np.repeat(end - length, length)
     return np.prod(np.where(idx < lat.n_modes,
-                            _run_positions(idx) * ratio[idx], 1.0), axis=1)
+                            pos.reshape(idx.shape) * ratio[idx], 1.0), axis=1)
 
 
 def inner_product(s1: PolarizedState, s2: PolarizedState) -> complex:
-    """Diagonal pairing, conjugate-linear in the first argument.
-
-    Terms pair up when tag and monomial agree.
-    """
+    """Diagonal pairing, conjugate-linear in the first argument; terms pair
+    up when tag and monomial agree."""
     lat = _same_lattice((s1, s2))
     _, i1, i2 = np.intersect1d(s1.key, s2.key, assume_unique=True,
                                return_indices=True)
@@ -594,10 +594,8 @@ def inner_product(s1: PolarizedState, s2: PolarizedState) -> complex:
 
 
 def _unrank(n_modes: int, degree: int, ranks) -> np.ndarray:
-    """Sorted rows of one degree with these ranks; inverts ``_column_keys``.
-
-    From the last column, c_i + i is the largest b with C(b, i + 1) <= rank.
-    """
+    """Sorted rows of one degree with these ranks, inverting ``_column_keys``:
+    from the last column, c_i + i is the largest b with C(b, i + 1) <= rank."""
     ranks = np.asarray(ranks, dtype=np.int64)
     binom = _binomials(n_modes, degree)
     rows = np.empty((len(ranks), degree), dtype=np.intp)
@@ -614,10 +612,8 @@ def _check_max_degree(max_degree: int) -> None:
 
 
 def monomial_rows(lat: ModeLattice, max_degree: int) -> np.ndarray:
-    """Every monomial of degree <= max_degree as a sentinel-padded index row.
-
-    Ordered by degree, then by rank, so the vacuum row comes first.
-    """
+    """Every monomial of degree <= max_degree as a sentinel-padded index
+    row, by degree, then by rank, so the vacuum row comes first."""
     _check_max_degree(max_degree)
     n = lat.n_modes
     return np.concatenate([

@@ -283,8 +283,8 @@ def _blocks(lat, rows, fan_out: int):
 
 def ccr_residual(lat, f, g, rows) -> float:
     """Max coefficient of ([a_f, a*_g] - hbar sum w f g) over monomial rows:
-    A_f A*_g x, -A*_g A_f x and -s x summed in one merge of keys and
-    amplitudes, bit for bit the nested ``state_sub`` and the scalar term."""
+    A*_g A_f x and s x subtracted from A_f A*_g x on its keys, bit for bit
+    the nested ``state_sub`` and the scalar term."""
     scalar = lat.hbar * np.sum(lat.w * np.asarray(f) * np.asarray(g))
     worst = 0.0
     # a*_g makes up to n_modes terms, a_f lowers each at up to D+1 places.
@@ -292,8 +292,8 @@ def ccr_residual(lat, f, g, rows) -> float:
     for _, block in _blocks(lat, rows, fan_out):
         ab = pq.op_a(f, pq.op_a_star(g, block))
         ba = pq.op_a_star(g, pq.op_a(f, block))
-        worst = max(worst, pq.max_abs(ab, pq.state_scale(-1.0, ba),
-                                      pq.state_scale(-scalar, block)))
+        worst = max(worst, pq.max_abs_diff(ab, ba,
+                                           pq.state_scale(scalar, block)))
     return worst
 
 
@@ -380,7 +380,7 @@ def suite_prequant(cfg: RunConfig) -> list:
     gprime = pq.minkowski_kz(lat, zeta) * g
     rhs = pq.state_scale(-lat.hbar, pq.op_a_star(gprime, state))
     out.append(cfg.check("prequant.p_astar_commutator",
-                         pq.max_abs(lhs, pq.state_scale(-1.0, rhs)), 0.0))
+                         pq.max_abs_diff(lhs, rhs), 0.0))
 
     s1 = _random_state(lat, rng, 4)
     s2 = _random_state(lat, rng, 4)

@@ -20,9 +20,13 @@ The prequant suite applies ``op_a`` and ``op_a_star`` to tagged blocks of
 ``suites._BLOCK_TERMS`` terms, and each exact-zero check applies them to
 both orders of its commutator as one coefficient family; smaller blocks, a
 check split back per monomial or an exact-zero check whose two orders run
-apart raise its operator calls.  Each sort of an unsorted operator output
-is one ``prequant._stable_order`` call, whichever way it sorts; a merge
-that sorts again, or keys too wide to pack, raise the ``np.argsort`` calls.
+apart raise its operator calls.  Complex products are the
+``lattice._cmul`` calls made through ``prequant``, one per operator call,
+``state_scale`` and ``inner_product``; a negation pass that comes back
+(scaling A*_g A_f x by -1 to add it in the ccr check) raises them.  Each
+sort of an unsorted operator output is one ``prequant._stable_order`` call,
+whichever way it sorts; a merge that sorts again, or keys too wide to
+pack, raise the ``np.argsort`` calls.
 """
 
 import sys
@@ -48,8 +52,9 @@ CONFIG_C_BUDGET = {
 }
 SIMULATE_SYNTHESIZE_BUDGET = 4
 PREQUANT_OP_BUDGET = {
-    "A": ({}, {"op_a": 12, "op_a_star": 20}),
-    "wide": ({"d": 1, "N": 32, "n_max": 11}, {"op_a": 40, "op_a_star": 76}),
+    "A": ({}, {"op_a": 12, "op_a_star": 20, "_cmul": 45}),
+    "wide": ({"d": 1, "N": 32, "n_max": 11},
+             {"op_a": 40, "op_a_star": 76, "_cmul": 141}),
 }
 # Coalescing sorts of the prequant suite at the same configs: a block's
 # first raising comes out key-sorted and sorts nothing.

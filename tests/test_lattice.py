@@ -65,6 +65,14 @@ def test_mode_index_rejects_non_integer_vectors(lat1d, n):
     assert lat1d.mode_index(np.array([1])) == lat1d.mode_index((1,)) == 8
 
 
+def test_mode_index_rejects_a_boolean_among_integers(lat2d):
+    """numpy reads (True, 2) as the int array [1, 2], so the boolean is
+    found in the sequence itself."""
+    with pytest.raises(ValueError, match="must be integers"):
+        lat2d.mode_index((True, 2))
+    assert lat2d.mode_index((1, 2)) == lat2d.mode_index(np.array([1, 2]))
+
+
 def test_dispersion_matches_table(lat2d):
     for i in range(lat2d.n_modes):
         k0 = np.sqrt(lat2d.m ** 2 + lat2d.k[i] @ lat2d.k[i])

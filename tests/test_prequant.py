@@ -36,7 +36,7 @@ from covkg.prequant import (
     _trim,
     _widen,
     is_zero_state,
-    max_abs,
+    max_abs_diff,
     minkowski_kz,
     monomial_at,
     monomial_block,
@@ -624,14 +624,16 @@ def test_out_of_range_rows_are_rejected(lat):
     ([[True, False]], [0]),     # boolean rows would read as modes 1 and 0
     ([[1, 2]], [0.7]),          # a float tag would truncate to 0
     ([[1, 2]], [True]),
+    ([[True, 2]], [0]),         # numpy casts a boolean among ints to 1
+    ([[1], [2]], [0, np.True_]),
 ])
 def test_non_integer_rows_and_tags_are_rejected(lat, rows, tags):
     with pytest.raises(ValueError, match="must be integers"):
-        PolarizedState(lat, rows, [1.0], tags)
+        PolarizedState(lat, rows, np.ones(len(rows)), tags)
 
 
 @pytest.mark.parametrize("rows", [[[1.5, 2.9]], [[True, False]],
-                                  np.array([[1.0, 2.0]])])
+                                  np.array([[1.0, 2.0]]), [[True, 3]]])
 def test_monomial_block_rejects_non_integer_rows(lat, rows):
     with pytest.raises(ValueError, match="must be integers"):
         monomial_block(lat, rows)
@@ -679,6 +681,10 @@ def test_bad_monomial_arguments_name_the_argument(lat):
         monomial(lat, {1: 1.5})
     with pytest.raises(ValueError, match="pairs"):
         monomial(lat, {1.5: 1})
+    # int(True) == True, so a boolean mode or exponent would read as 1
+    for pairs in ({True: 2}, {3: True}, {np.True_: 1}):
+        with pytest.raises(ValueError, match="pairs"):
+            monomial(lat, pairs)
     assert monomial(lat, {1: 2.0}).idx.tolist() == [[1, 1]]
     with pytest.raises(ValueError, match="max_degree"):
         monomial_rows(lat, -1)
@@ -834,7 +840,7 @@ def test_keys_are_carried_through_every_operation(rows_lats, width):
 
 
 def _concat_merge(*states):
-    """The merge ``state_sum`` and ``max_abs`` made before the fold: all
+    """The merge ``state_sum`` made before the fold: all
     terms concatenated in argument order and grouped by one ``_group``."""
     n = states[0].lat.n_modes
     first, key, amp = _group(np.concatenate([s.key for s in states]),
@@ -879,26 +885,43 @@ def _merge_cases(lat):
     }
 
 
+def _assert_same_state(got, want):
+    """Keys, amplitudes (zero signs included), rows and tags equal bit for
+    bit, with their dtypes."""
+    assert np.array_equal(got.key, want.key)
+    assert got.key.dtype == want.key.dtype
+    assert got.amp.tobytes() == want.amp.tobytes()
+    assert got.idx.shape == want.idx.shape and got.idx.dtype == want.idx.dtype
+    assert np.array_equal(got.idx, want.idx)
+    assert np.array_equal(got.tag, want.tag)
+    assert got.tag.dtype == want.tag.dtype
+
+
 @pytest.mark.parametrize("case", ["equal", "disjoint", "overlap",
                                   "empty_first", "empty_later", "one_unsorted",
                                   "one_signed_zero", "signed_zeros", "four"])
 def test_fold_merge_equals_the_concatenating_merge(rows_lats, case):
     """``state_sum`` equals the concatenate-and-group merge bit for bit in
     keys, amplitudes (zero signs included), rows, row dtype and tags, and
-    ``max_abs`` equals the largest modulus of that merge, on both row
-    dtypes."""
+    ``max_abs_diff`` of the first state and the negated later ones equals
+    the largest modulus of that merge, on both row dtypes.  ``state_sub``,
+    which subtracts on the first state's keys, equals the sum with the
+    negated second state bit for bit."""
     for lat in rows_lats:
         states = _merge_cases(lat)[case]
         idx, amp, tag, key = _concat_merge(*states)
         got = state_sum(*states)
-        assert np.array_equal(got.key, key) and got.key.dtype == key.dtype
-        assert got.amp.tobytes() == amp.tobytes()
-        assert got.idx.shape == idx.shape and got.idx.dtype == idx.dtype
-        assert np.array_equal(got.idx, idx)
-        assert np.array_equal(got.tag, tag) and got.tag.dtype == tag.dtype
-        assert max_abs(*states) == float(
+        _assert_same_state(got, PolarizedState(lat, idx, amp, tag, key))
+        negated = [state_scale(-1.0, s) for s in states[1:]]
+        assert max_abs_diff(states[0], *negated) == float(
             np.max(np.hypot(amp.real, amp.imag), initial=0.0))
         _assert_keys_carried(got)
+        if len(states) > 1:
+            _assert_same_state(state_sub(*states[:2]),
+                               state_sum(states[0], negated[0]))
+            _assert_same_state(state_sub(*states[1::-1]),
+                               state_sum(states[1], state_scale(-1.0,
+                                                                states[0])))
 
 
 def _nested_ccr(lat, f, g, block):
@@ -910,8 +933,8 @@ def _nested_ccr(lat, f, g, block):
 def test_one_merge_equals_nested_state_sub(wide_lat):
     """The ccr residual summed in one merge equals, bit for bit, the
     nested ``state_sub`` of the commutator and the scalar term, and
-    ``max_abs`` of the three states, merged on keys and amplitudes alone,
-    equals that of the merged state."""
+    ``max_abs_diff`` of the three states, merged on keys and amplitudes
+    alone, equals that of the merged state."""
     from covkg import suites
     lat = wide_lat
     f, g = _rand_fg(lat, 5)
@@ -929,10 +952,103 @@ def test_one_merge_equals_nested_state_sub(wide_lat):
         assert np.array_equal(got.idx, want.idx)
         assert np.array_equal(got.key, want.key)
         assert got.amp.tobytes() == want.amp.tobytes()
-        assert max_abs(ab, state_scale(-1.0, ba),
-                       state_scale(-scalar, block)) == max_abs(nested)
-        worst = max(worst, max_abs(nested))
+        assert max_abs_diff(ab, ba, state_scale(scalar, block)) == \
+            max_abs_diff(nested)
+        worst = max(worst, max_abs_diff(nested))
     assert suites.ccr_residual(lat, f, g, rows) == worst
+
+
+@pytest.mark.parametrize("how", ["drop", "move"])
+@pytest.mark.parametrize("product", ["ab", "ba"])
+def test_ccr_residual_reads_a_term_one_product_lacks(lat, monkeypatch,
+                                                     product, how):
+    """The subtracting merge keeps its power.  The largest term of A_f A*_g x
+    (the first operand) or of A*_g A_f x (a later one) is dropped, so its
+    key is missing from that operand, or moved to a key no other operand
+    holds, so one key is missing from each side.  The residual then reads
+    at least that term's modulus, less the clean residual where the other
+    operands still cancel part of it."""
+    from covkg import prequant, suites
+    f, g = _rand_fg(lat, 7)
+    rows = monomial_rows(lat, 3)[:50]  # one block
+    clean = suites.ccr_residual(lat, f, g, rows)
+    assert 0.0 < clean < 1e-12
+    # A tag past the block's 50: no operand holds this key.
+    fresh = len(rows) * math.comb(lat.n_modes + DEGREE_BOUND, DEGREE_BOUND)
+    # Per block: op_a_star(g, x), then op_a (A_f A*_g x), op_a(f, x), then
+    # op_a_star (A*_g A_f x).
+    name, damaged_call = {"ab": ("op_a", 1), "ba": ("op_a_star", 2)}[product]
+    real = getattr(prequant, name)
+    calls, sizes = [], []
+
+    def damaging(c, state):
+        out = real(c, state)
+        calls.append(name)
+        if len(calls) != damaged_call:
+            return out
+        modulus = np.hypot(out.amp.real, out.amp.imag)
+        i = int(np.argmax(modulus))
+        sizes.append(float(modulus[i]))
+        if how == "move":
+            key = out.key.copy()
+            key[i] = fresh
+            return dataclasses.replace(out, key=key)
+        keep = np.arange(len(out.key)) != i
+        return dataclasses.replace(out, idx=out.idx[keep], amp=out.amp[keep],
+                                   tag=out.tag[keep], key=out.key[keep])
+
+    monkeypatch.setattr(prequant, name, damaging)
+    got = suites.ccr_residual(lat, f, g, rows)
+    assert len(calls) == 2 and len(sizes) == 1
+    bound = sizes[0] if how == "move" else sizes[0] - clean
+    assert got >= bound > 0.1
+
+
+def _hand_built(lat, rows):
+    """``monomial_block(lat, rows)`` and the same terms built by hand: with
+    two trailing sentinel columns, with a Fortran-ordered ``idx``, and in
+    shuffled term order, so the keys are out of order."""
+    block = monomial_block(lat, rows)
+    n = len(rows)
+    ones = np.ones(n)
+    padded = np.concatenate([block.idx, np.full((n, 2), lat.n_modes)],
+                            axis=1)
+    perm = np.random.default_rng(1).permutation(n)
+    hand = {
+        "sentinel_columns": PolarizedState(lat, padded, ones, np.arange(n)),
+        "fortran_idx": PolarizedState(lat, np.asfortranarray(block.idx), ones,
+                                      np.arange(n)),
+        "unsorted_keys": PolarizedState(lat, block.idx[perm], ones, perm),
+    }
+    assert hand["sentinel_columns"].idx.shape[1] == block.idx.shape[1] + 2
+    assert hand["fortran_idx"].idx.flags.f_contiguous
+    assert not _increasing(hand["unsorted_keys"].key)
+    return block, hand
+
+
+@pytest.mark.parametrize("op", [op_a, op_a_star], ids=["a", "a_star"])
+def test_hand_built_inputs_give_the_block_outputs(rows_lats, op):
+    """The operators assume nothing about how their input was built: each
+    hand-built input of ``_hand_built`` gives outputs equal bit for bit to
+    those of the same terms from ``monomial_block``, for a coefficient
+    vector and for families with zero coefficients at some modes (zero in
+    one member, or in every member).  Both row dtypes run."""
+    for lat in rows_lats:
+        f, g = _rand_fg(lat, 11)
+        fd1, fd2 = _dyadic(lat, 4), _dyadic(lat, 5)
+        fd1[[0, 3, 5]] = 0.0
+        fd2[[1, 3]] = 0.0
+        f[2::5] = 0.0
+        coefficients = [g, f, np.stack([fd1, fd2]), np.stack([f, fd2, g])]
+        last = math.comb(lat.n_modes + 3, 3)  # the degree-3 rows end here
+        cubic = np.array([monomial_at(lat, 3, i) for i in range(last - 30,
+                                                                last)])
+        for rows in (monomial_rows(lat, 2)[:40], cubic):
+            block, hand = _hand_built(lat, rows)
+            for c in coefficients:
+                want = op(c, block)
+                for name, state in hand.items():
+                    _assert_same_state(op(c, state), want)
 
 
 def test_ladder_checks_do_not_depend_on_the_block_size(wide_lat,
