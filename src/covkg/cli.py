@@ -57,14 +57,16 @@ _BRACKET_RECORDS = ("observables.bracket_", "observables.pmu_identity_",
 PREQUANT_TERM_BUDGET = 10 ** 9
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, lam=True, tol=True) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--lambda", dest="lam", type=float,
-                     help="override the theta_lambda gauge parameter")
-    sub.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                     help="override a named check tolerance (repeatable)")
+    if lam:
+        sub.add_argument("--lambda", dest="lam", type=float,
+                         help="override the theta_lambda gauge parameter")
+    if tol:
+        sub.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                         help="override a named check tolerance (repeatable)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="covkg",
         description="verification tools for the covariant Klein-Gordon "
                     "field on a periodic box")
+    parser.set_defaults(lam=None, tol=None)  # for commands without them
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run an invariant suite")
@@ -92,10 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--leapfrog-dt", type=float,
                        help="also evolve by leapfrog at this step and emit "
                        "its energy column")
-    _add_common(p_sim)
+    _add_common(p_sim, tol=False)
 
     p_br = sub.add_parser("brackets", help="bracket identity table")
-    _add_common(p_br)
+    _add_common(p_br, lam=False)
 
     p_pq = sub.add_parser("prequant", help="operator checks and P spectrum")
     p_pq.add_argument("--fg", help="JSON file {\"f\": [...], \"g\": [...]} "
@@ -103,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pq.add_argument("--max-degree", type=int, default=2)
     p_pq.add_argument("--spectrum-out", help="CSV path for the monomial "
                       "spectrum of the time translation generator")
-    _add_common(p_pq)
+    _add_common(p_pq, lam=False)
 
     p_spec = sub.add_parser("spec", help="print the resolved configuration")
     _add_common(p_spec)

@@ -63,7 +63,9 @@ adding, or subtracting, amplitudes where a key is present (in one step
 for equal key arrays) and inserting the keys it lacks; a state out of key
 order is argsorted alone first.  From amp + 0.0, every amplitude, zero
 signs included, is that of grouping the concatenated terms, subtracted
-states negated.
+states negated.  ``max_abs_diff`` reads 0.0 exactly when the amplitudes are
+equal on every key, a key a state lacks reading 0, as x - y == 0 only when
+x == y for finite amplitudes; else it reads the largest |amplitude| left.
 
 Monomial order.  ``monomial_rows``, ``monomial_at`` and ``covkg prequant
 --spectrum-out`` list monomials by degree, then by that rank (the colex
@@ -414,20 +416,6 @@ def state_scale(c, s: PolarizedState) -> PolarizedState:
 
 def state_sub(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
     return _merge((s1, s2), subtract=True)
-
-
-def is_zero_state(s: PolarizedState) -> bool:
-    return not np.any(s.amp != 0)
-
-
-def states_equal(s1: PolarizedState, s2: PolarizedState) -> bool:
-    """Whether s1 - s2 is exactly the zero state, for key-sorted states
-    with no key twice and finite amplitudes: their nonzero terms have the
-    same keys and equal amplitudes, as x - y == 0 only when x == y."""
-    _same_lattice((s1, s2))
-    nz1, nz2 = s1.amp != 0, s2.amp != 0
-    return (np.array_equal(s1.key[nz1], s2.key[nz2])
-            and np.array_equal(s1.amp[nz1], s2.amp[nz2]))
 
 
 def max_abs_diff(first: PolarizedState, *rest: PolarizedState) -> float:

@@ -24,6 +24,9 @@ apart raise its operator calls.  Complex products are the
 ``lattice._cmul`` calls made through ``prequant``, one per operator call,
 ``state_scale`` and ``inner_product``; a negation pass that comes back
 (scaling A*_g A_f x by -1 to add it in the ccr check) raises them.  Each
+comparison of states is one ``prequant._merge`` (``max_abs_diff``): one per
+block of each per-monomial check, two for the vacuum, one each for
+[P, a*] and the cross-module ccr; a second comparison pass raises them.  Each
 sort of an unsorted operator output is one ``prequant._stable_order`` call,
 whichever way it sorts; a merge that sorts again, or keys too wide to
 pack, raise the ``np.argsort`` calls.
@@ -52,9 +55,9 @@ CONFIG_C_BUDGET = {
 }
 SIMULATE_SYNTHESIZE_BUDGET = 4
 PREQUANT_OP_BUDGET = {
-    "A": ({}, {"op_a": 12, "op_a_star": 20, "_cmul": 45}),
+    "A": ({}, {"op_a": 12, "op_a_star": 20, "_cmul": 45, "_merge": 14}),
     "wide": ({"d": 1, "N": 32, "n_max": 11},
-             {"op_a": 40, "op_a_star": 76, "_cmul": 141}),
+             {"op_a": 40, "op_a_star": 76, "_cmul": 141, "_merge": 44}),
 }
 # Coalescing sorts of the prequant suite at the same configs: a block's
 # first raising comes out key-sorted and sorts nothing.

@@ -85,6 +85,27 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tol", "msymp.kg_residual=5", "--n-out", "2"],
+    ["prequant", "--lambda", "3"],
+    ["brackets", "--lambda", "7"],
+], ids=["simulate_tol", "prequant_lambda", "brackets_lambda"])
+def test_flags_a_command_would_ignore_exit_two(argv, capsys):
+    """``--tol`` is only on the commands that make or echo check records
+    (verify, brackets, prequant, spec) and ``--lambda`` only where the gauge
+    enters (verify, simulate, spec): elsewhere argparse refuses them."""
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flags_stay_where_they_act(tmp_path):
+    for argv in (["spec", "--lambda", "0.5", "--tol", "msymp.kg_residual=1"],
+                 ["simulate", "--lambda", "0.5", "--n-out", "2",
+                  "--t-final", "0.1"],
+                 ["brackets", "--tol", "observables.bracket_two_path=1"]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0, argv
+
+
 def test_input_errors_name_the_bad_value(capsys):
     """A non-numeric --tol value names its tolerance; a repeated --track
     index exits 2 instead of emitting two columns for one mode, and a

@@ -35,7 +35,6 @@ from covkg.prequant import (
     _increasing,
     _trim,
     _widen,
-    is_zero_state,
     max_abs_diff,
     minkowski_kz,
     monomial_at,
@@ -47,7 +46,6 @@ from covkg.prequant import (
     state_scale,
     state_sub,
     state_sum,
-    states_equal,
 )
 from covkg.reporting import RunConfig
 from covkg.suites import suite_prequant
@@ -124,7 +122,7 @@ def test_state_arithmetic(lat, i0):
     assert s.coeffs[((i0, 1),)] == 2.0 + 0j
     assert s.coeffs[((i0, 2),)] == -3.0j
     z = state_sub(s, s)
-    assert is_zero_state(prune(z))
+    assert max_abs_diff(prune(z)) == 0.0
 
 
 def test_monomial_rows_counts(lat):
@@ -181,7 +179,7 @@ def test_lowering_hand_values(lat, i0):
     """a_f maps (u*)^e to hbar f e (u*)^(e-1), slot by slot."""
     f = np.zeros(lat.n_modes)
     f[i0] = 3.0
-    assert is_zero_state(op_a(f, vacuum(lat)))
+    assert max_abs_diff(op_a(f, vacuum(lat))) == 0.0
     out = op_a(f, monomial(lat, [(i0, 1)]))
     assert out.coeffs == {(): 3.0 + 0j}
     out = op_a(f, monomial(lat, [(i0, 2)]))
@@ -254,9 +252,9 @@ def test_p_diagonal_with_additive_eigenvalues(lat, i0):
 
 def test_vacuum_annihilated_exactly(lat):
     zeta = np.array([0.7, -0.4])
-    assert is_zero_state(op_p(zeta, vacuum(lat)))
+    assert max_abs_diff(op_p(zeta, vacuum(lat))) == 0.0
     f = np.ones(lat.n_modes, dtype=complex)
-    assert is_zero_state(op_a(f, vacuum(lat)))
+    assert max_abs_diff(op_a(f, vacuum(lat))) == 0.0
 
 
 def test_energy_eigenvalues_nonnegative(lat):
@@ -442,8 +440,8 @@ def test_lowering_commutator_exact_zero_dyadic(wide_lat):
     """
     f, fp = _dyadic(wide_lat, 0), _dyadic(wide_lat, 1)
     block = monomial_block(wide_lat, monomial_rows(wide_lat, 3))
-    assert is_zero_state(commutator(partial(op_a, f), partial(op_a, fp),
-                                    block))
+    assert max_abs_diff(commutator(partial(op_a, f), partial(op_a, fp),
+                                   block)) == 0.0
 
 
 def test_raising_commutator_exact_zero_generic(wide_lat):
@@ -453,8 +451,8 @@ def test_raising_commutator_exact_zero_generic(wide_lat):
     """
     g, gp = _rand_fg(wide_lat, 7)
     block = monomial_block(wide_lat, monomial_rows(wide_lat, 2))
-    assert is_zero_state(commutator(partial(op_a_star, g),
-                                    partial(op_a_star, gp), block))
+    assert max_abs_diff(commutator(partial(op_a_star, g),
+                                   partial(op_a_star, gp), block)) == 0.0
 
 
 def _tag_terms(state, tag):
@@ -593,7 +591,7 @@ def test_raising_checks_the_degree_present_not_the_padded_width(lat):
 
 def test_repeated_terms_are_rejected(lat):
     """A (tag, row) pair given twice would break the one-term-per-key
-    pairing of inner_product and states_equal, so construction refuses it;
+    pairing of inner_product and the merges, so construction refuses it;
     the same row under two tags, or unsorted distinct terms, are fine."""
     pad = lat.n_modes
     for rows, tags in (([[1], [1]], [0, 0]),
@@ -924,6 +922,44 @@ def test_fold_merge_equals_the_concatenating_merge(rows_lats, case):
                                                                 states[0])))
 
 
+def _ladder_lhs(lat, f, g, rows, raise_rows, seed=0):
+    """lhs of the ccr, [a, a], [a*, a*] and vacuum records that
+    ``suites.ladder_checks`` makes on ``lat``, drawing [a, a]'s dyadic
+    coefficients from ``default_rng(seed)``."""
+    from covkg import suites
+    cfg = RunConfig(d=lat.d, L=lat.L, N=lat.N, n_max=lat.n_max, m=lat.m,
+                    hbar=lat.hbar)
+    return [r.lhs for r in suites.ladder_checks(
+        cfg, np.random.default_rng(seed), f, g, rows, raise_rows)]
+
+
+def _ccr_residual(lat, f, g, rows):
+    """The ccr residual as ``suites.ladder_checks`` forms it, alone; the
+    operators are looked up on ``prequant`` at each call, so a patch there
+    reaches them."""
+    from covkg import prequant, suites
+    scalar = lat.hbar * np.sum(lat.w * f * g)
+
+    def products(part, x):
+        return (prequant.op_a(f, prequant.op_a_star(g, x)),
+                prequant.op_a_star(g, prequant.op_a(f, x)),
+                prequant.state_scale(scalar, x))
+    return suites.ladder_residual(lat, rows, lat.n_modes * (rows.shape[1] + 1),
+                                  products)
+
+
+def _orders_residual(lat, rows, op, c1, c2, fan_out):
+    """The residual of an exact-zero record of ``suites.ladder_checks``,
+    alone: A B x against B A x, the members of op([c1, c2], op([c2, c1], x)),
+    in blocks of ``fan_out`` terms per monomial."""
+    from covkg import suites
+
+    def products(part, x):
+        both = op(np.stack([c1, c2]), op(np.stack([c2, c1]), x))
+        return [dataclasses.replace(both, amp=amp) for amp in both.amp]
+    return suites.ladder_residual(lat, rows, fan_out, products)
+
+
 def _nested_ccr(lat, f, g, block):
     scalar = lat.hbar * np.sum(lat.w * f * g)
     comm = commutator(partial(op_a, f), partial(op_a_star, g), block)
@@ -934,8 +970,8 @@ def test_one_merge_equals_nested_state_sub(wide_lat):
     """The ccr residual summed in one merge equals, bit for bit, the
     nested ``state_sub`` of the commutator and the scalar term, and
     ``max_abs_diff`` of the three states, merged on keys and amplitudes
-    alone, equals that of the merged state."""
-    from covkg import suites
+    alone, equals that of the merged state; the suite's ccr record reads
+    the largest of them."""
     lat = wide_lat
     f, g = _rand_fg(lat, 5)
     scalar = lat.hbar * np.sum(lat.w * f * g)
@@ -955,7 +991,8 @@ def test_one_merge_equals_nested_state_sub(wide_lat):
         assert max_abs_diff(ab, ba, state_scale(scalar, block)) == \
             max_abs_diff(nested)
         worst = max(worst, max_abs_diff(nested))
-    assert suites.ccr_residual(lat, f, g, rows) == worst
+    assert _ladder_lhs(lat, f, g, rows, rows[:1])[0] == worst
+    assert _ccr_residual(lat, f, g, rows) == worst
 
 
 @pytest.mark.parametrize("how", ["drop", "move"])
@@ -968,10 +1005,10 @@ def test_ccr_residual_reads_a_term_one_product_lacks(lat, monkeypatch,
     holds, so one key is missing from each side.  The residual then reads
     at least that term's modulus, less the clean residual where the other
     operands still cancel part of it."""
-    from covkg import prequant, suites
+    from covkg import prequant
     f, g = _rand_fg(lat, 7)
     rows = monomial_rows(lat, 3)[:50]  # one block
-    clean = suites.ccr_residual(lat, f, g, rows)
+    clean = _ccr_residual(lat, f, g, rows)
     assert 0.0 < clean < 1e-12
     # A tag past the block's 50: no operand holds this key.
     fresh = len(rows) * math.comb(lat.n_modes + DEGREE_BOUND, DEGREE_BOUND)
@@ -998,7 +1035,7 @@ def test_ccr_residual_reads_a_term_one_product_lacks(lat, monkeypatch,
                                    tag=out.tag[keep], key=out.key[keep])
 
     monkeypatch.setattr(prequant, name, damaging)
-    got = suites.ccr_residual(lat, f, g, rows)
+    got = _ccr_residual(lat, f, g, rows)
     assert len(calls) == 2 and len(sizes) == 1
     bound = sizes[0] if how == "move" else sizes[0] - clean
     assert got >= bound > 0.1
@@ -1057,30 +1094,37 @@ def test_ladder_checks_do_not_depend_on_the_block_size(wide_lat,
     in any block, so the batched checks read the same at 64 terms per
     block as at the shipped budget: a retune cannot move a record.  Every
     third row keeps the test short; at 64 terms a ccr or [a*, a*] block
-    holds one monomial."""
+    holds one monomial.  The residuals computed alone by ``_ccr_residual``
+    and ``_orders_residual`` equal the records."""
     from covkg import suites
     lat = wide_lat
     f, g = _rand_fg(lat, 6)
-    fd1, fd2 = _dyadic(lat, 4), _dyadic(lat, 5)
+    rng = np.random.default_rng(4)  # drawn as ladder_checks draws them
+    fd1 = suites._dyadic(rng, lat.n_modes)
+    fd2 = suites._dyadic(rng, lat.n_modes)
     unit = dataclasses.replace(lat, hbar=1.0)
     rows, raise_rows = monomial_rows(lat, 3)[::3], monomial_rows(lat, 2)[::3]
 
     def checks():
-        return [suites.ccr_residual(lat, f, g, rows),
-                suites.commutator_flag(unit, rows, op_a, fd1, fd2, 9),
-                suites.commutator_flag(lat, raise_rows, op_a_star, f, g,
-                                       lat.n_modes ** 2)]
+        alone = [_ccr_residual(lat, f, g, rows),
+                 _orders_residual(unit, rows, op_a, fd1, fd2, 18),
+                 _orders_residual(lat, raise_rows, op_a_star, f, g,
+                                  2 * lat.n_modes ** 2)]
+        records = _ladder_lhs(lat, f, g, rows, raise_rows, seed=4)
+        assert records[:3] == alone
+        return records
 
     shipped = checks()
     monkeypatch.setattr(suites, "_BLOCK_TERMS", 64)
     assert checks() == shipped
-    assert 0.0 < shipped[0] < 1e-12 and shipped[1:] == [0.0, 0.0]
+    assert 0.0 < shipped[0] < 1e-12 and shipped[1:] == [0.0, 0.0, 0.0]
 
 
 # Bounds on the traced peak bytes per ``suites._BLOCK_TERMS`` term of the
-# ccr and [a*, a*] checks at n_max = 11: measured 127.3 and 88.2 at 16384
-# terms, plus a margin of about 7.5%.  They hold the lean ladder kernels
-# that pay for blocks of that size (prequant docstring).
+# ccr and [a*, a*] checks at n_max = 11: set at 127.3 and 88.2 at 16384
+# terms plus a margin of about 7.5%; they read 129.7 and 56.5 with each
+# block's products held until the next block's replace them.  They hold the
+# lean ladder kernels that pay for blocks of that size (prequant docstring).
 LADDER_PEAK_BYTES_PER_TERM = {"ccr": 137, "astar_astar": 95}
 
 
@@ -1104,9 +1148,9 @@ def test_ladder_checks_peak_memory_per_budget_term():
     f, g = _rand_fg(lat, 6)
     rows, raise_rows = monomial_rows(lat, 3), monomial_rows(lat, 2)
     peaks = {
-        "ccr": _traced_peak(lambda: suites.ccr_residual(lat, f, g, rows)),
-        "astar_astar": _traced_peak(lambda: suites.commutator_flag(
-            lat, raise_rows, op_a_star, f, g, lat.n_modes ** 2)),
+        "ccr": _traced_peak(lambda: _ccr_residual(lat, f, g, rows)),
+        "astar_astar": _traced_peak(lambda: _orders_residual(
+            lat, raise_rows, op_a_star, f, g, 2 * lat.n_modes ** 2)),
     }
     for name, peak in peaks.items():
         bound = LADDER_PEAK_BYTES_PER_TERM[name] * suites._BLOCK_TERMS
@@ -1114,7 +1158,9 @@ def test_ladder_checks_peak_memory_per_budget_term():
 
 
 def test_equal_products_flag_equals_zero_commutator(wide_lat):
-    """``states_equal(AB x, BA x)`` is ``is_zero_state([A, B] x)``."""
+    """``max_abs_diff(AB x, BA x)``, the exact-zero records' comparison,
+    equals ``max_abs_diff([A, B] x)`` bit for bit, 0.0 where the
+    commutator cancels."""
     lat = wide_lat
     f, g = _rand_fg(lat, 8)
     ops = [(partial(op_a, f), partial(op_a_star, g)),          # nonzero
@@ -1126,13 +1172,16 @@ def test_equal_products_flag_equals_zero_commutator(wide_lat):
     for op1, op2 in ops:
         for start in (0, 40, 200):
             block = monomial_block(lat, rows[start:start + 40])
-            want = is_zero_state(commutator(op1, op2, block))
-            assert states_equal(op1(op2(block)), op2(op1(block))) == want
-            flags.append(want)
+            want = max_abs_diff(commutator(op1, op2, block))
+            assert max_abs_diff(op1(op2(block)), op2(op1(block))) == want
+            flags.append(want == 0.0)
     assert True in flags and False in flags
 
 
 def test_equal_states_ignore_zero_terms_and_zero_signs(lat):
+    """``max_abs_diff`` reads 0.0 across zero signs, pruned zeros and term
+    order, and otherwise the size of the difference: 1e-300, a last-bits
+    change of 2^-40, a missing term of modulus sqrt(5)."""
     rows = monomial_rows(lat, 2)[:4]
 
     def block(amp):
@@ -1140,16 +1189,43 @@ def test_equal_states_ignore_zero_terms_and_zero_signs(lat):
 
     a = block([1.5, complex(0.0, -0.0), 0.0, 2.0 - 1.0j])
     cases = [
-        (block([1.5, 0.0, complex(-0.0, 0.0), 2.0 - 1.0j]), True),
-        (prune(a), True),
-        (block([1.5, 0.0, 0.0, 2.0 - (1.0 - 2.0 ** -40) * 1j]), False),
-        (block([1.5, 1e-300, 0.0, 2.0 - 1.0j]), False),
-        (block([1.5, 0.0, 0.0]), False),
+        (block([1.5, 0.0, complex(-0.0, 0.0), 2.0 - 1.0j]), 0.0),
+        (prune(a), 0.0),
+        (block([1.5, 0.0, 0.0, 2.0 - (1.0 - 2.0 ** -40) * 1j]), 2.0 ** -40),
+        (block([1.5, 1e-300, 0.0, 2.0 - 1.0j]), 1e-300),
+        (block([1.5, 0.0, 0.0]), float(np.hypot(2.0, 1.0))),
     ]
     for b, want in cases:
-        assert states_equal(a, b) == want
-        assert states_equal(b, a) == want
-        assert is_zero_state(prune(state_sub(a, b))) == want
+        assert max_abs_diff(a, b) == want
+        assert max_abs_diff(b, a) == want
+        assert max_abs_diff(prune(state_sub(a, b))) == want
+    # Terms out of key order against the same terms in key order, where a
+    # positional comparison of the key arrays would see a difference.
+    small = build_lattice(d=1, L=2 * np.pi, N=8, n_max=2, m=1.0)
+    hand = PolarizedState(small, [[2], [1]], [1, 2], [0, 0])
+    ordered = PolarizedState(small, [[1], [2]], [2, 1], [0, 0])
+    assert not _increasing(hand.key) and _increasing(ordered.key)
+    assert max_abs_diff(hand, ordered) == max_abs_diff(ordered, hand) == 0.0
+
+
+def test_vacuum_record_reads_a_stray_term(lat, monkeypatch):
+    """A lowering that leaves one stray term of amplitude 3 - 4j on the
+    vacuum fails ``prequant.vacuum_annihilated`` with that term's modulus,
+    5.0; the other ladder records do not move."""
+    from covkg import prequant
+    f, g = _rand_fg(lat, 2)
+    rows = monomial_rows(lat, 1)
+    clean = _ladder_lhs(lat, f, g, rows, rows)
+    assert clean[1:] == [0.0, 0.0, 0.0]
+    real = prequant.op_a
+
+    def stray(c, state):
+        if len(state.key) == 1 and not state.idx.shape[1]:  # the vacuum
+            return PolarizedState(state.lat, [[0]], [3 - 4j], [0])
+        return real(c, state)
+
+    monkeypatch.setattr(prequant, "op_a", stray)
+    assert _ladder_lhs(lat, f, g, rows, rows) == clean[:3] + [5.0]
 
 
 @pytest.mark.parametrize("hbar", [0.3, 1.7, 1.0])
@@ -1222,14 +1298,21 @@ def test_family_members_equal_single_calls(rows_lats, op, family):
 def test_shared_index_pass_keeps_each_order_its_own_products(monkeypatch):
     """The exact-zero checks share rows, keys and groups between A B x and
     B A x, but each order forms its own amplitudes: a complex product whose
-    last bit depends on operand order turns [a*, a*] to 1.0."""
-    from covkg import prequant
+    last bit depends on operand order fails [a*, a*] with the size of that
+    difference: the largest |amplitude| of the commutator formed apart."""
+    from covkg import prequant, suites
+    cfg = RunConfig()
+    lat = cfg.lattice()
+    rng = suites._rng(cfg, "prequant")  # the suite's f and g
+    f, g = (rng.standard_normal(lat.n_modes)
+            + 1j * rng.standard_normal(lat.n_modes) for _ in range(2))
+    block = monomial_block(lat, monomial_rows(lat, 2))
 
-    def flag():
-        records = {r.name: r for r in suite_prequant(RunConfig())}
-        return records["prequant.astar_astar_exact_zero"].lhs
+    def record():
+        records = {r.name: r for r in suite_prequant(cfg)}
+        return records["prequant.astar_astar_exact_zero"]
 
-    assert flag() == 0.0
+    assert record().lhs == 0.0 and record().passed
     cmul = prequant._cmul
 
     def skewed(a, b):
@@ -1239,4 +1322,7 @@ def test_shared_index_pass_keeps_each_order_its_own_products(monkeypatch):
         return out
 
     monkeypatch.setattr(prequant, "_cmul", skewed)
-    assert flag() == 1.0
+    skew = record()
+    apart = max_abs_diff(commutator(partial(op_a_star, f),
+                                    partial(op_a_star, g), block))
+    assert not skew.passed and 0.0 < skew.lhs == apart < 1e-12
