@@ -198,8 +198,8 @@ def dft_inverse(lat: ModeLattice, mode_coefficients) -> np.ndarray:
     return np.fft.ifftn(spec) * lat.N ** lat.d
 
 
-def mode_sum_grid(lat: ModeLattice, plus_coeff, minus_coeff,
-                  real: bool = False) -> np.ndarray:
+def mode_sum_grid(lat: ModeLattice, plus_coeff,
+                  minus_coeff=None) -> np.ndarray:
     """Evaluate sum_k (c+_k e^{+i k.x} + c-_k e^{-i k.x}) on the grid.
 
     The two coefficient arrays sit on the same mode list.  The e^{-ik.x}
@@ -209,34 +209,40 @@ def mode_sum_grid(lat: ModeLattice, plus_coeff, minus_coeff,
     band since all bin residues are distinct.  Coefficient arrays with
     leading axes, shape (..., n_modes), give stacked grids of shape
     (...) + grid_shape from one inverse FFT over the trailing grid axes.
-    With ``real`` the grids are the real part of the sum, from one
-    ``irfftn`` of the Hermitian part (S_k + conj(S_-k)) / 2 on the modes
-    with last component >= 0, unscaled; exact when S is Hermitian.
+    Without ``minus_coeff`` the sum is real, c-_k = conj(c+_k): then
+    S_k = plus[k] + conj(plus[-k]) fills the half spectrum, the modes with
+    last component >= 0, and one unscaled ``irfftn`` gives real grids.
     """
     bins, conj, half_bins, half, half_conj = _scatter_indices(lat)
-    spec_k = np.asarray(plus_coeff) + np.asarray(minus_coeff)[..., conj]
-    axes, lead = range(-lat.d, 0), spec_k.shape[:-1]
-    if real:
+    plus = np.asarray(plus_coeff)
+    axes, lead = range(-lat.d, 0), plus.shape[:-1]
+    if minus_coeff is None:
         spec = np.zeros(lead + lat.grid_shape[:-1] + (lat.N // 2 + 1,),
                         dtype=complex)
-        spec[half_bins] = 0.5 * (spec_k[..., half]
-                                 + np.conj(spec_k[..., half_conj]))
+        spec[half_bins] = plus[..., half] + np.conj(plus[..., half_conj])
         return np.fft.irfftn(spec, lat.grid_shape, axes, norm="forward")
     spec = np.zeros(lead + lat.grid_shape, dtype=complex)
-    spec[bins] = spec_k
+    spec[bins] = plus + np.asarray(minus_coeff)[..., conj]
     return np.fft.ifftn(spec, axes=axes) * lat.N ** lat.d
 
 
 @lru_cache(maxsize=64)
 def _scatter_indices(lat: ModeLattice) -> tuple:
     """Read-only (retained bins on stacked grids, ``conj_index``, and the
-    half bins, indices and reflections of modes with last component >= 0)."""
+    half bins, indices and reflections of modes with last component >= 0).
+    ``conj_index`` reverses the mode list, and at d = 1 the half modes are
+    n = 0..n_max in order, so those are slices: indexing takes views."""
     bins, conj = lat.fft_indices(), lat.conj_index()
     half = np.flatnonzero(lat.modes[:, -1] >= 0)
     half_bins, half_conj = tuple(b[half] for b in bins), conj[half]
-    for arr in (*bins, conj, *half_bins, half, half_conj):
+    for arr in (*bins, *half_bins, half, half_conj):
         arr.setflags(write=False)
-    return (Ellipsis,) + bins, conj, (Ellipsis,) + half_bins, half, half_conj
+    if lat.d == 1:
+        n = lat.n_max
+        half_bins, half, half_conj = ((slice(0, n + 1),), slice(n, None),
+                                      slice(n, None, -1))
+    return ((Ellipsis,) + bins, slice(None, None, -1),
+            (Ellipsis,) + half_bins, half, half_conj)
 
 
 def _spectral(lat: ModeLattice, grid_field, kind: int,

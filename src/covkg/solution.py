@@ -13,7 +13,7 @@ alongside as an independent finite-difference oracle for the same equation.
 
 Evaluation.  ``synthesize`` makes grids from the mode data in one pass: one
 phase table, one scatter onto the FFT bins and one inverse FFT over stacked
-leading axes, an ``irfftn`` on the half spectrum when the grids are real.  A
+leading axes; real grids take the u branch alone and an ``irfftn``.  A
 call may ask for a list of derivative orders, a 1-D array
 of times and, through ``u``/``ustar`` of shape (n_batch, n_modes), a batch
 of solutions (the observables suite stacks its ladder generators this way);
@@ -117,21 +117,18 @@ class SliceData:
 def from_modes(lat: ModeLattice, u, ustar=None, real_flag: bool = True) -> Solution:
     """Build a solution from mode coefficients.
 
-    With ``real_flag`` the conjugacy u*_k = conj(u_k) is enforced: it is
-    filled in when ``ustar`` is omitted and validated (within 1e-12) when
-    both arrays are supplied.  Non-finite coefficients are a ValueError.
+    With ``real_flag`` the conjugacy u*_k = conj(u_k) is enforced: a
+    supplied ``ustar`` must lie within 1e-12 of conj(u), and conj(u) is
+    stored either way.  Non-finite coefficients are a ValueError.
     """
     u = np.array(u, dtype=complex)
     if u.shape != (lat.n_modes,):
         raise ValueError(f"expected {lat.n_modes} coefficients, got {u.shape}")
-    if ustar is None:
-        if not real_flag:
-            raise ValueError("complex solutions need explicit ustar")
-        ustar = np.conj(u)
-    else:
-        ustar = np.array(ustar, dtype=complex)
-        if ustar.shape != u.shape:
-            raise ValueError("u and ustar shapes differ")
+    if ustar is None and not real_flag:
+        raise ValueError("complex solutions need explicit ustar")
+    ustar = np.conj(u) if ustar is None else np.array(ustar, dtype=complex)
+    if ustar.shape != u.shape:
+        raise ValueError("u and ustar shapes differ")
     if not (np.isfinite(u).all() and np.isfinite(ustar).all()):
         raise ValueError("mode coefficients u and ustar must be finite")
     if real_flag:
@@ -139,6 +136,7 @@ def from_modes(lat: ModeLattice, u, ustar=None, real_flag: bool = True) -> Solut
         if not err <= _CONJ_TOL:
             raise ValueError(
                 f"reality violated: max |ustar - conj(u)| = {err:.3e}")
+        ustar = np.conj(u)
     u.setflags(write=False)
     ustar.setflags(write=False)
     return Solution(lat, u, ustar, bool(real_flag))
@@ -174,21 +172,14 @@ def derivative_solution(sol: Solution, mu: int) -> Solution:
 
 
 @lru_cache(maxsize=64)
-def _order_factors(lat: ModeLattice, orders: tuple):
-    """Branch multipliers (fu, fus) of each derivative order, stacked into
-    two read-only arrays of shape (len(orders), n_modes)."""
-    stacks = ([], [])
-    for mus in orders:
-        fu = np.ones(lat.n_modes, dtype=complex)
-        fus = np.ones(lat.n_modes, dtype=complex)
+def _order_factors(lat: ModeLattice, orders: tuple) -> np.ndarray:
+    """Read-only branch multipliers (fu, fus) of each derivative order,
+    stacked on a first axis: shape (2, len(orders), n_modes)."""
+    out = np.ones((2, len(orders), lat.n_modes), dtype=complex)
+    for i, mus in enumerate(orders):
         for mu in mus:
-            a, b = derivative_factors(lat, mu)
-            fu, fus = fu * a, fus * b
-        stacks[0].append(fu)
-        stacks[1].append(fus)
-    out = tuple(np.stack(s) for s in stacks)
-    for arr in out:
-        arr.setflags(write=False)
+            out[:, i] *= derivative_factors(lat, mu)
+    out.setflags(write=False)
     return out
 
 
@@ -206,9 +197,10 @@ def synthesize(sol: Solution, t, mus=(), factor=None):
     ``factor`` multiplies the u branch per mode and its conjugate the u*
     branch (an operator polynomial such as the Klein-Gordon symbol, or a
     detuning phase); it broadcasts against the coefficient table of shape
-    ([n_orders,] [n_batch,] [n_t,] n_modes).  The branch factors stay
-    conjugate, so a real solution always gives real grids, from one
-    ``irfftn``.
+    ([n_orders,] [n_batch,] [n_t,] n_modes).  A real solution's u* branch
+    is the conjugate of its u branch (ustar == conj(u) exactly), so it is
+    not formed: the u branch alone gives real grids from one ``irfftn``,
+    equal bit for bit to the Hermitian part of the two-branch sum.
     """
     lat = sol.lat
     stacked = isinstance(mus, list)
@@ -219,19 +211,21 @@ def synthesize(sol: Solution, t, mus=(), factor=None):
             raise TypeError("mus must be a tuple of axes or a list of "
                             f"such tuples, not {mus!r}")
     t = np.asarray(t, dtype=float)
-    shape = ((len(orders),) + (1,) * (np.ndim(sol.u) - 1 + t.ndim)
+    shape = ((2, len(orders)) + (1,) * (np.ndim(sol.u) - 1 + t.ndim)
              + (lat.n_modes,))
-    fu, fus = (f.reshape(shape)
-               for f in _order_factors(lat, tuple(map(tuple, orders))))
+    fu, fus = _order_factors(lat, tuple(map(tuple, orders))).reshape(shape)
     if factor is not None:
-        fu, fus = fu * factor, fus * np.conj(factor)
+        fu = fu * factor
     pref = (2.0 * np.pi) ** (-lat.d / 2.0)
     phase = np.exp(-1j * lat.k0 * t[..., None])
-    u, ustar = (np.expand_dims(c, tuple(range(-1 - t.ndim, -1)))
-                for c in (sol.u, sol.ustar))
-    plus = pref * lat.w * u * phase * fu
-    minus = pref * lat.w * ustar * np.conj(phase) * fus
-    grid = mode_sum_grid(lat, plus, minus, sol.real_flag)
+    coeffs = np.shape(sol.u)[:-1] + (1,) * t.ndim + (lat.n_modes,)
+    plus = pref * lat.w * np.reshape(sol.u, coeffs) * phase * fu
+    minus = None  # a real solution's u* branch is conj(plus): not formed
+    if not sol.real_flag:
+        fus = fus if factor is None else fus * np.conj(factor)
+        ustar = np.reshape(sol.ustar, coeffs)
+        minus = pref * lat.w * ustar * np.conj(phase) * fus
+    grid = mode_sum_grid(lat, plus, minus)
     return grid if stacked else grid[0]
 
 

@@ -7,6 +7,7 @@ from covkg import build_lattice, dft_forward, dft_inverse
 from covkg.lattice import (
     ModeLattice,
     _cmul,
+    _scatter_indices,
     grid_integral,
     mode_sum_grid,
     out_of_band_fraction,
@@ -183,6 +184,28 @@ def test_mode_sum_grid_matches_direct_sum(lat1d):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("d,N,n_max", [(1, 32, 7), (1, 8, 0), (1, 32, 15),
+                                       (2, 12, 4), (3, 8, 3)])
+def test_scatter_indices_pick_what_their_index_arrays_pick(d, N, n_max):
+    """Each index of ``_scatter_indices`` selects the elements of its index
+    array form; at d = 1 all but the full bins are slices, so they read
+    and write views; at d > 1 only ``conj_index``, the full reversal, is."""
+    lat = build_lattice(d=d, L=2.0, N=N, n_max=n_max, m=1.0)
+    bins, conj, half_bins, half, half_conj = _scatter_indices(lat)
+    half_arr = np.flatnonzero(lat.modes[:, -1] >= 0)
+    modes = np.arange(lat.n_modes)
+    assert np.array_equal(modes[conj], lat.conj_index())
+    assert np.array_equal(modes[half], half_arr)
+    assert np.array_equal(modes[half_conj], lat.conj_index()[half_arr])
+    grid = np.arange(N ** d).reshape(lat.grid_shape)
+    assert np.array_equal(grid[bins], grid[lat.fft_indices()])
+    assert np.array_equal(grid[..., :N // 2 + 1][half_bins], grid[tuple(
+        b[half_arr] for b in lat.fft_indices())])
+    runs = [isinstance(i, slice) for i in (conj, half, half_conj)
+            + half_bins[1:]]
+    assert runs == [True] + [d == 1] * (2 + d)
+
+
 @pytest.mark.parametrize("which", ["lat1d", "lat2d"])
 def test_mode_sum_grid_one_assignment_matches_two_scatters(which, request):
     """plus + minus[conj] in one assignment equals zeroed bins with one +=
@@ -279,8 +302,10 @@ _EPS = np.finfo(float).eps
 
 @pytest.mark.parametrize("config", _CONFIGS)
 def test_real_mode_sum_is_the_real_part_of_the_complex_one(config):
-    """The half-spectrum sum equals the real part of the full-grid sum for
-    arbitrary coefficients with (order, batch, time) axes, within
+    """For arbitrary, non-Hermitian coefficients (c+, c-) with (order,
+    batch, time) axes, the real part of the full-grid sum is the real sum
+    of the one array p = (c+ + conj(c-)) / 2, its c-_k being conj(p_k);
+    the half-spectrum sum of p gives it within
     4 eps sum_k (|c+_k| + |c-_k|) per grid, and each stacked grid equals,
     bit for bit, the grid of its coefficients alone."""
     d, L, N, n_max = config
@@ -289,15 +314,15 @@ def test_real_mode_sum_is_the_real_part_of_the_complex_one(config):
     shape = (2, 2, 3, lat.n_modes)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    got = mode_sum_grid(lat, a, b, real=True)
+    p = 0.5 * (a + np.conj(b))
+    got = mode_sum_grid(lat, p)
     assert got.dtype == np.float64
     assert got.shape == shape[:-1] + lat.grid_shape
     bound = 4 * _EPS * np.sum(np.abs(a) + np.abs(b), axis=-1)
     err = np.abs(got - mode_sum_grid(lat, a, b).real)
     assert np.all(err <= bound[(Ellipsis,) + (None,) * d])
     for lead in np.ndindex(shape[:-1]):
-        assert np.array_equal(got[lead],
-                              mode_sum_grid(lat, a[lead], b[lead], real=True))
+        assert np.array_equal(got[lead], mode_sum_grid(lat, p[lead]))
 
 
 @pytest.mark.parametrize("config", _CONFIGS)

@@ -464,31 +464,33 @@ def _tag_terms(state, tag):
 
 
 def test_tagged_block_matches_single_monomials(wide_lat):
-    """Each tag of a block equals, bit for bit, its monomial run alone."""
+    """Each tag of a block equals, bit for bit, its monomial run alone.
+    Each state's a x and a* x feed its two ccr products, and those feed
+    both ccr forms (``commutator``'s pruned difference and the merged
+    residual), so every ladder product is formed once per state."""
     lat = wide_lat
     f, g = _rand_fg(lat, 3)
     zeta = np.array([0.7, -0.4])
-    ops = {
-        "a": partial(op_a, f),
-        "a_star": partial(op_a_star, g),
-        "p": partial(op_p, zeta),
-        "ccr": partial(commutator, partial(op_a, f), partial(op_a_star, g)),
-        "ccr_merged": lambda s: state_sum(
-            op_a(f, op_a_star(g, s)),
-            state_scale(-1.0, op_a_star(g, op_a(f, s))),
-            state_scale(-0.3j, s)),
-    }
+
+    def outputs(s):
+        low, high = op_a(f, s), op_a_star(g, s)
+        ab, ba = op_a(f, high), op_a_star(g, low)
+        return {"a": low, "a_star": high, "p": op_p(zeta, s),
+                "ccr": prune(state_sub(ab, ba)),
+                "ccr_merged": state_sum(ab, state_scale(-1.0, ba),
+                                        state_scale(-0.3j, s))}
     rows = monomial_rows(lat, 3)[::7]
-    alphas = row_alphas(lat, rows)
-    block = monomial_block(lat, rows)
-    for name, op in ops.items():
-        out = op(block)
-        for tag, alpha in enumerate(alphas):
-            single = op(monomial(lat, list(alpha)))
-            got_rows, got_amp = _tag_terms(out, tag)
+    block = outputs(monomial_block(lat, rows))
+    for tag, alpha in enumerate(row_alphas(lat, rows)):
+        for name, single in outputs(monomial(lat, list(alpha))).items():
+            got_rows, got_amp = _tag_terms(block[name], tag)
             want_rows, want_amp = _tag_terms(single, 0)
             assert np.array_equal(got_rows, want_rows), (name, tag)
             assert got_amp.tobytes() == want_amp.tobytes(), (name, tag)
+    comm = commutator(partial(op_a, f), partial(op_a_star, g),
+                      monomial_block(lat, rows))
+    assert np.array_equal(comm.key, block["ccr"].key)
+    assert comm.amp.tobytes() == block["ccr"].amp.tobytes()
 
 
 def test_translation_raising_commutator(lat):

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from covkg import build_lattice, evolve_exact, from_cauchy, from_modes, kg_residual
-from covkg.lattice import mode_sum_grid
 from covkg.multisymplectic import graph_frame
 from covkg.solution import (
     Solution,
     SolutionHistory,
     DetunedHistory,
-    _order_factors,
     PolynomialTimeHistory,
     WindowedPerturbation,
     derivative_solution,
@@ -24,6 +22,7 @@ from covkg.solution import (
     leapfrog_evolve,
     random_solution,
     read_cauchy_csv,
+    stack_solutions,
     synthesize,
     write_cauchy_csv,
 )
@@ -145,8 +144,8 @@ def test_real_flag_gives_real_fields(lat):
 def test_real_grids_whenever_the_branch_factors_are_conjugate(lat, sol):
     """A real solution gives real grids with or without a branch factor
     (the detuned history, the Klein-Gordon symbol, a complex phase), since
-    the u* branch takes its conjugate; a complex solution gives complex
-    ones."""
+    its u* branch is the conjugate of the u branch; a complex solution
+    gives complex ones."""
     ts = np.array([0.0, 0.3, 0.9])
     for grid in DetunedHistory(sol, 0.5).at(ts):
         assert grid.dtype == np.float64 and grid.shape == (3,) + lat.grid_shape
@@ -159,7 +158,8 @@ def test_real_grids_whenever_the_branch_factors_are_conjugate(lat, sol):
 
 
 def test_conjugate_phase_table_is_the_reflected_exponential(lat):
-    """synthesize's u* branch takes conj(exp(-i k0 t)) for exp(+i k0 t):
+    """A complex solution's u* branch takes conj(exp(-i k0 t)) for
+    exp(+i k0 t):
     equal bit for bit on the lattice's phases and on 15,000 random ones."""
     rng = np.random.default_rng(11)
     for k0, t in ((lat.k0, np.linspace(-3.0, 40.0, 1001)[:, None]),
@@ -186,6 +186,40 @@ def test_from_modes_rejects_non_finite_coefficients(lat, bad):
             from_modes(lat, *args, real_flag=real_flag)
     with pytest.raises(ValueError, match="reality violated"):
         from_modes(lat, u, np.conj(u) + 0.5)
+
+
+def test_every_real_solution_stores_ustar_as_conj_u(lat):
+    """Real syntheses read the u branch alone, which holds because every
+    way covkg builds a real solution leaves ustar == conj(u) bit for bit;
+    ``from_modes`` stores conj(u) for a ustar within 1e-12 of it."""
+    rng = np.random.default_rng(21)
+    sol = random_solution(lat, rng)
+    other = random_solution(lat, rng)
+    u = sol.u.copy()
+    u[1] += 3e-13j  # ustar = conj(u) + 3e-13j passes the 1e-12 check
+    near = from_modes(lat, u, np.conj(sol.u))
+    phi0 = synthesize(sol, 0.0)
+    pi0 = synthesize(sol, 0.0, (0,))
+    built = {
+        "from_modes": from_modes(lat, sol.u),
+        "from_modes_near": near,
+        "random_solution": sol,
+        "from_cauchy": from_cauchy(lat, phi0, pi0),
+        "sum": sol + other,
+        "difference": sol - other,
+        "float_multiple": 0.37 * sol,
+        "int_multiple": -3 * sol,
+        "numpy_multiple": np.float64(2.5) * sol,
+        "complex_zero_imag": (1.5 + 0j) * sol,
+        "evolve_exact": evolve_exact(sol, 0.83),
+        "stack_solutions": stack_solutions([sol, other, near]),
+    }
+    for mu in range(lat.d + 1):
+        built[f"derivative_{mu}"] = derivative_solution(sol, mu)
+    for name, s in built.items():
+        assert s.real_flag, name
+        assert s.ustar.tobytes() == np.conj(s.u).tobytes(), name
+    assert np.array_equal(near.u, u)
 
 
 def test_from_cauchy_round_trip(lat):
@@ -406,25 +440,98 @@ def test_time_window_compact_support_and_derivatives(lat):
         assert np.array_equal(got[0, :, 0], np.array(want))
 
 
-def _synthesize_one_order(sol, t, mus=(), factor=None):
-    """Reference synthesis of one derivative order of one solution, with
-    its own phase table and mode sum (pinned in test_lattice); ``factor``
-    multiplies the u branch and its conjugate the u* branch, and a real
-    solution takes the real mode sum."""
+def _two_branch_mode_sum(lat, plus, minus, real):
+    """Reference mode sum with both branches formed in full: S_k =
+    plus[k] + minus[-k] on every retained bin, and for a real sum the
+    Hermitian part (S_k + conj(S_-k)) / 2 on the half spectrum, from one
+    ``irfftn``; the u-branch-only real path must match it bit for bit."""
+    bins, conj = lat.fft_indices(), lat.conj_index()
+    half = np.flatnonzero(lat.modes[:, -1] >= 0)
+    spec_k = np.asarray(plus) + np.asarray(minus)[..., conj]
+    axes, lead = range(-lat.d, 0), spec_k.shape[:-1]
+    if real:
+        spec = np.zeros(lead + lat.grid_shape[:-1] + (lat.N // 2 + 1,),
+                        dtype=complex)
+        spec[(Ellipsis,) + tuple(b[half] for b in bins)] = 0.5 * (
+            spec_k[..., half] + np.conj(spec_k[..., conj[half]]))
+        return np.fft.irfftn(spec, lat.grid_shape, axes, norm="forward")
+    spec = np.zeros(lead + lat.grid_shape, dtype=complex)
+    spec[(Ellipsis,) + bins] = spec_k
+    return np.fft.ifftn(spec, axes=axes) * lat.N ** lat.d
+
+
+def _two_branch_synthesize(sol, t, orders, factor=None):
+    """Reference synthesis of a list of orders with both branches formed in
+    full: the u* branch from ``ustar``, the conjugate phase table and the
+    conjugate ``factor``, summed by ``_two_branch_mode_sum``; each order's
+    branch multipliers are built by hand from the derivative factors."""
     lat = sol.lat
-    fu = np.ones(lat.n_modes, dtype=complex)
-    fus = np.ones(lat.n_modes, dtype=complex)
-    for mu in mus:
-        f = -1j * lat.k0 if mu == 0 else 1j * lat.k[:, mu - 1]
-        fu, fus = fu * f, fus * -f
+    stacks = ([], [])
+    for mus in orders:
+        fu = np.ones(lat.n_modes, dtype=complex)
+        fus = np.ones(lat.n_modes, dtype=complex)
+        for mu in mus:
+            f = -1j * lat.k0 if mu == 0 else 1j * lat.k[:, mu - 1]
+            fu, fus = fu * f, fus * -f
+        stacks[0].append(fu)
+        stacks[1].append(fus)
+    t = np.asarray(t, dtype=float)
+    shape = ((len(orders),) + (1,) * (np.ndim(sol.u) - 1 + t.ndim)
+             + (lat.n_modes,))
+    fu, fus = (np.stack(f).reshape(shape) for f in stacks)
     if factor is not None:
         fu, fus = fu * factor, fus * np.conj(factor)
     pref = (2.0 * np.pi) ** (-lat.d / 2.0)
-    tc = np.asarray(t, dtype=float)[..., None]
-    phase = np.exp(-1j * lat.k0 * tc)
-    plus = pref * lat.w * sol.u * phase * fu
-    minus = pref * lat.w * sol.ustar * np.conj(phase) * fus
-    return mode_sum_grid(lat, plus, minus, sol.real_flag)
+    phase = np.exp(-1j * lat.k0 * t[..., None])
+    u, ustar = (np.expand_dims(c, tuple(range(-1 - t.ndim, -1)))
+                for c in (sol.u, sol.ustar))
+    plus = pref * lat.w * u * phase * fu
+    minus = pref * lat.w * ustar * np.conj(phase) * fus
+    return _two_branch_mode_sum(lat, plus, minus, sol.real_flag)
+
+
+def _synthesize_one_order(sol, t, mus=(), factor=None):
+    """Reference synthesis of one derivative order of one solution, with
+    its own phase table and two-branch mode sum."""
+    return _two_branch_synthesize(sol, t, [mus], factor)[0]
+
+
+# Configs A, B and C of the verifier and the prequant-wide lattice.
+_REF_CONFIGS = {"A": (1, 32, 7), "B": (2, 16, 5), "C": (3, 8, 3),
+                "wide": (1, 32, 11)}
+
+
+@pytest.mark.parametrize("config", sorted(_REF_CONFIGS))
+def test_real_synthesis_equals_the_two_branch_path(config):
+    """On real solutions the u branch alone gives, bit for bit, the grids
+    of the two-branch Hermitian path: at a scalar time and at a 1-D array
+    of times, for one solution and a batch, for stacked orders, and with
+    the Klein-Gordon symbol and the detuned history's factor."""
+    d, N, n_max = _REF_CONFIGS[config]
+    lat = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
+    rng = np.random.default_rng(n_max)
+    sols = [random_solution(lat, rng) for _ in range(3)]
+    batch = stack_solutions(sols)
+    ts = np.array([-0.4, 0.0, 0.37, 1.25, 3.9])
+    orders = [(), (0,), (d,), (0, 0), (0, d), (1, d)]
+    sym = lat.m ** 2 + np.sum(lat.k ** 2, axis=1) - lat.k0 ** 2
+    cases = [(sols[0], 0.37, orders, None), (sols[1], ts, orders, None),
+             (batch, 0.37, orders, None), (batch, ts, orders, None),
+             (sols[2], 0.37, [()], sym), (batch, ts, [()], sym)]
+    for sol, t, mus, factor in cases:
+        got = synthesize(sol, t, mus, factor)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _two_branch_synthesize(
+            sol, t, mus, factor).tobytes()
+    assert kg_residual(sols[2], 0.37) == float(np.max(np.abs(
+        _two_branch_synthesize(sols[2], 0.37, [()], sym))))
+    for sol, t in ((sols[0], 0.37), (batch, ts)):
+        hist = DetunedHistory(sol, 0.05)
+        om = lat.k0 + hist.detune
+        down = np.exp(-1j * (om - lat.k0) * np.asarray(t)[..., None])
+        want = _two_branch_synthesize(sol, t, [()] * 3, np.stack(
+            [(-1j * om) ** order * down for order in range(3)]))
+        assert np.array(hist.at(t)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d,N,n_max", [(1, 32, 7), (3, 8, 2)])
