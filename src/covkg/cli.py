@@ -23,6 +23,7 @@ import dataclasses
 import json
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 from math import ceil, comb
 from time import perf_counter
 
@@ -69,7 +70,10 @@ def _add_common(sub: argparse.ArgumentParser, lam=True, tol=True) -> None:
                          help="override a named check tolerance (repeatable)")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, since every ``parse_args`` call fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="covkg",
         description="verification tools for the covariant Klein-Gordon "

@@ -268,10 +268,14 @@ def _lagrangian_density(lat: ModeLattice, phi, dtphi, _):
 def _time_quadrature(hist, densities, t1: float, t2: float, n_t: int) -> list:
     """Simpson rule over [t1, t2] of the grid integral of each density.
 
-    ``hist.at`` is evaluated once per block of times: each synthesis holds
-    at most ``_BLOCK_CELLS`` grid values per derivative order, summed over
-    a solution batch's members (``hist.sol``); a ``WindowedPerturbation``
-    family holds n_eps x n_bases such grids, 4 for the criticality pair.
+    ``hist.at`` is evaluated once per block of times.  A block holds
+    ``_BLOCK_CELLS`` grid values per derivative order, summed over a
+    solution batch's members (``hist.sol``), so each of a history's own
+    syntheses stays within that bound.  A history without ``sol``, such
+    as a ``WindowedPerturbation`` family, takes blocks of one member's
+    size: the family holds n_eps x n_bases grids per block, 4 for the
+    criticality pair, and its one stacked synthesis of the variation with
+    the on-shell base 2 x ``_BLOCK_CELLS`` values per derivative order.
     Each density maps (lat, *fields) to its values on the block, shape
     (..., block times) + grid_shape.  Returns one Simpson sum per density,
     with its leading axes (a lambda family, the eps signs, a batch); blocks

@@ -12,6 +12,7 @@ JSON is byte-identical between runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -195,10 +196,15 @@ def lower_bound_check(name: str, value: float,
 
 def _finite(x: float):
     """x, or "NaN", "Infinity" or "-Infinity", so reports stay strict JSON."""
-    return x if np.isfinite(x) else json.dumps(x)
+    return x if math.isfinite(x) else json.dumps(x)
 
 
 def _num(value):
+    """A report number: a float, or [re, im] for a complex value whose
+    imaginary part is nonzero.  Python and numpy scalars are classified by
+    type; only arrays reach ``np.iscomplexobj``."""
+    if isinstance(value, (float, int, np.floating, np.integer)):
+        return _finite(float(value))
     if isinstance(value, complex) or np.iscomplexobj(value):
         z = complex(value)
         if z.imag == 0.0:

@@ -44,10 +44,10 @@ from .lattice import (
 )
 
 _CONJ_TOL = 1e-12
-# Grid values of each synthesis in a block, per derivative order and summed
-# over a batch's members: bounds the action quadratures and the batched
-# bracket pairing.  A ``WindowedPerturbation`` family holds n_eps x n_bases
-# such grids per block, 4 for the criticality pair.
+# Grid values per derivative order of a block, summed over a batch's
+# members: sizes the blocks of the action quadratures and of the batched
+# bracket pairing.  A ``WindowedPerturbation`` family's blocks are sized as
+# for one member (see ``multisymplectic._time_quadrature``).
 _BLOCK_CELLS = 4096
 _WINDOW_ORDER = 6  # q of the bump (4 s (1-s))^q of ``WindowedPerturbation``
 
@@ -357,20 +357,26 @@ class DetunedHistory:
 
     For detune != 0 the configuration violates the field equation by
     (2 k0 detune + detune^2) per mode, giving a controlled off-shell field.
+    A detune that is not finite is a ValueError.
     """
 
     def __init__(self, sol: Solution, detune: float):
         self.sol = sol
         self.lat = sol.lat
         self.detune = float(detune)
+        if not abs(self.detune) < np.inf:
+            raise ValueError(f"detune must be finite, got {detune!r}")
 
     def at(self, t):
-        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
+        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them
+        first, and a solution batch puts its axis before them."""
         om = self.lat.k0 + self.detune
         tc = np.asarray(t, dtype=float)[..., None]
         down = np.exp(-1j * (om - self.lat.k0) * tc)
-        return tuple(synthesize(self.sol, t, [()] * 3, factor=np.stack(
-            [(-1j * om) ** order * down for order in range(3)])))
+        factor = np.stack([(-1j * om) ** order * down for order in range(3)])
+        batch = tuple(range(1, np.ndim(self.sol.u)))  # after the order axis
+        return tuple(synthesize(self.sol, t, [()] * 3,
+                                factor=np.expand_dims(factor, batch)))
 
 
 class PolynomialTimeHistory:
@@ -386,6 +392,14 @@ class PolynomialTimeHistory:
         return tuple(np.polyval(np.polyder(self.coeffs[::-1], r), tx) for r in range(3))
 
 
+def _plain_solution(hist):
+    """The solution of a ``SolutionHistory`` (not a subclass) of one
+    unbatched solution, else None."""
+    if type(hist) is SolutionHistory and np.ndim(hist.sol.u) == 1:
+        return hist.sol
+    return None
+
+
 class WindowedPerturbation:
     """base + eps * eta(t) * variation for each base and each eps.
 
@@ -395,10 +409,21 @@ class WindowedPerturbation:
     are stacked on a leading axis, and a 1-D array ``eps`` puts its own axis
     in front of that: shape ([n_eps,] n_bases) + a base's.  ``at`` evaluates
     the variation and the window once; the time derivatives are exact, by
-    the product rule.
+    the product rule.  When the variation is a plain ``SolutionHistory`` of
+    one unbatched solution, every base of that kind with the variation's
+    ``real_flag`` is synthesized with it in one stacked call, so a block
+    of n_t times holds (n_joined + 1) x n_t grids per derivative order;
+    each grid equals, bit for bit, that of the base's own ``at``.  Other
+    bases (detuned, polynomial, batched, or of the other realness) keep
+    their own ``at``.  The window ends must be finite, with t1 < t2.
     """
 
     def __init__(self, bases, variation, t1: float, t2: float, eps):
+        t1, t2 = float(t1), float(t2)
+        if not (abs(t1) < np.inf and abs(t2) < np.inf):
+            raise ValueError(f"the window ends must be finite, got [{t1}, {t2}]")
+        if not t1 < t2:
+            raise ValueError(f"the window needs t1 < t2, got [{t1}, {t2}]")
         self.bases = list(bases)
         self.var = variation
         self.t1, self.t2 = t1, t2
@@ -421,8 +446,21 @@ class WindowedPerturbation:
 
     def at(self, t):
         """(phi, d_t phi, d_tt phi) at t, after the eps and base axes."""
-        b0, b1, b2 = (np.stack(f) for f in zip(*(b.at(t) for b in self.bases)))
-        v0, v1, v2 = self.var.at(t)
+        var = _plain_solution(self.var)
+        joined = {} if var is None else {
+            i: sol for i, b in enumerate(self.bases)
+            if (sol := _plain_solution(b)) is not None
+            and sol.real_flag == var.real_flag and sol.lat == var.lat}
+        if joined:
+            grids = synthesize(stack_solutions([*joined.values(), var]), t,
+                               [(), (0,), (0, 0)])
+            own = dict(zip(joined, grids.swapaxes(0, 1)))
+            v0, v1, v2 = grids[:, -1]
+        else:
+            own = {}
+            v0, v1, v2 = self.var.at(t)
+        b0, b1, b2 = (np.stack(f) for f in zip(
+            *(own[i] if i in own else b.at(t) for i, b in enumerate(self.bases))))
         w, w1, w2 = self._window(t)
         e = self.eps.reshape(self.eps.shape + (1,) * b0.ndim)
         return (b0 + e * w * v0,

@@ -136,6 +136,35 @@ def test_spec_writes_the_out_file(tmp_path, capsys):
     assert json.loads(printed)["seed"] == 3
 
 
+def test_consecutive_calls_share_no_parsed_state(tmp_path, capsys):
+    """The parser is built once per process, and no call's flags reach the
+    next: ``--tol`` appends start empty, and ``--seed`` and ``--lambda``
+    fall back to the config after a call that set them or exited 2."""
+    from covkg.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+    def spec(*flags):
+        out = tmp_path / "spec.json"
+        assert main(["spec", *flags, "--out", str(out)]) == 0
+        return json.loads(_read(out))
+
+    first = spec("--tol", "msymp.kg_residual=1e-3", "--tol",
+                 "prequant.adjointness=2e-3", "--seed", "5", "--lambda", "0.25")
+    assert first["tolerances"] == {"msymp.kg_residual": 1e-3,
+                                   "prequant.adjointness": 2e-3}
+    assert (first["seed"], first["lam"]) == (5, 0.25)
+    default = spec()
+    assert (default["tolerances"], default["seed"], default["lam"]) == (
+        {}, 0, 1.0)
+    assert spec("--tol", "msymp.kg_residual=4e-3")["tolerances"] == {
+        "msymp.kg_residual": 4e-3}
+    assert main(["spec", "--seed", "7", "--lambda", "oops"]) == 2
+    assert main(["spec", "--seed", "7", "--tol", "nosuch=1"]) == 2
+    capsys.readouterr()
+    assert spec() == default
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for raw in ({"N": 16, "n_mx": 3}, {"tolerances": {"nope": 1.0}},
@@ -225,6 +254,29 @@ def test_non_finite_values_are_strings_in_strict_json():
         [2.0, "NaN"], ["-Infinity", 0.5])
     assert rows["cnan"]["abs_diff"] == "Infinity"  # |inf + i nan| is inf
     assert not any(row["pass"] for row in rows.values())
+
+
+@pytest.mark.parametrize("value", [
+    0.25, -3, True, 0, np.float64(1e-300), np.float32(0.1), np.int64(-7),
+    np.bool_(False), 1.5 + 0j, 1.5 - 2j, np.complex128(0.5 + 0j),
+    np.complex64(0.5 - 0.25j), np.array(2.5), np.array(1 + 1j), float("nan"),
+    -float("inf"), complex(float("nan"), 1.0), np.longdouble(0.1)])
+def test_report_numbers_as_numpy_classifies_them(value):
+    """``_num`` classifies scalars by type and gives what classifying every
+    value with numpy gave."""
+    from covkg.reporting import _num
+
+    def by_numpy(x):
+        fin = lambda r: r if np.isfinite(r) else json.dumps(r)
+        if isinstance(x, complex) or np.iscomplexobj(x):
+            z = complex(x)
+            return fin(z.real) if z.imag == 0.0 else [fin(z.real),
+                                                      fin(z.imag)]
+        return fin(float(x))
+
+    got, want = _num(value), by_numpy(value)
+    assert json.dumps(got) == json.dumps(want)
+    assert type(got) is type(want)
 
 
 def test_non_object_tolerances_exit_two(tmp_path, capsys):

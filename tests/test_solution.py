@@ -363,29 +363,93 @@ def test_history_wrappers_agree_with_synthesize(lat, sol):
                 assert np.array_equal(row[..., i, :], grid)
 
 
-def test_windowed_family_equals_one_perturbation_per_member(lat, sol):
+def test_windowed_family_equals_one_perturbation_per_member(lat, sol,
+                                                            monkeypatch):
     """Each (eps, base) member of a family equals, bit for bit, its own
-    single-base, single-eps perturbation, and one ``at`` of the family
-    evaluates the variation once."""
-    calls = []
+    single-base, single-eps perturbation, over mixed base kinds, solution
+    batches among them, and a real or complex variation.  One ``at`` of
+    the family synthesizes the variation once, stacked with the plain
+    unbatched solution bases of its realness; every other base takes its
+    own ``at``."""
+    import covkg.solution as solution
 
-    class Counted(SolutionHistory):
-        def at(self, t):
-            calls.append(t)
-            return super().at(t)
+    calls, real = [], solution.synthesize
 
+    def spy(s, *args, **kwargs):
+        calls.append(np.shape(s.u)[:-1])
+        return real(s, *args, **kwargs)
+
+    rng = np.random.default_rng(4)
+    csol = random_solution(lat, rng, real_flag=False)
+    pair = stack_solutions([sol, evolve_exact(sol, 0.3)])
+    mixed = [SolutionHistory(sol), DetunedHistory(sol, 0.5),
+             PolynomialTimeHistory(lat, [2.0, -1.0, 0.25]),
+             SolutionHistory(csol), SolutionHistory(evolve_exact(sol, 0.7))]
+    batched = [SolutionHistory(pair), DetunedHistory(pair, 0.5)]
     ts = np.array([-0.3, 0.2, 0.45, 0.9])
-    bases = [SolutionHistory(sol), DetunedHistory(sol, 0.5)]
-    var = Counted(random_solution(lat, np.random.default_rng(4)))
     eps = np.array([1e-3, -1e-3, 0.25])
-    family = WindowedPerturbation(bases, var, 0.0, 1.0, eps).at(ts)
-    assert len(calls) == 1
-    for i, e in enumerate(eps):
-        for j, base in enumerate(bases):
-            single = WindowedPerturbation([base], var, 0.0, 1.0, e).at(ts)
-            for got, want in zip(family, single):
-                assert got.shape == (3, 2, 4) + lat.grid_shape
-                assert np.array_equal(got[i, j], want[0])
+    for var_real in (True, False):
+        var = SolutionHistory(random_solution(lat, rng, real_flag=var_real))
+        # mixed: the variation stacked with the two real solutions or with
+        # csol; the detuned base and each solution of the other realness
+        # alone.  batched: the variation and both batch bases apart.
+        for bases, want_calls, lead in (
+                (mixed, [(3,), (), ()] if var_real else [(2,), (), (), ()],
+                 ()),
+                (batched, [(), (2,), (2,)], (2,))):
+            calls.clear()
+            monkeypatch.setattr(solution, "synthesize", spy)
+            family = WindowedPerturbation(bases, var, 0.0, 1.0, eps).at(ts)
+            monkeypatch.setattr(solution, "synthesize", real)
+            assert sorted(calls) == sorted(want_calls)
+            shape = (3, len(bases)) + lead + (len(ts),) + lat.grid_shape
+            for j, base in enumerate(bases):
+                for i, e in enumerate(eps):
+                    single = WindowedPerturbation([base], var, 0.0, 1.0,
+                                                  e).at(ts)
+                    for got, want in zip(family, single):
+                        assert got.shape == shape
+                        assert np.array_equal(got[i, j], want[0])
+
+
+def test_windowed_perturbation_rejects_a_bad_window(lat, sol):
+    base, var = [SolutionHistory(sol)], SolutionHistory(sol)
+    with pytest.raises(ValueError, match="t1 < t2"):
+        WindowedPerturbation(base, var, 1.0, 0.5, 1e-3)
+
+
+def test_windowed_perturbation_rejects_an_empty_window(lat, sol):
+    base, var = [SolutionHistory(sol)], SolutionHistory(sol)
+    with pytest.raises(ValueError, match="t1 < t2"):
+        WindowedPerturbation(base, var, 0.5, 0.5, 1e-3)
+
+
+@pytest.mark.parametrize("t1,t2", [(0.0, np.nan), (np.nan, 1.0),
+                                   (0.0, np.inf), (-np.inf, 1.0)])
+def test_windowed_perturbation_rejects_non_finite_ends(lat, sol, t1, t2):
+    base, var = [SolutionHistory(sol)], SolutionHistory(sol)
+    with pytest.raises(ValueError, match="must be finite"):
+        WindowedPerturbation(base, var, t1, t2, 1e-3)
+
+
+@pytest.mark.parametrize("detune", [np.nan, np.inf, -np.inf])
+def test_detuned_history_rejects_a_non_finite_detune(sol, detune):
+    with pytest.raises(ValueError, match="detune must be finite"):
+        DetunedHistory(sol, detune)
+
+
+@pytest.mark.parametrize("n_batch", [2, 3])
+def test_detuned_history_of_a_batch_equals_one_per_member(lat, n_batch):
+    """Each member of a detuned batch gets all three fields of its own
+    detuned history, bit for bit, whatever the batch size."""
+    rng = np.random.default_rng(7)
+    sols = [random_solution(lat, rng) for _ in range(n_batch)]
+    ts = np.array([-0.4, 0.0, 0.37])
+    got = DetunedHistory(stack_solutions(sols), 0.05).at(ts)
+    for j, one in enumerate(sols):
+        for field, want in zip(got, DetunedHistory(one, 0.05).at(ts)):
+            assert field.shape == (n_batch,) + want.shape
+            assert np.array_equal(field[j], want)
 
 
 def test_detuned_history_breaks_dispersion(lat, sol):
@@ -529,8 +593,10 @@ def test_real_synthesis_equals_the_two_branch_path(config):
         hist = DetunedHistory(sol, 0.05)
         om = lat.k0 + hist.detune
         down = np.exp(-1j * (om - lat.k0) * np.asarray(t)[..., None])
-        want = _two_branch_synthesize(sol, t, [()] * 3, np.stack(
-            [(-1j * om) ** order * down for order in range(3)]))
+        factor = np.stack([(-1j * om) ** order * down for order in range(3)])
+        batch = tuple(range(1, np.ndim(sol.u)))  # after the order axis
+        want = _two_branch_synthesize(sol, t, [()] * 3,
+                                      np.expand_dims(factor, batch))
         assert np.array(hist.at(t)).tobytes() == want.tobytes()
 
 
