@@ -119,8 +119,8 @@ def dtheta_fd(lam: float, point, vectors, eps: float = 1e-3):
     vectors with cell axes, and ``lam`` as an array over the cells, give
     one difference per cell from the same 2 (n + 1) ``theta_eval`` calls.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     vectors = list(vectors)
     total = 0.0
     for i, v in enumerate(vectors):
@@ -271,11 +271,11 @@ def _time_quadrature(hist, densities, t1: float, t2: float, n_t: int) -> list:
     ``hist.at`` is evaluated once per block of times.  A block holds
     ``_BLOCK_CELLS`` grid values per derivative order, summed over a
     solution batch's members (``hist.sol``), so each of a history's own
-    syntheses stays within that bound.  A history without ``sol``, such
+    mode sums stays within that bound.  A history without ``sol``, such
     as a ``WindowedPerturbation`` family, takes blocks of one member's
     size: the family holds n_eps x n_bases grids per block, 4 for the
-    criticality pair, and its one stacked synthesis of the variation with
-    the on-shell base 2 x ``_BLOCK_CELLS`` values per derivative order.
+    criticality pair, and its one ``mode_sum_grid`` call (n_bases + 1) x
+    ``_BLOCK_CELLS`` values per derivative order.
     Each density maps (lat, *fields) to its values on the block, shape
     (..., block times) + grid_shape.  Returns one Simpson sum per density,
     with its leading axes (a lambda family, the eps signs, a batch); blocks
@@ -352,8 +352,8 @@ def action_criticality(bases, variation: Solution, lam: float,
     signs of eps and every base form one ``WindowedPerturbation`` family,
     integrated by one ``action_of_history`` call.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     family = WindowedPerturbation(bases, SolutionHistory(variation), t1, t2,
                                   [eps, -eps])
     plus, minus = action_of_history(family, lam, t1, t2, n_t)

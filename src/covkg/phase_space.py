@@ -150,8 +150,8 @@ def fd_delta_theta(sol: Solution, d1: Solution, d2: Solution, lam,
     mode coordinates is exact up to roundoff and must reproduce omega_sigma
     for every lambda; a 1-D array of lambdas gives one value per lambda.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     bases = stack_solutions([sol + eps * d1, sol - eps * d1,
                              sol + eps * d2, sol - eps * d2])
     plus1, minus1, plus2, minus2 = np.moveaxis(theta_sigma(
@@ -188,8 +188,8 @@ def theta_difference_vs_action(sol: Solution, delta: Solution, lam: float,
     along the deformation is exact and the pair must agree to the time
     quadrature tolerance.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     theta1, theta2 = theta_sigma(sol, delta, lam,
                                  np.array([t1, t2])).tolist()
     lhs = theta2 - theta1

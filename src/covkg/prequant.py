@@ -60,8 +60,9 @@ lists the members' amplitudes per monomial.
 Merging.  ``state_sum``, ``state_sub`` and ``max_abs_diff`` fold the later
 key-sorted states into the first by ``np.searchsorted`` (``_merge``),
 adding, or subtracting, amplitudes where a key is present (in one step
-for equal key arrays) and inserting the keys it lacks; a state out of key
-order is argsorted alone first.  From amp + 0.0, every amplitude, zero
+for equal key arrays) and inserting the keys it lacks, with their rows
+and tags except in ``max_abs_diff``; a state out of key order is
+argsorted alone first.  From amp + 0.0, every amplitude, zero
 signs included, is that of grouping the concatenated terms, subtracted
 states negated.  ``max_abs_diff`` reads 0.0 exactly when the amplitudes are
 equal on every key, a key a state lacks reading 0, as x - y == 0 only when
@@ -373,14 +374,10 @@ def _key_sorted(part):
     return [x.take(order, axis=0) for x in part]
 
 
-def _merge(states, subtract: bool = False) -> PolarizedState:
-    """The first of ``states`` plus (or minus) each later one, folded into
-    its keys ("Merging" above); a key keeps its first state's row and tag."""
-    lat = _same_lattice(states)
-    n_modes = lat.n_modes
-    width = max(s.idx.shape[1] for s in states)
-    parts = [(s.key, s.amp, _widen(s.idx, width, n_modes), s.tag)
-             for s in states]
+def _merge(parts, subtract: bool = False) -> list:
+    """The first of ``parts``, each (keys, amplitudes, *rows), plus (or
+    minus) each later one, folded into its keys ("Merging" above), as
+    [keys, amplitudes, *rows]; a key keeps its first part's rows."""
     combine = np.subtract if subtract else np.add
     key, amp, *rest = _key_sorted(parts[0])
     amp = amp + 0.0  # group sums start from +0.0, so -0.0 becomes +0.0
@@ -401,13 +398,24 @@ def _merge(states, subtract: bool = False) -> PolarizedState:
             amp = np.insert(amp, at, combine(0.0, a[new]))  # +0.0 as above
             rest = [np.insert(x, at, y[new], axis=0)
                     for x, y in zip(rest, more)]
-    return PolarizedState(lat, _trim(rest[0], n_modes), amp, rest[1], key)
+    return [key, amp, *rest]
+
+
+def _merge_states(states, subtract: bool = False) -> PolarizedState:
+    """``_merge`` of the states' terms, their rows widened to one width."""
+    lat = _same_lattice(states)
+    n_modes = lat.n_modes
+    width = max(s.idx.shape[1] for s in states)
+    key, amp, idx, tag = _merge(
+        [(s.key, s.amp, _widen(s.idx, width, n_modes), s.tag)
+         for s in states], subtract)
+    return PolarizedState(lat, _trim(idx, n_modes), amp, tag, key)
 
 
 def state_sum(*states: PolarizedState) -> PolarizedState:
     """The sum of states on one lattice, merged once (``_merge``): bit for
     bit, adding them left to right with exact zeros pruned between steps."""
-    return _merge(states)
+    return _merge_states(states)
 
 
 def state_scale(c, s: PolarizedState) -> PolarizedState:
@@ -415,14 +423,17 @@ def state_scale(c, s: PolarizedState) -> PolarizedState:
 
 
 def state_sub(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
-    return _merge((s1, s2), subtract=True)
+    return _merge_states((s1, s2), subtract=True)
 
 
 def max_abs_diff(first: PolarizedState, *rest: PolarizedState) -> float:
     """Largest |amplitude| of first - rest[0] - ... over every operand's
-    keys (``_merge``), 0.0 for no terms; np.hypot rounds like Python's
-    abs(complex), np.abs on a complex array may differ in the last bit."""
-    amp = _merge((first, *rest), subtract=True).amp
+    keys (``_merge`` of keys and amplitudes alone), 0.0 for no terms;
+    np.hypot rounds like Python's abs(complex), np.abs on a complex array
+    may differ in the last bit."""
+    states = (first, *rest)
+    _same_lattice(states)
+    _, amp = _merge([(s.key, s.amp) for s in states], subtract=True)
     return float(np.max(np.hypot(amp.real, amp.imag), initial=0.0))
 
 

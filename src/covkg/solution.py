@@ -11,17 +11,18 @@ Time never enters the state: evaluation is exact mode arithmetic, and
 ``evolve_exact`` merely re-bases the phases.  A leapfrog integrator is kept
 alongside as an independent finite-difference oracle for the same equation.
 
-Evaluation.  ``synthesize`` makes grids from the mode data in one pass: one
-phase table, one scatter onto the FFT bins and one inverse FFT over stacked
-leading axes; real grids take the u branch alone and an ``irfftn``.  A
-call may ask for a list of derivative orders, a 1-D array
-of times and, through ``u``/``ustar`` of shape (n_batch, n_modes), a batch
-of solutions (the observables suite stacks its ladder generators this way);
-the grids come out with the axes (order, batch, time) + grid_shape.  Each
-grid equals, bit for bit, the grid of the call that asks for it alone.
-``fields_and_orders`` (with ``evaluate_fields`` built on it) and the
-``at`` of each solution history make one such call; the slice functionals
-keep the time axis.
+Evaluation.  A field is its mode-space time coefficients (a solution's
+``_coefficients``, from one phase table), and one ``mode_sum_grid`` call
+makes the grids of any stack of them: one scatter onto the FFT bins and
+one inverse FFT, real grids from the u branch alone and an ``irfftn``.
+``synthesize`` takes a list of derivative orders, a 1-D array of times
+and, through ``u``/``ustar`` of shape (n_batch, n_modes), a batch of
+solutions (the observables suite stacks its ladder generators this way),
+giving axes (order, batch, time) + grid_shape; each grid equals, bit for
+bit, the grid of the call that asks for it alone.  ``fields_and_orders``
+(with ``evaluate_fields`` built on it) and the ``at`` of the solution and
+detuned histories make one such call, a ``WindowedPerturbation`` family
+one for all its members; the slice functionals keep the time axis.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ _CONJ_TOL = 1e-12
 # Grid values per derivative order of a block, summed over a batch's
 # members: sizes the blocks of the action quadratures and of the batched
 # bracket pairing.  A ``WindowedPerturbation`` family's blocks are sized as
-# for one member (see ``multisymplectic._time_quadrature``).
+# for one member, so its one mode sum holds (n_bases + 1) times as many
+# (see ``multisymplectic._time_quadrature``).
 _BLOCK_CELLS = 4096
 _WINDOW_ORDER = 6  # q of the bump (4 s (1-s))^q of ``WindowedPerturbation``
 
@@ -183,33 +185,13 @@ def _order_factors(lat: ModeLattice, orders: tuple) -> np.ndarray:
     return out
 
 
-def synthesize(sol: Solution, t, mus=(), factor=None):
-    """Evaluate (prod_mu d_mu) phi on the grid at time t.
-
-    ``t`` is a scalar, giving one grid, or a 1-D array of n_t times, giving
-    stacked grids of shape (n_t,) + grid_shape with the time axis first.
-    A solution with a batch axis (``u`` of shape (n_batch, n_modes)) puts
-    that axis before the time axis.  ``mus`` is one derivative order, a
-    tuple of axes, or a list of such tuples: a list stacks one grid per
-    order on a new leading axis, all from one phase table, one scatter and
-    one inverse FFT, each equal bit for bit to the call with that order
-    alone; anything else, a tuple of tuples included, is a TypeError.
-    ``factor`` multiplies the u branch per mode and its conjugate the u*
-    branch (an operator polynomial such as the Klein-Gordon symbol, or a
-    detuning phase); it broadcasts against the coefficient table of shape
-    ([n_orders,] [n_batch,] [n_t,] n_modes).  A real solution's u* branch
-    is the conjugate of its u branch (ustar == conj(u) exactly), so it is
-    not formed: the u branch alone gives real grids from one ``irfftn``,
-    equal bit for bit to the Hermitian part of the two-branch sum.
-    """
+def _coefficients(sol: Solution, t, orders, factor=None) -> tuple:
+    """The branch coefficients whose ``mode_sum_grid`` is the grid of each
+    derivative order in the list ``orders`` at time t, with axes (order,
+    [batch,] [time,] mode): (plus,) for a real solution, whose u* branch is
+    conj(plus) and is not formed, else (plus, minus).  ``factor``, broadcast
+    against them, multiplies the u branch and its conjugate the u* branch."""
     lat = sol.lat
-    stacked = isinstance(mus, list)
-    orders = mus if stacked else [mus]
-    for order in orders:
-        if not (isinstance(order, tuple)
-                and all(isinstance(a, (int, np.integer)) for a in order)):
-            raise TypeError("mus must be a tuple of axes or a list of "
-                            f"such tuples, not {mus!r}")
     t = np.asarray(t, dtype=float)
     shape = ((2, len(orders)) + (1,) * (np.ndim(sol.u) - 1 + t.ndim)
              + (lat.n_modes,))
@@ -220,12 +202,33 @@ def synthesize(sol: Solution, t, mus=(), factor=None):
     phase = np.exp(-1j * lat.k0 * t[..., None])
     coeffs = np.shape(sol.u)[:-1] + (1,) * t.ndim + (lat.n_modes,)
     plus = pref * lat.w * np.reshape(sol.u, coeffs) * phase * fu
-    minus = None  # a real solution's u* branch is conj(plus): not formed
-    if not sol.real_flag:
-        fus = fus if factor is None else fus * np.conj(factor)
-        ustar = np.reshape(sol.ustar, coeffs)
-        minus = pref * lat.w * ustar * np.conj(phase) * fus
-    grid = mode_sum_grid(lat, plus, minus)
+    if sol.real_flag:
+        return (plus,)
+    fus = fus if factor is None else fus * np.conj(factor)
+    ustar = np.reshape(sol.ustar, coeffs)
+    return plus, pref * lat.w * ustar * np.conj(phase) * fus
+
+
+def synthesize(sol: Solution, t, mus=()):
+    """Evaluate (prod_mu d_mu) phi on the grid at time t.
+
+    ``t`` is a scalar, giving one grid, or a 1-D array of n_t times, giving
+    stacked grids of shape (n_t,) + grid_shape with the time axis first.
+    A solution with a batch axis (``u`` of shape (n_batch, n_modes)) puts
+    that axis before the time axis.  ``mus`` is one derivative order, a
+    tuple of axes, or a list of such tuples: a list stacks one grid per
+    order on a new leading axis, all from one phase table, one scatter and
+    one inverse FFT, each equal bit for bit to the call with that order
+    alone; anything else, a tuple of tuples included, is a TypeError.
+    """
+    stacked = isinstance(mus, list)
+    orders = mus if stacked else [mus]
+    for order in orders:
+        if not (isinstance(order, tuple)
+                and all(isinstance(a, (int, np.integer)) for a in order)):
+            raise TypeError("mus must be a tuple of axes or a list of "
+                            f"such tuples, not {mus!r}")
+    grid = mode_sum_grid(sol.lat, *_coefficients(sol, t, orders))
     return grid if stacked else grid[0]
 
 
@@ -291,7 +294,7 @@ def kg_residual(sol: Solution, t: float = 0.0) -> float:
     """Max-norm of (box + m^2) phi with exact mode derivatives."""
     lat = sol.lat
     sym = lat.m ** 2 + np.sum(lat.k ** 2, axis=1) - lat.k0 ** 2
-    grid = synthesize(sol, t, factor=sym)
+    grid, = mode_sum_grid(lat, *_coefficients(sol, t, [()], factor=sym))
     return float(np.max(np.abs(grid)))
 
 
@@ -347,9 +350,13 @@ class SolutionHistory:
         self.sol = sol
         self.lat = sol.lat
 
+    def coefficients(self, t):
+        """The ``_coefficients`` of (phi, d_t phi, d_tt phi) at t."""
+        return _coefficients(self.sol, t, [(), (0,), (0, 0)])
+
     def at(self, t):
         """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
-        return tuple(synthesize(self.sol, t, [(), (0,), (0, 0)]))
+        return tuple(mode_sum_grid(self.lat, *self.coefficients(t)))
 
 
 class DetunedHistory:
@@ -367,16 +374,21 @@ class DetunedHistory:
         if not abs(self.detune) < np.inf:
             raise ValueError(f"detune must be finite, got {detune!r}")
 
-    def at(self, t):
-        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them
-        first, and a solution batch puts its axis before them."""
+    def coefficients(self, t):
+        """The ``_coefficients`` of (phi, d_t phi, d_tt phi) at t: the
+        solution's phases times exp(-i detune t) and (-i (k0 + detune))^r."""
         om = self.lat.k0 + self.detune
         tc = np.asarray(t, dtype=float)[..., None]
         down = np.exp(-1j * (om - self.lat.k0) * tc)
         factor = np.stack([(-1j * om) ** order * down for order in range(3)])
         batch = tuple(range(1, np.ndim(self.sol.u)))  # after the order axis
-        return tuple(synthesize(self.sol, t, [()] * 3,
-                                factor=np.expand_dims(factor, batch)))
+        return _coefficients(self.sol, t, [()] * 3,
+                             factor=np.expand_dims(factor, batch))
+
+    def at(self, t):
+        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them
+        first, and a solution batch puts its axis before them."""
+        return tuple(mode_sum_grid(self.lat, *self.coefficients(t)))
 
 
 class PolynomialTimeHistory:
@@ -392,14 +404,6 @@ class PolynomialTimeHistory:
         return tuple(np.polyval(np.polyder(self.coeffs[::-1], r), tx) for r in range(3))
 
 
-def _plain_solution(hist):
-    """The solution of a ``SolutionHistory`` (not a subclass) of one
-    unbatched solution, else None."""
-    if type(hist) is SolutionHistory and np.ndim(hist.sol.u) == 1:
-        return hist.sol
-    return None
-
-
 class WindowedPerturbation:
     """base + eps * eta(t) * variation for each base and each eps.
 
@@ -407,15 +411,13 @@ class WindowedPerturbation:
     zero outside; its q derivatives vanish at both ends, keeping the windowed
     integrand smooth enough for clean Simpson convergence.  The bases' fields
     are stacked on a leading axis, and a 1-D array ``eps`` puts its own axis
-    in front of that: shape ([n_eps,] n_bases) + a base's.  ``at`` evaluates
-    the variation and the window once; the time derivatives are exact, by
-    the product rule.  When the variation is a plain ``SolutionHistory`` of
-    one unbatched solution, every base of that kind with the variation's
-    ``real_flag`` is synthesized with it in one stacked call, so a block
-    of n_t times holds (n_joined + 1) x n_t grids per derivative order;
-    each grid equals, bit for bit, that of the base's own ``at``.  Other
-    bases (detuned, polynomial, batched, or of the other realness) keep
-    their own ``at``.  The window ends must be finite, with t1 < t2.
+    in front of that: shape ([n_eps,] n_bases) + a base's.  The bases and
+    the variation are unbatched solution or detuned histories of one
+    lattice and one realness; ``at`` stacks their coefficients for one
+    ``mode_sum_grid`` call, each member's grids bit for bit those of its own
+    ``at``, and applies the window by the product rule, so the time
+    derivatives are exact.  Other members, no base, a non-finite eps and a
+    window without finite ends t1 < t2 are a ValueError.
     """
 
     def __init__(self, bases, variation, t1: float, t2: float, eps):
@@ -428,6 +430,16 @@ class WindowedPerturbation:
         self.var = variation
         self.t1, self.t2 = t1, t2
         self.eps = np.asarray(eps, dtype=float)
+        if not self.bases:
+            raise ValueError("bases must hold at least one history")
+        if not np.isfinite(self.eps).all():
+            raise ValueError(f"eps must be finite, got {eps!r}")
+        members = [*self.bases, variation]
+        if not (all(isinstance(h, (SolutionHistory, DetunedHistory))
+                    and np.ndim(h.sol.u) == 1 for h in members)
+                and len({(h.lat, h.sol.real_flag) for h in members}) == 1):
+            raise ValueError("the family takes unbatched solution or detuned "
+                             "histories of one lattice and one realness")
         self.lat = variation.lat
 
     def _window(self, t):
@@ -446,21 +458,11 @@ class WindowedPerturbation:
 
     def at(self, t):
         """(phi, d_t phi, d_tt phi) at t, after the eps and base axes."""
-        var = _plain_solution(self.var)
-        joined = {} if var is None else {
-            i: sol for i, b in enumerate(self.bases)
-            if (sol := _plain_solution(b)) is not None
-            and sol.real_flag == var.real_flag and sol.lat == var.lat}
-        if joined:
-            grids = synthesize(stack_solutions([*joined.values(), var]), t,
-                               [(), (0,), (0, 0)])
-            own = dict(zip(joined, grids.swapaxes(0, 1)))
-            v0, v1, v2 = grids[:, -1]
-        else:
-            own = {}
-            v0, v1, v2 = self.var.at(t)
-        b0, b1, b2 = (np.stack(f) for f in zip(
-            *(own[i] if i in own else b.at(t) for i, b in enumerate(self.bases))))
+        members = [h.coefficients(t) for h in (*self.bases, self.var)]
+        grids = mode_sum_grid(self.lat, *(np.stack(branch, axis=1)
+                                          for branch in zip(*members)))
+        b0, b1, b2 = grids[:, :-1]  # (order, member, [time,]) + grid_shape
+        v0, v1, v2 = grids[:, -1]
         w, w1, w2 = self._window(t)
         e = self.eps.reshape(self.eps.shape + (1,) * b0.ndim)
         return (b0 + e * w * v0,

@@ -4,8 +4,8 @@ default config and at config C (d = 3, N = 8, n_max = 3), of the default
 
 Each finite-difference, lambda or time family is evaluated as one stacked
 pass (the lambda actions, the criticality pair's one ``WindowedPerturbation``
-family over both signs of eps and both bases, whose variation and on-shell
-base are one synthesis per block, the dtheta draws,
+family over both signs of eps and both bases, whose bases and variation
+are one ``mode_sum_grid`` call per block, the dtheta draws,
 the shifted bases of fd_delta_theta and theta_difference_vs_action, the
 lambda pair of fd_delta_theta, the Theta linearity triple, the slice
 integrals compared across times, the representative shifts, the
@@ -13,6 +13,8 @@ translations of the P_mu bracket identity, the lambda pair of each P_mu
 integral).  The bounds are the totals of that design; a change that splits
 a family into separate evaluations again raises them and fails here.  At
 config C a family split back per mu makes d + 1 = 4 evaluations of one.
+A history's grids come from ``mode_sum_grid`` without ``synthesize``, so
+both are counted; every synthesis is also one mode sum.
 Real grids take the half-spectrum transforms (``rfftn``/``irfftn``) and
 complex ones the full-grid pair, so each of the four kinds has its own
 bound; a real field sent down the complex path fails here.
@@ -39,22 +41,22 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from covkg import cli, prequant, solution, suites
+from covkg import cli, lattice, prequant, solution, suites
 from covkg.reporting import RunConfig
 
-SYNTHESIZE_BUDGET = 54
 FFT_KINDS = ("fftn", "ifftn", "rfftn", "irfftn")
-FFT_BUDGET = {"fftn": 0, "ifftn": 0, "rfftn": 27, "irfftn": 81}
-OBSERVABLES_BUDGET = {"synthesize": 36, "fftn": 0, "ifftn": 20, "rfftn": 0,
-                      "irfftn": 16}
+MSYMP_PHASE_SPACE_BUDGET = {"synthesize": 27, "mode_sum_grid": 45,
+                            "fftn": 0, "ifftn": 0, "rfftn": 27, "irfftn": 72}
+OBSERVABLES_BUDGET = {"synthesize": 36, "mode_sum_grid": 36, "fftn": 0,
+                      "ifftn": 20, "rfftn": 0, "irfftn": 16}
 CONFIG_C = {"d": 3, "N": 8, "n_max": 3}
 CONFIG_C_BUDGET = {
-    "msymp": {"synthesize": 296, "fftn": 0, "ifftn": 0, "rfftn": 201,
-              "irfftn": 497},
-    "observables": {"synthesize": 167},
-    "phase-space": {"synthesize": 88},
+    "msymp": {"synthesize": 4, "mode_sum_grid": 167, "fftn": 0, "ifftn": 0,
+              "rfftn": 201, "irfftn": 368},
+    "observables": {"synthesize": 167, "mode_sum_grid": 167},
+    "phase-space": {"synthesize": 23, "mode_sum_grid": 88},
 }
-SIMULATE_SYNTHESIZE_BUDGET = 4
+SIMULATE_BUDGET = {"synthesize": 4, "mode_sum_grid": 4}
 PREQUANT_OP_BUDGET = {
     "A": ({}, {"op_a": 12, "op_a_star": 20, "_cmul": 45, "_merge": 14}),
     "wide": ({"d": 1, "N": 32, "n_max": 11},
@@ -77,8 +79,8 @@ def _counting(counts, key, fn):
 
 
 def _count_calls(monkeypatch, suite_fns, **config):
-    """(records, Counter of synthesize calls and of the calls of each
-    FFT kind in ``FFT_KINDS``) of the suites run at
+    """(records, Counter of synthesize and mode_sum_grid calls and of the
+    calls of each FFT kind in ``FFT_KINDS``) of the suites run at
     the default config, or with the given config fields."""
     counts = _patch_counters(monkeypatch)
     cfg = RunConfig(**config)
@@ -87,15 +89,16 @@ def _count_calls(monkeypatch, suite_fns, **config):
 
 
 def _patch_counters(monkeypatch):
-    """A Counter that counts every covkg ``synthesize`` call and the calls
-    of each FFT kind from now on."""
+    """A Counter that counts every covkg ``synthesize`` and
+    ``mode_sum_grid`` call and the calls of each FFT kind from now on."""
     counts = Counter()
-    original = solution.synthesize
-    counted = _counting(counts, "synthesize", original)
-    for name, mod in list(sys.modules.items()):
-        if (name.startswith("covkg") and mod is not None
-                and getattr(mod, "synthesize", None) is original):
-            monkeypatch.setattr(mod, "synthesize", counted)
+    for key, original in (("synthesize", solution.synthesize),
+                          ("mode_sum_grid", lattice.mode_sum_grid)):
+        counted = _counting(counts, key, original)
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("covkg") and mod is not None
+                    and getattr(mod, key, None) is original):
+                monkeypatch.setattr(mod, key, counted)
     for key in FFT_KINDS:
         monkeypatch.setattr(np.fft, key,
                             _counting(counts, key, getattr(np.fft, key)))
@@ -112,8 +115,7 @@ def test_msymp_and_phase_space_call_budget(monkeypatch):
     records, counts = _count_calls(
         monkeypatch, [suites.suite_msymp, suites.suite_phase_space])
     assert len(records) == 24
-    assert 0 < counts["synthesize"] <= SYNTHESIZE_BUDGET
-    _check_budget(counts, FFT_BUDGET)
+    _check_budget(counts, MSYMP_PHASE_SPACE_BUDGET)
 
 
 def test_observables_call_budget(monkeypatch):
@@ -136,7 +138,7 @@ def test_simulate_call_budget(monkeypatch, tmp_path):
     times: 4 syntheses at config A, where one per time made 84."""
     counts = _patch_counters(monkeypatch)
     assert cli.main(["simulate", "--out", str(tmp_path / "sim.csv")]) == 0
-    assert 0 < counts["synthesize"] <= SIMULATE_SYNTHESIZE_BUDGET
+    _check_budget(counts, SIMULATE_BUDGET)
 
 
 @pytest.mark.parametrize("config", sorted(PREQUANT_OP_BUDGET))

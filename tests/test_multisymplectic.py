@@ -30,7 +30,7 @@ from covkg.multisymplectic import (
     simpson,
     theta_pullback_density,
 )
-from covkg.phase_space import theta_difference_vs_action
+from covkg.phase_space import fd_delta_theta, theta_difference_vs_action
 from covkg.solution import (
     DetunedHistory,
     SolutionHistory,
@@ -178,15 +178,24 @@ def test_stacked_dtheta_equals_per_draw_calls(d):
     assert np.max(np.abs(stacked - forms)) < 1e-9
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan")])
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), np.inf])
 def test_central_differences_need_positive_eps(lat, sol, eps):
+    """A central difference needs a positive, finite eps: an infinite one
+    would give NaN."""
     vs = basis_tangents(1)[:3]
-    with pytest.raises(ValueError, match="eps must be positive"):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
         dtheta_fd(0.5, _point(), vs, eps=eps)
-    with pytest.raises(ValueError, match="eps must be positive"):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
         theta_difference_vs_action(sol, sol, 0.5, 0.0, 1.0, eps=eps)
-    with pytest.raises(ValueError, match="eps must be positive"):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        fd_delta_theta(sol, sol, sol, 0.5, 0.0, eps=eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
         action_criticality([SolutionHistory(sol)], sol, 0.5, eps=eps)
+
+
+def test_action_criticality_rejects_an_empty_base_list(sol):
+    with pytest.raises(ValueError, match="bases must hold"):
+        action_criticality([], sol, 0.5)
 
 
 def test_hamiltonian_hand_value():
@@ -406,18 +415,18 @@ def test_lagrangian_alone_from_an_empty_lambda_list(lat, sol):
 
 
 def test_quadrature_blocks_bound_each_synthesis(lat, sol, monkeypatch):
-    """On a 2-member batch, every synthesis of both action quadratures holds
+    """On a 2-member batch, every mode sum of both action quadratures holds
     at most _BLOCK_CELLS grid values per derivative order."""
     import covkg.solution as solution
 
-    per_order, real = [], solution.synthesize
+    per_order, real = [], solution.mode_sum_grid
 
-    def spy(*args, **kwargs):
-        grids = real(*args, **kwargs)  # (order, batch, time) + grid_shape
+    def spy(*args):
+        grids = real(*args)  # (order, batch, time) + grid_shape
         per_order.append(grids[0].size)
         return grids
 
-    monkeypatch.setattr(solution, "synthesize", spy)
+    monkeypatch.setattr(solution, "mode_sum_grid", spy)
     hist = SolutionHistory(stack_solutions([sol, evolve_exact(sol, 0.3)]))
     action_of_history(hist, 0.5, 0.0, 1.0, 257)
     lagrangian_and_actions(hist, [0.0, 1.0], 0.0, 1.0, 257)

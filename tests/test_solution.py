@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from covkg import build_lattice, evolve_exact, from_cauchy, from_modes, kg_residual
+from covkg.lattice import mode_sum_grid
 from covkg.multisymplectic import graph_frame
 from covkg.solution import (
+    _coefficients,
     Solution,
     SolutionHistory,
     DetunedHistory,
@@ -150,9 +152,9 @@ def test_real_grids_whenever_the_branch_factors_are_conjugate(lat, sol):
     for grid in DetunedHistory(sol, 0.5).at(ts):
         assert grid.dtype == np.float64 and grid.shape == (3,) + lat.grid_shape
     sym = lat.m ** 2 + np.sum(lat.k ** 2, axis=1) - lat.k0 ** 2
-    assert synthesize(sol, 0.4, factor=sym).dtype == np.float64
-    f = np.exp(0.3j * lat.k0)
-    assert synthesize(sol, 0.4, factor=f).dtype == np.float64
+    for factor in (sym, np.exp(0.3j * lat.k0)):
+        grid, = mode_sum_grid(lat, *_coefficients(sol, 0.4, [()], factor))
+        assert grid.dtype == np.float64
     complex_sol = random_solution(lat, np.random.default_rng(3), False)
     assert np.iscomplexobj(synthesize(complex_sol, 0.4))
 
@@ -363,53 +365,66 @@ def test_history_wrappers_agree_with_synthesize(lat, sol):
                 assert np.array_equal(row[..., i, :], grid)
 
 
-def test_windowed_family_equals_one_perturbation_per_member(lat, sol,
-                                                            monkeypatch):
-    """Each (eps, base) member of a family equals, bit for bit, its own
-    single-base, single-eps perturbation, over mixed base kinds, solution
-    batches among them, and a real or complex variation.  One ``at`` of
-    the family synthesizes the variation once, stacked with the plain
-    unbatched solution bases of its realness; every other base takes its
-    own ``at``."""
+def test_windowed_family_equals_one_perturbation_per_member(lat, monkeypatch):
+    """Each (eps, base) member of a family of a solution, a detuned and a
+    second solution base equals, bit for bit, its own single-base,
+    single-eps perturbation, under a real and then a complex variation.
+    One ``at`` of the family makes one ``mode_sum_grid`` call and no
+    ``synthesize`` call."""
     import covkg.solution as solution
 
-    calls, real = [], solution.synthesize
-
-    def spy(s, *args, **kwargs):
-        calls.append(np.shape(s.u)[:-1])
-        return real(s, *args, **kwargs)
-
+    calls = []
+    for name in ("mode_sum_grid", "synthesize"):
+        def spy(*args, _name=name, _real=getattr(solution, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(solution, name, spy)
     rng = np.random.default_rng(4)
-    csol = random_solution(lat, rng, real_flag=False)
-    pair = stack_solutions([sol, evolve_exact(sol, 0.3)])
-    mixed = [SolutionHistory(sol), DetunedHistory(sol, 0.5),
-             PolynomialTimeHistory(lat, [2.0, -1.0, 0.25]),
-             SolutionHistory(csol), SolutionHistory(evolve_exact(sol, 0.7))]
-    batched = [SolutionHistory(pair), DetunedHistory(pair, 0.5)]
     ts = np.array([-0.3, 0.2, 0.45, 0.9])
     eps = np.array([1e-3, -1e-3, 0.25])
-    for var_real in (True, False):
-        var = SolutionHistory(random_solution(lat, rng, real_flag=var_real))
-        # mixed: the variation stacked with the two real solutions or with
-        # csol; the detuned base and each solution of the other realness
-        # alone.  batched: the variation and both batch bases apart.
-        for bases, want_calls, lead in (
-                (mixed, [(3,), (), ()] if var_real else [(2,), (), (), ()],
-                 ()),
-                (batched, [(), (2,), (2,)], (2,))):
-            calls.clear()
-            monkeypatch.setattr(solution, "synthesize", spy)
-            family = WindowedPerturbation(bases, var, 0.0, 1.0, eps).at(ts)
-            monkeypatch.setattr(solution, "synthesize", real)
-            assert sorted(calls) == sorted(want_calls)
-            shape = (3, len(bases)) + lead + (len(ts),) + lat.grid_shape
-            for j, base in enumerate(bases):
-                for i, e in enumerate(eps):
-                    single = WindowedPerturbation([base], var, 0.0, 1.0,
-                                                  e).at(ts)
-                    for got, want in zip(family, single):
-                        assert got.shape == shape
-                        assert np.array_equal(got[i, j], want[0])
+    for real_flag in (True, False):
+        one, two, var = (random_solution(lat, rng, real_flag)
+                         for _ in range(3))
+        bases = [SolutionHistory(one), DetunedHistory(one, 0.5),
+                 SolutionHistory(two)]
+        var = SolutionHistory(var)
+        family = WindowedPerturbation(bases, var, 0.0, 1.0, eps)
+        calls.clear()
+        got = family.at(ts)
+        assert calls == ["mode_sum_grid"]
+        shape = (3, len(bases), len(ts)) + lat.grid_shape
+        for j, base in enumerate(bases):
+            for i, e in enumerate(eps):
+                single = WindowedPerturbation([base], var, 0.0, 1.0,
+                                              e).at(ts)
+                for field, want in zip(got, single):
+                    assert field.shape == shape
+                    assert field.dtype == want.dtype
+                    assert np.array_equal(field[i, j], want[0])
+
+
+def test_windowed_family_rejects_other_members(lat, sol):
+    """Polynomial, batched, mixed-realness and other-lattice members, as a
+    base or as the variation, are a ValueError at construction."""
+    rng = np.random.default_rng(6)
+    other = build_lattice(d=1, L=2 * np.pi, N=16, n_max=7, m=1.0)
+    pair = stack_solutions([sol, evolve_exact(sol, 0.3)])
+    hist = SolutionHistory(sol)
+    for bad in (PolynomialTimeHistory(lat, [2.0, -1.0]),
+                SolutionHistory(pair), DetunedHistory(pair, 0.5),
+                SolutionHistory(random_solution(lat, rng, real_flag=False)),
+                DetunedHistory(random_solution(other, rng), 0.5)):
+        for bases, var in (([hist, bad], hist), ([hist], bad)):
+            with pytest.raises(ValueError, match="unbatched solution or "
+                                                 "detuned histories"):
+                WindowedPerturbation(bases, var, 0.0, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("eps", [np.nan, [1e-3, np.inf], -np.inf])
+def test_windowed_perturbation_rejects_a_non_finite_eps(sol, eps):
+    base, var = [SolutionHistory(sol)], SolutionHistory(sol)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        WindowedPerturbation(base, var, 0.0, 1.0, eps)
 
 
 def test_windowed_perturbation_rejects_a_bad_window(lat, sol):
@@ -471,18 +486,27 @@ def test_polynomial_history_derivatives(lat):
     np.testing.assert_allclose(d2, 0.5)
 
 
-def test_time_window_compact_support_and_derivatives(lat):
-    """A zero base plus the window times a unit variation: ``at`` gives the
-    window (eta, eta', eta'') in every cell."""
-    hist = WindowedPerturbation([PolynomialTimeHistory(lat, [0.0])],
-                                PolynomialTimeHistory(lat, [1.0]), 0.0, 1.0,
+def test_time_window_compact_support_and_derivatives(lat, sol):
+    """The window (eta, eta', eta'') is 0 outside [t1, t2] and 1 at its
+    middle, with the derivatives of finite differences; a zero base plus
+    the window times a variation gives, in every cell, the window times the
+    variation's fields by the product rule."""
+    var = SolutionHistory(sol)
+    hist = WindowedPerturbation([SolutionHistory(0.0 * sol)], var, 0.0, 1.0,
                                 1.0)
 
     def window(t):
-        fields = hist.at(t)
-        for f in fields:
-            assert f.shape == (1,) + lat.grid_shape and np.all(f == f[0, 0])
-        return tuple(f[0, 0] for f in fields)
+        w, w1, w2 = eta = hist._window(t)
+        v0, v1, v2 = var.at(t)
+        f0, f1, f2 = hist.at(t)
+        for f in (f0, f1, f2):
+            assert f.shape == (1,) + np.shape(t) + lat.grid_shape
+        assert np.array_equal(f0[0], w * v0)
+        assert np.array_equal(f1[0], w1 * v0 + w * v1)
+        assert np.array_equal(f2[0], w2 * v0 + 2.0 * w1 * v1 + w * v2)
+        for v in eta:
+            assert v.shape == np.shape(t) + (1,) * lat.d
+        return tuple(v[..., 0] for v in eta)
 
     def value(t):
         return window(t)[0]
@@ -498,10 +522,8 @@ def test_time_window_compact_support_and_derivatives(lat):
         assert float(d1) == pytest.approx(fd1, abs=1e-7)
         assert float(d2) == pytest.approx(fd2, abs=1e-4)
     ts = np.array([-0.2, 0.3, 0.71, 1.4])
-    stacked = hist.at(ts)
-    for got, want in zip(stacked, zip(*(window(t) for t in ts))):
-        assert got.shape == (1, 4) + lat.grid_shape
-        assert np.array_equal(got[0, :, 0], np.array(want))
+    for got, want in zip(window(ts), zip(*(window(t) for t in ts))):
+        assert np.array_equal(got, np.array(want))
 
 
 def _two_branch_mode_sum(lat, plus, minus, real):
@@ -569,8 +591,9 @@ _REF_CONFIGS = {"A": (1, 32, 7), "B": (2, 16, 5), "C": (3, 8, 3),
 def test_real_synthesis_equals_the_two_branch_path(config):
     """On real solutions the u branch alone gives, bit for bit, the grids
     of the two-branch Hermitian path: at a scalar time and at a 1-D array
-    of times, for one solution and a batch, for stacked orders, and with
-    the Klein-Gordon symbol and the detuned history's factor."""
+    of times, for one solution and a batch, for stacked orders, and, from
+    ``_coefficients``, with the Klein-Gordon symbol and the detuned
+    history's factor."""
     d, N, n_max = _REF_CONFIGS[config]
     lat = build_lattice(d=d, L=2 * np.pi, N=N, n_max=n_max, m=1.0)
     rng = np.random.default_rng(n_max)
@@ -583,7 +606,8 @@ def test_real_synthesis_equals_the_two_branch_path(config):
              (batch, 0.37, orders, None), (batch, ts, orders, None),
              (sols[2], 0.37, [()], sym), (batch, ts, [()], sym)]
     for sol, t, mus, factor in cases:
-        got = synthesize(sol, t, mus, factor)
+        got = (synthesize(sol, t, mus) if factor is None
+               else mode_sum_grid(lat, *_coefficients(sol, t, mus, factor)))
         assert got.dtype == np.float64
         assert got.tobytes() == _two_branch_synthesize(
             sol, t, mus, factor).tobytes()

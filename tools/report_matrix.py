@@ -1,16 +1,20 @@
-"""Write a fixed matrix of covkg reports to a directory.
+"""Write a fixed matrix of covkg reports to a directory, or compare two.
 
 Usage:
 
     python tools/report_matrix.py OUT_DIR
+    python tools/report_matrix.py --compare REF_DIR OUT_DIR
 
 Runs the ``covkg`` CLI in process, from the ``src`` tree next to this
 script, over a fixed set of commands, configs and seeds, and writes every
 report, CSV and time series to OUT_DIR with the exit codes in
 ``exit_codes.txt``.  Reports carry no timestamps, so running the script in
-two checkouts and comparing the directories with ``diff -r`` shows whether a
-change keeps every output byte-identical.  Uses only the standard library
-and covkg.
+two checkouts and comparing the directories shows whether a change keeps
+every output byte-identical.  ``--compare`` reads two such directories and
+prints one line per moved check record of each differing report (its old
+and new ``lhs`` and its tolerance, flagged when it is 0.0) and one per
+other differing file; it exits 0 when every file is byte-identical,
+else 1.  Uses only the standard library and covkg.
 """
 
 from __future__ import annotations
@@ -95,7 +99,53 @@ def main_matrix(out_dir: str) -> int:
     return 0
 
 
+def _records(path: str):
+    """A report's check records by name, or None for a file that is not a
+    JSON report."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return {rec["name"]: rec for rec in doc["checks"]}
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def compare(ref_dir: str, out_dir: str) -> list:
+    """One line per difference between two matrix directories, in file
+    order: each moved, added or removed check record of a report, and
+    each other file that differs or exists on one side only."""
+    lines = []
+    for name in sorted(set(os.listdir(ref_dir)) | set(os.listdir(out_dir))):
+        ref, out = (os.path.join(d, name) for d in (ref_dir, out_dir))
+        if not (os.path.exists(ref) and os.path.exists(out)):
+            side = ref_dir if os.path.exists(ref) else out_dir
+            lines.append(f"{name}: only in {side}")
+            continue
+        with open(ref, "rb") as fa, open(out, "rb") as fb:
+            if fa.read() == fb.read():
+                continue
+        old, new = _records(ref), _records(out)
+        if old is None or new is None:
+            lines.append(f"{name}: differs (not a check report)")
+            continue
+        moved = [key for key in sorted(set(old) | set(new))
+                 if old.get(key) != new.get(key)]
+        if not moved:
+            lines.append(f"{name}: differs outside its check records")
+        for key in moved:
+            a, b = old.get(key, {}), new.get(key, {})
+            tol = b.get("tolerance", a.get("tolerance"))
+            lines.append(f"{name}: {key} lhs {a.get('lhs', '(absent)')!r} -> "
+                         f"{b.get('lhs', '(absent)')!r}, tolerance {tol!r}"
+                         + (" (a 0.0 tolerance)" if tol == 0.0 else ""))
+    return lines
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        diffs = compare(sys.argv[2], sys.argv[3])
+        print("\n".join(diffs) if diffs else "every file is byte-identical")
+        sys.exit(1 if diffs else 0)
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
         sys.exit(__doc__)
     sys.exit(main_matrix(sys.argv[1]))
