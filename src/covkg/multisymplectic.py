@@ -209,7 +209,7 @@ def hamilton_residual_fields(lat: ModeLattice, t_grid, phis, ps) -> float:
               spectral_gradient(lat, mid) + p_mid[:, 1:],
               dp0_dt + spectral_divergence(lat, p_mid[:, 1:])
               + lat.m ** 2 * mid)
-    return max(float(np.max(np.abs(r))) for r in resids)
+    return float(np.max([np.max(np.abs(r)) for r in resids]))
 
 
 def hamilton_residual(sol: Solution, t_grid) -> float:
@@ -285,7 +285,7 @@ def _time_quadrature(hist, densities, t1: float, t2: float, n_t: int) -> list:
         raise ValueError("need t1 < t2")
     _check_simpson_count(n_t)
     lat = hist.lat
-    sol = getattr(hist, "sol", None)  # SolutionHistory, DetunedHistory
+    sol = getattr(hist, "sol", None)  # a DetunedHistory or SolutionHistory
     members = 1 if sol is None else int(np.prod(np.shape(sol.u)[:-1]))
     ts = np.linspace(t1, t2, n_t)
     step = max(1, _BLOCK_CELLS // (members * int(np.prod(lat.grid_shape))))

@@ -8,14 +8,16 @@ whose slice integral on a graph is (L/N)^d sum_j (p^0 Phi - phi d_t Phi):
 the bracket pairing {F_Phi, F_Psi} of the sign table below with the
 solution as Phi and the generator as Psi, one kernel for both.  A linear
 observable is its generator, a ``Solution``; ``Pmu`` are the translation
-currents.  The ladder forms are F_Phi of explicit generators
-(``generator_alpha_k`` and its three siblings; an array of mode indices
-gives a generator batch):
+currents.  The ladder forms are F_Phi of explicit generators, built by
+``generator_alpha_f`` and ``generator_alpha_star_g``; the single-mode ones
+are those at f = g = e_k / w_k (``generator_alpha_k`` and its sibling).  A
+coefficient array of shape (..., n_modes), or an array of mode indices,
+gives a generator batch:
 
-    alpha_k      <->  Phi =  i exp(+i k.x) / (2 pi)^{d/2}
-    alpha*_k     <->  Phi = -i exp(-i k.x) / (2 pi)^{d/2}
     alpha_f      <->  Phi_f  with ustar_k = i f_k   (u = 0)
     alpha*_g     <->  Phi*_g with u_k     = -i g_k  (ustar = 0)
+    alpha_k      <->  Phi =  i exp(+i k.x) / (2 pi)^{d/2}
+    alpha*_k     <->  Phi = -i exp(-i k.x) / (2 pi)^{d/2}
 
 so that a_k = u_k and a*_k = u*_k at every slice time.
 
@@ -62,42 +64,34 @@ class Pmu:
     lam: float = 1.0
 
 
-def _single_mode_generators(lat: ModeLattice, k, coef) -> np.ndarray:
-    """Rows with ``coef[k]`` at mode k and zeros elsewhere, one per index of k."""
-    k = np.asarray(k)
-    rows = np.zeros((k.size, lat.n_modes), dtype=complex)
-    rows[np.arange(k.size), k.ravel()] = coef[k.ravel()]
-    return rows.reshape(k.shape + (lat.n_modes,))
-
-
 def generator_alpha_k(lat: ModeLattice, k) -> Solution:
-    """The solution i exp(+i k.x)/(2 pi)^{d/2} generating a_k.
+    """The solution i exp(+i k.x)/(2 pi)^{d/2} generating a_k: the smeared
+    generator at f = e_k / w_k.
 
     An array of mode indices gives a batch of generators, one per index.
     """
-    us = _single_mode_generators(lat, k, 1j / lat.w)
-    return Solution(lat, np.zeros_like(us), us, False)
+    return generator_alpha_f(lat, np.eye(lat.n_modes)[k] / lat.w)
 
 
 def generator_alpha_star_k(lat: ModeLattice, k) -> Solution:
-    """The solution -i exp(-i k.x)/(2 pi)^{d/2} generating a*_k.
+    """The solution -i exp(-i k.x)/(2 pi)^{d/2} generating a*_k: the
+    smeared generator at g = e_k / w_k.
 
     An array of mode indices gives a batch of generators, one per index.
     """
-    u = _single_mode_generators(lat, k, -1j / lat.w)
-    return Solution(lat, u, np.zeros_like(u), False)
+    return generator_alpha_star_g(lat, np.eye(lat.n_modes)[k] / lat.w)
 
 
 def generator_alpha_f(lat: ModeLattice, f) -> Solution:
     f = np.asarray(f, dtype=complex)
-    if f.shape != (lat.n_modes,):
+    if f.shape[-1:] != (lat.n_modes,):
         raise ValueError("f must have one component per mode")
     return Solution(lat, np.zeros_like(f), 1j * f, False)
 
 
 def generator_alpha_star_g(lat: ModeLattice, g) -> Solution:
     g = np.asarray(g, dtype=complex)
-    if g.shape != (lat.n_modes,):
+    if g.shape[-1:] != (lat.n_modes,):
         raise ValueError("g must have one component per mode")
     return Solution(lat, -1j * g, np.zeros_like(g), False)
 

@@ -20,9 +20,10 @@ and, through ``u``/``ustar`` of shape (n_batch, n_modes), a batch of
 solutions (the observables suite stacks its ladder generators this way),
 giving axes (order, batch, time) + grid_shape; each grid equals, bit for
 bit, the grid of the call that asks for it alone.  ``fields_and_orders``
-(with ``evaluate_fields`` built on it) and the ``at`` of the solution and
-detuned histories make one such call, a ``WindowedPerturbation`` family
-one for all its members; the slice functionals keep the time axis.
+(with ``evaluate_fields`` built on it) and the ``at`` of a detuned history
+make one such call, a ``WindowedPerturbation`` family one for all its
+members; the slice functionals keep the time axis.  ``SolutionHistory`` is
+the detuned history at detune 0, which keeps the solution's phase table.
 """
 
 from __future__ import annotations
@@ -343,28 +344,13 @@ def field_energy(lat: ModeLattice, phi, pi) -> float:
 # solutions: detuned frequencies, probes, windowed perturbations of bases.
 # ---------------------------------------------------------------------------
 
-class SolutionHistory:
-    """History view of an exact solution."""
-
-    def __init__(self, sol: Solution):
-        self.sol = sol
-        self.lat = sol.lat
-
-    def coefficients(self, t):
-        """The ``_coefficients`` of (phi, d_t phi, d_tt phi) at t."""
-        return _coefficients(self.sol, t, [(), (0,), (0, 0)])
-
-    def at(self, t):
-        """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them first."""
-        return tuple(mode_sum_grid(self.lat, *self.coefficients(t)))
-
-
 class DetunedHistory:
     """Solution-shaped history with every frequency shifted by ``detune``.
 
     For detune != 0 the configuration violates the field equation by
-    (2 k0 detune + detune^2) per mode, giving a controlled off-shell field.
-    A detune that is not finite is a ValueError.
+    (2 k0 detune + detune^2) per mode, giving a controlled off-shell field;
+    at detune 0 it is the solution's own history.  A detune that is not
+    finite is a ValueError.
     """
 
     def __init__(self, sol: Solution, detune: float):
@@ -375,8 +361,11 @@ class DetunedHistory:
             raise ValueError(f"detune must be finite, got {detune!r}")
 
     def coefficients(self, t):
-        """The ``_coefficients`` of (phi, d_t phi, d_tt phi) at t: the
-        solution's phases times exp(-i detune t) and (-i (k0 + detune))^r."""
+        """The ``_coefficients`` of (phi, d_t phi, d_tt phi) at t: at detune
+        0 the solution's own, from its one phase table, else the solution's
+        phases times exp(-i detune t) and (-i (k0 + detune))^r."""
+        if self.detune == 0.0:
+            return _coefficients(self.sol, t, [(), (0,), (0, 0)])
         om = self.lat.k0 + self.detune
         tc = np.asarray(t, dtype=float)[..., None]
         down = np.exp(-1j * (om - self.lat.k0) * tc)
@@ -389,6 +378,16 @@ class DetunedHistory:
         """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them
         first, and a solution batch puts its axis before them."""
         return tuple(mode_sum_grid(self.lat, *self.coefficients(t)))
+
+
+class SolutionHistory(DetunedHistory):
+    """History view of an exact solution: the detuned history at detune 0."""
+
+    def __init__(self, sol: Solution):
+        DetunedHistory.__init__(self, sol, 0.0)
+
+    # Its own ``at``: perfbench/tracing.py wraps each class's by name.
+    at = DetunedHistory.at
 
 
 class PolynomialTimeHistory:
@@ -412,12 +411,12 @@ class WindowedPerturbation:
     integrand smooth enough for clean Simpson convergence.  The bases' fields
     are stacked on a leading axis, and a 1-D array ``eps`` puts its own axis
     in front of that: shape ([n_eps,] n_bases) + a base's.  The bases and
-    the variation are unbatched solution or detuned histories of one
-    lattice and one realness; ``at`` stacks their coefficients for one
-    ``mode_sum_grid`` call, each member's grids bit for bit those of its own
-    ``at``, and applies the window by the product rule, so the time
-    derivatives are exact.  Other members, no base, a non-finite eps and a
-    window without finite ends t1 < t2 are a ValueError.
+    the variation are unbatched detuned histories (solution histories
+    included) of one lattice and one realness; ``at`` stacks their
+    coefficients for one ``mode_sum_grid`` call, each member's grids bit for
+    bit those of its own ``at``, and applies the window by the product rule,
+    so the time derivatives are exact.  Other members, no base, a non-finite
+    eps and a window without finite ends t1 < t2 are a ValueError.
     """
 
     def __init__(self, bases, variation, t1: float, t2: float, eps):
@@ -435,8 +434,8 @@ class WindowedPerturbation:
         if not np.isfinite(self.eps).all():
             raise ValueError(f"eps must be finite, got {eps!r}")
         members = [*self.bases, variation]
-        if not (all(isinstance(h, (SolutionHistory, DetunedHistory))
-                    and np.ndim(h.sol.u) == 1 for h in members)
+        if not (all(isinstance(h, DetunedHistory) and np.ndim(h.sol.u) == 1
+                    for h in members)
                 and len({(h.lat, h.sol.real_flag) for h in members}) == 1):
             raise ValueError("the family takes unbatched solution or detuned "
                              "histories of one lattice and one realness")

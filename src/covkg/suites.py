@@ -284,14 +284,15 @@ def _blocks(lat, rows, fan_out: int):
 
 def ladder_residual(lat, rows, fan_out: int, products) -> float:
     """Largest ``pq.max_abs_diff(*products(part, block))`` over the blocks of
-    ``rows`` (``_blocks``), 0.0 for none; ``fan_out`` as in ``_blocks``."""
+    ``rows`` (``_blocks``), 0.0 for none and NaN if any is NaN; ``fan_out``
+    as in ``_blocks``."""
     worst = 0.0
     for part, block in _blocks(lat, rows, fan_out):
         # Held until the next block's replace them: freeing them per block
         # lets glibc trim the heap top, and the next block faults it back.
         states = products(part, block)
-        worst = max(worst, pq.max_abs_diff(*states))
-    return worst
+        worst = np.maximum(worst, pq.max_abs_diff(*states))
+    return float(worst)
 
 
 def ladder_checks(cfg: RunConfig, rng: np.random.Generator, f, g, rows,
@@ -329,9 +330,9 @@ def ladder_checks(cfg: RunConfig, rng: np.random.Generator, f, g, rows,
             lat, raise_rows, 2 * lat.n_modes ** 2, orders(pq.op_a_star, f, g)),
             0.0),
         # P_time and a_f must both annihilate the vacuum exactly.
-        cfg.check("prequant.vacuum_annihilated", max(
+        cfg.check("prequant.vacuum_annihilated", float(np.maximum(
             pq.max_abs_diff(pq.op_p(np.eye(lat.d + 1)[0], vac)),
-            pq.max_abs_diff(pq.op_a(f, vac))), 0.0),
+            pq.max_abs_diff(pq.op_a(f, vac)))), 0.0),
     ]
 
 
@@ -358,9 +359,9 @@ def suite_prequant(cfg: RunConfig) -> list:
     # op_p's row sum against p_eigenvalues' exponent counts, per monomial.
     zetas = [zeta, np.concatenate(([0.7], rng.standard_normal(lat.d)))]
     eigs = [pq.p_eigenvalues(lat, rows, z) for z in zetas]
-    worst = max(ladder_residual(lat, rows, 1, lambda part, x: (
+    worst = float(np.max([ladder_residual(lat, rows, 1, lambda part, x: (
         pq.op_p(z, x), dataclasses.replace(x, amp=eig[part])))
-        for z, eig in zip(zetas, eigs))
+        for z, eig in zip(zetas, eigs)]))
     # min(-e) as -max(e): the vacuum's eigenvalue -0.0 gives +0.0.
     emin = -float(np.max(eigs[0], initial=-np.inf))
     out.append(cfg.check("prequant.p_eigenvalues", worst, 0.0))

@@ -13,13 +13,11 @@ import time
 from functools import partial
 
 import numpy as np
-import pytest
 
 from covkg import (
     Pmu,
     action_between_slices,
     action_criticality,
-    build_lattice,
     energy_integral,
     fd_delta_theta,
     gram_matrix,
@@ -43,16 +41,6 @@ from covkg.phase_space import omega_mode_form, omega_sigma_pointwise
 from covkg.multisymplectic import lagrangian_and_actions
 from covkg.solution import DetunedHistory, SolutionHistory
 from covkg import prequant as pq
-
-
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
-
-
-@pytest.fixture(scope="module")
-def sol(lat):
-    return random_solution(lat, np.random.default_rng(0))
 
 
 def _pair(lat, rng):

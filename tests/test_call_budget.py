@@ -35,8 +35,10 @@ whichever way it sorts; a merge that sorts again, or keys too wide to
 pack, raise the ``np.argsort`` calls.
 """
 
+import importlib.util
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,12 +46,18 @@ import pytest
 from covkg import cli, lattice, prequant, solution, suites
 from covkg.reporting import RunConfig
 
+SPEC = importlib.util.spec_from_file_location(
+    "report_matrix",
+    Path(__file__).resolve().parents[1] / "tools" / "report_matrix.py")
+report_matrix = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(report_matrix)
+CONFIGS = report_matrix.CONFIGS
+
 FFT_KINDS = ("fftn", "ifftn", "rfftn", "irfftn")
 MSYMP_PHASE_SPACE_BUDGET = {"synthesize": 27, "mode_sum_grid": 45,
                             "fftn": 0, "ifftn": 0, "rfftn": 27, "irfftn": 72}
 OBSERVABLES_BUDGET = {"synthesize": 36, "mode_sum_grid": 36, "fftn": 0,
                       "ifftn": 20, "rfftn": 0, "irfftn": 16}
-CONFIG_C = {"d": 3, "N": 8, "n_max": 3}
 CONFIG_C_BUDGET = {
     "msymp": {"synthesize": 4, "mode_sum_grid": 167, "fftn": 0, "ifftn": 0,
               "rfftn": 201, "irfftn": 368},
@@ -58,8 +66,9 @@ CONFIG_C_BUDGET = {
 }
 SIMULATE_BUDGET = {"synthesize": 4, "mode_sum_grid": 4}
 PREQUANT_OP_BUDGET = {
-    "A": ({}, {"op_a": 12, "op_a_star": 20, "_cmul": 45, "_merge": 14}),
-    "wide": ({"d": 1, "N": 32, "n_max": 11},
+    "A": (CONFIGS["A"],
+          {"op_a": 12, "op_a_star": 20, "_cmul": 45, "_merge": 14}),
+    "wide": (CONFIGS["wide"],
              {"op_a": 40, "op_a_star": 76, "_cmul": 141, "_merge": 44}),
 }
 # Coalescing sorts of the prequant suite at the same configs: a block's
@@ -127,7 +136,7 @@ def test_observables_call_budget(monkeypatch):
 @pytest.mark.parametrize("suite", sorted(CONFIG_C_BUDGET))
 def test_config_c_call_budget(monkeypatch, suite):
     records, counts = _count_calls(monkeypatch, [suites.SUITES[suite]],
-                                   **CONFIG_C)
+                                   **CONFIGS["C"])
     assert records
     _check_budget(counts, CONFIG_C_BUDGET[suite])
 

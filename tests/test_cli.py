@@ -1,22 +1,26 @@
 """Command-line interface: exit codes, determinism, and file outputs."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covkg import build_lattice, observables, phase_space, random_solution
+from covkg import observables, phase_space, random_solution
 from covkg import suites
 from covkg.cli import main
 from covkg.reporting import TOLERANCES, Report, check, lower_bound_check
 from covkg.solution import evaluate_fields, leapfrog_evolve, write_cauchy_csv
 
-
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
+SPEC = importlib.util.spec_from_file_location(
+    "report_matrix",
+    Path(__file__).resolve().parents[1] / "tools" / "report_matrix.py")
+report_matrix = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(report_matrix)
+CONFIGS = report_matrix.CONFIGS
 
 
 def _read(path):
@@ -254,6 +258,20 @@ def test_non_finite_values_are_strings_in_strict_json():
         [2.0, "NaN"], ["-Infinity", 0.5])
     assert rows["cnan"]["abs_diff"] == "Infinity"  # |inf + i nan| is inf
     assert not any(row["pass"] for row in rows.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_prequant_residuals_fail_as_nan(tmp_path):
+    """At hbar = 1e308 the ladder products overflow to NaN; the block and
+    zeta reductions keep the NaN, so both records fail and read NaN."""
+    config = tmp_path / "huge_hbar.json"
+    config.write_text(json.dumps({"hbar": 1e308, "N": 8, "n_max": 3}))
+    out = tmp_path / "pq.json"
+    assert main(["verify", "--suite", "prequant", "--config", str(config),
+                 "--out", str(out)]) == 1
+    rows = {c["name"]: c for c in _strict_json(_read(out))["checks"]}
+    for name in ("prequant.ccr_monomials", "prequant.p_eigenvalues"):
+        assert (rows[name]["lhs"], rows[name]["pass"]) == ("NaN", False)
 
 
 @pytest.mark.parametrize("value", [
@@ -612,10 +630,10 @@ class _WorkBegan(Exception):
 
 @pytest.mark.parametrize("config, degree, estimate", [
     ({}, 4, None),                               # 8.7e5 terms
-    ({"d": 2, "N": 16, "n_max": 5}, 2, None),    # 1.1e8
-    ({"d": 3, "N": 8, "n_max": 3}, 1, None),     # 4.1e7
-    ({"d": 3, "N": 8, "n_max": 3}, 2, "7.0e+09"),
-    ({"d": 2, "N": 16, "n_max": 5}, 3, "4.5e+09"),
+    (CONFIGS["B"], 2, None),                     # 1.1e8
+    (CONFIGS["C"], 1, None),                     # 4.1e7
+    (CONFIGS["C"], 2, "7.0e+09"),
+    (CONFIGS["B"], 3, "4.5e+09"),
 ], ids=["A4", "B2", "C1", "C2", "B3"])
 def test_prequant_refuses_work_over_the_term_budget(tmp_path, capsys,
                                                     monkeypatch, config,

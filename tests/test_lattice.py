@@ -20,18 +20,13 @@ from covkg.solution import random_solution, stack_solutions, synthesize
 
 
 @pytest.fixture(scope="module")
-def lat1d():
-    return build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
-
-
-@pytest.fixture(scope="module")
 def lat2d():
     return build_lattice(d=2, L=5.0, N=12, n_max=4, m=0.7)
 
 
-def test_mode_table_shapes(lat1d, lat2d):
-    assert lat1d.n_modes == 15
-    assert lat1d.modes.shape == (15, 1)
+def test_mode_table_shapes(lat, lat2d):
+    assert lat.n_modes == 15
+    assert lat.modes.shape == (15, 1)
     assert lat2d.n_modes == 81
     assert lat2d.modes.shape == (81, 2)
     assert lat2d.k.shape == (81, 2)
@@ -44,26 +39,26 @@ def test_modes_lexicographic(lat2d):
     assert rows == sorted(rows)
 
 
-def test_wavevectors_and_weights(lat1d):
+def test_wavevectors_and_weights(lat):
     """k = (2 pi / L) n, k0 on the mass shell, w = (2 pi / L)^d / (2 k0)."""
-    np.testing.assert_allclose(lat1d.k[:, 0], lat1d.modes[:, 0].astype(float))
-    np.testing.assert_allclose(lat1d.k0, np.sqrt(1.0 + lat1d.k[:, 0] ** 2))
-    np.testing.assert_allclose(lat1d.w, 1.0 / (2.0 * lat1d.k0))
+    np.testing.assert_allclose(lat.k[:, 0], lat.modes[:, 0].astype(float))
+    np.testing.assert_allclose(lat.k0, np.sqrt(1.0 + lat.k[:, 0] ** 2))
+    np.testing.assert_allclose(lat.w, 1.0 / (2.0 * lat.k0))
 
 
-def test_zero_mode_weight_is_half(lat1d):
-    i0 = lat1d.mode_index((0,))
-    assert lat1d.k0[i0] == 1.0
-    assert lat1d.w[i0] == 0.5
+def test_zero_mode_weight_is_half(lat):
+    i0 = lat.mode_index((0,))
+    assert lat.k0[i0] == 1.0
+    assert lat.w[i0] == 0.5
 
 
 @pytest.mark.parametrize("n", [[0.9], [-0.5], True, [True], np.array([1.0])])
-def test_mode_index_rejects_non_integer_vectors(lat1d, n):
+def test_mode_index_rejects_non_integer_vectors(lat, n):
     """A float or boolean mode vector raises instead of truncating to a
     neighbouring mode (0.9 and -0.5 read as the zero mode, True as mode 1)."""
     with pytest.raises(ValueError, match="must be integers"):
-        lat1d.mode_index(n)
-    assert lat1d.mode_index(np.array([1])) == lat1d.mode_index((1,)) == 8
+        lat.mode_index(n)
+    assert lat.mode_index(np.array([1])) == lat.mode_index((1,)) == 8
 
 
 def test_mode_index_rejects_a_boolean_among_integers(lat2d):
@@ -138,10 +133,10 @@ def _direct_hat(lat, grid_field):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_dft_forward_matches_direct_sum(lat1d, seed):
+def test_dft_forward_matches_direct_sum(lat, seed):
     rng = np.random.default_rng(seed)
-    f = rng.standard_normal(lat1d.grid_shape)
-    np.testing.assert_allclose(dft_forward(lat1d, f), _direct_hat(lat1d, f),
+    f = rng.standard_normal(lat.grid_shape)
+    np.testing.assert_allclose(dft_forward(lat, f), _direct_hat(lat, f),
                                atol=1e-13)
 
 
@@ -164,23 +159,23 @@ def test_round_trip_on_band_limited_fields(d, L, N, n_max):
                                atol=1e-12)
 
 
-def test_real_field_has_hermitian_coefficients(lat1d):
+def test_real_field_has_hermitian_coefficients(lat):
     rng = np.random.default_rng(11)
-    f = rng.standard_normal(lat1d.grid_shape)
-    fh = dft_forward(lat1d, f)
-    np.testing.assert_allclose(fh[lat1d.conj_index()], np.conj(fh), atol=1e-13)
+    f = rng.standard_normal(lat.grid_shape)
+    fh = dft_forward(lat, f)
+    np.testing.assert_allclose(fh[lat.conj_index()], np.conj(fh), atol=1e-13)
 
 
-def test_mode_sum_grid_matches_direct_sum(lat1d):
+def test_mode_sum_grid_matches_direct_sum(lat):
     rng = np.random.default_rng(5)
-    a = rng.standard_normal(lat1d.n_modes) + 1j * rng.standard_normal(lat1d.n_modes)
-    b = rng.standard_normal(lat1d.n_modes) + 1j * rng.standard_normal(lat1d.n_modes)
-    got = mode_sum_grid(lat1d, a, b)
-    x = lat1d.axis()
-    want = np.zeros(lat1d.N, dtype=complex)
-    for i in range(lat1d.n_modes):
-        want = (want + a[i] * np.exp(1j * lat1d.k[i, 0] * x)
-                + b[i] * np.exp(-1j * lat1d.k[i, 0] * x))
+    a = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
+    b = rng.standard_normal(lat.n_modes) + 1j * rng.standard_normal(lat.n_modes)
+    got = mode_sum_grid(lat, a, b)
+    x = lat.axis()
+    want = np.zeros(lat.N, dtype=complex)
+    for i in range(lat.n_modes):
+        want = (want + a[i] * np.exp(1j * lat.k[i, 0] * x)
+                + b[i] * np.exp(-1j * lat.k[i, 0] * x))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -206,7 +201,7 @@ def test_scatter_indices_pick_what_their_index_arrays_pick(d, N, n_max):
     assert runs == [True] + [d == 1] * (2 + d)
 
 
-@pytest.mark.parametrize("which", ["lat1d", "lat2d"])
+@pytest.mark.parametrize("which", ["lat", "lat2d"], ids=["lat1d", "lat2d"])
 def test_mode_sum_grid_one_assignment_matches_two_scatters(which, request):
     """plus + minus[conj] in one assignment equals zeroed bins with one +=
     scatter per branch, bit for bit, on stacked coefficient arrays."""
@@ -387,13 +382,13 @@ def test_grid_integral_sums_each_grid_like_np_sum(config):
             assert got[lead] == lat.cell_volume * np.sum(field[lead])
 
 
-def test_out_of_band_fraction(lat1d):
-    x = lat1d.axis()
+def test_out_of_band_fraction(lat):
+    x = lat.axis()
     inside = np.cos(3.0 * x)
     outside = np.cos(9.0 * x)  # n = 9 > n_max = 7
-    assert out_of_band_fraction(lat1d, inside) < 1e-14
-    assert out_of_band_fraction(lat1d, outside) > 0.9
-    assert out_of_band_fraction(lat1d, inside + 0.1 * outside) > 1e-3
+    assert out_of_band_fraction(lat, inside) < 1e-14
+    assert out_of_band_fraction(lat, outside) > 0.9
+    assert out_of_band_fraction(lat, inside + 0.1 * outside) > 1e-3
 
 
 def _parts_product(a, b):

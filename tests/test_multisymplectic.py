@@ -42,11 +42,6 @@ from covkg.solution import (
 
 
 @pytest.fixture(scope="module")
-def lat():
-    return build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
-
-
-@pytest.fixture(scope="module")
 def sol(lat):
     return random_solution(lat, np.random.default_rng(1))
 
@@ -296,6 +291,16 @@ def test_hamilton_residual_fields_detects_offshell(lat, sol):
         ps.append(np.stack([dphi, -spectral_gradient(lat, phi)[0]]))
     assert hamilton_residual_fields(lat, t_grid, np.stack(phis),
                                     np.stack(ps)) > 1e-2
+
+
+def test_hamilton_residual_fields_keeps_a_nan(lat, sol):
+    """A NaN in a spatial momentum makes the residual NaN, although the
+    time-derivative residual before it is finite."""
+    t_grid = 0.3 + 0.05 * np.arange(5)
+    sd = evaluate_fields(sol, t_grid)
+    ps = sd.p.copy()
+    ps[2, 1, 4] = np.nan
+    assert np.isnan(hamilton_residual_fields(lat, t_grid, sd.phi, ps))
 
 
 def test_hamilton_residual_second_order(lat, sol):

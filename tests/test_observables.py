@@ -47,16 +47,6 @@ from covkg.solution import (
 
 
 @pytest.fixture(scope="module")
-def lat():
-    return build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
-
-
-@pytest.fixture(scope="module")
-def sol(lat):
-    return random_solution(lat, np.random.default_rng(0))
-
-
-@pytest.fixture(scope="module")
 def rng():
     return np.random.default_rng(42)
 
@@ -93,6 +83,40 @@ def test_field_rebuilt_from_mode_readout(lat, sol):
     rebuilt = from_modes(lat, us)
     np.testing.assert_allclose(synthesize(rebuilt, 0.9), synthesize(sol, 0.9),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [3, np.array([[0, 5], [14, 5]])],
+                         ids=["scalar", "array"])
+def test_single_mode_generators_are_the_smeared_ones(lat, k):
+    """alpha_k and alpha*_k are the smeared generators at f = g = e_k / w_k:
+    the same coefficients, bit for bit, one generator per index."""
+    rows = np.eye(lat.n_modes)[k] / lat.w
+    for single, smeared in ((generator_alpha_k, generator_alpha_f),
+                            (generator_alpha_star_k, generator_alpha_star_g)):
+        got, want = single(lat, k), smeared(lat, rows)
+        assert got.u.shape == got.ustar.shape == np.shape(k) + (lat.n_modes,)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.ustar.tobytes() == want.ustar.tobytes()
+        assert got.real_flag is want.real_flag is False
+
+
+def test_smeared_generator_batch_equals_its_rows(lat, sol):
+    """Coefficients of shape (2, 3, n_modes) give a generator batch whose
+    members, and whose slice integrals, are those of each row alone."""
+    rng = np.random.default_rng(31)
+    fs = (rng.standard_normal((2, 3, lat.n_modes))
+          + 1j * rng.standard_normal((2, 3, lat.n_modes)))
+    for build in (generator_alpha_f, generator_alpha_star_g):
+        batch = build(lat, fs)
+        integrals = bracket_slice_integral(sol, batch, 0.3)
+        assert integrals.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = build(lat, fs[idx])
+            assert np.array_equal(batch.u[idx], one.u)
+            assert np.array_equal(batch.ustar[idx], one.ustar)
+            assert integrals[idx] == bracket_slice_integral(sol, one, 0.3)
+        with pytest.raises(ValueError, match="one component per mode"):
+            build(lat, fs[..., 1:])
 
 
 def _alpha_integral_one_k(gen, sol, t):

@@ -41,16 +41,6 @@ from covkg.solution import (
 )
 
 
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
-
-
-@pytest.fixture(scope="module")
-def sol(lat):
-    return random_solution(lat, np.random.default_rng(0))
-
-
 @pytest.fixture()
 def defs(lat):
     rng = np.random.default_rng(17)

@@ -51,11 +51,6 @@ from covkg.reporting import RunConfig
 from covkg.suites import suite_prequant
 
 
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
-
-
 @pytest.fixture(scope="module", params=[7, 11], ids=["n_max7", "n_max11"])
 def wide_lat(request):
     return build_lattice(d=1, L=2 * np.pi, N=32, n_max=request.param, m=1.0)

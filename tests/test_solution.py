@@ -30,16 +30,6 @@ from covkg.solution import (
 )
 
 
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(d=1, L=2 * np.pi, N=32, n_max=7, m=1.0)
-
-
-@pytest.fixture(scope="module")
-def sol(lat):
-    return random_solution(lat, np.random.default_rng(0))
-
-
 def _single_mode(lat, n):
     u = np.zeros(lat.n_modes, dtype=complex)
     u[lat.mode_index(n)] = 1.0
@@ -674,6 +664,27 @@ def test_history_at_equals_one_synthesis_per_order(lat, sol):
         assert np.array_equal(np.conj(factor),
                               (1j * om) ** r * np.exp(1j * detune * tc))
         assert np.array_equal(got, _synthesize_one_order(sol, ts, factor=factor))
+
+
+@pytest.mark.parametrize("real_flag", [True, False])
+@pytest.mark.parametrize("n_batch", [None, 3])
+def test_solution_history_is_the_detuned_history_at_zero(lat, real_flag,
+                                                         n_batch):
+    """``SolutionHistory`` adds only its constructor and its own ``at``
+    entry to ``DetunedHistory``, and its grids are those of detune 0, bit
+    for bit, at a scalar time and at a time array."""
+    assert "coefficients" not in vars(SolutionHistory)
+    assert vars(SolutionHistory)["at"] is DetunedHistory.at
+    rng = np.random.default_rng(12)
+    sols = [random_solution(lat, rng, real_flag) for _ in range(n_batch or 1)]
+    sol = sols[0] if n_batch is None else stack_solutions(sols)
+    for t in (0.45, np.array([-0.3, 0.0, 0.45, 1.9])):
+        got = SolutionHistory(sol).at(t)
+        for field, want in zip(got, DetunedHistory(sol, 0.0).at(t)):
+            assert field.shape == np.shape(sol.u)[:-1] + np.shape(t) + \
+                lat.grid_shape
+            assert field.dtype == want.dtype
+            assert field.tobytes() == want.tobytes()
 
 
 def test_fields_and_second_derivatives_equal_one_synthesis_per_order(lat, sol):

@@ -32,7 +32,8 @@ from covkg.cli import main  # noqa: E402
 
 # The three fixed configs of the ROADMAP, the wide prequant lattice, a
 # small lattice at a non-dyadic hbar and an aliased lattice (2 n_max + 1 > N)
-# that every command must reject.
+# that every command must reject.  ``tools/sweep.py`` and the tests read
+# their configs from this table.
 CONFIGS = {
     "A": {"d": 1, "N": 32, "n_max": 7},
     "B": {"d": 2, "N": 16, "n_max": 5},

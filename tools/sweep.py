@@ -6,14 +6,15 @@ Usage:
 
 Runs the three suites in process, from the ``src`` tree next to this
 script, at the ROADMAP's configs A (seeds 0-99), B (seeds 0-19) and C
-(seeds 0-9), and prints one JSON document.  Per config it gives the seeds
-at which any check failed and, per record name, the seeds at which that
-record failed and its worst margin abs_diff / tolerance, taken over the
-records with a positive tolerance (null for a name that has none, such as
-a lower bound or a bitwise check).  A NaN margin counts as infinite.  The
-matrix is fixed, the script takes no options and it changes no tolerance;
-the run time goes to stderr, so the document is byte-deterministic.  Uses
-only the standard library and covkg.
+(seeds 0-9), as ``report_matrix.CONFIGS`` defines them, and prints one
+JSON document.  Per config it gives the seeds at which any check failed
+and, per record name, the seeds at which that record failed and its worst
+margin abs_diff / tolerance, taken over the records with a positive
+tolerance (null for a name that has none, such as a lower bound or a
+bitwise check).  A NaN margin counts as infinite.  The matrix is fixed,
+the script takes no options and it changes no tolerance; the run time goes
+to stderr, so the document is byte-deterministic.  Uses only the standard
+library, covkg and ``report_matrix.py`` beside it.
 """
 
 from __future__ import annotations
@@ -24,17 +25,19 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
+sys.path.insert(0, HERE)
 
 from covkg.cli import _run_suite  # noqa: E402
 from covkg.reporting import RunConfig  # noqa: E402
+from report_matrix import CONFIGS  # noqa: E402
 
 SUITES = ("msymp", "observables", "phase-space")
 MATRIX = {
-    "A": ({"d": 1, "N": 32, "n_max": 7}, range(100)),
-    "B": ({"d": 2, "N": 16, "n_max": 5}, range(20)),
-    "C": ({"d": 3, "N": 8, "n_max": 3}, range(10)),
+    "A": (CONFIGS["A"], range(100)),
+    "B": (CONFIGS["B"], range(20)),
+    "C": (CONFIGS["C"], range(10)),
 }
 
 
