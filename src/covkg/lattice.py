@@ -120,9 +120,16 @@ class ModeLattice:
 
         rng_n = range(-self.n_max, self.n_max + 1)
         modes = np.array(list(itertools.product(rng_n, repeat=self.d)), dtype=int)
-        k = (2.0 * np.pi / self.L) * modes.astype(float)
-        k0 = np.sqrt(self.m ** 2 + np.sum(k * k, axis=1))
-        w = (2.0 * np.pi / self.L) ** self.d / (2.0 * k0)
+        with np.errstate(all="ignore"):  # out-of-range values fail below
+            try:
+                k = (2.0 * np.pi / self.L) * modes.astype(float)
+                k0 = np.sqrt(self.m ** 2 + np.sum(k * k, axis=1))
+                w = (2.0 * np.pi / self.L) ** self.d / (2.0 * k0)
+            except OverflowError:  # a Python float power
+                k0 = w = np.array([np.inf])
+        if not np.all((0 < k0) & (k0 < np.inf) & (0 < w) & (w < np.inf)):
+            raise ValueError("lattice out of floating-point range: every "
+                             "k0 and w must be finite and positive")
         for name, arr in (("modes", modes), ("k", k), ("k0", k0), ("w", w)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -247,44 +254,41 @@ def _scatter_indices(lat: ModeLattice) -> tuple:
 
 def _spectral(lat: ModeLattice, grid_field, kind: int,
               stacked: bool) -> np.ndarray:
-    """ifft(mult * fft(field)) over the grid axes, mult the ``kind`` entry
-    of ``_multipliers``; a real field takes ``rfftn``/``irfftn`` on the half
-    spectrum and gets the real part of the full-grid result.
+    """irfft(mult * rfft(field)) over the grid axes on the half spectrum,
+    mult the ``kind`` entry of ``_multipliers``; a complex field returns
+    ``_complex`` of the results of its real and imaginary parts.
 
     The one transform pair behind every spectral derivative.  With
     ``stacked`` the multipliers carry an axis of their own, which lands
     just before the grid axes of the output; each of its grids equals, bit
     for bit, the grid of that multiplier applied alone."""
     arr = _check_grid(lat, grid_field, batched=True)
+    if np.iscomplexobj(arr):
+        return _complex(_spectral(lat, arr.real, kind, stacked),
+                        _spectral(lat, arr.imag, kind, stacked))
     axes = range(-lat.d, 0)
-    real = np.isrealobj(arr)
-    spec = (np.fft.rfftn if real else np.fft.fftn)(arr, axes=axes)
+    spec = np.fft.rfftn(arr, axes=axes)
     if stacked:
         spec = np.expand_dims(spec, -lat.d - 1)
-    spec = _multipliers(lat)[real][kind] * spec
-    if real:
-        return np.fft.irfftn(spec, lat.grid_shape, axes)
-    return np.fft.ifftn(spec, axes=axes)
+    return np.fft.irfftn(_multipliers(lat)[kind] * spec, lat.grid_shape, axes)
 
 
 @lru_cache(maxsize=64)
 def _multipliers(lat: ModeLattice) -> tuple:
     """Read-only (i k_a stacked over the d axes, -|k|^2, both stacked with
-    the Laplacian last), on the full grid and then on the half spectrum.
-    The half gradient is 0 on the Nyquist bin of its axis, a term the real
-    part of the full-grid gradient of a real field drops, so the half path
-    gives that real part for any real field."""
+    the Laplacian last) on the half spectrum.  The gradient is 0 on the
+    Nyquist bin of its axis: the real part of the full-grid gradient of a
+    real field drops that term, and covkg's grids are band-limited
+    (2 n_max + 1 <= N leaves the bin empty), so it changes nothing there."""
     k = 2.0 * np.pi * np.fft.fftfreq(lat.N, d=lat.L / lat.N)
     k_odd = np.where(np.arange(lat.N) == lat.N // 2, 0.0, k)
+    half = (Ellipsis, slice(0, lat.N // 2 + 1))
     kk, kk_odd = (np.stack(np.broadcast_arrays(*(
         v.reshape([-1 if b == a else 1 for b in range(lat.d)])
-        for a in range(lat.d)))) for v in (k, k_odd))
-    lap = -sum(ka ** 2 for ka in kk)
-    half = (Ellipsis, slice(0, lat.N // 2 + 1))
-    out = tuple((grad, lap_part, np.concatenate([grad, lap_part[None]]))
-                for grad, lap_part in ((1j * kk, lap),
-                                       (1j * kk_odd[half], lap[half])))
-    for arr in itertools.chain(*out):
+        for a in range(lat.d))))[half] for v in (k, k_odd))
+    grad, lap = 1j * kk_odd, -sum(ka ** 2 for ka in kk)
+    out = (grad, lap, np.concatenate([grad, lap[None]]))
+    for arr in out:
         arr.setflags(write=False)
     return out
 
@@ -309,7 +313,7 @@ def spectral_divergence(lat: ModeLattice, vector_field) -> np.ndarray:
 
 
 def spectral_laplacian(lat: ModeLattice, grid_field) -> np.ndarray:
-    """Laplacian of a band-limited grid field via the full-grid FFT.
+    """Laplacian of a band-limited grid field via the half-spectrum FFT.
 
     Accepts a stack of fields with leading (batch, time) axes, like
     ``spectral_gradient``; the output has the shape of the input.

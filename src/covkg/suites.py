@@ -343,7 +343,8 @@ def _random_state(lat, rng, degree: int):
     amp = rng.standard_normal((len(picks), 2)).view(complex).ravel()  # re, im
     state = pq.PolarizedState(lat, rows, amp, np.zeros(len(picks), np.intp))
     norm = np.sqrt(abs(pq.inner_product(state, state)))
-    return pq.state_scale(1.0 / norm, state)
+    # a norm out of range would scale to zeros (vacuous passes) or inf
+    return pq.state_scale(1.0 / norm if 0 < norm < np.inf else np.nan, state)
 
 
 def suite_prequant(cfg: RunConfig) -> list:

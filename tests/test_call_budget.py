@@ -16,8 +16,8 @@ config C a family split back per mu makes d + 1 = 4 evaluations of one.
 A history's grids come from ``mode_sum_grid`` without ``synthesize``, so
 both are counted; every synthesis is also one mode sum.
 Real grids take the half-spectrum transforms (``rfftn``/``irfftn``) and
-complex ones the full-grid pair, so each of the four kinds has its own
-bound; a real field sent down the complex path fails here.
+complex syntheses the full-grid pair, so each of the four kinds has its
+own bound; a real field sent down the complex path fails here.
 
 The prequant suite applies ``op_a`` and ``op_a_star`` to tagged blocks of
 ``suites._BLOCK_TERMS`` terms, and each exact-zero check applies them to

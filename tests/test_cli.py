@@ -12,7 +12,8 @@ import pytest
 from covkg import observables, phase_space, random_solution
 from covkg import suites
 from covkg.cli import main
-from covkg.reporting import TOLERANCES, Report, check, lower_bound_check
+from covkg.reporting import (TOLERANCES, Report, RunConfig, check,
+                             lower_bound_check)
 from covkg.solution import evaluate_fields, leapfrog_evolve, write_cauchy_csv
 
 SPEC = importlib.util.spec_from_file_location(
@@ -188,6 +189,9 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("raw, problem", [
     ({"N": 7}, "grid size N must be a positive even integer"),
     ({"N": 8, "n_max": 4}, "aliasing: need 2*n_max + 1 <= N"),
+    ({"m": 1e200}, "out of floating-point range"),
+    ({"d": 2, "L": 1e-200, "N": 8, "n_max": 3}, "out of floating-point range"),
+    ({"L": 1e-200, "N": 8, "n_max": 3}, "out of floating-point range"),
 ])
 def test_invalid_lattice_exits_two_when_the_config_loads(tmp_path, capsys,
                                                          raw, problem):
@@ -272,6 +276,32 @@ def test_overflowing_prequant_residuals_fail_as_nan(tmp_path):
     rows = {c["name"]: c for c in _strict_json(_read(out))["checks"]}
     for name in ("prequant.ccr_monomials", "prequant.p_eigenvalues"):
         assert (rows[name]["lhs"], rows[name]["pass"]) == ("NaN", False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("hbar, degree", [(1e80, 4), (1e200, 3)])
+def test_random_states_with_an_overflowing_norm_are_nan(hbar, degree):
+    """At hbar = 1e80 the degree-4 states of prequant.adjointness, at 1e200
+    also the degree-3 state of prequant.p_astar_commutator, have an infinite
+    norm; they are NaN, not the zeros that 1 / inf would scale them to."""
+    cfg = RunConfig(hbar=hbar, N=8, n_max=3)
+    state = suites._random_state(cfg.lattice(), np.random.default_rng(0),
+                                 degree)
+    assert len(state.amp) and np.isnan(state.amp).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_random_state_fails_p_astar_commutator(tmp_path):
+    """At hbar = 1e200 the NaN state of [P, a*] makes the record read NaN
+    and fail; a zero state would read 0.0 and pass."""
+    config = tmp_path / "huge_hbar.json"
+    config.write_text(json.dumps({"hbar": 1e200, "N": 8, "n_max": 3}))
+    out = tmp_path / "pq.json"
+    assert main(["verify", "--suite", "prequant", "--config", str(config),
+                 "--out", str(out)]) == 1
+    rows = {c["name"]: c for c in _strict_json(_read(out))["checks"]}
+    row = rows["prequant.p_astar_commutator"]
+    assert (row["lhs"], row["pass"]) == ("NaN", False)
 
 
 @pytest.mark.parametrize("value", [

@@ -7,6 +7,7 @@ from covkg import build_lattice, dft_forward, dft_inverse
 from covkg.lattice import (
     ModeLattice,
     _cmul,
+    _complex,
     _scatter_indices,
     grid_integral,
     mode_sum_grid,
@@ -110,6 +111,18 @@ def test_parameters_are_validated_not_coerced(name, value):
     for make in (build_lattice, ModeLattice):
         with pytest.raises(ValueError, match=f"lattice '{name}' must be"):
             make(**{**_GOOD, name: value})
+
+
+@pytest.mark.parametrize("change", [
+    {"m": 1e200}, {"d": 2, "L": 1e-200, "N": 8, "n_max": 3},
+    {"L": 1e-200, "N": 8, "n_max": 3}])
+def test_a_lattice_out_of_float_range_is_rejected(change):
+    """A lattice whose k0 or w is not finite and positive is a ValueError,
+    not an OverflowError of the Python float powers m^2 and (2 pi / L)^d,
+    nor a lattice with k0 = inf and w = 0 (|k|^2 overflows at d = 1 and
+    L = 1e-200)."""
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        ModeLattice(**{**_GOOD, **change})
 
 
 def test_integer_reals_are_accepted():
@@ -320,13 +333,27 @@ def test_real_mode_sum_is_the_real_part_of_the_complex_one(config):
         assert np.array_equal(got[lead], mode_sum_grid(lat, p[lead]))
 
 
+def _full_grid_derivatives(lat, field):
+    """(gradient, Laplacian) of a field in plain numpy: ``fftn`` over the
+    grid axes, times i k_a (Nyquist bin included) or -|k|^2, ``ifftn``, and
+    the real part."""
+    axes = tuple(range(-lat.d, 0))
+    spec = np.fft.fftn(field, axes=axes)
+    k = 2.0 * np.pi * np.fft.fftfreq(lat.N, d=lat.L / lat.N)
+    ks = np.meshgrid(*[k] * lat.d, indexing="ij")
+    grad = np.stack([np.fft.ifftn(1j * ka * spec, axes=axes).real
+                     for ka in ks], axis=-lat.d - 1)
+    lap = np.fft.ifftn(-sum(ka ** 2 for ka in ks) * spec, axes=axes).real
+    return grad, lap
+
+
 @pytest.mark.parametrize("config", _CONFIGS)
 def test_real_spectral_derivatives_are_the_real_part_of_the_complex_path(
         config):
     """On real stacked fields, band-limited or not, the half-spectrum
     gradient, Laplacian, divergence and gradient-Laplacian pair are real and
-    equal the real part of the full-grid results on the same fields cast to
-    complex, within 4 eps |k|_max^p max sum_x |f| for p derivatives."""
+    equal the real part of the full-grid results (``_full_grid_derivatives``)
+    within 4 eps |k|_max^p max sum_x |f| for p derivatives."""
     lat, fields = _band_fields(*config, True)
     rng = np.random.default_rng(7)
     fields.append(rng.standard_normal((2, 3) + lat.grid_shape))
@@ -334,20 +361,42 @@ def test_real_spectral_derivatives_are_the_real_part_of_the_complex_path(
     vector = rng.standard_normal((2, lat.d) + lat.grid_shape)
     for field in fields + [vector]:
         cells = np.abs(field).reshape(-1, lat.N ** lat.d).sum(axis=-1).max()
-        z = field.astype(complex)
-        pairs = [(spectral_gradient(lat, field), spectral_gradient(lat, z), 1),
-                 (spectral_laplacian(lat, field),
-                  spectral_laplacian(lat, z), 2)]
+        grad, lap = _full_grid_derivatives(lat, field)
+        pairs = [(spectral_gradient(lat, field), grad, 1),
+                 (spectral_laplacian(lat, field), lap, 2)]
         pairs += [(got, want, p) for got, want, p in zip(
-            spectral_gradient_laplacian(lat, field),
-            spectral_gradient_laplacian(lat, z), (1, 2))]
+            spectral_gradient_laplacian(lat, field), (grad, lap), (1, 2))]
         if field is vector:
-            pairs.append((spectral_divergence(lat, field),
-                          spectral_divergence(lat, z), 1))
+            div = sum(grad[:, a, a] for a in range(lat.d))
+            pairs.append((spectral_divergence(lat, field), div, 1))
         for got, want, p in pairs:
             assert got.dtype == np.float64 and got.shape == want.shape
             bound = 4 * _EPS * (lat.d * k_max ** 2) ** (p / 2) * cells
-            assert np.max(np.abs(got - want.real)) <= bound
+            assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_complex_spectral_derivatives_are_those_of_the_parts(config):
+    """On complex stacked fields the gradient, Laplacian, divergence and
+    gradient-Laplacian pair equal, bit for bit, ``_complex`` of the results
+    of the real and imaginary parts."""
+    lat, fields = _band_fields(*config, False)
+    rng = np.random.default_rng(11)
+    vector = (rng.standard_normal((2, lat.d) + lat.grid_shape)
+              + 1j * rng.standard_normal((2, lat.d) + lat.grid_shape))
+
+    def derivatives(field, divergence):
+        out = [spectral_gradient(lat, field), spectral_laplacian(lat, field),
+               *spectral_gradient_laplacian(lat, field)]
+        return out + [spectral_divergence(lat, field)] if divergence else out
+
+    for field in fields + [vector]:
+        got, re, im = (derivatives(f, field is vector) for f in (
+            field, np.ascontiguousarray(field.real),
+            np.ascontiguousarray(field.imag)))
+        for z, x, y in zip(got, re, im, strict=True):
+            assert z.dtype == complex
+            assert z.tobytes() == _complex(x, y).tobytes()
 
 
 @pytest.mark.parametrize("real", [True, False])

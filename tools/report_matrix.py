@@ -31,8 +31,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from covkg.cli import main  # noqa: E402
 
 # The three fixed configs of the ROADMAP, the wide prequant lattice, a
-# small lattice at a non-dyadic hbar and an aliased lattice (2 n_max + 1 > N)
-# that every command must reject.  ``tools/sweep.py`` and the tests read
+# small lattice at a non-dyadic hbar, and an aliased lattice (2 n_max + 1 > N)
+# and an overflowing one (m^2 past the largest double) that every command
+# must reject.  ``tools/sweep.py`` and the tests read
 # their configs from this table.
 CONFIGS = {
     "A": {"d": 1, "N": 32, "n_max": 7},
@@ -41,6 +42,7 @@ CONFIGS = {
     "wide": {"d": 1, "N": 32, "n_max": 11},
     "hbar": {"d": 1, "N": 8, "n_max": 3, "hbar": 0.3},
     "aliased": {"d": 1, "N": 8, "n_max": 4},
+    "overflow": {"m": 1e200},
 }
 
 
@@ -76,6 +78,7 @@ def runs():
             "--leapfrog-dt", "0.25"], [])
     yield "simulate_C", "C", ["simulate"], []
     yield "spec_aliased", "aliased", ["spec"], []
+    yield "spec_overflow", "overflow", ["spec"], []
 
 
 def main_matrix(out_dir: str) -> int:
