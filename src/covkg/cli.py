@@ -24,7 +24,7 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
-from math import ceil, comb
+from math import comb
 from time import perf_counter
 
 import numpy as np
@@ -56,6 +56,9 @@ _BRACKET_RECORDS = ("observables.bracket_", "observables.pmu_identity_",
 # Most terms ``covkg prequant`` may take on: its largest check, [a*, a*] on
 # every monomial row, makes rows x n_modes^2 of them.
 PREQUANT_TERM_BUDGET = 10 ** 9
+# Most output rows, and most leapfrog steps in all, that ``covkg simulate``
+# takes on; a step takes about 0.1 ms at config A and 0.3 ms at config C.
+SIMULATE_BUDGET = 10 ** 6
 
 
 def _add_common(sub: argparse.ArgumentParser, lam=True, tol=True) -> None:
@@ -204,29 +207,34 @@ def _parse_track(arg, lat, sol):
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     lat = cfg.lattice()
+    if not 2 <= args.n_out <= SIMULATE_BUDGET:
+        raise ValueError(f"n-out must lie in 2..{SIMULATE_BUDGET:.0e}")
+    if not 0 < args.t_final < np.inf:
+        raise ValueError("t-final must be a finite positive number")
+    ts, steps = np.linspace(0.0, args.t_final, args.n_out), None
+    if args.leapfrog_dt is not None:
+        if not 0 < args.leapfrog_dt < np.inf:
+            raise ValueError("leapfrog-dt must be a finite positive number")
+        # per interval, the fewest steps no longer than asked, up to roundoff
+        with np.errstate(over="ignore"):  # a count past any budget reads inf
+            steps = np.ceil(np.diff(ts) / args.leapfrog_dt - 1e-9).clip(1.0)
+        if steps.sum() > SIMULATE_BUDGET:
+            raise ValueError(f"leapfrog-dt takes {steps.sum():.1e} steps, "
+                             f"over SIMULATE_BUDGET ({SIMULATE_BUDGET:.0e})")
     if args.cauchy:
         phi0, pi0 = read_cauchy_csv(lat, args.cauchy)
         sol = from_cauchy(lat, phi0, pi0)
     else:
         sol = random_solution(lat, np.random.default_rng(cfg.seed))
-    if args.n_out < 2:
-        raise ValueError("n-out must be at least 2")
-    if not 0 < args.t_final < np.inf:
-        raise ValueError("t-final must be a finite positive number")
-    if args.leapfrog_dt is not None and not 0 < args.leapfrog_dt < np.inf:
-        raise ValueError("leapfrog-dt must be a finite positive number")
-    ts = np.linspace(0.0, args.t_final, args.n_out)
     track = _parse_track(args.track, lat, sol)
     alpha_k = obs.generator_alpha_k(lat, np.array(track, dtype=int))
 
     columns = (["t", "energy"]
                + [f"momentum_{i}" for i in range(1, lat.d + 1)]
                + [f"a_abs_{k}" for k in track])
-    leap = None
-    if args.leapfrog_dt is not None:
+    if steps is not None:
         columns.append("energy_leapfrog")
         phi, pi = synthesize(sol, 0.0, [(), (0,)])
-        leap = (phi, pi)
 
     def exact_columns(tb):  # |a_k| by np.hypot, as Python's complex abs
         a_t = obs.bracket_slice_integral(sol, alpha_k, tb)
@@ -243,15 +251,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                             for i in range(0, len(ts), step)])
     lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
     for j, row in enumerate(table.tolist()):
-        if leap is not None:
+        if steps is not None:
             if j > 0:
-                span = ts[j] - ts[j - 1]
-                # the fewest steps no longer than asked, up to roundoff
-                steps = max(1, ceil(span / args.leapfrog_dt - 1e-9))
-                sd = leapfrog_evolve(lat, leap[0], leap[1],
-                                     span / steps, steps)
-                leap = (sd.phi, sd.p[0])
-            row.append(field_energy(lat, leap[0], leap[1]))
+                n = int(steps[j - 1])
+                sd = leapfrog_evolve(lat, phi, pi, (ts[j] - ts[j - 1]) / n, n)
+                phi, pi = sd.phi, sd.p[0]
+            row.append(field_energy(lat, phi, pi))
         lines.append(",".join(repr(float(v)) for v in row))
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
@@ -277,10 +282,6 @@ def _parse_complex_list(raw, n_modes: int, name: str) -> np.ndarray:
         if not np.isfinite(out[i]):
             raise ValueError(f"{name}[{i}] must be finite")
     return out
-
-
-def _alpha_label(alpha) -> str:
-    return ";".join(f"{k}:{e}" for k, e in alpha)
 
 
 def cmd_prequant(cfg: RunConfig, args) -> int:
@@ -316,7 +317,8 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
         for alpha, eig in zip(pq.row_alphas(lat, rows), eigs):
             eig += 0.0  # normalizes -0.0 for the vacuum row
             energy = -eig + 0.0
-            lines.append(f"{_alpha_label(alpha)},{eig!r},{energy!r}")
+            label = ";".join(f"{k}:{e}" for k, e in alpha)
+            lines.append(f"{label},{eig!r},{energy!r}")
         with open(args.spectrum_out, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     return _finish_report(cfg, "prequant-cli", records)

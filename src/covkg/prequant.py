@@ -80,8 +80,8 @@ c_alpha as one product: adding alpha_k dropped copies instead would leave
 roundoff in the off-diagonal terms of [a_f, a*_g] for alpha_k >= 3.
 P_zeta multiplies each term by -hbar times the row sum of k.zeta over its
 index columns; ``p_eigenvalue`` (a dot product over the distinct modes)
-and ``p_eigenvalues`` (exponent counts times k.zeta) are separate paths
-for the checks to compare.
+and ``p_eigenvalues`` (each run of mode k adds alpha_k (k.zeta), the runs
+read by ``_runs``) are separate paths for the checks to compare.
 
 Product rule.  Complex products inside the operators are formed from
 float64 parts, one ufunc call each (``_cmul``): numpy's complex multiply
@@ -139,8 +139,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 # ``covkg prequant`` takes --max-degree up to DEGREE_BOUND - 2, since its
 # [a*, a*] check raises max-degree rows twice.
 DEGREE_BOUND = 6
-# Entries per block of the exponent-count matrix of ``p_eigenvalues``.
-_COUNT_CELLS = 1 << 18
 
 
 class DegreeOverflowError(Exception):
@@ -539,19 +537,14 @@ def p_eigenvalue(lat: ModeLattice, alpha, zeta) -> float:
 
 def p_eigenvalues(lat: ModeLattice, rows, zeta) -> np.ndarray:
     """``p_eigenvalue`` of every sentinel-padded sorted index row at once:
-    the exponent counts alpha_k of each row times k.zeta in one matrix
-    product, in blocks of at most ``_COUNT_CELLS`` count entries."""
-    kz = minkowski_kz(lat, zeta)
-    rows = np.asarray(rows, dtype=np.intp)
-    width = lat.n_modes + 1  # the last column counts the sentinel
-    step = max(1, _COUNT_CELLS // width)
-    out = np.empty(len(rows))
-    for start in range(0, len(rows), step):
-        part = rows[start:start + step]
-        cells = part + width * np.arange(len(part))[:, None]
-        counts = np.bincount(cells.ravel(), minlength=len(part) * width)
-        out[start:start + step] = counts.reshape(len(part), width)[:, :-1] @ kz
-    return -lat.hbar * out
+    each run of mode k (``_runs``) adds alpha_k (k.zeta), the sentinel's
+    k.zeta being 0, and ``np.bincount`` sums a row's runs in order."""
+    kz = np.append(minkowski_kz(lat, zeta), 0.0)
+    rows = np.asarray(rows)
+    flat, end, alpha = _runs(rows)
+    return -lat.hbar * np.bincount(end // rows.shape[1],
+                                   alpha * kz.take(flat.take(end)),
+                                   minlength=len(rows))
 
 
 def op_p(zeta, state: PolarizedState) -> PolarizedState:

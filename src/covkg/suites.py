@@ -336,12 +336,15 @@ def ladder_checks(cfg: RunConfig, rng: np.random.Generator, f, g, rows,
     ]
 
 
-def _random_state(lat, rng, degree: int):
-    n = comb(lat.n_modes + degree, degree)  # monomials of degree <= degree
-    picks = np.sort(rng.choice(n, size=min(6, n), replace=False))
-    rows = np.array([pq.monomial_at(lat, degree, int(i)) for i in picks])
-    amp = rng.standard_normal((len(picks), 2)).view(complex).ravel()  # re, im
-    state = pq.PolarizedState(lat, rows, amp, np.zeros(len(picks), np.intp))
+def _random_state(lat, rng, degree: int, rows=None):
+    """Random amplitudes at unit norm on ``rows``, by default on six
+    distinct random monomials of degree <= ``degree``."""
+    if rows is None:
+        n = comb(lat.n_modes + degree, degree)
+        picks = np.sort(rng.choice(n, size=min(6, n), replace=False))
+        rows = np.array([pq.monomial_at(lat, degree, int(i)) for i in picks])
+    amp = rng.standard_normal((len(rows), 2)).view(complex).ravel()  # re, im
+    state = pq.PolarizedState(lat, rows, amp, np.zeros(len(rows), np.intp))
     norm = np.sqrt(abs(pq.inner_product(state, state)))
     # a norm out of range would scale to zeros (vacuous passes) or inf
     return pq.state_scale(1.0 / norm if 0 < norm < np.inf else np.nan, state)
@@ -376,8 +379,9 @@ def suite_prequant(cfg: RunConfig) -> list:
         pq.op_a_star(g, pq.op_p(zeta, state)), rhs), 0.0))
 
     s1 = _random_state(lat, rng, 4)
-    s2 = _random_state(lat, rng, 4)
-    adj = abs(pq.inner_product(pq.op_a(f, s1), s2)
+    lowered = pq.op_a(f, s1)  # s2 on its rows: both products pair terms
+    s2 = _random_state(lat, rng, 3, lowered.idx)
+    adj = abs(pq.inner_product(lowered, s2)
               - pq.inner_product(s1, pq.op_a_star(np.conj(f), s2)))
     out.append(cfg.check("prequant.adjointness", adj, 0.0))
 

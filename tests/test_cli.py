@@ -547,6 +547,61 @@ def test_simulate_leapfrog_step_is_no_longer_than_asked(
     assert np.max(np.abs(rows[:, -1] - rows[:, 1]) / rows[0, 1]) < 1e-2
 
 
+def _simulate_begins_work(monkeypatch, argv) -> bool:
+    """Whether ``simulate argv`` passes its checks and builds its solution
+    (the first work it does), or exits 2."""
+    import covkg.cli as cli
+
+    def work(*args):
+        raise _WorkBegan
+
+    monkeypatch.setattr(cli, "random_solution", work)
+    try:
+        assert main(["simulate", *argv]) == 2
+    except _WorkBegan:
+        return True
+    return False
+
+
+def test_simulate_refuses_work_over_its_budget(monkeypatch, capsys):
+    """--leapfrog-dt 1e-9 at the default --t-final 5 asks for 5e9 leapfrog
+    steps, --n-out 2e9 for 2e9 output rows: both exit 2, naming the budget,
+    before the solution is built."""
+    for argv, message in (
+            (["--leapfrog-dt", "1e-9"], "5.0e+09 steps, over SIMULATE_BUDGET"),
+            (["--t-final", "1e300", "--leapfrog-dt", "1e-300"],
+             "inf steps, over SIMULATE_BUDGET"),
+            (["--n-out", "2000000000"], "n-out must lie in 2..1e+06")):
+        assert not _simulate_begins_work(monkeypatch, argv)
+        assert message in capsys.readouterr().err
+
+
+def test_simulate_budget_is_one_constant(monkeypatch):
+    """--t-final 0.5 --n-out 3 --leapfrog-dt 0.01 takes 2 x 25 steps: a
+    budget of 50 runs it and one of 49 refuses it; a budget of 2 refuses
+    its 3 output rows."""
+    import covkg.cli as cli
+    argv = ["--t-final", "0.5", "--n-out", "3", "--leapfrog-dt", "0.01"]
+    for budget, runs in ((50, True), (49, False), (2, False)):
+        monkeypatch.setattr(cli, "SIMULATE_BUDGET", budget)
+        assert _simulate_begins_work(monkeypatch, argv) == runs
+
+
+def test_documented_simulate_runs_fit_the_budget(monkeypatch):
+    """The README's simulate example and the report matrix's simulate runs
+    pass the budget checks."""
+    import shlex
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    examples = [shlex.split(line)[2:] for line in readme.splitlines()
+                if line.startswith("covkg simulate ") and "[" not in line]
+    runs = [args[1:] for _, _, args, _ in report_matrix.runs()
+            if args[0] == "simulate"]
+    assert len(examples) == 1 and len(runs) == 3
+    for argv in examples + runs:
+        assert _simulate_begins_work(monkeypatch, argv)
+
+
 def test_simulate_from_cauchy_file(tmp_path, lat):
     sol = random_solution(lat, np.random.default_rng(3))
     sd = evaluate_fields(sol, 0.0)

@@ -275,14 +275,11 @@ def test_energy_record_is_the_least_negated_eigenvalue():
     assert math.copysign(1.0, record.lhs) == 1.0
 
 
-@pytest.mark.parametrize("budget", [None, 40])
-def test_p_eigenvalues_match_per_monomial_dot_products(wide_lat, budget,
-                                                       monkeypatch):
-    """The exponent-count product equals p_eigenvalue on every row of degree
-    <= 3 to within the rounding of a sum of at most three terms."""
+def test_p_eigenvalues_match_per_monomial_dot_products(wide_lat):
+    """The sum over row runs equals p_eigenvalue on every row of degree
+    <= 3 to within the rounding of a sum of at most three terms; the vacuum
+    reads -0.0, as a row of sentinels and as a row of no columns."""
     import covkg.prequant as pq
-    if budget is not None:
-        monkeypatch.setattr(pq, "_COUNT_CELLS", budget)
     rows = monomial_rows(wide_lat, 3)
     for zeta in (np.array([1.0, 0.0]), np.array([0.7, -1.3])):
         got = pq.p_eigenvalues(wide_lat, rows, zeta)
@@ -290,7 +287,9 @@ def test_p_eigenvalues_match_per_monomial_dot_products(wide_lat, budget,
                          for alpha in row_alphas(wide_lat, rows)])
         scale = np.abs(minkowski_kz(wide_lat, zeta)).max() * 3
         assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * scale
-        assert got[0] == 0.0  # the vacuum row
+        bare = pq.p_eigenvalues(wide_lat, np.zeros((1, 0), dtype=int), zeta)
+        for vacuum in (got[0], bare[0]):
+            assert vacuum == 0.0 and math.copysign(1.0, vacuum) == -1.0
 
 
 def test_monomial_block_keeps_rows_and_amplitudes(lat):
@@ -1323,3 +1322,109 @@ def test_shared_index_pass_keeps_each_order_its_own_products(monkeypatch):
     apart = max_abs_diff(commutator(partial(op_a_star, f),
                                     partial(op_a_star, g), block))
     assert not skew.passed and 0.0 < skew.lhs == apart < 1e-12
+
+
+def _matrix_prequant_suite_configs():
+    """The ``tools/report_matrix.py`` configs whose runs include the
+    prequant suite (``verify`` of all suites or of prequant)."""
+    import importlib.util
+    from pathlib import Path
+    spec = importlib.util.spec_from_file_location(
+        "report_matrix",
+        Path(__file__).resolve().parents[1] / "tools" / "report_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    names = {cfg for _, cfg, args, _ in matrix.runs() if args[0] == "verify"
+             and ("--suite" not in args or "prequant" in args)}
+    return {name: matrix.CONFIGS[name] for name in sorted(names)}
+
+
+def test_adjointness_inner_products_pair_terms(monkeypatch):
+    """In the suite's own draws, at seeds 0 and 1 of every report-matrix
+    config that runs the prequant suite, both inner products of
+    prequant.adjointness pair terms, so the record reads their difference
+    and not two empty sums.  Those are the suite's first two inner products
+    of two different states (the third is cross_module_ccr's); the ladder
+    residuals are stubbed out, as they draw nothing from its generator."""
+    from covkg import prequant, suites
+    configs = _matrix_prequant_suite_configs()
+    assert set(configs) == {"A", "B", "hbar", "wide"}
+    paired = []
+
+    def recorded(s1, s2):
+        if s1 is not s2:
+            paired.append(len(np.intersect1d(s1.key, s2.key)))
+        return inner(s1, s2)
+
+    inner = prequant.inner_product
+    monkeypatch.setattr(prequant, "inner_product", recorded)
+    monkeypatch.setattr(suites, "ladder_residual", lambda *args: 0.0)
+    for values in configs.values():
+        for seed in (0, 1):
+            suite_prequant(RunConfig(seed=seed, **values))
+            assert len(paired) == 3 and all(paired[:2])
+            paired.clear()
+
+
+def test_adjointness_fails_on_a_skewed_raising(monkeypatch):
+    """Scaling a*'s amplitudes by 1 + 2^-20 breaks <a_f s1, s2> =
+    <s1, a*_conj(f) s2>, and the record fails at config A."""
+    from covkg import prequant
+
+    def record():
+        return {r.name: r for r in suite_prequant(RunConfig())}[
+            "prequant.adjointness"]
+
+    assert record().passed
+    raising = prequant.op_a_star
+    monkeypatch.setattr(prequant, "op_a_star", lambda g, state: state_scale(
+        1 + 2.0 ** -20, raising(g, state)))
+    skew = record()
+    assert not skew.passed and skew.lhs > 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_adjointness_fails_on_underflowing_states():
+    """At hbar = 1e-300 the norm of the degree-4 state underflows to 0, so
+    the state is NaN and the record fails with a NaN lhs, not the 0.0 of
+    inner products that pair no terms."""
+    records = {r.name: r for r in suite_prequant(
+        RunConfig(hbar=1e-300, N=8, n_max=3))}
+    record = records["prequant.adjointness"]
+    assert math.isnan(record.lhs) and not record.passed
+
+
+# The prequant records by their hbar-scaling at config A (ROADMAP item 19).
+HBAR_LINEAR = ("prequant.ccr_monomials", "prequant.p_eigenvalues",
+               "prequant.cross_module_ccr")
+HBAR_ZERO = ("prequant.aa_exact_zero", "prequant.astar_astar_exact_zero",
+             "prequant.vacuum_annihilated", "prequant.energy_nonnegative")
+HBAR_EXEMPT = {
+    name: "its random states are normalized by a norm that mixes powers of "
+          "hbar (hbar^degree weights), so its amplitudes are not hbar^j "
+          "times those at hbar = 1"
+    for name in ("prequant.p_astar_commutator", "prequant.adjointness")}
+
+
+@pytest.fixture(scope="module")
+def unit_hbar_records():
+    return {r.name: r for r in suite_prequant(RunConfig())}
+
+
+@pytest.mark.parametrize("hbar", [4.0 ** -5, 4.0, 4.0 ** 5])
+def test_prequant_records_scale_with_hbar_bit_for_bit(hbar,
+                                                      unit_hbar_records):
+    """At config A, scaling hbar by a power of two scales the lhs and rhs of
+    the hbar-linear records exactly, and the exact-zero records stay 0.0.
+    Verdicts are not asserted: at hbar = 4^5 ccr_monomials and
+    p_eigenvalues exceed their absolute 1e-12 bound, which is the fixed
+    tolerances' fault (ROADMAP item 14), not the program's."""
+    unit = unit_hbar_records
+    scaled = {r.name: r for r in suite_prequant(RunConfig(hbar=hbar))}
+    assert set(unit) == set(scaled) == {*HBAR_LINEAR, *HBAR_ZERO,
+                                        *HBAR_EXEMPT}
+    for name in HBAR_LINEAR:
+        assert scaled[name].lhs == hbar * unit[name].lhs
+        assert scaled[name].rhs == hbar * unit[name].rhs
+    for name in HBAR_ZERO:
+        assert scaled[name].lhs == 0.0 == unit[name].lhs

@@ -17,14 +17,16 @@ TINY = {"d": 1, "N": 8, "n_max": 1}
 
 def test_sweep_reports_failing_seeds_and_worst_margins():
     """Per record name the failing seeds and the worst abs_diff / tolerance
-    over the records with a positive tolerance, as the suites give them."""
-    seeds = [0, 1]
-    got = sweep.sweep(TINY, seeds)
+    over the records with a positive tolerance, as the given suites give
+    them."""
+    seeds, names = [0, 1], (*sweep.FIELD_SUITES, "prequant")
+    got = sweep.sweep(TINY, seeds, names)
     assert got["config"] == TINY and got["n_seeds"] == 2
+    assert got["suites"] == list(names)
     want = {}
     for seed in seeds:
         cfg = RunConfig(seed=seed, **TINY)
-        for name in sweep.SUITES:
+        for name in names:
             for rec in suites.SUITES[name](cfg):
                 want.setdefault(rec.name, []).append((seed, rec))
     assert sorted(got["records"]) == sorted(want)
@@ -37,3 +39,14 @@ def test_sweep_reports_failing_seeds_and_worst_margins():
     assert got["failing_seeds"] == sorted(
         {s for row in got["records"].values() for s in row["failing_seeds"]})
     json.dumps(got, allow_nan=False)
+
+
+def test_each_config_sweeps_its_own_suites():
+    """The field suites at A, B and C; prequant at A and the wide lattice."""
+    field = ["msymp", "observables", "phase-space"]
+    assert list(sweep.FIELD_SUITES) == field
+    assert {name: list(row[2]) for name, row in sweep.MATRIX.items()} == {
+        "A": [*field, "prequant"], "B": field, "C": field,
+        "wide": ["prequant"]}
+    assert {name: len(row[1]) for name, row in sweep.MATRIX.items()} == {
+        "A": 100, "B": 20, "C": 10, "wide": 20}

@@ -1,20 +1,22 @@
-"""Sweep the msymp, observables and phase-space suites over many seeds.
+"""Sweep the verification suites over many seeds.
 
 Usage:
 
     python tools/sweep.py > SWEEP.json
 
-Runs the three suites in process, from the ``src`` tree next to this
-script, at the ROADMAP's configs A (seeds 0-99), B (seeds 0-19) and C
-(seeds 0-9), as ``report_matrix.CONFIGS`` defines them, and prints one
-JSON document.  Per config it gives the seeds at which any check failed
-and, per record name, the seeds at which that record failed and its worst
-margin abs_diff / tolerance, taken over the records with a positive
-tolerance (null for a name that has none, such as a lower bound or a
-bitwise check).  A NaN margin counts as infinite.  The matrix is fixed,
-the script takes no options and it changes no tolerance; the run time goes
-to stderr, so the document is byte-deterministic.  Uses only the standard
-library, covkg and ``report_matrix.py`` beside it.
+Runs suites in process, from the ``src`` tree next to this script, at the
+configs of ``report_matrix.CONFIGS``, each with its own suite list: the
+msymp, observables and phase-space suites at the ROADMAP's configs A
+(seeds 0-99), B (seeds 0-19) and C (seeds 0-9), and the prequant suite at
+A (seeds 0-99) and at the wide prequant lattice (seeds 0-19).  It prints
+one JSON document.  Per config it gives its suites, the seeds at which any
+check failed and, per record name, the seeds at which that record failed
+and its worst margin abs_diff / tolerance, taken over the records with a
+positive tolerance (null for a name that has none, such as a lower bound
+or a bitwise check).  A NaN margin counts as infinite.  The matrix is
+fixed, the script takes no options and it changes no tolerance; the run
+time goes to stderr, so the document is byte-deterministic.  Uses only the
+standard library, covkg and ``report_matrix.py`` beside it.
 """
 
 from __future__ import annotations
@@ -33,21 +35,22 @@ from covkg.cli import _run_suite  # noqa: E402
 from covkg.reporting import RunConfig  # noqa: E402
 from report_matrix import CONFIGS  # noqa: E402
 
-SUITES = ("msymp", "observables", "phase-space")
+FIELD_SUITES = ("msymp", "observables", "phase-space")
 MATRIX = {
-    "A": (CONFIGS["A"], range(100)),
-    "B": (CONFIGS["B"], range(20)),
-    "C": (CONFIGS["C"], range(10)),
+    "A": (CONFIGS["A"], range(100), (*FIELD_SUITES, "prequant")),
+    "B": (CONFIGS["B"], range(20), FIELD_SUITES),
+    "C": (CONFIGS["C"], range(10), FIELD_SUITES),
+    "wide": (CONFIGS["wide"], range(20), ("prequant",)),
 }
 
 
-def sweep(config: dict, seeds) -> dict:
-    """The suites at each seed of ``config``: the failing seeds, and per
+def sweep(config: dict, seeds, suites) -> dict:
+    """The ``suites`` at each seed of ``config``: the failing seeds, and per
     record name its failing seeds and worst margin."""
     records = {}
     for seed in seeds:
         cfg = RunConfig(seed=seed, **config)
-        for rec in (r for suite in SUITES for r in _run_suite(suite, cfg)):
+        for rec in (r for suite in suites for r in _run_suite(suite, cfg)):
             row = records.setdefault(rec.name, {"failing_seeds": [],
                                                 "worst_margin": None})
             if not rec.passed:
@@ -62,14 +65,13 @@ def sweep(config: dict, seeds) -> dict:
             row["worst_margin"] = "Infinity"  # strict JSON
     failing = sorted({s for row in records.values()
                       for s in row["failing_seeds"]})
-    return {"config": config, "n_seeds": len(seeds),
+    return {"config": config, "n_seeds": len(seeds), "suites": list(suites),
             "failing_seeds": failing, "records": records}
 
 
 def main() -> int:
     start = time.perf_counter()
-    doc = {name: sweep(config, seeds)
-           for name, (config, seeds) in MATRIX.items()}
+    doc = {name: sweep(*row) for name, row in MATRIX.items()}
     print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     for name, result in doc.items():
         print(f"{name}: {len(result['failing_seeds'])}/{result['n_seeds']} "
