@@ -31,6 +31,7 @@ import numpy as np
 
 from . import observables as obs
 from . import prequant as pq
+from .lattice import _modulus
 from .reporting import (
     SCHEMA_VERSION,
     Report,
@@ -40,7 +41,7 @@ from .reporting import (
     parse_tol_overrides,
 )
 from .solution import (
-    _BLOCK_CELLS,
+    _blocks,
     field_energy,
     from_cauchy,
     leapfrog_evolve,
@@ -57,7 +58,7 @@ _BRACKET_RECORDS = ("observables.bracket_", "observables.pmu_identity_",
 # every monomial row, makes rows x n_modes^2 of them.
 PREQUANT_TERM_BUDGET = 10 ** 9
 # Most output rows, and most leapfrog steps in all, that ``covkg simulate``
-# takes on; a step takes about 0.1 ms at config A and 0.3 ms at config C.
+# takes on, a bound on time: a step takes about 0.1 ms at config A.
 SIMULATE_BUDGET = 10 ** 6
 
 
@@ -133,17 +134,16 @@ def _load_config(args) -> RunConfig:
     return dataclasses.replace(cfg, **changes)  # re-validates tolerances
 
 
-def _emit(text: str, path) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(path):
+    """A command's output: ``path`` opened for writing, or stdout."""
+    return (open(path, "w", encoding="utf-8", newline="") if path
+            else nullcontext(sys.stdout))
 
 
 def _finish_report(cfg: RunConfig, suite: str, records) -> int:
     report = Report(config=cfg.to_dict(), checks=records, suite=suite)
-    _emit(report.to_json(), cfg.out)
+    with _emit(cfg.out) as fh:
+        fh.write(report.to_json())
     if cfg.out:
         n_fail = sum(not c.passed for c in records)
         print(f"{cfg.out}: {len(records)} checks, "
@@ -206,6 +206,8 @@ def _parse_track(arg, lat, sol):
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
+    """Check everything, then write each row as it is formed: one call per
+    column family and block of output times (``solution._blocks``)."""
     lat = cfg.lattice()
     if not 2 <= args.n_out <= SIMULATE_BUDGET:
         raise ValueError(f"n-out must lie in 2..{SIMULATE_BUDGET:.0e}")
@@ -221,6 +223,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         if steps.sum() > SIMULATE_BUDGET:
             raise ValueError(f"leapfrog-dt takes {steps.sum():.1e} steps, "
                              f"over SIMULATE_BUDGET ({SIMULATE_BUDGET:.0e})")
+        dts = np.diff(ts) / steps  # as ``leapfrog_evolve`` checks them
+        if np.max(dts) * float(np.max(lat.k0)) >= 2.0:
+            raise ValueError("unstable step: require dt * max(k0) < 2")
     if args.cauchy:
         phi0, pi0 = read_cauchy_csv(lat, args.cauchy)
         sol = from_cauchy(lat, phi0, pi0)
@@ -236,29 +241,23 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         columns.append("energy_leapfrog")
         phi, pi = synthesize(sol, 0.0, [(), (0,)])
 
-    def exact_columns(tb):  # |a_k| by np.hypot, as Python's complex abs
-        a_t = obs.bracket_slice_integral(sol, alpha_k, tb)
-        return np.column_stack(
-            [tb, obs.energy_integral(sol, tb, cfg.lam)]
-            + [obs.momentum_integral(sol, i, tb, cfg.lam)
-               for i in range(1, lat.d + 1)]
-            + list(np.hypot(a_t.real, a_t.imag)))
-
-    # One slice-functional call per column family and block of output
-    # times, a block holding at most _BLOCK_CELLS grid values.
-    step = max(1, _BLOCK_CELLS // int(np.prod(lat.grid_shape)))
-    table = np.concatenate([exact_columns(ts[i:i + step])
-                            for i in range(0, len(ts), step)])
-    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
-    for j, row in enumerate(table.tolist()):
-        if steps is not None:
-            if j > 0:
-                n = int(steps[j - 1])
-                sd = leapfrog_evolve(lat, phi, pi, (ts[j] - ts[j - 1]) / n, n)
-                phi, pi = sd.phi, sd.p[0]
-            row.append(field_energy(lat, phi, pi))
-        lines.append(",".join(repr(float(v)) for v in row))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    with _emit(cfg.out) as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n{','.join(columns)}\n")
+        for part in _blocks(len(ts), lat.N ** lat.d):
+            tb = ts[part]
+            a_t = _modulus(obs.bracket_slice_integral(sol, alpha_k, tb))
+            rows = np.column_stack(
+                [tb, obs.energy_integral(sol, tb, cfg.lam)]
+                + [obs.momentum_integral(sol, i, tb, cfg.lam)
+                   for i in range(1, lat.d + 1)] + list(a_t)).tolist()
+            for j, row in zip(range(len(ts))[part], rows):
+                if steps is not None:
+                    if j > 0:
+                        sd = leapfrog_evolve(lat, phi, pi, dts[j - 1],
+                                             int(steps[j - 1]))
+                        phi, pi = sd.phi, sd.p[0]
+                    row.append(field_energy(lat, phi, pi))
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return 0
 
 
@@ -311,23 +310,22 @@ def cmd_prequant(cfg: RunConfig, args) -> int:
     records = ladder_checks(cfg, rng, f, g, rows, rows)
 
     if args.spectrum_out:
-        lines = [f"# schema_version={SCHEMA_VERSION}",
-                 "multi_index,eigenvalue,energy"]
         eigs = pq.p_eigenvalues(lat, rows, np.eye(lat.d + 1)[0]).tolist()
-        for alpha, eig in zip(pq.row_alphas(lat, rows), eigs):
-            eig += 0.0  # normalizes -0.0 for the vacuum row
-            energy = -eig + 0.0
-            label = ";".join(f"{k}:{e}" for k, e in alpha)
-            lines.append(f"{label},{eig!r},{energy!r}")
-        with open(args.spectrum_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with _emit(args.spectrum_out) as fh:
+            fh.write(f"# schema_version={SCHEMA_VERSION}\n"
+                     "multi_index,eigenvalue,energy\n")
+            for alpha, eig in zip(pq.row_alphas(lat, rows), eigs):
+                eig += 0.0  # normalizes -0.0 for the vacuum row
+                label = ";".join(f"{k}:{e}" for k, e in alpha)
+                fh.write(f"{label},{eig!r},{-eig + 0.0!r}\n")
     return _finish_report(cfg, "prequant-cli", records)
 
 
 def cmd_spec(cfg: RunConfig) -> int:
     data = cfg.to_dict()
     data["schema_version"] = SCHEMA_VERSION
-    _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", cfg.out)
+    with _emit(cfg.out) as fh:
+        fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
     return 0
 
 

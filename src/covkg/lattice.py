@@ -32,6 +32,11 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
+def _modulus(z) -> np.ndarray:
+    """|z| rounded as by Python's abs(complex); np.abs may differ."""
+    return np.hypot(z.real, z.imag)
+
+
 def _check_number(what: str, value, integral: bool) -> None:
     """The rule for lattice and config numbers: integers where ``integral``,
     else int or float, never a bool, inf or nan."""

@@ -40,10 +40,10 @@ from .lattice import (
     spectral_gradient_laplacian,
 )
 from .solution import (
-    _BLOCK_CELLS,
     Solution,
     SolutionHistory,
     WindowedPerturbation,
+    _blocks,
     evaluate_fields,
     fields_and_orders,
 )
@@ -268,14 +268,15 @@ def _lagrangian_density(lat: ModeLattice, phi, dtphi, _):
 def _time_quadrature(hist, densities, t1: float, t2: float, n_t: int) -> list:
     """Simpson rule over [t1, t2] of the grid integral of each density.
 
-    ``hist.at`` is evaluated once per block of times.  A block holds
-    ``_BLOCK_CELLS`` grid values per derivative order, summed over a
-    solution batch's members (``hist.sol``), so each of a history's own
-    mode sums stays within that bound.  A history without ``sol``, such
-    as a ``WindowedPerturbation`` family, takes blocks of one member's
-    size: the family holds n_eps x n_bases grids per block, 4 for the
-    criticality pair, and its one ``mode_sum_grid`` call (n_bases + 1) x
-    ``_BLOCK_CELLS`` values per derivative order.
+    ``hist.at`` is evaluated once per block of times (``solution._blocks``
+    of members x cells).  A block holds ``_BLOCK_CELLS`` grid values per
+    derivative order, summed over a solution batch's members
+    (``hist.sol``), so each of a history's own mode sums stays within that
+    bound.  A history without ``sol``, such as a ``WindowedPerturbation``
+    family, takes blocks of one member's size: the family holds n_eps x
+    n_bases grids per block, 4 for the criticality pair, and its one
+    ``mode_sum_grid`` call (n_bases + 1) x ``_BLOCK_CELLS`` values per
+    derivative order.
     Each density maps (lat, *fields) to its values on the block, shape
     (..., block times) + grid_shape.  Returns one Simpson sum per density,
     with its leading axes (a lambda family, the eps signs, a batch); blocks
@@ -288,10 +289,9 @@ def _time_quadrature(hist, densities, t1: float, t2: float, n_t: int) -> list:
     sol = getattr(hist, "sol", None)  # a DetunedHistory or SolutionHistory
     members = 1 if sol is None else int(np.prod(np.shape(sol.u)[:-1]))
     ts = np.linspace(t1, t2, n_t)
-    step = max(1, _BLOCK_CELLS // (members * int(np.prod(lat.grid_shape))))
     sums = [[] for _ in densities]
-    for i in range(0, n_t, step):
-        block = hist.at(ts[i:i + step])
+    for part in _blocks(n_t, members * int(np.prod(lat.grid_shape))):
+        block = hist.at(ts[part])
         for density, vals in zip(densities, sums):
             vals.append(grid_integral(lat, density(lat, *block)))
     return [simpson(np.concatenate(vals, axis=-1), ts[1] - ts[0])

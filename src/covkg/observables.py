@@ -50,6 +50,7 @@ from .solution import (
     _BLOCK_CELLS,
     PolynomialTimeHistory,
     Solution,
+    _blocks,
     _maybe_real,
     derivative_solution,
     fields_and_orders,
@@ -163,21 +164,19 @@ def bracket_slice_integral(phi: Solution, psi: Solution, t=0.0):
     arguments negates every floating-point intermediate: antisymmetry
     holds exactly.  A ``psi`` with a batch axis gives one integral per
     member and a 1-D array of times one per time (a last axis), each equal
-    bit for bit to its own integral; the batch is synthesized in chunks of
-    at most ``_BLOCK_CELLS`` grid values.
+    bit for bit to its own integral; the batch is synthesized in blocks
+    (``solution._blocks``) of at most ``_BLOCK_CELLS`` grid values.
     """
     lat = phi.lat
     if np.ndim(phi.u) != 1:
         raise ValueError("only the second solution may carry a batch axis")
     a, da = synthesize(phi, t, [(), (0,)])
     u, ustar = (np.reshape(c, (-1, lat.n_modes)) for c in (psi.u, psi.ustar))
-    step = max(1, _BLOCK_CELLS // a.size)
     totals = np.empty((len(u),) + np.shape(t), dtype=complex)
-    for i in range(0, len(u), step):
-        part = Solution(lat, u[i:i + step], ustar[i:i + step], psi.real_flag)
-        b, db = synthesize(part, t, [(), (0,)])
-        dens = _cmul(da, b) - _cmul(a, db)
-        totals[i:i + step] = grid_integral(lat, dens)
+    for part in _blocks(len(u), a.size, _BLOCK_CELLS):
+        b, db = synthesize(Solution(lat, u[part], ustar[part], psi.real_flag),
+                           t, [(), (0,)])
+        totals[part] = grid_integral(lat, _cmul(da, b) - _cmul(a, db))
     return _maybe_real(totals.reshape(np.shape(psi.u)[:-1] + np.shape(t)),
                        phi, psi)
 

@@ -132,7 +132,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .lattice import ModeLattice, _cmul, _complex, _integers
+from .lattice import ModeLattice, _cmul, _complex, _integers, _modulus
 
 _INT64_MAX = np.iinfo(np.int64).max
 # The largest degree of any state; keys rank rows padded to this width.
@@ -426,13 +426,11 @@ def state_sub(s1: PolarizedState, s2: PolarizedState) -> PolarizedState:
 
 def max_abs_diff(first: PolarizedState, *rest: PolarizedState) -> float:
     """Largest |amplitude| of first - rest[0] - ... over every operand's
-    keys (``_merge`` of keys and amplitudes alone), 0.0 for no terms;
-    np.hypot rounds like Python's abs(complex), np.abs on a complex array
-    may differ in the last bit."""
+    keys (``_merge`` of keys and amplitudes alone), 0.0 for no terms."""
     states = (first, *rest)
     _same_lattice(states)
     _, amp = _merge([(s.key, s.amp) for s in states], subtract=True)
-    return float(np.max(np.hypot(amp.real, amp.imag), initial=0.0))
+    return float(np.max(_modulus(amp), initial=0.0))
 
 
 def _mode_coefficients(lat: ModeLattice, f, name: str):

@@ -46,13 +46,20 @@ from .lattice import (
 )
 
 _CONJ_TOL = 1e-12
-# Grid values per derivative order of a block, summed over a batch's
-# members: sizes the blocks of the action quadratures and of the batched
-# bracket pairing.  A ``WindowedPerturbation`` family's blocks are sized as
-# for one member, so its one mode sum holds (n_bases + 1) times as many
-# (see ``multisymplectic._time_quadrature``).
+# Grid values per derivative order of a block (``_blocks``), summed over a
+# batch's members: sizes the action quadratures', the bracket pairing's and
+# ``covkg simulate``'s blocks.  A ``WindowedPerturbation`` family's blocks
+# are sized as for one member, so its one mode sum holds (n_bases + 1) times
+# as many (see ``multisymplectic._time_quadrature``).
 _BLOCK_CELLS = 4096
 _WINDOW_ORDER = 6  # q of the bump (4 s (1-s))^q of ``WindowedPerturbation``
+
+
+def _blocks(n: int, size: int, budget: int = _BLOCK_CELLS) -> list:
+    """Slices of range(n) of max(1, budget // size) items each (the last may
+    hold fewer): the one block rule of every memory-bounded loop."""
+    step = max(1, budget // max(1, size))
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,11 +20,13 @@ from . import multisymplectic as ms
 from . import observables as obs
 from . import phase_space as ps
 from . import prequant as pq
+from .lattice import _modulus
 from .reporting import RunConfig, lower_bound_check
 from .solution import (
     DetunedHistory,
     PolynomialTimeHistory,
     SolutionHistory,
+    _blocks,
     from_modes,
     kg_residual,
     random_solution,
@@ -53,10 +55,8 @@ def _order_of_convergence(residuals) -> float:
 
 
 def _drift(values) -> float:
-    """Max |later - first| over the last (time) axis, by ``np.hypot`` as
-    Python's complex ``abs`` (numpy's may differ in the last bit)."""
-    diff = values[..., 1:] - values[..., :1]
-    return float(np.max(np.hypot(diff.real, diff.imag)))
+    """Max |later - first| over the last (time) axis (``lattice._modulus``)."""
+    return float(np.max(_modulus(values[..., 1:] - values[..., :1])))
 
 
 def _grids_for_dts(t_span: float, dts):
@@ -272,24 +272,17 @@ def _dyadic(rng: np.random.Generator, n: int) -> np.ndarray:
     return (re + 1j * im) / 16.0
 
 
-def _blocks(lat, rows, fan_out: int):
-    """Tagged states of one block of monomial rows each, with their slices;
-    at most ``_BLOCK_TERMS`` tags, over 230 times fewer than the 3,837,376
-    that int64 keys hold at config C's 343 modes (``pq._column_keys``)."""
-    size = max(1, _BLOCK_TERMS // max(1, fan_out))
-    for start in range(0, len(rows), size):
-        part = slice(start, start + size)
-        yield part, pq.monomial_block(lat, rows[part])
-
-
 def ladder_residual(lat, rows, fan_out: int, products) -> float:
     """Largest ``pq.max_abs_diff(*products(part, block))`` over the blocks of
-    ``rows`` (``_blocks``), 0.0 for none and NaN if any is NaN; ``fan_out``
-    as in ``_blocks``."""
+    ``rows`` (``solution._blocks`` of ``fan_out`` terms a row), 0.0 for none
+    and NaN if any is NaN.  A block holds the tagged states of its rows, at
+    most ``_BLOCK_TERMS`` tags, over 230 times fewer than the 3,837,376 that
+    int64 keys hold at config C's 343 modes (``pq._column_keys``)."""
     worst = 0.0
-    for part, block in _blocks(lat, rows, fan_out):
+    for part in _blocks(len(rows), fan_out, _BLOCK_TERMS):
         # Held until the next block's replace them: freeing them per block
         # lets glibc trim the heap top, and the next block faults it back.
+        block = pq.monomial_block(lat, rows[part])
         states = products(part, block)
         worst = np.maximum(worst, pq.max_abs_diff(*states))
     return float(worst)

@@ -597,9 +597,64 @@ def test_documented_simulate_runs_fit_the_budget(monkeypatch):
                 if line.startswith("covkg simulate ") and "[" not in line]
     runs = [args[1:] for _, _, args, _ in report_matrix.runs()
             if args[0] == "simulate"]
-    assert len(examples) == 1 and len(runs) == 3
+    assert len(examples) == 1 and len(runs) == 4
     for argv in examples + runs:
         assert _simulate_begins_work(monkeypatch, argv)
+
+
+def test_simulate_refuses_an_unstable_step_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    """--leapfrog-dt 0.5 takes steps of 0.5 at config A, where max(k0) is
+    7.07: exit 2 with the leapfrog's own message, before any exact column
+    is formed or the output file is made."""
+    import covkg.cli as cli
+    calls = []
+    monkeypatch.setattr(cli.obs, "bracket_slice_integral",
+                        lambda *args: calls.append(args))
+    out = tmp_path / "series.csv"
+    assert main(["simulate", "--leapfrog-dt", "0.5", "--n-out", "6",
+                 "--out", str(out)]) == 2
+    assert "unstable step: require dt * max(k0) < 2" in capsys.readouterr().err
+    assert not out.exists() and calls == []
+
+
+def test_simulate_writes_stdout_and_file_alike_across_blocks(
+        tmp_path, monkeypatch, capsys):
+    """300 rows at config A span three blocks of 128 output times: stdout
+    and --out receive the same bytes, one bracket call per block."""
+    import covkg.cli as cli
+    calls, real = [], cli.obs.bracket_slice_integral
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli.obs, "bracket_slice_integral", spy)
+    argv = ["simulate", "--n-out", "300", "--leapfrog-dt", "0.05"]
+    out = tmp_path / "series.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
+    assert len(calls) == 6 and out.read_text().count("\n") == 302
+
+
+def test_simulate_memory_does_not_grow_with_rows(tmp_path):
+    """Rows are written as they are formed: the traced peak of a 5000-row
+    run stays within 1.5 times that of a 300-row run (after a warm-up)."""
+    import tracemalloc
+
+    def peak(n_out):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--n-out", str(n_out),
+                         "--out", str(tmp_path / "series.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    main(["simulate", "--n-out", "300", "--out", str(tmp_path / "warm.csv")])
+    assert peak(5000) <= 1.5 * peak(300)
 
 
 def test_simulate_from_cauchy_file(tmp_path, lat):

@@ -21,7 +21,6 @@ from covkg import (
     theta_eval,
 )
 from covkg.multisymplectic import (
-    _BLOCK_CELLS,
     action_of_history,
     hamilton_residual_fields,
     graph_frame,
@@ -32,6 +31,7 @@ from covkg.multisymplectic import (
 )
 from covkg.phase_space import fd_delta_theta, theta_difference_vs_action
 from covkg.solution import (
+    _BLOCK_CELLS,
     DetunedHistory,
     SolutionHistory,
     WindowedPerturbation,

@@ -76,6 +76,10 @@ def runs():
     yield ("simulate_leapfrog_short_A", "A",
            ["simulate", "--t-final", "0.35", "--n-out", "2",
             "--leapfrog-dt", "0.25"], [])
+    # 300 rows span three blocks of output times at config A.
+    yield ("simulate_blocks_A", "A",
+           ["simulate", "--n-out", "300", "--leapfrog-dt", "0.05",
+            "--track", "0,7"], [])
     yield "simulate_C", "C", ["simulate"], []
     yield "spec_aliased", "aliased", ["spec"], []
     yield "spec_overflow", "overflow", ["spec"], []
