@@ -205,26 +205,42 @@ def _parse_track(arg, lat, sol):
     return sorted(int(k) for k in order[:3])
 
 
+def _row_blocks(t_final: float, n_out: int, dt, size: int):
+    """Per ``solution._blocks`` of rows of ``size`` cells: the rows, their
+    times (np.linspace(0.0, t_final, n_out)'s bit for bit), and the steps of
+    ``dt`` (one if None) into each row but the first and their sizes."""
+    step = t_final / (n_out - 1)
+    for part in _blocks(n_out, size):
+        rows = range(n_out)[part]
+        j = np.arange(max(rows.start - 1, 0), rows.stop)  # and the row before
+        ts = j * step if step else j / (n_out - 1) * t_final
+        ts[j == n_out - 1] = t_final
+        # per interval, the fewest steps no longer than asked, up to roundoff
+        with np.errstate(over="ignore"):  # a count past any budget reads inf
+            steps = np.ceil(np.diff(ts) / (dt or np.inf) - 1e-9).clip(1.0)
+        yield rows, ts[-len(rows):], steps, np.diff(ts) / steps
+
+
 def cmd_simulate(cfg: RunConfig, args) -> int:
     """Check everything, then write each row as it is formed: one call per
-    column family and block of output times (``solution._blocks``)."""
+    column family and block of output times (``_row_blocks``)."""
     lat = cfg.lattice()
     if not 2 <= args.n_out <= SIMULATE_BUDGET:
         raise ValueError(f"n-out must lie in 2..{SIMULATE_BUDGET:.0e}")
     if not 0 < args.t_final < np.inf:
         raise ValueError("t-final must be a finite positive number")
-    ts, steps = np.linspace(0.0, args.t_final, args.n_out), None
-    if args.leapfrog_dt is not None:
-        if not 0 < args.leapfrog_dt < np.inf:
+    dt, size = args.leapfrog_dt, lat.N ** lat.d
+    if dt is not None:
+        if not 0 < dt < np.inf:
             raise ValueError("leapfrog-dt must be a finite positive number")
-        # per interval, the fewest steps no longer than asked, up to roundoff
-        with np.errstate(over="ignore"):  # a count past any budget reads inf
-            steps = np.ceil(np.diff(ts) / args.leapfrog_dt - 1e-9).clip(1.0)
-        if steps.sum() > SIMULATE_BUDGET:
-            raise ValueError(f"leapfrog-dt takes {steps.sum():.1e} steps, "
+        total = worst = 0.0  # one pass over the blocks, keeping no row
+        for _, _, steps, h in _row_blocks(args.t_final, args.n_out, dt, size):
+            total += steps.sum()
+            worst = max(worst, np.max(h, initial=0.0))
+        if total > SIMULATE_BUDGET:
+            raise ValueError(f"leapfrog-dt takes {total:.1e} steps, "
                              f"over SIMULATE_BUDGET ({SIMULATE_BUDGET:.0e})")
-        dts = np.diff(ts) / steps  # as ``leapfrog_evolve`` checks them
-        if np.max(dts) * float(np.max(lat.k0)) >= 2.0:
+        if worst * float(np.max(lat.k0)) >= 2.0:  # as ``leapfrog_evolve``
             raise ValueError("unstable step: require dt * max(k0) < 2")
     if args.cauchy:
         phi0, pi0 = read_cauchy_csv(lat, args.cauchy)
@@ -237,24 +253,24 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     columns = (["t", "energy"]
                + [f"momentum_{i}" for i in range(1, lat.d + 1)]
                + [f"a_abs_{k}" for k in track])
-    if steps is not None:
+    if dt is not None:
         columns.append("energy_leapfrog")
         phi, pi = synthesize(sol, 0.0, [(), (0,)])
 
     with _emit(cfg.out) as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n{','.join(columns)}\n")
-        for part in _blocks(len(ts), lat.N ** lat.d):
-            tb = ts[part]
+        for js, tb, *leap in _row_blocks(args.t_final, args.n_out, dt, size):
             a_t = _modulus(obs.bracket_slice_integral(sol, alpha_k, tb))
             rows = np.column_stack(
                 [tb, obs.energy_integral(sol, tb, cfg.lam)]
                 + [obs.momentum_integral(sol, i, tb, cfg.lam)
                    for i in range(1, lat.d + 1)] + list(a_t)).tolist()
-            for j, row in zip(range(len(ts))[part], rows):
-                if steps is not None:
+            leap = zip(*leap)
+            for j, row in zip(js, rows):
+                if dt is not None:
                     if j > 0:
-                        sd = leapfrog_evolve(lat, phi, pi, dts[j - 1],
-                                             int(steps[j - 1]))
+                        n, h = next(leap)
+                        sd = leapfrog_evolve(lat, phi, pi, h, int(n))
                         phi, pi = sd.phi, sd.p[0]
                     row.append(field_energy(lat, phi, pi))
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")

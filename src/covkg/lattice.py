@@ -173,9 +173,10 @@ class ModeLattice:
         return tuple(np.mod(self.modes[:, a], self.N) for a in range(self.d))
 
 
+@lru_cache(typed=True)
 def build_lattice(d: int, L: float, N: int, n_max: int, m: float,
                   hbar: float = 1.0) -> ModeLattice:
-    """Validate parameters and construct a ModeLattice."""
+    """Validate parameters and build a ModeLattice, once per argument list."""
     return ModeLattice(d=d, L=L, N=N, n_max=n_max, m=m, hbar=hbar)
 
 

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ModeLattice, _cmul, grid_integral
-from .multisymplectic import _uniform_dt
-from .phase_space import (omega_sigma, omega_sigma_pointwise,
-                          translation_deformation)
+from .multisymplectic import _uniform_dt, graph_frame
+from .phase_space import (deformation_fields, omega_sigma,
+                          omega_sigma_pointwise, translation_deformation)
 from .solution import (
     _BLOCK_CELLS,
     PolynomialTimeHistory,
@@ -271,6 +271,8 @@ def pmu_bracket_identity(mus, phi: Solution, sol: Solution, t: float = 0.0):
         raise ValueError("mus must be a 1-D array of translation indices")
     xis = stack_solutions([translation_deformation(sol, mu) for mu in mus])
     dmu_phi = stack_solutions([derivative_solution(phi, mu) for mu in mus])
+    frame = graph_frame(sol, t)
+    fields = [deformation_fields(frame[0], delta) for delta in (xis, phi)]
     return tuple(np.asarray(v, dtype=complex) for v in (
-        omega_sigma(sol, xis, phi, t), omega_sigma_pointwise(sol, xis, phi, t),
-        slice_integral(dmu_phi, sol, t)))
+        omega_sigma(sol, xis, phi, t), omega_sigma_pointwise(
+            sol.lat, frame, *fields), slice_integral(dmu_phi, sol, t)))

@@ -31,9 +31,10 @@ lambda, and ``theta_difference_vs_action`` takes Theta on both slices from
 one call and the two shifted actions as one batch.  Omega's two paths,
 the slice reduction ``omega_sigma`` and the pointwise form
 ``omega_sigma_pointwise``, share only mode synthesis; the suites record
-their comparison.  The pointwise forms sum cells with ``grid_integral`` and
-take a deformation batch and 1-D arrays (c, mu) of representative shifts
-c X_mu on one graph frame.  Each value equals, bit for bit, its own call.
+their comparison.  The pointwise forms take the slice's ``graph_frame``
+and each deformation's ``deformation_fields``, which callers form once,
+sum cells with ``grid_integral`` and take a deformation batch and 1-D
+arrays (c, mu) of shifts c X_mu, each value bit for bit its own call.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .lattice import ModeLattice, _cmul, grid_integral
 from .multisymplectic import (
     action_between_slices,
     coords,
-    graph_frame,
     omega_eval,
     theta_eval,
 )
@@ -99,16 +99,16 @@ def _representative(tangents, fields, shift=None):
     return (xi[:, None] if mu.ndim else xi) + np.moveaxis(shifts, mu.ndim, 0)
 
 
-def theta_sigma_pointwise(sol: Solution, delta: Solution, lam: float, t: float,
+def theta_sigma_pointwise(lat: ModeLattice, frame, fields, lam: float,
                           shift=None):
-    """Theta^Sigma via pointwise theta_eval on (xi, X_1..X_d).
+    """Theta^Sigma via pointwise theta_eval on (xi, X_1..X_d): the slice's
+    ``graph_frame`` ``frame``, xi from the ``deformation_fields`` ``fields``.
 
     ``shift = (c, mu)`` adds the tangential component c * X_mu to the
     representative xi, probing representative independence.
     """
-    lat = sol.lat
-    sd, xs = graph_frame(sol, t)
-    xi = _representative(xs, deformation_fields(sd, delta), shift)
+    sd, xs = frame
+    xi = _representative(xs, fields, shift)
     point = coords(np.zeros(lat.d + 1), sd.phi, sd.e, sd.p)
     return grid_integral(lat, theta_eval(lam, point, [xi] + xs[1:]))
 
@@ -118,17 +118,18 @@ def omega_mode_form(lat: ModeLattice, d1: Solution, d2: Solution):
     return 1j * np.sum(lat.w * (d1.ustar * d2.u - d1.u * d2.ustar))
 
 
-def omega_sigma_pointwise(sol: Solution, d1: Solution, d2: Solution, t: float,
+def omega_sigma_pointwise(lat: ModeLattice, frame, fields1, fields2,
                           shift1=None, shift2=None):
-    """Omega via pointwise omega_eval on (xi1, xi2, X_1..X_d).
+    """Omega via pointwise omega_eval on (xi1, xi2, X_1..X_d), as in
+    ``theta_sigma_pointwise`` with the fields of two deformations.
 
     Optional shifts add tangential components c * X_mu to either
     representative (they must not change the value).
     """
-    sd, xs = graph_frame(sol, t)
-    xi1 = _representative(xs, deformation_fields(sd, d1), shift1)
-    xi2 = _representative(xs, deformation_fields(sd, d2), shift2)
-    return grid_integral(sol.lat, omega_eval([xi1, xi2] + xs[1:]))
+    xs = frame[1]
+    xi1 = _representative(xs, fields1, shift1)
+    xi2 = _representative(xs, fields2, shift2)
+    return grid_integral(lat, omega_eval([xi1, xi2] + xs[1:]))
 
 
 def omega_sigma(sol: Solution, d1: Solution, d2: Solution, t=0.0):

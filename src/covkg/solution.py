@@ -22,8 +22,8 @@ giving axes (order, batch, time) + grid_shape; each grid equals, bit for
 bit, the grid of the call that asks for it alone.  ``fields_and_orders``
 (with ``evaluate_fields`` built on it) and the ``at`` of a detuned history
 make one such call, a ``WindowedPerturbation`` family one for all its
-members; the slice functionals keep the time axis.  ``SolutionHistory`` is
-the detuned history at detune 0, which keeps the solution's phase table.
+members on one phase table; the slice functionals keep the time axis.
+``SolutionHistory`` is the detuned history at detune 0.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ _BLOCK_CELLS = 4096
 _WINDOW_ORDER = 6  # q of the bump (4 s (1-s))^q of ``WindowedPerturbation``
 
 
-def _blocks(n: int, size: int, budget: int = _BLOCK_CELLS) -> list:
-    """Slices of range(n) of max(1, budget // size) items each (the last may
-    hold fewer): the one block rule of every memory-bounded loop."""
+def _blocks(n: int, size: int, budget: int = _BLOCK_CELLS):
+    """Slices of range(n), in order, of max(1, budget // size) items each
+    (the last may hold fewer): the one block rule of memory-bounded loops."""
     step = max(1, budget // max(1, size))
-    return [slice(i, i + step) for i in range(0, n, step)]
+    return (slice(i, i + step) for i in range(0, n, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +193,18 @@ def _order_factors(lat: ModeLattice, orders: tuple) -> np.ndarray:
     return out
 
 
-def _coefficients(sol: Solution, t, orders, factor=None) -> tuple:
+def _phases(lat: ModeLattice, t) -> np.ndarray:
+    """The phase table exp(-i k0 t), axes ([time,] mode)."""
+    return np.exp(-1j * lat.k0 * np.asarray(t, dtype=float)[..., None])
+
+
+def _coefficients(sol: Solution, t, orders, factor=None, phase=None) -> tuple:
     """The branch coefficients whose ``mode_sum_grid`` is the grid of each
     derivative order in the list ``orders`` at time t, with axes (order,
     [batch,] [time,] mode): (plus,) for a real solution, whose u* branch is
     conj(plus) and is not formed, else (plus, minus).  ``factor``, broadcast
-    against them, multiplies the u branch and its conjugate the u* branch."""
+    against them, multiplies the u branch and its conjugate the u* branch.
+    ``phase`` is the ``_phases`` table at t, formed if not given."""
     lat = sol.lat
     t = np.asarray(t, dtype=float)
     shape = ((2, len(orders)) + (1,) * (np.ndim(sol.u) - 1 + t.ndim)
@@ -207,7 +213,7 @@ def _coefficients(sol: Solution, t, orders, factor=None) -> tuple:
     if factor is not None:
         fu = fu * factor
     pref = (2.0 * np.pi) ** (-lat.d / 2.0)
-    phase = np.exp(-1j * lat.k0 * t[..., None])
+    phase = _phases(lat, t) if phase is None else phase
     coeffs = np.shape(sol.u)[:-1] + (1,) * t.ndim + (lat.n_modes,)
     plus = pref * lat.w * np.reshape(sol.u, coeffs) * phase * fu
     if sol.real_flag:
@@ -367,19 +373,19 @@ class DetunedHistory:
         if not abs(self.detune) < np.inf:
             raise ValueError(f"detune must be finite, got {detune!r}")
 
-    def coefficients(self, t):
-        """The ``_coefficients`` of (phi, d_t phi, d_tt phi) at t: at detune
-        0 the solution's own, from its one phase table, else the solution's
-        phases times exp(-i detune t) and (-i (k0 + detune))^r."""
+    def coefficients(self, t, phase=None):
+        """``_coefficients`` of (phi, d_t phi, d_tt phi) at t on the phase
+        table ``phase`` (formed if not given): at detune 0 the solution's
+        own, else times exp(-i detune t) and (-i (k0 + detune))^r."""
         if self.detune == 0.0:
-            return _coefficients(self.sol, t, [(), (0,), (0, 0)])
+            return _coefficients(self.sol, t, [(), (0,), (0, 0)], phase=phase)
         om = self.lat.k0 + self.detune
         tc = np.asarray(t, dtype=float)[..., None]
         down = np.exp(-1j * (om - self.lat.k0) * tc)
         factor = np.stack([(-1j * om) ** order * down for order in range(3)])
         batch = tuple(range(1, np.ndim(self.sol.u)))  # after the order axis
         return _coefficients(self.sol, t, [()] * 3,
-                             factor=np.expand_dims(factor, batch))
+                             np.expand_dims(factor, batch), phase)
 
     def at(self, t):
         """(phi, d_t phi, d_tt phi) at t; a 1-D array of times stacks them
@@ -464,7 +470,8 @@ class WindowedPerturbation:
 
     def at(self, t):
         """(phi, d_t phi, d_tt phi) at t, after the eps and base axes."""
-        members = [h.coefficients(t) for h in (*self.bases, self.var)]
+        phase = _phases(self.lat, t)
+        members = [h.coefficients(t, phase) for h in (*self.bases, self.var)]
         grids = mode_sum_grid(self.lat, *(np.stack(branch, axis=1)
                                           for branch in zip(*members)))
         b0, b1, b2 = grids[:, :-1]  # (order, member, [time,]) + grid_shape

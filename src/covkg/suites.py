@@ -20,13 +20,14 @@ from . import multisymplectic as ms
 from . import observables as obs
 from . import phase_space as ps
 from . import prequant as pq
-from .lattice import _modulus
+from .lattice import _modulus, build_lattice
 from .reporting import RunConfig, lower_bound_check
 from .solution import (
     DetunedHistory,
     PolynomialTimeHistory,
     SolutionHistory,
     _blocks,
+    evaluate_fields,
     from_modes,
     kg_residual,
     random_solution,
@@ -59,12 +60,6 @@ def _drift(values) -> float:
     return float(np.max(_modulus(values[..., 1:] - values[..., :1])))
 
 
-def _grids_for_dts(t_span: float, dts):
-    for dt in dts:
-        n = int(round(t_span / dt)) + 1
-        yield np.linspace(0.0, t_span, n)
-
-
 def suite_msymp(cfg: RunConfig) -> list:
     lat = cfg.lattice()
     rng = _rng(cfg, "msymp")
@@ -73,8 +68,10 @@ def suite_msymp(cfg: RunConfig) -> list:
 
     out.append(cfg.check("msymp.kg_residual", kg_residual(sol), 0.0))
 
-    residuals = [ms.hamilton_residual(sol, grid)
-                 for grid in _grids_for_dts(0.4, (0.1, 0.05, 0.025))]
+    # dt = 0.025; its strides 4 and 2 are the dt = 0.1 and 0.05 linspaces
+    sd = evaluate_fields(sol, np.linspace(0.0, 0.4, 17))
+    residuals = [ms.hamilton_residual_fields(lat, sd.t[::s], sd.phi[::s],
+                                             sd.p[::s]) for s in (4, 2, 1)]
     out.append(cfg.check("msymp.hamilton_order",
                          _order_of_convergence(residuals), 2.0))
 
@@ -171,8 +168,8 @@ def suite_observables(cfg: RunConfig) -> list:
     out.append(cfg.check("observables.bracket_single_mode_pinned", pinned,
                          1j * lat.w[k0]))
 
-    residuals = [obs.noether_divergence(phi, sol, grid)
-                 for grid in _grids_for_dts(0.4, (0.1, 0.05, 0.025))]
+    ts = np.linspace(0.0, 0.4, 17)  # the dt ladder of msymp.hamilton_order
+    residuals = [obs.noether_divergence(phi, sol, ts[::s]) for s in (4, 2, 1)]
     out.append(cfg.check("observables.noether_order",
                          _order_of_convergence(residuals), 2.0))
 
@@ -212,7 +209,9 @@ def suite_phase_space(cfg: RunConfig) -> list:
 
     omegas = ps.omega_sigma(sol, d1, d2, np.array([0.0, 1.3, 2.6]))
     path_a = omegas[0]
-    path_b = ps.omega_sigma_pointwise(sol, d1, d2, 0.0)
+    frame = ms.graph_frame(sol, 0.0)  # read by the pointwise sides only
+    f1, f2 = (ps.deformation_fields(frame[0], d) for d in (d1, d2))
+    path_b = ps.omega_sigma_pointwise(lat, frame, f1, f2)
     out.append(cfg.check("phase_space.omega_two_path", path_a, path_b))
 
     out.append(cfg.check("phase_space.omega_antisymmetry",
@@ -242,18 +241,18 @@ def suite_phase_space(cfg: RunConfig) -> list:
     out.append(cfg.check("phase_space.theta_linearity",
                          mixed - 0.3 * closed + 1.2 * theta2, 0.0))
 
-    pointwise = ps.theta_sigma_pointwise(sol, d1, cfg.lam, 0.0)
+    pointwise = ps.theta_sigma_pointwise(lat, frame, f1, cfg.lam)
     out.append(cfg.check("phase_space.theta_pointwise_match", closed,
                          pointwise))
 
     # Representative shifts c X_mu: c = 0.7 along X_0, 0.8 along each X_a.
     mus = np.arange(lat.d + 1)
     cs = np.array([0.7] + [0.8] * lat.d)
-    shifted = ps.theta_sigma_pointwise(sol, d1, cfg.lam, 0.0, shift=(cs, mus))
+    shifted = ps.theta_sigma_pointwise(lat, frame, f1, cfg.lam, (cs, mus))
     out.append(cfg.check("phase_space.theta_rep_independent_spatial",
                          _drift(np.append(pointwise, shifted[1:])), 0.0))
 
-    shifted_omega = ps.omega_sigma_pointwise(sol, d1, d2, 0.0, (0.8, mus),
+    shifted_omega = ps.omega_sigma_pointwise(lat, frame, f1, f2, (0.8, mus),
                                              (-0.6, mus))
     out.append(cfg.check("phase_space.omega_rep_independent",
                          _drift(np.append(path_a, shifted_omega)), 0.0))
@@ -300,7 +299,7 @@ def ladder_checks(cfg: RunConfig, rng: np.random.Generator, f, g, rows,
     fd1, fd2 = _dyadic(rng, lat.n_modes), _dyadic(rng, lat.n_modes)
     scalar = lat.hbar * np.sum(lat.w * f * g)
     vac = pq.vacuum(lat)
-    unit = dataclasses.replace(lat, hbar=1.0)  # op_a scales with hbar
+    unit = build_lattice(lat.d, lat.L, lat.N, lat.n_max, lat.m, 1.0)
 
     def ccr(part, x):
         return (pq.op_a(f, pq.op_a_star(g, x)),
@@ -335,7 +334,12 @@ def _random_state(lat, rng, degree: int, rows=None):
     if rows is None:
         n = comb(lat.n_modes + degree, degree)
         picks = np.sort(rng.choice(n, size=min(6, n), replace=False))
-        rows = np.array([pq.monomial_at(lat, degree, int(i)) for i in picks])
+        mm = lat.n_modes  # degree d holds the next C(mm + d - 1, d) ranks
+        starts = np.cumsum([0] + [comb(mm + d - 1, d) for d in range(degree)])
+        deg = np.searchsorted(starts, picks, side="right") - 1
+        rows = np.concatenate([pq._widen(pq._unrank(  # one per degree
+            mm, d, picks[deg == d] - starts[d]), degree, mm)
+            for d in range(degree + 1)])
     amp = rng.standard_normal((len(rows), 2)).view(complex).ravel()  # re, im
     state = pq.PolarizedState(lat, rows, amp, np.zeros(len(rows), np.intp))
     norm = np.sqrt(abs(pq.inner_product(state, state)))

@@ -37,8 +37,9 @@ from covkg.observables import (
     hamiltonian_deformation,
     omega_bracket_integral,
 )
-from covkg.phase_space import omega_mode_form, omega_sigma_pointwise
-from covkg.multisymplectic import lagrangian_and_actions
+from covkg.phase_space import (deformation_fields, omega_mode_form,
+                               omega_sigma_pointwise)
+from covkg.multisymplectic import graph_frame, lagrangian_and_actions
 from covkg.solution import DetunedHistory, SolutionHistory
 from covkg import prequant as pq
 
@@ -139,7 +140,12 @@ def test_06_solution_space_symplectic_form(lat, sol):
     path_gap = abs(complex(quad) - complex(mode))
     t_drift = max(abs(complex(omega_sigma(sol, d1, d2, t)) - complex(quad))
                   for t in (1.3, 2.6))
-    pointwise_gap = max(abs(complex(omega_sigma_pointwise(sol, d1, d2, t))
+    def pointwise(t):
+        frame = graph_frame(sol, t)
+        return omega_sigma_pointwise(lat, frame, *(
+            deformation_fields(frame[0], d) for d in (d1, d2)))
+
+    pointwise_gap = max(abs(complex(pointwise(t))
                             - complex(omega_sigma(sol, d1, d2, t)))
                         for t in (0.0, 1.3, 2.6))
     fds = {lam: fd_delta_theta(sol, d1, d2, lam, 0.0) for lam in (0.0, 0.5, 1.0)}
@@ -177,14 +183,16 @@ def test_08_bracket_coincides_with_omega_on_all_pairs(lat, sol):
     probe = random_solution(lat, rng, real_flag=False)
     forms = [probe, generator_alpha_f(lat, f),
              generator_alpha_star_g(lat, g), Pmu(0), Pmu(1)]
+    frame = graph_frame(sol, 0.0)
+    fields = [deformation_fields(frame[0], hamiltonian_deformation(F, sol))
+              for F in forms]
     worst = 0.0
-    for F in forms:
-        for G in forms:
+    for F, f_fields in zip(forms, fields):
+        for G, g_fields in zip(forms, fields):
             a = complex(omega_bracket_integral(F, G, sol, 0.0))
             b = complex(classical_bracket_integral(F, G, sol, 0.0))
-            c = complex(omega_sigma_pointwise(
-                sol, hamiltonian_deformation(F, sol),
-                hamiltonian_deformation(G, sol), 0.0))
+            c = complex(omega_sigma_pointwise(lat, frame, f_fields,
+                                              g_fields))
             worst = max(worst, abs(a - b), abs(c - b))
     print(f"max |Omega(Xi_F, Xi_G) - integral of bracket| = {worst:.3e} "
           f"(tol 1e-10) over {len(forms) ** 2} pairs, closed and pointwise")

@@ -18,6 +18,13 @@ both are counted; every synthesis is also one mode sum.
 Real grids take the half-spectrum transforms (``rfftn``/``irfftn``) and
 complex syntheses the full-grid pair, so each of the four kinds has its
 own bound; a real field sent down the complex path fails here.
+Quantities that several records read are formed once and handed on: the
+msymp suite's dt ladder is one ``evaluate_fields`` call, a
+``WindowedPerturbation`` block one phase table (complex ``np.exp``) for all
+its members, the phase-space suite one ``graph_frame`` and one
+``deformation_fields`` per deformation, and a ``verify`` run one lattice
+per argument list of ``build_lattice``; forming any of them per record
+again fails here.
 
 The prequant suite applies ``op_a`` and ``op_a_star`` to tagged blocks of
 ``suites._BLOCK_TERMS`` terms, and each exact-zero check applies them to
@@ -36,6 +43,7 @@ pack, raise the ``np.argsort`` calls.
 """
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -43,7 +51,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covkg import cli, lattice, prequant, solution, suites
+from covkg import (cli, lattice, multisymplectic, phase_space, prequant,
+                   solution, suites)
 from covkg.reporting import RunConfig
 
 SPEC = importlib.util.spec_from_file_location(
@@ -54,16 +63,20 @@ SPEC.loader.exec_module(report_matrix)
 CONFIGS = report_matrix.CONFIGS
 
 FFT_KINDS = ("fftn", "ifftn", "rfftn", "irfftn")
-MSYMP_PHASE_SPACE_BUDGET = {"synthesize": 27, "mode_sum_grid": 45,
-                            "fftn": 0, "ifftn": 0, "rfftn": 27, "irfftn": 72}
+MSYMP_PHASE_SPACE_BUDGET = {"synthesize": 18, "mode_sum_grid": 36,
+                            "fftn": 0, "ifftn": 0, "rfftn": 27, "irfftn": 63,
+                            "complex_exp": 45}
 OBSERVABLES_BUDGET = {"synthesize": 36, "mode_sum_grid": 36, "fftn": 0,
                       "ifftn": 20, "rfftn": 0, "irfftn": 16}
 CONFIG_C_BUDGET = {
-    "msymp": {"synthesize": 4, "mode_sum_grid": 167, "fftn": 0, "ifftn": 0,
-              "rfftn": 201, "irfftn": 368},
+    "msymp": {"synthesize": 2, "mode_sum_grid": 165, "fftn": 0, "ifftn": 0,
+              "rfftn": 201, "irfftn": 366, "complex_exp": 294},
     "observables": {"synthesize": 167, "mode_sum_grid": 167},
-    "phase-space": {"synthesize": 23, "mode_sum_grid": 88},
+    "phase-space": {"synthesize": 16, "mode_sum_grid": 81},
 }
+# The slice geometry of the phase-space suite: one graph frame of its one
+# slice, and one set of deformation fields for each of d1 and d2.
+PHASE_SPACE_GEOMETRY = {"graph_frame": 1, "deformation_fields": 2}
 SIMULATE_BUDGET = {"synthesize": 4, "mode_sum_grid": 4}
 PREQUANT_OP_BUDGET = {
     "A": (CONFIGS["A"],
@@ -98,11 +111,15 @@ def _count_calls(monkeypatch, suite_fns, **config):
 
 
 def _patch_counters(monkeypatch):
-    """A Counter that counts every covkg ``synthesize`` and
-    ``mode_sum_grid`` call and the calls of each FFT kind from now on."""
+    """A Counter that counts every covkg ``synthesize``, ``mode_sum_grid``,
+    ``graph_frame`` and ``deformation_fields`` call, the calls of each FFT
+    kind and the complex ``np.exp`` calls (phase tables) from now on."""
     counts = Counter()
     for key, original in (("synthesize", solution.synthesize),
-                          ("mode_sum_grid", lattice.mode_sum_grid)):
+                          ("mode_sum_grid", lattice.mode_sum_grid),
+                          ("graph_frame", multisymplectic.graph_frame),
+                          ("deformation_fields",
+                           phase_space.deformation_fields)):
         counted = _counting(counts, key, original)
         for name, mod in list(sys.modules.items()):
             if (name.startswith("covkg") and mod is not None
@@ -111,6 +128,12 @@ def _patch_counters(monkeypatch):
     for key in FFT_KINDS:
         monkeypatch.setattr(np.fft, key,
                             _counting(counts, key, getattr(np.fft, key)))
+    exp = np.exp
+
+    def counted_exp(x, *args, **kwargs):
+        counts["complex_exp"] += bool(np.iscomplexobj(x))
+        return exp(x, *args, **kwargs)
+    monkeypatch.setattr(np, "exp", counted_exp)
     return counts
 
 
@@ -139,6 +162,33 @@ def test_config_c_call_budget(monkeypatch, suite):
                                    **CONFIGS["C"])
     assert records
     _check_budget(counts, CONFIG_C_BUDGET[suite])
+
+
+@pytest.mark.parametrize("config", ["A", "C"])
+def test_phase_space_builds_its_slice_geometry_once(monkeypatch, config):
+    """Every pointwise record of the phase-space suite reads one graph
+    frame and one set of fields per deformation, at d = 1 and d = 3."""
+    _, counts = _count_calls(monkeypatch, [suites.suite_phase_space],
+                             **CONFIGS[config])
+    assert {key: counts[key] for key in PHASE_SPACE_GEOMETRY} \
+        == PHASE_SPACE_GEOMETRY
+
+
+@pytest.mark.parametrize("config", ["A", "hbar"])
+def test_verify_all_builds_at_most_two_lattices(monkeypatch, tmp_path,
+                                                config):
+    """``build_lattice`` hands every caller with the same arguments one
+    lattice: a fresh ``covkg verify --suite all`` builds the config's, and
+    the unit-hbar one of the [a, a] check only where hbar != 1."""
+    built = Counter()
+    monkeypatch.setattr(lattice.ModeLattice, "__post_init__", _counting(
+        built, "lattices", lattice.ModeLattice.__post_init__))
+    lattice.build_lattice.cache_clear()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIGS[config]))
+    assert cli.main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert built["lattices"] == (1 if config == "A" else 2)
 
 
 def test_simulate_call_budget(monkeypatch, tmp_path):

@@ -290,6 +290,45 @@ def test_random_states_with_an_overflowing_norm_are_nan(hbar, degree):
     assert len(state.amp) and np.isnan(state.amp).all()
 
 
+@pytest.mark.parametrize("config", ["A", "wide", "C"])
+def test_random_state_rows_are_the_monomial_at_rows(config):
+    """The rows of a random prequant state, unranked by degree, are the
+    ``monomial_at`` rows of its picks, at degrees 3 and 4 over several
+    seeds."""
+    from math import comb
+
+    from covkg import prequant
+    lat = RunConfig(**CONFIGS[config]).lattice()
+    for seed in range(4):
+        for degree in (3, 4):
+            rng = np.random.default_rng([seed, degree])
+            state = suites._random_state(lat, rng, degree)
+            rng = np.random.default_rng([seed, degree])
+            picks = np.sort(rng.choice(comb(lat.n_modes + degree, degree),
+                                       size=6, replace=False))
+            want = [prequant.monomial_at(lat, degree, int(i)) for i in picks]
+            assert np.array_equal(state.idx, np.array(want))
+
+
+def test_dt_ladder_grids_are_the_linspace_grids(monkeypatch):
+    """The order checks of the msymp and observables suites take their
+    dt = 0.1, 0.05 and 0.025 grids as strides of the finest (msymp's fields
+    from one ``evaluate_fields`` call); each equals its np.linspace grid
+    bit for bit."""
+    grids = []
+    for module, name, at in ((suites.ms, "hamilton_residual_fields", 1),
+                             (suites.obs, "noether_divergence", 2)):
+        def record(*args, real=getattr(module, name), at=at):
+            grids.append(args[at])
+            return real(*args)
+        monkeypatch.setattr(module, name, record)
+    suites.suite_msymp(RunConfig())
+    suites.suite_observables(RunConfig())
+    want = [np.linspace(0.0, 0.4, n).tobytes() for n in (5, 9, 17)]
+    # the observables suite's last call is its counterexample probe
+    assert [np.asarray(g).tobytes() for g in grids[:6]] == want * 2
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_random_state_fails_p_astar_commutator(tmp_path):
     """At hbar = 1e200 the NaN state of [P, a*] makes the record read NaN
@@ -641,20 +680,29 @@ def test_simulate_writes_stdout_and_file_alike_across_blocks(
 
 def test_simulate_memory_does_not_grow_with_rows(tmp_path):
     """Rows are written as they are formed: the traced peak of a 5000-row
-    run stays within 1.5 times that of a 300-row run (after a warm-up)."""
+    run stays within 1.5 times that of a 300-row run (after a warm-up).
+    The leapfrog budget and stability checks form each block's times and
+    steps in turn: with --leapfrog-dt 1e-6, which the budget refuses after
+    that pass, runs of 20,000 and 200,000 rows peak within 1.5 times a
+    300-row run, where arrays of every row's time and steps took 24 bytes
+    a row."""
     import tracemalloc
 
-    def peak(n_out):
+    def peak(n_out, *argv, code=0):
         tracemalloc.start()
         try:
-            assert main(["simulate", "--n-out", str(n_out),
-                         "--out", str(tmp_path / "series.csv")]) == 0
+            assert main(["simulate", "--n-out", str(n_out), *argv,
+                         "--out", str(tmp_path / "series.csv")]) == code
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     main(["simulate", "--n-out", "300", "--out", str(tmp_path / "warm.csv")])
     assert peak(5000) <= 1.5 * peak(300)
+    refused = ("--leapfrog-dt", "1e-6")
+    base = peak(300, *refused, code=2)
+    assert peak(20000, *refused, code=2) <= 1.5 * base
+    assert peak(200000, *refused, code=2) <= 1.5 * base
 
 
 def test_simulate_from_cauchy_file(tmp_path, lat):

@@ -129,6 +129,19 @@ def test_integer_reals_are_accepted():
     assert build_lattice(1, 6, 32, 7, 1, 1) == build_lattice(1, 6.0, 32, 7, 1.0)
 
 
+def test_build_lattice_shares_one_frozen_lattice_per_argument_list():
+    """Every caller with one argument list gets the same lattice, which no
+    caller can change; an int and a float of one value are two lists."""
+    lat = build_lattice(1, 6.0, 32, 7, 1.0)
+    assert build_lattice(1, 6.0, 32, 7, 1.0) is lat
+    assert build_lattice(1, 6, 32, 7, 1.0) is not lat
+    with pytest.raises(AttributeError):
+        lat.N = 16
+    for arr in (lat.modes, lat.k, lat.k0, lat.w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def _direct_hat(lat, grid_field):
     """Slow direct-sum transform used as the oracle for dft_forward."""
     x = lat.axis()

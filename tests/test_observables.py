@@ -31,7 +31,9 @@ from covkg.observables import (
     hamiltonian_deformation,
     omega_bracket_integral,
 )
+from covkg.multisymplectic import graph_frame
 from covkg.phase_space import (
+    deformation_fields,
     omega_sigma,
     omega_sigma_pointwise,
     translation_deformation,
@@ -354,10 +356,13 @@ def test_pmu_families_equal_one_call_per_member(d, N, n_max):
     mus = np.arange(d, -1, -1)
     closed, pointwise, direct = pmu_bracket_identity(mus, phi, sol_d, 0.3)
     lams, ts = np.array([0.0, 0.4, 1.0]), np.array([0.0, 2.5])
+    frame = graph_frame(sol_d, 0.3)
+    phi_fields = deformation_fields(frame[0], phi)
     for i, mu in enumerate(mus.tolist()):
         xi = translation_deformation(sol_d, mu)
         assert closed[i] == omega_sigma(sol_d, xi, phi, 0.3)
-        assert pointwise[i] == omega_sigma_pointwise(sol_d, xi, phi, 0.3)
+        assert pointwise[i] == omega_sigma_pointwise(
+            lat_d, frame, deformation_fields(frame[0], xi), phi_fields)
         assert pointwise[i] == pytest.approx(closed[i], abs=1e-10)
         assert direct[i] == slice_integral(derivative_solution(phi, mu),
                                            sol_d, 0.3)
@@ -403,12 +408,14 @@ def test_bracket_paths_agree_on_all_pairs(lat, sol, rng):
     probe = random_solution(lat, rng, real_flag=False)
     forms = [probe, generator_alpha_f(lat, f),
              generator_alpha_star_g(lat, g), Pmu(0), Pmu(1)]
-    for F in forms:
-        for G in forms:
+    frame = graph_frame(sol, 0.0)
+    fields = [deformation_fields(frame[0], hamiltonian_deformation(F, sol))
+              for F in forms]
+    for F, f_fields in zip(forms, fields):
+        for G, g_fields in zip(forms, fields):
             a = omega_bracket_integral(F, G, sol, 0.0)
             b = classical_bracket_integral(F, G, sol, 0.0)
-            c = omega_sigma_pointwise(sol, hamiltonian_deformation(F, sol),
-                                      hamiltonian_deformation(G, sol), 0.0)
+            c = omega_sigma_pointwise(lat, frame, f_fields, g_fields)
             assert abs(complex(a) - complex(b)) < 1e-10, (F, G)
             assert abs(complex(c) - complex(b)) < 1e-10, (F, G)
 

@@ -41,6 +41,23 @@ from covkg.solution import (
 )
 
 
+def _omega_pw(sol, d1, d2, t, shift1=None, shift2=None):
+    """``omega_sigma_pointwise`` on the graph frame of ``sol`` at t."""
+    frame = graph_frame(sol, t)
+    return omega_sigma_pointwise(sol.lat, frame,
+                                 deformation_fields(frame[0], d1),
+                                 deformation_fields(frame[0], d2),
+                                 shift1, shift2)
+
+
+def _theta_pw(sol, delta, lam, t, shift=None):
+    """``theta_sigma_pointwise`` on the graph frame of ``sol`` at t."""
+    frame = graph_frame(sol, t)
+    return theta_sigma_pointwise(sol.lat, frame,
+                                 deformation_fields(frame[0], delta), lam,
+                                 shift)
+
+
 @pytest.fixture()
 def defs(lat):
     rng = np.random.default_rng(17)
@@ -70,7 +87,7 @@ def test_omega_two_paths_agree(lat, sol, defs):
     dc = random_solution(lat, np.random.default_rng(23), real_flag=False)
     for a, b in ((d1, d2), (dc, d2), (d1, dc)):
         closed = complex(omega_sigma(sol, a, b, 0.0))
-        assert complex(omega_sigma_pointwise(sol, a, b, 0.0)) == \
+        assert complex(_omega_pw(sol, a, b, 0.0)) == \
             pytest.approx(closed, abs=1e-12)
         assert closed == pytest.approx(complex(omega_mode_form(lat, a, b)),
                                        abs=1e-12)
@@ -95,7 +112,7 @@ def test_omega_time_independent(lat, sol, defs, t):
 
 def test_omega_pointwise_matches_quadrature(lat, sol, defs):
     d1, d2 = defs
-    got = omega_sigma_pointwise(sol, d1, d2, 0.7)
+    got = _omega_pw(sol, d1, d2, 0.7)
     want = omega_sigma(sol, d1, d2, 0.7)
     assert got == pytest.approx(complex(want), abs=1e-12)
 
@@ -159,9 +176,10 @@ def test_pointwise_slice_forms_match_a_loop_over_cells(lat, sol, defs):
     grid_integral of omega_eval and theta_eval evaluated cell by cell."""
     d1, d2 = defs
     t, c = 0.4, 0.7 + 0.2j
-    sd, (x0, x1) = graph_frame(sol, t)
-    (v1, p1, e1), (v2, p2, e2) = (deformation_fields(sd, d)
-                                  for d in (d1, d2))
+    frame = graph_frame(sol, t)
+    sd, (x0, x1) = frame
+    fields = [deformation_fields(sd, d) for d in (d1, d2)]
+    (v1, p1, e1), (v2, p2, e2) = fields
     omega_cells, theta_cells = [], []
     for (j,) in np.ndindex(lat.grid_shape):
         xi1 = coords(np.zeros(2), v1[j], e1[j], p1[:, j])
@@ -171,9 +189,9 @@ def test_pointwise_slice_forms_match_a_loop_over_cells(lat, sol, defs):
         point = coords(np.zeros(2), sd.phi[j], sd.e[j], sd.p[:, j])
         omega_cells.append(omega_eval([xi1, xi2, x1[:, j]]))
         theta_cells.append(theta_eval(0.3, point, [shifted, x1[:, j]]))
-    assert omega_sigma_pointwise(sol, d1, d2, t) == grid_integral(
+    assert omega_sigma_pointwise(lat, frame, *fields) == grid_integral(
         lat, np.array(omega_cells))
-    assert theta_sigma_pointwise(sol, d1, 0.3, t, shift=(c, 0)) == \
+    assert theta_sigma_pointwise(lat, frame, fields[0], 0.3, (c, 0)) == \
         grid_integral(lat, np.array(theta_cells))
 
 
@@ -181,7 +199,7 @@ def test_theta_closed_form_matches_pointwise(lat, sol, defs):
     d1, _ = defs
     for lam in (0.0, 0.5, 1.0):
         closed = theta_sigma(sol, d1, lam, 0.9)
-        pointwise = theta_sigma_pointwise(sol, d1, lam, 0.9)
+        pointwise = _theta_pw(sol, d1, lam, 0.9)
         assert complex(closed) == pytest.approx(pointwise, abs=1e-12)
 
 
@@ -202,17 +220,17 @@ def test_theta_spatial_representative_shift_exact(lat, sol, defs, lam):
     residue is pure roundoff, far below any quadrature tolerance.
     """
     d1, _ = defs
-    plain = theta_sigma_pointwise(sol, d1, lam, 0.5)
-    shifted = theta_sigma_pointwise(sol, d1, lam, 0.5, shift=(0.8, 1))
+    plain = _theta_pw(sol, d1, lam, 0.5)
+    shifted = _theta_pw(sol, d1, lam, 0.5, shift=(0.8, 1))
     assert shifted == pytest.approx(plain, abs=1e-14)
 
 
 def test_omega_representative_shift_invariant(lat, sol, defs):
     """Omega ignores tangential shifts along any frame direction."""
     d1, d2 = defs
-    plain = omega_sigma_pointwise(sol, d1, d2, 0.5)
+    plain = _omega_pw(sol, d1, d2, 0.5)
     for mu in (0, 1):
-        shifted = omega_sigma_pointwise(sol, d1, d2, 0.5,
+        shifted = _omega_pw(sol, d1, d2, 0.5,
                                         shift1=(0.8, mu), shift2=(-0.6, mu))
         assert shifted == pytest.approx(plain, abs=1e-10)
 
@@ -227,7 +245,7 @@ def test_theta_time_shift_identity(lat, sol, defs, lam):
     d1, _ = defs
     c = 0.7
     plain = theta_sigma(sol, d1, lam, 0.5)
-    shifted = theta_sigma_pointwise(sol, d1, lam, 0.5, shift=(c, 0))
+    shifted = _theta_pw(sol, d1, lam, 0.5, shift=(c, 0))
     phi = synthesize(sol, 0.5)
     dtphi = synthesize(sol, 0.5, (0,))
     dttphi = synthesize(sol, 0.5, (0, 0))
@@ -315,29 +333,29 @@ def test_pointwise_families_equal_one_call_each(d, real):
     mus = np.arange(d, -1, -1)
     cs = 0.8 - 0.3j * mus
     shifts = list(zip(cs.tolist(), mus.tolist()))
-    thetas = theta_sigma_pointwise(sol_d, d1, 0.37, 0.4, shift=(cs, mus))
-    omegas = omega_sigma_pointwise(sol_d, d1, d2, 0.4, shift1=(cs, mus),
+    thetas = _theta_pw(sol_d, d1, 0.37, 0.4, shift=(cs, mus))
+    omegas = _omega_pw(sol_d, d1, d2, 0.4, shift1=(cs, mus),
                                    shift2=(-0.6, mus))
     assert thetas.shape == omegas.shape == (d + 1,)
     for i, (c, mu) in enumerate(shifts):
-        assert thetas[i] == theta_sigma_pointwise(sol_d, d1, 0.37, 0.4,
+        assert thetas[i] == _theta_pw(sol_d, d1, 0.37, 0.4,
                                                   shift=(c, mu))
-        assert omegas[i] == omega_sigma_pointwise(
+        assert omegas[i] == _omega_pw(
             sol_d, d1, d2, 0.4, shift1=(c, mu), shift2=(-0.6, mu))
     members = (d1, d2, d1 + d2)
     batch = stack_solutions(members)
     closed = omega_sigma(sol_d, batch, d2, 0.4)
-    pointwise = omega_sigma_pointwise(sol_d, d2, batch, 0.4)
-    crossed = theta_sigma_pointwise(sol_d, batch, 0.37, 0.4, shift=(cs, mus))
+    pointwise = _omega_pw(sol_d, d2, batch, 0.4)
+    crossed = _theta_pw(sol_d, batch, 0.37, 0.4, shift=(cs, mus))
     assert closed.shape == pointwise.shape == (3,)
     assert crossed.shape == (d + 1, 3)
     for b, delta in enumerate(members):
         assert closed[b] == omega_sigma(sol_d, delta, d2, 0.4)
-        assert pointwise[b] == omega_sigma_pointwise(sol_d, d2, delta, 0.4)
+        assert pointwise[b] == _omega_pw(sol_d, d2, delta, 0.4)
         assert pointwise[b] == pytest.approx(
             omega_sigma(sol_d, d2, delta, 0.4), abs=1e-10)
         for i, (c, mu) in enumerate(shifts):
-            assert crossed[i, b] == theta_sigma_pointwise(
+            assert crossed[i, b] == _theta_pw(
                 sol_d, delta, 0.37, 0.4, shift=(c, mu))
 
 
@@ -346,9 +364,9 @@ def test_representative_shift_rejects_mu_outside_the_frame(lat, sol, defs,
                                                            mu):
     d1, d2 = defs
     with pytest.raises(ValueError, match=r"mu must lie in 0\.\.1"):
-        theta_sigma_pointwise(sol, d1, 0.5, 0.4, shift=(0.8, mu))
+        _theta_pw(sol, d1, 0.5, 0.4, shift=(0.8, mu))
     with pytest.raises(ValueError, match=r"mu must lie in 0\.\.1"):
-        omega_sigma_pointwise(sol, d1, d2, 0.4, shift2=(0.8, mu))
+        _omega_pw(sol, d1, d2, 0.4, shift2=(0.8, mu))
 
 
 def test_stack_solutions_needs_one_lattice(sol):
