@@ -191,41 +191,43 @@ def bracket_regularized(lat: ModeLattice, f, g) -> complex:
     return complex(1j * np.sum(lat.w * f * g))
 
 
-def _noether_terms(gen, lat: ModeLattice, t):
-    """(value, d_t value, [d_a value for a = 1..d], spatial laplacian) of the
-    current generator at t."""
-    d = lat.d
-    if isinstance(gen, Solution):
+def noether_current(gen, sol: Solution, t):
+    """(J^0, d_a J^a) at the 1-D array of times t, each with a leading time
+    axis, of the current J^mu = p^mu Phi - phi eta^{mu nu} d_nu Phi: the
+    spatial divergence by the product rule with exact mode derivatives."""
+    d = sol.lat.d
+    sd, sol_aa = fields_and_orders(sol, t, [(a, a) for a in range(1, d + 1)])
+    if isinstance(gen, Solution):  # value, d_t, d_a and spatial laplacian
         grids = synthesize(gen, t, [(), (0,)] + [(a,) for a in range(1, d + 1)]
                            + [(a, a) for a in range(1, d + 1)])
-        return grids[0], grids[1], grids[2:d + 2], sum(grids[d + 2:])
-    if isinstance(gen, PolynomialTimeHistory):
+        val, dval, dgen, lap_gen = (grids[0], grids[1], grids[2:d + 2],
+                                    sum(grids[d + 2:]))
+    elif isinstance(gen, PolynomialTimeHistory):
         val, dval, _ = gen.at(t)
-        return val, dval, [np.zeros_like(val)] * d, np.zeros_like(val)
-    raise TypeError(f"unsupported current generator: {gen!r}")
-
-
-def noether_divergence(gen, sol: Solution, t_grid) -> float:
-    """Max |d_mu J^mu| of the current J^mu = p^mu Phi - phi eta^{mu nu} d_nu Phi.
-
-    Spatial part by the product rule with exact mode derivatives; time part
-    by centered differences over the uniform t_grid (order Delta t^2).
-    """
-    lat = sol.lat
-    dt = _uniform_dt(t_grid)
-    sd, sol_aa = fields_and_orders(sol, t_grid,
-                                   [(a, a) for a in range(1, lat.d + 1)])
-    val, dval, dgen, lap_gen = _noether_terms(gen, lat, t_grid)
+        dgen, lap_gen = [np.zeros_like(val)] * d, np.zeros_like(val)
+    else:
+        raise TypeError(f"unsupported current generator: {gen!r}")
     j0 = sd.p[:, 0] * val - sd.phi * dval
     div_space = np.zeros(sd.phi.shape, dtype=complex)
-    for a in range(1, lat.d + 1):
+    for a in range(1, d + 1):
         # d_a (p^a Phi + phi d_a Phi) expanded termwise
         dgen_a = dgen[a - 1]
         div_space += (-sol_aa[a - 1] * val
                       + sd.p[:, a] * dgen_a + sd.dphi[:, a] * dgen_a)
     div_space += sd.phi * lap_gen
+    return j0, div_space
+
+
+def noether_residual(t_grid, j0, div_space) -> float:
+    """Max |d_mu J^mu|, d_t J^0 by centered differences (order Delta t^2)."""
+    dt = _uniform_dt(t_grid)
     resid = (j0[2:] - j0[:-2]) / (2.0 * dt) + div_space[1:-1]
     return float(np.max(np.abs(resid)))
+
+
+def noether_divergence(gen, sol: Solution, t_grid) -> float:
+    """``noether_residual`` of the ``noether_current`` on t_grid."""
+    return noether_residual(t_grid, *noether_current(gen, sol, t_grid))
 
 
 def hamiltonian_deformation(form, sol: Solution) -> Solution:

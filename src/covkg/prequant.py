@@ -43,7 +43,7 @@ scattered back into term order.  The sort is one ``np.sort`` of
 (key << b) | term, b the bit length of the term count: the packed values
 are distinct and break ties by term, so they sort into the stable order,
 for keys under 2^(63 - b); wider keys take a stable argsort, as config C's
-[a, a] blocks do (910 tags, 64 bits), and strictly increasing keys (a
+[a, a] blocks do (1820 tags, 66 bits), and strictly increasing keys (a
 block's first raising) skip the sort.  An operator ranks its keys in place
 over a copy of the source tags; the output tags are the group keys'
 quotients by S (``_tags``).
@@ -78,6 +78,8 @@ Lowering drops the last column of each run of mode k (``_runs``), with the
 run length alpha_k as its factor, so the term is (hbar f_k alpha_k)
 c_alpha as one product: adding alpha_k dropped copies instead would leave
 roundoff in the off-diagonal terms of [a_f, a*_g] for alpha_k >= 3.
+Runs of the sentinel, or of a mode zero in every member, are masked out,
+unless every run lowers (a raised ccr block of degree-3 rows).
 P_zeta multiplies each term by -hbar times the row sum of k.zeta over its
 index columns; ``p_eigenvalue`` (a dot product over the distinct modes)
 and ``p_eigenvalues`` (each run of mode k adds alpha_k (k.zeta), the runs
@@ -460,7 +462,8 @@ def op_a(f, state: PolarizedState) -> PolarizedState:
     flat, term, alpha = _runs(idx)
     mode = flat.take(term)
     lowers = live.take(mode)
-    term, alpha, mode = term[lowers], alpha[lowers], mode[lowers]
+    if not lowers.all():  # else every run lowers: nothing to compress
+        term, alpha, mode = term[lowers], alpha[lowers], mode[lowers]
     src = np.floor_divide(term, width, out=term)  # the source rows
     amp = _cmul(hf.take(mode, axis=-1) * alpha, state.amp.take(src, axis=-1))
     # Lowered column c is source column c + 1 where that exceeds the mode

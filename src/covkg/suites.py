@@ -37,10 +37,10 @@ from .solution import (
 
 _SUITE_TAG = {"msymp": 1, "observables": 2, "phase-space": 3, "prequant": 4}
 # Term budget of the batched prequant checks: a block holds at least one
-# and floor(_BLOCK_TERMS / fan_out) monomials, fan_out being the most terms
-# one monomial reaches, once per member of a coefficient family (two members
-# in the exact-zero checks).  Chosen by peak memory, under 130 traced bytes
-# per term at n_max = 11; keys pack for one np.sort but in config C's [a, a].
+# and floor(_BLOCK_TERMS / fan_out) monomials (``ladder_fan_outs``); a
+# family's members ride along on its terms' rows and keys, not as terms.
+# Chosen by peak memory, under 130 traced bytes per term at n_max = 11 (the
+# ccr check's); keys pack for one np.sort but in config C's [a, a].
 _BLOCK_TERMS = 16384
 
 
@@ -169,7 +169,9 @@ def suite_observables(cfg: RunConfig) -> list:
                          1j * lat.w[k0]))
 
     ts = np.linspace(0.0, 0.4, 17)  # the dt ladder of msymp.hamilton_order
-    residuals = [obs.noether_divergence(phi, sol, ts[::s]) for s in (4, 2, 1)]
+    j0, div_space = obs.noether_current(phi, sol, ts)
+    residuals = [obs.noether_residual(ts[::s], j0[::s], div_space[::s])
+                 for s in (4, 2, 1)]
     out.append(cfg.check("observables.noether_order",
                          _order_of_convergence(residuals), 2.0))
 
@@ -271,12 +273,19 @@ def _dyadic(rng: np.random.Generator, n: int) -> np.ndarray:
     return (re + 1j * im) / 16.0
 
 
+def ladder_fan_outs(n_modes: int, width: int) -> dict:
+    """Most raw terms a monomial of ``width`` columns makes per ladder check:
+    a_f lowers at up to width + 1 places each of a*_g's n_modes (ccr)."""
+    return {"ccr": n_modes * (width + 1), "aa": width ** 2,
+            "astar_astar": n_modes ** 2}
+
+
 def ladder_residual(lat, rows, fan_out: int, products) -> float:
     """Largest ``pq.max_abs_diff(*products(part, block))`` over the blocks of
-    ``rows`` (``solution._blocks`` of ``fan_out`` terms a row), 0.0 for none
-    and NaN if any is NaN.  A block holds the tagged states of its rows, at
-    most ``_BLOCK_TERMS`` tags, over 230 times fewer than the 3,837,376 that
-    int64 keys hold at config C's 343 modes (``pq._column_keys``)."""
+    ``rows`` (``solution._blocks`` of ``fan_out`` raw terms a row), 0.0 for
+    none and NaN if any is NaN.  A block holds the tagged states of its rows,
+    at most ``_BLOCK_TERMS`` tags, over 230 times fewer than the 3,837,376
+    that int64 keys hold at config C's 343 modes (``pq._column_keys``)."""
     worst = 0.0
     for part in _blocks(len(rows), fan_out, _BLOCK_TERMS):
         # Held until the next block's replace them: freeing them per block
@@ -292,8 +301,8 @@ def ladder_checks(cfg: RunConfig, rng: np.random.Generator, f, g, rows,
     """The ccr, [a, a], [a*, a*] and vacuum records of the prequant suite:
     [a*_f, a*_g] on ``raise_rows``, the commutators with a lowering on
     ``rows``.  [op(c1), op(c2)] takes A B x and B A x as the members of the
-    family op([c1, c2], op([c2, c1], x)) (``pq`` docstring), each with its
-    own amplitudes.  [a, a] takes dyadic coefficients from ``rng`` and runs
+    family op([c1, c2], op([c2, c1], x)) (``pq`` docstring): shared rows, own
+    amplitudes.  [a, a] takes dyadic coefficients from ``rng`` and runs
     at hbar = 1, where hbar f_k alpha_k stays exact, so it vanishes bitwise."""
     lat = cfg.lattice()
     fd1, fd2 = _dyadic(rng, lat.n_modes), _dyadic(rng, lat.n_modes)
@@ -311,16 +320,15 @@ def ladder_checks(cfg: RunConfig, rng: np.random.Generator, f, g, rows,
             return [dataclasses.replace(both, amp=amp) for amp in both.amp]
         return products
 
-    # a*_g makes up to n_modes terms, a_f lowers each at up to D+1 places.
+    fan_out = ladder_fan_outs(lat.n_modes, rows.shape[1])
     return [
         cfg.check("prequant.ccr_monomials", ladder_residual(
-            lat, rows, lat.n_modes * (rows.shape[1] + 1), ccr), 0.0),
+            lat, rows, fan_out["ccr"], ccr), 0.0),
         cfg.check("prequant.aa_exact_zero", ladder_residual(
-            unit, rows, 2 * rows.shape[1] ** 2, orders(pq.op_a, fd1, fd2)),
-            0.0),
+            unit, rows, fan_out["aa"], orders(pq.op_a, fd1, fd2)), 0.0),
         cfg.check("prequant.astar_astar_exact_zero", ladder_residual(
-            lat, raise_rows, 2 * lat.n_modes ** 2, orders(pq.op_a_star, f, g)),
-            0.0),
+            lat, raise_rows, fan_out["astar_astar"],
+            orders(pq.op_a_star, f, g)), 0.0),
         # P_time and a_f must both annihilate the vacuum exactly.
         cfg.check("prequant.vacuum_annihilated", float(np.maximum(
             pq.max_abs_diff(pq.op_p(np.eye(lat.d + 1)[0], vac)),

@@ -27,10 +27,14 @@ per argument list of ``build_lattice``; forming any of them per record
 again fails here.
 
 The prequant suite applies ``op_a`` and ``op_a_star`` to tagged blocks of
-``suites._BLOCK_TERMS`` terms, and each exact-zero check applies them to
-both orders of its commutator as one coefficient family; smaller blocks, a
-check split back per monomial or an exact-zero check whose two orders run
-apart raise its operator calls.  Complex products are the
+``suites._BLOCK_TERMS`` raw terms, and each exact-zero check applies them to
+both orders of its commutator as one coefficient family, whose two members
+share the block's terms (``suites.ladder_fan_outs``); smaller blocks, a
+check split back per monomial, a fan-out that counts a family's members as
+terms again or an exact-zero check whose two orders run apart raise its
+operator calls.  Each block is one ``monomial_block`` call, and the suite
+makes exactly the blocks ``solution._blocks`` predicts from those fan-outs
+(and the two vacuums).  Complex products are the
 ``lattice._cmul`` calls made through ``prequant``, one per operator call,
 ``state_scale`` and ``inner_product``; a negation pass that comes back
 (scaling A*_g A_f x by -1 to add it in the ccr check) raises them.  Each
@@ -66,12 +70,12 @@ FFT_KINDS = ("fftn", "ifftn", "rfftn", "irfftn")
 MSYMP_PHASE_SPACE_BUDGET = {"synthesize": 18, "mode_sum_grid": 36,
                             "fftn": 0, "ifftn": 0, "rfftn": 27, "irfftn": 63,
                             "complex_exp": 45}
-OBSERVABLES_BUDGET = {"synthesize": 36, "mode_sum_grid": 36, "fftn": 0,
-                      "ifftn": 20, "rfftn": 0, "irfftn": 16}
+OBSERVABLES_BUDGET = {"synthesize": 32, "mode_sum_grid": 32, "fftn": 0,
+                      "ifftn": 18, "rfftn": 0, "irfftn": 14}
 CONFIG_C_BUDGET = {
     "msymp": {"synthesize": 2, "mode_sum_grid": 165, "fftn": 0, "ifftn": 0,
               "rfftn": 201, "irfftn": 366, "complex_exp": 294},
-    "observables": {"synthesize": 167, "mode_sum_grid": 167},
+    "observables": {"synthesize": 163, "mode_sum_grid": 163},
     "phase-space": {"synthesize": 16, "mode_sum_grid": 81},
 }
 # The slice geometry of the phase-space suite: one graph frame of its one
@@ -79,14 +83,14 @@ CONFIG_C_BUDGET = {
 PHASE_SPACE_GEOMETRY = {"graph_frame": 1, "deformation_fields": 2}
 SIMULATE_BUDGET = {"synthesize": 4, "mode_sum_grid": 4}
 PREQUANT_OP_BUDGET = {
-    "A": (CONFIGS["A"],
-          {"op_a": 12, "op_a_star": 20, "_cmul": 45, "_merge": 14}),
-    "wide": (CONFIGS["wide"],
-             {"op_a": 40, "op_a_star": 76, "_cmul": 141, "_merge": 44}),
+    "A": (CONFIGS["A"], {"op_a": 12, "op_a_star": 16, "_cmul": 41,
+                         "_merge": 12, "monomial_block": 10}),
+    "wide": (CONFIGS["wide"], {"op_a": 38, "op_a_star": 56, "_cmul": 119,
+                               "_merge": 33, "monomial_block": 31}),
 }
 # Coalescing sorts of the prequant suite at the same configs: a block's
 # first raising comes out key-sorted and sorts nothing.
-PREQUANT_SORT_BUDGET = {"A": 21, "wide": 77}
+PREQUANT_SORT_BUDGET = {"A": 19, "wide": 65}
 # np.argsort calls there: those of inner_product's np.intersect1d only,
 # since merges of key-sorted states fold by np.searchsorted and every
 # operator output's keys pack into one np.sort.
@@ -211,8 +215,25 @@ def test_prequant_ladder_call_budget(monkeypatch, config):
         counts, "sorts", prequant._stable_order))
     monkeypatch.setattr(np, "argsort",
                         _counting(counts, "argsort", np.argsort))
-    records = suites.suite_prequant(RunConfig(**fields))
+    cfg = RunConfig(**fields)
+    records = suites.suite_prequant(cfg)
     assert len(records) == 9
     for key, bound in {**budget, "sorts": PREQUANT_SORT_BUDGET[config],
                        "argsort": PREQUANT_ARGSORT_BUDGET[config]}.items():
         assert 0 < counts[key] <= bound, key
+    assert counts["monomial_block"] == _predicted_blocks(cfg.lattice())
+
+
+def _predicted_blocks(lat):
+    """``monomial_block`` calls of the prequant suite as ``solution._blocks``
+    sizes them: the ccr and [a, a] checks over the degree <= 3 rows, [a*, a*]
+    over the degree <= 2 rows, the two P eigenvalue passes at one term a row,
+    and the two vacuums."""
+    rows = prequant.monomial_rows(lat, 3)
+    n_raise = len(prequant.monomial_rows(lat, 2))
+    fan_out = suites.ladder_fan_outs(lat.n_modes, rows.shape[1])
+    passes = [(len(rows), fan_out["ccr"]), (len(rows), fan_out["aa"]),
+              (n_raise, fan_out["astar_astar"]), (len(rows), 1),
+              (len(rows), 1)]
+    return 2 + sum(len(list(solution._blocks(n, size, suites._BLOCK_TERMS)))
+                   for n, size in passes)

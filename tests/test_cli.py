@@ -313,11 +313,12 @@ def test_random_state_rows_are_the_monomial_at_rows(config):
 def test_dt_ladder_grids_are_the_linspace_grids(monkeypatch):
     """The order checks of the msymp and observables suites take their
     dt = 0.1, 0.05 and 0.025 grids as strides of the finest (msymp's fields
-    from one ``evaluate_fields`` call); each equals its np.linspace grid
-    bit for bit."""
+    from one ``evaluate_fields`` call, the Noether current from one
+    ``noether_current`` call); each equals its np.linspace grid bit for
+    bit."""
     grids = []
     for module, name, at in ((suites.ms, "hamilton_residual_fields", 1),
-                             (suites.obs, "noether_divergence", 2)):
+                             (suites.obs, "noether_residual", 0)):
         def record(*args, real=getattr(module, name), at=at):
             grids.append(args[at])
             return real(*args)

@@ -1100,12 +1100,13 @@ def test_ladder_checks_do_not_depend_on_the_block_size(wide_lat,
     fd2 = suites._dyadic(rng, lat.n_modes)
     unit = dataclasses.replace(lat, hbar=1.0)
     rows, raise_rows = monomial_rows(lat, 3)[::3], monomial_rows(lat, 2)[::3]
+    fan_out = suites.ladder_fan_outs(lat.n_modes, rows.shape[1])
 
     def checks():
         alone = [_ccr_residual(lat, f, g, rows),
-                 _orders_residual(unit, rows, op_a, fd1, fd2, 18),
+                 _orders_residual(unit, rows, op_a, fd1, fd2, fan_out["aa"]),
                  _orders_residual(lat, raise_rows, op_a_star, f, g,
-                                  2 * lat.n_modes ** 2)]
+                                  fan_out["astar_astar"])]
         records = _ladder_lhs(lat, f, g, rows, raise_rows, seed=4)
         assert records[:3] == alone
         return records
@@ -1117,11 +1118,15 @@ def test_ladder_checks_do_not_depend_on_the_block_size(wide_lat,
 
 
 # Bounds on the traced peak bytes per ``suites._BLOCK_TERMS`` term of the
-# ccr and [a*, a*] checks at n_max = 11: set at 127.3 and 88.2 at 16384
-# terms plus a margin of about 7.5%; they read 129.7 and 56.5 with each
-# block's products held until the next block's replace them.  They hold the
-# lean ladder kernels that pay for blocks of that size (prequant docstring).
-LADDER_PEAK_BYTES_PER_TERM = {"ccr": 137, "astar_astar": 95}
+# ladder checks at n_max = 11, each in blocks of its shipped fan-out
+# (``suites.ladder_fan_outs``): the ccr check's was set at 127.3 at 16384
+# terms plus a margin of about 7.5%, and those of [a*, a*] and [a, a] are
+# their readings of 112.6 and 86.5 (their families' two members sharing a
+# block's rows) plus the same margin; ccr reads 129.7, with each block's
+# products held until the next block's replace them.  They hold the lean
+# ladder kernels that pay for blocks of that size (prequant docstring), and
+# no exact-zero check may peak above the ccr check, the suite's peak.
+LADDER_PEAK_BYTES_PER_TERM = {"ccr": 137, "astar_astar": 121, "aa": 93}
 
 
 def _traced_peak(fn) -> int:
@@ -1136,18 +1141,27 @@ def _traced_peak(fn) -> int:
 
 
 def test_ladder_checks_peak_memory_per_budget_term():
-    """The ccr check over the degree <= 3 rows and [a*, a*] over the
-    degree <= 2 rows at n_max = 11 peak under their
-    ``LADDER_PEAK_BYTES_PER_TERM`` bytes per term of the shipped budget."""
+    """The ccr and [a, a] checks over the degree <= 3 rows and [a*, a*] over
+    the degree <= 2 rows at n_max = 11, in blocks of the shipped fan-outs,
+    peak under their ``LADDER_PEAK_BYTES_PER_TERM`` bytes per term of the
+    shipped budget, none of them above the ccr check's peak or bound."""
     from covkg import suites
     lat = build_lattice(d=1, L=2 * np.pi, N=32, n_max=11, m=1.0)
+    unit = dataclasses.replace(lat, hbar=1.0)
     f, g = _rand_fg(lat, 6)
+    fd1, fd2 = _dyadic(lat, 4), _dyadic(lat, 5)
     rows, raise_rows = monomial_rows(lat, 3), monomial_rows(lat, 2)
+    fan_out = suites.ladder_fan_outs(lat.n_modes, rows.shape[1])
     peaks = {
         "ccr": _traced_peak(lambda: _ccr_residual(lat, f, g, rows)),
         "astar_astar": _traced_peak(lambda: _orders_residual(
-            lat, raise_rows, op_a_star, f, g, 2 * lat.n_modes ** 2)),
+            lat, raise_rows, op_a_star, f, g, fan_out["astar_astar"])),
+        "aa": _traced_peak(lambda: _orders_residual(
+            unit, rows, op_a, fd1, fd2, fan_out["aa"])),
     }
+    assert max(LADDER_PEAK_BYTES_PER_TERM.values()) \
+        == LADDER_PEAK_BYTES_PER_TERM["ccr"]
+    assert max(peaks.values()) == peaks["ccr"]
     for name, peak in peaks.items():
         bound = LADDER_PEAK_BYTES_PER_TERM[name] * suites._BLOCK_TERMS
         assert peak <= bound, (name, peak)
@@ -1289,6 +1303,56 @@ def test_family_members_equal_single_calls(rows_lats, op, family):
             again = op(coeffs[::-1], fam)
             for i, (c, single) in enumerate(zip(coeffs[::-1], singles)):
                 _assert_same_nonzero_terms(_member(again, i), op(c, single))
+
+
+def _every_run_lowers(lat, c, rows):
+    """Whether ``op_a(c, .)`` lowers every run of ``rows``: no sentinel
+    run and no mode whose coefficient is zero in every member."""
+    from covkg import prequant
+    _, live = prequant._mode_coefficients(lat, c, "f")
+    flat, end, _ = prequant._runs(_trim(rows, lat.n_modes))
+    return bool(live.take(flat.take(end)).all())
+
+
+@pytest.mark.parametrize("case", ["every_run_lowers", "zero_coefficient",
+                                  "sentinel_rows"])
+def test_op_a_mask_paths_equal_the_per_monomial_reference(wide_lat, case):
+    """``op_a`` takes its runs as they are where every run lowers (degree-4
+    rows and every coefficient live in some member) and masks them where
+    some do not (a mode zero in every member, or sentinel-padded rows).
+    Either way each tag of a block, for a coefficient vector and for each
+    member of a family, equals the drop-table lowering of its monomial
+    alone (``_old_op_a``) bit for bit on its nonzero terms, and holds the
+    terms of the modes live in some member and no others."""
+    lat = wide_lat
+    f, g = _rand_fg(lat, 21)
+    if case == "sentinel_rows":
+        rows = monomial_rows(lat, 3)[:40]  # the vacuum, degrees 1 and 2
+    else:
+        deg4 = monomial_rows(lat, 4)[math.comb(lat.n_modes + 3, 3):]
+        rows = deg4[::len(deg4) // 40]
+    if case == "zero_coefficient":
+        f[::3] = 0.0
+        g[::3] = 0.0
+    zero_in_one = g.copy()
+    zero_in_one[1::4] = 0.0  # live in f, so every member's union is live
+    block = monomial_block(lat, rows)
+    for c in (f, np.stack([f, g]), np.stack([zero_in_one, f])):
+        assert _every_run_lowers(lat, c, rows) == (case == "every_run_lowers")
+        out = op_a(c, block)
+        members = np.atleast_2d(c)
+        for member, amp in zip(members, np.atleast_2d(out.amp)):
+            got = dataclasses.replace(out, amp=amp)
+            for tag, row in enumerate(rows):
+                got_rows, got_amp = _tag_terms(got, tag)
+                one = (row[None], np.ones(1, complex), np.zeros(1, np.intp))
+                union = _old_op_a(lat, 1.0 * (members != 0).any(axis=0),
+                                  *one)[0]
+                assert got_rows.tolist() == union.tolist()
+                want_rows, want_amp, _ = _old_op_a(lat, member, *one)
+                keep = got_amp != 0
+                assert got_rows[keep].tolist() == want_rows.tolist()
+                assert got_amp[keep].tobytes() == want_amp.tobytes()
 
 
 def test_shared_index_pass_keeps_each_order_its_own_products(monkeypatch):
